@@ -1,13 +1,15 @@
 """Command-line surface: thin adapters over the library, bit-exact output.
 
 Exit codes: 0 success or check passed; 1 check failed, formulas inequivalent,
-or oracle disagreement; 2 usage, parse, or file-format errors.
+or oracle disagreement; 2 usage, parse, or file-format errors (formulas nested
+past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -193,6 +195,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not read as an honest negative (exit 1)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

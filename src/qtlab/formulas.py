@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Tuple
 
 
 class ParseError(ValueError):
@@ -50,6 +50,13 @@ class FormulaSyntaxError(ParseError):
 
 class ArityError(ParseError):
     """C0, Pn0, or a Pnueli call whose argument count differs from its index."""
+
+
+# Deepest nesting the parser accepts: bracket and operator levels in the text,
+# and operator levels in the tree.  The recursive walks over formulas (the
+# parser, evaluate, the oracle, the printer) stay well inside Python's default
+# recursion limit of 1000 below it.
+MAX_NESTING = 100
 
 
 # ----------------------------------------------------------------------- AST
@@ -216,6 +223,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -235,11 +243,20 @@ class _Parser:
             )
         return self.eat()
 
+    def nested(self, parse: Callable[[], Formula]) -> Formula:
+        """Parse one level deeper, refusing text nested past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.cur.pos)
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
+
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.cur.kind == "->":
             self.eat()
-            return Implies(left, self.implies())
+            return Implies(left, self.nested(self.implies))
         return left
 
     def disjunction(self) -> Formula:
@@ -260,23 +277,23 @@ class _Parser:
         left = self.unary()
         if self.cur.kind == "U":
             self.eat()
-            return Until(left, self.temporal())
+            return Until(left, self.nested(self.temporal))
         if self.cur.kind == "S":
             self.eat()
-            return Since(left, self.temporal())
+            return Since(left, self.nested(self.temporal))
         return left
 
     def unary(self) -> Formula:
         kind = self.cur.kind
         if kind == "!":
             self.eat()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if kind == "F1":
             self.eat()
-            return DiamondFuture(self.unary())
+            return DiamondFuture(self.nested(self.unary))
         if kind == "O1":
             self.eat()
-            return DiamondPast(self.unary())
+            return DiamondPast(self.nested(self.unary))
         return self.primary()
 
     def primary(self) -> Formula:
@@ -292,7 +309,7 @@ class _Parser:
             return Atom(tok.text)
         if tok.kind == "(":
             self.eat()
-            inner = self.implies()
+            inner = self.nested(self.implies)
             self.expect(")")
             return inner
         if tok.kind == "count":
@@ -300,7 +317,7 @@ class _Parser:
             if tok.index < 1:
                 raise ArityError("C0 is not a modality: the index starts at 1", tok.pos)
             self.expect("(")
-            inner = self.implies()
+            inner = self.nested(self.implies)
             self.expect(")")
             return Count(tok.index, inner)
         if tok.kind == "pnueli":
@@ -308,10 +325,10 @@ class _Parser:
             if tok.index < 1:
                 raise ArityError("Pn0 is not a modality: the index starts at 1", tok.pos)
             self.expect("(")
-            args = [self.implies()]
+            args = [self.nested(self.implies)]
             while self.cur.kind == ",":
                 self.eat()
-                args.append(self.implies())
+                args.append(self.nested(self.implies))
             self.expect(")")
             if len(args) != tok.index:
                 raise ArityError(
@@ -331,6 +348,8 @@ def parse_formula(text: str) -> Formula:
         raise FormulaSyntaxError(
             f"trailing input {parser.cur.text!r}", parser.cur.pos, frozenset({"end of input"})
         )
+    if height(formula) > MAX_NESTING:  # long chains of left-associative & and |
+        raise FormulaSyntaxError(f"operators nested deeper than {MAX_NESTING} levels", 0)
     return formula
 
 
@@ -417,16 +436,30 @@ def metrics(f: Formula) -> tuple[int, frozenset[str]]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def children(f: Formula) -> Tuple[Formula, ...]:
+    """The direct subformulas, left to right."""
+    if isinstance(f, (Not, DiamondFuture, DiamondPast, Count)):
+        return (f.operand,)
+    if isinstance(f, (And, Or, Implies, Until, Since)):
+        return (f.left, f.right)
+    if isinstance(f, Pnueli):
+        return f.args
+    return ()
+
+
+def height(f: Formula) -> int:
+    """Operator levels on the longest root-to-leaf path (0 for a leaf),
+    computed without recursion so that any tree can be measured."""
+    best, stack = 0, [(f, 0)]
+    while stack:
+        node, depth = stack.pop()
+        best = max(best, depth)
+        stack.extend((c, depth + 1) for c in children(node))
+    return best
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Every node of the tree, parents before children."""
     yield f
-    if isinstance(f, (Not, DiamondFuture, DiamondPast)):
-        yield from subformulas(f.operand)
-    elif isinstance(f, (And, Or, Implies, Until, Since)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Count):
-        yield from subformulas(f.operand)
-    elif isinstance(f, Pnueli):
-        for a in f.args:
-            yield from subformulas(a)
+    for c in children(f):
+        yield from subformulas(c)

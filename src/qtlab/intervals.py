@@ -194,6 +194,14 @@ class IntervalSet:
     def point(cls, q: RationalLike) -> "IntervalSet":
         return cls._wrap((Interval.point(q),))
 
+    @classmethod
+    def span(cls, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
+        """The half-open window [lo, hi); empty unless lo < hi."""
+        lo, hi = rat(lo), rat(hi)
+        if lo >= hi:
+            return cls.EMPTY
+        return cls._wrap((Interval(lo, hi, True, False),))
+
     @property
     def components(self) -> Tuple[Interval, ...]:
         return self._components

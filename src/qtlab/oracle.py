@@ -1,9 +1,9 @@
 """Differential oracle: memoized pointwise evaluation, independent of the engine.
 
 The engine (qtlab.semantics) computes whole truth signals with per-operator
-sweeps.  This module answers single membership queries "does the formula hold
-at time t" by first-order scanning instead, so the two routes share nothing
-but the exact set and slicing primitives.  The scanning route never calls
+window constructions.  This module answers single membership queries "does
+the formula hold at time t" by first-order scanning instead, so the two
+routes share nothing but the exact set and slicing primitives.  The scanning route never calls
 the engine; only the agreement harness at the bottom runs it once per
 check, as the comparison target.
 

@@ -1,24 +1,35 @@
 """The evaluation engine: exact truth signals for every operator.
 
-Each temporal operator computes its output over one fundamental window: one
-aligned period on the full line, transient plus aligned periods on the half
-line.  The window is cut at critical points (operand component endpoints,
-shifted by one time unit for the metric operators), the predicate is decided
-exactly at every critical point and at one rational midpoint per gap, and the
-truth set is assembled from those samples.  Output truth values only change at
-critical points, which the differential oracle checks rather than this module
-assuming it silently.
+Each temporal operator reads its operands once, over one unrolled window of
+aligned periods (on the half line the transient comes first), and builds its
+truth set there directly from their sorted components, in time near linear in
+the component count:
 
-Pointwise decisions never approximate: until and since reduce to a first
-failure point of the left operand read off the representation, the metric
-operators to slices of the operand over the open unit window.
+* ``C<n>`` (``F1`` is ``C1``) and ``O1`` follow the offline construction of
+  Maler and Nickovic, "Monitoring Temporal Properties of Continuous Signals"
+  (FORMATS 2004).  A component <l, u> of positive length meets the future
+  window (t, t+1) for t in (l-1, u) and the past window (t-1, t) for t in
+  (l, u+1); a run of n consecutive points s_i < ... < s_{i+n-1} fits in
+  (t, t+1) for t in (s_{i+n-1}-1, s_i).
+* ``U`` and ``S`` make one pass over the maximal runs of the left operand: a
+  run <a, b> of positive length makes ``x U y`` hold on [a, min(b, sup)),
+  sup = sup(y at or below b), and ``x S y`` on (max(a, inf), b], inf =
+  inf(y at or above a).
+* ``Pn<k>`` is decided exactly at its critical points (operand endpoints and
+  their shifts by one) and one midpoint per gap between them, each decision
+  placing witnesses greedily by bisection over precomputed components.
+
+The truth set on the window, cut to the output's transient plus one period,
+is then canonicalized.  The differential oracle checks every construction
+pointwise rather than this module assuming it silently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .formulas import (
     And,
@@ -71,231 +82,140 @@ class Env:
             raise UnboundAtomError(name) from None
 
 
-def _open_set(a: Fraction, b: Fraction) -> IntervalSet:
-    if a >= b:
-        return IntervalSet.EMPTY
-    return IntervalSet._wrap((Interval(a, b, False, False),))
-
-
-def _half_open(a: Fraction, b: Fraction) -> IntervalSet:
-    """[a, b)"""
-    if a >= b:
-        return IntervalSet.EMPTY
-    return IntervalSet._wrap((Interval(a, b, True, False),))
-
-
-def _left_open(a: Fraction, b: Fraction) -> IntervalSet:
-    """(a, b]"""
-    if a >= b:
-        return IntervalSet.EMPTY
-    return IntervalSet._wrap((Interval(a, b, False, True),))
-
-
-def _endpoints(sets: Iterable[IntervalSet]) -> set[Fraction]:
-    return {e for s in sets for c in s for e in (c.lower, c.upper) if e is not None}
-
-
-def _inf_strictly_after(s: Signal, t: Fraction) -> Optional[Fraction]:
-    """inf of the signal's points strictly above t; None when there are none.
-
-    A window one period past max(t, transient) decides emptiness: an empty
-    full tail period means an empty tail.
-    """
-    horizon = max(t, s.transient) + s.period
-    for comp in s.slice(t, horizon):
-        if comp.is_point and comp.lower == t:
-            continue
-        return comp.lower
-    return None
-
-
-def _sup_strictly_before(s: Signal, t: Fraction) -> Optional[Fraction]:
-    """sup of the signal's points strictly below t, scanning a bounded window.
-
-    On the half line the window is the whole past [0, t); on the full line one
-    period suffices by periodicity.  None means no point below t at all.
-    """
-    lo = Fraction(0) if s.domain is TimeDomain.HALF_LINE else t - s.period
-    if lo >= t:
-        return None
-    for comp in reversed(s.slice(lo, t).components):
-        if comp.is_point and comp.lower == t:
-            continue
-        return comp.upper
-    return None
-
-
-def _sweep(
-    domain: TimeDomain,
-    period: Fraction,
-    t_bound: Fraction,
-    events: Iterable[Fraction],
-    decide: Callable[[Fraction], bool],
-) -> Signal:
-    """Assemble a signal by deciding at critical points and gap midpoints."""
-    if domain is TimeDomain.FULL_LINE:
-        crit = sorted({e % period for e in events} | {Fraction(0), period})
-    else:
-        hi = t_bound + period
-        crit = sorted({e for e in events if 0 <= e <= hi} | {Fraction(0), hi})
-    pieces: list[Interval] = []
-    for i, c in enumerate(crit):
-        if decide(c):
-            pieces.append(Interval.point(c))
-        if i + 1 < len(crit):
-            nxt = crit[i + 1]
-            if decide((c + nxt) / 2):
-                pieces.append(Interval(c, nxt, False, False))
-    truth = IntervalSet(pieces)
-    if domain is TimeDomain.FULL_LINE:
-        pattern = truth.intersection(_half_open(Fraction(0), period))
-        return Signal(domain, period, pattern).canonicalize()
-    hi = t_bound + period
-    prefix = truth.intersection(_half_open(Fraction(0), t_bound))
-    pattern = truth.intersection(_half_open(t_bound, hi)).shift(-t_bound)
+def _frame(domain: TimeDomain, period: Fraction, t_bound: Fraction,
+           truth: IntervalSet) -> Signal:
+    """The canonical signal that agrees with truth on [0, t_bound + period)
+    and repeats its last period from t_bound on (0 on the full line)."""
+    pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + period)).shift(-t_bound)
+    prefix = truth.intersection(IntervalSet.span(0, t_bound))
     return Signal(domain, period, pattern, t_bound, prefix).canonicalize()
 
 
 # -------------------------------------------------------------- metric family
 
+def _unit_count(x: Signal, n: int, future: bool) -> Signal:
+    """Truth signal of: at least n points of x in (t, t+1), or in (t-1, t)
+    clipped to the domain when not future."""
+    if x.domain is TimeDomain.FULL_LINE:
+        t_bound, lo = Fraction(0), Fraction(-1)
+    else:
+        t_bound, lo = x.transient + (0 if future else 1), Fraction(0)
+    comps = x.slice(lo, t_bound + x.period + 1).components
+    d = 1 if future else 0
+    hits = [Interval(c.lower - d, c.upper + 1 - d, False, False)
+            for c in comps if not c.is_point]
+    points = [c.lower for c in comps if c.is_point]
+    hits += [Interval(last - d, first + 1 - d, False, False)
+             for first, last in zip(points, points[n - 1:]) if last - first < 1]
+    return _frame(x.domain, x.period, t_bound, IntervalSet(hits))
+
+
 def diamond_unit_future(x: Signal) -> Signal:
-    """Truth signal of: the operand holds somewhere in (t, t+1)."""
-
-    def decide(t: Fraction) -> bool:
-        return not x.slice(t, t + 1).intersection(_open_set(t, t + 1)).is_empty
-
-    return _sweep(x.domain, x.period, x.transient, _future_events(x), decide)
+    """Truth signal of: the operand holds somewhere in (t, t+1); C1 by another name."""
+    return _unit_count(x, 1, future=True)
 
 
 def count_unit(x: Signal, n: int) -> Signal:
     """Truth signal of: at least n witness points of the operand in (t, t+1)."""
     if n < 1:
         raise EvalError("counting index must be at least 1")
-
-    def decide(t: Fraction) -> bool:
-        return x.slice(t, t + 1).count_at_least(Interval(t, t + 1, False, False), n)
-
-    return _sweep(x.domain, x.period, x.transient, _future_events(x), decide)
-
-
-def _future_events(*signals: Signal) -> set[Fraction]:
-    s0 = signals[0]
-    if s0.domain is TimeDomain.FULL_LINE:
-        base = _endpoints([s.slice(0, s0.period) for s in signals])
-        return {e % s0.period for e in base} | {(e - 1) % s0.period for e in base}
-    hi = s0.transient + s0.period
-    base = _endpoints([s.slice(0, hi + 1) for s in signals])
-    return base | {e - 1 for e in base}
+    return _unit_count(x, n, future=True)
 
 
 def diamond_unit_past(x: Signal) -> Signal:
     """Truth signal of: the operand holds somewhere in (t-1, t), clipped to the domain."""
-    if x.domain is TimeDomain.FULL_LINE:
-        base = _endpoints([x.slice(0, x.period)])
-        events = {e % x.period for e in base} | {(e + 1) % x.period for e in base}
-        t_bound = Fraction(0)
-    else:
-        t_bound = x.transient + 1
-        base = _endpoints([x.slice(0, t_bound + x.period)])
-        events = base | {e + 1 for e in base}
-
-    def decide(t: Fraction) -> bool:
-        if x.domain is TimeDomain.HALF_LINE and t <= 0:
-            return False
-        lo = max(Fraction(0), t - 1) if x.domain is TimeDomain.HALF_LINE else t - 1
-        return not x.slice(lo, t).intersection(_open_set(t - 1, t)).is_empty
-
-    return _sweep(x.domain, x.period, t_bound, events, decide)
+    return _unit_count(x, 1, future=False)
 
 
 def pnueli_unit(operands: Sequence[Signal]) -> Signal:
     """Truth signal of: strictly increasing witnesses in (t, t+1), one per operand.
 
-    Decision per point: decompose the open window into the elementary regions
-    of the joint refinement and scan left to right, placing the next needed
-    witness greedily.  A point region hosts at most one witness; an open
-    region hosts any run of operands that all hold on it, density providing
-    room for strictly increasing placements.
+    Decision per point: place the witnesses left to right, each at the
+    infimum of its operand strictly above the previous one.  An unattained
+    infimum still leaves the open interval above it for the next witness,
+    density providing room for strictly increasing placements, so the
+    greedy placement succeeds exactly when some placement does.
     """
     if not operands:
         raise EvalError("a run modality needs at least one operand")
     xs = align_many(list(operands))
     x0 = xs[0]
+    hi = x0.transient + x0.period
+    comps = [x.slice(0, hi + 1).components for x in xs]
+    uppers = [[c.upper for c in cs] for cs in comps]
 
     def decide(t: Fraction) -> bool:
-        window = _open_set(t, t + 1)
-        slices = [x.slice(t, t + 1).intersection(window) for x in xs]
-        cuts = sorted(c for c in _endpoints(slices) if t < c < t + 1)
-        j = 0
-        prev = t
-        for cut in cuts + [t + 1]:
-            if prev < cut:  # open region (prev, cut)
-                mid = (prev + cut) / 2
-                while j < len(slices) and slices[j].contains(mid):
-                    j += 1
-            if j == len(slices):
-                return True
-            if cut < t + 1 and slices[j].contains(cut):  # point region {cut}
-                j += 1
-            prev = cut
-        return j == len(slices)
+        b = t
+        for cs, ups in zip(comps, uppers):
+            i = bisect_right(ups, b)  # first component with points above b
+            if i == len(cs):
+                return False
+            b = max(cs[i].lower, b)
+            if b >= t + 1:
+                return False
+        return True
 
-    return _sweep(x0.domain, x0.period, x0.transient, _future_events(*xs), decide)
+    ends = {e for cs in comps for c in cs for e in (c.lower, c.upper)}
+    crit = sorted({e for e in ends | {e - 1 for e in ends} if 0 <= e <= hi} | {Fraction(0), hi})
+    pieces: list[Interval] = []
+    for c, nxt in zip(crit, crit[1:] + [None]):
+        if decide(c):
+            pieces.append(Interval.point(c))
+        if nxt is not None and decide((c + nxt) / 2):
+            pieces.append(Interval(c, nxt, False, False))
+    return _frame(x0.domain, x0.period, x0.transient, IntervalSet(pieces))
 
 
 # ------------------------------------------------------------- order family
+
+def _order(x: Signal, y: Signal, future: bool) -> Signal:
+    """x U y when future, else x S y: one pass over the maximal runs of x.
+
+    The window reaches a full period of y past every run that matters, so
+    sup and inf read off it are exact where they decide the outcome.
+    """
+    xx, yy = align(x, y)
+    p, T = xx.period, xx.transient
+    if xx.domain is TimeDomain.FULL_LINE:
+        t_bound, lo, hi = Fraction(0), -p, 2 * p
+    else:
+        t_bound, lo, hi = (T if future else T + p), Fraction(0), T + 2 * p
+    ys = yy.slice(lo, hi).components
+    lowers = [c.lower for c in ys]
+    uppers = [c.upper for c in ys]
+    out: list[Interval] = []
+    for run in xx.slice(lo, hi):
+        a, b = run.lower, run.upper
+        if a == b:
+            continue
+        if future:  # sup(y at or below b) must exceed t
+            i = bisect_left(lowers, b)
+            if i < len(ys) and lowers[i] == b and ys[i].lower_closed:
+                i += 1
+            if i and (sup := min(uppers[i - 1], b)) > a:
+                out.append(Interval(a, sup, True, False))
+        else:  # inf(y at or above a) must lie below t
+            j = bisect_right(uppers, a)
+            if j and uppers[j - 1] == a and ys[j - 1].upper_closed:
+                j -= 1
+            if j < len(ys) and (inf := max(lowers[j], a)) < b:
+                out.append(Interval(inf, b, False, True))
+    return _frame(xx.domain, p, t_bound, IntervalSet(out))
+
 
 def until(x: Signal, y: Signal) -> Signal:
     """Strict non-matching until: a future witness of y with x holding on the
     whole open interior.
 
-    Pointwise: let c be the first point strictly after t where x fails.  The
-    witness range is (t, c]; with no failure at all it degrades to "y nonempty
-    in the remaining domain", read off the representation.
-    """
-    xx, yy = align(x, y)
-    not_x = combine("not", xx)
-
-    def decide(t: Fraction) -> bool:
-        c = _inf_strictly_after(not_x, t)
-        if c is None:
-            return _inf_strictly_after(yy, t) is not None
-        if c == t:
-            return False
-        return not yy.slice(t, c).intersection(_left_open(t, c)).is_empty
-
-    return _sweep(xx.domain, xx.period, xx.transient, _order_events(xx, yy), decide)
+    Such a t sits at or inside a run <a, b> of x of positive length, and the
+    witness can reach no further than b."""
+    return _order(x, y, future=True)
 
 
 def since(x: Signal, y: Signal) -> Signal:
     """Mirror image of until into the past; on the half line witnesses range
     over [0, t), so the origin can carry one."""
-    xx, yy = align(x, y)
-    not_x = combine("not", xx)
-    if xx.domain is TimeDomain.HALF_LINE:
-        t_bound = xx.transient + xx.period
-    else:
-        t_bound = Fraction(0)
-
-    def decide(t: Fraction) -> bool:
-        if xx.domain is TimeDomain.HALF_LINE and t == 0:
-            return False
-        c = _sup_strictly_before(not_x, t)
-        if c is None:
-            if xx.domain is TimeDomain.HALF_LINE:
-                return not yy.slice(0, t).intersection(_half_open(Fraction(0), t)).is_empty
-            return not yy.pattern.is_empty
-        return not yy.slice(c, t).intersection(_half_open(c, t)).is_empty
-
-    return _sweep(xx.domain, xx.period, t_bound, _order_events(xx, yy, t_bound), decide)
-
-
-def _order_events(x: Signal, y: Signal, t_bound: Optional[Fraction] = None) -> set[Fraction]:
-    if x.domain is TimeDomain.FULL_LINE:
-        base = _endpoints([x.slice(0, x.period), y.slice(0, y.period)])
-        return {e % x.period for e in base}
-    hi = (x.transient if t_bound is None else t_bound) + x.period
-    return _endpoints([x.slice(0, hi + x.period), y.slice(0, hi + y.period)])
+    return _order(x, y, future=False)
 
 
 # ------------------------------------------------------------------- evaluate

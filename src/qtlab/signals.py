@@ -18,9 +18,11 @@ the same set iff their canonical forms are structurally equal.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .intervals import (
@@ -62,12 +64,6 @@ class Triviality(Enum):
         return self.value
 
 
-def _right_open(lo: Fraction, hi: Fraction) -> IntervalSet:
-    if lo >= hi:
-        return IntervalSet.EMPTY
-    return IntervalSet._wrap((Interval(lo, hi, True, False),))
-
-
 def _lcm(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(math.lcm(a.numerator, b.numerator), math.gcd(a.denominator, b.denominator))
 
@@ -78,29 +74,72 @@ def _cyclic_shift(pattern: IntervalSet, d: Fraction, p: Fraction) -> IntervalSet
     if d == 0 or pattern.is_empty:
         return pattern
     moved = pattern.shift(d)
-    w = _right_open(Fraction(0), p)
+    w = IntervalSet.span(0, p)
     return moved.intersection(w).union(moved.intersection(w.shift(p)).shift(-p))
+
+
+def _prefix_function(seq: list) -> list[int]:
+    """KMP prefix function: pi[i] is the length of the longest proper border
+    of seq[:i + 1]."""
+    pi = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        while k and seq[i] != seq[k]:
+            k = pi[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        pi[i] = k
+    return pi
 
 
 def _minimal_tail(p: Fraction, pattern: IntervalSet) -> tuple[Fraction, IntervalSet]:
     """Minimal period of a pattern, constants collapsing to period 1.
 
-    Any period of a non-constant set is an integer multiple of the smallest
-    one, so dividing by integers is exhaustive; an invariant pattern cannot
-    hide a sub-period past m = component count + 1.
+    A period of the periodic set maps its cyclic sequence of components onto
+    a rotation of itself, and back.  Each component becomes a token (lower
+    closed, length, upper closed, gap to the next start), the component that
+    wraps across the period boundary joined first; the smallest rotation of
+    the token sequence onto itself is its smallest period that divides the
+    token count, read off a prefix function.
     """
     if pattern.is_empty:
         return Fraction(1), IntervalSet.EMPTY
-    if pattern == _right_open(Fraction(0), p):
-        return Fraction(1), _right_open(Fraction(0), Fraction(1))
-    while True:
-        for m in range(2, len(pattern.components) + 2):
-            q = p / m
-            if _cyclic_shift(pattern, q, p) == pattern:
-                p, pattern = q, pattern.intersection(_right_open(Fraction(0), q))
-                break
-        else:
-            return p, pattern
+    if pattern == IntervalSet.span(0, p):
+        return Fraction(1), IntervalSet.span(0, 1)
+    comps = list(pattern.components)
+    first, last = comps[0], comps[-1]
+    if last.upper == p and first.lower == 0 and first.lower_closed:
+        comps = comps[1:-1] + [Interval(last.lower, first.upper + p,
+                                        last.lower_closed, first.upper_closed)]
+    starts = [c.lower for c in comps] + [comps[0].lower + p]
+    tokens = [(c.lower_closed, c.upper - c.lower, c.upper_closed, nxt - c.lower)
+              for c, nxt in zip(comps, starts[1:])]
+    m = len(tokens)
+    r = m - _prefix_function(tokens)[-1]
+    if m % r:
+        return p, pattern
+    q = p * r / m
+    return q, pattern.intersection(IntervalSet.span(0, q))
+
+
+def _meeting(comps: tuple[Interval, ...], a: Fraction, b: Fraction) -> tuple[Interval, ...]:
+    """The run of sorted, disjoint components that meet [a, b]."""
+    i = bisect_left(comps, a, key=attrgetter("upper"))
+    if i < len(comps) and comps[i].upper == a and not comps[i].upper_closed:
+        i += 1
+    j = bisect_left(comps, b, key=attrgetter("lower"))
+    if j < len(comps) and comps[j].lower == b and comps[j].lower_closed:
+        j += 1
+    return comps[i:j]
+
+
+def _clip(c: Interval, a: Fraction, b: Fraction) -> Interval:
+    """A component that meets [a, b], cut down to it."""
+    if c.lower < a:
+        c = Interval(a, c.upper, True, c.upper_closed)
+    if c.upper > b:
+        c = Interval(c.lower, b, c.lower_closed, True)
+    return c
 
 
 @dataclass(frozen=True)
@@ -122,16 +161,16 @@ class Signal:
             raise SignalError(f"transient must be nonnegative, got {self.transient}")
         if self.domain is TimeDomain.FULL_LINE and (self.transient != 0 or self.prefix):
             raise SignalError("full-line signals are purely periodic: transient 0, empty prefix")
-        if not self.pattern.difference(_right_open(Fraction(0), self.period)).is_empty:
+        if not self.pattern.difference(IntervalSet.span(0, self.period)).is_empty:
             raise SignalError("pattern escapes [0, period)")
-        if not self.prefix.difference(_right_open(Fraction(0), self.transient)).is_empty:
+        if not self.prefix.difference(IntervalSet.span(0, self.transient)).is_empty:
             raise SignalError("prefix escapes [0, transient)")
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
     def constant(cls, domain: TimeDomain, value: bool) -> "Signal":
-        pattern = _right_open(Fraction(0), Fraction(1)) if value else IntervalSet.EMPTY
+        pattern = IntervalSet.span(0, 1) if value else IntervalSet.EMPTY
         return cls(domain, Fraction(1), pattern)
 
     # ------------------------------------------------------------- point model
@@ -147,24 +186,37 @@ class Signal:
         return self.pattern.contains(x % self.period)
 
     def slice(self, a: RationalLike, b: RationalLike) -> IntervalSet:
-        """The exact point set of the signal within [a, b]."""
+        """The exact point set of the signal within [a, b].
+
+        Only the prefix and pattern components that meet the window are
+        taken: whole pattern copies inside it, a bisected run at either end.
+        """
         a, b = rat(a), rat(b)
         if a > b:
             raise ValueError(f"empty window [{a}, {b}]")
-        if self.domain is TimeDomain.HALF_LINE and a < 0:
+        half = self.domain is TimeDomain.HALF_LINE
+        if half and a < 0:
             raise DomainError("window escapes the half line")
         pieces: list[Interval] = []
         anchor = self.transient
-        if self.domain is TimeDomain.HALF_LINE and a < anchor:
-            pieces.extend(self.prefix.components)
-        lo = max(a, anchor) if self.domain is TimeDomain.HALF_LINE else a
+        if half and a < anchor:
+            pieces.extend(_meeting(self.prefix.components, a, b))
+        lo = max(a, anchor) if half else a
         if lo <= b:
+            comps = self.pattern.components
             k0 = math.floor((lo - anchor) / self.period)
             k1 = math.floor((b - anchor) / self.period)
             for k in range(k0, k1 + 1):
-                pieces.extend(self.pattern.shift(anchor + k * self.period).components)
-        window = IntervalSet._wrap((Interval(a, b, True, True),))
-        return IntervalSet(pieces).intersection(window)
+                off = anchor + k * self.period
+                copy = comps if k0 < k < k1 else _meeting(comps, a - off, b - off)
+                pieces.extend(c.shift(off) for c in copy)
+        # copies may touch across period boundaries: normalize, then only the
+        # outermost components can stick out of the window
+        out = list(IntervalSet(pieces).components)
+        if out:
+            out[0] = _clip(out[0], a, b)
+            out[-1] = _clip(out[-1], a, b)
+        return IntervalSet._wrap(tuple(out))
 
     def shift(self, d: RationalLike) -> "Signal":
         """Translate the denoted set by d. Full line only: the half line has an origin."""
@@ -205,25 +257,17 @@ class Signal:
                 tc = (math.floor(last.upper / p0) + 1) * p0
             else:
                 tc = last.upper
-        prefix = self.slice(0, tc).intersection(_right_open(Fraction(0), tc)) if tc > 0 else IntervalSet.EMPTY
-        pattern = ext.slice(tc, tc + p0).intersection(
-            IntervalSet._wrap((Interval(tc, tc + p0, True, False),))
-        ).shift(-tc)
-        return Signal(TimeDomain.HALF_LINE, p0, pattern, tc, prefix)
+        return self._reframe(tc, p0)
 
-    def _rebase(self, transient: Fraction, period: Fraction) -> "Signal":
-        """Re-express with a larger transient and an integer multiple period."""
-        if self.domain is TimeDomain.FULL_LINE:
-            pattern = self.slice(0, period).intersection(_right_open(Fraction(0), period))
-            return Signal(TimeDomain.FULL_LINE, period, pattern)
-        prefix = (
-            self.slice(0, transient).intersection(_right_open(Fraction(0), transient))
-            if transient > 0
-            else IntervalSet.EMPTY
-        )
+    def _reframe(self, transient: Fraction, period: Fraction) -> "Signal":
+        """Re-express as a prefix on [0, transient) and one period from there
+        on; the signal must already repeat with that period past transient."""
         pattern = self.slice(transient, transient + period).intersection(
-            IntervalSet._wrap((Interval(transient, transient + period, True, False),))
-        ).shift(-transient)
+            IntervalSet.span(transient, transient + period)).shift(-transient)
+        if self.domain is TimeDomain.FULL_LINE:
+            return Signal(TimeDomain.FULL_LINE, period, pattern)
+        prefix = (self.slice(0, transient).intersection(IntervalSet.span(0, transient))
+                  if transient else IntervalSet.EMPTY)
         return Signal(TimeDomain.HALF_LINE, period, pattern, transient, prefix)
 
 
@@ -243,7 +287,7 @@ def align_many(signals: list[Signal]) -> list[Signal]:
     for s in signals[1:]:
         period = _lcm(period, s.period)
     transient = max(s.transient for s in signals)
-    return [s._rebase(transient, period) for s in signals]
+    return [s._reframe(transient, period) for s in signals]
 
 
 def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
@@ -251,8 +295,8 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
     if op == "not":
         if b is not None:
             raise ValueError("not takes a single signal")
-        pattern = _right_open(Fraction(0), a.period).difference(a.pattern)
-        prefix = _right_open(Fraction(0), a.transient).difference(a.prefix)
+        pattern = IntervalSet.span(0, a.period).difference(a.pattern)
+        prefix = IntervalSet.span(0, a.transient).difference(a.prefix)
         return Signal(a.domain, a.period, pattern, a.transient, prefix).canonicalize()
     if b is None:
         raise ValueError(f"{op} takes two signals")

@@ -69,6 +69,29 @@ def random_signal(rng: random.Random, domain: TimeDomain, max_components: int = 
     return Signal(domain, period, pattern, transient, prefix)
 
 
+def irregular_signal(rng: random.Random, n: int, domain: TimeDomain,
+                     point_share: float = 0.5) -> Signal:
+    """The irregular n-component family: component i starts at i/5 + r/211
+    (r < 20) and is a point (with probability point_share) or an interval of
+    width at most 10/211, period n/5, so no sub-period exists.  On the half
+    line an n/2-component prefix of the same shape fills [0, (n//2)/5)."""
+
+    def components(k: int) -> IntervalSet:
+        comps = []
+        for i in range(k):
+            lo = Fraction(i, 5) + Fraction(rng.randrange(20), 211)
+            if rng.random() < point_share:
+                comps.append(Interval.point(lo))
+            else:
+                hi = lo + Fraction(1 + rng.randrange(10), 211)
+                comps.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        return IntervalSet(comps)
+
+    if domain is TimeDomain.FULL_LINE:
+        return Signal(domain, Fraction(n, 5), components(n))
+    return Signal(domain, Fraction(n, 5), components(n), Fraction(n // 2, 5), components(n // 2))
+
+
 # ------------------------------------------------------------------- formulas
 
 from qtlab.formulas import (  # noqa: E402

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import qtlab.cli
 from qtlab.cli import main
+from qtlab.formulas import MAX_NESTING
 from qtlab.intervals import Interval, IntervalSet
 from qtlab.signals import Signal, TimeDomain, equal, format_signal, parse_signal
 
@@ -161,3 +163,32 @@ def test_bind_errors_exit_two(tmp_path, capsys):
     assert invoke(["eval", "--formula", "P", "--model", "mk:2",
                    "--bind", f"P={p}"]) == 2
     capsys.readouterr()
+
+
+def test_nesting_past_the_limit_exits_two(capsys):
+    deep = "!" * 3000 + "P"
+    assert invoke(["equiv", "--formula", deep, "--formula", "P", "--model", "mk:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nesting deeper than" in captured.err
+
+
+def test_nesting_at_the_limit_evaluates(capsys):
+    at_limit = "!" * MAX_NESTING + "P"  # an even count of negations
+    assert MAX_NESTING % 2 == 0
+    assert invoke(["equiv", "--formula", at_limit, "--formula", "P", "--model", "mk:2"]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    chain = " | ".join(["F1 P"] * MAX_NESTING)
+    assert invoke(["equiv", "--formula", chain, "--formula", "true", "--model", "mk:2"]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+
+def test_internal_errors_exit_three_with_a_traceback(monkeypatch, capsys):
+    def broken(formula, env):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(qtlab.cli, "evaluate", broken)
+    assert invoke(["equiv", "--formula", "P", "--formula", "P", "--model", "mk:2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: engine fault" in captured.err

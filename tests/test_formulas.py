@@ -15,6 +15,7 @@ from qtlab.formulas import (
     FormulaSyntaxError,
     Implies,
     LexicalError,
+    MAX_NESTING,
     Not,
     Or,
     ParseError,
@@ -23,6 +24,7 @@ from qtlab.formulas import (
     TrueConst,
     Until,
     format_formula,
+    height,
     metrics,
     parse_formula,
 )
@@ -156,3 +158,36 @@ def test_metrics_examples():
     assert metrics(parse_formula("!P & Q"))[0] == 0
     assert metrics(parse_formula("Pn3(P, F1 Q, R)")) == (2, frozenset({"P", "Q", "R"}))
     assert metrics(parse_formula("C4(P)"))[0] == 1
+
+
+# ------------------------------------------------------------------- nesting
+
+AT_LIMIT = [
+    "!" * MAX_NESTING + "P",
+    "(" * MAX_NESTING + "P" + ")" * MAX_NESTING,
+    "C1(" * MAX_NESTING + "P" + ")" * MAX_NESTING,
+    " U ".join(["P"] * (MAX_NESTING + 1)),
+    " & ".join(["P"] * (MAX_NESTING + 1)),
+]
+PAST_LIMIT = [
+    "!" * (MAX_NESTING + 1) + "P",
+    "!" * 3000 + "P",
+    "(" * (MAX_NESTING + 1) + "P" + ")" * (MAX_NESTING + 1),
+    "Pn1(" * (MAX_NESTING + 1) + "P" + ")" * (MAX_NESTING + 1),
+    " -> ".join(["P"] * (MAX_NESTING + 2)),
+    " | ".join(["P"] * (MAX_NESTING + 2)),
+    " & ".join(["P"] * 3000),
+]
+
+
+@pytest.mark.parametrize("text", AT_LIMIT)
+def test_nesting_at_the_limit_parses_and_prints(text):
+    f = parse_formula(text)
+    assert height(f) <= MAX_NESTING
+    assert parse_formula(format_formula(f)) == f
+
+
+@pytest.mark.parametrize("text", PAST_LIMIT)
+def test_nesting_past_the_limit_is_a_parse_error(text):
+    with pytest.raises(FormulaSyntaxError, match="nest"):
+        parse_formula(text)

@@ -1,13 +1,15 @@
 """Engine checks: frozen operator examples, then algebraic laws on random input."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtlab.formulas import parse_formula
+from qtlab.formulas import children, parse_formula
 from qtlab.intervals import Interval, IntervalSet, parse_interval_list
+from qtlab.oracle import compare_pointwise, critical_points
 from qtlab.semantics import (
     Env,
     EvalError,
@@ -22,7 +24,7 @@ from qtlab.semantics import (
 )
 from qtlab.signals import Signal, TimeDomain, equal
 
-from gen import random_signal
+from gen import irregular_signal, random_signal
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -88,6 +90,17 @@ def test_since_true_p_holds_strictly_after_origin():
     assert equal(out, want)
     assert not out.contains(F(0))
     assert out.contains(F(1, 10))
+
+
+def test_since_reads_a_run_that_starts_in_the_prefix():
+    # x holds on [0, 3/2): its prefix run reaches into the tail, so the
+    # output cannot repeat from the transient 1; y is only the point 1/2
+    x = Signal(HALF, F(1), IntervalSet([Interval(F(0), F(1, 2), True, False)]), F(1),
+               IntervalSet([Interval(F(0), F(1), True, False)]))
+    y = Signal(HALF, F(1), IntervalSet.EMPTY, F(1), IntervalSet.point(F(1, 2)))
+    want = Signal(HALF, F(1), IntervalSet.EMPTY, F(2),
+                  IntervalSet([Interval(F(1, 2), F(3, 2), False, True)]))
+    assert equal(since(x, y), want)
 
 
 def test_since_false_true_is_false():
@@ -230,3 +243,37 @@ def test_outputs_are_canonical(rng, domain):
                 pnueli_unit([x, y])):
         assert out == out.canonicalize()
         assert out.domain is domain
+
+
+# ------------------------------------------------------- long irregular inputs
+
+# On this family F1, O1 and C3 of a bare atom hold everywhere; their
+# variants over the sparser P & Q, and C5 over the points-only R, keep
+# irregular outputs.
+IRREGULAR_FORMULAS = ("F1 P", "F1 (P & Q)", "O1 Q", "O1 (P & Q)", "C3(P)", "C5(P)",
+                      "C5(R)", "Pn2(P, Q)", "Pn2(P, P & Q)", "P U Q", "!P U Q",
+                      "P S Q", "!P S Q")
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_operators_on_long_irregular_signals_agree_with_the_oracle(domain):
+    """About 40 components a period and, on the half line, a 20-component
+    prefix: long runs of the unrolled window and of the transient, which
+    small random signals never reach."""
+    rng = random.Random(211 + (domain is HALF))
+    env = Env(domain, {"P": irregular_signal(rng, 40, domain),
+                       "Q": irregular_signal(rng, 40, domain),
+                       "R": irregular_signal(rng, 40, domain, point_share=1.0)})
+    for text in IRREGULAR_FORMULAS:
+        f = parse_formula(text)
+        sig = evaluate(f, env)
+        crit = critical_points(sig)
+        if len(crit) == 2:
+            # a constant output has no critical points of its own: check it
+            # where the operands change, shifted by the unit window
+            crit = sorted(set(crit) | {e + k for g in children(f)
+                                       for e in critical_points(evaluate(g, env))
+                                       for k in (-1, 0, 1) if crit[0] <= e + k <= crit[-1]})
+        points = crit + [(a + b) / 2 for a, b in zip(crit, crit[1:])]
+        report = compare_pointwise(f, env, sig, points)
+        assert report.passed, f"{text}:\n{report.render()}"

@@ -1,9 +1,12 @@
 """Signal representation: membership, slicing, alignment, canonical forms."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtlab.intervals import Interval, IntervalSet, TextFormatError
 from qtlab.signals import (
@@ -19,7 +22,8 @@ from qtlab.signals import (
     format_signal,
     parse_signal,
 )
-from gen import random_signal
+from qtlab.signals import _minimal_tail
+from gen import random_fraction, random_point_set, random_signal
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -94,6 +98,37 @@ def test_slice_covers_prefix_and_tail():
     assert s.slice(0, 3) == iset(Interval.open(0, 1), Interval.point(2), Interval.point(3))
     with pytest.raises(DomainError):
         s.slice(-1, 0)
+
+
+def _own_endpoints(s, a, b):
+    """Every endpoint of the signal inside [a, b], unrolled from its fields
+    without slicing."""
+    out = set()
+    if s.domain is HALF:
+        out |= {e for c in s.prefix for e in (c.lower, c.upper)}
+    for k in range(math.floor((a - s.transient) / s.period) - 1,
+                   math.floor((b - s.transient) / s.period) + 1):
+        off = s.transient + k * s.period
+        out |= {e + off for c in s.pattern for e in (c.lower, c.upper)}
+    return {e for e in out if a <= e <= b}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
+def test_slice_matches_membership(rng, domain):
+    s = random_signal(rng, domain)
+    # windows that start before, inside or after the transient and cross
+    # zero to several period boundaries, points and empty ones included
+    lo = F(0) if domain is HALF else -3 * s.period
+    a = random_fraction(rng, lo, s.transient + 2 * s.period, max_den=24)
+    b = a + rng.choice([F(0), s.period, random_fraction(rng, 0, 4 * s.period, max_den=24)])
+    got = s.slice(a, b)
+    assert IntervalSet(got.components) == got  # normal form
+    assert all(a <= c.lower and c.upper <= b for c in got)
+    cuts = sorted({a, b} | _own_endpoints(s, a, b)
+                  | {e for c in got for e in (c.lower, c.upper)})
+    for t in cuts + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]:
+        assert got.contains(t) == s.contains(t), (s, a, b, t)
 
 
 # ---------------------------------------------------------------------- align
@@ -190,6 +225,66 @@ def test_canonicalize_open_disagreement_is_minimal():
     assert c.transient == 1 and c.prefix == iset(Interval.open(0, 1))
 
 
+def _shift_cyclic(pattern, d, p):
+    moved = pattern.shift(d % p)
+    w = IntervalSet.span(0, p)
+    return moved.intersection(w).union(moved.intersection(w.shift(p)).shift(-p))
+
+
+def _reference_minimal_tail(p, pattern):
+    """The cyclic-shift search _minimal_tail replaced: try every divisor m of
+    the period up to the component count plus one, shrink, repeat."""
+    if pattern.is_empty:
+        return F(1), IntervalSet.EMPTY
+    if pattern == IntervalSet.span(0, p):
+        return F(1), IntervalSet.span(0, 1)
+    while True:
+        for m in range(2, len(pattern.components) + 2):
+            q = p / m
+            if _shift_cyclic(pattern, q, p) == pattern:
+                p, pattern = q, pattern.intersection(IntervalSet.span(0, q))
+                break
+        else:
+            return p, pattern
+
+
+def _toggle_one_flag(rng, pattern, p):
+    """The pattern with one closed flag of one component of positive length
+    flipped, where that keeps it inside [0, p); None when there is none."""
+    comps = list(pattern.components)
+    spots = [(i, side) for i, c in enumerate(comps) if not c.is_point
+             for side in ("lower", "upper") if side == "lower" or c.upper < p]
+    if not spots:
+        return None
+    i, side = rng.choice(spots)
+    c = comps[i]
+    if side == "lower":
+        comps[i] = Interval(c.lower, c.upper, not c.lower_closed, c.upper_closed)
+    else:
+        comps[i] = Interval(c.lower, c.upper, c.lower_closed, not c.upper_closed)
+    return IntervalSet(comps)
+
+
+def test_minimal_tail_matches_the_cyclic_shift_search():
+    rng = random.Random(2718)
+    checked = 0
+    for trial in range(300):
+        q = rng.choice([F(1, 3), F(1, 2), F(2, 3), F(1), F(5, 4)])
+        base = random_point_set(rng, q, max_components=4, max_den=12)
+        m = 2 + trial % 6
+        p = m * q
+        pattern = IntervalSet([c.shift(k * q) for k in range(m) for c in base])
+        # rotating makes components wrap across the period boundary
+        pattern = _shift_cyclic(pattern, random_fraction(rng, 0, p, max_den=24), p)
+        variants = [pattern, _toggle_one_flag(rng, pattern, p)]
+        for pat in variants:
+            if pat is None:
+                continue
+            assert _minimal_tail(p, pat) == _reference_minimal_tail(p, pat), (p, pat)
+            checked += 1
+    assert checked > 400
+
+
 def test_canonicalize_idempotent_and_representation_free():
     rng = random.Random(11)
     for _ in range(60):
@@ -199,7 +294,7 @@ def test_canonicalize_idempotent_and_representation_free():
         assert c.canonicalize() == c
         m = rng.randint(1, 3)
         bigger_T = c.transient + rng.randint(0, 2) * c.period if domain is HALF else F(0)
-        r = s._rebase(bigger_T, m * s.period)
+        r = s._reframe(bigger_T, m * s.period)
         assert r.canonicalize() == c
 
 
