@@ -408,32 +408,18 @@ def format_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+_MODAL = (Until, Since, DiamondFuture, DiamondPast, Count, Pnueli)
+
+
 def metrics(f: Formula) -> tuple[int, frozenset[str]]:
     """(modal depth, atom names). Boolean connectives are depth-transparent."""
-    if isinstance(f, (TrueConst, FalseConst)):
-        return 0, frozenset()
     if isinstance(f, Atom):
         return 0, frozenset({f.name})
-    if isinstance(f, Not):
-        return metrics(f.operand)
-    if isinstance(f, (And, Or, Implies)):
-        ld, la = metrics(f.left)
-        rd, ra = metrics(f.right)
-        return max(ld, rd), la | ra
-    if isinstance(f, (DiamondFuture, DiamondPast)):
-        d, a = metrics(f.operand)
-        return d + 1, a
-    if isinstance(f, (Until, Since)):
-        ld, la = metrics(f.left)
-        rd, ra = metrics(f.right)
-        return max(ld, rd) + 1, la | ra
-    if isinstance(f, Count):
-        d, a = metrics(f.operand)
-        return d + 1, a
-    if isinstance(f, Pnueli):
-        parts = [metrics(a) for a in f.args]
-        return max(d for d, _ in parts) + 1, frozenset().union(*(a for _, a in parts))
-    raise TypeError(f"not a formula: {f!r}")
+    parts = [metrics(c) for c in children(f)]
+    if not parts:
+        return 0, frozenset()
+    depth = max(d for d, _ in parts) + isinstance(f, _MODAL)
+    return depth, frozenset().union(*(a for _, a in parts))
 
 
 def children(f: Formula) -> Tuple[Formula, ...]:

@@ -284,29 +284,6 @@ class IntervalSet:
             return self
         return IntervalSet._wrap(tuple(c.shift(d) for c in self._components))
 
-    def count_at_least(self, window: Interval, n: int) -> bool:
-        """Does ``self`` intersected with ``window`` contain at least n points?
-
-        Any component of positive length carries infinitely many points, so it
-        settles the question on its own; otherwise the point components are
-        counted.
-        """
-        if n <= 0:
-            return True
-        count = 0
-        for c in self.intersection(IntervalSet._wrap((window,))):
-            if not c.is_point:
-                return True
-            count += 1
-            if count >= n:
-                return True
-        return False
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __invert__ = complement
-
 
 IntervalSet.EMPTY = IntervalSet._wrap(())
 IntervalSet.FULL = IntervalSet._wrap((Interval(None, None, False, False),))

@@ -9,8 +9,9 @@ check, as the comparison target.
 
 The scans rest on one structural fact, checked empirically by the agreement
 harness rather than assumed silently by both sides: truth values of every
-subformula are constant on the elementary regions cut by operand component
-endpoints, shifted by at most one integer per level of modal nesting.  A run
+subformula are constant on the elementary regions cut by atom component
+endpoints (and, on the half line, the origin), shifted by at most one
+integer per level of modal nesting.  A run
 modality is decided by exhaustive placement of its operand tuple over those
 regions, with no greedy shortcut, which keeps it an independent check of the
 engine's left-to-right placement.
@@ -23,7 +24,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -40,55 +42,11 @@ from .formulas import (
     Since,
     TrueConst,
     Until,
+    children,
     metrics,
 )
-from .intervals import Interval, IntervalError, format_rational
+from .intervals import format_rational, rat
 from .signals import Signal, TimeDomain, _lcm
-
-
-@dataclass(frozen=True)
-class TaggedRegion:
-    """One region of a joint refinement plus each signal's constant value on it."""
-
-    interval: Interval
-    values: Tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class RegionDecomposition:
-    window: Interval
-    regions: Tuple[TaggedRegion, ...]
-
-
-def region_decomposition(signals: Sequence[Signal], a, b) -> RegionDecomposition:
-    """Cut the closed window [a, b] into points and open intervals on which
-    every given signal is constant, tagging each region with the signals'
-    truth values there.
-
-    Cuts are the component endpoints of the signals strictly inside the
-    window.  Requires a < b and a window inside the signals' shared domain.
-    """
-    lo, hi = Fraction(a), Fraction(b)
-    if lo >= hi:
-        raise IntervalError("region decomposition needs a nonempty window")
-    cuts = sorted({e
-                   for s in signals
-                   for comp in s.slice(lo, hi)
-                   for e in (comp.lower, comp.upper)
-                   if lo < e < hi})
-    pieces: List[Interval] = [Interval.point(lo)]
-    prev = lo
-    for c in cuts:
-        pieces.append(Interval(prev, c, False, False))
-        pieces.append(Interval.point(c))
-        prev = c
-    pieces.append(Interval(prev, hi, False, False))
-    pieces.append(Interval.point(hi))
-    regions = []
-    for piece in pieces:
-        rep = piece.lower if piece.is_point else (piece.lower + piece.upper) / 2
-        regions.append(TaggedRegion(piece, tuple(s.contains(rep) for s in signals)))
-    return RegionDecomposition(Interval(lo, hi, True, True), tuple(regions))
 
 
 # region encoding used inside the session: ("point", q) or ("open", a, b)
@@ -101,47 +59,39 @@ class _Grid:
     The point set {endpoint of some signal component, shifted by an integer
     of magnitude at most the modal depth} is eventually periodic: past
     max(transient) + depth it repeats with the lcm of the signal periods.
-    Build the prefix and one period of the tail once, then answer window
-    queries by bisect plus periodic unrolling instead of re-slicing the
-    signals for every query.
+    On the half line the origin bounds every signal, so it and its first
+    depth - 1 integer translates join the set.  Build the prefix and one
+    period of the tail once, then answer window queries by bisect plus
+    periodic unrolling instead of re-slicing the signals for every query.
     """
 
-    def __init__(self, signals: Sequence[Signal], pad: int):
+    def __init__(self, signals: Sequence[Signal], domain: TimeDomain, pad: int):
+        self.half = domain is TimeDomain.HALF_LINE
+        self.period = reduce(_lcm, (s.period for s in signals)) if signals else Fraction(1)
+        shifts = range(-pad, pad + 1)
         self.start = Fraction(0)
-        self.period = Fraction(1)
         self.prefix: List[Fraction] = []
-        self.tail: List[Fraction] = []
-        self.half = False
-        if not signals:
-            return
-        period = Fraction(1)
-        for s in signals:
-            period = _lcm(period, s.period)
-        self.period = period
-        self.half = signals[0].domain is TimeDomain.HALF_LINE
-        points = set()
         if not self.half:
             # purely periodic: one period of endpoint translates, reduced mod period
-            for s in signals:
-                for comp in s.slice(Fraction(0), period):
-                    for e in (comp.lower, comp.upper):
-                        for k in range(-pad, pad + 1):
-                            points.add((e + k) % period)
-            self.tail = sorted(points)
+            self.tail = sorted({(e + k) % self.period
+                                for s in signals
+                                for comp in s.slice(Fraction(0), self.period)
+                                for e in (comp.lower, comp.upper)
+                                for k in shifts})
             return
-        start = max(s.transient for s in signals) + pad
-        self.start = start
-        for s in signals:
-            for comp in s.slice(Fraction(0), start + period + pad):
-                for e in (comp.lower, comp.upper):
-                    for k in range(-pad, pad + 1):
-                        c = e + k
-                        if 0 <= c < start + period:
-                            points.add(c)
+        self.start = max((s.transient for s in signals), default=Fraction(0)) + pad
+        end = self.start + self.period
+        points = {Fraction(k) for k in range(pad)}
+        points.update(e + k
+                      for s in signals
+                      for comp in s.slice(Fraction(0), end + pad)
+                      for e in (comp.lower, comp.upper)
+                      for k in shifts
+                      if 0 <= e + k < end)
         ordered = sorted(points)
-        cut = bisect_left(ordered, start)
+        cut = bisect_left(ordered, self.start)
         self.prefix = ordered[:cut]
-        self.tail = [p - start for p in ordered[cut:]]  # offsets in [0, period)
+        self.tail = [p - self.start for p in ordered[cut:]]  # offsets in [0, period)
 
     def query(self, a: Fraction, b: Fraction) -> List[Fraction]:
         """Grid points strictly inside (a, b), sorted ascending."""
@@ -167,10 +117,9 @@ class PointwiseSession:
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
         self.env = env
-        self._sigs = list(env.bindings.values())
-        depth, _ = metrics(formula)
-        self._pad = depth
-        self._gridobj = _Grid(self._sigs, depth)
+        self._half = env.domain is TimeDomain.HALF_LINE
+        depth, atoms = metrics(formula)
+        self._grid = _Grid([env.signal(a) for a in sorted(atoms)], env.domain, depth)
         self._memo: Dict[Tuple[Formula, Fraction], bool] = {}
         self._tbound: Dict[Formula, Fraction] = {}
         self._per: Dict[Formula, Fraction] = {}
@@ -178,75 +127,53 @@ class PointwiseSession:
     # -- structural bounds ---------------------------------------------------
 
     def _period(self, f: Formula) -> Fraction:
+        """A period of the subformula's truth (of its tail, on the half line)."""
         got = self._per.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, Atom):
-            p = self.env.signal(f.name).period
-        elif isinstance(f, (TrueConst, FalseConst)):
-            p = Fraction(1)
-        elif isinstance(f, (Not, DiamondFuture, DiamondPast, Count)):
-            p = self._period(f.operand)
-        elif isinstance(f, (And, Or, Implies, Until, Since)):
-            p = _lcm(self._period(f.left), self._period(f.right))
-        elif isinstance(f, Pnueli):
-            p = Fraction(1)
-            for a in f.args:
-                p = _lcm(p, self._period(a))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._per[f] = p
-        return p
+        if got is None:
+            kids = children(f)
+            if kids:
+                got = reduce(_lcm, map(self._period, kids))
+            elif isinstance(f, Atom):
+                got = self.env.signal(f.name).period
+            else:
+                got = Fraction(1)
+            self._per[f] = got
+        return got
 
     def _transient_bound(self, f: Formula) -> Fraction:
         """Past this time the subformula's truth is periodic (half line)."""
         got = self._tbound.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, Atom):
-            t = self.env.signal(f.name).transient
-        elif isinstance(f, (TrueConst, FalseConst)):
-            t = Fraction(0)
-        elif isinstance(f, Not):
-            t = self._transient_bound(f.operand)
-        elif isinstance(f, (And, Or, Implies)):
-            t = max(self._transient_bound(f.left), self._transient_bound(f.right))
-        elif isinstance(f, (DiamondFuture, Count)):
-            t = self._transient_bound(f.operand)
-        elif isinstance(f, DiamondPast):
-            t = self._transient_bound(f.operand) + 1
-        elif isinstance(f, Until):
-            t = max(self._transient_bound(f.left), self._transient_bound(f.right))
-        elif isinstance(f, Since):
-            t = max(self._transient_bound(f.left),
-                    self._transient_bound(f.right)) + self._period(f)
-        elif isinstance(f, Pnueli):
-            t = max(self._transient_bound(a) for a in f.args)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._tbound[f] = t
-        return t
+        if got is None:
+            kids = children(f)
+            if kids:
+                got = max(map(self._transient_bound, kids))
+                if isinstance(f, DiamondPast):
+                    got += 1
+                elif isinstance(f, Since):
+                    got += self._period(f)
+            elif isinstance(f, Atom):
+                got = self.env.signal(f.name).transient
+            else:
+                got = Fraction(0)
+            self._tbound[f] = got
+        return got
 
     # -- region machinery ----------------------------------------------------
 
-    def _grid(self, a: Fraction, b: Fraction) -> List[Fraction]:
-        """Candidate truth-change points strictly inside (a, b): atom
-        component endpoints, shifted by every integer up to the modal depth."""
-        return self._gridobj.query(a, b)
-
     def _regions(self, a: Fraction, b: Fraction,
                  include_a: bool, include_b: bool) -> List[_Region]:
-        out: List[_Region] = []
-        if include_a:
-            out.append(("point", a))
-        if b > a:
-            prev = a
-            for c in self._grid(a, b):
-                out.append(("open", prev, c))
-                out.append(("point", c))
-                prev = c
-            out.append(("open", prev, b))
-        if include_b and b > a:
+        """The window from a to b cut into points and open intervals at the
+        grid points strictly inside it; empty unless a < b."""
+        if a >= b:
+            return []
+        out: List[_Region] = [("point", a)] if include_a else []
+        prev = a
+        for c in self._grid.query(a, b):
+            out.append(("open", prev, c))
+            out.append(("point", c))
+            prev = c
+        out.append(("open", prev, b))
+        if include_b:
             out.append(("point", b))
         return out
 
@@ -283,36 +210,28 @@ class PointwiseSession:
         if isinstance(f, Implies):
             return (not self.eval(f.left, t)) or self.eval(f.right, t)
         if isinstance(f, DiamondFuture):
-            return any(self.eval(f.operand, self._rep(r))
-                       for r in self._regions(t, t + 1, False, False))
+            return self._count(f.operand, 1, self._regions(t, t + 1, False, False))
         if isinstance(f, DiamondPast):
-            return self._diamond_past(f, t)
+            if self._half and t < 1:
+                return self._count(f.operand, 1, self._regions(Fraction(0), t, True, False))
+            return self._count(f.operand, 1, self._regions(t - 1, t, False, False))
         if isinstance(f, Count):
-            return self._count(f, t)
+            return self._count(f.operand, f.n, self._regions(t, t + 1, False, False))
         if isinstance(f, Pnueli):
             return self._pnueli(f, t)
         if isinstance(f, Until):
-            return self._until(f, t)
+            horizon = max(t, self._transient_bound(f)) + self._period(f)
+            return self._order(f, self._regions(t, horizon, False, True))
         if isinstance(f, Since):
-            return self._since(f, t)
+            if self._half:
+                return self._order(f, reversed(self._regions(Fraction(0), t, True, False)))
+            return self._order(f, reversed(self._regions(t - self._period(f), t, True, False)))
         raise TypeError(f"not a formula: {f!r}")
 
-    def _diamond_past(self, f: DiamondPast, t: Fraction) -> bool:
-        if self.env.domain is TimeDomain.HALF_LINE:
-            if t <= 0:
-                return False
-            if t - 1 < 0:
-                regions = self._regions(Fraction(0), t, True, False)
-            else:
-                regions = self._regions(t - 1, t, False, False)
-        else:
-            regions = self._regions(t - 1, t, False, False)
-        return any(self.eval(f.operand, self._rep(r)) for r in regions)
-
-    def _count(self, f: Count, t: Fraction) -> bool:
-        need = f.n
-        for r in self._regions(t, t + 1, False, False):
-            if self.eval(f.operand, self._rep(r)):
+    def _count(self, operand: Formula, need: int, regions: List[_Region]) -> bool:
+        """At least `need` witness points of the operand among the regions."""
+        for r in regions:
+            if self.eval(operand, self._rep(r)):
                 if r[0] == "open":
                     return True  # a whole interval of witnesses beats any n
                 need -= 1
@@ -345,52 +264,26 @@ class PointwiseSession:
 
         return place(0, 0)
 
-    def _until(self, f: Until, t: Fraction) -> bool:
-        tb = max(self._transient_bound(f.left), self._transient_bound(f.right))
-        horizon = max(t, tb) + self._period(f)
-        for reg in self._regions(t, horizon, False, True):
+    def _order(self, f: Formula, regions: Iterable[_Region]) -> bool:
+        """Strict until or since over regions ordered away from t: a witness
+        of the right operand with the left operand holding on every region
+        before it (and, inside an open region, around it).  Each operand is
+        evaluated at most once per region, the right one first."""
+        for reg in regions:
             rep = self._rep(reg)
-            if reg[0] == "point":
-                if self.eval(f.right, rep):
-                    return True
-                if not self.eval(f.left, rep):
-                    return False
-            else:
-                right = self.eval(f.right, rep)
-                left = self.eval(f.left, rep)
-                if right and left:
-                    return True
-                if not left:
-                    return False
-        return False  # one full tail period scanned without witness
-
-    def _since(self, f: Since, t: Fraction) -> bool:
-        if self.env.domain is TimeDomain.HALF_LINE:
-            if t <= 0:
+            right = self.eval(f.right, rep)
+            if right and reg[0] == "point":
+                return True
+            if not self.eval(f.left, rep):
                 return False
-            regions = self._regions(Fraction(0), t, True, False)
-        else:
-            regions = self._regions(t - self._period(f), t, True, False)
-        for reg in reversed(regions):
-            rep = self._rep(reg)
-            if reg[0] == "point":
-                if self.eval(f.right, rep):
-                    return True
-                if not self.eval(f.left, rep):
-                    return False
-            else:
-                right = self.eval(f.right, rep)
-                left = self.eval(f.left, rep)
-                if right and left:
-                    return True
-                if not left:
-                    return False
+            if right:
+                return True
         return False
 
 
 def pointwise_eval(formula: Formula, env, t) -> bool:
     """One membership query through the oracle route."""
-    return PointwiseSession(formula, env).eval(formula, Fraction(t))
+    return PointwiseSession(formula, env).eval(formula, rat(t))
 
 
 def critical_points(signal: Signal) -> List[Fraction]:
@@ -464,7 +357,7 @@ def compare_pointwise(formula: Formula, env, engine_signal: Signal,
     agree = 0
     total = 0
     for raw in points:
-        t = Fraction(raw)
+        t = rat(raw)
         e = engine_signal.contains(t)
         o = session.eval(formula, t)
         agree += e == o

@@ -158,6 +158,10 @@ def test_metrics_examples():
     assert metrics(parse_formula("!P & Q"))[0] == 0
     assert metrics(parse_formula("Pn3(P, F1 Q, R)")) == (2, frozenset({"P", "Q", "R"}))
     assert metrics(parse_formula("C4(P)"))[0] == 1
+    assert metrics(parse_formula("O1 P -> Q")) == (1, frozenset({"P", "Q"}))
+    assert metrics(parse_formula("P S O1 Q")) == (2, frozenset({"P", "Q"}))
+    assert metrics(parse_formula("O1 (P -> C2(false S Q))")) == (3, frozenset({"P", "Q"}))
+    assert metrics(parse_formula("false -> true")) == (0, frozenset())
 
 
 # ------------------------------------------------------------------- nesting

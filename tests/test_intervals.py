@@ -1,4 +1,4 @@
-"""Exact-set algebra: normal form, boolean algebra, counting, text syntax."""
+"""Exact-set algebra: normal form, boolean algebra, text syntax."""
 
 from fractions import Fraction as F
 
@@ -62,16 +62,6 @@ def test_shift():
     a = iset(Interval.open(0, 1))
     assert a.shift(F(-1, 3)) == iset(Interval.open(F(-1, 3), F(2, 3)))
     assert a.shift(F(1, 2)).shift(F(-1, 2)) == a
-
-
-def test_count_at_least():
-    two_points = iset(Interval.point(0), Interval.point(F(1, 2)))
-    assert two_points.count_at_least(Interval.open(F(-1, 4), F(3, 4)), 2)
-    assert not two_points.count_at_least(Interval.open(F(-1, 4), F(3, 4)), 3)
-    assert not IntervalSet.point(0).count_at_least(Interval.open(0, 1), 1)
-    fat = iset(Interval.open(0, F(1, 100)))
-    assert fat.count_at_least(Interval.open(-1, 1), 10 ** 9)
-    assert IntervalSet.EMPTY.count_at_least(Interval.open(0, 1), 0)
 
 
 def test_membership_bisect():
@@ -174,14 +164,6 @@ def test_normal_form_unique_under_resplitting(a):
         pieces.append(Interval(mid, c.upper, False, c.upper_closed))
     pieces.reverse()
     assert IntervalSet(pieces) == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(interval_sets(), st.integers(0, 5))
-def test_count_antitone_in_n(a, n):
-    w = Interval.open(-10, 10)
-    if a.count_at_least(w, n + 1):
-        assert a.count_at_least(w, n)
 
 
 # ------------------------------------------------------------------ text forms
