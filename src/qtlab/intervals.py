@@ -7,8 +7,10 @@ number type is ``fractions.Fraction``, endpoints may be infinite, and every
 disjoint, non-adjacent).  Two sets denote the same subset of the line if and
 only if they are structurally equal.
 
-Intersection is defined through De Morgan from union and complement so that a
-single normalization path stays authoritative.
+The algebra works on normal forms directly, each operation one linear pass:
+``union`` merges the two sorted component tuples and coalesces touching
+neighbours, ``intersection`` walks both tuples with two pointers, and
+``complement`` emits the gaps.  Only the constructor sorts.
 """
 
 from __future__ import annotations
@@ -137,6 +139,24 @@ def _lower_key(iv: Interval):
     return (1, iv.lower, 0 if iv.lower_closed else 1)
 
 
+def _starts_first(a: Interval, b: Interval) -> bool:
+    """a's lower bound sorts no later than b's (the order of ``_lower_key``)."""
+    if a.lower is None:
+        return True
+    if b.lower is None:
+        return False
+    return a.lower < b.lower or (a.lower == b.lower and (a.lower_closed or not b.lower_closed))
+
+
+def _ends_first(a: Interval, b: Interval) -> bool:
+    """a's upper bound sorts no later than b's: (q, open) < (q, closed) < +inf."""
+    if a.upper is None:
+        return b.upper is None
+    if b.upper is None:
+        return True
+    return a.upper < b.upper or (a.upper == b.upper and (b.upper_closed or not a.upper_closed))
+
+
 def _has_gap(a: Interval, b: Interval) -> bool:
     """True when b (whose lower sorts >= a's) does not touch or overlap a."""
     if a.upper is None or b.lower is None:
@@ -149,15 +169,21 @@ def _has_gap(a: Interval, b: Interval) -> bool:
 
 
 def _merge(a: Interval, b: Interval) -> Interval:
-    if a.upper is None or b.upper is None:
-        hi, hic = None, False
-    elif a.upper > b.upper:
-        hi, hic = a.upper, a.upper_closed
-    elif b.upper > a.upper:
-        hi, hic = b.upper, b.upper_closed
-    else:
-        hi, hic = a.upper, a.upper_closed or b.upper_closed
-    return Interval(a.lower, hi, a.lower_closed, hic)
+    if _ends_first(b, a):
+        return a
+    return Interval(a.lower, b.upper, a.lower_closed, b.upper_closed)
+
+
+def _coalesce(items: Iterable[Interval]) -> Tuple[Interval, ...]:
+    """Normal form of intervals already sorted by lower bound: join each to
+    its predecessor when they overlap or touch."""
+    merged: list[Interval] = []
+    for iv in items:
+        if merged and not _has_gap(merged[-1], iv):
+            merged[-1] = _merge(merged[-1], iv)
+        else:
+            merged.append(iv)
+    return tuple(merged)
 
 
 class IntervalSet:
@@ -174,14 +200,7 @@ class IntervalSet:
     FULL: "IntervalSet"
 
     def __init__(self, intervals: Iterable[Interval] = ()):
-        items = sorted(intervals, key=_lower_key)
-        merged: list[Interval] = []
-        for iv in items:
-            if merged and not _has_gap(merged[-1], iv):
-                merged[-1] = _merge(merged[-1], iv)
-            else:
-                merged.append(iv)
-        self._components = tuple(merged)
+        self._components = _coalesce(sorted(intervals, key=_lower_key))
 
     @classmethod
     def _wrap(cls, components: Tuple[Interval, ...]) -> "IntervalSet":
@@ -251,7 +270,19 @@ class IntervalSet:
             return other
         if not other._components:
             return self
-        return IntervalSet(self._components + other._components)
+        xs, ys = self._components, other._components
+        items: list[Interval] = []
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            if _starts_first(xs[i], ys[j]):
+                items.append(xs[i])
+                i += 1
+            else:
+                items.append(ys[j])
+                j += 1
+        items += xs[i:]
+        items += ys[j:]
+        return IntervalSet._wrap(_coalesce(items))
 
     def complement(self) -> "IntervalSet":
         comps = self._components
@@ -269,8 +300,29 @@ class IntervalSet:
         return IntervalSet._wrap(tuple(out))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        # De Morgan on purpose: one normalization code path stays authoritative.
-        return self.complement().union(other.complement()).complement()
+        # Each output component is the overlap of one component from each
+        # side.  The side whose component ends first moves on: that component
+        # cannot meet the other side's next one.  Overlaps come out sorted,
+        # and a point missing from either side separates any two of them, so
+        # the result is in normal form as it stands.
+        xs, ys = self._components, other._components
+        out: list[Interval] = []
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            x, y = xs[i], ys[j]
+            lo = y if _starts_first(x, y) else x
+            if _ends_first(x, y):
+                hi = x
+                i += 1
+            else:
+                hi = y
+                j += 1
+            if lo is hi:
+                out.append(lo)
+            elif (lo.lower is None or hi.upper is None or lo.lower < hi.upper
+                  or (lo.lower == hi.upper and lo.lower_closed and hi.upper_closed)):
+                out.append(Interval(lo.lower, hi.upper, lo.lower_closed, hi.upper_closed))
+        return IntervalSet._wrap(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersection(other.complement())

@@ -287,7 +287,7 @@ def trivialization_report(env: Env, formulas: Sequence[Formula],
             lo = sig.transient
             hi = sig.transient + 2 * sig.period
             window = Interval(lo, hi, True, False)
-            truth = sig.slice(lo, hi).intersection(IntervalSet.span(lo, hi))
+            truth = sig.window(lo, hi)
             witness = (window, truth)
         entries.append(ReportEntry(f, format_formula(f), cls, eventually, witness))
     return TrivializationReport(tuple(entries), truncated)

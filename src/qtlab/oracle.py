@@ -102,12 +102,12 @@ class _Grid:
         if self.half:
             m_lo = max(0, m_lo)
         m_hi = math.floor((b - self.start) / self.period)
+        # copies strictly between the first and the last lie inside (a, b)
         for m in range(m_lo, m_hi + 1):
             base = self.start + m * self.period
-            for off in self.tail:
-                c = base + off
-                if a < c < b:
-                    out.append(c)
+            i = bisect_right(self.tail, a - base) if m == m_lo else 0
+            j = bisect_left(self.tail, b - base) if m == m_hi else len(self.tail)
+            out.extend(base + off for off in self.tail[i:j])
         return out
 
 

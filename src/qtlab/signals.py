@@ -30,6 +30,7 @@ from .intervals import (
     IntervalSet,
     RationalLike,
     TextFormatError,
+    _coalesce,
     format_interval_list,
     format_rational,
     parse_interval_list,
@@ -133,6 +134,16 @@ def _meeting(comps: tuple[Interval, ...], a: Fraction, b: Fraction) -> tuple[Int
     return comps[i:j]
 
 
+def _within(s: IntervalSet, end: Fraction) -> bool:
+    """s is a subset of [0, end): in normal form only the lower end of the
+    first component and the upper end of the last can stick out."""
+    if not s:
+        return True
+    first, last = s.components[0], s.components[-1]
+    return (first.lower is not None and first.lower >= 0 and last.upper is not None
+            and (last.upper < end or (last.upper == end and not last.upper_closed)))
+
+
 def _clip(c: Interval, a: Fraction, b: Fraction) -> Interval:
     """A component that meets [a, b], cut down to it."""
     if c.lower < a:
@@ -161,9 +172,9 @@ class Signal:
             raise SignalError(f"transient must be nonnegative, got {self.transient}")
         if self.domain is TimeDomain.FULL_LINE and (self.transient != 0 or self.prefix):
             raise SignalError("full-line signals are purely periodic: transient 0, empty prefix")
-        if not self.pattern.difference(IntervalSet.span(0, self.period)).is_empty:
+        if not _within(self.pattern, self.period):
             raise SignalError("pattern escapes [0, period)")
-        if not self.prefix.difference(IntervalSet.span(0, self.transient)).is_empty:
+        if not _within(self.prefix, self.transient):
             raise SignalError("prefix escapes [0, transient)")
 
     # ------------------------------------------------------------ constructors
@@ -210,13 +221,26 @@ class Signal:
                 off = anchor + k * self.period
                 copy = comps if k0 < k < k1 else _meeting(comps, a - off, b - off)
                 pieces.extend(c.shift(off) for c in copy)
-        # copies may touch across period boundaries: normalize, then only the
-        # outermost components can stick out of the window
-        out = list(IntervalSet(pieces).components)
+        # the pieces come in order, but copies may touch across period
+        # boundaries: coalesce, then only the outermost components can stick
+        # out of the window
+        out = list(_coalesce(pieces))
         if out:
             out[0] = _clip(out[0], a, b)
             out[-1] = _clip(out[-1], a, b)
         return IntervalSet._wrap(tuple(out))
+
+    def window(self, a: RationalLike, b: RationalLike) -> IntervalSet:
+        """The exact point set of the signal within [a, b); empty unless a < b."""
+        a, b = rat(a), rat(b)
+        if a >= b:
+            return IntervalSet.EMPTY
+        got = self.slice(a, b)
+        if not got or not got.components[-1].upper_closed or got.components[-1].upper != b:
+            return got
+        last = got.components[-1]
+        cut = () if last.is_point else (Interval(last.lower, b, last.lower_closed, False),)
+        return IntervalSet._wrap(got.components[:-1] + cut)
 
     def shift(self, d: RationalLike) -> "Signal":
         """Translate the denoted set by d. Full line only: the half line has an origin."""
@@ -262,13 +286,13 @@ class Signal:
     def _reframe(self, transient: Fraction, period: Fraction) -> "Signal":
         """Re-express as a prefix on [0, transient) and one period from there
         on; the signal must already repeat with that period past transient."""
-        pattern = self.slice(transient, transient + period).intersection(
-            IntervalSet.span(transient, transient + period)).shift(-transient)
+        if transient == self.transient and period == self.period:
+            return self
+        pattern = self.window(transient, transient + period).shift(-transient)
         if self.domain is TimeDomain.FULL_LINE:
             return Signal(TimeDomain.FULL_LINE, period, pattern)
-        prefix = (self.slice(0, transient).intersection(IntervalSet.span(0, transient))
-                  if transient else IntervalSet.EMPTY)
-        return Signal(TimeDomain.HALF_LINE, period, pattern, transient, prefix)
+        return Signal(TimeDomain.HALF_LINE, period, pattern, transient,
+                      self.window(0, transient))
 
 
 def align(a: Signal, b: Signal) -> tuple[Signal, Signal]:

@@ -1,5 +1,6 @@
 """CLI checks: every subcommand, exit codes, round-trips, determinism."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -192,3 +193,55 @@ def test_internal_errors_exit_three_with_a_traceback(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err and "RuntimeError: engine fault" in captured.err
+
+
+FUZZ_SIGNALS = (
+    "domain line\nperiod 1\npattern [0,1/2),(2/3,3/4]\n",
+    "domain line\nperiod 3/2\npattern [0,0],(1/3,1)\n",
+    "domain halfline\nperiod 2/3\npattern [0,0]\ntransient 1\nprefix (0,1/2]\n",
+    "domain halfline\nperiod 1\npattern (1/4,1/2)\ntransient 0\nprefix {}\n",
+)
+FUZZ_FORMULAS = ("P U Q", "C2(P) & !Q", "Pn2(P,Q)", "O1 (P S Q)", "F1 P -> Q", "!(P | F1 Q)")
+FUZZ_ALPHABET = "[](),{}/-0123456789 PQ!&|UFSOCn>\n\t#éline half period transient prefix pattern"
+
+
+def _mutate(rng, text):
+    """One to three character edits: delete, insert, replace, or repeat a slice."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(4)
+        if kind == 0:
+            text = text[:i] + text[i + 1:]
+        elif kind == 1:
+            text = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i:]
+        elif kind == 2:
+            text = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i + 1:]
+        else:
+            j = rng.randrange(len(text) + 1)
+            text = text[:i] + text[min(i, j):max(i, j)] + text[i:]
+    return text
+
+
+def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys):
+    """Mangled signal files and formulas end in an answer or a clean error
+    (exit 0, 1 or 2), never an internal error (exit 3) or a traceback."""
+    rng = random.Random(2024)
+    paths = {name: tmp_path / f"{name}.sig" for name in "PQ"}
+    codes = set()
+    for _ in range(1200):
+        files = [rng.choice(FUZZ_SIGNALS) for _ in paths]
+        files = [_mutate(rng, t) if rng.random() < 0.3 else t for t in files]
+        for path, text in zip(paths.values(), files):
+            path.write_text(text, encoding="utf-8")
+        texts = [rng.choice(FUZZ_FORMULAS) for _ in range(2)]
+        texts = [_mutate(rng, t) if rng.random() < 0.3 else t for t in texts]
+        binds = [arg for name, path in paths.items() for arg in ("--bind", f"{name}={path}")]
+        if rng.random() < 0.5:
+            argv = ["eval", "--formula", texts[0]] + binds
+        else:
+            argv = ["equiv", "--formula", texts[0], "--formula", texts[1]] + binds
+        code = invoke(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, files, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}

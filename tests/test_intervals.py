@@ -96,8 +96,15 @@ def interval_sets(draw, max_cuts=8, allow_rays=False):
         else:
             ivs.append(Interval.point(cuts[i]))
             i += 1
-    if allow_rays and cuts and draw(st.booleans()):
-        ivs.append(Interval(None, cuts[0], False, draw(st.booleans())))
+    if allow_rays:
+        lo, hi = (cuts[0], cuts[-1]) if cuts else (F(0), F(0))
+        rays = draw(st.sampled_from(["none", "left", "right", "both", "full"]))
+        if rays in ("left", "both"):
+            ivs.append(Interval(None, lo, False, draw(st.booleans())))
+        if rays in ("right", "both"):
+            ivs.append(Interval(hi, None, draw(st.booleans()), False))
+        if rays == "full":
+            ivs.append(Interval(None, None))
     return IntervalSet(ivs)
 
 
@@ -118,7 +125,7 @@ def sample_points(*sets):
 
 
 @settings(max_examples=120, deadline=None)
-@given(interval_sets(allow_rays=True), interval_sets())
+@given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
 def test_boolean_algebra_pointwise(a, b):
     union = a.union(b)
     inter = a.intersection(b)
@@ -136,6 +143,23 @@ def test_boolean_algebra_pointwise(a, b):
 @given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
 def test_de_morgan(a, b):
     assert a.union(b).complement() == a.complement().intersection(b.complement())
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
+def test_algebra_returns_normal_forms(a, b):
+    for out in (a.union(b), a.intersection(b), a.difference(b), a.complement()):
+        assert IntervalSet(out.components) == out
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
+def test_linear_passes_match_the_sorting_constructor(a, b):
+    # references: a union normalized by the constructor's sort, and the De
+    # Morgan intersection (complement of the union of complements) built on it
+    assert a.union(b) == IntervalSet(a.components + b.components)
+    comps = a.complement().components + b.complement().components
+    assert a.intersection(b) == IntervalSet(comps).complement()
 
 
 @settings(max_examples=120, deadline=None)

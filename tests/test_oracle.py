@@ -1,6 +1,7 @@
 """Oracle checks: the session's regions and structural bounds, pointwise
 queries, engine agreement."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -73,6 +74,44 @@ def test_grid_covers_only_the_formulas_atoms():
     assert PointwiseSession(parse_formula("F1 P"), env)._grid.period == 8
     assert PointwiseSession(parse_formula("F1 P | Q"), env)._grid.period == 328
     assert PointwiseSession(parse_formula("true U false"), env)._grid.period == 1
+
+
+def _unrolled_query(grid, a, b):
+    """Grid points in (a, b): every tail offset of every period copy that the
+    window touches, each added and compared."""
+    out = [c for c in grid.prefix if a < c < b]
+    if grid.tail:
+        m_lo = math.floor((a - grid.start) / grid.period)
+        if grid.half:
+            m_lo = max(0, m_lo)
+        for m in range(m_lo, math.floor((b - grid.start) / grid.period) + 1):
+            base = grid.start + m * grid.period
+            out.extend(base + off for off in grid.tail if a < base + off < b)
+    return out
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_grid_query_matches_the_unrolled_tail(domain):
+    rng = random.Random(17)
+    for trial in range(12):
+        p = irregular_signal(rng, 8, domain) if trial % 2 else random_signal(rng, domain)
+        q = random_signal(rng, domain)
+        grid = PointwiseSession(parse_formula("F1 (P U O1 Q)"), Env(domain, {"P": p, "Q": q}))._grid
+        start, per = grid.start, grid.period
+        points = grid.prefix + [start + off for off in grid.tail]
+        windows = [(start - per, start + per / 3),                  # straddles the tail's start
+                   (start + per / 7, start + 4 * per + per / 5),    # spans several periods
+                   (start + 2 * per, start + 2 * per + per / 2)]    # inside one copy
+        if grid.prefix:
+            windows.append((grid.prefix[0], grid.prefix[-1]))      # inside the prefix
+            windows.append((grid.prefix[len(grid.prefix) // 2], start + 2 * per))
+        if points:
+            # ends on grid points, inside and across copies
+            windows += [(rng.choice(points), rng.choice(points) + k * per) for k in (0, 1, 3)]
+        for a, b in windows:
+            if domain is HALF:
+                a = max(a, F(0))
+            assert grid.query(a, b) == _unrolled_query(grid, a, b), (a, b)
 
 
 def test_half_line_origin_is_a_grid_point():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtlab.intervals import Interval, IntervalSet, TextFormatError
+from qtlab.cli import main
+from qtlab.intervals import Interval, IntervalSet, TextFormatError, parse_interval_list
 from qtlab.signals import (
     DomainError,
     Signal,
@@ -22,8 +23,9 @@ from qtlab.signals import (
     format_signal,
     parse_signal,
 )
-from qtlab.signals import _minimal_tail
+from qtlab.signals import _minimal_tail, _within
 from gen import random_fraction, random_point_set, random_signal
+from test_intervals import interval_sets, rationals
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -59,6 +61,33 @@ def test_construction_guards():
         Signal(HALF, F(1), IntervalSet.EMPTY, transient=F(1), prefix=IntervalSet.point(1))
     # upper endpoint equal to the period is fine when open
     Signal(LINE, F(1), iset(Interval(F(1, 2), F(1), True, False)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("domain line\nperiod 1\npattern [0,1]\n", "pattern escapes"),
+    ("domain line\nperiod 1\npattern [0,1/2),[1,1]\n", "pattern escapes"),
+    ("domain line\nperiod 1\npattern (-1/2,0],[1/2,3/4]\n", "pattern escapes"),
+    ("domain halfline\nperiod 1\npattern {}\ntransient 1\nprefix [0,1/2),[3/4,1]\n",
+     "prefix escapes"),
+])
+def test_components_at_the_frame_boundary_are_rejected(tmp_path, capsys, text, message):
+    fields = dict(line.split(" ", 1) for line in text.splitlines())
+    with pytest.raises(SignalError, match=message):
+        Signal(TimeDomain(fields["domain"]), F(fields["period"]),
+               parse_interval_list(fields["pattern"]), F(fields.get("transient", 0)),
+               parse_interval_list(fields.get("prefix", "{}")))
+    with pytest.raises(TextFormatError, match=message):
+        parse_signal(text)
+    path = tmp_path / "bad.sig"
+    path.write_text(text, encoding="utf-8")
+    assert main(["eval", "--formula", "P", "--bind", f"P={path}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_sets(allow_rays=True), rationals())
+def test_frame_check_matches_the_set_difference(s, end):
+    assert _within(s, end) == s.difference(IntervalSet.span(0, end)).is_empty
 
 
 # ----------------------------------------------------------------- membership
