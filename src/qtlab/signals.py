@@ -47,6 +47,17 @@ class DomainError(ValueError):
     """Operation applied outside a signal's time domain, or across domains."""
 
 
+# Most components a slice may unroll from pattern copies, or the oracle's grid
+# points number: past it the unrolling raises SignalError, not a long run.
+MAX_UNROLL = 100_000
+
+
+def check_unroll(count: int, what: str) -> None:
+    if count > MAX_UNROLL:
+        raise SignalError(f"{what} would unroll to {count} components, "
+                          f"past the limit of {MAX_UNROLL}")
+
+
 class TimeDomain(Enum):
     FULL_LINE = "line"
     HALF_LINE = "halfline"
@@ -217,6 +228,8 @@ class Signal:
             comps = self.pattern.components
             k0 = math.floor((lo - anchor) / self.period)
             k1 = math.floor((b - anchor) / self.period)
+            # every copy costs a step, even a copy of an empty pattern
+            check_unroll((k1 - k0 + 1) * max(1, len(comps)), "slicing a signal")
             for k in range(k0, k1 + 1):
                 off = anchor + k * self.period
                 copy = comps if k0 < k < k1 else _meeting(comps, a - off, b - off)

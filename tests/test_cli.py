@@ -1,6 +1,7 @@
 """CLI checks: every subcommand, exit codes, round-trips, determinism."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -193,6 +194,28 @@ def test_internal_errors_exit_three_with_a_traceback(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err and "RuntimeError: engine fault" in captured.err
+
+
+@pytest.mark.parametrize("formula,p_text,q_text", [
+    ("P U Q",
+     "domain halfline\nperiod 2/1000000\npattern [0,0]\ntransient 1\nprefix (0,1/2]\n",
+     "domain halfline\nperiod 1\npattern (1/4,1/2)\ntransient 0\nprefix {}\n"),
+    ("C2(P) & !Q",
+     "domain halfline\nperiod 2/3\npattern [0,0]\ntransient 1\nprefix (0,1/2]\n",
+     "domain halfline\nperiod 1\npattern (1/4,1/2)\ntransient 100000\nprefix {}\n"),
+])
+def test_runaway_sizes_exit_two(tmp_path, capsys, formula, p_text, q_text):
+    """A period or a transient that would unroll hundreds of thousands of
+    components ends in a clean error, not a minute-long run."""
+    (tmp_path / "p.sig").write_text(p_text, encoding="utf-8")
+    (tmp_path / "q.sig").write_text(q_text, encoding="utf-8")
+    start = time.perf_counter()
+    code = invoke(["eval", "--formula", formula, "--bind", f"P={tmp_path / 'p.sig'}",
+                   "--bind", f"Q={tmp_path / 'q.sig'}"])
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "past the limit" in err
 
 
 FUZZ_SIGNALS = (

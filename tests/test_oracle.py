@@ -1,8 +1,10 @@
-"""Oracle checks: the session's regions and structural bounds, pointwise
-queries, engine agreement."""
+"""Oracle checks: the session's grid cells and structural bounds, run
+placement, pointwise queries, engine agreement."""
 
+import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,7 @@ from qtlab.intervals import Interval, IntervalSet
 from qtlab.oracle import (
     AgreementReport,
     PointwiseSession,
+    _placeable,
     agreement_check,
     compare_pointwise,
     critical_points,
@@ -21,9 +24,9 @@ from qtlab.oracle import (
     sample_points,
 )
 from qtlab.semantics import Env, evaluate
-from qtlab.signals import Signal, TimeDomain
+from qtlab.signals import DomainError, Signal, SignalError, TimeDomain
 
-from gen import irregular_signal, random_formula, random_signal
+from gen import irregular_signal, random_formula, random_fraction, random_signal
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -37,32 +40,42 @@ def thm2_signal():
     return Signal(HALF, F(2, 3), IntervalSet([Interval.point(F(0))]))
 
 
+def cell_probes(grid, c):
+    """The cell's point, or three times spread over its open gap."""
+    if c % 2 == 0:
+        return [grid.point(c // 2)]
+    a, b = grid.point(c // 2), grid.point(c // 2 + 1)
+    return [a + (b - a) * F(k, 4) for k in (1, 2, 3)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
 def test_signals_are_constant_on_their_regions(rng, domain):
+    """Every atom is constant on every cell of the session's grid."""
     env = Env(domain, {"P": random_signal(rng, domain),
                        "Q": random_signal(rng, domain)})
     sigs = list(env.bindings.values())
     hi = max(s.transient for s in sigs) + 2 * max(s.period for s in sigs)
     lo = F(0) if domain is HALF else -hi
-    session = PointwiseSession(parse_formula("P & Q"), env)
-    for reg in session._regions(lo, hi, True, True):
-        if reg[0] == "point":
-            probes = [reg[1]]
-        else:
-            a, b = reg[1], reg[2]
-            probes = [a + (b - a) * F(k, 4) for k in (1, 2, 3)]
+    grid = PointwiseSession(parse_formula("P & Q"), env)._grid
+    cells = grid.cells(lo, hi, True, True)
+    assert cells[0] == grid.locate(lo) and cells[-1] == grid.locate(hi)
+    for c in cells:
+        probes = cell_probes(grid, c)
         for s in sigs:
             assert len({s.contains(p) for p in probes}) == 1
 
 
 def test_regions_of_an_empty_window_are_empty():
-    session = PointwiseSession(parse_formula("P"), Env(LINE, {"P": grid_line(2)}))
-    assert session._regions(F(1, 3), F(1, 3), True, True) == []
-    assert session._regions(F(1), F(0), True, True) == []
-    assert session._regions(F(0), F(1), True, True) == [
-        ("point", F(0)), ("open", F(0), F(1, 2)), ("point", F(1, 2)),
-        ("open", F(1, 2), F(1)), ("point", F(1))]
+    grid = PointwiseSession(parse_formula("P"), Env(LINE, {"P": grid_line(2)}))._grid
+    assert list(grid.cells(F(1, 3), F(1, 3), True, True)) == []
+    assert list(grid.cells(F(1), F(0), True, True)) == []
+    # grid points k/2: point 0 is cell 0, the gap (0, 1/2) cell 1, and so on
+    assert list(grid.cells(F(0), F(1), True, True)) == [0, 1, 2, 3, 4]
+    assert [grid.rep(c) for c in range(5)] == [0, F(1, 4), F(1, 2), F(3, 4), 1]
+    assert list(grid.cells(F(0), F(1))) == [1, 2, 3]
+    assert list(grid.cells(F(1, 8), F(3, 8), True, True)) == [1]  # inside one gap
+    assert list(grid.cells(F(-1, 2), F(0), True)) == [-2, -1]
 
 
 def test_grid_covers_only_the_formulas_atoms():
@@ -76,22 +89,49 @@ def test_grid_covers_only_the_formulas_atoms():
     assert PointwiseSession(parse_formula("true U false"), env)._grid.period == 1
 
 
-def _unrolled_query(grid, a, b):
-    """Grid points in (a, b): every tail offset of every period copy that the
-    window touches, each added and compared."""
-    out = [c for c in grid.prefix if a < c < b]
-    if grid.tail:
-        m_lo = math.floor((a - grid.start) / grid.period)
-        if grid.half:
-            m_lo = max(0, m_lo)
-        for m in range(m_lo, math.floor((b - grid.start) / grid.period) + 1):
-            base = grid.start + m * grid.period
-            out.extend(base + off for off in grid.tail if a < base + off < b)
+def test_grid_past_the_limit_raises():
+    """Q's period 1 makes the grid unroll P's period 1/20000 twenty thousand
+    times, two endpoints each, and F1 shifts each by -1, 0 and 1."""
+    fine = Signal(LINE, F(1, 20000), IntervalSet.point(0))
+    env = Env(LINE, {"P": fine, "Q": grid_line(1)})
+    assert PointwiseSession(parse_formula("F1 P"), env)._grid.period == F(1, 20000)
+    with pytest.raises(SignalError, match="grid"):
+        PointwiseSession(parse_formula("F1 P | Q"), env)
+
+
+def _numbered_points(grid, lo, hi):
+    """(number, point) for every grid point from below lo to above hi: the
+    prefix numbered first, then each tail copy in turn, every offset of every
+    copy added up."""
+    out = list(enumerate(grid.prefix))
+    first = 0 if grid.half else math.floor((lo - grid.start) / grid.period) - 1
+    for m in range(first, math.floor((hi - grid.start) / grid.period) + 2):
+        base = grid.start + m * grid.period
+        out += [(len(grid.prefix) + m * len(grid.tail) + j, base + off)
+                for j, off in enumerate(grid.tail)]
+    return out
+
+
+def _around(numbered, a, b):
+    """The numbered points from the last one below a to the first one above b."""
+    key = [p for _, p in numbered]
+    return numbered[max(bisect_left(key, a) - 1, 0):bisect_right(key, b) + 1]
+
+
+def _cells_meeting(points, a, b):
+    """(cell, at a, at b) for the cells that meet [a, b], read off
+    consecutive numbered points."""
+    out = []
+    for (i, p), (_, q) in zip(points, points[1:]):
+        if a <= p <= b:
+            out.append((2 * i, p == a, p == b))
+        if p < b and q > a:
+            out.append((2 * i + 1, False, False))
     return out
 
 
 @pytest.mark.parametrize("domain", [LINE, HALF])
-def test_grid_query_matches_the_unrolled_tail(domain):
+def test_grid_locate_and_point_match_the_unrolled_points(domain):
     rng = random.Random(17)
     for trial in range(12):
         p = irregular_signal(rng, 8, domain) if trial % 2 else random_signal(rng, domain)
@@ -105,13 +145,28 @@ def test_grid_query_matches_the_unrolled_tail(domain):
         if grid.prefix:
             windows.append((grid.prefix[0], grid.prefix[-1]))      # inside the prefix
             windows.append((grid.prefix[len(grid.prefix) // 2], start + 2 * per))
-        if points:
-            # ends on grid points, inside and across copies
-            windows += [(rng.choice(points), rng.choice(points) + k * per) for k in (0, 1, 3)]
+        # ends on grid points, inside and across copies
+        windows += [(rng.choice(points), rng.choice(points) + k * per) for k in (0, 1, 3)]
+        if domain is LINE:
+            windows += [(-per - per / 5, -per / 2), (-per / 3, per / 4)]  # negative times
+        if domain is HALF:
+            windows = [(max(a, F(0)), b) for a, b in windows]
+        every = _numbered_points(grid, min(a for a, _ in windows), max(b for _, b in windows))
         for a, b in windows:
-            if domain is HALF:
-                a = max(a, F(0))
-            assert grid.query(a, b) == _unrolled_query(grid, a, b), (a, b)
+            numbered = _around(every, a, b)
+            if b - a <= 2 * per:  # point by point on all but the longest windows
+                for i, pt in numbered:
+                    assert grid.point(i) == pt
+                    assert grid.locate(pt) == 2 * i
+                for (i, pt), (_, nxt) in zip(numbered, numbered[1:]):
+                    assert grid.locate((pt + nxt) / 2) == 2 * i + 1
+                    assert grid.rep(2 * i + 1) == (pt + nxt) / 2
+            meeting = _cells_meeting(numbered, a, b) if a < b else []
+            for closed_a in (False, True):
+                for closed_b in (False, True):
+                    expected = [c for c, at_a, at_b in meeting
+                                if (closed_a or not at_a) and (closed_b or not at_b)]
+                    assert list(grid.cells(a, b, closed_a, closed_b)) == expected, (a, b)
 
 
 def test_half_line_origin_is_a_grid_point():
@@ -142,12 +197,13 @@ def test_formula_truth_is_constant_on_translate_refined_regions(rng, domain):
                 for k in range(-depth, depth + 1):
                     if 0 < e + k < hi:
                         cuts.add(e + k)
-    session = PointwiseSession(f, env)
     prev = F(0)
     for c in sorted(cuts) + [hi]:
         if prev < c:
             probes = [prev + (c - prev) * F(k, 4) for k in (1, 2, 3)]
-            assert len({session.eval(f, p) for p in probes}) == 1
+            # a fresh session per probe: a shared one would answer the
+            # nested operands of every probe from the same cells' entries
+            assert len({PointwiseSession(f, env).eval(f, p) for p in probes}) == 1
         prev = c
 
 
@@ -199,6 +255,72 @@ def test_session_memo_is_consistent():
     a = session.eval(f, F(1, 3))
     b = session.eval(f, F(1, 3))
     assert a == b == pointwise_eval(f, env, F(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
+def test_a_shared_session_answers_like_fresh_ones(rng, domain):
+    f = random_formula(rng, modal_budget=3, size=6)
+    env = Env(domain, {"P": random_signal(rng, domain),
+                       "Q": random_signal(rng, domain)})
+    lo = 0 if domain is HALF else -3
+    points = [random_fraction(rng, lo, 3, 24) for _ in range(8)]
+    shared = PointwiseSession(f, env)
+    for t in points:
+        assert shared.eval(f, t) == PointwiseSession(f, env).eval(f, t), (f, t)
+
+
+def test_half_line_queries_before_the_origin_raise():
+    env = Env(HALF, {"P": thm2_signal()})
+    for text in ("P", "true", "F1 P", "P S true"):
+        with pytest.raises(DomainError):
+            PointwiseSession(parse_formula(text), env).eval(parse_formula(text), F(-1, 3))
+    with pytest.raises(DomainError):
+        pointwise_eval(parse_formula("C2(P)"), env, -1)
+
+
+def _placements(n, cells, holds):
+    """Every placement of n operands at strictly increasing times of the
+    cells: a nondecreasing choice of cells, no point cell chosen twice."""
+    for pick in itertools.combinations_with_replacement(cells, n):
+        if any(a == b and a % 2 == 0 for a, b in zip(pick, pick[1:])):
+            continue
+        if all(holds(j, c) for j, c in enumerate(pick)):
+            yield pick
+
+
+def test_run_placement_matches_the_exhaustive_enumeration():
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        first = rng.randint(-3, 3)
+        cells = range(first, first + rng.randint(0, 7))
+        table = {(j, c): rng.random() < 0.6 for j in range(n) for c in cells}
+        calls = []
+
+        def holds(j, c):
+            calls.append((j, c))
+            return table[j, c]
+
+        expected = next(_placements(n, cells, lambda j, c: table[j, c]), None) is not None
+        assert _placeable(n, cells, holds) == expected, (n, cells, table)
+        assert len(calls) == len(set(calls))  # each (operand, cell) asked once
+
+
+@pytest.mark.parametrize("text", ["Pn2(true | P, Q & false)", "Pn3(true | P, true, Q & false)",
+                                  "Pn3(P, !P, P)", "Pn3(!P, P, true)"])
+def test_run_placement_on_a_fine_grid(text):
+    """24 grid points per unit: an unmemoized search of a run whose last
+    operand never holds tries every placement of the others."""
+    env = Env(LINE, {"P": grid_line(24), "Q": grid_line(24)})
+    f = parse_formula(text)
+    for t in (F(0), F(1, 7)):
+        session = PointwiseSession(f, env)
+        cells = session._grid.cells(t, t + 1)
+        expected = next(_placements(len(f.args), cells,
+                                    lambda j, c: session._cell(f.args[j], c)), None) is not None
+        assert session.eval(f, t) == expected
+        assert expected == evaluate(f, env).contains(t)
 
 
 def test_sample_points_cover_critical_points_first():

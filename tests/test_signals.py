@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from qtlab.cli import main
 from qtlab.intervals import Interval, IntervalSet, TextFormatError, parse_interval_list
 from qtlab.signals import (
+    MAX_UNROLL,
     DomainError,
     Signal,
     SignalError,
     TimeDomain,
     Triviality,
     align,
+    align_many,
     classify_trivial,
     combine,
     equal,
@@ -418,3 +420,18 @@ def test_format_parse_roundtrip_random():
     for _ in range(60):
         s = random_signal(rng, rng.choice([LINE, HALF]))
         assert parse_signal(format_signal(s)) == s
+
+
+def test_unrolling_past_the_limit_raises():
+    """A fine period re-framed to a coarse lcm, or a long transient compared
+    against the tail, would unroll past MAX_UNROLL pattern copies."""
+    fine = Signal(LINE, F(1, MAX_UNROLL), IntervalSet.point(0))
+    with pytest.raises(SignalError, match="past the limit"):
+        align_many([fine, grid_signal(LINE, 1)])
+    assert align_many([fine, grid_signal(LINE, F(1, 2))])[0].period == F(1, 2)
+    with pytest.raises(SignalError, match="past the limit"):
+        Signal(LINE, F(1, MAX_UNROLL), IntervalSet.EMPTY).slice(0, 2)
+    late = Signal(HALF, F(1), IntervalSet.point(F(1, 2)), F(MAX_UNROLL))
+    with pytest.raises(SignalError, match="past the limit"):
+        late.canonicalize()
+    assert Signal(HALF, F(1), IntervalSet.point(F(1, 2)), F(10)).canonicalize().transient == 10
