@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 from .formulas import ParseError, parse_formula
 from .intervals import IntervalError, TextFormatError, format_interval_list
 from .lab import (
-    DEFAULT_BUDGET,
     LabError,
     builtin_model,
     enumerate_formulas,
@@ -77,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", required=True, help="tl, qtl, or qtl+p<m>")
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--model", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--report", required=True, help="output file path")
     p.add_argument("--eventually", action="store_true",
                    help="classify tails instead of exact truth sets")
@@ -161,7 +159,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "enumerate":
         env = _load_env(parser, args.model, [])
         logic = parse_logic(args.logic)
-        result = enumerate_formulas(logic, args.depth, env, args.budget)
+        result = enumerate_formulas(logic, args.depth, env)
         report = trivialization_report(env, result.formulas,
                                        eventually=args.eventually,
                                        truncated=result.truncated)

@@ -8,18 +8,22 @@ close under the boolean connectives, then per nesting level apply the chosen
 logic's modalities to the current representatives and close again.  Two
 formulas with the same truth signal on the dedup environment collapse to the
 first one found, so the emitted list carries exactly one representative per
-distinct truth set.  The budget caps how many candidate evaluations are spent,
-with a truncation flag when it runs out.  Everything is deterministic:
-no randomness, fixed iteration orders, append-only representative list.
+distinct truth set.  Each class is a bitmask over atoms, the minimal sets cut
+by P and the modal results, so the boolean closure is integer arithmetic and
+always runs to the end; requests past ``MAX_CANDIDATES`` modal candidates in
+a layer or ``MAX_ATOMS`` atoms raise LabError instead.  Everything is
+deterministic: no randomness, fixed iteration orders, append-only
+representative list.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -49,7 +53,11 @@ from .semantics import (
 )
 from .signals import Signal, TimeDomain, Triviality, classify_trivial, combine
 
-DEFAULT_BUDGET = 5000
+# Size guards: a request past either raises LabError (exit 2) before the
+# enumeration runs for minutes.  Depth-3 qtl on thm2 fits: its last layer
+# tries 8176 candidates and the closure reaches 12 atoms.
+MAX_CANDIDATES = 10_000  # modal argument tuples one layer would try
+MAX_ATOMS = 12  # atoms of the closure, so at most 4096 classes
 
 
 class LabError(ValueError):
@@ -118,133 +126,123 @@ def parse_logic(text: str) -> Logic:
 @dataclass(frozen=True)
 class EnumerationResult:
     formulas: Tuple[Formula, ...]
-    truncated: bool
-    # deterministic sample of candidates dropped by dedup, for spot checks
-    pruned: Tuple[Formula, ...]
-
-
-_PRUNED_CAP = 64
+    truncated: bool = False  # an enumeration closes or raises LabError
 
 
 class _Enumeration:
-    def __init__(self, env: Env, budget: int):
-        self.env = env
-        self.budget = budget
-        self.spent = 0
-        self.truncated = False
+    """Classes as bitmasks over atoms: the minimal nonempty sets cut so far
+    by P and the modal results, kept as disjoint canonical signals covering
+    the domain.  Only a modal result that is a new signal splits the atoms it
+    cuts, and every mask holding a split atom gains the new atom's bit."""
+
+    def __init__(self, env: Env):
         self.reps: List[Formula] = []
-        self.sigs: List[Signal] = []
-        self.seen: Dict[Signal, int] = {}
-        self.pruned: List[Formula] = []
-        self.closed_upto = 0
-        self.tried_modal: Set[Tuple] = set()
+        self.masks: List[int] = []
+        self.seen: Dict[int, int] = {}  # mask -> class index
+        self.known: Dict[Signal, int] = {}  # signal -> class index
+        self.operands: List[Signal] = []  # class signals, built as modal operands
+        self.atoms: List[Signal] = [Signal.constant(env.domain, True)]
+        self.full = 1
 
-    def spend(self) -> bool:
-        if self.spent >= self.budget:
-            self.truncated = True
-            return False
-        self.spent += 1
-        return True
+    def admit(self, formula: Formula, key: int) -> None:
+        if key not in self.seen:
+            self.seen[key] = len(self.reps)
+            self.reps.append(formula)
+            self.masks.append(key)
 
-    def admit(self, formula: Formula, sig: Signal) -> None:
-        if sig in self.seen:
-            if len(self.pruned) < _PRUNED_CAP:
-                self.pruned.append(formula)
-            return
-        self.seen[sig] = len(self.reps)
-        self.reps.append(formula)
-        self.sigs.append(sig)
+    def admit_signal(self, formula: Formula, sig: Signal) -> None:
+        index = self.known.get(sig)
+        key = self.refine(sig) if index is None else self.masks[index]
+        self.admit(formula, key)
+        self.known[sig] = self.seen[key]
 
-    def boolean_closure(self) -> None:
-        old = self.closed_upto
-        while True:
-            n = len(self.reps)
+    def refine(self, sig: Signal) -> int:
+        """The mask of sig, after splitting every atom that sig cuts."""
+        key, outside = 0, None
+        for k in range(len(self.atoms)):
+            atom = self.atoms[k]
+            inside = combine("and", atom, sig)
+            if not (inside.pattern or inside.prefix):
+                continue
+            key |= 1 << k
+            if inside == atom:
+                continue
+            if len(self.atoms) == MAX_ATOMS:
+                raise LabError(f"the closure would need more than {MAX_ATOMS} atoms")
+            outside = outside or combine("not", sig)
+            self.atoms[k] = inside
+            self.atoms.append(combine("and", atom, outside))
+            bit, new = 1 << k, 1 << (len(self.atoms) - 1)
+            self.full |= new
+            self.masks[:] = [m | new if m & bit else m for m in self.masks]
+            self.seen = {m: i for i, m in enumerate(self.masks)}
+        return key
+
+    def boolean_closure(self, old: int) -> None:
+        """Close under the connectives; classes from index old on are new."""
+        reps, masks = self.reps, self.masks
+        while old < len(reps):
+            n = len(reps)
             for i in range(old, n):
-                if not self.spend():
-                    return
-                self.admit(Not(self.reps[i]), combine("not", self.sigs[i]))
+                self.admit(Not(reps[i]), ~masks[i] & self.full)
             for i in range(n):
                 for j in range(max(i, old), n):
-                    for ctor, op in ((And, "and"), (Or, "or")):
-                        if not self.spend():
-                            return
-                        self.admit(ctor(self.reps[i], self.reps[j]),
-                                   combine(op, self.sigs[i], self.sigs[j]))
+                    self.admit(And(reps[i], reps[j]), masks[i] & masks[j])
+                    self.admit(Or(reps[i], reps[j]), masks[i] | masks[j])
             old = n
-            self.closed_upto = n
-            if len(self.reps) == n:
-                return
 
-    def modal_layer(self, logic: Logic) -> None:
+    def modal_layer(self, logic: Logic, upto: int) -> None:
+        """Apply every modality to the argument tuples over the current
+        classes whose largest index is at or above upto."""
         base = len(self.reps)
-
-        def once(key: Tuple) -> bool:
-            if key in self.tried_modal:
-                return False
-            self.tried_modal.add(key)
-            return True
-
+        widths = range(2, logic.pnueli_max + 1)
+        count = 2 * (base ** 2 - upto ** 2) + sum(base ** w - upto ** w for w in widths)
+        if logic.diamonds:
+            count += 2 * (base - upto)
+        if count > MAX_CANDIDATES:
+            raise LabError(f"a modal layer would try {count} candidates, "
+                           f"past the limit of {MAX_CANDIDATES}")
+        for i in range(len(self.operands), base):
+            parts = [a for k, a in enumerate(self.atoms) if self.masks[i] >> k & 1]
+            sig = (functools.reduce(lambda a, b: combine("or", a, b), parts) if parts
+                   else Signal.constant(self.atoms[0].domain, False))
+            self.operands.append(sig)
+            self.known[sig] = i
+        reps, args = self.reps, self.operands
         for i in range(base):
             for j in range(base):
-                if once(("U", i, j)):
-                    if not self.spend():
-                        return
-                    self.admit(Until(self.reps[i], self.reps[j]),
-                               until(self.sigs[i], self.sigs[j]))
-                if once(("S", i, j)):
-                    if not self.spend():
-                        return
-                    self.admit(Since(self.reps[i], self.reps[j]),
-                               since(self.sigs[i], self.sigs[j]))
+                if max(i, j) >= upto:
+                    self.admit_signal(Until(reps[i], reps[j]), until(args[i], args[j]))
+                    self.admit_signal(Since(reps[i], reps[j]), since(args[i], args[j]))
         if logic.diamonds:
-            for i in range(base):
-                if once(("F1", i)):
-                    if not self.spend():
-                        return
-                    self.admit(DiamondFuture(self.reps[i]),
-                               diamond_unit_future(self.sigs[i]))
-                if once(("O1", i)):
-                    if not self.spend():
-                        return
-                    self.admit(DiamondPast(self.reps[i]),
-                               diamond_unit_past(self.sigs[i]))
-        for width in range(2, logic.pnueli_max + 1):
-            for idxs in itertools.permutations(range(base), width):
-                if not once(("Pn", width) + idxs):
-                    continue
-                if not self.spend():
-                    return
-                self.admit(Pnueli(tuple(self.reps[i] for i in idxs)),
-                           pnueli_unit([self.sigs[i] for i in idxs]))
+            for i in range(upto, base):
+                self.admit_signal(DiamondFuture(reps[i]), diamond_unit_future(args[i]))
+                self.admit_signal(DiamondPast(reps[i]), diamond_unit_past(args[i]))
+        for width in widths:
+            for idxs in itertools.product(range(base), repeat=width):
+                if max(idxs) >= upto:
+                    self.admit_signal(Pnueli(tuple(reps[i] for i in idxs)),
+                                      pnueli_unit([args[i] for i in idxs]))
 
 
-def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env,
-                       budget: int = DEFAULT_BUDGET) -> EnumerationResult:
+def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationResult:
     """Semantic representatives of all formulas over atom P up to the given
     modal nesting depth, deduplicated by truth signal on dedup_env."""
-    if budget <= 0:
-        raise LabError("budget must be positive")
     if depth < 0:
         raise LabError("depth must be nonnegative")
-    state = _Enumeration(dedup_env, budget)
-    seeds = [
-        (TrueConst(), Signal.constant(dedup_env.domain, True)),
-        (FalseConst(), Signal.constant(dedup_env.domain, False)),
-        (Atom("P"), dedup_env.signal("P").canonicalize()),
-    ]
-    for formula, sig in seeds:
-        if not state.spend():
-            break
-        state.admit(formula, sig)
-    if not state.truncated:
-        state.boolean_closure()
+    state = _Enumeration(dedup_env)
+    for formula, value in ((TrueConst(), True), (FalseConst(), False)):
+        state.admit_signal(formula, Signal.constant(dedup_env.domain, value))
+    state.admit_signal(Atom("P"), dedup_env.signal("P").canonicalize())
+    state.boolean_closure(0)
+    # a layer tries only the tuples that reach past the previous layer's base
+    upto = 0
     for _ in range(depth):
-        if state.truncated:
-            break
-        state.modal_layer(logic)
-        if not state.truncated:
-            state.boolean_closure()
-    return EnumerationResult(tuple(state.reps), state.truncated, tuple(state.pruned))
+        base = len(state.reps)
+        state.modal_layer(logic, upto)
+        state.boolean_closure(base)
+        upto = base
+    return EnumerationResult(tuple(state.reps))
 
 
 # ------------------------------------------------------------------ reports
@@ -312,8 +310,8 @@ def _count_formula(n: int) -> Formula:
 
 
 def _enumeration_evidence(env: Env, logic: Logic, eventually: bool,
-                          budget: int, label: str) -> Tuple[List[str], bool]:
-    enum = enumerate_formulas(logic, 2, env, budget)
+                          label: str) -> Tuple[List[str], bool]:
+    enum = enumerate_formulas(logic, 2, env)
     report = trivialization_report(env, enum.formulas, eventually, enum.truncated)
     bad = [e for e in report.entries if e.classification is Triviality.NONE]
     mode = "eventually" if eventually else "exactly"
@@ -326,7 +324,7 @@ def _enumeration_evidence(env: Env, logic: Logic, eventually: bool,
     return lines, ok
 
 
-def paper_check(name: str, budget: int = DEFAULT_BUDGET) -> PaperCheckReport:
+def paper_check(name: str) -> PaperCheckReport:
     """Named end-to-end separation checks; see the acceptance suite."""
     if name == "pnueli":
         env = builtin_model("thm2")
@@ -336,7 +334,7 @@ def paper_check(name: str, budget: int = DEFAULT_BUDGET) -> PaperCheckReport:
         lines.append(f"C2(P) tail pattern: {format_interval_list(sig.pattern)} "
                      f"period {sig.period} transient {sig.transient}")
         ok1 = cls is Triviality.NONE
-        more, ok2 = _enumeration_evidence(env, parse_logic("qtl"), True, budget, "qtl")
+        more, ok2 = _enumeration_evidence(env, parse_logic("qtl"), True, "qtl")
         return PaperCheckReport(name, tuple(lines + more), ok1 and ok2)
 
     m = re.match(r"\Ahierarchy:(\d+)\Z", name)
@@ -368,7 +366,7 @@ def paper_check(name: str, budget: int = DEFAULT_BUDGET) -> PaperCheckReport:
             lines.append(f"orientation even={'true' if vals[0] else 'false'} "
                          f"odd={'true' if vals[1] else 'false'}")
         lines.append(f"alternation over six intervals: {'yes' if alternates else 'no'}")
-        more, ok2 = _enumeration_evidence(env, Logic(True, n - 1), True, budget,
+        more, ok2 = _enumeration_evidence(env, Logic(True, n - 1), True,
                                           f"qtl+p{n - 1}")
         return PaperCheckReport(name, tuple(lines + more), alternates and ok2)
 
@@ -393,7 +391,7 @@ def paper_check(name: str, budget: int = DEFAULT_BUDGET) -> PaperCheckReport:
         if k < 2:
             raise LabError(f"triviality index must be at least 2, got {k}")
         env = builtin_model(f"mk:{k}")
-        lines, ok = _enumeration_evidence(env, parse_logic("qtl"), False, budget, "qtl")
+        lines, ok = _enumeration_evidence(env, parse_logic("qtl"), False, "qtl")
         return PaperCheckReport(name, tuple(lines), ok)
 
     raise LabError(f"unknown check {name!r} "

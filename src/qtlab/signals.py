@@ -279,21 +279,20 @@ class Signal:
         if self.domain is TimeDomain.FULL_LINE:
             return ext
         p0 = ext.period
-        T = self.transient
-        if T == 0:
-            dis = IntervalSet.EMPTY
-        else:
-            dis = self.slice(0, T).symmetric_difference(ext.slice(0, T))
-        if dis.is_empty:
-            tc = Fraction(0)
-        else:
-            last = dis.components[-1]
-            if last.upper_closed:
+        # The last disagreement with the extension, looked for back from the
+        # transient in windows that double: the cost follows its distance.
+        tc, hi, width = Fraction(0), self.transient, p0
+        while hi > 0:
+            lo = max(hi - width, Fraction(0))
+            dis = self.slice(lo, hi).symmetric_difference(ext.slice(lo, hi))
+            if dis:
+                last = dis.components[-1]
                 # Disagreement at the point itself: any transient strictly above
                 # works and none is least, so snap up to the period grid.
-                tc = (math.floor(last.upper / p0) + 1) * p0
-            else:
-                tc = last.upper
+                tc = ((math.floor(last.upper / p0) + 1) * p0 if last.upper_closed
+                      else last.upper)
+                break
+            hi, width = lo, 2 * width
         return self._reframe(tc, p0)
 
     def _reframe(self, transient: Fraction, period: Fraction) -> "Signal":

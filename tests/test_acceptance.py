@@ -94,7 +94,7 @@ def test_criterion_2_pnueli_conjecture_witness():
     pts = sample_points(sig, count=max(50, len(critical_points(sig))), seed=2)
     assert compare_pointwise(f, env, sig, pts).passed
     # every depth<=2 formula of the diamond logic is eventually trivial here
-    enum = enumerate_formulas(parse_logic("qtl"), 2, env, 5000)
+    enum = enumerate_formulas(parse_logic("qtl"), 2, env)
     report = trivialization_report(env, enum.formulas, eventually=True,
                                    truncated=enum.truncated)
     assert report.entries
@@ -127,7 +127,7 @@ def test_criterion_3_hierarchy_witness():
 def test_criterion_4_triviality_on_unit_grids():
     for spec in ("mk:2", "mk:3"):
         env = builtin_model(spec)
-        enum = enumerate_formulas(parse_logic("qtl"), 2, env, 5000)
+        enum = enumerate_formulas(parse_logic("qtl"), 2, env)
         report = trivialization_report(env, enum.formulas, eventually=False,
                                        truncated=enum.truncated)
         assert report.entries
@@ -201,7 +201,7 @@ def test_criterion_7_round_trips():
             ["oracle-check", "--formula", "F1 P", "--model", "mk:2",
              "--samples", "60", "--seed", "0"],
             ["enumerate", "--logic", "qtl", "--depth", "1", "--model", "mk:3",
-             "--budget", "200", "--report", str(report)],
+             "--report", str(report)],
         ]
         for cmd in commands:
             outs = []

@@ -218,6 +218,17 @@ def test_runaway_sizes_exit_two(tmp_path, capsys, formula, p_text, q_text):
     assert "past the limit" in err
 
 
+def test_oversized_enumeration_exits_two(tmp_path, capsys):
+    start = time.perf_counter()
+    code = invoke(["enumerate", "--logic", "qtl+p8", "--depth", "1", "--model", "thm3:9",
+                   "--report", str(tmp_path / "out.tsv")])
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "past the limit" in err
+    assert not (tmp_path / "out.tsv").exists()
+
+
 FUZZ_SIGNALS = (
     "domain line\nperiod 1\npattern [0,1/2),(2/3,3/4]\n",
     "domain line\nperiod 3/2\npattern [0,0],(1/3,1)\n",

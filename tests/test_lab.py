@@ -4,11 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import qtlab.lab
 from qtlab.formulas import (
+    And,
     Count,
     DiamondFuture,
     DiamondPast,
+    Not,
+    Or,
     Pnueli,
+    Since,
+    Until,
     format_formula,
     metrics,
     parse_formula,
@@ -107,7 +113,7 @@ def test_enumerate_is_deterministic():
 def test_enumeration_soundness_invariants():
     env = builtin_model("mk:2")
     logic = parse_logic("qtl+p2")
-    result = enumerate_formulas(logic, 2, env, budget=400)
+    result = enumerate_formulas(logic, 2, env)
     assert result.formulas
     for f in result.formulas:
         text = format_formula(f)
@@ -123,34 +129,53 @@ def test_enumeration_soundness_invariants():
 
 def test_tl_logic_emits_no_metric_operators():
     env = builtin_model("mk:2")
-    result = enumerate_formulas(parse_logic("tl"), 2, env, budget=400)
+    result = enumerate_formulas(parse_logic("tl"), 2, env)
     for f in result.formulas:
         for sub in subformulas(f):
             assert not isinstance(sub, (DiamondFuture, DiamondPast, Count, Pnueli))
 
 
-def test_dedup_representatives_distinct_and_pruned_covered():
+def test_depth1_representatives_distinct_and_closed():
+    """On thm2 the depth-1 qtl classes are closed under the connectives, and
+    hold every modality of the logic applied to the depth-0 classes."""
     env = builtin_model("thm2")
-    result = enumerate_formulas(parse_logic("qtl"), 1, env)
+    logic = parse_logic("qtl")
+    result = enumerate_formulas(logic, 1, env)
     sigs = [evaluate(f, env) for f in result.formulas]
     for i in range(len(sigs)):
         for j in range(i + 1, len(sigs)):
             assert not equal(sigs[i], sigs[j])
-    assert result.pruned  # dedup did happen
-    for f in result.pruned[:16]:
+
+    def covered(f):
         s = evaluate(f, env)
-        assert any(equal(s, r) for r in sigs)
+        return any(equal(s, r) for r in sigs)
+
+    reps = result.formulas
+    assert all(covered(Not(a)) for a in reps)
+    assert all(covered(And(a, b)) and covered(Or(a, b)) for a in reps for b in reps)
+    base = enumerate_formulas(logic, 0, env).formulas
+    assert all(covered(DiamondFuture(a)) and covered(DiamondPast(a)) for a in base)
+    assert all(covered(Until(a, b)) and covered(Since(a, b)) for a in base for b in base)
 
 
-def test_enumerate_budget_truncation():
-    env = builtin_model("mk:3")
-    result = enumerate_formulas(parse_logic("qtl"), 2, env, budget=5)
-    assert result.truncated
-    assert 0 < len(result.formulas) <= 5
+def test_enumeration_size_guards(monkeypatch):
     with pytest.raises(LabError):
-        enumerate_formulas(parse_logic("tl"), 1, env, budget=0)
-    with pytest.raises(LabError):
-        enumerate_formulas(parse_logic("tl"), -1, env)
+        enumerate_formulas(parse_logic("tl"), -1, builtin_model("mk:3"))
+
+    def no_modal_work(*args):
+        raise AssertionError("a modality ran before the candidate guard")
+
+    with monkeypatch.context() as m:
+        for name in ("until", "since", "diamond_unit_future", "diamond_unit_past",
+                     "pnueli_unit"):
+            m.setattr(qtlab.lab, name, no_modal_work)
+        # widths 2..8 over four depth-0 classes: 87416 candidates
+        with pytest.raises(LabError, match="candidates"):
+            enumerate_formulas(Logic(True, 8), 1, builtin_model("thm3:9"))
+    # thm2 needs 6 atoms at depth 2
+    monkeypatch.setattr(qtlab.lab, "MAX_ATOMS", 5)
+    with pytest.raises(LabError, match="atoms"):
+        enumerate_formulas(parse_logic("qtl"), 2, builtin_model("thm2"))
 
 
 def test_trivialization_report_empty():
@@ -191,6 +216,14 @@ def test_paper_checks_pass(name):
     assert report.passed, report.render()
     assert report.render().rstrip().endswith("PASS")
     assert report.render() == paper_check(name).render()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hierarchy_closes_untruncated(n):
+    text = paper_check(f"hierarchy:{n}").render()
+    assert (f"enumerated 128 qtl+p{n - 1} formulas to depth 2, nontrivial 0, "
+            "truncated 0\n") in text
+    assert text.endswith("PASS\n")
 
 
 def test_paper_check_records_orientation():
