@@ -160,9 +160,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         env = _load_env(parser, args.model, [])
         logic = parse_logic(args.logic)
         result = enumerate_formulas(logic, args.depth, env)
-        report = trivialization_report(env, result.formulas,
-                                       eventually=args.eventually,
-                                       truncated=result.truncated)
+        report = trivialization_report(env, result, eventually=args.eventually)
         text = report.render()
         Path(args.report).write_text(text, encoding="utf-8")
         sys.stdout.write(text.splitlines()[-1] + "\n")
@@ -174,6 +172,9 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if args.command == "oracle-check":
+        if args.samples < 1:
+            # zero comparisons would print agreement 0/0 and pass
+            parser.error("--samples must be at least 1")
         env = _load_env(parser, args.model, [])
         formula = parse_formula(args.formula)
         report = agreement_check(formula, env, samples=args.samples,

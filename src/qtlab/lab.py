@@ -11,9 +11,10 @@ first one found, so the emitted list carries exactly one representative per
 distinct truth set.  Each class is a bitmask over atoms, the minimal sets cut
 by P and the modal results, so the boolean closure is integer arithmetic and
 always runs to the end; requests past ``MAX_CANDIDATES`` modal candidates in
-a layer or ``MAX_ATOMS`` atoms raise LabError instead.  Everything is
-deterministic: no randomness, fixed iteration orders, append-only
-representative list.
+a layer or ``MAX_ATOMS`` atoms raise LabError instead.  Reports classify the
+class signals the enumeration returns, each the union of its atoms, and
+evaluate no formula.  Everything is deterministic: no randomness, fixed
+iteration orders, append-only representative list.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .formulas import (
     And,
@@ -126,6 +127,7 @@ def parse_logic(text: str) -> Logic:
 @dataclass(frozen=True)
 class EnumerationResult:
     formulas: Tuple[Formula, ...]
+    signals: Tuple[Signal, ...]  # each representative's canonical truth signal
     truncated: bool = False  # an enumeration closes or raises LabError
 
 
@@ -135,20 +137,25 @@ class _Enumeration:
     the domain.  Only a modal result that is a new signal splits the atoms it
     cuts, and every mask holding a split atom gains the new atom's bit."""
 
-    def __init__(self, env: Env):
+    def __init__(self, env: Env, logic: Logic):
+        self.logic = logic
         self.reps: List[Formula] = []
         self.masks: List[int] = []
         self.seen: Dict[int, int] = {}  # mask -> class index
         self.known: Dict[Signal, int] = {}  # signal -> class index
-        self.operands: List[Signal] = []  # class signals, built as modal operands
+        self.signals: List[Signal] = []  # truth signals of the first classes
         self.atoms: List[Signal] = [Signal.constant(env.domain, True)]
         self.full = 1
+        # the next modal layer's lower index, None when no layer follows
+        self.next_upto: Optional[int] = None
 
     def admit(self, formula: Formula, key: int) -> None:
         if key not in self.seen:
             self.seen[key] = len(self.reps)
             self.reps.append(formula)
             self.masks.append(key)
+            if self.next_upto is not None:
+                self.guard_next_layer()
 
     def admit_signal(self, formula: Formula, sig: Signal) -> None:
         index = self.known.get(sig)
@@ -178,6 +185,29 @@ class _Enumeration:
             self.seen = {m: i for i, m in enumerate(self.masks)}
         return key
 
+    def class_signals(self) -> List[Signal]:
+        """Every class's truth signal, the union of its atoms (a later split
+        keeps the union); builds the new classes' and registers them in known."""
+        for i in range(len(self.signals), len(self.reps)):
+            parts = [a for k, a in enumerate(self.atoms) if self.masks[i] >> k & 1]
+            sig = (functools.reduce(lambda a, b: combine("or", a, b), parts) if parts
+                   else Signal.constant(self.atoms[0].domain, False))
+            self.signals.append(sig)
+            self.known[sig] = i
+        return self.signals
+
+    def guard_next_layer(self) -> None:
+        """Raise once the classes so far put the next modal layer past
+        MAX_CANDIDATES argument tuples; the count only grows with the classes."""
+        base, upto = len(self.reps), self.next_upto
+        widths = range(2, self.logic.pnueli_max + 1)
+        count = 2 * (base ** 2 - upto ** 2) + sum(base ** w - upto ** w for w in widths)
+        if self.logic.diamonds:
+            count += 2 * (base - upto)
+        if count > MAX_CANDIDATES:
+            raise LabError(f"a modal layer would try at least {count} candidates, "
+                           f"past the limit of {MAX_CANDIDATES}")
+
     def boolean_closure(self, old: int) -> None:
         """Close under the connectives; classes from index old on are new."""
         reps, masks = self.reps, self.masks
@@ -191,34 +221,21 @@ class _Enumeration:
                     self.admit(Or(reps[i], reps[j]), masks[i] | masks[j])
             old = n
 
-    def modal_layer(self, logic: Logic, upto: int) -> None:
+    def modal_layer(self, upto: int) -> None:
         """Apply every modality to the argument tuples over the current
         classes whose largest index is at or above upto."""
-        base = len(self.reps)
-        widths = range(2, logic.pnueli_max + 1)
-        count = 2 * (base ** 2 - upto ** 2) + sum(base ** w - upto ** w for w in widths)
-        if logic.diamonds:
-            count += 2 * (base - upto)
-        if count > MAX_CANDIDATES:
-            raise LabError(f"a modal layer would try {count} candidates, "
-                           f"past the limit of {MAX_CANDIDATES}")
-        for i in range(len(self.operands), base):
-            parts = [a for k, a in enumerate(self.atoms) if self.masks[i] >> k & 1]
-            sig = (functools.reduce(lambda a, b: combine("or", a, b), parts) if parts
-                   else Signal.constant(self.atoms[0].domain, False))
-            self.operands.append(sig)
-            self.known[sig] = i
-        reps, args = self.reps, self.operands
+        reps, args = self.reps, self.class_signals()
+        base = len(reps)
         for i in range(base):
             for j in range(base):
                 if max(i, j) >= upto:
                     self.admit_signal(Until(reps[i], reps[j]), until(args[i], args[j]))
                     self.admit_signal(Since(reps[i], reps[j]), since(args[i], args[j]))
-        if logic.diamonds:
+        if self.logic.diamonds:
             for i in range(upto, base):
                 self.admit_signal(DiamondFuture(reps[i]), diamond_unit_future(args[i]))
                 self.admit_signal(DiamondPast(reps[i]), diamond_unit_past(args[i]))
-        for width in widths:
+        for width in range(2, self.logic.pnueli_max + 1):
             for idxs in itertools.product(range(base), repeat=width):
                 if max(idxs) >= upto:
                     self.admit_signal(Pnueli(tuple(reps[i] for i in idxs)),
@@ -227,22 +244,24 @@ class _Enumeration:
 
 def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationResult:
     """Semantic representatives of all formulas over atom P up to the given
-    modal nesting depth, deduplicated by truth signal on dedup_env."""
+    modal nesting depth, deduplicated by truth signal on dedup_env, with
+    their truth signals there."""
     if depth < 0:
         raise LabError("depth must be nonnegative")
-    state = _Enumeration(dedup_env)
+    state = _Enumeration(dedup_env, logic)
+    # a layer tries only the tuples that reach past the previous layer's
+    # base; the size guard watches the next layer while classes arrive
+    state.next_upto = 0 if depth else None
     for formula, value in ((TrueConst(), True), (FalseConst(), False)):
         state.admit_signal(formula, Signal.constant(dedup_env.domain, value))
     state.admit_signal(Atom("P"), dedup_env.signal("P").canonicalize())
     state.boolean_closure(0)
-    # a layer tries only the tuples that reach past the previous layer's base
-    upto = 0
-    for _ in range(depth):
-        base = len(state.reps)
-        state.modal_layer(logic, upto)
+    for layer in range(1, depth + 1):
+        upto, base = state.next_upto, len(state.reps)
+        state.next_upto = base if layer < depth else None
+        state.modal_layer(upto)
         state.boolean_closure(base)
-        upto = base
-    return EnumerationResult(tuple(state.reps))
+    return EnumerationResult(tuple(state.reps), tuple(state.class_signals()))
 
 
 # ------------------------------------------------------------------ reports
@@ -250,21 +269,17 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
 @dataclass(frozen=True)
 class ReportEntry:
     formula: Formula
-    text: str
     classification: Triviality
-    eventually: bool
-    # shown for nontrivial entries: a window past the transient and the truth
-    # set inside it, demonstrating the set matches none of the four constants
-    witness: Optional[Tuple[Interval, IntervalSet]]
 
 
 @dataclass(frozen=True)
 class TrivializationReport:
     entries: Tuple[ReportEntry, ...]
+    eventually: bool
     truncated: bool = False
 
     def render(self) -> str:
-        lines = [f"{e.text}\t{e.classification}\t{int(e.eventually)}"
+        lines = [f"{format_formula(e.formula)}\t{e.classification}\t{int(self.eventually)}"
                  for e in self.entries]
         total = len(self.entries)
         nontrivial = sum(e.classification is Triviality.NONE for e in self.entries)
@@ -273,22 +288,14 @@ class TrivializationReport:
         return "".join(line + "\n" for line in lines)
 
 
-def trivialization_report(env: Env, formulas: Sequence[Formula],
-                          eventually: bool, truncated: bool = False) -> TrivializationReport:
+def trivialization_report(env: Env, enum: EnumerationResult,
+                          eventually: bool) -> TrivializationReport:
+    """Classify each enumerated class's truth signal against the four
+    constants built from env's P."""
     p = env.signal("P")
-    entries = []
-    for f in formulas:
-        sig = evaluate(f, env)
-        cls = classify_trivial(sig, p, eventually)
-        witness = None
-        if cls is Triviality.NONE:
-            lo = sig.transient
-            hi = sig.transient + 2 * sig.period
-            window = Interval(lo, hi, True, False)
-            truth = sig.window(lo, hi)
-            witness = (window, truth)
-        entries.append(ReportEntry(f, format_formula(f), cls, eventually, witness))
-    return TrivializationReport(tuple(entries), truncated)
+    entries = tuple(ReportEntry(f, classify_trivial(sig, p, eventually))
+                    for f, sig in zip(enum.formulas, enum.signals))
+    return TrivializationReport(entries, eventually, enum.truncated)
 
 
 # ------------------------------------------------------------ turnkey checks
@@ -305,20 +312,16 @@ class PaperCheckReport:
         return "".join(line + "\n" for line in body)
 
 
-def _count_formula(n: int) -> Formula:
-    return Count(n, Atom("P"))
-
-
 def _enumeration_evidence(env: Env, logic: Logic, eventually: bool,
                           label: str) -> Tuple[List[str], bool]:
     enum = enumerate_formulas(logic, 2, env)
-    report = trivialization_report(env, enum.formulas, eventually, enum.truncated)
+    report = trivialization_report(env, enum, eventually)
     bad = [e for e in report.entries if e.classification is Triviality.NONE]
     mode = "eventually" if eventually else "exactly"
     lines = [f"enumerated {len(report.entries)} {label} formulas to depth 2, "
              f"nontrivial {len(bad)}, truncated {int(enum.truncated)}"]
     for e in bad:
-        lines.append(f"nontrivial witness: {e.text}")
+        lines.append(f"nontrivial witness: {format_formula(e.formula)}")
     ok = not bad
     lines.append(f"all enumerated formulas {mode} trivial: {'yes' if ok else 'no'}")
     return lines, ok
@@ -328,7 +331,7 @@ def paper_check(name: str) -> PaperCheckReport:
     """Named end-to-end separation checks; see the acceptance suite."""
     if name == "pnueli":
         env = builtin_model("thm2")
-        sig = evaluate(_count_formula(2), env)
+        sig = evaluate(Count(2, Atom("P")), env)
         cls = classify_trivial(sig, env.signal("P"), eventually=True)
         lines = [f"C2(P) on thm2 eventually classifies: {cls}"]
         lines.append(f"C2(P) tail pattern: {format_interval_list(sig.pattern)} "
@@ -343,26 +346,21 @@ def paper_check(name: str) -> PaperCheckReport:
         if n < 2:
             raise LabError(f"hierarchy index must be at least 2, got {n}")
         env = builtin_model(f"thm3:{n}")
-        sig = evaluate(_count_formula(n), env)
+        sig = evaluate(Count(n, Atom("P")), env)
         width = Fraction(1, 2 * n - 1)
         lines = []
         vals = []
-        constant = True
         for k in range(6):
             probes = {sig.contains(k + width * q) for q in
                       (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))}
-            if len(probes) != 1:
-                constant = False
-                lines.append(f"C{n}(P) not constant on ({k},{k}+{width})")
-                vals.append(None)
-                continue
-            val = probes.pop()
+            val = probes.pop() if len(probes) == 1 else None
             vals.append(val)
-            lines.append(f"C{n}(P) on ({k},{k}+{width}): {'true' if val else 'false'}")
-        alternates = constant and all(
-            vals[k] is not None and vals[k + 1] is not None and vals[k] != vals[k + 1]
-            for k in range(5))
-        if constant and vals[0] is not None and vals[1] is not None:
+            if val is None:
+                lines.append(f"C{n}(P) not constant on ({k},{k}+{width})")
+            else:
+                lines.append(f"C{n}(P) on ({k},{k}+{width}): {'true' if val else 'false'}")
+        alternates = None not in vals and all(vals[k] != vals[k + 1] for k in range(5))
+        if None not in vals:
             lines.append(f"orientation even={'true' if vals[0] else 'false'} "
                          f"odd={'true' if vals[1] else 'false'}")
         lines.append(f"alternation over six intervals: {'yes' if alternates else 'no'}")
@@ -379,7 +377,7 @@ def paper_check(name: str) -> PaperCheckReport:
         oks = []
         for idx, want in ((k, Triviality.NOT_P), (k + 1, Triviality.TRUE)):
             env = builtin_model(f"mk:{idx}")
-            cls = classify_trivial(evaluate(_count_formula(k), env),
+            cls = classify_trivial(evaluate(Count(k, Atom("P")), env),
                                    env.signal("P"), eventually=False)
             lines.append(f"C{k}(P) on mk:{idx}: {cls}")
             oks.append(cls is want)

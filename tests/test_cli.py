@@ -137,6 +137,10 @@ def test_oracle_check_subcommand(capsys):
     ["enumerate", "--logic", "ql", "--depth", "1",
      "--model", "mk:2", "--report", "/tmp/x"],                # unknown logic
     ["paper", "--check", "counting:1"],                       # parameter bounds
+    ["oracle-check", "--formula", "P", "--model", "mk:2",
+     "--samples", "0"],                                       # nothing to compare
+    ["oracle-check", "--formula", "P", "--model", "mk:2",
+     "--samples", "-3"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert invoke(argv) == 2

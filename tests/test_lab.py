@@ -105,8 +105,8 @@ def test_enumerate_is_deterministic():
     assert [format_formula(f) for f in a.formulas] == \
            [format_formula(f) for f in b.formulas]
     assert a.truncated == b.truncated
-    ra = trivialization_report(env, a.formulas, True, a.truncated).render()
-    rb = trivialization_report(env, b.formulas, True, b.truncated).render()
+    ra = trivialization_report(env, a, True).render()
+    rb = trivialization_report(env, b, True).render()
     assert ra == rb
 
 
@@ -178,9 +178,22 @@ def test_enumeration_size_guards(monkeypatch):
         enumerate_formulas(parse_logic("qtl"), 2, builtin_model("thm2"))
 
 
+@pytest.mark.parametrize("logic, spec", [
+    ("qtl", "mk:3"), ("qtl", "thm2"), ("qtl+p2", "thm3:3"), ("tl", "thm2"),
+])
+def test_enumerated_signals_are_the_formulas_truth(logic, spec):
+    """The class signals that reports classify, built as unions of atoms,
+    are the engine's truth signals of the representatives."""
+    env = builtin_model(spec)
+    result = enumerate_formulas(parse_logic(logic), 2, env)
+    assert len(result.signals) == len(result.formulas)
+    for f, sig in zip(result.formulas, result.signals):
+        assert sig == evaluate(f, env), format_formula(f)
+
+
 def test_trivialization_report_empty():
     env = builtin_model("mk:2")
-    report = trivialization_report(env, [], eventually=False)
+    report = trivialization_report(env, EnumerationResult((), ()), eventually=False)
     assert report.entries == ()
     assert report.render() == "total 0 trivial 0 nontrivial 0 truncated 0\n"
 
@@ -188,13 +201,10 @@ def test_trivialization_report_empty():
 def test_trivialization_report_nontrivial_entry():
     env = builtin_model("thm2")
     f = parse_formula("C2(P)")
-    report = trivialization_report(env, [f], eventually=True)
+    enum = EnumerationResult((f,), (evaluate(f, env),))
+    report = trivialization_report(env, enum, eventually=True)
     entry = report.entries[0]
     assert entry.classification is Triviality.NONE
-    assert entry.witness is not None
-    window, truth = entry.witness
-    assert window.lower == 0 and window.upper == F(4, 3)
-    assert truth.contains(F(1, 2)) and not truth.contains(F(1, 4))
     assert report.render() == (
         "C2(P)\tNone\t1\n"
         "total 1 trivial 0 nontrivial 1 truncated 0\n"
@@ -204,8 +214,9 @@ def test_trivialization_report_nontrivial_entry():
 def test_exact_versus_eventual_classification():
     env = builtin_model("thm2")
     f = parse_formula("O1 P")
-    exact = trivialization_report(env, [f], eventually=False).entries[0]
-    event = trivialization_report(env, [f], eventually=True).entries[0]
+    enum = EnumerationResult((f,), (evaluate(f, env),))
+    exact = trivialization_report(env, enum, eventually=False).entries[0]
+    event = trivialization_report(env, enum, eventually=True).entries[0]
     assert exact.classification is Triviality.NONE
     assert event.classification is Triviality.TRUE
 
@@ -216,6 +227,21 @@ def test_paper_checks_pass(name):
     assert report.passed, report.render()
     assert report.render().rstrip().endswith("PASS")
     assert report.render() == paper_check(name).render()
+
+
+def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch):
+    """hierarchy:7 fits its first modal layer but not its second, and the
+    guard trips as soon as layer 1's classes push layer 2 past the limit."""
+    calls = []
+    for name in ("until", "since", "diamond_unit_future", "diamond_unit_past",
+                 "pnueli_unit"):
+        def counted(*args, fn=getattr(qtlab.lab, name)):
+            calls.append(fn)
+            return fn(*args)
+        monkeypatch.setattr(qtlab.lab, name, counted)
+    with pytest.raises(LabError, match="candidates"):
+        paper_check("hierarchy:7")
+    assert 0 < len(calls) < 100
 
 
 @pytest.mark.parametrize("n", [3, 4])
