@@ -12,13 +12,18 @@ harness rather than assumed silently by both sides: truth values of every
 subformula are constant on the cells of one grid, cut by atom component
 endpoints (and, on the half line, the origin) shifted by at most one integer
 per level of modal nesting.  Cells are numbered, grid points even and the
-open gaps between them odd, so every modal window is a range of cells, and
-the session memoizes each operand's truth by (subformula, cell), evaluating
-it at the cell's point or gap midpoint on a miss.  A query's own windows are
-cut from its exact time.  A run modality is decided by exhaustive placement
-of its operand tuple over the window's cells, memoized per (operand, cell),
-with no greedy shortcut, which keeps it an independent check of the engine's
-left-to-right placement.
+open gaps between them odd, so every modal window is a range of cells.
+
+A session compiles its formula once into a table of integer node ids, one
+per distinct subformula, each with its type, child ids, count (or atom
+signal), period and transient bound.  It memoizes each operand's truth by
+(node id, cell), evaluating it at the cell's point or gap midpoint on a
+miss, and caches per cell that time and its forward and backward unit
+windows, which every node visiting the cell shares.  A query's own windows
+are cut from its exact time.  A run modality is decided by exhaustive
+placement of its operand tuple over the window's cells, memoized per
+(operand, cell), with no greedy shortcut, which keeps it an independent
+check of the engine's left-to-right placement.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -155,8 +160,10 @@ def _placeable(n: int, cells: Sequence[int], holds: Callable[[int, int], bool]) 
 
 
 class PointwiseSession:
-    """One formula, one environment, membership queries over one grid, with
-    operand truth memoized per (subformula, cell)."""
+    """One formula, one environment, membership queries over one grid: the
+    formula compiled once into a node table (children before parents),
+    operand truth memoized per (node id, cell), and each cell's
+    representative time and unit windows cached for every node."""
 
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
@@ -164,42 +171,48 @@ class PointwiseSession:
         self._half = env.domain is TimeDomain.HALF_LINE
         depth, atoms = metrics(formula)
         self._grid = _Grid([env.signal(a) for a in sorted(atoms)], env.domain, depth)
-        self._memo: Dict[Tuple[Formula, int], bool] = {}
-        self._tbound: Dict[Formula, Fraction] = {}
-        self._per: Dict[Formula, Fraction] = {}
+        self._ids: Dict[tuple, int] = {}
+        self._kind: List[type] = []
+        self._kids: List[Tuple[int, ...]] = []
+        self._arg: list = []  # an atom's signal, else the witnesses a window needs
+        self._period: List[Fraction] = []  # of the node's truth (its tail, on the half line)
+        self._tbound: List[Fraction] = []  # past it the node's truth is periodic
+        self._root = self._compile(formula)
+        self._memo: Dict[Tuple[int, int], bool] = {}
+        self._reps: Dict[int, Fraction] = {}
+        self._ahead: Dict[int, range] = {}  # cells of (t, t+1), t the cell's rep
+        self._behind: Dict[int, range] = {}  # cells of (t-1, t), cut at the origin
 
-    # -- structural bounds ---------------------------------------------------
-
-    def _period(self, f: Formula) -> Fraction:
-        """A period of the subformula's truth (of its tail, on the half line)."""
-        got = self._per.get(f)
-        if got is None:
-            kids = children(f)
-            if kids:
-                got = reduce(_lcm, map(self._period, kids))
-            elif isinstance(f, Atom):
-                got = self.env.signal(f.name).period
-            else:
-                got = Fraction(1)
-            self._per[f] = got
-        return got
-
-    def _transient_bound(self, f: Formula) -> Fraction:
-        """Past this time the subformula's truth is periodic (half line)."""
-        got = self._tbound.get(f)
-        if got is None:
-            kids = children(f)
-            if kids:
-                got = max(map(self._transient_bound, kids))
-                if isinstance(f, DiamondPast):
-                    got += 1
-                elif isinstance(f, Since):
-                    got += self._period(f)
-            elif isinstance(f, Atom):
-                got = self.env.signal(f.name).transient
-            else:
-                got = Fraction(0)
-            self._tbound[f] = got
+    def _compile(self, f: Formula) -> int:
+        """The node id of f, adding f and its subformulas to the table on
+        first sight.  Nodes are keyed by type, child ids and payload, so no
+        formula is ever hashed."""
+        kind = type(f)
+        kids = tuple(map(self._compile, children(f)))
+        # n for C<n>, one for F1 and O1; an atom's name keys it, its signal is kept
+        arg = f.name if kind is Atom else f.n if kind is Count else 1
+        key = (kind, kids, arg)
+        got = self._ids.get(key)
+        if got is not None:
+            return got
+        if kids:
+            period = reduce(_lcm, (self._period[k] for k in kids))
+            tbound = max(self._tbound[k] for k in kids)
+            if kind is DiamondPast:
+                tbound += 1
+            elif kind is Since:
+                tbound += period
+        elif kind is Atom:
+            arg = self.env.signal(f.name)
+            period, tbound = arg.period, arg.transient
+        else:
+            period, tbound = Fraction(1), Fraction(0)
+        got = self._ids[key] = len(self._kind)
+        self._kind.append(kind)
+        self._kids.append(kids)
+        self._arg.append(arg)
+        self._period.append(period)
+        self._tbound.append(tbound)
         return got
 
     # -- evaluation ----------------------------------------------------------
@@ -209,63 +222,68 @@ class PointwiseSession:
         the exact t; their operands are looked up per cell."""
         if self._half and t < 0:
             raise DomainError(f"{t} is outside the half line")
-        return self._at(f, t, None)
+        return self._at(self._root if f is self.formula else self._compile(f), t, None)
 
-    def _cell(self, f: Formula, c: int) -> bool:
-        key = (f, c)
+    def _cell(self, i: int, c: int) -> bool:
+        key = (i, c)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = self._at(f, None, c)
+            got = self._memo[key] = self._at(i, None, c)
         return got
 
-    def _at(self, f: Formula, t: Optional[Fraction], cell: Optional[int]) -> bool:
-        """Truth of f at the time t or, with t None, anywhere in the cell;
-        there boolean operands share the cell's memo entries and a modality
-        cuts its windows from the cell's representative time."""
-        if isinstance(f, (Not, And, Or, Implies)):
-            if cell is None:
-                def sub(g):
-                    return self._at(g, t, None)
-            else:
-                def sub(g):
-                    return self._cell(g, cell)
-            if isinstance(f, Not):
-                return not sub(f.operand)
-            if isinstance(f, And):
-                return sub(f.left) and sub(f.right)
-            if isinstance(f, Or):
-                return sub(f.left) or sub(f.right)
-            return (not sub(f.left)) or sub(f.right)
-        if isinstance(f, TrueConst):
-            return True
-        if isinstance(f, FalseConst):
-            return False
-        grid = self._grid
-        if t is None:
-            t = grid.rep(cell)
-        if isinstance(f, Atom):
-            return self.env.signal(f.name).contains(t)
-        if isinstance(f, DiamondFuture):
-            return self._count(f.operand, 1, grid.cells(t, t + 1))
-        if isinstance(f, DiamondPast):
-            if self._half and t < 1:
-                return self._count(f.operand, 1, grid.cells(Fraction(0), t, closed_a=True))
-            return self._count(f.operand, 1, grid.cells(t - 1, t))
-        if isinstance(f, Count):
-            return self._count(f.operand, f.n, grid.cells(t, t + 1))
-        if isinstance(f, Pnueli):
-            args = f.args
-            return _placeable(len(args), grid.cells(t, t + 1),
-                              lambda j, c: self._cell(args[j], c))
-        if isinstance(f, Until):
-            horizon = max(t, self._transient_bound(f)) + self._period(f)
-            return self._order(f, grid.cells(t, horizon, closed_b=True))
-        if isinstance(f, Since):
-            lo = Fraction(0) if self._half else t - self._period(f)
-            return self._order(f, reversed(grid.cells(lo, t, closed_a=True)))
-        raise TypeError(f"not a formula: {f!r}")
+    def _window(self, t: Fraction, back: bool) -> range:
+        """The cells of the open unit window after t, or before it (cut at
+        the origin on the half line)."""
+        if not back:
+            return self._grid.cells(t, t + 1)
+        if self._half and t < 1:
+            return self._grid.cells(Fraction(0), t, closed_a=True)
+        return self._grid.cells(t - 1, t)
 
-    def _count(self, operand: Formula, need: int, cells: range) -> bool:
+    def _at(self, i: int, t: Optional[Fraction], cell: Optional[int]) -> bool:
+        """Truth of node i at the time t or, with t None, anywhere in the
+        cell; there boolean operands share the cell's memo entries and a
+        modality takes the cell's cached representative time and windows."""
+        kind, kids = self._kind[i], self._kids[i]
+        if kind is Not or kind is And or kind is Or or kind is Implies:
+            if cell is None:
+                def sub(k):
+                    return self._at(k, t, None)
+            else:
+                def sub(k):
+                    return self._cell(k, cell)
+            if kind is Not:
+                return not sub(kids[0])
+            if kind is And:
+                return sub(kids[0]) and sub(kids[1])
+            if kind is Or:
+                return sub(kids[0]) or sub(kids[1])
+            return (not sub(kids[0])) or sub(kids[1])
+        if kind is TrueConst:
+            return True
+        if kind is FalseConst:
+            return False
+        if cell is not None:
+            t = self._reps.get(cell)
+            if t is None:
+                t = self._reps[cell] = self._grid.rep(cell)
+        if kind is Atom:
+            return self._arg[i].contains(t)
+        if kind is Until or kind is Since:
+            return self._order(i, t)
+        back = kind is DiamondPast
+        if cell is None:
+            cells = self._window(t, back)
+        else:
+            cache = self._behind if back else self._ahead
+            cells = cache.get(cell)
+            if cells is None:
+                cells = cache[cell] = self._window(t, back)
+        if kind is Pnueli:
+            return _placeable(len(kids), cells, lambda j, c: self._cell(kids[j], c))
+        return self._count(kids[0], self._arg[i], cells)
+
+    def _count(self, operand: int, need: int, cells: range) -> bool:
         """At least `need` witness points of the operand among the cells."""
         for c in cells:
             if self._cell(operand, c):
@@ -276,18 +294,26 @@ class PointwiseSession:
                     return True
         return False
 
-    def _order(self, f: Formula, cells: Iterable[int]) -> bool:
-        """Strict until or since over cells ordered away from t: a witness of
-        the right operand with the left operand holding on every cell before
-        it (and, inside an open cell, around it).  Each operand is looked up
-        at most once per cell, the right one first."""
+    def _order(self, i: int, t: Fraction) -> bool:
+        """Strict until or since at t, over the cells ordered away from t up
+        to the node's horizon: a witness of the right operand with the left
+        operand holding on every cell before it (and, inside an open cell,
+        around it).  Each operand is looked up at most once per cell, the
+        right one first."""
+        left, right = self._kids[i]
+        grid, period = self._grid, self._period[i]
+        if self._kind[i] is Until:
+            cells = grid.cells(t, max(t, self._tbound[i]) + period, closed_b=True)
+        else:
+            lo = Fraction(0) if self._half else t - period
+            cells = reversed(grid.cells(lo, t, closed_a=True))
         for c in cells:
-            right = self._cell(f.right, c)
-            if right and not c & 1:
+            holds = self._cell(right, c)
+            if holds and not c & 1:
                 return True
-            if not self._cell(f.left, c):
+            if not self._cell(left, c):
                 return False
-            if right:
+            if holds:
                 return True
         return False
 
@@ -384,7 +410,10 @@ def agreement_check(formula: Formula, env, samples: int = 50,
 
     The engine import sits here at the comparison boundary on purpose: the
     oracle route above never touches it, so the two answers stay independent.
+    Fewer than one sample is refused: a verdict over no points is no pass.
     """
+    if samples < 1:
+        raise ValueError(f"agreement needs at least one sample, not {samples}")
     from .semantics import evaluate
 
     engine_signal = evaluate(formula, env)

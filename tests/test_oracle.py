@@ -11,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtlab.formulas import metrics, parse_formula, subformulas
+from qtlab.formulas import (
+    And,
+    Count,
+    DiamondFuture,
+    DiamondPast,
+    Formula,
+    Not,
+    Or,
+    Pnueli,
+    metrics,
+    parse_formula,
+    subformulas,
+)
 from qtlab.intervals import Interval, IntervalSet
 from qtlab.oracle import (
     AgreementReport,
@@ -236,6 +248,9 @@ def test_pointwise_since_on_half_line_origin():
     f = parse_formula("true S P")
     assert pointwise_eval(f, env, F(0)) is False  # no past at the origin
     assert pointwise_eval(f, env, F(1, 10)) is True
+    # O1 P is false at the origin, whose past window is empty, and true on
+    # the gap after it, whose window holds the origin
+    assert pointwise_eval(parse_formula("O1 O1 P"), env, F(1, 17)) is True
 
 
 def test_pointwise_pnueli_matches_hand_count():
@@ -268,6 +283,55 @@ def test_a_shared_session_answers_like_fresh_ones(rng, domain):
     shared = PointwiseSession(f, env)
     for t in points:
         assert shared.eval(f, t) == PointwiseSession(f, env).eval(f, t), (f, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
+def test_one_operand_under_every_window_modality(rng, domain):
+    """F1, C<n>, Pn<k> and O1 of one operand share its node, its memo
+    entries and every cell's cached windows.  Each distinct subformula is
+    exactly one node, every windowed subformula asked of the one session
+    answers like the engine, and the session answers like fresh ones."""
+    g = random_formula(rng, modal_budget=1, size=3)
+    n = rng.randint(1, 3)
+    f = Or(And(DiamondFuture(g), Count(n, g)),
+           And(Pnueli((g,) * n + (Not(g),)), DiamondPast(DiamondPast(g))))
+    env = Env(domain, {"P": random_signal(rng, domain),
+                       "Q": random_signal(rng, domain)})
+    shared = PointwiseSession(f, env)
+    nodes = len(shared._kind)
+    assert nodes == len(set(subformulas(f)))
+    for h in subformulas(f):
+        if isinstance(h, (DiamondFuture, DiamondPast, Count, Pnueli)):
+            truth = evaluate(h, env)
+            for t in sample_points(truth, count=8, seed=rng.randint(0, 10 ** 6)):
+                assert shared.eval(h, t) == truth.contains(t), (h, t)
+    assert len(shared._kind) == nodes  # each was compiled with f already
+    lo = 0 if domain is HALF else -3
+    for t in [random_fraction(rng, lo, 3, 24) for _ in range(8)]:
+        assert shared.eval(f, t) == PointwiseSession(f, env).eval(f, t), (f, t)
+
+
+def test_a_session_hashes_no_formula_per_query(monkeypatch):
+    """The session compiles its formula into integer node ids once, so the
+    number of formula hashes does not grow with the number of queries."""
+    hashes = []
+    for cls in Formula.__subclasses__():
+        def counted(self, original=cls.__hash__):
+            hashes.append(1)
+            return original(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    rng = random.Random(11)
+    env = Env(LINE, {"P": irregular_signal(rng, 8, LINE),
+                     "Q": irregular_signal(rng, 8, LINE)})
+    f = parse_formula("F1 (P U O1 Q) & C2(F1 (P U O1 Q))")
+    sig = evaluate(f, env)
+    nodes = len(list(subformulas(f)))
+    for count in (100, 300):
+        points = sample_points(sig, count=count, seed=1)
+        hashes.clear()
+        assert compare_pointwise(f, env, sig, points).passed
+        assert len(hashes) <= 2 * nodes, count
 
 
 def test_half_line_queries_before_the_origin_raise():
@@ -317,8 +381,9 @@ def test_run_placement_on_a_fine_grid(text):
     for t in (F(0), F(1, 7)):
         session = PointwiseSession(f, env)
         cells = session._grid.cells(t, t + 1)
-        expected = next(_placements(len(f.args), cells,
-                                    lambda j, c: session._cell(f.args[j], c)), None) is not None
+        args = [session._compile(a) for a in f.args]
+        expected = next(_placements(len(args), cells,
+                                    lambda j, c: session._cell(args[j], c)), None) is not None
         assert session.eval(f, t) == expected
         assert expected == evaluate(f, env).contains(t)
 
@@ -348,11 +413,12 @@ def test_agreement_report_format():
     assert text.splitlines()[-1] == "agreement 3/3"
 
 
-def test_agreement_zero_samples_is_vacuous():
+@pytest.mark.parametrize("samples", [0, -3])
+def test_agreement_needs_a_sample(samples):
+    """A verdict over no points is no pass."""
     env = Env(LINE, {"P": grid_line(2)})
-    report = agreement_check(parse_formula("F1 P"), env, samples=0, seed=0)
-    assert report.passed and report.total == 0
-    assert report.render() == "agreement 0/0\n"
+    with pytest.raises(ValueError, match="at least one sample"):
+        agreement_check(parse_formula("F1 P"), env, samples=samples, seed=0)
 
 
 def test_agreement_at_every_critical_point_of_long_window():
@@ -413,7 +479,8 @@ def assert_bounds_sound(session, g, env):
     both the bound and the truth's own transient, at every point where either
     side of contains(t) == contains(t + p) can change, and between them."""
     sig = evaluate(g, env)
-    p, tb = session._period(g), session._transient_bound(g)
+    node = session._compile(g)
+    p, tb = session._period[node], session._tbound[node]
     hi = max(tb, sig.transient) + sig.period
     cuts = sorted({tb, hi} | {c for comp in sig.slice(tb, hi + p)
                               for e in (comp.lower, comp.upper)
