@@ -108,7 +108,11 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
             parser.error(f"--bind expects NAME=PATH, got {item!r}")
         if name in bindings:
             parser.error(f"atom {name!r} bound twice")
-        sig = parse_signal(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise TextFormatError(f"{path}: not UTF-8 text ({exc})") from None
+        sig = parse_signal(text)
         bindings[name] = sig
         if domain is None:
             domain = sig.domain

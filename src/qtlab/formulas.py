@@ -18,14 +18,16 @@ witnesses, one per argument, inside the next unit window.  ``C<nat>`` and
 ``Pn<nat>`` shapes are reserved words, not atoms.
 
 ``format_formula`` emits minimal parentheses and ``parse_formula(format_formula(f))``
-returns ``f`` structurally.
+returns ``f`` structurally.  The lexer's keywords, the parser and the printer
+all read one table of connectives, ``_CONNECTIVES``: each connective's token,
+class, level and associativity are stated there and nowhere else.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, NamedTuple, Tuple
 
 
 class ParseError(ValueError):
@@ -163,23 +165,54 @@ class Pnueli(Formula):
         return len(self.args)
 
 
+# -------------------------------------------------------- connective table
+
+class _Connective(NamedTuple):
+    token: str
+    cls: type
+    level: int  # 1 binds loosest
+    right: bool = False  # right associative
+
+
+# levels of the prefix connectives and of the constants, above every binary one
+_PREFIX, _ATOMIC = 5, 6
+
+# Every connective once: the lexer's symbols and keywords, the parser's
+# precedence climbing and the printer's parentheses all come from here.
+_CONNECTIVES = (
+    _Connective("->", Implies, 1, right=True),
+    _Connective("|", Or, 2),
+    _Connective("&", And, 3),
+    _Connective("U", Until, 4, right=True),
+    _Connective("S", Since, 4, right=True),
+    _Connective("!", Not, _PREFIX),
+    _Connective("F1", DiamondFuture, _PREFIX),
+    _Connective("O1", DiamondPast, _PREFIX),
+    _Connective("true", TrueConst, _ATOMIC),
+    _Connective("false", FalseConst, _ATOMIC),
+)
+_BY_TOKEN = {c.token: c for c in _CONNECTIVES}
+_BY_CLASS = {c.cls: c for c in _CONNECTIVES}
+
+
 # --------------------------------------------------------------------- lexer
 
+_WORDS = frozenset(c.token for c in _CONNECTIVES if c.token.isidentifier())
+# longest first, so that no symbol is cut short by one that prefixes it
+_SYMBOLS = sorted({c.token for c in _CONNECTIVES} - _WORDS | {"(", ")", ","},
+                  key=len, reverse=True)
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<punct>[|&!(),])"
+    rf"|(?P<symbol>{'|'.join(map(re.escape, _SYMBOLS))})"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
 )
 _COUNT_RE = re.compile(r"C(\d+)\Z")
 _PNUELI_RE = re.compile(r"Pn(\d+)\Z")
 
-_KEYWORDS = {"U": "U", "S": "S", "F1": "F1", "O1": "O1", "true": "true", "false": "false"}
-
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # one of -> | & ! ( ) , U S F1 O1 true false count pnueli ident end
+    kind: str  # a connective's token, ( ) , count pnueli ident or end
     text: str
     pos: int
     index: int = 0  # the n of C<n> / Pn<n>
@@ -196,17 +229,14 @@ def _lex(text: str) -> list[_Token]:
             pos = m.end()
             continue
         token_text = m.group()
-        if m.lastgroup in ("arrow", "punct"):
+        if m.lastgroup == "symbol" or token_text in _WORDS:
             out.append(_Token(token_text, token_text, pos))
+        elif cm := _COUNT_RE.match(token_text):
+            out.append(_Token("count", token_text, pos, int(cm.group(1))))
+        elif pm := _PNUELI_RE.match(token_text):
+            out.append(_Token("pnueli", token_text, pos, int(pm.group(1))))
         else:
-            if token_text in _KEYWORDS:
-                out.append(_Token(_KEYWORDS[token_text], token_text, pos))
-            elif cm := _COUNT_RE.match(token_text):
-                out.append(_Token("count", token_text, pos, int(cm.group(1))))
-            elif pm := _PNUELI_RE.match(token_text):
-                out.append(_Token("pnueli", token_text, pos, int(pm.group(1))))
-            else:
-                out.append(_Token("ident", token_text, pos))
+            out.append(_Token("ident", token_text, pos))
         pos = m.end()
     out.append(_Token("end", "", len(text)))
     return out
@@ -215,7 +245,8 @@ def _lex(text: str) -> list[_Token]:
 # -------------------------------------------------------------------- parser
 
 _PRIMARY_EXPECTED = frozenset(
-    {"atom", "true", "false", "(", "!", "F1", "O1", "C<n>(", "Pn<n>("}
+    {"atom", "(", "C<n>(", "Pn<n>("}
+    | {c.token for c in _CONNECTIVES if c.level >= _PREFIX}
 )
 
 
@@ -243,73 +274,47 @@ class _Parser:
             )
         return self.eat()
 
-    def nested(self, parse: Callable[[], Formula]) -> Formula:
+    def nested(self, parse: Callable[..., Formula], *args: int) -> Formula:
         """Parse one level deeper, refusing text nested past MAX_NESTING."""
         if self.depth == MAX_NESTING:
             raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.cur.pos)
         self.depth += 1
-        inner = parse()
+        inner = parse(*args)
         self.depth -= 1
         return inner
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.cur.kind == "->":
-            self.eat()
-            return Implies(left, self.nested(self.implies))
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.cur.kind == "|":
-            self.eat()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.temporal()
-        while self.cur.kind == "&":
-            self.eat()
-            left = And(left, self.temporal())
-        return left
-
-    def temporal(self) -> Formula:
+    def binary(self, level: int = 1) -> Formula:
+        """Precedence climbing: the longest formula whose binary connectives
+        outside brackets bind at level or tighter."""
         left = self.unary()
-        if self.cur.kind == "U":
+        while (op := _BY_TOKEN.get(self.cur.kind)) is not None and level <= op.level < _PREFIX:
             self.eat()
-            return Until(left, self.nested(self.temporal))
-        if self.cur.kind == "S":
-            self.eat()
-            return Since(left, self.nested(self.temporal))
+            if op.right:
+                right = self.nested(self.binary, op.level)
+            else:
+                right = self.binary(op.level + 1)
+            left = op.cls(left, right)
         return left
 
     def unary(self) -> Formula:
-        kind = self.cur.kind
-        if kind == "!":
-            self.eat()
-            return Not(self.nested(self.unary))
-        if kind == "F1":
-            self.eat()
-            return DiamondFuture(self.nested(self.unary))
-        if kind == "O1":
-            self.eat()
-            return DiamondPast(self.nested(self.unary))
-        return self.primary()
+        op = _BY_TOKEN.get(self.cur.kind)
+        if op is None or op.level != _PREFIX:
+            return self.primary()
+        self.eat()
+        return op.cls(self.nested(self.unary))
 
     def primary(self) -> Formula:
         tok = self.cur
-        if tok.kind == "true":
+        op = _BY_TOKEN.get(tok.kind)
+        if op is not None and op.level == _ATOMIC:
             self.eat()
-            return TrueConst()
-        if tok.kind == "false":
-            self.eat()
-            return FalseConst()
+            return op.cls()
         if tok.kind == "ident":
             self.eat()
             return Atom(tok.text)
         if tok.kind == "(":
             self.eat()
-            inner = self.nested(self.implies)
+            inner = self.nested(self.binary)
             self.expect(")")
             return inner
         if tok.kind == "count":
@@ -317,7 +322,7 @@ class _Parser:
             if tok.index < 1:
                 raise ArityError("C0 is not a modality: the index starts at 1", tok.pos)
             self.expect("(")
-            inner = self.nested(self.implies)
+            inner = self.nested(self.binary)
             self.expect(")")
             return Count(tok.index, inner)
         if tok.kind == "pnueli":
@@ -325,10 +330,10 @@ class _Parser:
             if tok.index < 1:
                 raise ArityError("Pn0 is not a modality: the index starts at 1", tok.pos)
             self.expect("(")
-            args = [self.nested(self.implies)]
+            args = [self.nested(self.binary)]
             while self.cur.kind == ",":
                 self.eat()
-                args.append(self.nested(self.implies))
+                args.append(self.nested(self.binary))
             self.expect(")")
             if len(args) != tok.index:
                 raise ArityError(
@@ -343,7 +348,7 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(_lex(text))
-    formula = parser.implies()
+    formula = parser.binary()
     if parser.cur.kind != "end":
         raise FormulaSyntaxError(
             f"trailing input {parser.cur.text!r}", parser.cur.pos, frozenset({"end of input"})
@@ -355,57 +360,34 @@ def parse_formula(text: str) -> Formula:
 
 # ------------------------------------------------------------------- printer
 
-_LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_TEMPORAL, _LEVEL_UNARY, _LEVEL_ATOM = range(1, 7)
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, (Not, DiamondFuture, DiamondPast)):
-        return _LEVEL_UNARY
-    if isinstance(f, (Until, Since)):
-        return _LEVEL_TEMPORAL
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, Implies):
-        return _LEVEL_IMPLIES
-    return _LEVEL_ATOM
-
-
 def _child(f: Formula, min_level: int) -> str:
     text = format_formula(f)
-    return f"({text})" if _level(f) < min_level else text
+    op = _BY_CLASS.get(type(f))
+    return f"({text})" if op is not None and op.level < min_level else text
 
 
 def format_formula(f: Formula) -> str:
     """Minimal-parenthesis concrete syntax; parse(format(f)) == f."""
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, FalseConst):
-        return "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + _child(f.operand, _LEVEL_UNARY)
-    if isinstance(f, DiamondFuture):
-        return "F1 " + _child(f.operand, _LEVEL_UNARY)
-    if isinstance(f, DiamondPast):
-        return "O1 " + _child(f.operand, _LEVEL_UNARY)
-    if isinstance(f, Until):
-        return _child(f.left, _LEVEL_UNARY) + " U " + _child(f.right, _LEVEL_TEMPORAL)
-    if isinstance(f, Since):
-        return _child(f.left, _LEVEL_UNARY) + " S " + _child(f.right, _LEVEL_TEMPORAL)
-    if isinstance(f, And):
-        return _child(f.left, _LEVEL_AND) + " & " + _child(f.right, _LEVEL_AND + 1)
-    if isinstance(f, Or):
-        return _child(f.left, _LEVEL_OR) + " | " + _child(f.right, _LEVEL_OR + 1)
-    if isinstance(f, Implies):
-        return _child(f.left, _LEVEL_IMPLIES + 1) + " -> " + _child(f.right, _LEVEL_IMPLIES)
-    if isinstance(f, Count):
-        return f"C{f.n}({format_formula(f.operand)})"
-    if isinstance(f, Pnueli):
-        return f"Pn{f.n}(" + ",".join(format_formula(a) for a in f.args) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+    op = _BY_CLASS.get(type(f))
+    if op is None:
+        kind = type(f)
+        if kind is Atom:
+            return f.name
+        if kind is Count:
+            return f"C{f.n}({format_formula(f.operand)})"
+        if kind is Pnueli:
+            return f"Pn{f.n}(" + ",".join(format_formula(a) for a in f.args) + ")"
+        raise TypeError(f"not a formula: {f!r}")
+    if op.level == _ATOMIC:
+        return op.token
+    if op.level == _PREFIX:
+        # a keyword needs a space, or it would lex as one word with its operand
+        space = " " if op.token.isidentifier() else ""
+        return op.token + space + _child(f.operand, _PREFIX)
+    # the operand on the associative side may share the connective's level
+    left = _child(f.left, op.level + op.right)
+    right = _child(f.right, op.level + (not op.right))
+    return f"{left} {op.token} {right}"
 
 
 _MODAL = (Until, Since, DiamondFuture, DiamondPast, Count, Pnueli)

@@ -24,7 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .formulas import (
     And,
@@ -196,14 +196,23 @@ class _Enumeration:
             self.known[sig] = i
         return self.signals
 
+    def families(self) -> List[Tuple[int, Tuple[Tuple[Callable, Callable], ...]]]:
+        """The modal layer's families in admission order, each a width and
+        its (formula class, engine operator) pairs.  The operators are looked
+        up per call, so a wrapper patched into this module sees every call."""
+        out = [(2, ((Until, until), (Since, since)))]
+        if self.logic.diamonds:
+            out.append((1, ((DiamondFuture, diamond_unit_future),
+                            (DiamondPast, diamond_unit_past))))
+        run = (lambda *fs: Pnueli(fs), lambda *sigs: pnueli_unit(sigs))
+        out += [(width, (run,)) for width in range(2, self.logic.pnueli_max + 1)]
+        return out
+
     def guard_next_layer(self) -> None:
         """Raise once the classes so far put the next modal layer past
         MAX_CANDIDATES argument tuples; the count only grows with the classes."""
         base, upto = len(self.reps), self.next_upto
-        widths = range(2, self.logic.pnueli_max + 1)
-        count = 2 * (base ** 2 - upto ** 2) + sum(base ** w - upto ** w for w in widths)
-        if self.logic.diamonds:
-            count += 2 * (base - upto)
+        count = sum(len(ops) * (base ** w - upto ** w) for w, ops in self.families())
         if count > MAX_CANDIDATES:
             raise LabError(f"a modal layer would try at least {count} candidates, "
                            f"past the limit of {MAX_CANDIDATES}")
@@ -226,20 +235,12 @@ class _Enumeration:
         classes whose largest index is at or above upto."""
         reps, args = self.reps, self.class_signals()
         base = len(reps)
-        for i in range(base):
-            for j in range(base):
-                if max(i, j) >= upto:
-                    self.admit_signal(Until(reps[i], reps[j]), until(args[i], args[j]))
-                    self.admit_signal(Since(reps[i], reps[j]), since(args[i], args[j]))
-        if self.logic.diamonds:
-            for i in range(upto, base):
-                self.admit_signal(DiamondFuture(reps[i]), diamond_unit_future(args[i]))
-                self.admit_signal(DiamondPast(reps[i]), diamond_unit_past(args[i]))
-        for width in range(2, self.logic.pnueli_max + 1):
+        for width, ops in self.families():
             for idxs in itertools.product(range(base), repeat=width):
                 if max(idxs) >= upto:
-                    self.admit_signal(Pnueli(tuple(reps[i] for i in idxs)),
-                                      pnueli_unit([args[i] for i in idxs]))
+                    for make, op in ops:
+                        self.admit_signal(make(*(reps[i] for i in idxs)),
+                                          op(*(args[i] for i in idxs)))
 
 
 def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationResult:

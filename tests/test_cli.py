@@ -171,6 +171,16 @@ def test_bind_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_signal_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bytes.sig"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert invoke(["eval", "--formula", "P", "--bind", f"P={bad}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and str(bad) in captured.err
+
+
 def test_nesting_past_the_limit_exits_two(capsys):
     deep = "!" * 3000 + "P"
     assert invoke(["equiv", "--formula", deep, "--formula", "P", "--model", "mk:2"]) == 2

@@ -1,6 +1,7 @@
 """Concrete syntax: precedence, associativity, errors, printing, metrics."""
 
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from qtlab.formulas import (
     Since,
     TrueConst,
     Until,
+    _Parser,
     format_formula,
     height,
     metrics,
@@ -77,20 +79,35 @@ def test_reserved_call_shapes_are_not_atoms():
     assert exc.value.expected == frozenset({"("})
 
 
-def test_syntax_errors_carry_position_and_expected():
-    with pytest.raises(FormulaSyntaxError) as exc:
-        parse_formula("P U")
-    assert exc.value.position == 3
-    assert "atom" in exc.value.expected and "(" in exc.value.expected
+PRIMARY = frozenset({"!", "(", "C<n>(", "F1", "O1", "Pn<n>(", "atom", "false", "true"})
 
-    with pytest.raises(FormulaSyntaxError) as exc:
-        parse_formula("(P")
-    assert exc.value.position == 2
-    assert exc.value.expected == frozenset({")"})
 
+SYNTAX_ERRORS = [
+    ("P ->", 4, PRIMARY),
+    ("P |", 3, PRIMARY),
+    ("P &", 3, PRIMARY),
+    ("P U", 3, PRIMARY),
+    ("P S", 3, PRIMARY),
+    ("!", 1, PRIMARY),
+    ("F1", 2, PRIMARY),
+    ("O1", 2, PRIMARY),
+    ("P -> -> Q", 5, PRIMARY),
+    ("P U S Q", 4, PRIMARY),
+    ("C2(P U)", 6, PRIMARY),
+    ("Pn2(P, !)", 8, PRIMARY),
+    ("true false", 5, frozenset({"end of input"})),
+    ("P Q", 2, frozenset({"end of input"})),
+    ("(P", 2, frozenset({")"})),
+]
+
+
+@pytest.mark.parametrize("text, position, expected", SYNTAX_ERRORS,
+                         ids=[text for text, _, _ in SYNTAX_ERRORS])
+def test_syntax_errors_carry_position_and_expected(text, position, expected):
     with pytest.raises(FormulaSyntaxError) as exc:
-        parse_formula("P Q")
-    assert exc.value.position == 2
+        parse_formula(text)
+    assert exc.value.position == position
+    assert exc.value.expected == expected
 
 
 def test_lexical_error_position():
@@ -189,6 +206,38 @@ def test_nesting_at_the_limit_parses_and_prints(text):
     f = parse_formula(text)
     assert height(f) <= MAX_NESTING
     assert parse_formula(format_formula(f)) == f
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("text, frames_per_level", [
+    (AT_LIMIT[0], 2),
+    (AT_LIMIT[1], 8),
+    (AT_LIMIT[2], 8),
+    (AT_LIMIT[3], 2),
+    (AT_LIMIT[4], 0),  # left associative: no recursion per operator
+    (" -> ".join(["P"] * (MAX_NESTING + 1)), 2),
+], ids=["!", "(", "C1(", "U", "&", "->"])
+def test_parser_frames_per_nesting_level(monkeypatch, text, frames_per_level):
+    """The parser recurses once per nesting level, and each level's Python
+    frames must leave the default recursion limit of 1000 room at MAX_NESTING."""
+    depths = []
+    primary = _Parser.primary
+
+    def spy(self):
+        depths.append(_stack_depth())
+        return primary(self)
+
+    monkeypatch.setattr(_Parser, "primary", spy)
+    base = _stack_depth()
+    parse_formula(text)
+    # 8 frames cover the fixed entry path: parse_formula down to the spy
+    assert max(depths) - base <= frames_per_level * MAX_NESTING + 8
 
 
 @pytest.mark.parametrize("text", PAST_LIMIT)

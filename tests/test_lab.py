@@ -244,6 +244,35 @@ def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch):
     assert 0 < len(calls) < 100
 
 
+@pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
+def test_size_guard_counts_exactly_the_calls_a_layer_makes(monkeypatch, logic, spec):
+    """The guard's count equals the modal calls of the largest layer (the
+    first on mk:3, where layer 2 adds nothing; the second on thm3:3), so a
+    limit at that count passes and one below it raises."""
+    layers = []
+    modal_layer = qtlab.lab._Enumeration.modal_layer
+
+    def new_layer(self, upto):
+        layers.append(0)
+        return modal_layer(self, upto)
+
+    monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", new_layer)
+    for name in ("until", "since", "diamond_unit_future", "diamond_unit_past",
+                 "pnueli_unit"):
+        def counted(*args, fn=getattr(qtlab.lab, name)):
+            layers[-1] += 1
+            return fn(*args)
+        monkeypatch.setattr(qtlab.lab, name, counted)
+    logic, env = parse_logic(logic), builtin_model(spec)
+    expected = enumerate_formulas(logic, 2, env)
+    assert len(layers) == 2
+    monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(layers))
+    assert enumerate_formulas(logic, 2, env) == expected
+    monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(layers) - 1)
+    with pytest.raises(LabError, match="candidates"):
+        enumerate_formulas(logic, 2, env)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_hierarchy_closes_untruncated(n):
     text = paper_check(f"hierarchy:{n}").render()
