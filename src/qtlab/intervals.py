@@ -1,11 +1,16 @@
 """Exact sets of rationals built from finitely many intervals.
 
 Everything downstream (signals, the evaluation engine, the oracle) reduces to
-algebra on these sets, so this module is deliberately small and exact: the only
-number type is ``fractions.Fraction``, endpoints may be infinite, and every
-``IntervalSet`` lives in a unique normal form (components sorted, pairwise
-disjoint, non-adjacent).  Two sets denote the same subset of the line if and
-only if they are structurally equal.
+algebra on these sets, so this module is deliberately small and exact:
+endpoints are exact numbers or infinite, and every ``IntervalSet`` lives in a
+unique normal form (components sorted, pairwise disjoint, non-adjacent).  Two
+sets denote the same subset of the line if and only if they are structurally
+equal.
+
+An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
+keeps the type it is given.  Text parses to ``Fraction``, and so do the
+convenience constructors ``Interval.point``, ``open`` and ``closed``; the
+evaluation engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns.
 
 The algebra works on normal forms directly, each operation one linear pass:
 ``union`` merges the two sorted component tuples and coalesces touching
@@ -31,13 +36,16 @@ class TextFormatError(ValueError):
     """Rational / interval / interval-list text that does not match the syntax."""
 
 
-def rat(value: RationalLike) -> Fraction:
-    """Coerce an int (or Fraction) to Fraction. Floats are rejected: no rounding here."""
-    if isinstance(value, Fraction):
+def exact(value: RationalLike) -> RationalLike:
+    """Return an int or Fraction unchanged. Floats are rejected: no rounding here."""
+    if type(value) is int or type(value) is Fraction or isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def rat(value: RationalLike) -> Fraction:
+    """Coerce an int (or Fraction) to Fraction. Floats are rejected."""
+    return value if type(value) is Fraction else Fraction(exact(value))
 
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
@@ -74,14 +82,15 @@ class Interval:
     upper_closed: bool = True
 
     def __post_init__(self) -> None:
-        lo = None if self.lower is None else rat(self.lower)
-        hi = None if self.upper is None else rat(self.upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        lo, hi = self.lower, self.upper
         if lo is None:
             object.__setattr__(self, "lower_closed", False)
+        else:
+            exact(lo)
         if hi is None:
             object.__setattr__(self, "upper_closed", False)
+        else:
+            exact(hi)
         if lo is not None and hi is not None:
             if lo > hi:
                 raise IntervalError(f"lower {lo} above upper {hi}")
@@ -106,7 +115,7 @@ class Interval:
         return self.lower is not None and self.lower == self.upper
 
     def contains(self, x: RationalLike) -> bool:
-        x = rat(x)
+        x = exact(x)
         if self.lower is not None:
             if x < self.lower or (x == self.lower and not self.lower_closed):
                 return False
@@ -116,7 +125,6 @@ class Interval:
         return True
 
     def shift(self, d: RationalLike) -> "Interval":
-        d = rat(d)
         return Interval(
             None if self.lower is None else self.lower + d,
             None if self.upper is None else self.upper + d,
@@ -135,7 +143,7 @@ class Interval:
 
 def _lower_key(iv: Interval):
     if iv.lower is None:
-        return (0, Fraction(0), 0)
+        return (0, 0, 0)
     return (1, iv.lower, 0 if iv.lower_closed else 1)
 
 
@@ -216,7 +224,6 @@ class IntervalSet:
     @classmethod
     def span(cls, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
         """The half-open window [lo, hi); empty unless lo < hi."""
-        lo, hi = rat(lo), rat(hi)
         if lo >= hi:
             return cls.EMPTY
         return cls._wrap((Interval(lo, hi, True, False),))
@@ -251,7 +258,7 @@ class IntervalSet:
 
     def contains(self, x: RationalLike) -> bool:
         """Membership by binary search over the sorted components."""
-        x = rat(x)
+        x = exact(x)
         comps = self._components
         lo, hi = 0, len(comps)
         while lo < hi:
@@ -331,7 +338,6 @@ class IntervalSet:
         return self.difference(other).union(other.difference(self))
 
     def shift(self, d: RationalLike) -> "IntervalSet":
-        d = rat(d)
         if d == 0 or not self._components:
             return self
         return IntervalSet._wrap(tuple(c.shift(d) for c in self._components))

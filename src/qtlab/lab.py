@@ -11,9 +11,11 @@ first one found, so the emitted list carries exactly one representative per
 distinct truth set.  Each class is a bitmask over atoms, the minimal sets cut
 by P and the modal results, so the boolean closure is integer arithmetic and
 always runs to the end; requests past ``MAX_CANDIDATES`` modal candidates in
-a layer or ``MAX_ATOMS`` atoms raise LabError instead.  Reports classify the
-class signals the enumeration returns, each the union of its atoms, and
-evaluate no formula.  Everything is deterministic: no randomness, fixed
+a layer or ``MAX_ATOMS`` atoms raise LabError instead.  The enumeration scales
+P to integer ticks once (see ``qtlab.signals``), runs every modality on ints
+and scales the class signals it returns back.  Reports classify those, each
+the union of its atoms, against the four trivial forms built once per report,
+and evaluate no formula.  Everything is deterministic: no randomness, fixed
 iteration orders, append-only representative list.
 """
 
@@ -52,7 +54,17 @@ from .semantics import (
     since,
     until,
 )
-from .signals import Signal, TimeDomain, Triviality, classify_trivial, combine
+from .signals import (
+    Signal,
+    TimeDomain,
+    Triviality,
+    classify_trivial,
+    combine,
+    from_ticks,
+    tick_unit,
+    to_ticks,
+    trivial_classifier,
+)
 
 # Size guards: a request past either raises LabError (exit 2) before the
 # enumeration runs for minutes.  Depth-3 qtl on thm2 fits: its last layer
@@ -133,18 +145,22 @@ class EnumerationResult:
 
 class _Enumeration:
     """Classes as bitmasks over atoms: the minimal nonempty sets cut so far
-    by P and the modal results, kept as disjoint canonical signals covering
-    the domain.  Only a modal result that is a new signal splits the atoms it
-    cuts, and every mask holding a split atom gains the new atom's bit."""
+    by P and the modal results, kept as disjoint canonical signals in ticks
+    covering the domain.  Only a modal result that is a new signal splits the
+    atoms it cuts, and every mask holding a split atom gains the new atom's
+    bit."""
 
     def __init__(self, env: Env, logic: Logic):
         self.logic = logic
+        p = env.signal("P")
+        self.unit = tick_unit([p])
+        self.p = to_ticks(p, self.unit)
         self.reps: List[Formula] = []
         self.masks: List[int] = []
         self.seen: Dict[int, int] = {}  # mask -> class index
         self.known: Dict[Signal, int] = {}  # signal -> class index
         self.signals: List[Signal] = []  # truth signals of the first classes
-        self.atoms: List[Signal] = [Signal.constant(env.domain, True)]
+        self.atoms: List[Signal] = [Signal.constant(env.domain, True, self.unit)]
         self.full = 1
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
@@ -191,7 +207,7 @@ class _Enumeration:
         for i in range(len(self.signals), len(self.reps)):
             parts = [a for k, a in enumerate(self.atoms) if self.masks[i] >> k & 1]
             sig = (functools.reduce(lambda a, b: combine("or", a, b), parts) if parts
-                   else Signal.constant(self.atoms[0].domain, False))
+                   else Signal.constant(self.p.domain, False, self.unit))
             self.signals.append(sig)
             self.known[sig] = i
         return self.signals
@@ -254,15 +270,15 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
     # base; the size guard watches the next layer while classes arrive
     state.next_upto = 0 if depth else None
     for formula, value in ((TrueConst(), True), (FalseConst(), False)):
-        state.admit_signal(formula, Signal.constant(dedup_env.domain, value))
-    state.admit_signal(Atom("P"), dedup_env.signal("P").canonicalize())
+        state.admit_signal(formula, Signal.constant(dedup_env.domain, value, state.unit))
+    state.admit_signal(Atom("P"), state.p.canonicalize())
     state.boolean_closure(0)
     for layer in range(1, depth + 1):
         upto, base = state.next_upto, len(state.reps)
         state.next_upto = base if layer < depth else None
         state.modal_layer(upto)
         state.boolean_closure(base)
-    return EnumerationResult(tuple(state.reps), tuple(state.class_signals()))
+    return EnumerationResult(tuple(state.reps), tuple(map(from_ticks, state.class_signals())))
 
 
 # ------------------------------------------------------------------ reports
@@ -293,8 +309,8 @@ def trivialization_report(env: Env, enum: EnumerationResult,
                           eventually: bool) -> TrivializationReport:
     """Classify each enumerated class's truth signal against the four
     constants built from env's P."""
-    p = env.signal("P")
-    entries = tuple(ReportEntry(f, classify_trivial(sig, p, eventually))
+    classify = trivial_classifier(env.signal("P"), eventually)
+    entries = tuple(ReportEntry(f, classify(sig))
                     for f, sig in zip(enum.formulas, enum.signals))
     return TrivializationReport(entries, eventually, enum.truncated)
 

@@ -5,7 +5,8 @@ window constructions.  This module answers single membership queries "does
 the formula hold at time t" by first-order scanning instead, so the two
 routes share nothing but the exact set and slicing primitives.  The scanning
 route never calls the engine; only the agreement harness at the bottom runs
-it once per check, as the comparison target.
+it once per check, as the comparison target.  The oracle works on the public
+Fraction signals, never on the engine's integer ticks.
 
 The scans rest on one structural fact, checked empirically by the agreement
 harness rather than assumed silently by both sides: truth values of every
@@ -20,10 +21,12 @@ signal), period and transient bound.  It memoizes each operand's truth by
 (node id, cell), evaluating it at the cell's point or gap midpoint on a
 miss, and caches per cell that time and its forward and backward unit
 windows, which every node visiting the cell shares.  A query's own windows
-are cut from its exact time.  A run modality is decided by exhaustive
-placement of its operand tuple over the window's cells, memoized per
-(operand, cell), with no greedy shortcut, which keeps it an independent
-check of the engine's left-to-right placement.
+are cut from its exact time.  An until or since scan's result is memoized
+for every cell the scan walked, keyed by (node id, first scanned cell).  A
+run modality is decided by exhaustive placement of its operand tuple over
+the window's cells, memoized per (operand, cell), with no greedy shortcut,
+which keeps it an independent check of the engine's left-to-right
+placement.
 """
 
 from __future__ import annotations
@@ -179,6 +182,7 @@ class PointwiseSession:
         self._tbound: List[Fraction] = []  # past it the node's truth is periodic
         self._root = self._compile(formula)
         self._memo: Dict[Tuple[int, int], bool] = {}
+        self._scans: Dict[Tuple[int, int], bool] = {}  # until/since by first scanned cell
         self._reps: Dict[int, Fraction] = {}
         self._ahead: Dict[int, range] = {}  # cells of (t, t+1), t the cell's rep
         self._behind: Dict[int, range] = {}  # cells of (t-1, t), cut at the origin
@@ -299,7 +303,13 @@ class PointwiseSession:
         to the node's horizon: a witness of the right operand with the left
         operand holding on every cell before it (and, inside an open cell,
         around it).  Each operand is looked up at most once per cell, the
-        right one first."""
+        right one first.
+
+        A scan decides as the scan from any later cell it walks through, so
+        every walked cell takes the result of the cell where it stopped.  A
+        scan that reaches its horizon saw the left operand hold without the
+        right one for a full period past the node's transient bound (or back
+        to the origin), which repeats forever: False for every walked cell."""
         left, right = self._kids[i]
         grid, period = self._grid, self._period[i]
         if self._kind[i] is Until:
@@ -307,15 +317,24 @@ class PointwiseSession:
         else:
             lo = Fraction(0) if self._half else t - period
             cells = reversed(grid.cells(lo, t, closed_a=True))
+        walked, got = [], None
         for c in cells:
-            holds = self._cell(right, c)
-            if holds and not c & 1:
-                return True
-            if not self._cell(left, c):
-                return False
-            if holds:
-                return True
-        return False
+            got = self._scans.get((i, c))
+            if got is None:
+                walked.append(c)
+                holds = self._cell(right, c)
+                if holds and not c & 1:
+                    got = True
+                elif not self._cell(left, c):
+                    got = False
+                elif holds:
+                    got = True
+            if got is not None:
+                break
+        got = bool(got)  # None: the scan reached its horizon undecided
+        for c in walked:
+            self._scans[i, c] = got
+        return got
 
 
 def pointwise_eval(formula: Formula, env, t) -> bool:

@@ -22,13 +22,17 @@ the component count:
 The truth set on the window, cut to the output's transient plus one period,
 is then canonicalized.  The differential oracle checks every construction
 pointwise rather than this module assuming it silently.
+
+The operators run on signals at either scale of ``qtlab.signals``, reading
+the length of one time unit off their operands.  ``evaluate`` scales the
+environment to integer ticks once, so every operator it calls works on ints,
+and scales the result back to Fractions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .formulas import (
@@ -47,8 +51,18 @@ from .formulas import (
     TrueConst,
     Until,
 )
-from .intervals import Interval, IntervalSet
-from .signals import DomainError, Signal, TimeDomain, align, align_many, combine
+from .intervals import Interval, IntervalSet, RationalLike
+from .signals import (
+    DomainError,
+    Signal,
+    TimeDomain,
+    align,
+    align_many,
+    combine,
+    from_ticks,
+    tick_unit,
+    to_ticks,
+)
 
 
 class EvalError(ValueError):
@@ -82,13 +96,14 @@ class Env:
             raise UnboundAtomError(name) from None
 
 
-def _frame(domain: TimeDomain, period: Fraction, t_bound: Fraction,
-           truth: IntervalSet) -> Signal:
-    """The canonical signal that agrees with truth on [0, t_bound + period)
-    and repeats its last period from t_bound on (0 on the full line)."""
+def _frame(x: Signal, t_bound: RationalLike, truth: IntervalSet) -> Signal:
+    """The canonical signal, in x's domain, period and unit, that agrees with
+    truth on [0, t_bound + period) and repeats its last period from t_bound
+    on (0 on the full line)."""
+    period = x.period
     pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + period)).shift(-t_bound)
     prefix = truth.intersection(IntervalSet.span(0, t_bound))
-    return Signal(domain, period, pattern, t_bound, prefix).canonicalize()
+    return Signal(x.domain, period, pattern, t_bound, prefix, x.unit).canonicalize()
 
 
 # -------------------------------------------------------------- metric family
@@ -96,18 +111,19 @@ def _frame(domain: TimeDomain, period: Fraction, t_bound: Fraction,
 def _unit_count(x: Signal, n: int, future: bool) -> Signal:
     """Truth signal of: at least n points of x in (t, t+1), or in (t-1, t)
     clipped to the domain when not future."""
+    one = x.unit
     if x.domain is TimeDomain.FULL_LINE:
-        t_bound, lo = Fraction(0), Fraction(-1)
+        t_bound, lo = 0, -one
     else:
-        t_bound, lo = x.transient + (0 if future else 1), Fraction(0)
-    comps = x.slice(lo, t_bound + x.period + 1).components
-    d = 1 if future else 0
-    hits = [Interval(c.lower - d, c.upper + 1 - d, False, False)
+        t_bound, lo = x.transient + (0 if future else one), 0
+    comps = x.slice(lo, t_bound + x.period + one).components
+    d = one if future else 0
+    hits = [Interval(c.lower - d, c.upper + one - d, False, False)
             for c in comps if not c.is_point]
     points = [c.lower for c in comps if c.is_point]
-    hits += [Interval(last - d, first + 1 - d, False, False)
-             for first, last in zip(points, points[n - 1:]) if last - first < 1]
-    return _frame(x.domain, x.period, t_bound, IntervalSet(hits))
+    hits += [Interval(last - d, first + one - d, False, False)
+             for first, last in zip(points, points[n - 1:]) if last - first < one]
+    return _frame(x, t_bound, IntervalSet(hits))
 
 
 def diamond_unit_future(x: Signal) -> Signal:
@@ -140,30 +156,35 @@ def pnueli_unit(operands: Sequence[Signal]) -> Signal:
         raise EvalError("a run modality needs at least one operand")
     xs = align_many(list(operands))
     x0 = xs[0]
-    hi = x0.transient + x0.period
-    comps = [x.slice(0, hi + 1).components for x in xs]
+    one, hi = x0.unit, x0.transient + x0.period
+    comps = [x.slice(0, hi + one).components for x in xs]
     uppers = [[c.upper for c in cs] for cs in comps]
 
-    def decide(t: Fraction) -> bool:
+    def decide(t: RationalLike) -> bool:
         b = t
         for cs, ups in zip(comps, uppers):
             i = bisect_right(ups, b)  # first component with points above b
             if i == len(cs):
                 return False
             b = max(cs[i].lower, b)
-            if b >= t + 1:
+            if b >= t + one:
                 return False
         return True
 
     ends = {e for cs in comps for c in cs for e in (c.lower, c.upper)}
-    crit = sorted({e for e in ends | {e - 1 for e in ends} if 0 <= e <= hi} | {Fraction(0), hi})
+    crit = sorted({e for e in ends | {e - one for e in ends} if 0 <= e <= hi} | {0, hi})
     pieces: list[Interval] = []
     for c, nxt in zip(crit, crit[1:] + [None]):
         if decide(c):
-            pieces.append(Interval.point(c))
-        if nxt is not None and decide((c + nxt) / 2):
+            pieces.append(Interval(c, c))
+        if nxt is None:
+            continue
+        # the gap's midpoint decides it; in ticks every critical point is
+        # even (see signals.tick_unit), so the midpoint is an int there
+        s = c + nxt
+        if decide(s // 2 if s % 2 == 0 else s / 2):
             pieces.append(Interval(c, nxt, False, False))
-    return _frame(x0.domain, x0.period, x0.transient, IntervalSet(pieces))
+    return _frame(x0, x0.transient, IntervalSet(pieces))
 
 
 # ------------------------------------------------------------- order family
@@ -177,9 +198,9 @@ def _order(x: Signal, y: Signal, future: bool) -> Signal:
     xx, yy = align(x, y)
     p, T = xx.period, xx.transient
     if xx.domain is TimeDomain.FULL_LINE:
-        t_bound, lo, hi = Fraction(0), -p, 2 * p
+        t_bound, lo, hi = 0, -p, 2 * p
     else:
-        t_bound, lo, hi = (T if future else T + p), Fraction(0), T + 2 * p
+        t_bound, lo, hi = (T if future else T + p), 0, T + 2 * p
     ys = yy.slice(lo, hi).components
     lowers = [c.lower for c in ys]
     uppers = [c.upper for c in ys]
@@ -200,7 +221,7 @@ def _order(x: Signal, y: Signal, future: bool) -> Signal:
                 j -= 1
             if j < len(ys) and (inf := max(lowers[j], a)) < b:
                 out.append(Interval(inf, b, False, True))
-    return _frame(xx.domain, p, t_bound, IntervalSet(out))
+    return _frame(xx, t_bound, IntervalSet(out))
 
 
 def until(x: Signal, y: Signal) -> Signal:
@@ -221,31 +242,39 @@ def since(x: Signal, y: Signal) -> Signal:
 # ------------------------------------------------------------------- evaluate
 
 def evaluate(f: Formula, env: Env) -> Signal:
-    """The canonical truth signal of a formula under an environment."""
+    """The canonical truth signal of a formula under an environment, computed
+    in integer ticks."""
+    unit = tick_unit(env.bindings.values())
+    ticks = Env(env.domain, {name: to_ticks(s, unit) for name, s in env.bindings.items()})
+    return from_ticks(_evaluate(f, ticks, unit))
+
+
+def _evaluate(f: Formula, env: Env, unit: int) -> Signal:
     if isinstance(f, TrueConst):
-        return Signal.constant(env.domain, True)
+        return Signal.constant(env.domain, True, unit)
     if isinstance(f, FalseConst):
-        return Signal.constant(env.domain, False)
+        return Signal.constant(env.domain, False, unit)
     if isinstance(f, Atom):
         return env.signal(f.name).canonicalize()
     if isinstance(f, Not):
-        return combine("not", evaluate(f.operand, env))
+        return combine("not", _evaluate(f.operand, env, unit))
     if isinstance(f, And):
-        return combine("and", evaluate(f.left, env), evaluate(f.right, env))
+        return combine("and", _evaluate(f.left, env, unit), _evaluate(f.right, env, unit))
     if isinstance(f, Or):
-        return combine("or", evaluate(f.left, env), evaluate(f.right, env))
+        return combine("or", _evaluate(f.left, env, unit), _evaluate(f.right, env, unit))
     if isinstance(f, Implies):
-        return combine("or", combine("not", evaluate(f.left, env)), evaluate(f.right, env))
+        return combine("or", combine("not", _evaluate(f.left, env, unit)),
+                       _evaluate(f.right, env, unit))
     if isinstance(f, Until):
-        return until(evaluate(f.left, env), evaluate(f.right, env))
+        return until(_evaluate(f.left, env, unit), _evaluate(f.right, env, unit))
     if isinstance(f, Since):
-        return since(evaluate(f.left, env), evaluate(f.right, env))
+        return since(_evaluate(f.left, env, unit), _evaluate(f.right, env, unit))
     if isinstance(f, DiamondFuture):
-        return diamond_unit_future(evaluate(f.operand, env))
+        return diamond_unit_future(_evaluate(f.operand, env, unit))
     if isinstance(f, DiamondPast):
-        return diamond_unit_past(evaluate(f.operand, env))
+        return diamond_unit_past(_evaluate(f.operand, env, unit))
     if isinstance(f, Count):
-        return count_unit(evaluate(f.operand, env), f.n)
+        return count_unit(_evaluate(f.operand, env, unit), f.n)
     if isinstance(f, Pnueli):
-        return pnueli_unit([evaluate(a, env) for a in f.args])
+        return pnueli_unit([_evaluate(a, env, unit) for a in f.args])
     raise TypeError(f"not a formula: {f!r}")

@@ -4,15 +4,25 @@ A Signal denotes the exact set of time points at which a predicate holds.  On
 the full line the set is purely periodic: ``x`` belongs iff ``x mod period`` is
 in ``pattern``.  On the half line a finite ``prefix`` describes ``[0,
 transient)`` and the pattern repeats from ``transient`` on.  All endpoints are
-rationals, so every boolean combination, slice and shift stays exact.
+exact, so every boolean combination, slice and shift stays exact.
 
-``canonicalize`` produces the representative form: the minimal period (1 for
-constants), then the minimal transient at which the tail already matches the
-periodic extension.  When the prefix disagrees with that extension at a single
-point there is no smallest rational transient strictly above it; the canonical
-form then uses the next period multiple, which keeps the form deterministic,
-idempotent and independent of the input representation.  Two Signals denote
-the same set iff their canonical forms are structurally equal.
+Numbers come at one of two scales, told apart by ``unit``, the length of one
+time unit.  A public Signal, every one the library reads or returns, has unit
+1 and only ``Fraction`` numbers.  The evaluation engine runs on integer ticks
+instead: every endpoint it makes lies on the lattice (1/Q)Z, Q = ``tick_unit``
+of its atoms, so ``to_ticks`` scales the atoms by Q once, every number of the
+Signals it builds from them is an ``int`` and the unit is Q ticks, and
+``from_ticks`` scales the result back.  Every function here runs unchanged at
+either scale; ``/`` is never applied to a tick.
+
+``canonicalize`` produces the representative form: the minimal period (one
+unit for constants), then the minimal transient at which the tail already
+matches the periodic extension.  When the prefix disagrees with that extension
+at a single point there is no smallest rational transient strictly above it;
+the canonical form then uses the next period multiple, which keeps the form
+deterministic, idempotent and independent of the input representation, the
+scale included.  Two Signals at one scale denote the same set iff their
+canonical forms are structurally equal.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .intervals import (
     Interval,
@@ -31,6 +41,7 @@ from .intervals import (
     RationalLike,
     TextFormatError,
     _coalesce,
+    exact,
     format_interval_list,
     format_rational,
     parse_interval_list,
@@ -76,11 +87,14 @@ class Triviality(Enum):
         return self.value
 
 
-def _lcm(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.lcm(a.numerator, b.numerator), math.gcd(a.denominator, b.denominator))
+def _lcm(a: RationalLike, b: RationalLike) -> RationalLike:
+    """Least common multiple of two positive periods, in a's number type: a
+    times the integer lcm(an, bn) / an * ad / gcd(ad, bd)."""
+    an, ad = a.numerator, a.denominator
+    return a * (math.lcm(an, b.numerator) // an * (ad // math.gcd(ad, b.denominator)))
 
 
-def _cyclic_shift(pattern: IntervalSet, d: Fraction, p: Fraction) -> IntervalSet:
+def _cyclic_shift(pattern: IntervalSet, d: RationalLike, p: RationalLike) -> IntervalSet:
     """Shift a pattern within the cyclic window [0, p)."""
     d = d % p
     if d == 0 or pattern.is_empty:
@@ -104,8 +118,9 @@ def _prefix_function(seq: list) -> list[int]:
     return pi
 
 
-def _minimal_tail(p: Fraction, pattern: IntervalSet) -> tuple[Fraction, IntervalSet]:
-    """Minimal period of a pattern, constants collapsing to period 1.
+def _minimal_tail(p: RationalLike, pattern: IntervalSet,
+                  unit: RationalLike) -> tuple[RationalLike, IntervalSet]:
+    """Minimal period of a pattern, constants collapsing to period one unit.
 
     A period of the periodic set maps its cyclic sequence of components onto
     a rotation of itself, and back.  Each component becomes a token (lower
@@ -115,9 +130,9 @@ def _minimal_tail(p: Fraction, pattern: IntervalSet) -> tuple[Fraction, Interval
     token count, read off a prefix function.
     """
     if pattern.is_empty:
-        return Fraction(1), IntervalSet.EMPTY
+        return unit, IntervalSet.EMPTY
     if pattern == IntervalSet.span(0, p):
-        return Fraction(1), IntervalSet.span(0, 1)
+        return unit, IntervalSet.span(0, unit)
     comps = list(pattern.components)
     first, last = comps[0], comps[-1]
     if last.upper == p and first.lower == 0 and first.lower_closed:
@@ -130,11 +145,12 @@ def _minimal_tail(p: Fraction, pattern: IntervalSet) -> tuple[Fraction, Interval
     r = m - _prefix_function(tokens)[-1]
     if m % r:
         return p, pattern
-    q = p * r / m
+    q = starts[r] - starts[0]
     return q, pattern.intersection(IntervalSet.span(0, q))
 
 
-def _meeting(comps: tuple[Interval, ...], a: Fraction, b: Fraction) -> tuple[Interval, ...]:
+def _meeting(comps: tuple[Interval, ...], a: RationalLike,
+             b: RationalLike) -> tuple[Interval, ...]:
     """The run of sorted, disjoint components that meet [a, b]."""
     i = bisect_left(comps, a, key=attrgetter("upper"))
     if i < len(comps) and comps[i].upper == a and not comps[i].upper_closed:
@@ -145,7 +161,7 @@ def _meeting(comps: tuple[Interval, ...], a: Fraction, b: Fraction) -> tuple[Int
     return comps[i:j]
 
 
-def _within(s: IntervalSet, end: Fraction) -> bool:
+def _within(s: IntervalSet, end: RationalLike) -> bool:
     """s is a subset of [0, end): in normal form only the lower end of the
     first component and the upper end of the last can stick out."""
     if not s:
@@ -155,7 +171,7 @@ def _within(s: IntervalSet, end: Fraction) -> bool:
             and (last.upper < end or (last.upper == end and not last.upper_closed)))
 
 
-def _clip(c: Interval, a: Fraction, b: Fraction) -> Interval:
+def _clip(c: Interval, a: RationalLike, b: RationalLike) -> Interval:
     """A component that meets [a, b], cut down to it."""
     if c.lower < a:
         c = Interval(a, c.upper, True, c.upper_closed)
@@ -164,19 +180,39 @@ def _clip(c: Interval, a: Fraction, b: Fraction) -> Interval:
     return c
 
 
+def _map_ends(s: IntervalSet, fn: Callable) -> IntervalSet:
+    """s with fn applied to every endpoint; fn must be increasing."""
+    return IntervalSet._wrap(tuple(Interval(fn(c.lower), fn(c.upper), c.lower_closed,
+                                            c.upper_closed) for c in s.components))
+
+
+def _rationals(s: IntervalSet) -> IntervalSet:
+    """s with every endpoint a Fraction."""
+    if all(type(c.lower) is Fraction and type(c.upper) is Fraction for c in s.components):
+        return s
+    return _map_ends(s, rat)
+
+
 @dataclass(frozen=True)
 class Signal:
-    """An eventually periodic rational point set over a time domain."""
+    """An eventually periodic rational point set over a time domain.
+
+    ``unit`` is the length of one time unit: 1 on a public signal, whose
+    numbers are made Fractions, and Q on a signal in ticks (see the module
+    docstring), whose numbers are ints."""
 
     domain: TimeDomain
-    period: Fraction
+    period: RationalLike
     pattern: IntervalSet
-    transient: Fraction = Fraction(0)
+    transient: RationalLike = 0
     prefix: IntervalSet = field(default_factory=lambda: IntervalSet.EMPTY)
+    unit: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "period", rat(self.period))
-        object.__setattr__(self, "transient", rat(self.transient))
+        public = self.unit == 1
+        if public:
+            object.__setattr__(self, "period", rat(self.period))
+            object.__setattr__(self, "transient", rat(self.transient))
         if self.period <= 0:
             raise SignalError(f"period must be positive, got {self.period}")
         if self.transient < 0:
@@ -187,13 +223,16 @@ class Signal:
             raise SignalError("pattern escapes [0, period)")
         if not _within(self.prefix, self.transient):
             raise SignalError("prefix escapes [0, transient)")
+        if public:
+            object.__setattr__(self, "pattern", _rationals(self.pattern))
+            object.__setattr__(self, "prefix", _rationals(self.prefix))
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
-    def constant(cls, domain: TimeDomain, value: bool) -> "Signal":
-        pattern = IntervalSet.span(0, 1) if value else IntervalSet.EMPTY
-        return cls(domain, Fraction(1), pattern)
+    def constant(cls, domain: TimeDomain, value: bool, unit: int = 1) -> "Signal":
+        pattern = IntervalSet.span(0, unit) if value else IntervalSet.EMPTY
+        return cls(domain, unit, pattern, unit=unit)
 
     # ------------------------------------------------------------- point model
 
@@ -213,7 +252,7 @@ class Signal:
         Only the prefix and pattern components that meet the window are
         taken: whole pattern copies inside it, a bisected run at either end.
         """
-        a, b = rat(a), rat(b)
+        a, b = exact(a), exact(b)
         if a > b:
             raise ValueError(f"empty window [{a}, {b}]")
         half = self.domain is TimeDomain.HALF_LINE
@@ -226,8 +265,8 @@ class Signal:
         lo = max(a, anchor) if half else a
         if lo <= b:
             comps = self.pattern.components
-            k0 = math.floor((lo - anchor) / self.period)
-            k1 = math.floor((b - anchor) / self.period)
+            k0 = (lo - anchor) // self.period
+            k1 = (b - anchor) // self.period
             # every copy costs a step, even a copy of an empty pattern
             check_unroll((k1 - k0 + 1) * max(1, len(comps)), "slicing a signal")
             for k in range(k0, k1 + 1):
@@ -245,7 +284,7 @@ class Signal:
 
     def window(self, a: RationalLike, b: RationalLike) -> IntervalSet:
         """The exact point set of the signal within [a, b); empty unless a < b."""
-        a, b = rat(a), rat(b)
+        a, b = exact(a), exact(b)
         if a >= b:
             return IntervalSet.EMPTY
         got = self.slice(a, b)
@@ -259,20 +298,17 @@ class Signal:
         """Translate the denoted set by d. Full line only: the half line has an origin."""
         if self.domain is not TimeDomain.FULL_LINE:
             raise DomainError("shift is a full-line operation")
-        return Signal(
-            TimeDomain.FULL_LINE,
-            self.period,
-            _cyclic_shift(self.pattern, rat(d), self.period),
-        )
+        return Signal(TimeDomain.FULL_LINE, self.period,
+                      _cyclic_shift(self.pattern, exact(d), self.period), unit=self.unit)
 
     # ---------------------------------------------------------- normalization
 
     def tail_extension(self) -> "Signal":
         """The unique full-line periodic set the signal eventually agrees with,
         in canonical form (minimal period, phase anchored at 0)."""
-        p0, pat0 = _minimal_tail(self.period, self.pattern)
+        p0, pat0 = _minimal_tail(self.period, self.pattern, self.unit)
         pat_ext = _cyclic_shift(pat0, self.transient % p0, p0)
-        return Signal(TimeDomain.FULL_LINE, p0, pat_ext)
+        return Signal(TimeDomain.FULL_LINE, p0, pat_ext, unit=self.unit)
 
     def canonicalize(self) -> "Signal":
         ext = self.tail_extension()
@@ -281,30 +317,29 @@ class Signal:
         p0 = ext.period
         # The last disagreement with the extension, looked for back from the
         # transient in windows that double: the cost follows its distance.
-        tc, hi, width = Fraction(0), self.transient, p0
+        tc, hi, width = 0, self.transient, p0
         while hi > 0:
-            lo = max(hi - width, Fraction(0))
+            lo = max(hi - width, 0)
             dis = self.slice(lo, hi).symmetric_difference(ext.slice(lo, hi))
             if dis:
                 last = dis.components[-1]
                 # Disagreement at the point itself: any transient strictly above
                 # works and none is least, so snap up to the period grid.
-                tc = ((math.floor(last.upper / p0) + 1) * p0 if last.upper_closed
-                      else last.upper)
+                tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
                 break
             hi, width = lo, 2 * width
         return self._reframe(tc, p0)
 
-    def _reframe(self, transient: Fraction, period: Fraction) -> "Signal":
+    def _reframe(self, transient: RationalLike, period: RationalLike) -> "Signal":
         """Re-express as a prefix on [0, transient) and one period from there
         on; the signal must already repeat with that period past transient."""
         if transient == self.transient and period == self.period:
             return self
         pattern = self.window(transient, transient + period).shift(-transient)
         if self.domain is TimeDomain.FULL_LINE:
-            return Signal(TimeDomain.FULL_LINE, period, pattern)
+            return Signal(TimeDomain.FULL_LINE, period, pattern, unit=self.unit)
         return Signal(TimeDomain.HALF_LINE, period, pattern, transient,
-                      self.window(0, transient))
+                      self.window(0, transient), self.unit)
 
 
 def align(a: Signal, b: Signal) -> tuple[Signal, Signal]:
@@ -316,9 +351,11 @@ def align(a: Signal, b: Signal) -> tuple[Signal, Signal]:
 def align_many(signals: list[Signal]) -> list[Signal]:
     if not signals:
         raise ValueError("nothing to align")
-    domain = signals[0].domain
+    domain, unit = signals[0].domain, signals[0].unit
     if any(s.domain is not domain for s in signals):
         raise DomainError("cannot align signals over different domains")
+    if any(s.unit != unit for s in signals):
+        raise ValueError("cannot align signals at different time scales")
     period = signals[0].period
     for s in signals[1:]:
         period = _lcm(period, s.period)
@@ -333,7 +370,7 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
             raise ValueError("not takes a single signal")
         pattern = IntervalSet.span(0, a.period).difference(a.pattern)
         prefix = IntervalSet.span(0, a.transient).difference(a.prefix)
-        return Signal(a.domain, a.period, pattern, a.transient, prefix).canonicalize()
+        return Signal(a.domain, a.period, pattern, a.transient, prefix, a.unit).canonicalize()
     if b is None:
         raise ValueError(f"{op} takes two signals")
     if op == "and":
@@ -349,30 +386,77 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
         fn(aa.pattern, bb.pattern),
         aa.transient,
         fn(aa.prefix, bb.prefix),
+        aa.unit,
     ).canonicalize()
+
+
+def _normal_form(s: Signal, eventually: bool) -> Signal:
+    """What decides equality: the canonical form, or with ``eventually`` the tail."""
+    return s.tail_extension() if eventually else s.canonicalize()
 
 
 def equal(a: Signal, b: Signal, eventually: bool = False) -> bool:
     """Exact equality of denoted sets; with ``eventually``, equality of tails."""
     if a.domain is not b.domain:
         raise DomainError("cannot compare signals over different domains")
-    if eventually:
-        return a.tail_extension() == b.tail_extension()
-    return a.canonicalize() == b.canonicalize()
+    return _normal_form(a, eventually) == _normal_form(b, eventually)
+
+
+def trivial_classifier(p_atom: Signal, eventually: bool) -> Callable[[Signal], Triviality]:
+    """A function comparing a signal against True, False, P and not P, in that
+    precedence order.  The four normal forms are built once, here."""
+    forms: dict[Signal, Triviality] = {}
+    for tag, candidate in (
+        (Triviality.TRUE, Signal.constant(p_atom.domain, True, p_atom.unit)),
+        (Triviality.FALSE, Signal.constant(p_atom.domain, False, p_atom.unit)),
+        (Triviality.P, p_atom),
+        (Triviality.NOT_P, combine("not", p_atom)),
+    ):
+        forms.setdefault(_normal_form(candidate, eventually), tag)
+
+    def classify(s: Signal) -> Triviality:
+        if s.domain is not p_atom.domain:
+            raise DomainError("cannot compare signals over different domains")
+        return forms.get(_normal_form(s, eventually), Triviality.NONE)
+
+    return classify
 
 
 def classify_trivial(s: Signal, p_atom: Signal, eventually: bool = False) -> Triviality:
     """Compare s against True, False, P and not P, in that precedence order."""
-    candidates = (
-        (Triviality.TRUE, Signal.constant(s.domain, True)),
-        (Triviality.FALSE, Signal.constant(s.domain, False)),
-        (Triviality.P, p_atom),
-        (Triviality.NOT_P, combine("not", p_atom)),
-    )
-    for tag, candidate in candidates:
-        if equal(s, candidate, eventually):
-            return tag
-    return Triviality.NONE
+    return trivial_classifier(p_atom, eventually)(s)
+
+
+# ------------------------------------------------------------------- ticks
+
+def tick_unit(signals: Iterable[Signal]) -> int:
+    """Q = 2 lcm of the denominators of the public signals' endpoints, periods
+    and transients.  Everything the engine builds from them lies on (2/Q)Z,
+    even ticks, so the midpoint of two such points is a whole tick."""
+    dens = set()
+    for s in signals:
+        dens.update(x.denominator for x in (s.period, s.transient))
+        dens.update(x.denominator for part in (s.pattern, s.prefix) for c in part
+                    for x in (c.lower, c.upper))
+    return 2 * math.lcm(*dens)
+
+
+def to_ticks(s: Signal, unit: int) -> Signal:
+    """A public signal scaled by unit = Q: all of its numbers become ints."""
+    def scale(x: Fraction) -> int:
+        return x.numerator * (unit // x.denominator)
+
+    return Signal(s.domain, scale(s.period), _map_ends(s.pattern, scale),
+                  scale(s.transient), _map_ends(s.prefix, scale), unit)
+
+
+def from_ticks(s: Signal) -> Signal:
+    """The public signal, in Fractions, that a signal in ticks denotes."""
+    def scale(x: int) -> Fraction:
+        return Fraction(x, s.unit)
+
+    return Signal(s.domain, scale(s.period), _map_ends(s.pattern, scale),
+                  scale(s.transient), _map_ends(s.prefix, scale))
 
 
 # ------------------------------------------------------------------ file format

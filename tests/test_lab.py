@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import qtlab.lab
+import qtlab.signals
 from qtlab.formulas import (
     And,
     Count,
@@ -31,7 +32,7 @@ from qtlab.lab import (
     trivialization_report,
 )
 from qtlab.semantics import evaluate
-from qtlab.signals import TimeDomain, Triviality, equal
+from qtlab.signals import DomainError, Signal, TimeDomain, Triviality, classify_trivial, equal
 
 
 def test_builtin_models_membership():
@@ -219,6 +220,33 @@ def test_exact_versus_eventual_classification():
     event = trivialization_report(env, enum, eventually=True).entries[0]
     assert exact.classification is Triviality.NONE
     assert event.classification is Triviality.TRUE
+
+
+@pytest.mark.parametrize("eventually", [False, True])
+def test_a_report_builds_the_trivial_forms_once(monkeypatch, eventually):
+    """One report negates P once, however many classes it classifies, and
+    gives each class the form a per-class classify_trivial gives it."""
+    env = builtin_model("thm2")
+    enum = enumerate_formulas(parse_logic("qtl"), 2, env)
+    negations = []
+    combine = qtlab.signals.combine
+
+    def counting(op, *args):
+        negations.append(op == "not")
+        return combine(op, *args)
+
+    monkeypatch.setattr(qtlab.signals, "combine", counting)
+    report = trivialization_report(env, enum, eventually)
+    assert len(enum.signals) == 64 and sum(negations) == 1
+    monkeypatch.undo()
+    assert [e.classification for e in report.entries] == [
+        classify_trivial(sig, env.signal("P"), eventually) for sig in enum.signals]
+
+
+def test_classification_rejects_a_signal_of_another_domain():
+    with pytest.raises(DomainError):
+        classify_trivial(Signal.constant(TimeDomain.FULL_LINE, True),
+                         builtin_model("thm2").signal("P"))
 
 
 @pytest.mark.parametrize("name", ["pnueli", "counting:2", "hierarchy:2", "triviality:2"])

@@ -334,6 +334,31 @@ def test_a_session_hashes_no_formula_per_query(monkeypatch):
         assert len(hashes) <= 2 * nodes, count
 
 
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_until_since_scans_are_memoized(monkeypatch, domain):
+    """The until under the since never holds, so its scans run to their
+    horizons and the since's run back a period or to the origin.  Each walked
+    cell takes the result of the scan that walked it, so operand lookups
+    stay within a small multiple of the memo entries."""
+    rng = random.Random(5)
+    env = Env(domain, {"P": irregular_signal(rng, 8, domain),
+                       "Q": irregular_signal(rng, 8, domain)})
+    f = parse_formula("true S (true U (P & !P))")
+    sig = evaluate(f, env)
+    sessions, lookups = [], []
+    cell = PointwiseSession._cell
+
+    def counting(self, i, c):
+        sessions.append(self)
+        lookups.append(1)
+        return cell(self, i, c)
+
+    monkeypatch.setattr(PointwiseSession, "_cell", counting)
+    assert compare_pointwise(f, env, sig, sample_points(sig, 60)).passed
+    assert len(set(map(id, sessions))) == 1
+    assert len(lookups) <= 2 * len(sessions[0]._memo)
+
+
 def test_half_line_queries_before_the_origin_raise():
     env = Env(HALF, {"P": thm2_signal()})
     for text in ("P", "true", "F1 P", "P S true"):

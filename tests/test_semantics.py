@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtlab.cli import main
 from qtlab.formulas import children, parse_formula
+from qtlab.lab import builtin_model, enumerate_formulas, parse_logic
 from qtlab.intervals import Interval, IntervalSet, parse_interval_list
 from qtlab.oracle import compare_pointwise, critical_points
 from qtlab.semantics import (
@@ -24,7 +26,7 @@ from qtlab.semantics import (
 )
 from qtlab.signals import Signal, TimeDomain, equal
 
-from gen import irregular_signal, random_signal
+from gen import irregular_signal, random_formula, random_signal
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -277,3 +279,74 @@ def test_operators_on_long_irregular_signals_agree_with_the_oracle(domain):
         points = crit + [(a + b) / 2 for a, b in zip(crit, crit[1:])]
         report = compare_pointwise(f, env, sig, points)
         assert report.passed, f"{text}:\n{report.render()}"
+
+
+# ------------------------------------------------------------- the tick scale
+
+def _numbers(s: Signal) -> list:
+    return [s.period, s.transient] + [e for part in (s.pattern, s.prefix)
+                                      for c in part for e in (c.lower, c.upper)]
+
+
+def _random_env(rng, domain):
+    return Env(domain, {"P": random_signal(rng, domain), "Q": random_signal(rng, domain)})
+
+
+def test_public_results_are_fractions():
+    """evaluate and the enumeration compute in int ticks; what they return,
+    constants included, holds Fractions only, as do public constants and
+    operators applied to public signals directly."""
+    rng = random.Random(41)
+    results = []
+    for domain in (LINE, HALF):
+        env = _random_env(rng, domain)
+        for text in ("true", "false", "!true", "P & !P", "F1 true", "P"):
+            results.append(evaluate(parse_formula(text), env))
+        results += [evaluate(random_formula(rng), env) for _ in range(20)]
+        p, q = env.signal("P"), env.signal("Q")
+        results += [const(domain, True), const(domain, False), count_unit(p, 2),
+                    diamond_unit_past(p), until(p, q), pnueli_unit([p, q])]
+    for spec in ("mk:3", "thm2"):
+        results += enumerate_formulas(parse_logic("qtl"), 1, builtin_model(spec)).signals
+    for sig in results:
+        assert sig.unit == 1
+        assert all(type(x) is F for x in _numbers(sig)), sig
+
+
+def test_ticks_stay_pure(monkeypatch):
+    """Every Signal built in ticks while evaluating holds only ints: no
+    Fraction default or lcm leaks into the engine's arithmetic."""
+    built = []
+    post_init = Signal.__post_init__
+
+    def spy(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Signal, "__post_init__", spy)
+    rng = random.Random(43)
+    for domain in (LINE, HALF):
+        env = _random_env(rng, domain)
+        for _ in range(15):
+            evaluate(random_formula(rng), env)
+    ticks = [s for s in built if s.unit != 1]
+    assert len(ticks) > 100
+    for s in ticks:
+        assert all(type(x) is int for x in _numbers(s)), s
+
+
+@pytest.mark.parametrize("sig, formula, want", [
+    ("domain halfline\nperiod 1\npattern [0,1)\ntransient 1/2\nprefix (1/4,1/2)\n", "P",
+     "transient 1\nprefix (1/4,1)\n"),
+    ("domain halfline\nperiod 1\npattern [0,1)\ntransient 1/2\nprefix (1/4,1/2)\n", "O1 P",
+     "transient 1\nprefix (1/4,1)\n"),
+    ("domain line\nperiod 4/3\npattern [1/30,1/30],[2/15,2/15],[8/15,8/15]\n",
+     "!F1 (F1 true & P)", "period 1\npattern {}\n"),
+], ids=["P", "O1 P", "!F1 (F1 true & P)"])
+def test_snaps_and_constants_keep_whole_units(tmp_path, capsys, sig, formula, want):
+    """A point disagreement snaps up to the period grid and a constant keeps
+    a period of one unit, not of one tick."""
+    path = tmp_path / "p.sig"
+    path.write_text(sig, encoding="utf-8")
+    assert main(["eval", "--formula", formula, "--bind", f"P={path}", "--output", "sig"]) == 0
+    assert capsys.readouterr().out.endswith(want)

@@ -23,7 +23,10 @@ from qtlab.signals import (
     combine,
     equal,
     format_signal,
+    from_ticks,
     parse_signal,
+    tick_unit,
+    to_ticks,
 )
 from qtlab.signals import _minimal_tail, _within
 from gen import random_fraction, random_point_set, random_signal
@@ -311,7 +314,7 @@ def test_minimal_tail_matches_the_cyclic_shift_search():
         for pat in variants:
             if pat is None:
                 continue
-            assert _minimal_tail(p, pat) == _reference_minimal_tail(p, pat), (p, pat)
+            assert _minimal_tail(p, pat, 1) == _reference_minimal_tail(p, pat), (p, pat)
             checked += 1
     assert checked > 400
 
@@ -327,6 +330,53 @@ def test_canonicalize_idempotent_and_representation_free():
         bigger_T = c.transient + rng.randint(0, 2) * c.period if domain is HALF else F(0)
         r = s._reframe(bigger_T, m * s.period)
         assert r.canonicalize() == c
+
+
+# ---------------------------------------------------------------------- ticks
+
+def _tick_cases(rng):
+    """Random signals on both domains, half-line prefixes that disagree with
+    the tail at one point, and constants, plain and in disguise."""
+    for _ in range(80):
+        domain = rng.choice([LINE, HALF])
+        s = random_signal(rng, domain)
+        yield s
+        if domain is HALF and s.transient:
+            x = random_fraction(rng, 0, s.transient, max_den=12)
+            if x < s.transient:
+                flipped = s.prefix.symmetric_difference(IntervalSet.point(x))
+                yield Signal(HALF, s.period, s.pattern, s.transient, flipped)
+    for domain in (LINE, HALF):
+        for value in (True, False):
+            yield Signal.constant(domain, value)
+        yield Signal(domain, F(5, 7), iset(Interval(0, F(5, 7), True, False)))
+    yield Signal(HALF, F(3), IntervalSet.EMPTY, transient=F(3), prefix=IntervalSet.point(0))
+    yield Signal(HALF, F(1), IntervalSet.span(0, 1), F(1, 2), iset(Interval.open(F(1, 4), F(1, 2))))
+
+
+def test_canonical_forms_commute_with_the_tick_scale():
+    """Canonicalizing in ticks and scaling back equals canonicalizing in
+    Fractions, at the natural tick unit and at a multiple of it: a constant
+    keeps a period of one unit, and a snap goes to the period grid."""
+    rng = random.Random(23)
+    for s in _tick_cases(rng):
+        want = s.canonicalize()
+        for unit in (tick_unit([s]), 3 * tick_unit([s])):
+            t = to_ticks(s, unit)
+            assert t.unit == unit and from_ticks(t) == s
+            assert from_ticks(t.canonicalize()) == want, (s, unit)
+            assert from_ticks(t.tail_extension()) == s.tail_extension(), (s, unit)
+
+
+def test_to_ticks_scales_every_number_by_the_tick_unit():
+    s = Signal(HALF, F(2, 3), IntervalSet.point(F(1, 4)), F(3, 5), IntervalSet.point(F(1, 7)))
+    assert tick_unit([s]) == 2 * 3 * 4 * 5 * 7
+    assert tick_unit([]) == 2
+    t = to_ticks(s, 840)
+    assert (t.period, t.transient) == (560, 504)
+    assert t.pattern == iset(Interval(210, 210)) and t.prefix == iset(Interval(120, 120))
+    with pytest.raises(ValueError):
+        align(s, t)
 
 
 # ---------------------------------------------------------------------- equal
