@@ -26,6 +26,7 @@ from .lab import (
 from .oracle import agreement_check
 from .semantics import Env, EvalError, evaluate
 from .signals import (
+    MAX_UNROLL,
     DomainError,
     Signal,
     SignalError,
@@ -179,6 +180,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.samples < 1:
             # zero comparisons would print agreement 0/0 and pass
             parser.error("--samples must be at least 1")
+        if args.samples > MAX_UNROLL:
+            parser.error(f"--samples must be at most {MAX_UNROLL}")
         env = _load_env(parser, args.model, [])
         formula = parse_formula(args.formula)
         report = agreement_check(formula, env, samples=args.samples,

@@ -3,15 +3,24 @@
 The engine (qtlab.semantics) computes whole truth signals with per-operator
 window constructions.  This module answers single membership queries "does
 the formula hold at time t" by first-order scanning instead, so the two
-routes share nothing but the exact set and slicing primitives.  The scanning
-route never calls the engine; only the agreement harness at the bottom runs
-it once per check, as the comparison target.  The oracle works on the public
-Fraction signals, never on the engine's integer ticks.
+routes share nothing but the exact set and slicing primitives and the signal
+layer's tick scale.  The scanning route never calls the engine; only the
+agreement harness at the bottom runs it once per check, as the comparison
+target, whose public Fraction signal it reads as it is.
+
+Like the engine, a session scales its formula's atoms once to integer ticks
+(``tick_unit`` and ``to_ticks`` from qtlab.signals), so its grid, windows and
+horizons are ints and a time unit is Q ticks.  Since that scaling is shared,
+a fault in it would not show as a disagreement: its own tests in
+test_signals pin it.  A query's public time t maps to its tick t Q when that
+is whole, and otherwise to the odd tick 2 floor(t Q / 2) + 1: every grid
+point is an even tick, so that tick lies in the same open gap as t, and so
+do its shifts by whole units and periods.
 
 The scans rest on one structural fact, checked empirically by the agreement
 harness rather than assumed silently by both sides: truth values of every
 subformula are constant on the cells of one grid, cut by atom component
-endpoints (and, on the half line, the origin) shifted by at most one integer
+endpoints (and, on the half line, the origin) shifted by at most one unit
 per level of modal nesting.  Cells are numbered, grid points even and the
 open gaps between them odd, so every modal window is a range of cells.
 
@@ -21,12 +30,11 @@ signal), period and transient bound.  It memoizes each operand's truth by
 (node id, cell), evaluating it at the cell's point or gap midpoint on a
 miss, and caches per cell that time and its forward and backward unit
 windows, which every node visiting the cell shares.  A query's own windows
-are cut from its exact time.  An until or since scan's result is memoized
-for every cell the scan walked, keyed by (node id, first scanned cell).  A
-run modality is decided by exhaustive placement of its operand tuple over
-the window's cells, memoized per (operand, cell), with no greedy shortcut,
-which keeps it an independent check of the engine's left-to-right
-placement.
+are cut from its tick.  An until or since scan's result is memoized for
+every cell the scan walked, keyed by (node id, first scanned cell).  A run
+modality is decided by exhaustive placement of its operand tuple over the
+window's cells, memoized per (operand, cell), with no greedy shortcut, which
+keeps it an independent check of the engine's left-to-right placement.
 """
 
 from __future__ import annotations
@@ -58,58 +66,60 @@ from .formulas import (
     metrics,
 )
 from .intervals import format_rational, rat
-from .signals import DomainError, Signal, TimeDomain, _lcm, check_unroll
+from .signals import (MAX_UNROLL, DomainError, Signal, TimeDomain, _lcm, check_unroll,
+                      tick_unit, to_ticks)
 
 
 class _Grid:
     """The session's candidate truth-change points, numbered, and the cells
-    they cut the time domain into.
+    they cut the time domain into, all in ticks of the given unit.
 
-    The point set {endpoint of some signal component, shifted by an integer
-    of magnitude at most the modal depth} is eventually periodic: past
-    max(transient) + depth it repeats with the lcm of the signal periods.
-    On the half line the origin bounds every signal, so it and its first
-    depth - 1 integer translates join the set.  The prefix and one period of
-    the tail are built once: grid point i is prefix[i] below the tail's
-    start and a point of an unrolled tail copy from there on.  Cell 2i is
-    point i and cell 2i + 1 the open gap after it, so on the half line cell 0
-    is the origin, and on the full line the numbering runs on through the
-    negative integers.
+    The point set {endpoint of some signal component, shifted by a whole
+    number of units of magnitude at most the modal depth} is eventually
+    periodic: past max(transient) + depth units it repeats with the lcm of
+    the signal periods.  On the half line the origin bounds every signal, so
+    it and its first depth - 1 unit translates join the set.  The prefix and
+    one period of the tail are built once: grid point i is prefix[i] below
+    the tail's start and a point of an unrolled tail copy from there on.
+    Cell 2i is point i and cell 2i + 1 the open gap after it, so on the half
+    line cell 0 is the origin, and on the full line the numbering runs on
+    through the negative integers.
     """
 
-    def __init__(self, signals: Sequence[Signal], domain: TimeDomain, pad: int):
+    def __init__(self, signals: Sequence[Signal], domain: TimeDomain, depth: int, unit: int):
         self.half = domain is TimeDomain.HALF_LINE
-        self.period = reduce(_lcm, (s.period for s in signals)) if signals else Fraction(1)
-        self.start = Fraction(0)
+        self.period = reduce(_lcm, (s.period for s in signals)) if signals else unit
+        pad = depth * unit
+        self.start = 0
         if self.half:
-            self.start = max((s.transient for s in signals), default=Fraction(0)) + pad
+            self.start = max((s.transient for s in signals), default=0) + pad
         end = self.start + self.period
         reach = end + pad if self.half else self.period
-        shifts = range(-pad, pad + 1)
-        ends = [e for s in signals for comp in s.slice(Fraction(0), reach)
+        shifts = range(-pad, pad + 1, unit)
+        ends = [e for s in signals for comp in s.slice(0, reach)
                 for e in (comp.lower, comp.upper)]
         check_unroll(len(ends) * len(shifts), "the oracle's grid")
         if self.half:
             # the origin is a grid point even for a formula without modalities
-            points = {Fraction(k) for k in range(max(pad, 1))}
+            points = set(range(0, max(pad, unit), unit))
             points.update(e + k for e in ends for k in shifts if 0 <= e + k < end)
         else:
             # purely periodic: one period of endpoint translates, reduced mod period
             points = {(e + k) % self.period for e in ends for k in shifts}
         ordered = sorted(points)
         cut = bisect_left(ordered, self.start)
-        self.prefix: List[Fraction] = ordered[:cut]
+        self.prefix: List[int] = ordered[:cut]
         # offsets in [0, period); a tail without points gets one per period
-        self.tail = [p - self.start for p in ordered[cut:]] or [Fraction(0)]
+        self.tail = [p - self.start for p in ordered[cut:]] or [0]
 
-    def point(self, i: int) -> Fraction:
+    def point(self, i: int) -> int:
         """Grid point i."""
         if self.half and i < len(self.prefix):
             return self.prefix[i]
         m, j = divmod(i - len(self.prefix), len(self.tail))
         return self.start + m * self.period + self.tail[j]
 
-    def locate(self, t: Fraction) -> int:
+    def locate(self, t: int) -> int:
         """The cell that holds t."""
         if self.half and t < self.start:
             i = bisect_right(self.prefix, t) - 1
@@ -119,15 +129,15 @@ class _Grid:
         i = len(self.prefix) + m * len(self.tail) + j
         return 2 * i + (j < 0 or self.tail[j] != off)
 
-    def rep(self, c: int) -> Fraction:
-        """A time in cell c: its point, or the midpoint of its gap."""
+    def rep(self, c: int) -> int:
+        """A time in cell c: its point, or the midpoint of its gap, a whole
+        tick since grid points are even ticks."""
         i = c >> 1
         if c & 1:
-            return (self.point(i) + self.point(i + 1)) / 2
+            return (self.point(i) + self.point(i + 1)) // 2
         return self.point(i)
 
-    def cells(self, a: Fraction, b: Fraction,
-              closed_a: bool = False, closed_b: bool = False) -> range:
+    def cells(self, a: int, b: int, closed_a: bool = False, closed_b: bool = False) -> range:
         """The cells that meet the window from a to b, each end open unless
         closed; empty unless a < b.  A cell's parity tells a point (even)
         from an open interval (odd)."""
@@ -164,28 +174,32 @@ def _placeable(n: int, cells: Sequence[int], holds: Callable[[int, int], bool]) 
 
 class PointwiseSession:
     """One formula, one environment, membership queries over one grid: the
-    formula compiled once into a node table (children before parents),
-    operand truth memoized per (node id, cell), and each cell's
-    representative time and unit windows cached for every node."""
+    formula's atoms scaled once to ticks of one unit, the formula compiled
+    once into a node table (children before parents), operand truth memoized
+    per (node id, cell), and each cell's representative tick and unit
+    windows cached for every node."""
 
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
         self.env = env
         self._half = env.domain is TimeDomain.HALF_LINE
         depth, atoms = metrics(formula)
-        self._grid = _Grid([env.signal(a) for a in sorted(atoms)], env.domain, depth)
+        public = {a: env.signal(a) for a in sorted(atoms)}
+        self.unit = tick_unit(public.values())  # ticks per time unit
+        self._atoms = {a: to_ticks(s, self.unit) for a, s in public.items()}
+        self._grid = _Grid(list(self._atoms.values()), env.domain, depth, self.unit)
         self._ids: Dict[tuple, int] = {}
         self._kind: List[type] = []
         self._kids: List[Tuple[int, ...]] = []
         self._arg: list = []  # an atom's signal, else the witnesses a window needs
-        self._period: List[Fraction] = []  # of the node's truth (its tail, on the half line)
-        self._tbound: List[Fraction] = []  # past it the node's truth is periodic
+        self._period: List[int] = []  # of the node's truth (its tail, on the half line)
+        self._tbound: List[int] = []  # past it the node's truth is periodic
         self._root = self._compile(formula)
         self._memo: Dict[Tuple[int, int], bool] = {}
         self._scans: Dict[Tuple[int, int], bool] = {}  # until/since by first scanned cell
-        self._reps: Dict[int, Fraction] = {}
-        self._ahead: Dict[int, range] = {}  # cells of (t, t+1), t the cell's rep
-        self._behind: Dict[int, range] = {}  # cells of (t-1, t), cut at the origin
+        self._reps: Dict[int, int] = {}
+        self._ahead: Dict[int, range] = {}  # cells of (t, t + unit), t the cell's rep
+        self._behind: Dict[int, range] = {}  # cells of (t - unit, t), cut at the origin
 
     def _compile(self, f: Formula) -> int:
         """The node id of f, adding f and its subformulas to the table on
@@ -203,14 +217,16 @@ class PointwiseSession:
             period = reduce(_lcm, (self._period[k] for k in kids))
             tbound = max(self._tbound[k] for k in kids)
             if kind is DiamondPast:
-                tbound += 1
+                tbound += self.unit
             elif kind is Since:
                 tbound += period
         elif kind is Atom:
-            arg = self.env.signal(f.name)
+            arg = self._atoms.get(f.name)
+            if arg is None:
+                raise ValueError(f"atom {f.name} is not in the session's formula")
             period, tbound = arg.period, arg.transient
         else:
-            period, tbound = Fraction(1), Fraction(0)
+            period, tbound = self.unit, 0
         got = self._ids[key] = len(self._kind)
         self._kind.append(kind)
         self._kids.append(kids)
@@ -222,11 +238,20 @@ class PointwiseSession:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, f: Formula, t: Fraction) -> bool:
-        """Truth of f at t.  The windows of f's own modalities are cut from
-        the exact t; their operands are looked up per cell."""
+        """Truth of f, the session's formula or a subformula of it, at t.
+        The windows of f's own modalities are cut from t's tick; their
+        operands are looked up per cell."""
         if self._half and t < 0:
             raise DomainError(f"{t} is outside the half line")
-        return self._at(self._root if f is self.formula else self._compile(f), t, None)
+        return self._at(self._root if f is self.formula else self._compile(f), self._tick(t), None)
+
+    def _tick(self, t: Fraction) -> int:
+        """t in ticks or, off the tick lattice, the odd tick 2 floor(t Q / 2)
+        + 1, in the same open gap between even ticks as t."""
+        num, den = t.numerator * self.unit, t.denominator
+        if num % den == 0:
+            return num // den
+        return 2 * (num // (2 * den)) + 1
 
     def _cell(self, i: int, c: int) -> bool:
         key = (i, c)
@@ -235,17 +260,18 @@ class PointwiseSession:
             got = self._memo[key] = self._at(i, None, c)
         return got
 
-    def _window(self, t: Fraction, back: bool) -> range:
+    def _window(self, t: int, back: bool) -> range:
         """The cells of the open unit window after t, or before it (cut at
         the origin on the half line)."""
+        u = self.unit
         if not back:
-            return self._grid.cells(t, t + 1)
-        if self._half and t < 1:
-            return self._grid.cells(Fraction(0), t, closed_a=True)
-        return self._grid.cells(t - 1, t)
+            return self._grid.cells(t, t + u)
+        if self._half and t < u:
+            return self._grid.cells(0, t, closed_a=True)
+        return self._grid.cells(t - u, t)
 
-    def _at(self, i: int, t: Optional[Fraction], cell: Optional[int]) -> bool:
-        """Truth of node i at the time t or, with t None, anywhere in the
+    def _at(self, i: int, t: Optional[int], cell: Optional[int]) -> bool:
+        """Truth of node i at the tick t or, with t None, anywhere in the
         cell; there boolean operands share the cell's memo entries and a
         modality takes the cell's cached representative time and windows."""
         kind, kids = self._kind[i], self._kids[i]
@@ -298,7 +324,7 @@ class PointwiseSession:
                     return True
         return False
 
-    def _order(self, i: int, t: Fraction) -> bool:
+    def _order(self, i: int, t: int) -> bool:
         """Strict until or since at t, over the cells ordered away from t up
         to the node's horizon: a witness of the right operand with the left
         operand holding on every cell before it (and, inside an open cell,
@@ -315,7 +341,7 @@ class PointwiseSession:
         if self._kind[i] is Until:
             cells = grid.cells(t, max(t, self._tbound[i]) + period, closed_b=True)
         else:
-            lo = Fraction(0) if self._half else t - period
+            lo = 0 if self._half else t - period
             cells = reversed(grid.cells(lo, t, closed_a=True))
         walked, got = [], None
         for c in cells:
@@ -430,9 +456,12 @@ def agreement_check(formula: Formula, env, samples: int = 50,
     The engine import sits here at the comparison boundary on purpose: the
     oracle route above never touches it, so the two answers stay independent.
     Fewer than one sample is refused: a verdict over no points is no pass.
+    So is more than MAX_UNROLL, which would run for hours.
     """
     if samples < 1:
         raise ValueError(f"agreement needs at least one sample, not {samples}")
+    if samples > MAX_UNROLL:
+        raise ValueError(f"agreement takes at most {MAX_UNROLL} samples, not {samples}")
     from .semantics import evaluate
 
     engine_signal = evaluate(formula, env)

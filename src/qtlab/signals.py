@@ -237,7 +237,9 @@ class Signal:
     # ------------------------------------------------------------- point model
 
     def contains(self, x: RationalLike) -> bool:
-        x = rat(x)
+        """Whether x is in the set, x at the signal's scale; x keeps the
+        exact type it is given, so a tick stays an int."""
+        x = exact(x)
         if self.domain is TimeDomain.HALF_LINE:
             if x < 0:
                 raise DomainError(f"{x} is outside the half line")

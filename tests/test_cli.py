@@ -10,7 +10,7 @@ import qtlab.cli
 from qtlab.cli import main
 from qtlab.formulas import MAX_NESTING
 from qtlab.intervals import Interval, IntervalSet
-from qtlab.signals import Signal, TimeDomain, equal, format_signal, parse_signal
+from qtlab.signals import MAX_UNROLL, Signal, TimeDomain, equal, format_signal, parse_signal
 
 
 def invoke(argv):
@@ -145,6 +145,19 @@ def test_oracle_check_subcommand(capsys):
 def test_usage_errors_exit_two(argv, capsys):
     assert invoke(argv) == 2
     capsys.readouterr()
+
+
+def test_sample_counts_past_the_limit_exit_two(monkeypatch, capsys):
+    """--samples above MAX_UNROLL is a usage error that names the limit,
+    raised before any check runs."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(qtlab.cli, "agreement_check", ran)
+    assert invoke(["oracle-check", "--formula", "P", "--model", "mk:2",
+                   "--samples", str(MAX_UNROLL + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"at most {MAX_UNROLL}" in captured.err
 
 
 def test_bind_errors_exit_two(tmp_path, capsys):

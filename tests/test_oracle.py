@@ -36,7 +36,7 @@ from qtlab.oracle import (
     sample_points,
 )
 from qtlab.semantics import Env, evaluate
-from qtlab.signals import DomainError, Signal, SignalError, TimeDomain
+from qtlab.signals import MAX_UNROLL, DomainError, Signal, SignalError, TimeDomain
 
 from gen import irregular_signal, random_formula, random_fraction, random_signal
 
@@ -52,8 +52,15 @@ def thm2_signal():
     return Signal(HALF, F(2, 3), IntervalSet([Interval.point(F(0))]))
 
 
+def ticks(session, t):
+    """The time t in the session's ticks, which must be whole."""
+    n = t * session.unit
+    assert n.denominator == 1, (t, session.unit)
+    return int(n)
+
+
 def cell_probes(grid, c):
-    """The cell's point, or three times spread over its open gap."""
+    """The cell's point, or three times spread over its open gap, in ticks."""
     if c % 2 == 0:
         return [grid.point(c // 2)]
     a, b = grid.point(c // 2), grid.point(c // 2 + 1)
@@ -69,36 +76,43 @@ def test_signals_are_constant_on_their_regions(rng, domain):
     sigs = list(env.bindings.values())
     hi = max(s.transient for s in sigs) + 2 * max(s.period for s in sigs)
     lo = F(0) if domain is HALF else -hi
-    grid = PointwiseSession(parse_formula("P & Q"), env)._grid
+    session = PointwiseSession(parse_formula("P & Q"), env)
+    grid, lo, hi = session._grid, ticks(session, lo), ticks(session, hi)
     cells = grid.cells(lo, hi, True, True)
     assert cells[0] == grid.locate(lo) and cells[-1] == grid.locate(hi)
     for c in cells:
         probes = cell_probes(grid, c)
         for s in sigs:
-            assert len({s.contains(p) for p in probes}) == 1
+            assert len({s.contains(F(p) / session.unit) for p in probes}) == 1
 
 
 def test_regions_of_an_empty_window_are_empty():
-    grid = PointwiseSession(parse_formula("P"), Env(LINE, {"P": grid_line(2)}))._grid
-    assert list(grid.cells(F(1, 3), F(1, 3), True, True)) == []
-    assert list(grid.cells(F(1), F(0), True, True)) == []
+    session = PointwiseSession(parse_formula("P"), Env(LINE, {"P": grid_line(2)}))
+    grid, u = session._grid, session.unit
+    assert u == 4
+    assert list(grid.cells(F(1, 3) * u, F(1, 3) * u, True, True)) == []
+    assert list(grid.cells(F(1) * u, F(0) * u, True, True)) == []
     # grid points k/2: point 0 is cell 0, the gap (0, 1/2) cell 1, and so on
-    assert list(grid.cells(F(0), F(1), True, True)) == [0, 1, 2, 3, 4]
-    assert [grid.rep(c) for c in range(5)] == [0, F(1, 4), F(1, 2), F(3, 4), 1]
-    assert list(grid.cells(F(0), F(1))) == [1, 2, 3]
-    assert list(grid.cells(F(1, 8), F(3, 8), True, True)) == [1]  # inside one gap
-    assert list(grid.cells(F(-1, 2), F(0), True)) == [-2, -1]
+    assert list(grid.cells(F(0) * u, F(1) * u, True, True)) == [0, 1, 2, 3, 4]
+    assert [grid.rep(c) for c in range(5)] == [x * u for x in (0, F(1, 4), F(1, 2), F(3, 4), 1)]
+    assert list(grid.cells(F(0) * u, F(1) * u)) == [1, 2, 3]
+    assert list(grid.cells(F(1, 8) * u, F(3, 8) * u, True, True)) == [1]  # inside one gap
+    assert list(grid.cells(F(-1, 2) * u, F(0) * u, True)) == [-2, -1]
 
 
 def test_grid_covers_only_the_formulas_atoms():
     """An unused binding of another period would multiply the grid's period
-    (here 8 and 41/5 give 328) and every query's work."""
+    (here 8 and 41/5 give 328) and every query's work.  So a session asked
+    about an atom outside its formula, which its grid does not cut at,
+    refuses."""
     p = irregular_signal(random.Random(1), 40, LINE)
     q = Signal(LINE, F(41, 5), IntervalSet.point(0))
     env = Env(LINE, {"P": p, "Q": q})
-    assert PointwiseSession(parse_formula("F1 P"), env)._grid.period == 8
-    assert PointwiseSession(parse_formula("F1 P | Q"), env)._grid.period == 328
-    assert PointwiseSession(parse_formula("true U false"), env)._grid.period == 1
+    for text, period in (("F1 P", 8), ("F1 P | Q", 328), ("true U false", 1)):
+        session = PointwiseSession(parse_formula(text), env)
+        assert session._grid.period == period * session.unit, text
+    with pytest.raises(ValueError, match="atom Q is not in the session's formula"):
+        session.eval(parse_formula("F1 Q"), F(0))
 
 
 def test_grid_past_the_limit_raises():
@@ -106,7 +120,8 @@ def test_grid_past_the_limit_raises():
     times, two endpoints each, and F1 shifts each by -1, 0 and 1."""
     fine = Signal(LINE, F(1, 20000), IntervalSet.point(0))
     env = Env(LINE, {"P": fine, "Q": grid_line(1)})
-    assert PointwiseSession(parse_formula("F1 P"), env)._grid.period == F(1, 20000)
+    session = PointwiseSession(parse_formula("F1 P"), env)
+    assert session._grid.period == F(1, 20000) * session.unit
     with pytest.raises(SignalError, match="grid"):
         PointwiseSession(parse_formula("F1 P | Q"), env)
 
@@ -149,7 +164,7 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
         p = irregular_signal(rng, 8, domain) if trial % 2 else random_signal(rng, domain)
         q = random_signal(rng, domain)
         grid = PointwiseSession(parse_formula("F1 (P U O1 Q)"), Env(domain, {"P": p, "Q": q}))._grid
-        start, per = grid.start, grid.period
+        start, per = grid.start, F(grid.period)  # in ticks, windows cut between them
         points = grid.prefix + [start + off for off in grid.tail]
         windows = [(start - per, start + per / 3),                  # straddles the tail's start
                    (start + per / 7, start + 4 * per + per / 5),    # spans several periods
@@ -179,6 +194,66 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
                     expected = [c for c, at_a, at_b in meeting
                                 if (closed_a or not at_a) and (closed_b or not at_b)]
                     assert list(grid.cells(a, b, closed_a, closed_b)) == expected, (a, b)
+
+
+def test_the_oracle_stays_in_ints(monkeypatch):
+    """Sessions compute in ticks alone: after comparing random formulas on
+    both domains, every grid point, tail offset, start and period, every
+    node's period and transient bound and every cached cell rep is an int."""
+    sessions = []
+    init = PointwiseSession.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        sessions.append(self)
+
+    monkeypatch.setattr(PointwiseSession, "__init__", spy)
+    rng = random.Random(43)
+    for domain in (LINE, HALF):
+        for _ in range(15):
+            f = random_formula(rng, modal_budget=2, size=5)
+            env = Env(domain, {"P": random_signal(rng, domain),
+                               "Q": random_signal(rng, domain)})
+            sig = evaluate(f, env)
+            points = sample_points(sig, count=20, seed=rng.randint(0, 10 ** 6))
+            assert compare_pointwise(f, env, sig, points).passed
+    assert len(sessions) == 30
+    assert sum(len(s._reps) for s in sessions) > 100
+    for s in sessions:
+        g = s._grid
+        numbers = (g.prefix + g.tail + [g.start, g.period] + s._period + s._tbound
+                   + list(s._reps.values()))
+        assert all(type(x) is int for x in numbers), s.formula
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
+def test_off_lattice_queries_answer_like_the_engine(rng, domain):
+    """A time off the tick lattice is asked at an odd tick in its gap between
+    even ticks.  Full-line times below zero, half-line times inside the first
+    tick, and times a third of a tick either side of a grid point, of that
+    point one unit away and of it one grid period away, all answer like the
+    engine."""
+    f = random_formula(rng, modal_budget=2, size=5)
+    env = Env(domain, {"P": random_signal(rng, domain),
+                       "Q": random_signal(rng, domain)})
+    truth = evaluate(f, env)
+    session = PointwiseSession(f, env)
+    grid, u = session._grid, session.unit
+    eps, per = F(1, 3 * u), F(grid.period, u)
+    times = [F(1, 3 * u), F(1, 2 * u), F(2, 3 * u)]  # inside the first tick
+    points = len(grid.prefix) + 2 * len(grid.tail)
+    first = 0 if domain is HALF else -points  # points below zero on the full line
+    for i in rng.sample(range(first, points), min(6, points - first)):
+        g = F(grid.point(i), u)
+        times += [g + d + e for d in (0, 1, -1, per, -per) for e in (eps, -eps)]
+    if domain is HALF:
+        times = [t for t in times if t >= 0]
+    else:
+        assert any(t < -1 for t in times)
+    for t in times:
+        assert (t * u).denominator != 1, t  # off the lattice
+        assert session.eval(f, t) == truth.contains(t), (f, t)
 
 
 def test_half_line_origin_is_a_grid_point():
@@ -405,7 +480,7 @@ def test_run_placement_on_a_fine_grid(text):
     f = parse_formula(text)
     for t in (F(0), F(1, 7)):
         session = PointwiseSession(f, env)
-        cells = session._grid.cells(t, t + 1)
+        cells = session._grid.cells(t * session.unit, (t + 1) * session.unit)
         args = [session._compile(a) for a in f.args]
         expected = next(_placements(len(args), cells,
                                     lambda j, c: session._cell(args[j], c)), None) is not None
@@ -444,6 +519,19 @@ def test_agreement_needs_a_sample(samples):
     env = Env(LINE, {"P": grid_line(2)})
     with pytest.raises(ValueError, match="at least one sample"):
         agreement_check(parse_formula("F1 P"), env, samples=samples, seed=0)
+
+
+def test_agreement_refuses_more_samples_than_the_unroll_limit(monkeypatch):
+    """MAX_UNROLL + 1 samples are refused before the engine runs."""
+    import qtlab.semantics
+
+    def ran(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(qtlab.semantics, "evaluate", ran)
+    env = Env(LINE, {"P": grid_line(2)})
+    with pytest.raises(ValueError, match=f"at most {MAX_UNROLL} samples"):
+        agreement_check(parse_formula("F1 P"), env, samples=MAX_UNROLL + 1, seed=0)
 
 
 def test_agreement_at_every_critical_point_of_long_window():
@@ -500,12 +588,13 @@ def test_engine_and_oracle_agree_on_random_input(rng, domain):
 
 def assert_bounds_sound(session, g, env):
     """The engine's truth of g repeats with the oracle's period from the
-    oracle's transient bound on.  Checked over one period of the truth past
-    both the bound and the truth's own transient, at every point where either
-    side of contains(t) == contains(t + p) can change, and between them."""
+    oracle's transient bound on, both read back from ticks to time units.
+    Checked over one period of the truth past both the bound and the truth's
+    own transient, at every point where either side of contains(t) ==
+    contains(t + p) can change, and between them."""
     sig = evaluate(g, env)
     node = session._compile(g)
-    p, tb = session._period[node], session._tbound[node]
+    p, tb = (F(x, session.unit) for x in (session._period[node], session._tbound[node]))
     hi = max(tb, sig.transient) + sig.period
     cuts = sorted({tb, hi} | {c for comp in sig.slice(tb, hi + p)
                               for e in (comp.lower, comp.upper)
