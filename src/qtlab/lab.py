@@ -9,19 +9,21 @@ logic's modalities to the current representatives and close again.  Two
 formulas with the same truth signal on the dedup environment collapse to the
 first one found, so the emitted list carries exactly one representative per
 distinct truth set.  Each class is a bitmask over atoms, the minimal sets cut
-by P and the modal results, so the boolean closure is integer arithmetic and
-always runs to the end; requests past ``MAX_CANDIDATES`` modal candidates in
-a layer or ``MAX_ATOMS`` atoms raise LabError instead.  The enumeration scales
-P to integer ticks once (see ``qtlab.signals``), runs every modality on ints
-and scales the class signals it returns back.  Reports classify those, each
-the union of its atoms, against the four trivial forms built once per report,
-and evaluate no formula.  Everything is deterministic: no randomness, fixed
-iteration orders, append-only representative list.
+by P and the modal results, so the boolean closure is integer arithmetic: it
+builds a formula only for a mask not seen yet, and stops once all 2^n unions
+of its n atoms are classes.  A layer over no new class ends the enumeration,
+since every later layer would try nothing.  Requests past ``MAX_CANDIDATES``
+modal candidates in a layer or ``MAX_ATOMS`` atoms raise LabError instead.
+The enumeration scales P to integer ticks once (see ``qtlab.signals``), runs
+every modality on ints and scales the class signals it returns back, each one
+merge of its atoms' components.  Reports classify those against the four
+trivial forms built once per report, and evaluate no formula.  Everything is
+deterministic: no randomness, fixed iteration orders, append-only
+representative list.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -58,6 +60,7 @@ from .signals import (
     Signal,
     TimeDomain,
     Triviality,
+    align_many,
     classify_trivial,
     combine,
     from_ticks,
@@ -203,11 +206,20 @@ class _Enumeration:
 
     def class_signals(self) -> List[Signal]:
         """Every class's truth signal, the union of its atoms (a later split
-        keeps the union); builds the new classes' and registers them in known."""
+        keeps the union); builds the new classes' and registers them in known.
+        The atoms are disjoint, so with one period and transient for all of
+        them a class is one IntervalSet of its atoms' components (the
+        constructor sorts and coalesces the ones that touch), canonicalized
+        once."""
+        atoms = align_many(self.atoms)
+        first = atoms[0]
         for i in range(len(self.signals), len(self.reps)):
-            parts = [a for k, a in enumerate(self.atoms) if self.masks[i] >> k & 1]
-            sig = (functools.reduce(lambda a, b: combine("or", a, b), parts) if parts
-                   else Signal.constant(self.p.domain, False, self.unit))
+            parts = [a for k, a in enumerate(atoms) if self.masks[i] >> k & 1]
+            sig = Signal(first.domain, first.period,
+                         IntervalSet(c for a in parts for c in a.pattern.components),
+                         first.transient,
+                         IntervalSet(c for a in parts for c in a.prefix.components),
+                         self.unit).canonicalize()
             self.signals.append(sig)
             self.known[sig] = i
         return self.signals
@@ -234,16 +246,34 @@ class _Enumeration:
                            f"past the limit of {MAX_CANDIDATES}")
 
     def boolean_closure(self, old: int) -> None:
-        """Close under the connectives; classes from index old on are new."""
-        reps, masks = self.reps, self.masks
-        while old < len(reps):
+        """Close under the connectives; classes from index old on are new.
+        Only a mask not seen yet gets its formula built and admitted, in the
+        pairing order that picks the first-found representatives, and the
+        closure stops once every union of atoms is a class: no atom splits
+        here, so then nothing new can come."""
+        reps, masks, seen = self.reps, self.masks, self.seen
+        filled = 1 << len(self.atoms)
+        while old < len(reps) < filled:
             n = len(reps)
             for i in range(old, n):
-                self.admit(Not(reps[i]), ~masks[i] & self.full)
+                key = ~masks[i] & self.full
+                if key not in seen:
+                    self.admit(Not(reps[i]), key)
+                    if len(masks) == filled:
+                        return
             for i in range(n):
+                mask = masks[i]
                 for j in range(max(i, old), n):
-                    self.admit(And(reps[i], reps[j]), masks[i] & masks[j])
-                    self.admit(Or(reps[i], reps[j]), masks[i] | masks[j])
+                    key = mask & masks[j]
+                    if key not in seen:
+                        self.admit(And(reps[i], reps[j]), key)
+                        if len(masks) == filled:
+                            return
+                    key = mask | masks[j]
+                    if key not in seen:
+                        self.admit(Or(reps[i], reps[j]), key)
+                        if len(masks) == filled:
+                            return
             old = n
 
     def modal_layer(self, upto: int) -> None:
@@ -278,6 +308,10 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
         state.next_upto = base if layer < depth else None
         state.modal_layer(upto)
         state.boolean_closure(base)
+        if upto == base:
+            # the layer before admitted no class, so this one tried no
+            # tuple: a fixpoint, and every later layer would try none
+            break
     return EnumerationResult(tuple(state.reps), tuple(map(from_ticks, state.class_signals())))
 
 

@@ -383,27 +383,27 @@ def critical_points(signal: Signal) -> List[Fraction]:
 def sample_points(signal: Signal, count: int = 50, seed: int = 0) -> List[Fraction]:
     """Exactly `count` deterministic query points, drawn in priority order:
     critical points of a two-period window first, then the midpoints between
-    them, then seeded random small-denominator rationals."""
+    them, then seeded random small-denominator rationals.  The critical
+    points and their midpoints are distinct by construction; every point is
+    kept as a reduced (numerator, denominator) pair, sorted on the exact
+    integer key of a common denominator, and made a Fraction on return."""
     if count <= 0:
         return []
     crit = critical_points(signal)
     mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
-    chosen: List[Fraction] = []
-    seen = set()
-    for t in crit + mids:
-        if len(chosen) == count:
-            break
-        if t not in seen:
-            seen.add(t)
-            chosen.append(t)
+    chosen = [(t.numerator, t.denominator) for t in (crit + mids)[:count]]
+    seen = set(chosen)
     rng = random.Random(seed)
-    lo, hi = crit[0], crit[-1]
-    width = hi - lo
+    lo, width = crit[0], crit[-1] - crit[0]
+    ln, ld = lo.numerator, lo.denominator
     denom = 24
     misses = 0
     while len(chosen) < count:
         q = rng.randint(2, denom)
-        t = lo + Fraction(rng.randint(0, math.floor(q * width)), q)
+        k = rng.randint(0, q * width.numerator // width.denominator)
+        num, den = ln * q + k * ld, ld * q  # lo + k/q
+        g = math.gcd(num, den)
+        t = (num // g, den // g)
         if t in seen:
             misses += 1
             if misses > 8:
@@ -412,7 +412,9 @@ def sample_points(signal: Signal, count: int = 50, seed: int = 0) -> List[Fracti
             continue
         seen.add(t)
         chosen.append(t)
-    return sorted(chosen)
+    scale = math.lcm(*(den for _, den in chosen))
+    chosen.sort(key=lambda t: t[0] * (scale // t[1]))
+    return [Fraction(num, den) for num, den in chosen]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Lab checks: builtin models, enumeration invariants, reports, turnkey checks."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -299,6 +300,77 @@ def test_size_guard_counts_exactly_the_calls_a_layer_makes(monkeypatch, logic, s
     monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(layers) - 1)
     with pytest.raises(LabError, match="candidates"):
         enumerate_formulas(logic, 2, env)
+
+
+@pytest.mark.parametrize("logic, spec", [
+    ("qtl", "thm2"), ("qtl+p2", "thm3:3"), ("tl", "mk:3"), ("qtl", "mk:2"),
+])
+def test_the_closure_admits_only_new_classes_and_fills(monkeypatch, logic, spec):
+    """Inside boolean_closure every admit call admits a new class, no mask
+    is looked up once the classes are full, and each closure ends with every
+    union of its n atoms: 2^n classes."""
+    closure = qtlab.lab._Enumeration.boolean_closure
+    admit = qtlab.lab._Enumeration.admit
+    inside, stale, ends, full_lookups = [], [], [], []
+
+    def spy_closure(self, old):
+        state = self
+
+        class Watched(dict):
+            def __contains__(self, key):
+                if inside:
+                    full_lookups.append(len(state.masks) == 1 << len(state.atoms))
+                return dict.__contains__(self, key)
+
+        self.seen = Watched(self.seen)
+        inside.append(old)
+        try:
+            closure(self, old)
+        finally:
+            inside.pop()
+        ends.append((len(self.masks), len(self.atoms)))
+
+    def spy_admit(self, formula, key):
+        if inside:
+            stale.append(key in self.seen)
+        admit(self, formula, key)
+
+    monkeypatch.setattr(qtlab.lab._Enumeration, "boolean_closure", spy_closure)
+    monkeypatch.setattr(qtlab.lab._Enumeration, "admit", spy_admit)
+    enumerate_formulas(parse_logic(logic), 2, builtin_model(spec))
+    assert stale and not any(stale)
+    assert full_lookups and not any(full_lookups)
+    assert ends and all(classes == 1 << n for classes, n in ends), ends
+
+
+def test_depth_past_the_fixpoint_runs_no_more_layers(monkeypatch):
+    """On mk:2 the qtl classes stop growing after one modal layer, so depth
+    50 runs at most two layers and gives the depth-1 result."""
+    layers = []
+    modal_layer = qtlab.lab._Enumeration.modal_layer
+
+    def counted(self, upto):
+        layers.append(upto)
+        return modal_layer(self, upto)
+
+    monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", counted)
+    env = builtin_model("mk:2")
+    deep = enumerate_formulas(parse_logic("qtl"), 50, env)
+    assert len(layers) <= 2
+    assert deep == enumerate_formulas(parse_logic("qtl"), 1, env)
+
+
+def test_depth3_qtl_thm2_report_golden():
+    """Depth-3 qtl on thm2 fills all 12 atoms; the eventual report is pinned
+    byte for byte to the one the pairwise closure and the fold of combine
+    gave, so representatives and class signals stay the same."""
+    env = builtin_model("thm2")
+    enum = enumerate_formulas(parse_logic("qtl"), 3, env)
+    assert len(enum.formulas) == 4096
+    text = trivialization_report(env, enum, eventually=True).render()
+    assert text.endswith("total 4096 trivial 4096 nontrivial 0 truncated 0\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "11ab3c56d68bf65051fa2ff98aee8eb85b24d05498a4e3b9474c48970824b8ef")
 
 
 @pytest.mark.parametrize("n", [3, 4])

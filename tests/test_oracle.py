@@ -502,6 +502,56 @@ def test_sample_points_cover_critical_points_first():
     assert tight == critical_points(s)
 
 
+def reference_sample_points(signal, count, seed):
+    """sample_points on Fractions throughout, with a seen-check on every
+    point: the reference the integer-keyed version must match."""
+    if count <= 0:
+        return []
+    crit = critical_points(signal)
+    mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
+    chosen = []
+    seen = set()
+    for t in crit + mids:
+        if len(chosen) == count:
+            break
+        if t not in seen:
+            seen.add(t)
+            chosen.append(t)
+    rng = random.Random(seed)
+    lo, hi = crit[0], crit[-1]
+    width = hi - lo
+    denom = 24
+    misses = 0
+    while len(chosen) < count:
+        q = rng.randint(2, denom)
+        t = lo + F(rng.randint(0, math.floor(q * width)), q)
+        if t in seen:
+            misses += 1
+            if misses > 8:
+                denom *= 4
+                misses = 0
+            continue
+        seen.add(t)
+        chosen.append(t)
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF], ids=["line", "halfline"])
+def test_sample_points_match_the_fraction_reference(domain):
+    """Same points in the same order as the Fraction version, at counts
+    inside the critical points, inside their midpoints, past both (random
+    draws, colliding more often the more are asked for) and at zero."""
+    rng = random.Random(20)
+    for _ in range(40):
+        sig = random_signal(rng, domain)
+        fixed = 2 * len(critical_points(sig)) - 1
+        for count in (0, 1, fixed // 2, fixed - 1, fixed, fixed + 1, fixed + 40, 4 * fixed):
+            seed = rng.randint(0, 10 ** 6)
+            got = sample_points(sig, count, seed)
+            assert got == reference_sample_points(sig, count, seed)
+            assert all(type(t) is F for t in got)
+
+
 def test_agreement_report_format():
     env = Env(LINE, {"P": grid_line(2)})
     f = parse_formula("F1 P")
