@@ -2,10 +2,10 @@
 
 Everything downstream (signals, the evaluation engine, the oracle) reduces to
 algebra on these sets, so this module is deliberately small and exact:
-endpoints are exact numbers or infinite, and every ``IntervalSet`` lives in a
-unique normal form (components sorted, pairwise disjoint, non-adjacent).  Two
-sets denote the same subset of the line if and only if they are structurally
-equal.
+endpoints are exact numbers, so every set is bounded, and every
+``IntervalSet`` lives in a unique normal form (components sorted, pairwise
+disjoint, non-adjacent).  Two sets denote the same subset of the line if and
+only if they are structurally equal.
 
 An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
 keeps the type it is given.  Text parses to ``Fraction``, and so do the
@@ -15,7 +15,8 @@ evaluation engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns.
 The algebra works on normal forms directly, each operation one linear pass:
 ``union`` merges the two sorted component tuples and coalesces touching
 neighbours, ``intersection`` walks both tuples with two pointers, and
-``complement`` emits the gaps.  Only the constructor sorts.
+``complement(lo, hi)`` emits the gaps within the span ``[lo, hi)``: a bounded
+set has no complement on the whole line.  Only the constructor sorts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -70,32 +71,21 @@ def format_rational(q: Fraction) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """One contiguous piece of the line, with per-endpoint closed flags.
-
-    ``lower``/``upper`` may be None for minus/plus infinity; infinite endpoints
-    are forced open.  A point interval is represented with both flags closed.
+    """One bounded contiguous piece of the line, with per-endpoint closed
+    flags.  A point interval is represented with both flags closed.
     """
 
-    lower: Optional[Fraction]
-    upper: Optional[Fraction]
+    lower: RationalLike
+    upper: RationalLike
     lower_closed: bool = True
     upper_closed: bool = True
 
     def __post_init__(self) -> None:
-        lo, hi = self.lower, self.upper
-        if lo is None:
-            object.__setattr__(self, "lower_closed", False)
-        else:
-            exact(lo)
-        if hi is None:
-            object.__setattr__(self, "upper_closed", False)
-        else:
-            exact(hi)
-        if lo is not None and hi is not None:
-            if lo > hi:
-                raise IntervalError(f"lower {lo} above upper {hi}")
-            if lo == hi and not (self.lower_closed and self.upper_closed):
-                raise IntervalError(f"point {lo} must be closed on both sides")
+        lo, hi = exact(self.lower), exact(self.upper)
+        if lo > hi:
+            raise IntervalError(f"lower {lo} above upper {hi}")
+        if lo == hi and not (self.lower_closed and self.upper_closed):
+            raise IntervalError(f"point {lo} must be closed on both sides")
 
     @classmethod
     def point(cls, q: RationalLike) -> "Interval":
@@ -103,8 +93,8 @@ class Interval:
         return cls(q, q, True, True)
 
     @classmethod
-    def open(cls, lo: Optional[RationalLike], hi: Optional[RationalLike]) -> "Interval":
-        return cls(None if lo is None else rat(lo), None if hi is None else rat(hi), False, False)
+    def open(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
+        return cls(rat(lo), rat(hi), False, False)
 
     @classmethod
     def closed(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
@@ -112,68 +102,41 @@ class Interval:
 
     @property
     def is_point(self) -> bool:
-        return self.lower is not None and self.lower == self.upper
+        return self.lower == self.upper
 
     def contains(self, x: RationalLike) -> bool:
         x = exact(x)
-        if self.lower is not None:
-            if x < self.lower or (x == self.lower and not self.lower_closed):
-                return False
-        if self.upper is not None:
-            if x > self.upper or (x == self.upper and not self.upper_closed):
-                return False
-        return True
+        return ((self.lower < x or (x == self.lower and self.lower_closed))
+                and (x < self.upper or (x == self.upper and self.upper_closed)))
 
     def shift(self, d: RationalLike) -> "Interval":
-        return Interval(
-            None if self.lower is None else self.lower + d,
-            None if self.upper is None else self.upper + d,
-            self.lower_closed,
-            self.upper_closed,
-        )
+        return Interval(self.lower + d, self.upper + d, self.lower_closed, self.upper_closed)
 
     def __str__(self) -> str:
-        lo = "-inf" if self.lower is None else format_rational(self.lower)
-        hi = "inf" if self.upper is None else format_rational(self.upper)
+        lo, hi = format_rational(self.lower), format_rational(self.upper)
         return f"{'[' if self.lower_closed else '('}{lo},{hi}{']' if self.upper_closed else ')'}"
 
 
 # Sort keys and merge predicates for normalization.  Lower bounds order as
-# -inf < (q, closed) < (q, open); upper bounds as (q, open) < (q, closed) < +inf.
+# (q, closed) < (q, open); upper bounds as (q, open) < (q, closed).
 
 def _lower_key(iv: Interval):
-    if iv.lower is None:
-        return (0, 0, 0)
-    return (1, iv.lower, 0 if iv.lower_closed else 1)
+    return (iv.lower, 0 if iv.lower_closed else 1)
 
 
 def _starts_first(a: Interval, b: Interval) -> bool:
     """a's lower bound sorts no later than b's (the order of ``_lower_key``)."""
-    if a.lower is None:
-        return True
-    if b.lower is None:
-        return False
     return a.lower < b.lower or (a.lower == b.lower and (a.lower_closed or not b.lower_closed))
 
 
 def _ends_first(a: Interval, b: Interval) -> bool:
-    """a's upper bound sorts no later than b's: (q, open) < (q, closed) < +inf."""
-    if a.upper is None:
-        return b.upper is None
-    if b.upper is None:
-        return True
+    """a's upper bound sorts no later than b's: (q, open) < (q, closed)."""
     return a.upper < b.upper or (a.upper == b.upper and (b.upper_closed or not a.upper_closed))
 
 
 def _has_gap(a: Interval, b: Interval) -> bool:
     """True when b (whose lower sorts >= a's) does not touch or overlap a."""
-    if a.upper is None or b.lower is None:
-        return False
-    if b.lower < a.upper:
-        return False
-    if b.lower == a.upper:
-        return not (a.upper_closed or b.lower_closed)
-    return True
+    return a.upper < b.lower or (a.upper == b.lower and not (a.upper_closed or b.lower_closed))
 
 
 def _merge(a: Interval, b: Interval) -> Interval:
@@ -205,7 +168,6 @@ class IntervalSet:
     __slots__ = ("_components",)
 
     EMPTY: "IntervalSet"
-    FULL: "IntervalSet"
 
     def __init__(self, intervals: Iterable[Interval] = ()):
         self._components = _coalesce(sorted(intervals, key=_lower_key))
@@ -264,9 +226,9 @@ class IntervalSet:
         while lo < hi:
             mid = (lo + hi) // 2
             c = comps[mid]
-            if c.upper is not None and (x > c.upper or (x == c.upper and not c.upper_closed)):
+            if x > c.upper or (x == c.upper and not c.upper_closed):
                 lo = mid + 1
-            elif c.lower is not None and (x < c.lower or (x == c.lower and not c.lower_closed)):
+            elif x < c.lower or (x == c.lower and not c.lower_closed):
                 hi = mid
             else:
                 return True
@@ -291,19 +253,20 @@ class IntervalSet:
         items += ys[j:]
         return IntervalSet._wrap(_coalesce(items))
 
-    def complement(self) -> "IntervalSet":
-        comps = self._components
-        if not comps:
-            return IntervalSet.FULL
+    def complement(self, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
+        """The span [lo, hi) minus the set, in one pass: the gaps before,
+        between and after the components, cut to the span."""
         out: list[Interval] = []
-        first = comps[0]
-        if first.lower is not None:
-            out.append(Interval(None, first.lower, False, not first.lower_closed))
-        for a, b in zip(comps, comps[1:]):
-            out.append(Interval(a.upper, b.lower, not a.upper_closed, not b.lower_closed))
-        last = comps[-1]
-        if last.upper is not None:
-            out.append(Interval(last.upper, None, not last.upper_closed, False))
+        start, closed = lo, True  # the lower end of the next gap
+        for c in self._components:
+            if c.lower >= hi:
+                break
+            if start < c.lower or (start == c.lower and closed and not c.lower_closed):
+                out.append(Interval(start, c.lower, closed, not c.lower_closed))
+            if start < c.upper or (start == c.upper and c.upper_closed):
+                start, closed = c.upper, not c.upper_closed
+        if start < hi:
+            out.append(Interval(start, hi, closed, False))
         return IntervalSet._wrap(tuple(out))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
@@ -326,13 +289,20 @@ class IntervalSet:
                 j += 1
             if lo is hi:
                 out.append(lo)
-            elif (lo.lower is None or hi.upper is None or lo.lower < hi.upper
-                  or (lo.lower == hi.upper and lo.lower_closed and hi.upper_closed)):
+            elif lo.lower < hi.upper or (lo.lower == hi.upper and lo.lower_closed
+                                         and hi.upper_closed):
                 out.append(Interval(lo.lower, hi.upper, lo.lower_closed, hi.upper_closed))
         return IntervalSet._wrap(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersection(other.complement())
+        xs, ys = self._components, other._components
+        if not xs or not ys:
+            return self
+        # any span holding both sets will do; its upper end must lie past
+        # both, since the span leaves out hi itself
+        lo = min(xs[0].lower, ys[0].lower)
+        hi = max(xs[-1].upper, ys[-1].upper) + 1
+        return self.intersection(other.complement(lo, hi))
 
     def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.difference(other).union(other.difference(self))
@@ -344,20 +314,13 @@ class IntervalSet:
 
 
 IntervalSet.EMPTY = IntervalSet._wrap(())
-IntervalSet.FULL = IntervalSet._wrap((Interval(None, None, False, False),))
 
 
 # Text syntax, shared by every file format: [a,b] (a,b) [a,b) (a,b], rationals
 # p/q or integer with optional leading -, lists comma separated, empty list {}.
 
-def format_interval(iv: Interval) -> str:
-    if iv.lower is None or iv.upper is None:
-        raise TextFormatError("unbounded intervals have no text form")
-    return str(iv)
-
-
 def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]]) -> str:
-    parts = [format_interval(iv) for iv in intervals]
+    parts = [str(iv) for iv in intervals]
     if not parts:
         return "{}"
     return ",".join(parts)

@@ -91,8 +91,10 @@ def builtin_model(spec: str) -> Env:
 
     Binds the single atom P.  mk:k puts P at every multiple of 1/k over the
     whole line; thm2 at every nonnegative multiple of 2/3; thm3:n at every
-    nonnegative multiple of 2/(2n-1).
+    nonnegative multiple of 2/(2n-1), so thm2 is thm3:2.
     """
+    if spec == "thm2":
+        spec = "thm3:2"
     point_zero = IntervalSet([Interval.point(Fraction(0))])
     m = _MK_RE.match(spec)
     if m:
@@ -101,9 +103,6 @@ def builtin_model(spec: str) -> Env:
             raise LabError(f"mk index must be at least 1, got {k}")
         sig = Signal(TimeDomain.FULL_LINE, Fraction(1, k), point_zero)
         return Env(TimeDomain.FULL_LINE, {"P": sig})
-    if spec == "thm2":
-        sig = Signal(TimeDomain.HALF_LINE, Fraction(2, 3), point_zero)
-        return Env(TimeDomain.HALF_LINE, {"P": sig})
     m = _THM3_RE.match(spec)
     if m:
         n = int(m.group(1))
@@ -238,12 +237,16 @@ class _Enumeration:
 
     def guard_next_layer(self) -> None:
         """Raise once the classes so far put the next modal layer past
-        MAX_CANDIDATES argument tuples; the count only grows with the classes."""
+        MAX_CANDIDATES argument tuples; the count only grows with the classes.
+        The families are summed only until the count passes the limit, so a
+        wide run family neither costs a huge sum nor prints one."""
         base, upto = len(self.reps), self.next_upto
-        count = sum(len(ops) * (base ** w - upto ** w) for w, ops in self.families())
-        if count > MAX_CANDIDATES:
-            raise LabError(f"a modal layer would try at least {count} candidates, "
-                           f"past the limit of {MAX_CANDIDATES}")
+        count = 0
+        for w, ops in self.families():
+            count += len(ops) * (base ** w - upto ** w)
+            if count > MAX_CANDIDATES:
+                raise LabError(f"a modal layer would try at least {count} candidates, "
+                               f"past the limit of {MAX_CANDIDATES}")
 
     def boolean_closure(self, old: int) -> None:
         """Close under the connectives; classes from index old on are new.

@@ -56,7 +56,6 @@ from .signals import (
     DomainError,
     Signal,
     TimeDomain,
-    align,
     align_many,
     combine,
     from_ticks,
@@ -195,7 +194,7 @@ def _order(x: Signal, y: Signal, future: bool) -> Signal:
     The window reaches a full period of y past every run that matters, so
     sup and inf read off it are exact where they decide the outcome.
     """
-    xx, yy = align(x, y)
+    xx, yy = align_many([x, y])
     p, T = xx.period, xx.transient
     if xx.domain is TimeDomain.FULL_LINE:
         t_bound, lo, hi = 0, -p, 2 * p

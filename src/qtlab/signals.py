@@ -167,8 +167,8 @@ def _within(s: IntervalSet, end: RationalLike) -> bool:
     if not s:
         return True
     first, last = s.components[0], s.components[-1]
-    return (first.lower is not None and first.lower >= 0 and last.upper is not None
-            and (last.upper < end or (last.upper == end and not last.upper_closed)))
+    return first.lower >= 0 and (last.upper < end
+                                 or (last.upper == end and not last.upper_closed))
 
 
 def _clip(c: Interval, a: RationalLike, b: RationalLike) -> Interval:
@@ -344,13 +344,8 @@ class Signal:
                       self.window(0, transient), self.unit)
 
 
-def align(a: Signal, b: Signal) -> tuple[Signal, Signal]:
-    """Re-express both signals with the lcm period and the max transient."""
-    aligned = align_many([a, b])
-    return aligned[0], aligned[1]
-
-
 def align_many(signals: list[Signal]) -> list[Signal]:
+    """Re-express the signals with the lcm period and the max transient."""
     if not signals:
         raise ValueError("nothing to align")
     domain, unit = signals[0].domain, signals[0].unit
@@ -370,9 +365,8 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
     if op == "not":
         if b is not None:
             raise ValueError("not takes a single signal")
-        pattern = IntervalSet.span(0, a.period).difference(a.pattern)
-        prefix = IntervalSet.span(0, a.transient).difference(a.prefix)
-        return Signal(a.domain, a.period, pattern, a.transient, prefix, a.unit).canonicalize()
+        return Signal(a.domain, a.period, a.pattern.complement(0, a.period), a.transient,
+                      a.prefix.complement(0, a.transient), a.unit).canonicalize()
     if b is None:
         raise ValueError(f"{op} takes two signals")
     if op == "and":
@@ -381,7 +375,7 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
         fn = IntervalSet.union
     else:
         raise ValueError(f"unknown boolean operation {op!r}")
-    aa, bb = align(a, b)
+    aa, bb = align_many([a, b])
     return Signal(
         aa.domain,
         aa.period,

@@ -256,6 +256,15 @@ def test_oversized_enumeration_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out.tsv").exists()
 
 
+def test_wide_run_family_guard_prints_a_short_count(tmp_path, capsys):
+    # 1999 run widths: the guard stops summing them once past the limit
+    code = invoke(["enumerate", "--logic", "qtl+p2000", "--depth", "1", "--model", "mk:2",
+                   "--report", str(tmp_path / "out.tsv")])
+    err = capsys.readouterr().err
+    assert code == 2 and "past the limit" in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
 FUZZ_SIGNALS = (
     "domain line\nperiod 1\npattern [0,1/2),(2/3,3/4]\n",
     "domain line\nperiod 3/2\npattern [0,0],(1/3,1)\n",

@@ -31,9 +31,11 @@ def test_point_requires_closed_flags():
         Interval(F(2), F(1))
 
 
-def test_infinite_endpoints_forced_open():
-    iv = Interval(None, F(0))
-    assert not iv.lower_closed and iv.upper_closed
+def test_infinite_endpoints_are_rejected():
+    with pytest.raises(TypeError):
+        Interval(None, 1)
+    with pytest.raises(TypeError):
+        Interval.open(None, 1)
 
 
 def test_normalize_merges_touching_pieces():
@@ -51,13 +53,6 @@ def test_union_examples():
     assert a.union(b) == iset(Interval(0, 1, False, True))
 
 
-def test_complement_of_right_ray():
-    ray = iset(Interval(F(0), None, True, False))
-    assert ray.complement() == iset(Interval(None, F(0), False, False))
-    assert IntervalSet.EMPTY.complement() == IntervalSet.FULL
-    assert IntervalSet.FULL.complement() == IntervalSet.EMPTY
-
-
 def test_shift():
     a = iset(Interval.open(0, 1))
     assert a.shift(F(-1, 3)) == iset(Interval.open(F(-1, 3), F(2, 3)))
@@ -65,13 +60,26 @@ def test_shift():
 
 
 def test_membership_bisect():
-    a = iset(Interval.open(0, 1), Interval.point(2), Interval(3, None, False, False))
+    a = iset(Interval.open(0, 1), Interval.point(2), Interval.open(3, 10 ** 6 + 1))
     assert not a.contains(0)
     assert a.contains(F(1, 2))
     assert not a.contains(1)
     assert a.contains(2)
     assert not a.contains(3)
     assert a.contains(10 ** 6)
+    assert not a.contains(10 ** 6 + 1)
+
+
+def test_complement_within_a_span():
+    a = iset(Interval.open(0, 1), Interval.closed(2, 3))
+    # the first component is open at lo, which leaves the point lo itself
+    assert a.complement(0, 4) == iset(Interval.point(0), Interval(1, 2, True, False),
+                                      Interval(3, 4, False, False))
+    # the span cuts into components and may leave nothing
+    assert a.complement(F(1, 2), F(5, 2)) == iset(Interval(1, 2, True, False))
+    assert a.complement(2, 3) == IntervalSet.EMPTY
+    assert IntervalSet.EMPTY.complement(0, 1) == IntervalSet.span(0, 1)
+    assert a.complement(1, 1) == IntervalSet.EMPTY
 
 
 # ------------------------------------------------------------------ strategies
@@ -84,7 +92,7 @@ def rationals(draw, max_den=12, span=6):
 
 
 @st.composite
-def interval_sets(draw, max_cuts=8, allow_rays=False):
+def interval_sets(draw, max_cuts=8):
     cuts = sorted(draw(st.lists(rationals(), max_size=max_cuts, unique=True)))
     ivs = []
     i = 0
@@ -96,23 +104,19 @@ def interval_sets(draw, max_cuts=8, allow_rays=False):
         else:
             ivs.append(Interval.point(cuts[i]))
             i += 1
-    if allow_rays:
-        lo, hi = (cuts[0], cuts[-1]) if cuts else (F(0), F(0))
-        rays = draw(st.sampled_from(["none", "left", "right", "both", "full"]))
-        if rays in ("left", "both"):
-            ivs.append(Interval(None, lo, False, draw(st.booleans())))
-        if rays in ("right", "both"):
-            ivs.append(Interval(hi, None, draw(st.booleans()), False))
-        if rays == "full":
-            ivs.append(Interval(None, None))
     return IntervalSet(ivs)
 
 
-def sample_points(*sets):
-    """Component endpoints, their midpoints, and a little padding around them."""
-    finite = sorted(
-        {e for s in sets for c in s for e in (c.lower, c.upper) if e is not None}
-    )
+def covering_span(*sets):
+    """A span [lo, hi) holding every set, one unit past its outermost endpoints."""
+    ends = [e for s in sets for c in s for e in (c.lower, c.upper)] or [F(0)]
+    return min(ends) - 1, max(ends) + 1
+
+
+def sample_points(*sets, extra=()):
+    """Component endpoints and the extra points, their midpoints, and a
+    little padding around them."""
+    finite = sorted({e for s in sets for c in s for e in (c.lower, c.upper)} | set(extra))
     pts = set(finite)
     for a, b in zip(finite, finite[1:]):
         pts.add((a + b) / 2)
@@ -125,47 +129,67 @@ def sample_points(*sets):
 
 
 @settings(max_examples=120, deadline=None)
-@given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
+@given(interval_sets(), interval_sets())
 def test_boolean_algebra_pointwise(a, b):
     union = a.union(b)
     inter = a.intersection(b)
     diff = a.difference(b)
-    comp = a.complement()
+    lo, hi = covering_span(a, b)
+    comp = a.complement(lo, hi)
     for x in sample_points(a, b):
         ax, bx = a.contains(x), b.contains(x)
         assert union.contains(x) == (ax or bx)
         assert inter.contains(x) == (ax and bx)
         assert diff.contains(x) == (ax and not bx)
-        assert comp.contains(x) == (not ax)
-
-
-@settings(max_examples=120, deadline=None)
-@given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
-def test_de_morgan(a, b):
-    assert a.union(b).complement() == a.complement().intersection(b.complement())
+        assert comp.contains(x) == (lo <= x < hi and not ax)
 
 
 @settings(max_examples=200, deadline=None)
-@given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
+@given(interval_sets(), st.data())
+def test_complement_of_any_span_pointwise(a, data):
+    # lo is often the first lower endpoint, so an open first component
+    # leaves a point gap at lo; the span may also cut into components
+    first = st.just(a.components[0].lower) if a else st.nothing()
+    ends = st.sampled_from([e for c in a for e in (c.lower, c.upper)]) if a else st.nothing()
+    lo, hi = data.draw(first | rationals()), data.draw(ends | rationals())
+    comp = a.complement(lo, hi)
+    assert IntervalSet(comp.components) == comp
+    for x in sample_points(a, extra=(lo, hi)):
+        assert comp.contains(x) == (lo <= x < hi and not a.contains(x))
+
+
+@settings(max_examples=120, deadline=None)
+@given(interval_sets(), interval_sets())
+def test_de_morgan(a, b):
+    lo, hi = covering_span(a, b)
+    assert (a.union(b).complement(lo, hi)
+            == a.complement(lo, hi).intersection(b.complement(lo, hi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets(), interval_sets())
 def test_algebra_returns_normal_forms(a, b):
-    for out in (a.union(b), a.intersection(b), a.difference(b), a.complement()):
+    lo, hi = covering_span(a, b)
+    for out in (a.union(b), a.intersection(b), a.difference(b), a.complement(lo, hi)):
         assert IntervalSet(out.components) == out
 
 
 @settings(max_examples=200, deadline=None)
-@given(interval_sets(allow_rays=True), interval_sets(allow_rays=True))
+@given(interval_sets(), interval_sets())
 def test_linear_passes_match_the_sorting_constructor(a, b):
     # references: a union normalized by the constructor's sort, and the De
-    # Morgan intersection (complement of the union of complements) built on it
+    # Morgan intersection (the span minus the union of complements) built on it
     assert a.union(b) == IntervalSet(a.components + b.components)
-    comps = a.complement().components + b.complement().components
-    assert a.intersection(b) == IntervalSet(comps).complement()
+    lo, hi = covering_span(a, b)
+    comps = a.complement(lo, hi).components + b.complement(lo, hi).components
+    assert a.intersection(b) == IntervalSet(comps).complement(lo, hi)
 
 
 @settings(max_examples=120, deadline=None)
-@given(interval_sets(allow_rays=True))
+@given(interval_sets())
 def test_complement_involution(a):
-    assert a.complement().complement() == a
+    lo, hi = covering_span(a)
+    assert a.complement(lo, hi).complement(lo, hi) == a
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,7 +204,7 @@ def test_normal_form_unique_under_resplitting(a):
     # Chop every component into touching halves; normalization must rebuild a.
     pieces = []
     for c in a:
-        if c.is_point or c.lower is None or c.upper is None:
+        if c.is_point:
             pieces.append(c)
             continue
         mid = (c.lower + c.upper) / 2
