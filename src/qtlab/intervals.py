@@ -8,22 +8,26 @@ disjoint, non-adjacent).  Two sets denote the same subset of the line if and
 only if they are structurally equal.
 
 An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
-keeps the type it is given.  Text parses to ``Fraction``, and so do the
-convenience constructors ``Interval.point``, ``open`` and ``closed``; the
-evaluation engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns.
+keeps the type it is given.  Text parses to ``Fraction``, one compiled
+pattern per interval, and so do the convenience constructors
+``Interval.point``, ``open`` and ``closed``; the evaluation engine runs on
+``int`` ticks, a scale that ``qtlab.signals`` owns.
 
 The algebra works on normal forms directly, each operation one linear pass:
 ``union`` merges the two sorted component tuples and coalesces touching
 neighbours, ``intersection`` walks both tuples with two pointers, and
 ``complement(lo, hi)`` emits the gaps within the span ``[lo, hi)``: a bounded
-set has no complement on the whole line.  Only the constructor sorts.
+set has no complement on the whole line.  Only the constructor sorts, and
+membership is one ``bisect`` over the components.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[Fraction, int]
@@ -124,6 +128,9 @@ def _lower_key(iv: Interval):
     return (iv.lower, 0 if iv.lower_closed else 1)
 
 
+_upper = attrgetter("upper")
+
+
 def _starts_first(a: Interval, b: Interval) -> bool:
     """a's lower bound sorts no later than b's (the order of ``_lower_key``)."""
     return a.lower < b.lower or (a.lower == b.lower and (a.lower_closed or not b.lower_closed))
@@ -219,20 +226,12 @@ class IntervalSet:
         return "{" + ",".join(str(c) for c in self._components) + "}"
 
     def contains(self, x: RationalLike) -> bool:
-        """Membership by binary search over the sorted components."""
-        x = exact(x)
+        """Membership: the first component ending at or after x is the only
+        candidate.  One ending open at x cannot be followed by one starting
+        closed at x, since normal form would have merged the two."""
         comps = self._components
-        lo, hi = 0, len(comps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = comps[mid]
-            if x > c.upper or (x == c.upper and not c.upper_closed):
-                lo = mid + 1
-            elif x < c.lower or (x == c.lower and not c.lower_closed):
-                hi = mid
-            else:
-                return True
-        return False
+        i = bisect_left(comps, exact(x), key=_upper)
+        return i < len(comps) and comps[i].contains(x)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         if not self._components:
@@ -318,6 +317,12 @@ IntervalSet.EMPTY = IntervalSet._wrap(())
 
 # Text syntax, shared by every file format: [a,b] (a,b) [a,b) (a,b], rationals
 # p/q or integer with optional leading -, lists comma separated, empty list {}.
+# Blanks may stand around every token.  One compiled pattern reads an interval,
+# its groups the opener, both ends and the closer.
+
+_INTERVAL_RE = re.compile(r"\s*([\[(])\s*({0})\s*,\s*({0})\s*([\])])\s*".format(
+    _RATIONAL_RE.pattern))
+
 
 def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]]) -> str:
     parts = [str(iv) for iv in intervals]
@@ -326,55 +331,20 @@ def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]]) -> s
     return ",".join(parts)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, chars: str) -> str:
-        self.skip_ws()
-        ch = self.peek()
-        if ch not in chars or ch == "":
-            raise TextFormatError(
-                f"at position {self.pos}: expected one of {sorted(chars)}, got {ch!r}"
-            )
-        self.pos += 1
-        return ch
-
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        m = _RATIONAL_RE.match(self.text, self.pos)
-        if not m:
-            raise TextFormatError(f"at position {self.pos}: expected a rational")
-        self.pos = m.end()
-        return parse_rational(m.group())
-
-    def interval(self) -> Interval:
-        opener = self.expect("[(")
-        lo = self.rational()
-        self.expect(",")
-        hi = self.rational()
-        closer = self.expect("])")
-        try:
-            return Interval(lo, hi, opener == "[", closer == "]")
-        except IntervalError as exc:
-            raise TextFormatError(f"at position {self.pos}: {exc}") from exc
+def _interval(m: re.Match, pos: int) -> Interval:
+    """The interval an ``_INTERVAL_RE`` match at ``pos`` reads."""
+    opener, lo, hi, closer = m.groups()
+    try:
+        return Interval(parse_rational(lo), parse_rational(hi), opener == "[", closer == "]")
+    except (TextFormatError, IntervalError) as exc:
+        raise TextFormatError(f"at position {pos}: {exc}") from exc
 
 
 def parse_interval(text: str) -> Interval:
-    sc = _Scanner(text)
-    iv = sc.interval()
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise TextFormatError(f"at position {sc.pos}: trailing input after interval")
-    return iv
+    m = _INTERVAL_RE.fullmatch(text)
+    if not m:
+        raise TextFormatError("at position 0: not an interval")
+    return _interval(m, 0)
 
 
 def parse_interval_list(text: str) -> IntervalSet:
@@ -386,11 +356,15 @@ def parse_interval_list(text: str) -> IntervalSet:
         s = s[1:-1].strip()
     if not s:
         raise TextFormatError("empty interval list must be written {}")
-    sc = _Scanner(s)
-    items = [sc.interval()]
-    sc.skip_ws()
-    while sc.pos < len(s):
-        sc.expect(",")
-        items.append(sc.interval())
-        sc.skip_ws()
-    return IntervalSet(items)
+    items, pos = [], 0
+    while True:
+        m = _INTERVAL_RE.match(s, pos)
+        if not m:
+            raise TextFormatError(f"at position {pos}: expected an interval")
+        items.append(_interval(m, pos))
+        pos = m.end()
+        if pos == len(s):
+            return IntervalSet(items)
+        if s[pos] != ",":
+            raise TextFormatError(f"at position {pos}: expected ','")
+        pos += 1

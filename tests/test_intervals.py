@@ -1,5 +1,6 @@
 """Exact-set algebra: normal form, boolean algebra, text syntax."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from qtlab.intervals import (
     parse_interval_list,
     parse_rational,
 )
+from qtlab.intervals import _RATIONAL_RE
 
 
 def iset(*ivs):
@@ -92,8 +94,8 @@ def rationals(draw, max_den=12, span=6):
 
 
 @st.composite
-def interval_sets(draw, max_cuts=8):
-    cuts = sorted(draw(st.lists(rationals(), max_size=max_cuts, unique=True)))
+def interval_sets(draw, max_cuts=8, points=rationals()):
+    cuts = sorted(draw(st.lists(points, max_size=max_cuts, unique=True)))
     ivs = []
     i = 0
     while i < len(cuts):
@@ -102,9 +104,13 @@ def interval_sets(draw, max_cuts=8):
             ivs.append(Interval(cuts[i], cuts[i + 1], lc, uc))
             i += 2
         else:
-            ivs.append(Interval.point(cuts[i]))
+            ivs.append(Interval(cuts[i], cuts[i]))  # keeps an int an int
             i += 1
     return IntervalSet(ivs)
+
+
+# even, so that the midpoint of two endpoints is an int as well
+even_ints = st.integers(-12, 12).map(lambda k: 2 * k)
 
 
 def covering_span(*sets):
@@ -126,6 +132,16 @@ def sample_points(*sets, extra=()):
     else:
         pts.add(F(0))
     return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets() | interval_sets(points=even_ints))
+def test_membership_matches_a_scan_of_the_components(a):
+    ends = sorted({e for c in a for e in (c.lower, c.upper)})
+    mids = [(x + y) // 2 if type(x) is int else (x + y) / 2 for x, y in zip(ends, ends[1:])]
+    pad = [ends[0] - 1, ends[-1] + 1] if ends else [0]
+    for x in ends + mids + pad:
+        assert a.contains(x) == any(c.contains(x) for c in a), x
 
 
 @settings(max_examples=120, deadline=None)
@@ -253,3 +269,145 @@ def test_interval_list_text():
 @given(interval_sets())
 def test_interval_list_text_roundtrip(a):
     assert parse_interval_list(format_interval_list(a)) == a
+
+
+class _Scanner:
+    """The hand-written character scanner that read interval text before one
+    compiled pattern did: the reference for the parity test below."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, chars):
+        self.skip_ws()
+        ch = self.peek()
+        if ch not in chars or ch == "":
+            raise TextFormatError(
+                f"at position {self.pos}: expected one of {sorted(chars)}, got {ch!r}"
+            )
+        self.pos += 1
+        return ch
+
+    def rational(self):
+        self.skip_ws()
+        m = _RATIONAL_RE.match(self.text, self.pos)
+        if not m:
+            raise TextFormatError(f"at position {self.pos}: expected a rational")
+        self.pos = m.end()
+        return parse_rational(m.group())
+
+    def interval(self):
+        opener = self.expect("[(")
+        lo = self.rational()
+        self.expect(",")
+        hi = self.rational()
+        closer = self.expect("])")
+        try:
+            return Interval(lo, hi, opener == "[", closer == "]")
+        except IntervalError as exc:
+            raise TextFormatError(f"at position {self.pos}: {exc}") from exc
+
+
+def scanned_interval(text):
+    sc = _Scanner(text)
+    iv = sc.interval()
+    sc.skip_ws()
+    if sc.pos != len(text):
+        raise TextFormatError(f"at position {sc.pos}: trailing input after interval")
+    return iv
+
+
+def scanned_interval_list(text):
+    s = text.strip()
+    if s == "{}":
+        return IntervalSet.EMPTY
+    if s.startswith("{") and s.endswith("}"):
+        s = s[1:-1].strip()
+    if not s:
+        raise TextFormatError("empty interval list must be written {}")
+    sc = _Scanner(s)
+    items = [sc.interval()]
+    sc.skip_ws()
+    while sc.pos < len(s):
+        sc.expect(",")
+        items.append(sc.interval())
+        sc.skip_ws()
+    return IntervalSet(items)
+
+
+# blanks (ASCII and Unicode), digits (ASCII and Arabic-Indic), and the
+# fragments that make or break an interval list
+_BLANKS = [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u200b"]
+_FRAGMENTS = _BLANKS + list("0123456789[]()-/,;{}") + [
+    "\u0663", "\u0660", "1/0", "0.5", "-1/3", "2/4", ", ", "],[", ")(", "{}", "+1", "e3"]
+
+
+def _blank(rng):
+    return "".join(rng.choice(_BLANKS[:6]) for _ in range(rng.choice((0, 0, 0, 1, 2))))
+
+
+def _valid_list(rng):
+    """An interval list with blanks around its tokens and, maybe, braces."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        lo = F(rng.randint(-9, 9), rng.randint(1, 4))
+        hi = lo + F(rng.randint(0, 9), rng.randint(1, 4))
+        opener, closer = ("[", "]") if lo == hi else (rng.choice("[("), rng.choice("])"))
+        ends = [str(q) if rng.random() < 0.7 else f"{q.numerator * 2}/{q.denominator * 2}"
+                for q in (lo, hi)]
+        b = [_blank(rng) for _ in range(6)]
+        parts.append(f"{b[0]}{opener}{b[1]}{ends[0]}{b[2]},{b[3]}{ends[1]}{b[4]}{closer}{b[5]}")
+    text = ",".join(parts)
+    return f"{{{text}}}" if rng.random() < 0.3 else text
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.random()
+        if op < 0.4:  # insert a fragment
+            text = text[:i] + rng.choice(_FRAGMENTS) + text[i:]
+        elif op < 0.7:  # delete a character
+            text = text[:i] + text[i + 1:]
+        else:  # replace a character
+            text = text[:i] + rng.choice(_FRAGMENTS) + text[i + 1:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except TextFormatError as exc:
+        return "error", str(exc)
+
+
+def test_pattern_parser_matches_the_character_scanner():
+    rng = random.Random(20260301)
+    accepted = rejected = 0
+    for _ in range(20000):
+        base = _valid_list(rng)
+        if rng.random() < 0.3:  # a single interval, so parse_interval accepts too
+            base = base.strip().strip("{}").split("],")[0].split("),")[0]
+            base += "" if base.rstrip()[-1:] in ("]", ")") else rng.choice("])")
+        text = _mutate(rng, base)
+        for parse, reference in ((parse_interval, scanned_interval),
+                                 (parse_interval_list, scanned_interval_list)):
+            got, want = _outcome(parse, text), _outcome(reference, text)
+            assert got[0] == want[0], (parse.__name__, text, got, want)
+            if got[0] == "ok":
+                assert got[1] == want[1], (parse.__name__, text)
+                accepted += 1
+            else:
+                assert ("at position" in got[1]
+                        or got[1] == "empty interval list must be written {}"), (text, got)
+                rejected += 1
+    # the mutations reach both sides of the grammar
+    assert accepted > 5000 and rejected > 5000, (accepted, rejected)
