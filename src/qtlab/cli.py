@@ -110,10 +110,9 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
         if name in bindings:
             parser.error(f"atom {name!r} bound twice")
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise TextFormatError(f"{path}: not UTF-8 text ({exc})") from None
-        sig = parse_signal(text)
+            sig = parse_signal(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, TextFormatError) as exc:
+            raise TextFormatError(f"{path}: {exc}") from None
         bindings[name] = sig
         if domain is None:
             domain = sig.domain

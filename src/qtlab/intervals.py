@@ -11,7 +11,9 @@ An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
 keeps the type it is given.  Text parses to ``Fraction``, one compiled
 pattern per interval, and so do the convenience constructors
 ``Interval.point``, ``open`` and ``closed``; the evaluation engine runs on
-``int`` ticks, a scale that ``qtlab.signals`` owns.
+``int`` ticks, a scale that ``qtlab.signals`` owns.  An ``Interval`` is a
+tuple, hashed and compared in C, but every way of building one passes the
+checks of its ``__new__``, and ``x in iv`` asks for membership.
 
 The algebra works on normal forms directly, each operation one linear pass:
 ``union`` merges the two sorted component tuples and coalesces touching
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, Tuple, Union
@@ -61,35 +63,35 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
         raise TextFormatError(f"not a rational: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise TextFormatError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ValueError:  # int() refuses more digits than Python's limit
+        raise TextFormatError(f"number of {len(s)} characters is too long to read") from None
+    except ZeroDivisionError:
+        raise TextFormatError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(namedtuple("Interval", "lower upper lower_closed upper_closed")):
     """One bounded contiguous piece of the line, with per-endpoint closed
     flags.  A point interval is represented with both flags closed.
     """
 
-    lower: RationalLike
-    upper: RationalLike
-    lower_closed: bool = True
-    upper_closed: bool = True
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        lo, hi = exact(self.lower), exact(self.upper)
+    def __new__(cls, lower: RationalLike, upper: RationalLike, lower_closed: bool = True,
+                upper_closed: bool = True) -> "Interval":
+        lo, hi = exact(lower), exact(upper)
         if lo > hi:
             raise IntervalError(f"lower {lo} above upper {hi}")
-        if lo == hi and not (self.lower_closed and self.upper_closed):
+        if lo == hi and not (lower_closed and upper_closed):
             raise IntervalError(f"point {lo} must be closed on both sides")
+        return tuple.__new__(cls, (lower, upper, lower_closed, upper_closed))
 
     @classmethod
     def point(cls, q: RationalLike) -> "Interval":
@@ -112,6 +114,8 @@ class Interval:
         x = exact(x)
         return ((self.lower < x or (x == self.lower and self.lower_closed))
                 and (x < self.upper or (x == self.upper and self.upper_closed)))
+
+    __contains__ = contains  # not tuple membership
 
     def shift(self, d: RationalLike) -> "Interval":
         return Interval(self.lower + d, self.upper + d, self.lower_closed, self.upper_closed)
@@ -200,10 +204,6 @@ class IntervalSet:
     @property
     def components(self) -> Tuple[Interval, ...]:
         return self._components
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._components
 
     def __bool__(self) -> bool:
         return bool(self._components)

@@ -1,9 +1,10 @@
 """The evaluation engine: exact truth signals for every operator.
 
-Each temporal operator reads its operands once, over one unrolled window of
-aligned periods (on the half line the transient comes first), and builds its
-truth set there directly from their sorted components, in time near linear in
-the component count:
+Each temporal operator slices its operands once, as they are, over one window
+of their common frame (``signals.common_frame``: the lcm period and the max
+transient; on the half line the transient comes first), and builds its truth
+set there directly from their sorted components, in time near linear in the
+component count:
 
 * ``C<n>`` (``F1`` is ``C1``) and ``O1`` follow the offline construction of
   Maler and Nickovic, "Monitoring Temporal Properties of Continuous Signals"
@@ -56,8 +57,8 @@ from .signals import (
     DomainError,
     Signal,
     TimeDomain,
-    align_many,
     combine,
+    common_frame,
     from_ticks,
     tick_unit,
     to_ticks,
@@ -95,11 +96,11 @@ class Env:
             raise UnboundAtomError(name) from None
 
 
-def _frame(x: Signal, t_bound: RationalLike, truth: IntervalSet) -> Signal:
-    """The canonical signal, in x's domain, period and unit, that agrees with
-    truth on [0, t_bound + period) and repeats its last period from t_bound
-    on (0 on the full line)."""
-    period = x.period
+def _frame(x: Signal, period: RationalLike, t_bound: RationalLike,
+           truth: IntervalSet) -> Signal:
+    """The canonical signal, in x's domain and unit, that agrees with truth on
+    [0, t_bound + period) and repeats its last period from t_bound on (0 on
+    the full line)."""
     pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + period)).shift(-t_bound)
     prefix = truth.intersection(IntervalSet.span(0, t_bound))
     return Signal(x.domain, period, pattern, t_bound, prefix, x.unit).canonicalize()
@@ -122,7 +123,7 @@ def _unit_count(x: Signal, n: int, future: bool) -> Signal:
     points = [c.lower for c in comps if c.is_point]
     hits += [Interval(last - d, first + one - d, False, False)
              for first, last in zip(points, points[n - 1:]) if last - first < one]
-    return _frame(x, t_bound, IntervalSet(hits))
+    return _frame(x, x.period, t_bound, IntervalSet(hits))
 
 
 def diamond_unit_future(x: Signal) -> Signal:
@@ -153,10 +154,9 @@ def pnueli_unit(operands: Sequence[Signal]) -> Signal:
     """
     if not operands:
         raise EvalError("a run modality needs at least one operand")
-    xs = align_many(list(operands))
-    x0 = xs[0]
-    one, hi = x0.unit, x0.transient + x0.period
-    comps = [x.slice(0, hi + one).components for x in xs]
+    period, transient = common_frame(operands)
+    one, hi = operands[0].unit, transient + period
+    comps = [x.slice(0, hi + one).components for x in operands]
     uppers = [[c.upper for c in cs] for cs in comps]
 
     def decide(t: RationalLike) -> bool:
@@ -183,7 +183,7 @@ def pnueli_unit(operands: Sequence[Signal]) -> Signal:
         s = c + nxt
         if decide(s // 2 if s % 2 == 0 else s / 2):
             pieces.append(Interval(c, nxt, False, False))
-    return _frame(x0, x0.transient, IntervalSet(pieces))
+    return _frame(operands[0], period, transient, IntervalSet(pieces))
 
 
 # ------------------------------------------------------------- order family
@@ -194,17 +194,16 @@ def _order(x: Signal, y: Signal, future: bool) -> Signal:
     The window reaches a full period of y past every run that matters, so
     sup and inf read off it are exact where they decide the outcome.
     """
-    xx, yy = align_many([x, y])
-    p, T = xx.period, xx.transient
-    if xx.domain is TimeDomain.FULL_LINE:
+    p, T = common_frame([x, y])
+    if x.domain is TimeDomain.FULL_LINE:
         t_bound, lo, hi = 0, -p, 2 * p
     else:
         t_bound, lo, hi = (T if future else T + p), 0, T + 2 * p
-    ys = yy.slice(lo, hi).components
+    ys = y.slice(lo, hi).components
     lowers = [c.lower for c in ys]
     uppers = [c.upper for c in ys]
     out: list[Interval] = []
-    for run in xx.slice(lo, hi):
+    for run in x.slice(lo, hi):
         a, b = run.lower, run.upper
         if a == b:
             continue
@@ -220,7 +219,7 @@ def _order(x: Signal, y: Signal, future: bool) -> Signal:
                 j -= 1
             if j < len(ys) and (inf := max(lowers[j], a)) < b:
                 out.append(Interval(inf, b, False, True))
-    return _frame(xx, t_bound, IntervalSet(out))
+    return _frame(x, p, t_bound, IntervalSet(out))
 
 
 def until(x: Signal, y: Signal) -> Signal:

@@ -23,17 +23,21 @@ the canonical form then uses the next period multiple, which keeps the form
 deterministic, idempotent and independent of the input representation, the
 scale included.  Two Signals at one scale denote the same set iff their
 canonical forms are structurally equal.
+
+A Signal is a tuple underneath and validated like an ``Interval``.  The
+engine's operators slice their operands as they are within ``common_frame``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .intervals import (
     Interval,
@@ -97,7 +101,7 @@ def _lcm(a: RationalLike, b: RationalLike) -> RationalLike:
 def _cyclic_shift(pattern: IntervalSet, d: RationalLike, p: RationalLike) -> IntervalSet:
     """Shift a pattern within the cyclic window [0, p)."""
     d = d % p
-    if d == 0 or pattern.is_empty:
+    if d == 0 or not pattern:
         return pattern
     moved = pattern.shift(d)
     w = IntervalSet.span(0, p)
@@ -129,7 +133,7 @@ def _minimal_tail(p: RationalLike, pattern: IntervalSet,
     the token sequence onto itself is its smallest period that divides the
     token count, read off a prefix function.
     """
-    if pattern.is_empty:
+    if not pattern:
         return unit, IntervalSet.EMPTY
     if pattern == IntervalSet.span(0, p):
         return unit, IntervalSet.span(0, unit)
@@ -193,39 +197,35 @@ def _rationals(s: IntervalSet) -> IntervalSet:
     return _map_ends(s, rat)
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")):
     """An eventually periodic rational point set over a time domain.
 
     ``unit`` is the length of one time unit: 1 on a public signal, whose
     numbers are made Fractions, and Q on a signal in ticks (see the module
     docstring), whose numbers are ints."""
 
-    domain: TimeDomain
-    period: RationalLike
-    pattern: IntervalSet
-    transient: RationalLike = 0
-    prefix: IntervalSet = field(default_factory=lambda: IntervalSet.EMPTY)
-    unit: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        public = self.unit == 1
+    def __new__(cls, domain: TimeDomain, period: RationalLike, pattern: IntervalSet,
+                transient: RationalLike = 0, prefix: IntervalSet = IntervalSet.EMPTY,
+                unit: int = 1) -> "Signal":
+        public = unit == 1
         if public:
-            object.__setattr__(self, "period", rat(self.period))
-            object.__setattr__(self, "transient", rat(self.transient))
-        if self.period <= 0:
-            raise SignalError(f"period must be positive, got {self.period}")
-        if self.transient < 0:
-            raise SignalError(f"transient must be nonnegative, got {self.transient}")
-        if self.domain is TimeDomain.FULL_LINE and (self.transient != 0 or self.prefix):
+            period, transient = rat(period), rat(transient)
+        if period <= 0:
+            raise SignalError(f"period must be positive, got {period}")
+        if transient < 0:
+            raise SignalError(f"transient must be nonnegative, got {transient}")
+        if domain is TimeDomain.FULL_LINE and (transient != 0 or prefix):
             raise SignalError("full-line signals are purely periodic: transient 0, empty prefix")
-        if not _within(self.pattern, self.period):
+        if not _within(pattern, period):
             raise SignalError("pattern escapes [0, period)")
-        if not _within(self.prefix, self.transient):
+        if not _within(prefix, transient):
             raise SignalError("prefix escapes [0, transient)")
         if public:
-            object.__setattr__(self, "pattern", _rationals(self.pattern))
-            object.__setattr__(self, "prefix", _rationals(self.prefix))
+            pattern, prefix = _rationals(pattern), _rationals(prefix)
+        return tuple.__new__(cls, (domain, period, pattern, transient, prefix, unit))
 
     # ------------------------------------------------------------ constructors
 
@@ -247,6 +247,8 @@ class Signal:
                 return self.prefix.contains(x)
             return self.pattern.contains((x - self.transient) % self.period)
         return self.pattern.contains(x % self.period)
+
+    __contains__ = contains  # not tuple membership
 
     def slice(self, a: RationalLike, b: RationalLike) -> IntervalSet:
         """The exact point set of the signal within [a, b].
@@ -344,8 +346,8 @@ class Signal:
                       self.window(0, transient), self.unit)
 
 
-def align_many(signals: list[Signal]) -> list[Signal]:
-    """Re-express the signals with the lcm period and the max transient."""
+def common_frame(signals: Sequence[Signal]) -> tuple[RationalLike, RationalLike]:
+    """The lcm period and the max transient of signals over one domain and scale."""
     if not signals:
         raise ValueError("nothing to align")
     domain, unit = signals[0].domain, signals[0].unit
@@ -353,10 +355,12 @@ def align_many(signals: list[Signal]) -> list[Signal]:
         raise DomainError("cannot align signals over different domains")
     if any(s.unit != unit for s in signals):
         raise ValueError("cannot align signals at different time scales")
-    period = signals[0].period
-    for s in signals[1:]:
-        period = _lcm(period, s.period)
-    transient = max(s.transient for s in signals)
+    return reduce(_lcm, (s.period for s in signals)), max(s.transient for s in signals)
+
+
+def align_many(signals: list[Signal]) -> list[Signal]:
+    """Re-express the signals with the lcm period and the max transient."""
+    period, transient = common_frame(signals)
     return [s._reframe(transient, period) for s in signals]
 
 
@@ -369,21 +373,12 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
                       a.prefix.complement(0, a.transient), a.unit).canonicalize()
     if b is None:
         raise ValueError(f"{op} takes two signals")
-    if op == "and":
-        fn = IntervalSet.intersection
-    elif op == "or":
-        fn = IntervalSet.union
-    else:
+    fn = {"and": IntervalSet.intersection, "or": IntervalSet.union}.get(op)
+    if fn is None:
         raise ValueError(f"unknown boolean operation {op!r}")
     aa, bb = align_many([a, b])
-    return Signal(
-        aa.domain,
-        aa.period,
-        fn(aa.pattern, bb.pattern),
-        aa.transient,
-        fn(aa.prefix, bb.prefix),
-        aa.unit,
-    ).canonicalize()
+    return Signal(aa.domain, aa.period, fn(aa.pattern, bb.pattern), aa.transient,
+                  fn(aa.prefix, bb.prefix), aa.unit).canonicalize()
 
 
 def _normal_form(s: Signal, eventually: bool) -> Signal:
@@ -478,6 +473,7 @@ def format_signal(s: Signal) -> str:
 
 def parse_signal(text: str) -> Signal:
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -488,7 +484,7 @@ def parse_signal(text: str) -> Signal:
             raise TextFormatError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise TextFormatError(f"line {lineno}: key {key!r} has no value")
-        entries[key] = value
+        entries[key], lines[key] = value, lineno
 
     known = {"domain", "period", "pattern", "transient", "prefix"}
     for key in entries:
@@ -507,10 +503,16 @@ def parse_signal(text: str) -> Signal:
             if key in entries:
                 raise TextFormatError(f"key {key!r} only applies to halfline signals")
 
-    period = parse_rational(entries["period"])
-    pattern = parse_interval_list(entries["pattern"])
-    transient = parse_rational(entries.get("transient", "0"))
-    prefix = parse_interval_list(entries.get("prefix", "{}"))
+    def read(key: str, parse: Callable, default: str = "") -> object:
+        try:
+            return parse(entries.get(key, default))
+        except TextFormatError as exc:
+            raise TextFormatError(f"line {lines[key]}: {key}: {exc}") from exc
+
+    period = read("period", parse_rational)
+    pattern = read("pattern", parse_interval_list)
+    transient = read("transient", parse_rational, "0")
+    prefix = read("prefix", parse_interval_list, "{}")
     try:
         return Signal(domain, period, pattern, transient, prefix)
     except SignalError as exc:

@@ -87,7 +87,7 @@ def test_criterion_2_pnueli_conjecture_witness():
         for offset in (F(1, 12), F(1, 6), F(1, 4)):
             assert sig.contains(n + offset) is want
     # exact eventually-periodic tail: (1/3, 2/3) mod 2/3, no transient
-    assert sig.transient == 0 and sig.prefix.is_empty
+    assert sig.transient == 0 and not sig.prefix
     assert sig.period == F(2, 3)
     assert sig.pattern == IntervalSet([Interval(F(1, 3), F(2, 3), False, False)])
     # oracle confirms the same set pointwise

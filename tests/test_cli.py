@@ -194,6 +194,28 @@ def test_non_utf8_signal_file_exits_two(tmp_path, capsys):
     assert captured.err.startswith("error: ") and str(bad) in captured.err
 
 
+def test_signal_file_errors_name_the_file_line_and_key(tmp_path, capsys):
+    bad = tmp_path / "bad.sig"
+    bad.write_text("domain line\nperiod 3\npattern [0,1];[2,3]\n", encoding="utf-8")
+    assert invoke(["eval", "--formula", "P", "--bind", f"P={bad}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 3: pattern: at position 5: expected ','\n"
+
+
+def test_numbers_past_the_digit_limit_exit_two(tmp_path, capsys):
+    """int() refuses more than 4300 digits with a plain ValueError; a number
+    that long is a format error, not a crash."""
+    big = tmp_path / "big.sig"
+    big.write_text(f"domain line\nperiod 3\npattern [0,1{'1' * 4999}]\n", encoding="utf-8")
+    assert invoke(["eval", "--formula", "P", "--bind", f"P={big}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {big}: line 3: pattern: at position 0: ")
+
+
 def test_nesting_past_the_limit_exits_two(capsys):
     deep = "!" * 3000 + "P"
     assert invoke(["equiv", "--formula", deep, "--formula", "P", "--model", "mk:2"]) == 2

@@ -1,5 +1,7 @@
 """Exact-set algebra: normal form, boolean algebra, text syntax."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -38,6 +40,50 @@ def test_infinite_endpoints_are_rejected():
         Interval(None, 1)
     with pytest.raises(TypeError):
         Interval.open(None, 1)
+
+
+@pytest.mark.parametrize("fields, error", [
+    ((F(2), F(1), True, True), IntervalError),
+    ((F(1), F(1), True, False), IntervalError),
+    ((F(1), F(1), False, True), IntervalError),
+    ((0.5, 1, True, True), TypeError),
+], ids=["reversed", "open upper point", "open lower point", "float"])
+def test_every_way_of_building_an_interval_validates(fields, error):
+    """The constructor, _make, _replace, copy and pickle all check the
+    fields: a forged record, built past the checks, cannot be copied."""
+    forged = tuple.__new__(Interval, fields)
+    names = Interval._fields
+    for build in (lambda: Interval(*fields),
+                  lambda: Interval(**dict(zip(names, fields))),
+                  lambda: Interval._make(fields),
+                  lambda: Interval(F(0), F(3))._replace(**dict(zip(names, fields))),
+                  lambda: copy.copy(forged),
+                  lambda: copy.deepcopy(forged),
+                  lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(error):
+            build()
+    good = Interval(F(0), F(1), True, False)
+    assert copy.copy(good) == copy.deepcopy(good) == pickle.loads(pickle.dumps(good)) == good
+    assert good._replace(upper_closed=True) == Interval.closed(0, 1)
+
+
+def test_convenience_constructors_validate():
+    with pytest.raises(IntervalError):
+        Interval.open(1, 1)
+    with pytest.raises(IntervalError):
+        Interval.closed(2, 1)
+    with pytest.raises(TypeError):
+        Interval.point(0.5)
+    assert Interval.point(1) == Interval(F(1), F(1))
+
+
+def test_in_asks_for_membership_not_a_field():
+    """An Interval is a tuple underneath; ``in`` still tests the point set."""
+    iv = Interval.open(0, 1)
+    assert F(1, 2) in iv
+    assert 0 not in iv and False not in iv  # the lower end and a closed flag
+    with pytest.raises(TypeError):
+        0.5 in iv
 
 
 def test_normalize_merges_touching_pieces():
@@ -240,6 +286,11 @@ def test_rational_text():
         parse_rational("1/0")
     with pytest.raises(TextFormatError):
         parse_rational("0.5")
+    # past Python's limit on the digits of an int: still a format error
+    with pytest.raises(TextFormatError, match="too long"):
+        parse_rational("1" * 5000)
+    with pytest.raises(TextFormatError, match="too long"):
+        parse_rational("1/" + "3" * 5000)
 
 
 def test_interval_text_roundtrip():

@@ -24,7 +24,15 @@ from qtlab.semantics import (
     since,
     until,
 )
-from qtlab.signals import Signal, TimeDomain, equal
+from qtlab.signals import (
+    DomainError,
+    Signal,
+    TimeDomain,
+    align_many,
+    equal,
+    tick_unit,
+    to_ticks,
+)
 
 from gen import irregular_signal, random_formula, random_signal
 
@@ -247,6 +255,43 @@ def test_outputs_are_canonical(rng, domain):
         assert out.domain is domain
 
 
+# ----------------------------------------------------- operands as they come
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), DOMAINS, st.booleans())
+def test_operators_read_unaligned_operands_as_aligned(seed, domain, in_ticks):
+    """until, since and pnueli_unit slice their operands in the common frame
+    without reframing them first: the result equals the same operator on the
+    align_many output, in Fractions and in int ticks."""
+    rng = random.Random(seed)  # a seed, so that the redraws below end
+    x = random_signal(rng, domain)
+    y, z = random_signal(rng, domain), random_signal(rng, domain)
+    while y.period == x.period or (domain is HALF and y.transient == x.transient):
+        y = random_signal(rng, domain)
+    if in_ticks:
+        unit = tick_unit([x, y, z])
+        x, y, z = (to_ticks(s, unit) for s in (x, y, z))
+    ax, ay = align_many([x, y])
+    assert (ax, ay) != (x, y)
+    assert until(x, y) == until(ax, ay)
+    assert since(y, x) == since(*align_many([y, x]))
+    assert since(x, y) == since(ax, ay)
+    assert pnueli_unit([x, y, z]) == pnueli_unit(align_many([x, y, z]))
+    assert pnueli_unit([z, x]) == pnueli_unit(align_many([z, x]))
+
+
+@pytest.mark.parametrize("op", [until, since, lambda x, y: pnueli_unit([x, y])],
+                         ids=["until", "since", "pnueli_unit"])
+def test_operators_reject_mismatched_operands(op):
+    line, half = grid_line(2), grid_half(F(1, 2))
+    with pytest.raises(DomainError):
+        op(line, half)
+    with pytest.raises(DomainError):
+        op(half, line)
+    with pytest.raises(ValueError, match="different time scales"):
+        op(half, to_ticks(half, 4))
+
+
 # ------------------------------------------------------- long irregular inputs
 
 # On this family F1, O1 and C3 of a bare atom hold everywhere; their
@@ -317,13 +362,14 @@ def test_ticks_stay_pure(monkeypatch):
     """Every Signal built in ticks while evaluating holds only ints: no
     Fraction default or lcm leaks into the engine's arithmetic."""
     built = []
-    post_init = Signal.__post_init__
+    new = Signal.__new__
 
-    def spy(self):
-        post_init(self)
-        built.append(self)
+    def spy(cls, *args, **kwargs):
+        sig = new(cls, *args, **kwargs)
+        built.append(sig)
+        return sig
 
-    monkeypatch.setattr(Signal, "__post_init__", spy)
+    monkeypatch.setattr(Signal, "__new__", staticmethod(spy))
     rng = random.Random(43)
     for domain in (LINE, HALF):
         env = _random_env(rng, domain)

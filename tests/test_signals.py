@@ -1,6 +1,8 @@
 """Signal representation: membership, slicing, alignment, canonical forms."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -67,6 +69,52 @@ def test_construction_guards():
     Signal(LINE, F(1), iset(Interval(F(1, 2), F(1), True, False)))
 
 
+@pytest.mark.parametrize("fields, error", [
+    ((LINE, F(0), IntervalSet.EMPTY, F(0), IntervalSet.EMPTY, 1), SignalError),
+    ((HALF, F(1), IntervalSet.EMPTY, F(-1), IntervalSet.EMPTY, 1), SignalError),
+    ((LINE, F(1), IntervalSet.point(0), F(1, 2), IntervalSet.EMPTY, 1), SignalError),
+    ((LINE, F(1), IntervalSet.point(1), F(0), IntervalSet.EMPTY, 1), SignalError),
+    ((HALF, F(1), IntervalSet.EMPTY, F(1), IntervalSet.point(1), 1), SignalError),
+    ((LINE, 0.5, IntervalSet.EMPTY, F(0), IntervalSet.EMPTY, 1), TypeError),
+], ids=["zero period", "negative transient", "line transient", "pattern escapes",
+        "prefix escapes", "float period"])
+def test_every_way_of_building_a_signal_validates(fields, error):
+    """The constructor, _make, _replace, copy and pickle all check the
+    fields: a forged record, built past the checks, cannot be copied."""
+    forged = tuple.__new__(Signal, fields)
+    names = Signal._fields
+    base = Signal(fields[0], F(1), IntervalSet.EMPTY)
+    for build in (lambda: Signal(*fields),
+                  lambda: Signal(**dict(zip(names, fields))),
+                  lambda: Signal._make(fields),
+                  lambda: base._replace(**dict(zip(names, fields))),
+                  lambda: copy.copy(forged),
+                  lambda: copy.deepcopy(forged),
+                  lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(error):
+            build()
+
+
+def test_rebuilt_signals_stay_public():
+    """Copies and replacements go through the constructor, so a public
+    signal's numbers are still made Fractions."""
+    s = Signal(HALF, F(2, 3), IntervalSet.point(0), F(1), iset(Interval.open(0, 1)))
+    assert copy.copy(s) == copy.deepcopy(s) == pickle.loads(pickle.dumps(s)) == s
+    t = s._replace(period=2, transient=1)
+    assert type(t.period) is F and type(t.transient) is F
+    assert Signal._make(s) == s
+
+
+def test_in_asks_for_membership_not_a_field():
+    """A Signal is a tuple underneath; ``in`` still tests the point set."""
+    assert F(2, 3) in THM2 and F(1, 3) not in THM2
+    assert 1 not in THM2  # though 1 is its unit
+    with pytest.raises(TypeError):
+        HALF in THM2
+    with pytest.raises(DomainError):
+        -1 in THM2
+
+
 @pytest.mark.parametrize("text, message", [
     ("domain line\nperiod 1\npattern [0,1]\n", "pattern escapes"),
     ("domain line\nperiod 1\npattern [0,1/2),[1,1]\n", "pattern escapes"),
@@ -91,7 +139,7 @@ def test_components_at_the_frame_boundary_are_rejected(tmp_path, capsys, text, m
 @settings(max_examples=300, deadline=None)
 @given(interval_sets(), rationals())
 def test_frame_check_matches_the_set_difference(s, end):
-    assert _within(s, end) == s.difference(IntervalSet.span(0, end)).is_empty
+    assert _within(s, end) == (not s.difference(IntervalSet.span(0, end)))
 
 
 # ----------------------------------------------------------------- membership
@@ -238,7 +286,7 @@ def test_canonicalize_drops_prefix_matching_the_pattern():
     s = Signal(HALF, F(2, 3), IntervalSet.point(0), transient=F(2, 3),
                prefix=IntervalSet.point(0))
     c = s.canonicalize()
-    assert c.transient == 0 and c.prefix.is_empty
+    assert c.transient == 0 and not c.prefix
     assert c == THM2.canonicalize()
 
 
@@ -247,7 +295,7 @@ def test_canonicalize_point_disagreement_snaps_to_grid():
     # with the prefix exactly at the point 0, so the transient snaps to 1.
     s = Signal(HALF, F(3), IntervalSet.EMPTY, transient=F(3), prefix=IntervalSet.point(0))
     c = s.canonicalize()
-    assert c.period == 1 and c.pattern.is_empty
+    assert c.period == 1 and not c.pattern
     assert c.transient == 1 and c.prefix == IntervalSet.point(0)
 
 
@@ -267,7 +315,7 @@ def _shift_cyclic(pattern, d, p):
 def _reference_minimal_tail(p, pattern):
     """The cyclic-shift search _minimal_tail replaced: try every divisor m of
     the period up to the component count plus one, shrink, repeat."""
-    if pattern.is_empty:
+    if not pattern:
         return F(1), IntervalSet.EMPTY
     if pattern == IntervalSet.span(0, p):
         return F(1), IntervalSet.span(0, 1)
