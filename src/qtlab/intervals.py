@@ -12,8 +12,15 @@ keeps the type it is given.  Text parses to ``Fraction``, one compiled
 pattern per interval, and so do the convenience constructors
 ``Interval.point``, ``open`` and ``closed``; the evaluation engine runs on
 ``int`` ticks, a scale that ``qtlab.signals`` owns.  An ``Interval`` is a
-tuple, hashed and compared in C, but every way of building one passes the
-checks of its ``__new__``, and ``x in iv`` asks for membership.
+tuple, hashed and compared in C, and ``x in iv`` asks for membership.  Its
+public constructors (``Interval(...)``, ``point``, ``open``, ``closed``,
+``_make``, ``_replace``, copy, pickle) all check it.  The private
+``_unchecked`` does not; it builds only records valid by construction from
+valid ones and numbers passed through ``exact``.  Translations and strictly
+increasing maps of the ends (``shift``, ``Signal.slice``, ``_map_ends``) keep
+lo <= hi and a point closed; ``_merge`` takes the hull of two valid
+components; ``span``, ``_clip`` and the overlaps and gaps of ``intersection``
+and ``complement`` are built only when nonempty: lo < hi, or a closed point.
 
 The algebra works on normal forms directly, each operation one linear pass:
 ``union`` merges the two sorted component tuples and coalesces touching
@@ -118,11 +125,18 @@ class Interval(namedtuple("Interval", "lower upper lower_closed upper_closed")):
     __contains__ = contains  # not tuple membership
 
     def shift(self, d: RationalLike) -> "Interval":
-        return Interval(self.lower + d, self.upper + d, self.lower_closed, self.upper_closed)
+        d = exact(d)
+        return _unchecked(self.lower + d, self.upper + d, self.lower_closed, self.upper_closed)
 
     def __str__(self) -> str:
         lo, hi = format_rational(self.lower), format_rational(self.upper)
         return f"{'[' if self.lower_closed else '('}{lo},{hi}{']' if self.upper_closed else ')'}"
+
+
+def _unchecked(lower: RationalLike, upper: RationalLike, lower_closed: bool,
+               upper_closed: bool) -> Interval:
+    """An Interval past the checks of ``__new__``: see the module docstring."""
+    return tuple.__new__(Interval, (lower, upper, lower_closed, upper_closed))
 
 
 # Sort keys and merge predicates for normalization.  Lower bounds order as
@@ -153,7 +167,7 @@ def _has_gap(a: Interval, b: Interval) -> bool:
 def _merge(a: Interval, b: Interval) -> Interval:
     if _ends_first(b, a):
         return a
-    return Interval(a.lower, b.upper, a.lower_closed, b.upper_closed)
+    return _unchecked(a.lower, b.upper, a.lower_closed, b.upper_closed)
 
 
 def _coalesce(items: Iterable[Interval]) -> Tuple[Interval, ...]:
@@ -197,9 +211,10 @@ class IntervalSet:
     @classmethod
     def span(cls, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
         """The half-open window [lo, hi); empty unless lo < hi."""
+        lo, hi = exact(lo), exact(hi)
         if lo >= hi:
             return cls.EMPTY
-        return cls._wrap((Interval(lo, hi, True, False),))
+        return cls._wrap((_unchecked(lo, hi, True, False),))
 
     @property
     def components(self) -> Tuple[Interval, ...]:
@@ -255,17 +270,18 @@ class IntervalSet:
     def complement(self, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
         """The span [lo, hi) minus the set, in one pass: the gaps before,
         between and after the components, cut to the span."""
+        lo, hi = exact(lo), exact(hi)
         out: list[Interval] = []
         start, closed = lo, True  # the lower end of the next gap
         for c in self._components:
             if c.lower >= hi:
                 break
             if start < c.lower or (start == c.lower and closed and not c.lower_closed):
-                out.append(Interval(start, c.lower, closed, not c.lower_closed))
+                out.append(_unchecked(start, c.lower, closed, not c.lower_closed))
             if start < c.upper or (start == c.upper and c.upper_closed):
                 start, closed = c.upper, not c.upper_closed
         if start < hi:
-            out.append(Interval(start, hi, closed, False))
+            out.append(_unchecked(start, hi, closed, False))
         return IntervalSet._wrap(tuple(out))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
@@ -290,7 +306,7 @@ class IntervalSet:
                 out.append(lo)
             elif lo.lower < hi.upper or (lo.lower == hi.upper and lo.lower_closed
                                          and hi.upper_closed):
-                out.append(Interval(lo.lower, hi.upper, lo.lower_closed, hi.upper_closed))
+                out.append(_unchecked(lo.lower, hi.upper, lo.lower_closed, hi.upper_closed))
         return IntervalSet._wrap(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
@@ -307,6 +323,7 @@ class IntervalSet:
         return self.difference(other).union(other.difference(self))
 
     def shift(self, d: RationalLike) -> "IntervalSet":
+        d = exact(d)
         if d == 0 or not self._components:
             return self
         return IntervalSet._wrap(tuple(c.shift(d) for c in self._components))

@@ -57,6 +57,7 @@ from .signals import (
     DomainError,
     Signal,
     TimeDomain,
+    _frame,
     combine,
     common_frame,
     from_ticks,
@@ -94,16 +95,6 @@ class Env:
             return self.bindings[name]
         except KeyError:
             raise UnboundAtomError(name) from None
-
-
-def _frame(x: Signal, period: RationalLike, t_bound: RationalLike,
-           truth: IntervalSet) -> Signal:
-    """The canonical signal, in x's domain and unit, that agrees with truth on
-    [0, t_bound + period) and repeats its last period from t_bound on (0 on
-    the full line)."""
-    pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + period)).shift(-t_bound)
-    prefix = truth.intersection(IntervalSet.span(0, t_bound))
-    return Signal(x.domain, period, pattern, t_bound, prefix, x.unit).canonicalize()
 
 
 # -------------------------------------------------------------- metric family

@@ -15,17 +15,18 @@ Signals it builds from them is an ``int`` and the unit is Q ticks, and
 ``from_ticks`` scales the result back.  Every function here runs unchanged at
 either scale; ``/`` is never applied to a tick.
 
-``canonicalize`` produces the representative form: the minimal period (one
-unit for constants), then the minimal transient at which the tail already
-matches the periodic extension.  When the prefix disagrees with that extension
-at a single point there is no smallest rational transient strictly above it;
-the canonical form then uses the next period multiple, which keeps the form
-deterministic, idempotent and independent of the input representation, the
-scale included.  Two Signals at one scale denote the same set iff their
-canonical forms are structurally equal.
+``canonicalize`` produces the representative form: ``Signal.constant`` at once
+for the empty and the full set, else the minimal period, then the minimal
+transient at which the tail already matches the periodic extension.  When the
+prefix disagrees with that extension at a single point there is no smallest
+rational transient strictly above it; the canonical form then uses the next
+period multiple, which keeps the form deterministic, idempotent and
+independent of the input representation, the scale included.  Two Signals at
+one scale denote the same set iff their canonical forms are structurally equal.
 
 A Signal is a tuple underneath and validated like an ``Interval``.  The
-engine's operators slice their operands as they are within ``common_frame``.
+engine's operators, and ``combine``, slice their operands as they are within
+``common_frame``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .intervals import (
     RationalLike,
     TextFormatError,
     _coalesce,
+    _unchecked,
     exact,
     format_interval_list,
     format_rational,
@@ -178,16 +180,16 @@ def _within(s: IntervalSet, end: RationalLike) -> bool:
 def _clip(c: Interval, a: RationalLike, b: RationalLike) -> Interval:
     """A component that meets [a, b], cut down to it."""
     if c.lower < a:
-        c = Interval(a, c.upper, True, c.upper_closed)
+        c = _unchecked(a, c.upper, True, c.upper_closed)
     if c.upper > b:
-        c = Interval(c.lower, b, c.lower_closed, True)
+        c = _unchecked(c.lower, b, c.lower_closed, True)
     return c
 
 
 def _map_ends(s: IntervalSet, fn: Callable) -> IntervalSet:
-    """s with fn applied to every endpoint; fn must be increasing."""
-    return IntervalSet._wrap(tuple(Interval(fn(c.lower), fn(c.upper), c.lower_closed,
-                                            c.upper_closed) for c in s.components))
+    """s with fn applied to every endpoint; fn must be strictly increasing."""
+    return IntervalSet._wrap(tuple(_unchecked(fn(c.lower), fn(c.upper), c.lower_closed,
+                                              c.upper_closed) for c in s.components))
 
 
 def _rationals(s: IntervalSet) -> IntervalSet:
@@ -276,7 +278,8 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
             for k in range(k0, k1 + 1):
                 off = anchor + k * self.period
                 copy = comps if k0 < k < k1 else _meeting(comps, a - off, b - off)
-                pieces.extend(c.shift(off) for c in copy)
+                pieces.extend(_unchecked(c.lower + off, c.upper + off, c.lower_closed,
+                                         c.upper_closed) for c in copy)
         # the pieces come in order, but copies may touch across period
         # boundaries: coalesce, then only the outermost components can stick
         # out of the window
@@ -315,6 +318,11 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         return Signal(TimeDomain.FULL_LINE, p0, pat_ext, unit=self.unit)
 
     def canonicalize(self) -> "Signal":
+        if not (self.pattern or self.prefix):
+            return Signal.constant(self.domain, False, self.unit)
+        if (self.pattern == IntervalSet.span(0, self.period)
+                and self.prefix == IntervalSet.span(0, self.transient)):
+            return Signal.constant(self.domain, True, self.unit)
         ext = self.tail_extension()
         if self.domain is TimeDomain.FULL_LINE:
             return ext
@@ -358,6 +366,16 @@ def common_frame(signals: Sequence[Signal]) -> tuple[RationalLike, RationalLike]
     return reduce(_lcm, (s.period for s in signals)), max(s.transient for s in signals)
 
 
+def _frame(x: Signal, period: RationalLike, t_bound: RationalLike,
+           truth: IntervalSet) -> Signal:
+    """The canonical signal, in x's domain and unit, that agrees with truth on
+    [0, t_bound + period) and repeats its last period from t_bound on (0 on
+    the full line)."""
+    pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + period)).shift(-t_bound)
+    prefix = truth.intersection(IntervalSet.span(0, t_bound))
+    return Signal(x.domain, period, pattern, t_bound, prefix, x.unit).canonicalize()
+
+
 def align_many(signals: list[Signal]) -> list[Signal]:
     """Re-express the signals with the lcm period and the max transient."""
     period, transient = common_frame(signals)
@@ -376,9 +394,9 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
     fn = {"and": IntervalSet.intersection, "or": IntervalSet.union}.get(op)
     if fn is None:
         raise ValueError(f"unknown boolean operation {op!r}")
-    aa, bb = align_many([a, b])
-    return Signal(aa.domain, aa.period, fn(aa.pattern, bb.pattern), aa.transient,
-                  fn(aa.prefix, bb.prefix), aa.unit).canonicalize()
+    period, transient = common_frame([a, b])
+    end = transient + period
+    return _frame(a, period, transient, fn(a.window(0, end), b.window(0, end)))
 
 
 def _normal_form(s: Signal, eventually: bool) -> Signal:
@@ -433,9 +451,12 @@ def tick_unit(signals: Iterable[Signal]) -> int:
 
 
 def to_ticks(s: Signal, unit: int) -> Signal:
-    """A public signal scaled by unit = Q: all of its numbers become ints."""
+    """A public signal scaled by unit = Q, a multiple of its denominators, in ints."""
     def scale(x: Fraction) -> int:
-        return x.numerator * (unit // x.denominator)
+        ticks, rest = divmod(unit, x.denominator)
+        if rest:
+            raise ValueError(f"{x} is not a whole number of ticks at unit {unit}")
+        return x.numerator * ticks
 
     return Signal(s.domain, scale(s.period), _map_ends(s.pattern, scale),
                   scale(s.transient), _map_ends(s.prefix, scale), unit)

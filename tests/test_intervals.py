@@ -4,10 +4,12 @@ import copy
 import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtlab import intervals
 from qtlab.intervals import (
     Interval,
     IntervalError,
@@ -75,6 +77,32 @@ def test_convenience_constructors_validate():
     with pytest.raises(TypeError):
         Interval.point(0.5)
     assert Interval.point(1) == Interval(F(1), F(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.shift(0.5),
+    lambda s: s.shift(0.0),
+    lambda s: IntervalSet.EMPTY.shift(0.5),
+    lambda s: IntervalSet.EMPTY.shift(0.0),
+    lambda s: s.components[0].shift(0.0),
+    lambda s: s.complement(0.0, 2),
+    lambda s: s.complement(0, 2.0),
+    lambda s: IntervalSet.EMPTY.complement(0.0, 1),
+    lambda s: IntervalSet.span(0.0, 1),
+    lambda s: IntervalSet.span(1, 0.5),
+], ids=["shift", "shift by 0", "shift empty", "shift empty by 0", "shift interval by 0",
+        "complement lo", "complement hi", "complement of empty", "span", "empty span"])
+def test_floats_are_rejected_at_every_entry(call):
+    """Records that the algebra builds skip the checks of Interval.__new__,
+    so each number entering it is checked, whatever the set holds."""
+    with pytest.raises(TypeError):
+        call(iset(Interval.open(0, 1)))
+
+
+def test_only_the_set_and_signal_layers_build_unchecked_records():
+    src = Path(intervals.__file__).parent
+    users = {p.name for p in src.glob("*.py") if "_unchecked" in p.read_text(encoding="utf-8")}
+    assert users == {"intervals.py", "signals.py"}
 
 
 def test_in_asks_for_membership_not_a_field():

@@ -22,6 +22,7 @@ from qtlab.signals import (
     align_many,
     classify_trivial,
     combine,
+    common_frame,
     equal,
     format_signal,
     from_ticks,
@@ -30,7 +31,7 @@ from qtlab.signals import (
     to_ticks,
 )
 from qtlab.signals import _minimal_tail, _within
-from gen import random_fraction, random_point_set, random_signal
+from gen import PERIODS, random_fraction, random_point_set, random_signal
 from test_intervals import interval_sets, rationals
 
 LINE = TimeDomain.FULL_LINE
@@ -366,17 +367,88 @@ def test_minimal_tail_matches_the_cyclic_shift_search():
     assert checked > 400
 
 
+def _check_canonical_form(rng, s):
+    """s canonicalizes idempotently, and to the same form from a coarser
+    frame and at the tick scale."""
+    c = s.canonicalize()
+    assert c.canonicalize() == c
+    m = rng.randint(1, 3)
+    bigger_T = c.transient + rng.randint(0, 2) * c.period if s.domain is HALF else F(0)
+    assert s._reframe(bigger_T, m * s.period).canonicalize() == c
+    assert from_ticks(to_ticks(s, tick_unit([s])).canonicalize()) == c
+    return c
+
+
 def test_canonicalize_idempotent_and_representation_free():
     rng = random.Random(11)
     for _ in range(60):
-        domain = rng.choice([LINE, HALF])
-        s = random_signal(rng, domain)
-        c = s.canonicalize()
-        assert c.canonicalize() == c
-        m = rng.randint(1, 3)
-        bigger_T = c.transient + rng.randint(0, 2) * c.period if domain is HALF else F(0)
-        r = s._reframe(bigger_T, m * s.period)
-        assert r.canonicalize() == c
+        _check_canonical_form(rng, random_signal(rng, rng.choice([LINE, HALF])))
+
+
+def _constant_in_disguise(rng, domain, value):
+    """The empty or the full set over a random period and transient, its
+    pattern built as the union of a random subset and its complement."""
+    p = rng.choice(PERIODS)
+    T = random_fraction(rng, 0, 2) if domain is HALF else F(0)
+    part = random_point_set(rng, p)
+    pattern = part.union(part.complement(0, p)) if value else part.difference(part)
+    prefix = IntervalSet.span(0, T) if value else IntervalSet.EMPTY
+    return Signal(domain, p, pattern, T, prefix)
+
+
+def test_constants_canonicalize_to_the_constant():
+    """Every representation of the empty and the full set, at either scale,
+    canonicalizes to Signal.constant; near-constants keep their transient
+    or their period and still have representation-free canonical forms."""
+    rng = random.Random(5)
+    for _ in range(100):
+        domain, value = rng.choice([LINE, HALF]), rng.random() < 0.5
+        s = _constant_in_disguise(rng, domain, value)
+        assert s.canonicalize() == Signal.constant(domain, value)
+        unit = rng.choice([1, 3]) * tick_unit([s])
+        assert to_ticks(s, unit).canonicalize() == Signal.constant(domain, value, unit)
+        full = _constant_in_disguise(rng, domain, True)
+        x, y = (IntervalSet.point(end * rng.randrange(12) / 12)
+                for end in (full.period, full.transient))
+        near = [full._replace(pattern=full.pattern.difference(x))]  # one point off the tail
+        if full.transient:
+            near += [full._replace(prefix=full.prefix.difference(y)),  # one off the prefix
+                     full._replace(pattern=IntervalSet.EMPTY)]  # full prefix, empty tail
+        for t in near:
+            c = _check_canonical_form(rng, t)
+            assert c not in (Signal.constant(domain, True), Signal.constant(domain, False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]), st.booleans())
+def test_built_records_revalidate(rng, domain, in_ticks):
+    """Records the algebra builds past the checks of Interval.__new__ are
+    valid: every component and signal re-validates as it stands."""
+    a, b = random_signal(rng, domain), random_signal(rng, domain)
+    pick = lambda lo, hi: random_fraction(rng, lo, hi, max_den=24)  # noqa: E731
+    if in_ticks:
+        unit = tick_unit([a, b])
+        a, b = to_ticks(a, unit), to_ticks(b, unit)
+        pick = rng.randint
+    period, transient = common_frame([a, b])
+    end = transient + 2 * period
+    lo, hi = pick(0, end), pick(0, end)
+    lo, hi = min(lo, hi), max(lo, hi)
+    x, y = a.slice(lo, hi), b.window(0, end)
+    d = pick(-end, end)
+    sets = [x, y, b.window(lo, hi), x.union(y), x.intersection(y), x.difference(y),
+            y.complement(lo, hi), x.shift(d), y.shift(d)]
+    sigs = [a, b, a.canonicalize(), combine("and", a, b), combine("or", a, b),
+            combine("not", b)]
+    if in_ticks:
+        sigs += [from_ticks(s) for s in sigs]
+    sets += [part for s in sigs for part in (s.pattern, s.prefix)]
+    for s in sets:
+        for c in s:
+            assert Interval(*c) == c and type(c.lower) is type(c.upper)
+        assert IntervalSet(s.components) == s
+    for s in sigs:
+        assert Signal(*s) == s
 
 
 # ---------------------------------------------------------------------- ticks
@@ -424,6 +496,8 @@ def test_to_ticks_scales_every_number_by_the_tick_unit():
     assert t.pattern == iset(Interval(210, 210)) and t.prefix == iset(Interval(120, 120))
     with pytest.raises(ValueError):
         align_many([s, t])
+    with pytest.raises(ValueError, match="whole number of ticks"):
+        to_ticks(s, 210)  # not a multiple of the denominator 4
 
 
 # ---------------------------------------------------------------------- equal
