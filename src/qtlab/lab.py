@@ -15,10 +15,14 @@ of its n atoms are classes.  A layer over no new class ends the enumeration,
 since every later layer would try nothing.  Requests past ``MAX_CANDIDATES``
 modal candidates in a layer or ``MAX_ATOMS`` atoms raise LabError instead.
 The enumeration scales P to integer ticks once (see ``qtlab.signals``), runs
-every modality on ints and scales the class signals it returns back, each one
-merge of its atoms' components.  Reports classify those against the four
-trivial forms built once per report, and evaluate no formula.  Everything is
-deterministic: no randomness, fixed iteration orders, append-only
+every modality on ints, and builds a class's signal, one merge of its atoms'
+components, only as a modal argument.  Reports read masks alone: the atoms
+are nonempty, disjoint and cover the domain, so a class is TRUE, FALSE, P or
+NOT_P when its mask is, in that precedence order, ``full``, 0, P's mask or
+``full & ~P``.  Disjoint atoms have disjoint tails, each nonempty exactly
+when its pattern is, so eventually the same holds after ANDing every mask
+with ``tails``, the bits of the atoms with a nonempty pattern.  Everything
+is deterministic: no randomness, fixed iteration orders, append-only
 representative list.
 """
 
@@ -57,16 +61,15 @@ from .semantics import (
     until,
 )
 from .signals import (
+    DomainError,
     Signal,
     TimeDomain,
     Triviality,
     align_many,
     classify_trivial,
     combine,
-    from_ticks,
     tick_unit,
     to_ticks,
-    trivial_classifier,
 )
 
 # Size guards: a request past either raises LabError (exit 2) before the
@@ -140,8 +143,12 @@ def parse_logic(text: str) -> Logic:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """Representatives and their classes, bit k set when a class holds atoms[k]."""
+
     formulas: Tuple[Formula, ...]
-    signals: Tuple[Signal, ...]  # each representative's canonical truth signal
+    masks: Tuple[int, ...]
+    atoms: Tuple[Signal, ...]  # disjoint, nonempty, canonical, in ticks; cover the domain
+    p_mask: int  # the class of P
     truncated: bool = False  # an enumeration closes or raises LabError
 
 
@@ -156,14 +163,13 @@ class _Enumeration:
         self.logic = logic
         p = env.signal("P")
         self.unit = tick_unit([p])
-        self.p = to_ticks(p, self.unit)
+        self.p = to_ticks(p, self.unit).canonicalize()
         self.reps: List[Formula] = []
         self.masks: List[int] = []
         self.seen: Dict[int, int] = {}  # mask -> class index
         self.known: Dict[Signal, int] = {}  # signal -> class index
         self.signals: List[Signal] = []  # truth signals of the first classes
         self.atoms: List[Signal] = [Signal.constant(env.domain, True, self.unit)]
-        self.full = 1
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
 
@@ -198,7 +204,6 @@ class _Enumeration:
             self.atoms[k] = inside
             self.atoms.append(combine("and", atom, outside))
             bit, new = 1 << k, 1 << (len(self.atoms) - 1)
-            self.full |= new
             self.masks[:] = [m | new if m & bit else m for m in self.masks]
             self.seen = {m: i for i, m in enumerate(self.masks)}
         return key
@@ -259,7 +264,7 @@ class _Enumeration:
         while old < len(reps) < filled:
             n = len(reps)
             for i in range(old, n):
-                key = ~masks[i] & self.full
+                key = masks[i] ^ (filled - 1)
                 if key not in seen:
                     self.admit(Not(reps[i]), key)
                     if len(masks) == filled:
@@ -295,7 +300,7 @@ class _Enumeration:
 def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationResult:
     """Semantic representatives of all formulas over atom P up to the given
     modal nesting depth, deduplicated by truth signal on dedup_env, with
-    their truth signals there."""
+    their classes there as masks over atoms."""
     if depth < 0:
         raise LabError("depth must be nonnegative")
     state = _Enumeration(dedup_env, logic)
@@ -304,7 +309,7 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
     state.next_upto = 0 if depth else None
     for formula, value in ((TrueConst(), True), (FalseConst(), False)):
         state.admit_signal(formula, Signal.constant(dedup_env.domain, value, state.unit))
-    state.admit_signal(Atom("P"), state.p.canonicalize())
+    state.admit_signal(Atom("P"), state.p)
     state.boolean_closure(0)
     for layer in range(1, depth + 1):
         upto, base = state.next_upto, len(state.reps)
@@ -315,7 +320,8 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
             # the layer before admitted no class, so this one tried no
             # tuple: a fixpoint, and every later layer would try none
             break
-    return EnumerationResult(tuple(state.reps), tuple(map(from_ticks, state.class_signals())))
+    return EnumerationResult(tuple(state.reps), tuple(state.masks), tuple(state.atoms),
+                             state.masks[state.known[state.p]])
 
 
 # ------------------------------------------------------------------ reports
@@ -344,11 +350,17 @@ class TrivializationReport:
 
 def trivialization_report(env: Env, enum: EnumerationResult,
                           eventually: bool) -> TrivializationReport:
-    """Classify each enumerated class's truth signal against the four
-    constants built from env's P."""
-    classify = trivial_classifier(env.signal("P"), eventually)
-    entries = tuple(ReportEntry(f, classify(sig))
-                    for f, sig in zip(enum.formulas, enum.signals))
+    """Classify each class of an enumeration on env by its mask (module docstring)."""
+    if enum.atoms and enum.atoms[0].domain is not env.domain:
+        raise DomainError("cannot compare signals over different domains")
+    full = (1 << len(enum.atoms)) - 1
+    keep = sum(1 << k for k, a in enumerate(enum.atoms) if a.pattern) if eventually else full
+    forms: Dict[int, Triviality] = {}
+    for tag, mask in ((Triviality.TRUE, full), (Triviality.FALSE, 0),
+                      (Triviality.P, enum.p_mask), (Triviality.NOT_P, full & ~enum.p_mask)):
+        forms.setdefault(mask & keep, tag)
+    entries = tuple(ReportEntry(f, forms.get(mask & keep, Triviality.NONE))
+                    for f, mask in zip(enum.formulas, enum.masks))
     return TrivializationReport(entries, eventually, enum.truncated)
 
 

@@ -411,29 +411,17 @@ def equal(a: Signal, b: Signal, eventually: bool = False) -> bool:
     return _normal_form(a, eventually) == _normal_form(b, eventually)
 
 
-def trivial_classifier(p_atom: Signal, eventually: bool) -> Callable[[Signal], Triviality]:
-    """A function comparing a signal against True, False, P and not P, in that
-    precedence order.  The four normal forms are built once, here."""
-    forms: dict[Signal, Triviality] = {}
-    for tag, candidate in (
-        (Triviality.TRUE, Signal.constant(p_atom.domain, True, p_atom.unit)),
-        (Triviality.FALSE, Signal.constant(p_atom.domain, False, p_atom.unit)),
-        (Triviality.P, p_atom),
-        (Triviality.NOT_P, combine("not", p_atom)),
-    ):
-        forms.setdefault(_normal_form(candidate, eventually), tag)
-
-    def classify(s: Signal) -> Triviality:
-        if s.domain is not p_atom.domain:
-            raise DomainError("cannot compare signals over different domains")
-        return forms.get(_normal_form(s, eventually), Triviality.NONE)
-
-    return classify
-
-
 def classify_trivial(s: Signal, p_atom: Signal, eventually: bool = False) -> Triviality:
     """Compare s against True, False, P and not P, in that precedence order."""
-    return trivial_classifier(p_atom, eventually)(s)
+    if s.domain is not p_atom.domain:
+        raise DomainError("cannot compare signals over different domains")
+    got = _normal_form(s, eventually)
+    for tag, form in ((Triviality.TRUE, Signal.constant(p_atom.domain, True, p_atom.unit)),
+                      (Triviality.FALSE, Signal.constant(p_atom.domain, False, p_atom.unit)),
+                      (Triviality.P, p_atom), (Triviality.NOT_P, combine("not", p_atom))):
+        if _normal_form(form, eventually) == got:
+            return tag
+    return Triviality.NONE
 
 
 # ------------------------------------------------------------------- ticks

@@ -2,11 +2,11 @@
 
 import hashlib
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
 import qtlab.lab
-import qtlab.signals
 from qtlab.formulas import (
     And,
     Count,
@@ -33,7 +33,30 @@ from qtlab.lab import (
     trivialization_report,
 )
 from qtlab.semantics import evaluate
-from qtlab.signals import DomainError, Signal, TimeDomain, Triviality, classify_trivial, equal
+from qtlab.signals import (
+    DomainError,
+    Signal,
+    TimeDomain,
+    Triviality,
+    classify_trivial,
+    combine,
+    equal,
+    from_ticks,
+)
+
+
+def class_signal(enum, mask):
+    """The public truth signal of a class: the union of its atoms."""
+    atoms = [a for k, a in enumerate(enum.atoms) if mask >> k & 1]
+    first = enum.atoms[0]
+    empty = Signal.constant(first.domain, False, first.unit)
+    return from_ticks(reduce(lambda x, y: combine("or", x, y), atoms, empty))
+
+
+def class_of(enum, f, env):
+    """The index of the enumerated class whose truth signal is f's."""
+    sig = evaluate(f, env)
+    return next(i for i, mask in enumerate(enum.masks) if class_signal(enum, mask) == sig)
 
 
 def test_builtin_models_membership():
@@ -184,64 +207,86 @@ def test_enumeration_size_guards(monkeypatch):
     ("qtl", "mk:3"), ("qtl", "thm2"), ("qtl+p2", "thm3:3"), ("tl", "thm2"),
 ])
 def test_enumerated_signals_are_the_formulas_truth(logic, spec):
-    """The class signals that reports classify, built as unions of atoms,
-    are the engine's truth signals of the representatives."""
+    """The classes that reports classify, as unions of atoms, are the
+    engine's truth signals of the representatives, and P's mask is P's."""
     env = builtin_model(spec)
     result = enumerate_formulas(parse_logic(logic), 2, env)
-    assert len(result.signals) == len(result.formulas)
-    for f, sig in zip(result.formulas, result.signals):
-        assert sig == evaluate(f, env), format_formula(f)
+    assert len(result.masks) == len(result.formulas)
+    for f, mask in zip(result.formulas, result.masks):
+        assert class_signal(result, mask) == evaluate(f, env), format_formula(f)
+    assert class_signal(result, result.p_mask) == env.signal("P")
 
 
 def test_trivialization_report_empty():
     env = builtin_model("mk:2")
-    report = trivialization_report(env, EnumerationResult((), ()), eventually=False)
+    report = trivialization_report(env, EnumerationResult((), (), (), 0), eventually=False)
     assert report.entries == ()
     assert report.render() == "total 0 trivial 0 nontrivial 0 truncated 0\n"
 
 
 def test_trivialization_report_nontrivial_entry():
+    """Pn2(P,P) is C2(P), which is not eventually trivial on thm2."""
     env = builtin_model("thm2")
-    f = parse_formula("C2(P)")
-    enum = EnumerationResult((f,), (evaluate(f, env),))
-    report = trivialization_report(env, enum, eventually=True)
+    enum = enumerate_formulas(parse_logic("qtl+p2"), 1, env)
+    i = class_of(enum, parse_formula("C2(P)"), env)
+    one = EnumerationResult(enum.formulas[i:i + 1], enum.masks[i:i + 1], enum.atoms,
+                            enum.p_mask)
+    report = trivialization_report(env, one, eventually=True)
     entry = report.entries[0]
     assert entry.classification is Triviality.NONE
     assert report.render() == (
-        "C2(P)\tNone\t1\n"
+        "Pn2(P,P)\tNone\t1\n"
         "total 1 trivial 0 nontrivial 1 truncated 0\n"
     )
 
 
 def test_exact_versus_eventual_classification():
+    """O1 P is true on (0, oo) on thm2: not P's constant, but eventually true."""
     env = builtin_model("thm2")
-    f = parse_formula("O1 P")
-    enum = EnumerationResult((f,), (evaluate(f, env),))
-    exact = trivialization_report(env, enum, eventually=False).entries[0]
-    event = trivialization_report(env, enum, eventually=True).entries[0]
+    enum = enumerate_formulas(parse_logic("qtl"), 1, env)
+    i = class_of(enum, parse_formula("O1 P"), env)
+    exact = trivialization_report(env, enum, eventually=False).entries[i]
+    event = trivialization_report(env, enum, eventually=True).entries[i]
     assert exact.classification is Triviality.NONE
     assert event.classification is Triviality.TRUE
 
 
 @pytest.mark.parametrize("eventually", [False, True])
-def test_a_report_builds_the_trivial_forms_once(monkeypatch, eventually):
-    """One report negates P once, however many classes it classifies, and
-    gives each class the form a per-class classify_trivial gives it."""
+def test_a_report_builds_no_signal(monkeypatch, eventually):
+    """A report reads masks alone: it builds no Signal, and gives each class
+    the form a per-class classify_trivial gives its truth signal."""
     env = builtin_model("thm2")
     enum = enumerate_formulas(parse_logic("qtl"), 2, env)
-    negations = []
-    combine = qtlab.signals.combine
+    built = []
+    new = Signal.__new__
 
-    def counting(op, *args):
-        negations.append(op == "not")
-        return combine(op, *args)
+    def spy(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(qtlab.signals, "combine", counting)
+    monkeypatch.setattr(Signal, "__new__", staticmethod(spy))
     report = trivialization_report(env, enum, eventually)
-    assert len(enum.signals) == 64 and sum(negations) == 1
     monkeypatch.undo()
+    assert len(enum.masks) == 64 and built == []
     assert [e.classification for e in report.entries] == [
-        classify_trivial(sig, env.signal("P"), eventually) for sig in enum.signals]
+        classify_trivial(class_signal(enum, mask), env.signal("P"), eventually)
+        for mask in enum.masks]
+
+
+@pytest.mark.parametrize("eventually", [False, True])
+@pytest.mark.parametrize("logic, spec", [
+    ("qtl", "mk:2"), ("qtl", "mk:3"), ("qtl", "thm2"), ("tl", "thm2"), ("qtl+p2", "thm3:3"),
+])
+def test_report_matches_classifying_each_representative(logic, spec, eventually):
+    """Every mask-read entry is what classify_trivial says of the engine's
+    truth signal of its representative."""
+    env = builtin_model(spec)
+    enum = enumerate_formulas(parse_logic(logic), 2, env)
+    report = trivialization_report(env, enum, eventually)
+    assert [e.formula for e in report.entries] == list(enum.formulas)
+    for e in report.entries:
+        want = classify_trivial(evaluate(e.formula, env), env.signal("P"), eventually)
+        assert e.classification is want, format_formula(e.formula)
 
 
 def test_classification_rejects_a_signal_of_another_domain():
@@ -361,16 +406,21 @@ def test_depth_past_the_fixpoint_runs_no_more_layers(monkeypatch):
 
 
 def test_depth3_qtl_thm2_report_golden():
-    """Depth-3 qtl on thm2 fills all 12 atoms; the eventual report is pinned
-    byte for byte to the one the pairwise closure and the fold of combine
-    gave, so representatives and class signals stay the same."""
+    """Depth-3 qtl on thm2 fills all 12 atoms; both reports of its one
+    enumeration are pinned byte for byte to the ones the pairwise closure and
+    the fold of combine gave, so representatives and classes stay the same."""
     env = builtin_model("thm2")
     enum = enumerate_formulas(parse_logic("qtl"), 3, env)
     assert len(enum.formulas) == 4096
-    text = trivialization_report(env, enum, eventually=True).render()
-    assert text.endswith("total 4096 trivial 4096 nontrivial 0 truncated 0\n")
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "11ab3c56d68bf65051fa2ff98aee8eb85b24d05498a4e3b9474c48970824b8ef")
+    for eventually, last, digest in (
+        (True, "total 4096 trivial 4096 nontrivial 0 truncated 0\n",
+         "11ab3c56d68bf65051fa2ff98aee8eb85b24d05498a4e3b9474c48970824b8ef"),
+        (False, "total 4096 trivial 4 nontrivial 4092 truncated 0\n",
+         "ac76fed6f3c3b50caffb61b3a60e04bf2e5314ad2ab3c895811c22dc097ed4f0"),
+    ):
+        text = trivialization_report(env, enum, eventually).render()
+        assert text.endswith(last)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -338,9 +338,9 @@ def _random_env(rng, domain):
 
 
 def test_public_results_are_fractions():
-    """evaluate and the enumeration compute in int ticks; what they return,
-    constants included, holds Fractions only, as do public constants and
-    operators applied to public signals directly."""
+    """evaluate computes in int ticks; what it returns, constants included,
+    holds Fractions only, as do public constants and operators applied to
+    public signals directly."""
     rng = random.Random(41)
     results = []
     for domain in (LINE, HALF):
@@ -351,16 +351,15 @@ def test_public_results_are_fractions():
         p, q = env.signal("P"), env.signal("Q")
         results += [const(domain, True), const(domain, False), count_unit(p, 2),
                     diamond_unit_past(p), until(p, q), pnueli_unit([p, q])]
-    for spec in ("mk:3", "thm2"):
-        results += enumerate_formulas(parse_logic("qtl"), 1, builtin_model(spec)).signals
     for sig in results:
         assert sig.unit == 1
         assert all(type(x) is F for x in _numbers(sig)), sig
 
 
 def test_ticks_stay_pure(monkeypatch):
-    """Every Signal built in ticks while evaluating holds only ints: no
-    Fraction default or lcm leaks into the engine's arithmetic."""
+    """Every Signal built in ticks while evaluating or enumerating holds only
+    ints: no Fraction default or lcm leaks into the engine's arithmetic, nor
+    into the tick atoms an enumeration returns."""
     built = []
     new = Signal.__new__
 
@@ -375,6 +374,10 @@ def test_ticks_stay_pure(monkeypatch):
         env = _random_env(rng, domain)
         for _ in range(15):
             evaluate(random_formula(rng), env)
+    atoms = []
+    for spec in ("mk:3", "thm2"):
+        atoms += enumerate_formulas(parse_logic("qtl"), 1, builtin_model(spec)).atoms
+    assert atoms and all(a.unit != 1 for a in atoms)
     ticks = [s for s in built if s.unit != 1]
     assert len(ticks) > 100
     for s in ticks:
