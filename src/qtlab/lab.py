@@ -16,7 +16,7 @@ since every later layer would try nothing.  Requests past ``MAX_CANDIDATES``
 modal candidates in a layer or ``MAX_ATOMS`` atoms raise LabError instead.
 The enumeration scales P to integer ticks once (see ``qtlab.signals``), runs
 every modality on ints, and builds a class's signal, one merge of its atoms'
-components, only as a modal argument.  Reports read masks alone: the atoms
+slices, only as a modal argument.  Reports read masks alone: the atoms
 are nonempty, disjoint and cover the domain, so a class is TRUE, FALSE, P or
 NOT_P when its mask is, in that precedence order, ``full``, 0, P's mask or
 ``full & ~P``.  Disjoint atoms have disjoint tails, each nonempty exactly
@@ -65,9 +65,10 @@ from .signals import (
     Signal,
     TimeDomain,
     Triviality,
-    align_many,
+    _frame,
     classify_trivial,
     combine,
+    common_frame,
     tick_unit,
     to_ticks,
 )
@@ -85,8 +86,16 @@ class LabError(ValueError):
 
 # ------------------------------------------------------------------- models
 
-_MK_RE = re.compile(r"\Amk:(\d+)\Z")
-_THM3_RE = re.compile(r"\Athm3:(\d+)\Z")
+def _indexed(spec: str, prefix: str, what: str, least: int) -> Optional[int]:
+    """n when spec is prefix followed by the digits of n, else None; an n
+    below least raises LabError."""
+    m = re.fullmatch(re.escape(prefix) + r"(\d+)", spec)
+    if not m:
+        return None
+    n = int(m.group(1))
+    if n < least:
+        raise LabError(f"{what} must be at least {least}, got {n}")
+    return n
 
 
 def builtin_model(spec: str) -> Env:
@@ -99,18 +108,10 @@ def builtin_model(spec: str) -> Env:
     if spec == "thm2":
         spec = "thm3:2"
     point_zero = IntervalSet([Interval.point(Fraction(0))])
-    m = _MK_RE.match(spec)
-    if m:
-        k = int(m.group(1))
-        if k < 1:
-            raise LabError(f"mk index must be at least 1, got {k}")
+    if (k := _indexed(spec, "mk:", "mk index", 1)) is not None:
         sig = Signal(TimeDomain.FULL_LINE, Fraction(1, k), point_zero)
         return Env(TimeDomain.FULL_LINE, {"P": sig})
-    m = _THM3_RE.match(spec)
-    if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise LabError(f"thm3 index must be at least 2, got {n}")
+    if (n := _indexed(spec, "thm3:", "thm3 index", 2)) is not None:
         sig = Signal(TimeDomain.HALF_LINE, Fraction(2, 2 * n - 1), point_zero)
         return Env(TimeDomain.HALF_LINE, {"P": sig})
     raise LabError(f"unknown model spec {spec!r} (expected mk:<k>, thm2, thm3:<n>)")
@@ -132,11 +133,7 @@ def parse_logic(text: str) -> Logic:
         return Logic(False, 0)
     if text == "qtl":
         return Logic(True, 0)
-    m = re.match(r"\Aqtl\+p(\d+)\Z", text)
-    if m:
-        cap = int(m.group(1))
-        if cap < 1:
-            raise LabError(f"run-modality cap must be at least 1, got {cap}")
+    if (cap := _indexed(text, "qtl+p", "run-modality cap", 1)) is not None:
         return Logic(True, cap)
     raise LabError(f"unknown logic {text!r} (expected tl, qtl, qtl+p<m>)")
 
@@ -211,19 +208,16 @@ class _Enumeration:
     def class_signals(self) -> List[Signal]:
         """Every class's truth signal, the union of its atoms (a later split
         keeps the union); builds the new classes' and registers them in known.
-        The atoms are disjoint, so with one period and transient for all of
-        them a class is one IntervalSet of its atoms' components (the
-        constructor sorts and coalesces the ones that touch), canonicalized
-        once."""
-        atoms = align_many(self.atoms)
-        first = atoms[0]
+        Each atom is sliced once over the atoms' common frame; they are
+        disjoint, so a class is one IntervalSet of its atoms' slices (the
+        constructor sorts and coalesces the ones that touch), framed and
+        canonicalized once."""
+        period, transient = common_frame(self.atoms)
+        cuts = [a.slice(0, transient + period).components for a in self.atoms]
         for i in range(len(self.signals), len(self.reps)):
-            parts = [a for k, a in enumerate(atoms) if self.masks[i] >> k & 1]
-            sig = Signal(first.domain, first.period,
-                         IntervalSet(c for a in parts for c in a.pattern.components),
-                         first.transient,
-                         IntervalSet(c for a in parts for c in a.prefix.components),
-                         self.unit).canonicalize()
+            union = IntervalSet(c for k, cut in enumerate(cuts) if self.masks[i] >> k & 1
+                                for c in cut)
+            sig = _frame(self.atoms[0], period, transient, union).canonicalize()
             self.signals.append(sig)
             self.known[sig] = i
         return self.signals
@@ -406,20 +400,18 @@ def paper_check(name: str) -> PaperCheckReport:
         more, ok2 = _enumeration_evidence(env, parse_logic("qtl"), True, "qtl")
         return PaperCheckReport(name, tuple(lines + more), ok1 and ok2)
 
-    m = re.match(r"\Ahierarchy:(\d+)\Z", name)
-    if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise LabError(f"hierarchy index must be at least 2, got {n}")
+    if (n := _indexed(name, "hierarchy:", "hierarchy index", 2)) is not None:
         env = builtin_model(f"thm3:{n}")
         sig = evaluate(Count(n, Atom("P")), env)
         width = Fraction(1, 2 * n - 1)
         lines = []
         vals = []
         for k in range(6):
-            probes = {sig.contains(k + width * q) for q in
-                      (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))}
-            val = probes.pop() if len(probes) == 1 else None
+            # the exact truth set on the open interval: all of it, none of it
+            # or neither
+            whole = IntervalSet([Interval.open(k, k + width)])
+            inside = sig.slice(k, k + width).intersection(whole)
+            val = {whole: True, IntervalSet.EMPTY: False}.get(inside)
             vals.append(val)
             if val is None:
                 lines.append(f"C{n}(P) not constant on ({k},{k}+{width})")
@@ -434,11 +426,7 @@ def paper_check(name: str) -> PaperCheckReport:
                                           f"qtl+p{n - 1}")
         return PaperCheckReport(name, tuple(lines + more), alternates and ok2)
 
-    m = re.match(r"\Acounting:(\d+)\Z", name)
-    if m:
-        k = int(m.group(1))
-        if k < 2:
-            raise LabError(f"counting index must be at least 2, got {k}")
+    if (k := _indexed(name, "counting:", "counting index", 2)) is not None:
         lines = []
         oks = []
         for idx, want in ((k, Triviality.NOT_P), (k + 1, Triviality.TRUE)):
@@ -449,11 +437,7 @@ def paper_check(name: str) -> PaperCheckReport:
             oks.append(cls is want)
         return PaperCheckReport(name, tuple(lines), all(oks))
 
-    m = re.match(r"\Atriviality:(\d+)\Z", name)
-    if m:
-        k = int(m.group(1))
-        if k < 2:
-            raise LabError(f"triviality index must be at least 2, got {k}")
+    if (k := _indexed(name, "triviality:", "triviality index", 2)) is not None:
         env = builtin_model(f"mk:{k}")
         lines, ok = _enumeration_evidence(env, parse_logic("qtl"), False, "qtl")
         return PaperCheckReport(name, tuple(lines), ok)

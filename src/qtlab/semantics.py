@@ -114,7 +114,7 @@ def _unit_count(x: Signal, n: int, future: bool) -> Signal:
     points = [c.lower for c in comps if c.is_point]
     hits += [Interval(last - d, first + one - d, False, False)
              for first, last in zip(points, points[n - 1:]) if last - first < one]
-    return _frame(x, x.period, t_bound, IntervalSet(hits))
+    return _frame(x, x.period, t_bound, IntervalSet(hits)).canonicalize()
 
 
 def diamond_unit_future(x: Signal) -> Signal:
@@ -174,7 +174,7 @@ def pnueli_unit(operands: Sequence[Signal]) -> Signal:
         s = c + nxt
         if decide(s // 2 if s % 2 == 0 else s / 2):
             pieces.append(Interval(c, nxt, False, False))
-    return _frame(operands[0], period, transient, IntervalSet(pieces))
+    return _frame(operands[0], period, transient, IntervalSet(pieces)).canonicalize()
 
 
 # ------------------------------------------------------------- order family
@@ -210,7 +210,7 @@ def _order(x: Signal, y: Signal, future: bool) -> Signal:
                 j -= 1
             if j < len(ys) and (inf := max(lowers[j], a)) < b:
                 out.append(Interval(inf, b, False, True))
-    return _frame(x, p, t_bound, IntervalSet(out))
+    return _frame(x, p, t_bound, IntervalSet(out)).canonicalize()
 
 
 def until(x: Signal, y: Signal) -> Signal:

@@ -26,7 +26,8 @@ one scale denote the same set iff their canonical forms are structurally equal.
 
 A Signal is a tuple underneath and validated like an ``Interval``.  The
 engine's operators, and ``combine``, slice their operands as they are within
-``common_frame``.
+``common_frame``; ``_frame`` alone cuts a set into a prefix and a pattern, for
+them, for ``shift`` and for every reframing.
 """
 
 from __future__ import annotations
@@ -98,16 +99,6 @@ def _lcm(a: RationalLike, b: RationalLike) -> RationalLike:
     times the integer lcm(an, bn) / an * ad / gcd(ad, bd)."""
     an, ad = a.numerator, a.denominator
     return a * (math.lcm(an, b.numerator) // an * (ad // math.gcd(ad, b.denominator)))
-
-
-def _cyclic_shift(pattern: IntervalSet, d: RationalLike, p: RationalLike) -> IntervalSet:
-    """Shift a pattern within the cyclic window [0, p)."""
-    d = d % p
-    if d == 0 or not pattern:
-        return pattern
-    moved = pattern.shift(d)
-    w = IntervalSet.span(0, p)
-    return moved.intersection(w).union(moved.intersection(w.shift(p)).shift(-p))
 
 
 def _prefix_function(seq: list) -> list[int]:
@@ -289,24 +280,16 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
             out[-1] = _clip(out[-1], a, b)
         return IntervalSet._wrap(tuple(out))
 
-    def window(self, a: RationalLike, b: RationalLike) -> IntervalSet:
-        """The exact point set of the signal within [a, b); empty unless a < b."""
-        a, b = exact(a), exact(b)
-        if a >= b:
-            return IntervalSet.EMPTY
-        got = self.slice(a, b)
-        if not got or not got.components[-1].upper_closed or got.components[-1].upper != b:
-            return got
-        last = got.components[-1]
-        cut = () if last.is_point else (Interval(last.lower, b, last.lower_closed, False),)
-        return IntervalSet._wrap(got.components[:-1] + cut)
-
     def shift(self, d: RationalLike) -> "Signal":
-        """Translate the denoted set by d. Full line only: the half line has an origin."""
+        """Translate the denoted set by d: x + d holds iff x did.  Full line
+        only: the half line has an origin."""
         if self.domain is not TimeDomain.FULL_LINE:
             raise DomainError("shift is a full-line operation")
-        return Signal(TimeDomain.FULL_LINE, self.period,
-                      _cyclic_shift(self.pattern, exact(d), self.period), unit=self.unit)
+        p = self.period
+        d = exact(d) % p
+        if d == 0:
+            return self
+        return _frame(self, p, 0, self.slice(-d, p - d).shift(d))
 
     # ---------------------------------------------------------- normalization
 
@@ -314,8 +297,7 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         """The unique full-line periodic set the signal eventually agrees with,
         in canonical form (minimal period, phase anchored at 0)."""
         p0, pat0 = _minimal_tail(self.period, self.pattern, self.unit)
-        pat_ext = _cyclic_shift(pat0, self.transient % p0, p0)
-        return Signal(TimeDomain.FULL_LINE, p0, pat_ext, unit=self.unit)
+        return Signal(TimeDomain.FULL_LINE, p0, pat0, unit=self.unit).shift(self.transient)
 
     def canonicalize(self) -> "Signal":
         if not (self.pattern or self.prefix):
@@ -347,11 +329,7 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         on; the signal must already repeat with that period past transient."""
         if transient == self.transient and period == self.period:
             return self
-        pattern = self.window(transient, transient + period).shift(-transient)
-        if self.domain is TimeDomain.FULL_LINE:
-            return Signal(TimeDomain.FULL_LINE, period, pattern, unit=self.unit)
-        return Signal(TimeDomain.HALF_LINE, period, pattern, transient,
-                      self.window(0, transient), self.unit)
+        return _frame(self, period, transient, self.slice(0, transient + period))
 
 
 def common_frame(signals: Sequence[Signal]) -> tuple[RationalLike, RationalLike]:
@@ -368,12 +346,14 @@ def common_frame(signals: Sequence[Signal]) -> tuple[RationalLike, RationalLike]
 
 def _frame(x: Signal, period: RationalLike, t_bound: RationalLike,
            truth: IntervalSet) -> Signal:
-    """The canonical signal, in x's domain and unit, that agrees with truth on
-    [0, t_bound + period) and repeats its last period from t_bound on (0 on
-    the full line)."""
+    """The signal, in x's domain and unit, that agrees with truth on [0,
+    t_bound + period) and repeats that last period from t_bound on (0 on the
+    full line); not canonicalized.  The one place a set is cut into a prefix
+    and a pattern: the half-open spans drop whatever truth holds at or past
+    t_bound + period, such as the closed end of a ``slice``."""
     pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + period)).shift(-t_bound)
     prefix = truth.intersection(IntervalSet.span(0, t_bound))
-    return Signal(x.domain, period, pattern, t_bound, prefix, x.unit).canonicalize()
+    return Signal(x.domain, period, pattern, t_bound, prefix, x.unit)
 
 
 def align_many(signals: list[Signal]) -> list[Signal]:
@@ -383,7 +363,8 @@ def align_many(signals: list[Signal]) -> list[Signal]:
 
 
 def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
-    """Pointwise boolean combination; the result is canonical."""
+    """Pointwise boolean combination; the result is canonical.  The operands
+    of ``and``/``or`` are sliced as they are over one frame and cut once."""
     if op == "not":
         if b is not None:
             raise ValueError("not takes a single signal")
@@ -396,7 +377,7 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
         raise ValueError(f"unknown boolean operation {op!r}")
     period, transient = common_frame([a, b])
     end = transient + period
-    return _frame(a, period, transient, fn(a.window(0, end), b.window(0, end)))
+    return _frame(a, period, transient, fn(a.slice(0, end), b.slice(0, end))).canonicalize()
 
 
 def _normal_form(s: Signal, eventually: bool) -> Signal:

@@ -442,3 +442,17 @@ def test_paper_check_records_orientation():
 def test_paper_check_rejects_bad_names(bad):
     with pytest.raises(LabError):
         paper_check(bad)
+
+
+@pytest.mark.parametrize("read, spec, message", [
+    (builtin_model, "mk:0", "mk index must be at least 1, got 0"),
+    (builtin_model, "thm3:1", "thm3 index must be at least 2, got 1"),
+    (parse_logic, "qtl+p0", "run-modality cap must be at least 1, got 0"),
+    (paper_check, "hierarchy:1", "hierarchy index must be at least 2, got 1"),
+    (paper_check, "counting:01", "counting index must be at least 2, got 1"),
+    (paper_check, "triviality:0", "triviality index must be at least 2, got 0"),
+])
+def test_an_index_below_its_least_is_named(read, spec, message):
+    with pytest.raises(LabError) as err:
+        read(spec)
+    assert str(err.value) == message

@@ -213,6 +213,30 @@ def test_slice_matches_membership(rng, domain):
         assert got.contains(t) == s.contains(t), (s, a, b, t)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_shift_moves_membership_by_d(rng, in_ticks):
+    """x + d is in s.shift(d) iff x is in s, for d negative, zero and longer
+    than a period, at every endpoint of either set over two periods and at
+    the midpoint of every gap between them."""
+    s = random_signal(rng, LINE)
+    if in_ticks:
+        s = to_ticks(s, tick_unit([s]))
+        p = s.period
+        ds = [0, -rng.randint(1, 3 * p), rng.randint(p + 1, 3 * p)]
+    else:
+        p = s.period
+        ds = [F(0), -random_fraction(rng, F(1, 24), 3 * p, max_den=24),
+              p + random_fraction(rng, F(1, 24), 2 * p, max_den=24)]
+    for d in ds:
+        moved = s.shift(d)
+        assert moved.period == p and moved.unit == s.unit
+        cuts = sorted(_own_endpoints(s, -p, 2 * p)
+                      | {e - d for e in _own_endpoints(moved, d - p, d + 2 * p)})
+        for x in cuts + [F(u + v) / 2 for u, v in zip(cuts, cuts[1:])]:
+            assert moved.contains(x + d) == s.contains(x), (s, d, x)
+
+
 # ---------------------------------------------------------------------- align
 
 def test_align_takes_lcm_period_and_max_transient():
@@ -434,12 +458,14 @@ def test_built_records_revalidate(rng, domain, in_ticks):
     end = transient + 2 * period
     lo, hi = pick(0, end), pick(0, end)
     lo, hi = min(lo, hi), max(lo, hi)
-    x, y = a.slice(lo, hi), b.window(0, end)
+    x, y = a.slice(lo, hi), b.slice(0, end)
     d = pick(-end, end)
-    sets = [x, y, b.window(lo, hi), x.union(y), x.intersection(y), x.difference(y),
+    sets = [x, y, b.slice(lo, hi), x.union(y), x.intersection(y), x.difference(y),
             y.complement(lo, hi), x.shift(d), y.shift(d)]
     sigs = [a, b, a.canonicalize(), combine("and", a, b), combine("or", a, b),
             combine("not", b)]
+    if domain is LINE:
+        sigs.append(a.shift(d))
     if in_ticks:
         sigs += [from_ticks(s) for s in sigs]
     sets += [part for s in sigs for part in (s.pattern, s.prefix)]
