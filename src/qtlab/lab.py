@@ -24,6 +24,23 @@ when its pattern is, so eventually the same holds after ANDing every mask
 with ``tails``, the bits of the atoms with a nonempty pattern.  Everything
 is deterministic: no randomness, fixed iteration orders, append-only
 representative list.
+
+A modal layer distributes over atoms.  The right operand of U and S, the
+operand of F1 and O1 and every argument of Pn<k> ask for one witness point,
+so each distributes over ``|``: ``x U (y | z) = x U y | x U z``.  The layer
+runs these positions on the layer-start atoms, calls each operator once per
+(operator, argument handles), refines once per distinct result, and keys a
+tuple by the union of its calls' masks, 0 when a class there has mask 0
+(``x U false``, ``F1 false``, ``Pn(.., false, ..)``).  The left operand of U
+and S takes whole classes.  ``C<n>`` with n >= 2 must never be distributed:
+with P at the integers and Q at the half-integers, ``C2(P | Q)`` is (0,1/2)
+with period 1/2 while ``C2(P) | C2(Q)`` is empty.  Every argument tuple is
+still admitted, in the same order, with the same formula and class, so the
+first-found representatives, the reports and the ``MAX_CANDIDATES`` refusals
+(it counts tuples, not calls) are unchanged.  The calls cut the same atoms
+as sets: each layer-start atom is a class, so each call is a tuple this
+layer or an earlier one admitted, and each whole-class result is a union of
+calls.
 """
 
 from __future__ import annotations
@@ -32,6 +49,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .formulas import (
@@ -167,6 +186,7 @@ class _Enumeration:
         self.known: Dict[Signal, int] = {}  # signal -> class index
         self.signals: List[Signal] = []  # truth signals of the first classes
         self.atoms: List[Signal] = [Signal.constant(env.domain, True, self.unit)]
+        self.pending: List[int] = []  # the modal layer's result masks
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
 
@@ -201,7 +221,8 @@ class _Enumeration:
             self.atoms[k] = inside
             self.atoms.append(combine("and", atom, outside))
             bit, new = 1 << k, 1 << (len(self.atoms) - 1)
-            self.masks[:] = [m | new if m & bit else m for m in self.masks]
+            for masks in (self.masks, self.pending):
+                masks[:] = [m | new if m & bit else m for m in masks]
             self.seen = {m: i for i, m in enumerate(self.masks)}
         return key
 
@@ -222,16 +243,21 @@ class _Enumeration:
             self.known[sig] = i
         return self.signals
 
-    def families(self) -> List[Tuple[int, Tuple[Tuple[Callable, Callable], ...]]]:
-        """The modal layer's families in admission order, each a width and
-        its (formula class, engine operator) pairs.  The operators are looked
-        up per call, so a wrapper patched into this module sees every call."""
-        out = [(2, ((Until, until), (Since, since)))]
+    def families(self) -> List[Tuple[int, Tuple[Tuple[Callable, Callable], ...],
+                                     Tuple[bool, ...]]]:
+        """The modal layer's families in admission order, each a width, its
+        (formula class, engine operator) pairs and which argument positions
+        distribute over `|` (module docstring).  The operators are looked up
+        per call, so a wrapper patched into this module sees every call."""
+        out = [(2, ((Until, until), (Since, since)), (False, True))]
         if self.logic.diamonds:
             out.append((1, ((DiamondFuture, diamond_unit_future),
-                            (DiamondPast, diamond_unit_past))))
+                            (DiamondPast, diamond_unit_past)), (True,)))
         run = (lambda *fs: Pnueli(fs), lambda *sigs: pnueli_unit(sigs))
-        out += [(width, (run,)) for width in range(2, self.logic.pnueli_max + 1)]
+        # C<n> for n >= 2 must never join these: it does not distribute
+        # over | (the counterexample is in the module docstring)
+        out += [(width, (run,), (True,) * width)
+                for width in range(2, self.logic.pnueli_max + 1)]
         return out
 
     def guard_next_layer(self) -> None:
@@ -241,7 +267,7 @@ class _Enumeration:
         wide run family neither costs a huge sum nor prints one."""
         base, upto = len(self.reps), self.next_upto
         count = 0
-        for w, ops in self.families():
+        for w, ops, _ in self.families():
             count += len(ops) * (base ** w - upto ** w)
             if count > MAX_CANDIDATES:
                 raise LabError(f"a modal layer would try at least {count} candidates, "
@@ -280,15 +306,35 @@ class _Enumeration:
 
     def modal_layer(self, upto: int) -> None:
         """Apply every modality to the argument tuples over the current
-        classes whose largest index is at or above upto."""
-        reps, args = self.reps, self.class_signals()
+        classes whose largest index is at or above upto, distributive
+        positions on atoms (module docstring)."""
+        reps, args, atoms = self.reps, self.class_signals(), tuple(self.atoms)
         base = len(reps)
-        for width, ops in self.families():
+        bits = [[k for k in range(len(atoms)) if m >> k & 1] for m in self.masks]
+        self.pending, slots, memo = [], {}, {}
+
+        def slot(op: Callable, hs: Tuple[int, ...], dist: Tuple[bool, ...]) -> int:
+            """The pending index of op on the classes and atoms hs name."""
+            if (op, hs) not in memo:
+                sig = op(*(atoms[h] if d else args[h] for h, d in zip(hs, dist)))
+                if sig not in slots:
+                    index = self.known.get(sig)
+                    mask = self.refine(sig) if index is None else self.masks[index]
+                    slots[sig] = len(self.pending)
+                    self.pending.append(mask)
+                memo[op, hs] = slots[sig]
+            return memo[op, hs]
+
+        for width, ops, dist in self.families():
             for idxs in itertools.product(range(base), repeat=width):
                 if max(idxs) >= upto:
+                    choices = [bits[i] if d else (i,) for i, d in zip(idxs, dist)]
                     for make, op in ops:
-                        self.admit_signal(make(*(reps[i] for i in idxs)),
-                                          op(*(args[i] for i in idxs)))
+                        # every call before the union: a later call's refine
+                        # may split atoms the union already holds
+                        got = [slot(op, hs, dist) for hs in itertools.product(*choices)]
+                        self.admit(make(*(reps[i] for i in idxs)),
+                                   reduce(or_, (self.pending[g] for g in got), 0))
 
 
 def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationResult:

@@ -1,6 +1,7 @@
 """Lab checks: builtin models, enumeration invariants, reports, turnkey checks."""
 
 import hashlib
+import itertools
 from fractions import Fraction as F
 from functools import reduce
 
@@ -319,32 +320,85 @@ def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch):
 
 
 @pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
-def test_size_guard_counts_exactly_the_calls_a_layer_makes(monkeypatch, logic, spec):
-    """The guard's count equals the modal calls of the largest layer (the
-    first on mk:3, where layer 2 adds nothing; the second on thm3:3), so a
-    limit at that count passes and one below it raises."""
-    layers = []
+def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic, spec):
+    """The guard's count equals the argument tuples the largest layer hands
+    to admit (the first on mk:3, where layer 2 adds nothing; the second on
+    thm3:3), so a limit at that count passes and one below it raises.  The
+    layer runs distributive positions on atoms, so it makes fewer operator
+    calls than it admits tuples."""
+    tuples, calls, inside = [], [], []
     modal_layer = qtlab.lab._Enumeration.modal_layer
+    admit = qtlab.lab._Enumeration.admit
 
     def new_layer(self, upto):
-        layers.append(0)
-        return modal_layer(self, upto)
+        tuples.append(0)
+        calls.append(0)
+        inside.append(True)
+        try:
+            return modal_layer(self, upto)
+        finally:
+            inside.pop()
+
+    def spy_admit(self, formula, key):
+        if inside:
+            tuples[-1] += 1
+        return admit(self, formula, key)
 
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", new_layer)
+    monkeypatch.setattr(qtlab.lab._Enumeration, "admit", spy_admit)
     for name in ("until", "since", "diamond_unit_future", "diamond_unit_past",
                  "pnueli_unit"):
         def counted(*args, fn=getattr(qtlab.lab, name)):
-            layers[-1] += 1
+            calls[-1] += 1
             return fn(*args)
         monkeypatch.setattr(qtlab.lab, name, counted)
     logic, env = parse_logic(logic), builtin_model(spec)
     expected = enumerate_formulas(logic, 2, env)
-    assert len(layers) == 2
-    monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(layers))
+    assert len(tuples) == len(calls) == 2
+    largest = tuples.index(max(tuples))
+    assert calls[largest] < tuples[largest], (calls, tuples)
+    monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(tuples))
     assert enumerate_formulas(logic, 2, env) == expected
-    monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(layers) - 1)
+    monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(tuples) - 1)
     with pytest.raises(LabError, match="candidates"):
         enumerate_formulas(logic, 2, env)
+
+
+def undistributed_modal_layer(self, upto):
+    """The reference layer: every operator runs on whole class signals, one
+    call per argument tuple, and each result is admitted by its signal."""
+    reps, args = self.reps, self.class_signals()
+    base = len(reps)
+    for width, ops, _ in self.families():
+        for idxs in itertools.product(range(base), repeat=width):
+            if max(idxs) >= upto:
+                for make, op in ops:
+                    self.admit_signal(make(*(reps[i] for i in idxs)),
+                                      op(*(args[i] for i in idxs)))
+
+
+@pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3"])
+@pytest.mark.parametrize("logic", ["tl", "qtl", "qtl+p2", "qtl+p3"])
+def test_the_distributed_layer_matches_the_undistributed_reference(monkeypatch, logic, spec):
+    """Running distributive positions on atoms gives the reference layer's
+    representatives, classes (masks read as sets of atom signals) and
+    reports, in both modes, or the same LabError (qtl+p3 on thm3:3 needs
+    more than 12 atoms)."""
+    env = builtin_model(spec)
+
+    def outcome():
+        try:
+            enum = enumerate_formulas(parse_logic(logic), 2, env)
+        except LabError as err:
+            return str(err)
+        classes = [frozenset(a for k, a in enumerate(enum.atoms) if mask >> k & 1)
+                   for mask in enum.masks + (enum.p_mask,)]
+        reports = [trivialization_report(env, enum, ev).render() for ev in (False, True)]
+        return enum.formulas, classes, reports
+
+    got = outcome()
+    monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", undistributed_modal_layer)
+    assert got == outcome()
 
 
 @pytest.mark.parametrize("logic, spec", [
@@ -423,7 +477,7 @@ def test_depth3_qtl_thm2_report_golden():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_hierarchy_closes_untruncated(n):
     text = paper_check(f"hierarchy:{n}").render()
     assert (f"enumerated 128 qtl+p{n - 1} formulas to depth 2, nontrivial 0, "

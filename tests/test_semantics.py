@@ -29,6 +29,7 @@ from qtlab.signals import (
     Signal,
     TimeDomain,
     align_many,
+    combine,
     equal,
     tick_unit,
     to_ticks,
@@ -224,6 +225,32 @@ def test_diamond_future_distributes_over_or(rng, domain):
     left = diamond_unit_future(combine("or", x, y))
     right = combine("or", diamond_unit_future(x), diamond_unit_future(y))
     assert equal(left, right)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), DOMAINS)
+def test_existential_positions_distribute_over_or(rng, domain):
+    """The positions the enumerator runs on atoms distribute over `|`: the
+    right operand of U and S, the operand of O1 (F1 has the test above),
+    and every argument of Pn at widths 2 and 3."""
+    x, y, z, *others = (random_signal(rng, domain, 3) for _ in range(5))
+    positions = [lambda s: until(x, s), lambda s: since(x, s), diamond_unit_past]
+    for width in (2, 3):
+        for k in range(width):
+            positions.append(lambda s, k=k, width=width: pnueli_unit(
+                others[:k] + [s] + others[k:width - 1]))
+    for f in positions:
+        assert equal(f(combine("or", y, z)), combine("or", f(y), f(z)))
+
+
+def test_count_two_does_not_distribute_over_or():
+    """P at the integers, Q at the half-integers: C2(P | Q) is (0,1/2) with
+    period 1/2, while C2(P) | C2(Q) is empty."""
+    p = grid_line(1)
+    q = Signal(LINE, F(1), IntervalSet([Interval.point(F(1, 2))]))
+    assert equal(count_unit(combine("or", p, q), 2),
+                 Signal(LINE, F(1, 2), IntervalSet([Interval.open(F(0), F(1, 2))])))
+    assert equal(combine("or", count_unit(p, 2), count_unit(q, 2)), const(LINE, False))
 
 
 @settings(max_examples=40, deadline=None)
