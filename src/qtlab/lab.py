@@ -14,9 +14,8 @@ builds a formula only for a mask not seen yet, and stops once all 2^n unions
 of its n atoms are classes.  A layer over no new class ends the enumeration,
 since every later layer would try nothing.  Requests past ``MAX_CANDIDATES``
 modal candidates in a layer or ``MAX_ATOMS`` atoms raise LabError instead.
-The enumeration scales P to integer ticks once (see ``qtlab.signals``), runs
-every modality on ints, and builds a class's signal, one merge of its atoms'
-slices, only as a modal argument.  Reports read masks alone: the atoms
+The enumeration scales P to integer ticks once (see ``qtlab.signals``) and
+runs every modality on ints.  Reports read masks alone: the atoms
 are nonempty, disjoint and cover the domain, so a class is TRUE, FALSE, P or
 NOT_P when its mask is, in that precedence order, ``full``, 0, P's mask or
 ``full & ~P``.  Disjoint atoms have disjoint tails, each nonempty exactly
@@ -28,10 +27,10 @@ representative list.
 A modal layer distributes over atoms.  The right operand of U and S, the
 operand of F1 and O1 and every argument of Pn<k> ask for one witness point,
 so each distributes over ``|``: ``x U (y | z) = x U y | x U z``.  The layer
-runs these positions on the layer-start atoms, calls each operator once per
-(operator, argument handles), refines once per distinct result, and keys a
-tuple by the union of its calls' masks, 0 when a class there has mask 0
-(``x U false``, ``F1 false``, ``Pn(.., false, ..)``).  The left operand of U
+runs these positions on the layer-start atoms, calls each kernel once per
+(operator, argument handles), refines once per distinct framed result, and
+keys a tuple by the union of its calls' masks, 0 when a class there has mask
+0 (``x U false``, ``F1 false``, ``Pn(.., false, ..)``).  The left operand of U
 and S takes whole classes.  ``C<n>`` with n >= 2 must never be distributed:
 with P at the integers and Q at the half-integers, ``C2(P | Q)`` is (0,1/2)
 with period 1/2 while ``C2(P) | C2(Q)`` is empty.  Every argument tuple is
@@ -41,6 +40,14 @@ first-found representatives, the reports and the ``MAX_CANDIDATES`` refusals
 as sets: each layer-start atom is a class, so each call is a tuple this
 layer or an earlier one admitted, and each whole-class result is a union of
 calls.
+
+One frame per layer.  A layer cuts each start atom once over the reach of
+their frame (``qtlab.semantics.Frame``), and a class's cut is the union of
+its atoms' cuts.  Each call runs a kernel on these cuts and frames its truth
+set at the kernel's t_bound.  Framed at one (period, transient), two sets are
+structurally equal exactly when equal, so a result is matched against the
+classes framed alike, and only a miss is sliced and refined: ``refine``
+intersects cuts and canonicalizes only the two parts of a split atom.
 """
 
 from __future__ import annotations
@@ -70,15 +77,9 @@ from .formulas import (
     format_formula,
 )
 from .intervals import Interval, IntervalSet, format_interval_list
-from .semantics import (
-    Env,
-    diamond_unit_future,
-    diamond_unit_past,
-    evaluate,
-    pnueli_unit,
-    since,
-    until,
-)
+from .semantics import Env, Frame, count_kernel, evaluate, order_kernel, pnueli_kernel
+# the public operators, importable from this module too
+from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
 from .signals import (
     DomainError,
     Signal,
@@ -86,8 +87,6 @@ from .signals import (
     Triviality,
     _frame,
     classify_trivial,
-    combine,
-    common_frame,
     tick_unit,
     to_ticks,
 )
@@ -171,9 +170,9 @@ class EnumerationResult:
 class _Enumeration:
     """Classes as bitmasks over atoms: the minimal nonempty sets cut so far
     by P and the modal results, kept as disjoint canonical signals in ticks
-    covering the domain.  Only a modal result that is a new signal splits the
-    atoms it cuts, and every mask holding a split atom gains the new atom's
-    bit."""
+    covering the domain, and as their cuts over the window of one frame.
+    Only a modal result that is a new set splits the atoms it cuts, and every
+    mask holding a split atom gains the new atom's bit."""
 
     def __init__(self, env: Env, logic: Logic):
         self.logic = logic
@@ -183,12 +182,17 @@ class _Enumeration:
         self.reps: List[Formula] = []
         self.masks: List[int] = []
         self.seen: Dict[int, int] = {}  # mask -> class index
-        self.known: Dict[Signal, int] = {}  # signal -> class index
-        self.signals: List[Signal] = []  # truth signals of the first classes
         self.atoms: List[Signal] = [Signal.constant(env.domain, True, self.unit)]
         self.pending: List[int] = []  # the modal layer's result masks
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
+        self.recut([self.p])
+
+    def recut(self, signals: List[Signal]) -> None:
+        """Cut every atom over the reach of the frame of signals."""
+        self.frame = Frame.of(signals)
+        self.window = self.frame.reach()
+        self.cuts = [a.slice(*self.window) for a in self.atoms]
 
     def admit(self, formula: Formula, key: int) -> None:
         if key not in self.seen:
@@ -198,62 +202,49 @@ class _Enumeration:
             if self.next_upto is not None:
                 self.guard_next_layer()
 
-    def admit_signal(self, formula: Formula, sig: Signal) -> None:
-        index = self.known.get(sig)
-        key = self.refine(sig) if index is None else self.masks[index]
+    def admit_signal(self, formula: Formula, sig: Signal) -> int:
+        key = self.refine(sig.slice(*self.window))
         self.admit(formula, key)
-        self.known[sig] = self.seen[key]
+        return self.seen[key]
 
-    def refine(self, sig: Signal) -> int:
-        """The mask of sig, after splitting every atom that sig cuts."""
-        key, outside = 0, None
-        for k in range(len(self.atoms)):
-            atom = self.atoms[k]
-            inside = combine("and", atom, sig)
-            if not (inside.pattern or inside.prefix):
+    def refine(self, cut: IntervalSet) -> int:
+        """The mask of the set cut shows over the window, after splitting every
+        atom it cuts; the set and the atoms repeat from frame.settled()."""
+        key, period, settled = 0, self.frame.period, self.frame.settled()
+        for k in range(len(self.cuts)):
+            atom = self.cuts[k]
+            inside = atom.intersection(cut)
+            if not inside:
                 continue
             key |= 1 << k
             if inside == atom:
                 continue
             if len(self.atoms) == MAX_ATOMS:
                 raise LabError(f"the closure would need more than {MAX_ATOMS} atoms")
-            outside = outside or combine("not", sig)
-            self.atoms[k] = inside
-            self.atoms.append(combine("and", atom, outside))
+            self.cuts[k], outside = inside, atom.difference(inside)
+            self.cuts.append(outside)
+            self.atoms[k], new_atom = (_frame(self.p, period, settled, part).canonicalize()
+                                       for part in (inside, outside))
+            self.atoms.append(new_atom)
             bit, new = 1 << k, 1 << (len(self.atoms) - 1)
             for masks in (self.masks, self.pending):
                 masks[:] = [m | new if m & bit else m for m in masks]
             self.seen = {m: i for i, m in enumerate(self.masks)}
         return key
 
-    def class_signals(self) -> List[Signal]:
-        """Every class's truth signal, the union of its atoms (a later split
-        keeps the union); builds the new classes' and registers them in known.
-        Each atom is sliced once over the atoms' common frame; they are
-        disjoint, so a class is one IntervalSet of its atoms' slices (the
-        constructor sorts and coalesces the ones that touch), framed and
-        canonicalized once."""
-        period, transient = common_frame(self.atoms)
-        cuts = [a.slice(0, transient + period).components for a in self.atoms]
-        for i in range(len(self.signals), len(self.reps)):
-            union = IntervalSet(c for k, cut in enumerate(cuts) if self.masks[i] >> k & 1
-                                for c in cut)
-            sig = _frame(self.atoms[0], period, transient, union).canonicalize()
-            self.signals.append(sig)
-            self.known[sig] = i
-        return self.signals
-
     def families(self) -> List[Tuple[int, Tuple[Tuple[Callable, Callable], ...],
                                      Tuple[bool, ...]]]:
         """The modal layer's families in admission order, each a width, its
-        (formula class, engine operator) pairs and which argument positions
-        distribute over `|` (module docstring).  The operators are looked up
+        (formula class, engine kernel) pairs and which argument positions
+        distribute over `|` (module docstring).  The kernels are looked up
         per call, so a wrapper patched into this module sees every call."""
-        out = [(2, ((Until, until), (Since, since)), (False, True))]
+        out = [(2, ((Until, lambda fr, cuts: order_kernel(fr, cuts, True)),
+                    (Since, lambda fr, cuts: order_kernel(fr, cuts, False))), (False, True))]
         if self.logic.diamonds:
-            out.append((1, ((DiamondFuture, diamond_unit_future),
-                            (DiamondPast, diamond_unit_past)), (True,)))
-        run = (lambda *fs: Pnueli(fs), lambda *sigs: pnueli_unit(sigs))
+            out.append((1, ((DiamondFuture, lambda fr, cuts: count_kernel(fr, cuts, 1, True)),
+                            (DiamondPast, lambda fr, cuts: count_kernel(fr, cuts, 1, False))),
+                        (True,)))
+        run = (lambda *fs: Pnueli(fs), lambda fr, cuts: pnueli_kernel(fr, cuts))
         # C<n> for n >= 2 must never join these: it does not distribute
         # over | (the counterexample is in the module docstring)
         out += [(width, (run,), (True,) * width)
@@ -307,21 +298,28 @@ class _Enumeration:
     def modal_layer(self, upto: int) -> None:
         """Apply every modality to the argument tuples over the current
         classes whose largest index is at or above upto, distributive
-        positions on atoms (module docstring)."""
-        reps, args, atoms = self.reps, self.class_signals(), tuple(self.atoms)
+        positions on atoms, at one frame (module docstring)."""
+        self.recut(self.atoms)
+        reps, frame, atoms = self.reps, self.frame, tuple(self.cuts)
         base = len(reps)
         bits = [[k for k in range(len(atoms)) if m >> k & 1] for m in self.masks]
+        args = [IntervalSet(c for k in ks for c in atoms[k]) for ks in bits]
         self.pending, slots, memo = [], {}, {}
+        framed: Dict[int, Dict[Signal, int]] = {}  # t_bound -> framed class -> index
 
         def slot(op: Callable, hs: Tuple[int, ...], dist: Tuple[bool, ...]) -> int:
             """The pending index of op on the classes and atoms hs name."""
             if (op, hs) not in memo:
-                sig = op(*(atoms[h] if d else args[h] for h, d in zip(hs, dist)))
+                truth, t_bound = op(frame, [atoms[h] if d else args[h] for h, d in zip(hs, dist)])
+                sig = _frame(self.p, frame.period, t_bound, truth)
                 if sig not in slots:
-                    index = self.known.get(sig)
-                    mask = self.refine(sig) if index is None else self.masks[index]
+                    if t_bound not in framed:
+                        framed[t_bound] = {_frame(self.p, frame.period, t_bound, cut): i
+                                           for i, cut in enumerate(args)}
+                    index = framed[t_bound].get(sig)
                     slots[sig] = len(self.pending)
-                    self.pending.append(mask)
+                    self.pending.append(self.masks[index] if index is not None
+                                        else self.refine(sig.slice(*self.window)))
                 memo[op, hs] = slots[sig]
             return memo[op, hs]
 
@@ -349,7 +347,7 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
     state.next_upto = 0 if depth else None
     for formula, value in ((TrueConst(), True), (FalseConst(), False)):
         state.admit_signal(formula, Signal.constant(dedup_env.domain, value, state.unit))
-    state.admit_signal(Atom("P"), state.p)
+    p_class = state.admit_signal(Atom("P"), state.p)
     state.boolean_closure(0)
     for layer in range(1, depth + 1):
         upto, base = state.next_upto, len(state.reps)
@@ -361,7 +359,7 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
             # tuple: a fixpoint, and every later layer would try none
             break
     return EnumerationResult(tuple(state.reps), tuple(state.masks), tuple(state.atoms),
-                             state.masks[state.known[state.p]])
+                             state.masks[p_class])
 
 
 # ------------------------------------------------------------------ reports

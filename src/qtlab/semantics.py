@@ -1,10 +1,12 @@
 """The evaluation engine: exact truth signals for every operator.
 
-Each temporal operator slices its operands once, as they are, over one window
-of their common frame (``signals.common_frame``: the lcm period and the max
-transient; on the half line the transient comes first), and builds its truth
-set there directly from their sorted components, in time near linear in the
-component count:
+Each temporal operator is a kernel: from a ``Frame`` its operands repeat in
+and their cuts, their sorted components over a window of it, it builds the
+truth set directly, in time near linear in the component count, with the
+t_bound it repeats from.  A public operator cuts each operand once over its
+kernel's window of ``signals.common_frame`` (lcm period, max transient),
+then frames and canonicalizes that set.  Kernels read a larger frame or
+window alike, so a modal layer (``qtlab.lab``) runs them on one frame:
 
 * ``C<n>`` (``F1`` is ``C1``) and ``O1`` follow the offline construction of
   Maler and Nickovic, "Monitoring Temporal Properties of Continuous Signals"
@@ -20,9 +22,8 @@ component count:
   their shifts by one) and one midpoint per gap between them, each decision
   placing witnesses greedily by bisection over precomputed components.
 
-The truth set on the window, cut to the output's transient plus one period,
-is then canonicalized.  The differential oracle checks every construction
-pointwise rather than this module assuming it silently.
+The differential oracle checks every construction pointwise rather than
+this module assuming it silently.
 
 The operators run on signals at either scale of ``qtlab.signals``, reading
 the length of one time unit off their operands.  ``evaluate`` scales the
@@ -33,8 +34,10 @@ and scales the result back to Fractions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence
 
 from .formulas import (
     And,
@@ -97,45 +100,77 @@ class Env:
             raise UnboundAtomError(name) from None
 
 
+# --------------------------------------------------------------------- frames
+
+class Frame(namedtuple("Frame", "domain period transient unit")):
+    """Each operand repeats with ``period`` from ``transient`` (0 on the full
+    line).  ``window(m)`` runs from -m (0 on the half line) to m past a period
+    from the transient; ``reach`` holds every kernel's window and a period
+    past ``settled``, from which every kernel's truth set repeats."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, signals: Sequence[Signal]) -> "Frame":
+        return cls(signals[0].domain, *common_frame(signals), signals[0].unit)
+
+    def window(self, m: RationalLike) -> tuple:
+        return -m if self.domain is TimeDomain.FULL_LINE else 0, self.transient + self.period + m
+
+    def reach(self) -> tuple:
+        return self.window(max(self.period, self.unit))
+
+    def settled(self) -> RationalLike:
+        full = self.domain is TimeDomain.FULL_LINE
+        return 0 if full else self.transient + max(self.period, self.unit)
+
+
+def _apply(kernel: Callable[..., tuple], operands: Sequence[Signal], *params,
+           margin: Callable[[Frame], RationalLike] = attrgetter("unit")) -> Signal:
+    """A public operator: the kernel on cuts over its window, framed, canonical."""
+    frame = Frame.of(operands)
+    lo, hi = frame.window(margin(frame))
+    truth, t_bound = kernel(frame, [x.slice(lo, hi) for x in operands], *params)
+    return _frame(operands[0], frame.period, t_bound, truth).canonicalize()
+
+
 # -------------------------------------------------------------- metric family
 
-def _unit_count(x: Signal, n: int, future: bool) -> Signal:
-    """Truth signal of: at least n points of x in (t, t+1), or in (t-1, t)
-    clipped to the domain when not future."""
-    one = x.unit
-    if x.domain is TimeDomain.FULL_LINE:
-        t_bound, lo = 0, -one
-    else:
-        t_bound, lo = x.transient + (0 if future else one), 0
-    comps = x.slice(lo, t_bound + x.period + one).components
+def count_kernel(frame: Frame, cuts: Sequence[IntervalSet], n: int, future: bool) -> tuple:
+    """At least n points of the one cut in (t, t+1), or in (t-1, t) clipped
+    to the domain when not future; the cut holds frame.window(unit)."""
+    one, full = frame.unit, frame.domain is TimeDomain.FULL_LINE
+    t_bound = 0 if full else frame.transient + (0 if future else one)
+    comps = cuts[0].components
     d = one if future else 0
     hits = [Interval(c.lower - d, c.upper + one - d, False, False)
             for c in comps if not c.is_point]
     points = [c.lower for c in comps if c.is_point]
     hits += [Interval(last - d, first + one - d, False, False)
              for first, last in zip(points, points[n - 1:]) if last - first < one]
-    return _frame(x, x.period, t_bound, IntervalSet(hits)).canonicalize()
+    return IntervalSet(hits), t_bound
 
 
 def diamond_unit_future(x: Signal) -> Signal:
     """Truth signal of: the operand holds somewhere in (t, t+1); C1 by another name."""
-    return _unit_count(x, 1, future=True)
+    return _apply(count_kernel, [x], 1, True)
 
 
 def count_unit(x: Signal, n: int) -> Signal:
     """Truth signal of: at least n witness points of the operand in (t, t+1)."""
     if n < 1:
         raise EvalError("counting index must be at least 1")
-    return _unit_count(x, n, future=True)
+    return _apply(count_kernel, [x], n, True)
 
 
 def diamond_unit_past(x: Signal) -> Signal:
     """Truth signal of: the operand holds somewhere in (t-1, t), clipped to the domain."""
-    return _unit_count(x, 1, future=False)
+    return _apply(count_kernel, [x], 1, False)
 
 
-def pnueli_unit(operands: Sequence[Signal]) -> Signal:
-    """Truth signal of: strictly increasing witnesses in (t, t+1), one per operand.
+def pnueli_kernel(frame: Frame, cuts: Sequence[IntervalSet]) -> tuple:
+    """Strictly increasing witnesses in (t, t+1), one per cut; each cut
+    holds frame.window(unit).
 
     Decision per point: place the witnesses left to right, each at the
     infimum of its operand strictly above the previous one.  An unattained
@@ -143,11 +178,8 @@ def pnueli_unit(operands: Sequence[Signal]) -> Signal:
     density providing room for strictly increasing placements, so the
     greedy placement succeeds exactly when some placement does.
     """
-    if not operands:
-        raise EvalError("a run modality needs at least one operand")
-    period, transient = common_frame(operands)
-    one, hi = operands[0].unit, transient + period
-    comps = [x.slice(0, hi + one).components for x in operands]
+    one, hi = frame.unit, frame.transient + frame.period
+    comps = [cut.components for cut in cuts]
     uppers = [[c.upper for c in cs] for cs in comps]
 
     def decide(t: RationalLike) -> bool:
@@ -174,27 +206,32 @@ def pnueli_unit(operands: Sequence[Signal]) -> Signal:
         s = c + nxt
         if decide(s // 2 if s % 2 == 0 else s / 2):
             pieces.append(Interval(c, nxt, False, False))
-    return _frame(operands[0], period, transient, IntervalSet(pieces)).canonicalize()
+    return IntervalSet(pieces), frame.transient
+
+
+def pnueli_unit(operands: Sequence[Signal]) -> Signal:
+    """Truth signal of: strictly increasing witnesses in (t, t+1), one per operand."""
+    if not operands:
+        raise EvalError("a run modality needs at least one operand")
+    return _apply(pnueli_kernel, operands)
 
 
 # ------------------------------------------------------------- order family
 
-def _order(x: Signal, y: Signal, future: bool) -> Signal:
-    """x U y when future, else x S y: one pass over the maximal runs of x.
+def order_kernel(frame: Frame, cuts: Sequence[IntervalSet], future: bool) -> tuple:
+    """x U y when future, else x S y, from the cuts of x and y over
+    frame.window(period) or more: one pass over the maximal runs of x.
 
     The window reaches a full period of y past every run that matters, so
     sup and inf read off it are exact where they decide the outcome.
     """
-    p, T = common_frame([x, y])
-    if x.domain is TimeDomain.FULL_LINE:
-        t_bound, lo, hi = 0, -p, 2 * p
-    else:
-        t_bound, lo, hi = (T if future else T + p), 0, T + 2 * p
-    ys = y.slice(lo, hi).components
+    p, T = frame.period, frame.transient
+    t_bound = 0 if frame.domain is TimeDomain.FULL_LINE else T if future else T + p
+    xs, ys = cuts[0], cuts[1].components
     lowers = [c.lower for c in ys]
     uppers = [c.upper for c in ys]
     out: list[Interval] = []
-    for run in x.slice(lo, hi):
+    for run in xs:
         a, b = run.lower, run.upper
         if a == b:
             continue
@@ -210,7 +247,7 @@ def _order(x: Signal, y: Signal, future: bool) -> Signal:
                 j -= 1
             if j < len(ys) and (inf := max(lowers[j], a)) < b:
                 out.append(Interval(inf, b, False, True))
-    return _frame(x, p, t_bound, IntervalSet(out)).canonicalize()
+    return IntervalSet(out), t_bound
 
 
 def until(x: Signal, y: Signal) -> Signal:
@@ -219,13 +256,13 @@ def until(x: Signal, y: Signal) -> Signal:
 
     Such a t sits at or inside a run <a, b> of x of positive length, and the
     witness can reach no further than b."""
-    return _order(x, y, future=True)
+    return _apply(order_kernel, [x, y], True, margin=attrgetter("period"))
 
 
 def since(x: Signal, y: Signal) -> Signal:
     """Mirror image of until into the past; on the half line witnesses range
     over [0, t), so the origin can carry one."""
-    return _order(x, y, future=False)
+    return _apply(order_kernel, [x, y], False, margin=attrgetter("period"))
 
 
 # ------------------------------------------------------------------- evaluate

@@ -300,21 +300,25 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         return Signal(TimeDomain.FULL_LINE, p0, pat0, unit=self.unit).shift(self.transient)
 
     def canonicalize(self) -> "Signal":
+        """On the half line the transient ends the set D' where the signal
+        and its tail extension disagree.  It is read off D, where x and x + p0
+        disagree (p0 the minimal period): past sup D - p0, x + p0 agrees with
+        each x + k p0, so with the extension, and D = D' there."""
         if not (self.pattern or self.prefix):
             return Signal.constant(self.domain, False, self.unit)
         if (self.pattern == IntervalSet.span(0, self.period)
                 and self.prefix == IntervalSet.span(0, self.transient)):
             return Signal.constant(self.domain, True, self.unit)
-        ext = self.tail_extension()
+        p0, pat0 = _minimal_tail(self.period, self.pattern, self.unit)
         if self.domain is TimeDomain.FULL_LINE:
-            return ext
-        p0 = ext.period
-        # The last disagreement with the extension, looked for back from the
-        # transient in windows that double: the cost follows its distance.
+            return Signal(self.domain, p0, pat0, unit=self.unit)
+        # The last disagreement, looked for back from the transient in
+        # windows that double: the cost follows its distance.
         tc, hi, width = 0, self.transient, p0
         while hi > 0:
             lo = max(hi - width, 0)
-            dis = self.slice(lo, hi).symmetric_difference(ext.slice(lo, hi))
+            dis = self.slice(lo, hi).symmetric_difference(
+                self.slice(lo + p0, hi + p0).shift(-p0))
             if dis:
                 last = dis.components[-1]
                 # Disagreement at the point itself: any transient strictly above

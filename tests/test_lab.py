@@ -33,7 +33,14 @@ from qtlab.lab import (
     parse_logic,
     trivialization_report,
 )
-from qtlab.semantics import evaluate
+from qtlab.semantics import (
+    diamond_unit_future,
+    diamond_unit_past,
+    evaluate,
+    pnueli_unit,
+    since,
+    until,
+)
 from qtlab.signals import (
     DomainError,
     Signal,
@@ -308,8 +315,7 @@ def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch):
     """hierarchy:7 fits its first modal layer but not its second, and the
     guard trips as soon as layer 1's classes push layer 2 past the limit."""
     calls = []
-    for name in ("until", "since", "diamond_unit_future", "diamond_unit_past",
-                 "pnueli_unit"):
+    for name in ("order_kernel", "count_kernel", "pnueli_kernel"):
         def counted(*args, fn=getattr(qtlab.lab, name)):
             calls.append(fn)
             return fn(*args)
@@ -346,8 +352,7 @@ def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic,
 
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", new_layer)
     monkeypatch.setattr(qtlab.lab._Enumeration, "admit", spy_admit)
-    for name in ("until", "since", "diamond_unit_future", "diamond_unit_past",
-                 "pnueli_unit"):
+    for name in ("order_kernel", "count_kernel", "pnueli_kernel"):
         def counted(*args, fn=getattr(qtlab.lab, name)):
             calls[-1] += 1
             return fn(*args)
@@ -364,17 +369,27 @@ def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic,
         enumerate_formulas(logic, 2, env)
 
 
+PUBLIC_OPERATORS = {Until: until, Since: since, DiamondFuture: diamond_unit_future,
+                    DiamondPast: diamond_unit_past, Pnueli: lambda *sigs: pnueli_unit(sigs)}
+
+
 def undistributed_modal_layer(self, upto):
-    """The reference layer: every operator runs on whole class signals, one
-    call per argument tuple, and each result is admitted by its signal."""
-    reps, args = self.reps, self.class_signals()
-    base = len(reps)
+    """The reference layer: every public operator runs on whole class
+    signals, each a fold of combine over its atoms, one call per argument
+    tuple, and each result is admitted by its signal."""
+    self.recut(self.atoms)
+    empty = Signal.constant(self.p.domain, False, self.unit)
+    args = [reduce(lambda x, y: combine("or", x, y),
+                   (a for k, a in enumerate(self.atoms) if mask >> k & 1), empty)
+            for mask in self.masks]
+    reps, base = self.reps, len(self.reps)
     for width, ops, _ in self.families():
         for idxs in itertools.product(range(base), repeat=width):
             if max(idxs) >= upto:
-                for make, op in ops:
-                    self.admit_signal(make(*(reps[i] for i in idxs)),
-                                      op(*(args[i] for i in idxs)))
+                for make, _ in ops:
+                    formula = make(*(reps[i] for i in idxs))
+                    self.admit_signal(formula, PUBLIC_OPERATORS[type(formula)](
+                        *(args[i] for i in idxs)))
 
 
 @pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3"])
@@ -399,6 +414,25 @@ def test_the_distributed_layer_matches_the_undistributed_reference(monkeypatch, 
     got = outcome()
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", undistributed_modal_layer)
     assert got == outcome()
+
+
+@pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3"])
+@pytest.mark.parametrize("logic", ["tl", "qtl", "qtl+p2", "qtl+p3"])
+def test_atoms_stay_a_canonical_partition(logic, spec):
+    """After every enumeration to depths 0-2, the atoms are canonical,
+    nonempty, pairwise disjoint and cover the domain, as reading a class by
+    its mask needs; qtl+p3 on thm3:3 refuses depth 2 (more than 12 atoms)."""
+    env = builtin_model(spec)
+    for depth in range(3):
+        if (logic, spec, depth) == ("qtl+p3", "thm3:3", 2):
+            with pytest.raises(LabError, match="atoms"):
+                enumerate_formulas(parse_logic(logic), depth, env)
+            continue
+        atoms = enumerate_formulas(parse_logic(logic), depth, env).atoms
+        empty, full = (Signal.constant(atoms[0].domain, v, atoms[0].unit) for v in (False, True))
+        assert all(a == a.canonicalize() != empty for a in atoms)
+        assert all(combine("and", a, b) == empty for a, b in itertools.combinations(atoms, 2))
+        assert reduce(lambda x, y: combine("or", x, y), atoms) == full
 
 
 @pytest.mark.parametrize("logic, spec", [

@@ -15,11 +15,15 @@ from qtlab.oracle import compare_pointwise, critical_points
 from qtlab.semantics import (
     Env,
     EvalError,
+    Frame,
     UnboundAtomError,
+    count_kernel,
     count_unit,
     diamond_unit_future,
     diamond_unit_past,
     evaluate,
+    order_kernel,
+    pnueli_kernel,
     pnueli_unit,
     since,
     until,
@@ -28,6 +32,7 @@ from qtlab.signals import (
     DomainError,
     Signal,
     TimeDomain,
+    _frame,
     align_many,
     combine,
     equal,
@@ -305,6 +310,33 @@ def test_operators_read_unaligned_operands_as_aligned(seed, domain, in_ticks):
     assert since(x, y) == since(ax, ay)
     assert pnueli_unit([x, y, z]) == pnueli_unit(align_many([x, y, z]))
     assert pnueli_unit([z, x]) == pnueli_unit(align_many([z, x]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), DOMAINS, st.booleans())
+def test_kernels_read_a_larger_frame_over_its_reach(seed, domain, in_ticks):
+    """Every kernel, run on cuts over the reach of a frame wider than its
+    operands' own (a third signal's period and transient join it), gives
+    the public operator's set, with a t_bound at or below the frame's
+    settled transient: a modal layer runs them so."""
+    rng = random.Random(seed)
+    x, y, z = (random_signal(rng, domain) for _ in range(3))
+    if in_ticks:
+        unit = tick_unit([x, y, z])
+        x, y, z = (to_ticks(s, unit) for s in (x, y, z))
+    frame = Frame.of([x, y, z])
+    cx, cy = (s.slice(*frame.reach()) for s in (x, y))
+
+    def signal(truth):
+        assert truth[1] <= frame.settled()
+        return _frame(x, frame.period, truth[1], truth[0]).canonicalize()
+
+    assert signal(order_kernel(frame, [cx, cy], True)) == until(x, y)
+    assert signal(order_kernel(frame, [cx, cy], False)) == since(x, y)
+    assert signal(count_kernel(frame, [cx], 1, True)) == diamond_unit_future(x)
+    assert signal(count_kernel(frame, [cx], 1, False)) == diamond_unit_past(x)
+    assert signal(count_kernel(frame, [cx], 2, True)) == count_unit(x, 2)
+    assert signal(pnueli_kernel(frame, [cx, cy])) == pnueli_unit([x, y])
 
 
 @pytest.mark.parametrize("op", [until, since, lambda x, y: pnueli_unit([x, y])],

@@ -30,7 +30,7 @@ from qtlab.signals import (
     tick_unit,
     to_ticks,
 )
-from qtlab.signals import _minimal_tail, _within
+from qtlab.signals import _frame, _minimal_tail, _within
 from gen import PERIODS, random_fraction, random_point_set, random_signal
 from test_intervals import interval_sets, rationals
 
@@ -475,6 +475,37 @@ def test_built_records_revalidate(rng, domain, in_ticks):
         assert IntervalSet(s.components) == s
     for s in sigs:
         assert Signal(*s) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]), st.booleans())
+def test_framed_alike_exactly_when_canonically_alike(rng, domain, in_ticks):
+    """Two signals cut by _frame at one (period, transient) that both repeat
+    in are structurally equal exactly when their canonical forms are, so a
+    frame can key sets.  The second signal is the first re-expressed, the
+    first with a point added (which it may hold), or a fresh draw."""
+    a = random_signal(rng, domain)
+    kind = rng.randrange(3)
+    if kind == 0:
+        grow = rng.randint(0, 2) * a.period if domain is HALF else 0
+        b = a._reframe(a.transient + grow, rng.randint(1, 3) * a.period)
+    elif kind == 1:
+        q = random_fraction(rng, 0, a.period, max_den=24)
+        point = Signal(domain, a.period, IntervalSet.point(q if q < a.period else 0))
+        b = combine("or", a, point)
+    else:
+        b = random_signal(rng, domain)
+    if in_ticks:
+        unit = tick_unit([a, b])
+        a, b = to_ticks(a, unit), to_ticks(b, unit)
+    period, transient = common_frame([a, b])
+    period *= rng.randint(1, 2)
+    if domain is HALF:
+        transient += rng.randint(0, 2) * a.unit
+    framed = [_frame(s, period, transient, s.slice(0, transient + period)) for s in (a, b)]
+    assert (framed[0] == framed[1]) == (a.canonicalize() == b.canonicalize())
+    if kind == 0:
+        assert framed[0] == framed[1]
 
 
 # ---------------------------------------------------------------------- ticks
