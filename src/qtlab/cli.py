@@ -1,4 +1,5 @@
-"""Command-line surface: thin adapters over the library, bit-exact output.
+"""Command-line surface: thin adapters over the library, bit-exact output, and
+one argparse parser per process, built on first use (parsing leaves it as is).
 
 Exit codes: 0 success or check passed; 1 check failed, formulas inequivalent,
 or oracle disagreement; 2 usage, parse, or file-format errors (formulas nested
@@ -8,6 +9,7 @@ past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -41,6 +43,7 @@ _USAGE_ERRORS = (ParseError, TextFormatError, IntervalError, SignalError,
                  DomainError, EvalError, LabError, OSError)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtlab",

@@ -8,15 +8,18 @@ disjoint, non-adjacent).  Two sets denote the same subset of the line if and
 only if they are structurally equal.
 
 An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
-keeps the type it is given.  Text parses to ``Fraction``, one compiled
-pattern per interval, and so do the convenience constructors
-``Interval.point``, ``open`` and ``closed``; the evaluation engine runs on
-``int`` ticks, a scale that ``qtlab.signals`` owns.  An ``Interval`` is a
-tuple, hashed and compared in C, and ``x in iv`` asks for membership.  Its
-public constructors (``Interval(...)``, ``point``, ``open``, ``closed``,
-``_make``, ``_replace``, copy, pickle) all check it.  The private
-``_unchecked`` does not; it builds only records valid by construction from
-valid ones and numbers passed through ``exact``.  Translations and strictly
+keeps the type it is given.  Text parses to ``Fraction``, and so do the
+convenience constructors ``Interval.point``, ``open`` and ``closed``; the
+evaluation engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns.
+The list reader runs the checks of ``Interval`` on each end's numerator and
+denominator digits, and wraps a list that is normal as written: each interval
+starts after a gap from the one before.  Any other list is normalized.
+An ``Interval`` is a tuple, hashed and compared in C, and ``x in iv`` asks
+for membership.  Its public constructors (``Interval(...)``, ``point``,
+``open``, ``closed``, ``_make``, ``_replace``, copy, pickle) all check it.
+The private ``_unchecked`` does not; it builds only records valid by
+construction from valid ones and numbers passed through ``exact``, or records
+whose checks ran on the ints they were read from.  Translations and strictly
 increasing maps of the ends (``shift``, ``Signal.slice``, ``_map_ends``) keep
 lo <= hi and a point closed; ``_merge`` takes the hull of two valid
 components; ``span``, ``_clip`` and the overlaps and gaps of ``intersection``
@@ -62,21 +65,26 @@ def rat(value: RationalLike) -> Fraction:
     return value if type(value) is Fraction else Fraction(exact(value))
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")  # numerator, denominator digits
+
+
+def _ints(text: str, num: str, den: str) -> Tuple[int, int]:
+    """Numerator and positive denominator of text, read off its groups."""
+    try:
+        q = int(num), int(den or 1)
+    except ValueError:  # int() refuses more digits than Python's limit
+        raise TextFormatError(f"number of {len(text)} characters is too long to read") from None
+    if not q[1]:
+        raise TextFormatError(f"zero denominator: {text!r}")
+    return q
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or an integer, optional leading ``-``. Lowest terms come for free."""
     s = text.strip()
-    if not _RATIONAL_RE.fullmatch(s):
+    if not (m := _RATIONAL_RE.fullmatch(s)):
         raise TextFormatError(f"not a rational: {text!r}")
-    num, _, den = s.partition("/")
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ValueError:  # int() refuses more digits than Python's limit
-        raise TextFormatError(f"number of {len(s)} characters is too long to read") from None
-    except ZeroDivisionError:
-        raise TextFormatError(f"zero denominator: {text!r}") from None
+    return Fraction(*_ints(s, *m.groups()))
 
 
 def format_rational(q: Fraction) -> str:
@@ -335,7 +343,7 @@ IntervalSet.EMPTY = IntervalSet._wrap(())
 # Text syntax, shared by every file format: [a,b] (a,b) [a,b) (a,b], rationals
 # p/q or integer with optional leading -, lists comma separated, empty list {}.
 # Blanks may stand around every token.  One compiled pattern reads an interval,
-# its groups the opener, both ends and the closer.
+# its groups the opener, each end whole and in its two parts, and the closer.
 
 _INTERVAL_RE = re.compile(r"\s*([\[(])\s*({0})\s*,\s*({0})\s*([\])])\s*".format(
     _RATIONAL_RE.pattern))
@@ -348,20 +356,24 @@ def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]]) -> s
     return ",".join(parts)
 
 
-def _interval(m: re.Match, pos: int) -> Interval:
-    """The interval an ``_INTERVAL_RE`` match at ``pos`` reads."""
-    opener, lo, hi, closer = m.groups()
+def _interval(m: re.Match, pos: int) -> tuple:
+    """A match's interval, checked as ``Interval`` checks it on ints, and its ends' ints."""
+    opener, lo, ln, ld, hi, hn, hd, closer = m.groups()
     try:
-        return Interval(parse_rational(lo), parse_rational(hi), opener == "[", closer == "]")
+        (a, b), (c, d) = _ints(lo, ln, ld), _ints(hi, hn, hd)
+        iv = Fraction(a, b), Fraction(c, d), opener == "[", closer == "]"
+        if a * d > c * b or (a * d == c * b and opener + closer != "[]"):
+            Interval(*iv)  # raises the IntervalError
     except (TextFormatError, IntervalError) as exc:
         raise TextFormatError(f"at position {pos}: {exc}") from exc
+    return _unchecked(*iv), (a, b), (c, d)
 
 
 def parse_interval(text: str) -> Interval:
     m = _INTERVAL_RE.fullmatch(text)
     if not m:
         raise TextFormatError("at position 0: not an interval")
-    return _interval(m, 0)
+    return _interval(m, 0)[0]
 
 
 def parse_interval_list(text: str) -> IntervalSet:
@@ -373,15 +385,20 @@ def parse_interval_list(text: str) -> IntervalSet:
         s = s[1:-1].strip()
     if not s:
         raise TextFormatError("empty interval list must be written {}")
-    items, pos = [], 0
+    items, pos, normal = [], 0, True
     while True:
         m = _INTERVAL_RE.match(s, pos)
         if not m:
             raise TextFormatError(f"at position {pos}: expected an interval")
-        items.append(_interval(m, pos))
+        iv, (a, b), hi = _interval(m, pos)
+        if items:  # normal while each interval starts after a gap from the one before
+            gap = a * last[1] - last[0] * b  # _has_gap(items[-1], iv) on ints
+            normal &= gap > 0 or gap == 0 and not (last[2] or iv.lower_closed)
+        items.append(iv)
+        last = *hi, iv.upper_closed
         pos = m.end()
         if pos == len(s):
-            return IntervalSet(items)
+            return IntervalSet._wrap(tuple(items)) if normal else IntervalSet(items)
         if s[pos] != ",":
             raise TextFormatError(f"at position {pos}: expected ','")
         pos += 1

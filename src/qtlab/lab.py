@@ -28,7 +28,7 @@ A modal layer distributes over atoms.  The right operand of U and S, the
 operand of F1 and O1 and every argument of Pn<k> ask for one witness point,
 so each distributes over ``|``: ``x U (y | z) = x U y | x U z``.  The layer
 runs these positions on the layer-start atoms, calls each kernel once per
-(operator, argument handles), refines once per distinct framed result, and
+(operator, argument handles), refines once per distinct new set, and
 keys a tuple by the union of its calls' masks, 0 when a class there has mask
 0 (``x U false``, ``F1 false``, ``Pn(.., false, ..)``).  The left operand of U
 and S takes whole classes.  ``C<n>`` with n >= 2 must never be distributed:
@@ -46,8 +46,8 @@ their frame (``qtlab.semantics.Frame``), and a class's cut is the union of
 its atoms' cuts.  Each call runs a kernel on these cuts and frames its truth
 set at the kernel's t_bound.  Framed at one (period, transient), two sets are
 structurally equal exactly when equal, so a result is matched against the
-classes framed alike, and only a miss is sliced and refined: ``refine``
-intersects cuts and canonicalizes only the two parts of a split atom.
+classes framed alike, and a miss is sliced and refined once per cut, at any
+t_bound: ``refine`` intersects cuts and canonicalizes only the split parts.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ class _Enumeration:
         base = len(reps)
         bits = [[k for k in range(len(atoms)) if m >> k & 1] for m in self.masks]
         args = [IntervalSet(c for k in ks for c in atoms[k]) for ks in bits]
-        self.pending, slots, memo = [], {}, {}
+        self.pending, slots, memo, keyed = [], {}, {}, {}
         framed: Dict[int, Dict[Signal, int]] = {}  # t_bound -> framed class -> index
 
         def slot(op: Callable, hs: Tuple[int, ...], dist: Tuple[bool, ...]) -> int:
@@ -317,9 +317,12 @@ class _Enumeration:
                         framed[t_bound] = {_frame(self.p, frame.period, t_bound, cut): i
                                            for i, cut in enumerate(args)}
                     index = framed[t_bound].get(sig)
-                    slots[sig] = len(self.pending)
-                    self.pending.append(self.masks[index] if index is not None
-                                        else self.refine(sig.slice(*self.window)))
+                    key = sig.slice(*self.window) if index is None else index
+                    if key not in keyed:
+                        keyed[key] = len(self.pending)
+                        self.pending.append(self.refine(key) if index is None
+                                            else self.masks[index])
+                    slots[sig] = keyed[key]
                 memo[op, hs] = slots[sig]
             return memo[op, hs]
 

@@ -27,8 +27,8 @@ this module assuming it silently.
 
 The operators run on signals at either scale of ``qtlab.signals``, reading
 the length of one time unit off their operands.  ``evaluate`` scales the
-environment to integer ticks once, so every operator it calls works on ints,
-and scales the result back to Fractions.
+formula's atoms to integer ticks once, so every operator it calls works on
+ints, and scales the result back to Fractions.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .formulas import (
     Since,
     TrueConst,
     Until,
+    metrics,
 )
 from .intervals import Interval, IntervalSet, RationalLike
 from .signals import (
@@ -269,9 +270,10 @@ def since(x: Signal, y: Signal) -> Signal:
 
 def evaluate(f: Formula, env: Env) -> Signal:
     """The canonical truth signal of a formula under an environment, computed
-    in integer ticks."""
-    unit = tick_unit(env.bindings.values())
-    ticks = Env(env.domain, {name: to_ticks(s, unit) for name, s in env.bindings.items()})
+    in integer ticks at the scale of the formula's atoms alone."""
+    used = metrics(f)[1] & env.bindings.keys()
+    unit = tick_unit(env.bindings[name] for name in used)
+    ticks = Env(env.domain, {name: to_ticks(env.bindings[name], unit) for name in used})
     return from_ticks(_evaluate(f, ticks, unit))
 
 

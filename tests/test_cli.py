@@ -337,3 +337,61 @@ def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys):
         assert code in (0, 1, 2) and "Traceback" not in err, (argv, files, err)
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+# ------------------------------------------------------- one parser per process
+
+def _bound_files(tmp_path):
+    sigs = {"P": Signal(TimeDomain.FULL_LINE, F(1), IntervalSet([Interval(F(0), F(1, 3))])),
+            "Q": Signal(TimeDomain.FULL_LINE, F(1, 2),
+                        IntervalSet([Interval(F(1, 4), F(1, 2), False, False)]))}
+    paths = {}
+    for name, sig in sigs.items():
+        paths[name] = tmp_path / f"{name}.sig"
+        paths[name].write_text(format_signal(sig), encoding="utf-8")
+    return sigs, paths
+
+
+def test_repeated_binds_do_not_leak_between_calls(tmp_path, capsys):
+    """--bind appends to a list per call: a second call in the process sees
+    only its own bindings, not the first call's."""
+    sigs, paths = _bound_files(tmp_path)
+    both = ["--bind", f"P={paths['P']}", "--bind", f"Q={paths['Q']}"]
+    assert invoke(["eval", "--formula", "P & Q", "--output", "sig"] + both) == 0
+    capsys.readouterr()
+    # a leaked P=... would bind Q twice here, and bind P below
+    assert invoke(["eval", "--formula", "Q", "--output", "sig",
+                   "--bind", f"Q={paths['Q']}"]) == 0
+    assert capsys.readouterr().out == format_signal(sigs["Q"].canonicalize())
+    assert invoke(["eval", "--formula", "P", "--bind", f"Q={paths['Q']}"]) == 2
+    assert capsys.readouterr().err == "error: atom 'P' is not bound in the environment\n"
+    assert qtlab.cli._build_parser() is qtlab.cli._build_parser()
+
+
+def test_a_parser_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    _, paths = _bound_files(tmp_path)
+    good = ["eval", "--formula", "P U Q", "--bind", f"P={paths['P']}",
+            "--bind", f"Q={paths['Q']}", "--output", "sig"]
+    assert invoke(good) == 0
+    first = capsys.readouterr().out
+    for bad in (["eval", "--formula", "P", "--bind", "nopath"],    # parser.error
+                ["eval", "--formula", "P"],                        # no atoms bound
+                ["eval", "--bind", f"P={paths['P']}"],             # --formula missing
+                ["eval", "--formula", "P", "--bind", f"P={paths['P']}", "--output", "csv"]):
+        assert invoke(bad) == 2
+        assert capsys.readouterr().out == ""
+        assert invoke(good) == 0
+        assert capsys.readouterr().out == first
+
+
+def test_output_formats_alternate_without_cross_talk(tmp_path, capsys):
+    _, paths = _bound_files(tmp_path)
+    base = ["eval", "--formula", "!P S Q", "--bind", f"P={paths['P']}",
+            "--bind", f"Q={paths['Q']}"]
+    outs = {}
+    for fmt in ("sig", "text", "sig", "text", None, "sig"):
+        assert invoke(base + (["--output", fmt] if fmt else [])) == 0
+        out = capsys.readouterr().out
+        assert outs.setdefault(fmt or "text", out) == out
+    assert outs["text"].startswith("domain line\npattern ")
+    assert format_signal(parse_signal(outs["sig"])) == outs["sig"]

@@ -350,6 +350,51 @@ def test_interval_list_text_roundtrip(a):
     assert parse_interval_list(format_interval_list(a)) == a
 
 
+@st.composite
+def raw_interval_lists(draw):
+    """Valid intervals, sorted or shuffled, often overlapping, touching or
+    repeated, and their text with ends written reduced or not."""
+    ivs = []
+    for _ in range(draw(st.integers(1, 7))):
+        lo = draw(rationals(max_den=2, span=2))
+        hi = lo + draw(st.sampled_from([0, F(1, 2), 1, F(3, 2)]))
+        flags = (True, True) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
+        ivs.append(Interval(lo, hi, *flags))
+        if draw(st.booleans()):
+            ivs.append(ivs[-1])
+    ivs = sorted(ivs, key=intervals._lower_key) if draw(st.booleans()) else draw(st.permutations(ivs))
+    k = draw(st.integers(1, 3))
+
+    def text(q):
+        return f"{q.numerator * k}/{q.denominator * k}" if draw(st.booleans()) else str(q)
+
+    return ivs, ",".join(f"{'[' if iv.lower_closed else '('}{text(iv.lower)},{text(iv.upper)}"
+                         f"{']' if iv.upper_closed else ')'}" for iv in ivs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_interval_lists())
+def test_reader_matches_the_constructor(case):
+    """Only a list in normal form as written skips the constructor, so any
+    other order, overlap, touch or repeat still normalizes."""
+    ivs, text = case
+    got = parse_interval_list(text)
+    assert got == IntervalSet(ivs)
+    assert all(type(e) is F for c in got for e in (c.lower, c.upper))
+
+
+def test_reader_coalesces_ordered_touching_lists(monkeypatch):
+    for text, want in [("[0,1),[1,2)", "[0,2)"), ("(0,1],(1,2)", "(0,2)"),
+                       ("[0,1),(1,2)", "[0,1),(1,2)"), ("[-2/4,1],[1,1],[2/2,3/2)", "[-1/2,3/2)"),
+                       ("(0,1),(1/2,2),[2,2]", "(0,2]"), ("[0,1],[0,1]", "[0,1]")]:
+        assert format_interval_list(parse_interval_list(text)) == want
+    # a list in normal form as written is wrapped, not normalized again
+    built = []
+    monkeypatch.setattr(intervals.IntervalSet, "__init__", lambda self, items=(): built.append(1))
+    assert str(parse_interval_list("[-1,0),(0,1/2],(2/3,3)")) == "{[-1,0),(0,1/2],(2/3,3)}"
+    assert not built
+
+
 class _Scanner:
     """The hand-written character scanner that read interval text before one
     compiled pattern did: the reference for the parity test below."""

@@ -511,6 +511,22 @@ def test_depth3_qtl_thm2_report_golden():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_each_new_set_is_refined_once(monkeypatch):
+    """A new set that kernels with different t_bounds reach frames twice but
+    has one cut over the layer window, and is refined once: depth-3 qtl on
+    thm2 refines 17 distinct cuts (3 seeds, 14 new modal results)."""
+    cuts = []
+    refine = qtlab.lab._Enumeration.refine
+
+    def counted(self, cut):
+        cuts.append((self.window, cut))
+        return refine(self, cut)
+
+    monkeypatch.setattr(qtlab.lab._Enumeration, "refine", counted)
+    enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2"))
+    assert len(cuts) == len(set(cuts)) == 17
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_hierarchy_closes_untruncated(n):
     text = paper_check(f"hierarchy:{n}").render()

@@ -36,6 +36,7 @@ from qtlab.signals import (
     align_many,
     combine,
     equal,
+    format_signal,
     tick_unit,
     to_ticks,
 )
@@ -413,6 +414,31 @@ def test_public_results_are_fractions():
     for sig in results:
         assert sig.unit == 1
         assert all(type(x) is F for x in _numbers(sig)), sig
+
+
+def test_unused_bindings_change_nothing(monkeypatch):
+    """evaluate scales only the formula's atoms to ticks: an extra binding on
+    sevenths, a denominator no used atom has, is never scaled and leaves the
+    output byte for byte the same; an unbound atom is named in formula order."""
+    import qtlab.semantics
+    scaled = []
+    to_ticks_of = qtlab.semantics.to_ticks
+    monkeypatch.setattr(qtlab.semantics, "to_ticks",
+                        lambda s, unit: scaled.append(s) or to_ticks_of(s, unit))
+    rng = random.Random(53)
+    for domain in (LINE, HALF):
+        used = {name: random_signal(rng, domain, max_den=6) for name in "PQ"}
+        r = Signal(domain, F(3, 7), IntervalSet([Interval(F(1, 7), F(2, 7), False, True)]),
+                   *((F(5, 7), IntervalSet([Interval.open(0, F(4, 7))])) if domain is HALF else ()))
+        texts = ["true", "P", "F1 P", "P U Q", "!Q S P", "C2(Q)", "Pn2(P, Q)"]
+        for f in [parse_formula(t) for t in texts] + [random_formula(rng) for _ in range(25)]:
+            alone = format_signal(evaluate(f, Env(domain, used)))
+            assert format_signal(evaluate(f, Env(domain, {**used, "R": r}))) == alone, f
+        assert scaled and all(s is not r for s in scaled)
+        for bound in ({}, {"R": r}, {"P": used["P"]}):
+            with pytest.raises(UnboundAtomError) as err:
+                evaluate(parse_formula("Q & P"), Env(domain, bound))
+            assert err.value.name == "Q"
 
 
 def test_ticks_stay_pure(monkeypatch):
