@@ -22,15 +22,18 @@ construction from valid ones and numbers passed through ``exact``, or records
 whose checks ran on the ints they were read from.  Translations and strictly
 increasing maps of the ends (``shift``, ``Signal.slice``, ``_map_ends``) keep
 lo <= hi and a point closed; ``_merge`` takes the hull of two valid
-components; ``span``, ``_clip`` and the overlaps and gaps of ``intersection``
-and ``complement`` are built only when nonempty: lo < hi, or a closed point.
+components; ``span``, ``_clip``, the overlaps and gaps of ``intersection``
+and ``complement``, and the truth pieces of the engine's kernels
+(``count_kernel``, ``order_kernel``, ``pnueli_kernel``) are built only when
+nonempty: lo < hi, or a closed point.
 
 The algebra works on normal forms directly, each operation one linear pass:
-``union`` merges the two sorted component tuples and coalesces touching
-neighbours, ``intersection`` walks both tuples with two pointers, and
-``complement(lo, hi)`` emits the gaps within the span ``[lo, hi)``: a bounded
-set has no complement on the whole line.  Only the constructor sorts, and
-membership is one ``bisect`` over the components.
+``union`` hands both sorted component tuples to the constructor, whose sort
+merges two sorted runs in one pass before it coalesces touching neighbours,
+``intersection`` walks both tuples with two pointers, and ``complement(lo,
+hi)`` emits the gaps within the span ``[lo, hi)``: a bounded set has no
+complement on the whole line.  Membership is one ``bisect`` over the
+components.
 """
 
 from __future__ import annotations
@@ -261,19 +264,7 @@ class IntervalSet:
             return other
         if not other._components:
             return self
-        xs, ys = self._components, other._components
-        items: list[Interval] = []
-        i = j = 0
-        while i < len(xs) and j < len(ys):
-            if _starts_first(xs[i], ys[j]):
-                items.append(xs[i])
-                i += 1
-            else:
-                items.append(ys[j])
-                j += 1
-        items += xs[i:]
-        items += ys[j:]
-        return IntervalSet._wrap(_coalesce(items))
+        return IntervalSet(self._components + other._components)
 
     def complement(self, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
         """The span [lo, hi) minus the set, in one pass: the gaps before,
@@ -318,14 +309,12 @@ class IntervalSet:
         return IntervalSet._wrap(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        xs, ys = self._components, other._components
-        if not xs or not ys:
+        xs = self._components
+        if not xs or not other._components:
             return self
-        # any span holding both sets will do; its upper end must lie past
-        # both, since the span leaves out hi itself
-        lo = min(xs[0].lower, ys[0].lower)
-        hi = max(xs[-1].upper, ys[-1].upper) + 1
-        return self.intersection(other.complement(lo, hi))
+        # any span holding this set will do; its upper end must lie past the
+        # set, since the span leaves out hi itself
+        return self.intersection(other.complement(xs[0].lower, xs[-1].upper + 1))
 
     def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.difference(other).union(other.difference(self))

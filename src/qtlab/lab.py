@@ -42,7 +42,7 @@ layer or an earlier one admitted, and each whole-class result is a union of
 calls.
 
 One frame per layer.  A layer cuts each start atom once over the reach of
-their frame (``qtlab.semantics.Frame``), and a class's cut is the union of
+their frame (``qtlab.signals.Frame``), and a class's cut is the union of
 its atoms' cuts.  Each call runs a kernel on these cuts and frames its truth
 set at the kernel's t_bound.  Framed at one (period, transient), two sets are
 structurally equal exactly when equal, so a result is matched against the
@@ -77,11 +77,12 @@ from .formulas import (
     format_formula,
 )
 from .intervals import Interval, IntervalSet, format_interval_list
-from .semantics import Env, Frame, count_kernel, evaluate, order_kernel, pnueli_kernel
+from .semantics import Env, count_kernel, evaluate, order_kernel, pnueli_kernel
 # the public operators, importable from this module too
 from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
 from .signals import (
     DomainError,
+    Frame,
     Signal,
     TimeDomain,
     Triviality,
@@ -210,7 +211,7 @@ class _Enumeration:
     def refine(self, cut: IntervalSet) -> int:
         """The mask of the set cut shows over the window, after splitting every
         atom it cuts; the set and the atoms repeat from frame.settled()."""
-        key, period, settled = 0, self.frame.period, self.frame.settled()
+        key, frame, settled = 0, self.frame, self.frame.settled()
         for k in range(len(self.cuts)):
             atom = self.cuts[k]
             inside = atom.intersection(cut)
@@ -223,7 +224,7 @@ class _Enumeration:
                 raise LabError(f"the closure would need more than {MAX_ATOMS} atoms")
             self.cuts[k], outside = inside, atom.difference(inside)
             self.cuts.append(outside)
-            self.atoms[k], new_atom = (_frame(self.p, period, settled, part).canonicalize()
+            self.atoms[k], new_atom = (_frame(frame, settled, part).canonicalize()
                                        for part in (inside, outside))
             self.atoms.append(new_atom)
             bit, new = 1 << k, 1 << (len(self.atoms) - 1)
@@ -311,10 +312,10 @@ class _Enumeration:
             """The pending index of op on the classes and atoms hs name."""
             if (op, hs) not in memo:
                 truth, t_bound = op(frame, [atoms[h] if d else args[h] for h, d in zip(hs, dist)])
-                sig = _frame(self.p, frame.period, t_bound, truth)
+                sig = _frame(frame, t_bound, truth)
                 if sig not in slots:
                     if t_bound not in framed:
-                        framed[t_bound] = {_frame(self.p, frame.period, t_bound, cut): i
+                        framed[t_bound] = {_frame(frame, t_bound, cut): i
                                            for i, cut in enumerate(args)}
                     index = framed[t_bound].get(sig)
                     key = sig.slice(*self.window) if index is None else index

@@ -1,12 +1,13 @@
 """The evaluation engine: exact truth signals for every operator.
 
-Each temporal operator is a kernel: from a ``Frame`` its operands repeat in
-and their cuts, their sorted components over a window of it, it builds the
-truth set directly, in time near linear in the component count, with the
-t_bound it repeats from.  A public operator cuts each operand once over its
-kernel's window of ``signals.common_frame`` (lcm period, max transient),
-then frames and canonicalizes that set.  Kernels read a larger frame or
-window alike, so a modal layer (``qtlab.lab``) runs them on one frame:
+Each temporal operator is a kernel: from a ``signals.Frame`` its operands
+repeat in and their cuts, their sorted components over a window of it, it
+builds the truth set directly, in time near linear in the component count,
+with the t_bound it repeats from.  A public operator is ``signals._apply``
+of its kernel: each operand cut once over the kernel's window of their frame
+(lcm period, max transient), then that set framed and canonicalized.
+Kernels read a larger frame or window alike, so a modal layer
+(``qtlab.lab``) runs them on one frame:
 
 * ``C<n>`` (``F1`` is ``C1``) and ``O1`` follow the offline construction of
   Maler and Nickovic, "Monitoring Temporal Properties of Continuous Signals"
@@ -34,10 +35,9 @@ ints, and scales the result back to Fractions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .formulas import (
     And,
@@ -56,14 +56,14 @@ from .formulas import (
     Until,
     metrics,
 )
-from .intervals import Interval, IntervalSet, RationalLike
+from .intervals import Interval, IntervalSet, RationalLike, _unchecked
 from .signals import (
     DomainError,
+    Frame,
     Signal,
     TimeDomain,
-    _frame,
+    _apply,
     combine,
-    common_frame,
     from_ticks,
     tick_unit,
     to_ticks,
@@ -101,40 +101,6 @@ class Env:
             raise UnboundAtomError(name) from None
 
 
-# --------------------------------------------------------------------- frames
-
-class Frame(namedtuple("Frame", "domain period transient unit")):
-    """Each operand repeats with ``period`` from ``transient`` (0 on the full
-    line).  ``window(m)`` runs from -m (0 on the half line) to m past a period
-    from the transient; ``reach`` holds every kernel's window and a period
-    past ``settled``, from which every kernel's truth set repeats."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, signals: Sequence[Signal]) -> "Frame":
-        return cls(signals[0].domain, *common_frame(signals), signals[0].unit)
-
-    def window(self, m: RationalLike) -> tuple:
-        return -m if self.domain is TimeDomain.FULL_LINE else 0, self.transient + self.period + m
-
-    def reach(self) -> tuple:
-        return self.window(max(self.period, self.unit))
-
-    def settled(self) -> RationalLike:
-        full = self.domain is TimeDomain.FULL_LINE
-        return 0 if full else self.transient + max(self.period, self.unit)
-
-
-def _apply(kernel: Callable[..., tuple], operands: Sequence[Signal], *params,
-           margin: Callable[[Frame], RationalLike] = attrgetter("unit")) -> Signal:
-    """A public operator: the kernel on cuts over its window, framed, canonical."""
-    frame = Frame.of(operands)
-    lo, hi = frame.window(margin(frame))
-    truth, t_bound = kernel(frame, [x.slice(lo, hi) for x in operands], *params)
-    return _frame(operands[0], frame.period, t_bound, truth).canonicalize()
-
-
 # -------------------------------------------------------------- metric family
 
 def count_kernel(frame: Frame, cuts: Sequence[IntervalSet], n: int, future: bool) -> tuple:
@@ -144,10 +110,10 @@ def count_kernel(frame: Frame, cuts: Sequence[IntervalSet], n: int, future: bool
     t_bound = 0 if full else frame.transient + (0 if future else one)
     comps = cuts[0].components
     d = one if future else 0
-    hits = [Interval(c.lower - d, c.upper + one - d, False, False)
+    hits = [_unchecked(c.lower - d, c.upper + one - d, False, False)
             for c in comps if not c.is_point]
     points = [c.lower for c in comps if c.is_point]
-    hits += [Interval(last - d, first + one - d, False, False)
+    hits += [_unchecked(last - d, first + one - d, False, False)
              for first, last in zip(points, points[n - 1:]) if last - first < one]
     return IntervalSet(hits), t_bound
 
@@ -199,14 +165,14 @@ def pnueli_kernel(frame: Frame, cuts: Sequence[IntervalSet]) -> tuple:
     pieces: list[Interval] = []
     for c, nxt in zip(crit, crit[1:] + [None]):
         if decide(c):
-            pieces.append(Interval(c, c))
+            pieces.append(_unchecked(c, c, True, True))
         if nxt is None:
             continue
         # the gap's midpoint decides it; in ticks every critical point is
         # even (see signals.tick_unit), so the midpoint is an int there
         s = c + nxt
         if decide(s // 2 if s % 2 == 0 else s / 2):
-            pieces.append(Interval(c, nxt, False, False))
+            pieces.append(_unchecked(c, nxt, False, False))
     return IntervalSet(pieces), frame.transient
 
 
@@ -241,13 +207,13 @@ def order_kernel(frame: Frame, cuts: Sequence[IntervalSet], future: bool) -> tup
             if i < len(ys) and lowers[i] == b and ys[i].lower_closed:
                 i += 1
             if i and (sup := min(uppers[i - 1], b)) > a:
-                out.append(Interval(a, sup, True, False))
+                out.append(_unchecked(a, sup, True, False))
         else:  # inf(y at or above a) must lie below t
             j = bisect_right(uppers, a)
             if j and uppers[j - 1] == a and ys[j - 1].upper_closed:
                 j -= 1
             if j < len(ys) and (inf := max(lowers[j], a)) < b:
-                out.append(Interval(inf, b, False, True))
+                out.append(_unchecked(inf, b, False, True))
     return IntervalSet(out), t_bound
 
 

@@ -24,10 +24,12 @@ period multiple, which keeps the form deterministic, idempotent and
 independent of the input representation, the scale included.  Two Signals at
 one scale denote the same set iff their canonical forms are structurally equal.
 
-A Signal is a tuple underneath and validated like an ``Interval``.  The
-engine's operators, and ``combine``, slice their operands as they are within
-``common_frame``; ``_frame`` alone cuts a set into a prefix and a pattern, for
-them, for ``shift`` and for every reframing.
+A Signal is a tuple underneath and validated like an ``Interval``.  A
+``Frame`` says where signals repeat: their domain, scale, lcm period and max
+transient.  ``_apply`` slices operands as they are over a window of their
+frame and runs a kernel on the cuts, for ``combine`` and the engine's
+operators; ``_frame`` alone cuts a set into a prefix and a pattern at a
+frame, for them, for ``shift`` and for every reframing.
 """
 
 from __future__ import annotations
@@ -289,7 +291,7 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         d = exact(d) % p
         if d == 0:
             return self
-        return _frame(self, p, 0, self.slice(-d, p - d).shift(d))
+        return _frame(Frame(self.domain, p, 0, self.unit), 0, self.slice(-d, p - d).shift(d))
 
     # ---------------------------------------------------------- normalization
 
@@ -326,49 +328,79 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
                 tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
                 break
             hi, width = lo, 2 * width
-        return self._reframe(tc, p0)
+        return self._reframe(Frame(self.domain, p0, tc, self.unit))
 
-    def _reframe(self, transient: RationalLike, period: RationalLike) -> "Signal":
-        """Re-express as a prefix on [0, transient) and one period from there
-        on; the signal must already repeat with that period past transient."""
-        if transient == self.transient and period == self.period:
+    def _reframe(self, frame: "Frame") -> "Signal":
+        """Re-express at frame: a prefix on [0, frame.transient) and one period
+        from there on; the signal must already repeat so from that transient."""
+        if frame.transient == self.transient and frame.period == self.period:
             return self
-        return _frame(self, period, transient, self.slice(0, transient + period))
+        return _frame(frame, frame.transient, self.slice(*frame.window(0)))
 
 
-def common_frame(signals: Sequence[Signal]) -> tuple[RationalLike, RationalLike]:
-    """The lcm period and the max transient of signals over one domain and scale."""
-    if not signals:
-        raise ValueError("nothing to align")
-    domain, unit = signals[0].domain, signals[0].unit
-    if any(s.domain is not domain for s in signals):
-        raise DomainError("cannot align signals over different domains")
-    if any(s.unit != unit for s in signals):
-        raise ValueError("cannot align signals at different time scales")
-    return reduce(_lcm, (s.period for s in signals)), max(s.transient for s in signals)
+class Frame(namedtuple("Frame", "domain period transient unit")):
+    """Where signals repeat: each of them with ``period`` from ``transient``
+    (0 on the full line), in one domain and at one scale.  ``window(m)`` runs
+    from -m (0 on the half line) to m past a period from the transient;
+    ``reach`` holds every kernel's window and a period past ``settled``, from
+    which every kernel's truth set repeats."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, signals: Sequence[Signal]) -> "Frame":
+        """The frame of signals over one domain and scale: lcm period, max transient."""
+        if not signals:
+            raise ValueError("nothing to align")
+        domain, unit = signals[0].domain, signals[0].unit
+        if any(s.domain is not domain for s in signals):
+            raise DomainError("cannot align signals over different domains")
+        if any(s.unit != unit for s in signals):
+            raise ValueError("cannot align signals at different time scales")
+        return cls(domain, reduce(_lcm, (s.period for s in signals)),
+                   max(s.transient for s in signals), unit)
+
+    def window(self, m: RationalLike) -> tuple:
+        return -m if self.domain is TimeDomain.FULL_LINE else 0, self.transient + self.period + m
+
+    def reach(self) -> tuple:
+        return self.window(max(self.period, self.unit))
+
+    def settled(self) -> RationalLike:
+        full = self.domain is TimeDomain.FULL_LINE
+        return 0 if full else self.transient + max(self.period, self.unit)
 
 
-def _frame(x: Signal, period: RationalLike, t_bound: RationalLike,
-           truth: IntervalSet) -> Signal:
-    """The signal, in x's domain and unit, that agrees with truth on [0,
-    t_bound + period) and repeats that last period from t_bound on (0 on the
-    full line); not canonicalized.  The one place a set is cut into a prefix
-    and a pattern: the half-open spans drop whatever truth holds at or past
-    t_bound + period, such as the closed end of a ``slice``."""
-    pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + period)).shift(-t_bound)
+def _frame(frame: Frame, t_bound: RationalLike, truth: IntervalSet) -> Signal:
+    """The signal, in frame's domain, unit and period, that agrees with truth
+    on [0, t_bound + period) and repeats that last period from t_bound on (0
+    on the full line); not canonicalized.  The one place a set is cut into a
+    prefix and a pattern: the half-open spans drop whatever truth holds at or
+    past t_bound + period, such as the closed end of a ``slice``."""
+    pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + frame.period)).shift(-t_bound)
     prefix = truth.intersection(IntervalSet.span(0, t_bound))
-    return Signal(x.domain, period, pattern, t_bound, prefix, x.unit)
+    return Signal(frame.domain, frame.period, pattern, t_bound, prefix, frame.unit)
+
+
+def _apply(kernel: Callable[..., tuple], operands: Sequence[Signal], *params,
+           margin: Callable[[Frame], RationalLike] = attrgetter("unit")) -> Signal:
+    """The kernel on the operands' cuts over the window of their frame at the
+    margin, framed at the t_bound it returns with the truth set, canonical."""
+    frame = Frame.of(operands)
+    lo, hi = frame.window(margin(frame))
+    truth, t_bound = kernel(frame, [x.slice(lo, hi) for x in operands], *params)
+    return _frame(frame, t_bound, truth).canonicalize()
 
 
 def align_many(signals: list[Signal]) -> list[Signal]:
     """Re-express the signals with the lcm period and the max transient."""
-    period, transient = common_frame(signals)
-    return [s._reframe(transient, period) for s in signals]
+    frame = Frame.of(signals)
+    return [s._reframe(frame) for s in signals]
 
 
 def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
     """Pointwise boolean combination; the result is canonical.  The operands
-    of ``and``/``or`` are sliced as they are over one frame and cut once."""
+    of ``and``/``or`` are cut once over their frame, and set-combined there."""
     if op == "not":
         if b is not None:
             raise ValueError("not takes a single signal")
@@ -379,9 +411,8 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
     fn = {"and": IntervalSet.intersection, "or": IntervalSet.union}.get(op)
     if fn is None:
         raise ValueError(f"unknown boolean operation {op!r}")
-    period, transient = common_frame([a, b])
-    end = transient + period
-    return _frame(a, period, transient, fn(a.slice(0, end), b.slice(0, end))).canonicalize()
+    return _apply(lambda frame, cuts: (fn(*cuts), frame.transient), [a, b],
+                  margin=lambda frame: 0)
 
 
 def _normal_form(s: Signal, eventually: bool) -> Signal:

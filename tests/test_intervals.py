@@ -99,10 +99,12 @@ def test_floats_are_rejected_at_every_entry(call):
         call(iset(Interval.open(0, 1)))
 
 
-def test_only_the_set_and_signal_layers_build_unchecked_records():
+def test_only_the_set_signal_and_kernel_layers_build_unchecked_records():
+    """The engine's kernels (semantics.py) build their truth pieces valid by
+    construction; the enumerator, the oracle and the CLI check every record."""
     src = Path(intervals.__file__).parent
     users = {p.name for p in src.glob("*.py") if "_unchecked" in p.read_text(encoding="utf-8")}
-    assert users == {"intervals.py", "signals.py"}
+    assert users == {"intervals.py", "signals.py", "semantics.py"}
 
 
 def test_in_asks_for_membership_not_a_field():

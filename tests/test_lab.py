@@ -199,8 +199,8 @@ def test_enumeration_size_guards(monkeypatch):
         raise AssertionError("a modality ran before the candidate guard")
 
     with monkeypatch.context() as m:
-        for name in ("until", "since", "diamond_unit_future", "diamond_unit_past",
-                     "pnueli_unit"):
+        # the enumerator calls the kernels, never the public operators
+        for name in ("order_kernel", "count_kernel", "pnueli_kernel"):
             m.setattr(qtlab.lab, name, no_modal_work)
         # widths 2..8 over four depth-0 classes: 87416 candidates
         with pytest.raises(LabError, match="candidates"):
@@ -560,3 +560,65 @@ def test_an_index_below_its_least_is_named(read, spec, message):
     with pytest.raises(LabError) as err:
         read(spec)
     assert str(err.value) == message
+
+
+# SHA-256 of each paper_check render, and of the LabError text of the checks
+# the size guard refuses (hierarchy:6..8)
+PAPER_CHECK_DIGESTS = {
+    "pnueli": "ca125cb25b9bd16a6d67c33d98a23e52ef43059124a10332741e157fcafd610f",
+    "counting:2": "e0e7471eb133fcd73bfa2a3ee6859001328f096e7d715a86b5d9f54846b5d7cb",
+    "counting:3": "fef63b48aea204e0c21d07725a07e3a942f90f68895470288158052dc5bfd814",
+    "counting:4": "e288733f50f667394f380014b6fcc73184855640c978d993af102b8e98810bf3",
+    "counting:5": "0064ca3ff9a47500556d4a487b0500230270aba07eab2cff9ba25daefcf481f3",
+    "counting:6": "4bd9557956d666875c7ab574e168fc2535ac29936d4faa26561536c50fd75c4c",
+    "triviality:2": "cde449fdc0d53389cc4530fd7324aeb879cee04b8ee633e9484b57c311e5b88b",
+    "triviality:3": "22fb8385f33615172c89da6b4aafeb26a1bcafe1ad3c4b700cc1714153d9d845",
+    "triviality:4": "58bc4c821daa99944bbe5c131bd60cc2e69ca53d30ae84d833abf3c660dc20ee",
+    "hierarchy:2": "d830d1792a190157720b10cca0f90de47f6362d3a7fae3277feb29a954d2dcfd",
+    "hierarchy:3": "b28f561d513e6b2355796e80ec8184407f3cb5ed3b0c6b7ddf5446732d35b361",
+    "hierarchy:4": "aed48cda486dc1d3994e8ca6e0bd76d02f382d8b104b1fdddea9b5daae0a764d",
+    "hierarchy:5": "58a4c0c84bebf5cd8a5e45cea1cd0782ca3799639bbef4b8902db06722f0a1b5",
+    "hierarchy:6": "09beb13b7b9a4a5e5ba64cdf792308df29b12e496b47688dca161ac60a0d422d",
+    "hierarchy:7": "f3cfb6b1a9e4524a91982763be8c7261377ad30abcae7b5e5e3ad8abf77f1ce1",
+    "hierarchy:8": "30f45391651e7c77852563b2eaa8000a4a47a9e833f8bd320c1f05ea3141741a",
+}
+
+# SHA-256 per logic of both reports (exact, then eventually) of every model
+# and depth 0-2 in this order, a LabError text in place of a refused
+# enumeration's reports
+MATRIX_MODELS = ("mk:2", "mk:3", "mk:4", "thm2", "thm3:3", "thm3:4")
+MATRIX_DIGESTS = {
+    "tl": "9f5c7aeb199bb3da0ed00aa5ee33464881f5933a911036e79761f1ffc637b28b",
+    "qtl": "9376a8ba6d8dadcd7f1d9b9c13a978e771a5d222e043051d134e8d8c2dca1734",
+    "qtl+p2": "beb29ef2177a04577045f4419ccea7d09bf528c11918a6de09c28b866698fd53",
+    "qtl+p3": "171506d9f2657bce49a2f0f2ed13690ebf06b0746e7030905bea47d3c9da441b",
+    "qtl+p4": "75c7481c2268753cc1472e48a18301b554bd3929fae7a0961db6c61780772040",
+}
+
+
+def test_paper_checks_and_report_matrix_golden():
+    """Every check's output and every report of the matrix, pinned byte for
+    byte, refusals included: representatives, classes and verdicts stay the
+    same through any change to the engine or the enumerator."""
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def refused_or(run):
+        try:
+            return run()
+        except LabError as exc:
+            return str(exc)
+
+    got = {name: digest(refused_or(lambda: paper_check(name).render()))
+           for name in PAPER_CHECK_DIGESTS}
+    assert got == PAPER_CHECK_DIGESTS
+
+    def reports(logic, spec, depth):
+        env = builtin_model(spec)
+        enum = enumerate_formulas(parse_logic(logic), depth, env)
+        return "".join(trivialization_report(env, enum, ev).render() for ev in (False, True))
+
+    got = {logic: digest("".join(refused_or(lambda: reports(logic, spec, depth))
+                                 for spec in MATRIX_MODELS for depth in range(3)))
+           for logic in MATRIX_DIGESTS}
+    assert got == MATRIX_DIGESTS

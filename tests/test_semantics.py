@@ -330,7 +330,7 @@ def test_kernels_read_a_larger_frame_over_its_reach(seed, domain, in_ticks):
 
     def signal(truth):
         assert truth[1] <= frame.settled()
-        return _frame(x, frame.period, truth[1], truth[0]).canonicalize()
+        return _frame(frame, truth[1], truth[0]).canonicalize()
 
     assert signal(order_kernel(frame, [cx, cy], True)) == until(x, y)
     assert signal(order_kernel(frame, [cx, cy], False)) == since(x, y)

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtlab.semantics
 from qtlab.cli import main
 from qtlab.intervals import Interval, IntervalSet, TextFormatError, parse_interval_list
 from qtlab.signals import (
     MAX_UNROLL,
     DomainError,
+    Frame,
     Signal,
     SignalError,
     TimeDomain,
@@ -22,7 +24,6 @@ from qtlab.signals import (
     align_many,
     classify_trivial,
     combine,
-    common_frame,
     equal,
     format_signal,
     from_ticks,
@@ -256,6 +257,21 @@ def test_align_rejects_domain_mismatch():
         align_many([M3, THM2])
 
 
+def test_one_frame_class_names_each_refusal():
+    """The engine reads the signal layer's Frame; Frame.of refuses no
+    signals, two domains and two scales, each by name."""
+    assert qtlab.semantics.Frame is Frame
+    assert Frame.of([M2, M3]) == Frame(LINE, F(1), F(0), 1)
+    for signals, error, message in (
+        ([], ValueError, "nothing to align"),
+        ([M3, THM2], DomainError, "cannot align signals over different domains"),
+        ([THM2, to_ticks(THM2, 6)], ValueError, "cannot align signals at different time scales"),
+    ):
+        with pytest.raises(error) as err:
+            Frame.of(signals)
+        assert str(err.value) == message
+
+
 # -------------------------------------------------------------------- combine
 
 def test_combine_not_on_grid():
@@ -398,7 +414,7 @@ def _check_canonical_form(rng, s):
     assert c.canonicalize() == c
     m = rng.randint(1, 3)
     bigger_T = c.transient + rng.randint(0, 2) * c.period if s.domain is HALF else F(0)
-    assert s._reframe(bigger_T, m * s.period).canonicalize() == c
+    assert s._reframe(Frame(s.domain, m * s.period, bigger_T, s.unit)).canonicalize() == c
     assert from_ticks(to_ticks(s, tick_unit([s])).canonicalize()) == c
     return c
 
@@ -454,8 +470,8 @@ def test_built_records_revalidate(rng, domain, in_ticks):
         unit = tick_unit([a, b])
         a, b = to_ticks(a, unit), to_ticks(b, unit)
         pick = rng.randint
-    period, transient = common_frame([a, b])
-    end = transient + 2 * period
+    frame = Frame.of([a, b])
+    end = frame.transient + 2 * frame.period
     lo, hi = pick(0, end), pick(0, end)
     lo, hi = min(lo, hi), max(lo, hi)
     x, y = a.slice(lo, hi), b.slice(0, end)
@@ -480,7 +496,7 @@ def test_built_records_revalidate(rng, domain, in_ticks):
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]), st.booleans())
 def test_framed_alike_exactly_when_canonically_alike(rng, domain, in_ticks):
-    """Two signals cut by _frame at one (period, transient) that both repeat
+    """Two signals cut by _frame at one frame that both repeat
     in are structurally equal exactly when their canonical forms are, so a
     frame can key sets.  The second signal is the first re-expressed, the
     first with a point added (which it may hold), or a fresh draw."""
@@ -488,7 +504,7 @@ def test_framed_alike_exactly_when_canonically_alike(rng, domain, in_ticks):
     kind = rng.randrange(3)
     if kind == 0:
         grow = rng.randint(0, 2) * a.period if domain is HALF else 0
-        b = a._reframe(a.transient + grow, rng.randint(1, 3) * a.period)
+        b = a._reframe(Frame(domain, rng.randint(1, 3) * a.period, a.transient + grow, a.unit))
     elif kind == 1:
         q = random_fraction(rng, 0, a.period, max_den=24)
         point = Signal(domain, a.period, IntervalSet.point(q if q < a.period else 0))
@@ -498,11 +514,11 @@ def test_framed_alike_exactly_when_canonically_alike(rng, domain, in_ticks):
     if in_ticks:
         unit = tick_unit([a, b])
         a, b = to_ticks(a, unit), to_ticks(b, unit)
-    period, transient = common_frame([a, b])
-    period *= rng.randint(1, 2)
+    frame = Frame.of([a, b])
+    frame = frame._replace(period=frame.period * rng.randint(1, 2))
     if domain is HALF:
-        transient += rng.randint(0, 2) * a.unit
-    framed = [_frame(s, period, transient, s.slice(0, transient + period)) for s in (a, b)]
+        frame = frame._replace(transient=frame.transient + rng.randint(0, 2) * a.unit)
+    framed = [_frame(frame, frame.transient, s.slice(*frame.window(0))) for s in (a, b)]
     assert (framed[0] == framed[1]) == (a.canonicalize() == b.canonicalize())
     if kind == 0:
         assert framed[0] == framed[1]
