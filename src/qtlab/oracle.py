@@ -31,10 +31,13 @@ signal), period and transient bound.  It memoizes each operand's truth by
 miss, and caches per cell that time and its forward and backward unit
 windows, which every node visiting the cell shares.  A query's own windows
 are cut from its tick.  An until or since scan's result is memoized for
-every cell the scan walked, keyed by (node id, first scanned cell).  A run
-modality is decided by exhaustive placement of its operand tuple over the
-window's cells, memoized per (operand, cell), with no greedy shortcut, which
-keeps it an independent check of the engine's left-to-right placement.
+every cell the scan walked, keyed by (node id, first scanned cell).  Window
+modalities find witnesses through skip pointers, one table per direction:
+each cell a walk passes points to where it stopped, a witness or a cell not
+yet examined, so C<n> (F1 and O1: n = 1) takes at most n jumps.  A run
+modality keeps its own placement program, right to left, independent of the
+engine's left to right one: its table is monotone, a threshold m that only a
+cell where operand m - 1 holds can lower, so it steps from witness to witness.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -147,31 +150,6 @@ class _Grid:
         return range(lo + (lo % 2 == 0 and not closed_a), hi + (hi % 2 == 1 or closed_b))
 
 
-def _placeable(n: int, cells: Sequence[int], holds: Callable[[int, int], bool]) -> bool:
-    """Whether operands 0..n-1 fit at strictly increasing times in the cells,
-    operand j only where holds(j, cell): a point cell takes one operand, an
-    open cell any consecutive run of them.
-
-    The exhaustive search place(j, r), "operands j.. fit into cells r..",
-    tries every placement: skip cell r, or put operand j there and go on to
-    place(j + 1, r + 1) after a point or place(j + 1, r) inside an open cell.
-    It is memoized on (j, r), the table filled from the last cell back, so
-    the search takes O(n * len(cells)) steps and calls holds at most once per
-    (operand, cell), only where the rest of the run fits.
-    """
-    fit = [False] * n + [True]  # place(j, r) for the cells scanned so far
-    for c in reversed(cells):
-        new = fit[:]
-        after = fit if c % 2 == 0 else new  # a point holds one operand
-        for j in range(n - 1, -1, -1):
-            if not new[j] and after[j + 1] and holds(j, c):
-                new[j] = True
-        fit = new
-        if fit[0]:
-            return True
-    return fit[0]
-
-
 class PointwiseSession:
     """One formula, one environment, membership queries over one grid: the
     formula's atoms scaled once to ticks of one unit, the formula compiled
@@ -197,6 +175,8 @@ class PointwiseSession:
         self._root = self._compile(formula)
         self._memo: Dict[Tuple[int, int], bool] = {}
         self._scans: Dict[Tuple[int, int], bool] = {}  # until/since by first scanned cell
+        # per step, (node id, cell) -> where a walk through the cell stopped
+        self._skip: Dict[int, Dict[Tuple[int, int], int]] = {1: {}, -1: {}}
         self._reps: Dict[int, int] = {}
         self._ahead: Dict[int, range] = {}  # cells of (t, t + unit), t the cell's rep
         self._behind: Dict[int, range] = {}  # cells of (t - unit, t), cut at the origin
@@ -310,19 +290,63 @@ class PointwiseSession:
             if cells is None:
                 cells = cache[cell] = self._window(t, back)
         if kind is Pnueli:
-            return _placeable(len(kids), cells, lambda j, c: self._cell(kids[j], c))
+            return self._placeable(kids, cells)
         return self._count(kids[0], self._arg[i], cells)
 
+    def _first(self, k: int, c: int, end: int, step: int) -> int:
+        """The first cell from c toward end (exclusive), by step, where node
+        k holds, or end if there is none.  Every cell the walk passes keeps a
+        pointer, per step, to where the walk stopped: a witness or a cell not
+        yet examined.  A later walk jumps along it, compressing the path."""
+        skip, passed = self._skip[step], []
+        while (end - c) * step > 0:
+            nxt = skip.get((k, c))
+            if nxt is None:
+                if self._cell(k, c):
+                    break
+                nxt = c + step
+            passed.append(c)
+            c = nxt
+        for x in passed:
+            skip[k, x] = c
+        return c if (end - c) * step > 0 else end
+
     def _count(self, operand: int, need: int, cells: range) -> bool:
-        """At least `need` witness points of the operand among the cells."""
-        for c in cells:
-            if self._cell(operand, c):
-                if c & 1:
-                    return True  # a whole interval of witnesses beats any n
-                need -= 1
-                if need <= 0:
-                    return True
-        return False
+        """At least `need` witness points of the operand among the cells, in
+        at most `need` forward jumps: counting ignores direction, so an O1
+        window takes the forward pointers too."""
+        c, end = cells.start, cells.stop
+        for _ in range(need):
+            c = self._first(operand, c, end, 1)
+            if c == end:
+                return False
+            if c & 1:
+                return True  # a whole interval of witnesses beats any n
+            c += 1
+        return True
+
+    def _placeable(self, kids: Tuple[int, ...], cells: range) -> bool:
+        """Whether the operands fit at strictly increasing times in the
+        cells, operand j only where it holds: a point cell takes one operand,
+        an open cell any consecutive run of them.
+
+        The placement is decided right to left: "operands j.. fit into the
+        cells scanned so far" is monotone in j, so it is a threshold m, which
+        starts at the operand count and is decided at 0.  A cell can lower m
+        only where operand m - 1 holds: by one at a point, and inside an open
+        cell on through m - 2, m - 3, ... while each of those holds there.
+        So every other cell is a no-op, and the backward pointers on operand
+        m - 1 jump straight to the next cell that moves m."""
+        m, c, end = len(kids), cells.stop - 1, cells.start - 1
+        while m:
+            c = self._first(kids[m - 1], c, end, -1)
+            if c == end:
+                return False
+            m -= 1
+            while c & 1 and m and self._cell(kids[m - 1], c):
+                m -= 1
+            c -= 1
+        return True
 
     def _order(self, i: int, t: int) -> bool:
         """Strict until or since at t, over the cells ordered away from t up

@@ -20,6 +20,7 @@ from qtlab.formulas import (
     Not,
     Or,
     Pnueli,
+    TrueConst,
     metrics,
     parse_formula,
     subformulas,
@@ -28,7 +29,6 @@ from qtlab.intervals import Interval, IntervalSet
 from qtlab.oracle import (
     AgreementReport,
     PointwiseSession,
-    _placeable,
     agreement_check,
     compare_pointwise,
     critical_points,
@@ -410,16 +410,10 @@ def test_a_session_hashes_no_formula_per_query(monkeypatch):
         assert len(hashes) <= 2 * nodes, count
 
 
-@pytest.mark.parametrize("domain", [LINE, HALF])
-def test_until_since_scans_are_memoized(monkeypatch, domain):
-    """The until under the since never holds, so its scans run to their
-    horizons and the since's run back a period or to the origin.  Each walked
-    cell takes the result of the scan that walked it, so operand lookups
-    stay within a small multiple of the memo entries."""
-    rng = random.Random(5)
-    env = Env(domain, {"P": irregular_signal(rng, 8, domain),
-                       "Q": irregular_signal(rng, 8, domain)})
-    f = parse_formula("true S (true U (P & !P))")
+def _lookups_and_memo(monkeypatch, text, env, samples):
+    """Check the formula against the engine at `samples` points through one
+    session: its operand lookups and its memo entries."""
+    f = parse_formula(text)
     sig = evaluate(f, env)
     sessions, lookups = [], []
     cell = PointwiseSession._cell
@@ -430,9 +424,84 @@ def test_until_since_scans_are_memoized(monkeypatch, domain):
         return cell(self, i, c)
 
     monkeypatch.setattr(PointwiseSession, "_cell", counting)
-    assert compare_pointwise(f, env, sig, sample_points(sig, 60)).passed
+    assert compare_pointwise(f, env, sig, sample_points(sig, samples)).passed
     assert len(set(map(id, sessions))) == 1
-    assert len(lookups) <= 2 * len(sessions[0]._memo)
+    return len(lookups), len(sessions[0]._memo)
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_until_since_scans_are_memoized(monkeypatch, domain):
+    """The until under the since never holds, so its scans run to their
+    horizons and the since's run back a period or to the origin.  Each walked
+    cell takes the result of the scan that walked it, so operand lookups
+    stay within a small multiple of the memo entries."""
+    rng = random.Random(5)
+    env = Env(domain, {"P": irregular_signal(rng, 8, domain),
+                       "Q": irregular_signal(rng, 8, domain)})
+    lookups, entries = _lookups_and_memo(monkeypatch, "true S (true U (P & !P))", env, 60)
+    assert lookups <= 2 * entries
+
+
+@pytest.mark.parametrize("text", ["O1 Pn1(Pn2(true | P, Q & false))", "C2(O1 C3(F1 P))",
+                                  "C2(O1 C3(F1 (Q & false)))"])
+def test_window_lookups_are_amortized(monkeypatch, text):
+    """24 grid points per unit, so every unit window spans 49 cells.  The
+    inner run and the innermost count never hold, and every outer window
+    asks them at each of its cells.  Rescanning those inner windows would
+    cost a factor of the window size; the skip pointers keep operand lookups
+    within a small multiple of the memo entries."""
+    env = Env(LINE, {"P": grid_line(24), "Q": grid_line(24)})
+    lookups, entries = _lookups_and_memo(monkeypatch, text, env, 100)
+    assert lookups <= 2 * entries
+
+
+class _TableSession(PointwiseSession):
+    """A session whose node i holds in cell c exactly when table[i, c]; it
+    records every evaluation, that is every memo miss."""
+
+    def __init__(self, table):
+        super().__init__(TrueConst(), Env(LINE, {}))
+        self.table, self.asked = table, []
+
+    def _at(self, i, t, cell):
+        self.asked.append((i, cell))
+        return self.table[i, cell]
+
+
+def _count_by_scan(holds, need, cells):
+    """The count windows' linear scan: at least `need` witness points."""
+    for c in cells:
+        if holds(c):
+            if c & 1:
+                return True
+            need -= 1
+            if need <= 0:
+                return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_skip_pointers_match_a_linear_scan(rng):
+    """Random truth tables over negative and positive cells, and interleaved
+    queries in both directions whose windows start and end at different
+    cells: each lookup answers like a scan of its window."""
+    lo, hi = -12, 12
+    density = [rng.random(), rng.random()]
+    table = {(k, c): rng.random() < density[k] for k in range(2) for c in range(lo, hi + 1)}
+    session = _TableSession(table)
+    for _ in range(40):
+        k, c = rng.randrange(2), rng.randint(lo, hi)
+        if rng.random() < 0.5:
+            step = rng.choice((1, -1))
+            end = rng.randint(c, hi + 1) if step == 1 else rng.randint(lo - 1, c)
+            expected = next((x for x in range(c, end, step) if table[k, x]), end)
+            assert session._first(k, c, end, step) == expected, (k, c, end, step)
+        else:
+            need, cells = rng.randint(1, 4), range(c, rng.randint(c, hi + 1))
+            expected = _count_by_scan(lambda x: table[k, x], need, cells)
+            assert session._count(k, need, cells) == expected, (k, need, cells)
+    assert len(session.asked) == len(set(session.asked))  # each (node, cell) once
 
 
 def test_half_line_queries_before_the_origin_raise():
@@ -455,21 +524,21 @@ def _placements(n, cells, holds):
 
 
 def test_run_placement_matches_the_exhaustive_enumeration():
+    """The session's witness-to-witness placement, on a random table, then
+    on a sub-window of the same table, so the second walk runs along the
+    pointers the first one left."""
     rng = random.Random(5)
     for _ in range(400):
         n = rng.randint(1, 4)
         first = rng.randint(-3, 3)
         cells = range(first, first + rng.randint(0, 7))
         table = {(j, c): rng.random() < 0.6 for j in range(n) for c in cells}
-        calls = []
-
-        def holds(j, c):
-            calls.append((j, c))
-            return table[j, c]
-
-        expected = next(_placements(n, cells, lambda j, c: table[j, c]), None) is not None
-        assert _placeable(n, cells, holds) == expected, (n, cells, table)
-        assert len(calls) == len(set(calls))  # each (operand, cell) asked once
+        session = _TableSession(table)
+        lo = rng.randint(cells.start, max(cells.start, cells.stop - 1))
+        for window in (cells, range(lo, rng.randint(lo, cells.stop))):
+            expected = next(_placements(n, window, lambda j, c: table[j, c]), None) is not None
+            assert session._placeable(tuple(range(n)), window) == expected, (n, window, table)
+        assert len(session.asked) == len(set(session.asked))  # each (operand, cell) once
 
 
 @pytest.mark.parametrize("text", ["Pn2(true | P, Q & false)", "Pn3(true | P, true, Q & false)",
