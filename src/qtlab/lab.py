@@ -43,11 +43,11 @@ calls.
 
 One frame per layer.  A layer cuts each start atom once over the reach of
 their frame (``qtlab.signals.Frame``), and a class's cut is the union of
-its atoms' cuts.  Each call runs a kernel on these cuts and frames its truth
-set at the kernel's t_bound.  Framed at one (period, transient), two sets are
-structurally equal exactly when equal, so a result is matched against the
-classes framed alike, and a miss is sliced and refined once per cut, at any
-t_bound: ``refine`` intersects cuts and canonicalizes only the split parts.
+its atoms' cuts.  Two sets that repeat in the frame are equal exactly when
+their cuts over its reach are, so a layer names a set by its cut: each call
+runs a kernel on the cuts and frames its truth set at the kernel's t_bound,
+each framed set is sliced once, and a cut no class or earlier result has is
+refined once: ``refine`` intersects cuts and canonicalizes only split parts.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class _Enumeration:
         self.masks: List[int] = []
         self.seen: Dict[int, int] = {}  # mask -> class index
         self.atoms: List[Signal] = [Signal.constant(env.domain, True, self.unit)]
-        self.pending: List[int] = []  # the modal layer's result masks
+        self.pending: List[int] = []  # the modal layer's masks, one per slot
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
         self.recut([self.p])
@@ -305,8 +305,9 @@ class _Enumeration:
         base = len(reps)
         bits = [[k for k in range(len(atoms)) if m >> k & 1] for m in self.masks]
         args = [IntervalSet(c for k in ks for c in atoms[k]) for ks in bits]
-        self.pending, slots, memo, keyed = [], {}, {}, {}
-        framed: Dict[int, Dict[Signal, int]] = {}  # t_bound -> framed class -> index
+        # slot i < base is class i; a set is named by its cut over the window
+        self.pending, slots, memo = list(self.masks), {}, {}
+        keyed = {cut: i for i, cut in enumerate(args)}
 
         def slot(op: Callable, hs: Tuple[int, ...], dist: Tuple[bool, ...]) -> int:
             """The pending index of op on the classes and atoms hs name."""
@@ -314,16 +315,11 @@ class _Enumeration:
                 truth, t_bound = op(frame, [atoms[h] if d else args[h] for h, d in zip(hs, dist)])
                 sig = _frame(frame, t_bound, truth)
                 if sig not in slots:
-                    if t_bound not in framed:
-                        framed[t_bound] = {_frame(frame, t_bound, cut): i
-                                           for i, cut in enumerate(args)}
-                    index = framed[t_bound].get(sig)
-                    key = sig.slice(*self.window) if index is None else index
-                    if key not in keyed:
-                        keyed[key] = len(self.pending)
-                        self.pending.append(self.refine(key) if index is None
-                                            else self.masks[index])
-                    slots[sig] = keyed[key]
+                    cut = sig.slice(*self.window)
+                    if cut not in keyed:
+                        keyed[cut] = len(self.pending)
+                        self.pending.append(self.refine(cut))
+                    slots[sig] = keyed[cut]
                 memo[op, hs] = slots[sig]
             return memo[op, hs]
 

@@ -127,6 +127,13 @@ def test_arity_errors():
         parse_formula("Pn2(P, Q, R)")
     with pytest.raises(ArityError):
         Count(0, P)
+    with pytest.raises(ArityError):
+        Pnueli(())
+
+
+def test_only_formulas_print():
+    with pytest.raises(TypeError, match="not a formula"):
+        format_formula("P")
 
 
 def test_all_parse_errors_are_parse_errors():

@@ -114,6 +114,8 @@ def test_in_asks_for_membership_not_a_field():
     assert 0 not in iv and False not in iv  # the lower end and a closed flag
     with pytest.raises(TypeError):
         0.5 in iv
+    s = IntervalSet([iv, Interval.point(2)])
+    assert s != s.components and s.components != s
 
 
 def test_normalize_merges_touching_pieces():

@@ -301,6 +301,9 @@ def test_classification_rejects_a_signal_of_another_domain():
     with pytest.raises(DomainError):
         classify_trivial(Signal.constant(TimeDomain.FULL_LINE, True),
                          builtin_model("thm2").signal("P"))
+    enum = enumerate_formulas(parse_logic("tl"), 1, builtin_model("thm2"))
+    with pytest.raises(DomainError):
+        trivialization_report(builtin_model("mk:2"), enum, eventually=True)
 
 
 @pytest.mark.parametrize("name", ["pnueli", "counting:2", "hierarchy:2", "triviality:2"])
@@ -311,18 +314,32 @@ def test_paper_checks_pass(name):
     assert report.render() == paper_check(name).render()
 
 
-def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch):
-    """hierarchy:7 fits its first modal layer but not its second, and the
-    guard trips as soon as layer 1's classes push layer 2 past the limit."""
+KERNELS = ("order_kernel", "count_kernel", "pnueli_kernel")
+
+
+def _log_calls(monkeypatch, names):
+    """A list that gains each name in names, functions of qtlab.lab, per call."""
     calls = []
-    for name in ("order_kernel", "count_kernel", "pnueli_kernel"):
-        def counted(*args, fn=getattr(qtlab.lab, name)):
-            calls.append(fn)
+    for name in names:
+        def call(*args, name=name, fn=getattr(qtlab.lab, name)):
+            calls.append(name)
             return fn(*args)
-        monkeypatch.setattr(qtlab.lab, name, counted)
-    with pytest.raises(LabError, match="candidates"):
-        paper_check("hierarchy:7")
-    assert 0 < len(calls) < 100
+        monkeypatch.setattr(qtlab.lab, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("route", [
+    lambda: paper_check("hierarchy:7"),
+    lambda: enumerate_formulas(Logic(True, 6), 2, builtin_model("thm3:7")),
+], ids=["paper", "enumerate"])
+def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch, route):
+    """hierarchy:7 fits its first modal layer but not its second, and the
+    guard trips as soon as layer 1's classes push layer 2 past the limit,
+    through the paper check and through the enumeration it runs alike."""
+    calls = _log_calls(monkeypatch, KERNELS)
+    with pytest.raises(LabError, match="a modal layer would try at least 14089 candidates"):
+        route()
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
@@ -514,7 +531,9 @@ def test_depth3_qtl_thm2_report_golden():
 def test_each_new_set_is_refined_once(monkeypatch):
     """A new set that kernels with different t_bounds reach frames twice but
     has one cut over the layer window, and is refined once: depth-3 qtl on
-    thm2 refines 17 distinct cuts (3 seeds, 14 new modal results)."""
+    thm2 refines 17 distinct cuts (3 seeds, 14 new modal results).  A set is
+    framed once per kernel call and twice per atom split, never to match a
+    class: the layer names a set by its cut."""
     cuts = []
     refine = qtlab.lab._Enumeration.refine
 
@@ -523,8 +542,11 @@ def test_each_new_set_is_refined_once(monkeypatch):
         return refine(self, cut)
 
     monkeypatch.setattr(qtlab.lab._Enumeration, "refine", counted)
-    enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2"))
+    kernel_calls = _log_calls(monkeypatch, KERNELS)
+    framings = _log_calls(monkeypatch, ["_frame"])
+    enum = enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2"))
     assert len(cuts) == len(set(cuts)) == 17
+    assert len(framings) == len(kernel_calls) + 2 * (len(enum.atoms) - 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

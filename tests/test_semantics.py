@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtlab.cli import main
-from qtlab.formulas import children, parse_formula
+from qtlab.formulas import Formula, children, parse_formula
 from qtlab.lab import builtin_model, enumerate_formulas, parse_logic
 from qtlab.intervals import Interval, IntervalSet, parse_interval_list
 from qtlab.oracle import compare_pointwise, critical_points
@@ -178,6 +178,8 @@ def test_env_requires_matching_domains_and_bound_atoms():
     env = Env(LINE, {"P": grid_line(2)})
     with pytest.raises(UnboundAtomError):
         evaluate(parse_formula("Q"), env)
+    with pytest.raises(TypeError, match="not a formula"):
+        evaluate(Formula(), env)
 
 
 def test_evaluate_composes_operators():

@@ -181,6 +181,8 @@ def test_slice_covers_prefix_and_tail():
     assert s.slice(0, 3) == iset(Interval.open(0, 1), Interval.point(2), Interval.point(3))
     with pytest.raises(DomainError):
         s.slice(-1, 0)
+    with pytest.raises(ValueError, match=r"empty window \[1, 0\]"):
+        s.slice(1, 0)
 
 
 def _own_endpoints(s, a, b):
@@ -238,6 +240,11 @@ def test_shift_moves_membership_by_d(rng, in_ticks):
             assert moved.contains(x + d) == s.contains(x), (s, d, x)
 
 
+def test_shift_refuses_the_half_line():
+    with pytest.raises(DomainError, match="full-line"):
+        THM2.shift(1)
+
+
 # ---------------------------------------------------------------------- align
 
 def test_align_takes_lcm_period_and_max_transient():
@@ -278,6 +285,13 @@ def test_combine_not_on_grid():
     inv = combine("not", M3)
     assert inv.period == F(1, 3)
     assert inv.pattern == iset(Interval.open(0, F(1, 3)))
+
+
+def test_combine_refuses_a_wrong_operand_count_and_an_unknown_operation():
+    for args, message in ((("not", M3, M3), "single"), (("and", M3), "two signals"),
+                          (("xor", M3, M3), "unknown")):
+        with pytest.raises(ValueError, match=message):
+            combine(*args)
 
 
 def test_combine_and_contradiction_is_empty():
