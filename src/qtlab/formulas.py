@@ -231,10 +231,15 @@ def _lex(text: str) -> list[_Token]:
         token_text = m.group()
         if m.lastgroup == "symbol" or token_text in _WORDS:
             out.append(_Token(token_text, token_text, pos))
-        elif cm := _COUNT_RE.match(token_text):
-            out.append(_Token("count", token_text, pos, int(cm.group(1))))
-        elif pm := _PNUELI_RE.match(token_text):
-            out.append(_Token("pnueli", token_text, pos, int(pm.group(1))))
+        elif im := _COUNT_RE.match(token_text) or _PNUELI_RE.match(token_text):
+            digits = im.group(1)
+            head = token_text[:-len(digits)]  # C or Pn
+            try:
+                index = int(digits)
+            except ValueError:  # int() refuses more digits than Python's limit
+                raise LexicalError(f"{head}<n> index of {len(digits)} digits "
+                                   "is too long to read", pos) from None
+            out.append(_Token("count" if head == "C" else "pnueli", token_text, pos, index))
         else:
             out.append(_Token("ident", token_text, pos))
         pos = m.end()

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .formulas import (
     And,
@@ -107,11 +107,14 @@ class LabError(ValueError):
 
 def _indexed(spec: str, prefix: str, what: str, least: int) -> Optional[int]:
     """n when spec is prefix followed by the digits of n, else None; an n
-    below least raises LabError."""
+    below least, or too long for int() to read, raises LabError."""
     m = re.fullmatch(re.escape(prefix) + r"(\d+)", spec)
     if not m:
         return None
-    n = int(m.group(1))
+    try:
+        n = int(m.group(1))
+    except ValueError:  # int() refuses more digits than Python's limit
+        raise LabError(f"{what} of {len(m.group(1))} digits is too long to read") from None
     if n < least:
         raise LabError(f"{what} must be at least {least}, got {n}")
     return n
@@ -233,24 +236,24 @@ class _Enumeration:
             self.seen = {m: i for i, m in enumerate(self.masks)}
         return key
 
-    def families(self) -> List[Tuple[int, Tuple[Tuple[Callable, Callable], ...],
-                                     Tuple[bool, ...]]]:
-        """The modal layer's families in admission order, each a width, its
-        (formula class, engine kernel) pairs and which argument positions
-        distribute over `|` (module docstring).  The kernels are looked up
-        per call, so a wrapper patched into this module sees every call."""
-        out = [(2, ((Until, lambda fr, cuts: order_kernel(fr, cuts, True)),
-                    (Since, lambda fr, cuts: order_kernel(fr, cuts, False))), (False, True))]
+    def families(self) -> Iterator[Tuple[int, Tuple[Tuple[Callable, Callable], ...],
+                                         Tuple[bool, ...]]]:
+        """The modal layer's families in admission order, drawn one at a
+        time, each a width, its (formula class, engine kernel) pairs and
+        which argument positions distribute over `|` (module docstring).
+        The kernels are looked up per call, so a wrapper patched into this
+        module sees every call."""
+        yield (2, ((Until, lambda fr, cuts: order_kernel(fr, cuts, True)),
+                   (Since, lambda fr, cuts: order_kernel(fr, cuts, False))), (False, True))
         if self.logic.diamonds:
-            out.append((1, ((DiamondFuture, lambda fr, cuts: count_kernel(fr, cuts, 1, True)),
-                            (DiamondPast, lambda fr, cuts: count_kernel(fr, cuts, 1, False))),
-                        (True,)))
+            yield (1, ((DiamondFuture, lambda fr, cuts: count_kernel(fr, cuts, 1, True)),
+                       (DiamondPast, lambda fr, cuts: count_kernel(fr, cuts, 1, False))),
+                   (True,))
         run = (lambda *fs: Pnueli(fs), lambda fr, cuts: pnueli_kernel(fr, cuts))
         # C<n> for n >= 2 must never join these: it does not distribute
         # over | (the counterexample is in the module docstring)
-        out += [(width, (run,), (True,) * width)
-                for width in range(2, self.logic.pnueli_max + 1)]
-        return out
+        for width in range(2, self.logic.pnueli_max + 1):
+            yield width, (run,), (True,) * width
 
     def guard_next_layer(self) -> None:
         """Raise once the classes so far put the next modal layer past

@@ -30,14 +30,16 @@ signal), period and transient bound.  It memoizes each operand's truth by
 (node id, cell), evaluating it at the cell's point or gap midpoint on a
 miss, and caches per cell that time and its forward and backward unit
 windows, which every node visiting the cell shares.  A query's own windows
-are cut from its tick.  An until or since scan's result is memoized for
-every cell the scan walked, keyed by (node id, first scanned cell).  Window
-modalities find witnesses through skip pointers, one table per direction:
-each cell a walk passes points to where it stopped, a witness or a cell not
-yet examined, so C<n> (F1 and O1: n = 1) takes at most n jumps.  A run
-modality keeps its own placement program, right to left, independent of the
-engine's left to right one: its table is monotone, a threshold m that only a
-cell where operand m - 1 holds can lower, so it steps from witness to witness.
+are cut from its tick.  Every modality finds witnesses through skip
+pointers, one table per direction: each cell a walk passes points to where
+it stopped, a witness or a cell not yet examined, so C<n> (F1 and O1:
+n = 1) takes at most n jumps.  An until or since walk is guarded by its left
+operand: it stops at the first cell where the right operand holds or the
+left one fails, and that cell decides; its pointers are kept apart from the
+unguarded walks of the same operand.  A run modality keeps its own
+placement program, right to left, independent of the engine's left to right
+one: its table is monotone, a threshold m that only a cell where operand
+m - 1 holds can lower, so it steps from witness to witness.
 """
 
 from __future__ import annotations
@@ -174,9 +176,9 @@ class PointwiseSession:
         self._tbound: List[int] = []  # past it the node's truth is periodic
         self._root = self._compile(formula)
         self._memo: Dict[Tuple[int, int], bool] = {}
-        self._scans: Dict[Tuple[int, int], bool] = {}  # until/since by first scanned cell
-        # per step, (node id, cell) -> where a walk through the cell stopped
-        self._skip: Dict[int, Dict[Tuple[int, int], int]] = {1: {}, -1: {}}
+        # per step, (node id, guard id or None, cell) -> where a walk through
+        # the cell stopped
+        self._skip: Dict[int, Dict[Tuple[int, Optional[int], int], int]] = {1: {}, -1: {}}
         self._reps: Dict[int, int] = {}
         self._ahead: Dict[int, range] = {}  # cells of (t, t + unit), t the cell's rep
         self._behind: Dict[int, range] = {}  # cells of (t - unit, t), cut at the origin
@@ -293,22 +295,23 @@ class PointwiseSession:
             return self._placeable(kids, cells)
         return self._count(kids[0], self._arg[i], cells)
 
-    def _first(self, k: int, c: int, end: int, step: int) -> int:
+    def _first(self, k: int, c: int, end: int, step: int, guard: Optional[int] = None) -> int:
         """The first cell from c toward end (exclusive), by step, where node
-        k holds, or end if there is none.  Every cell the walk passes keeps a
-        pointer, per step, to where the walk stopped: a witness or a cell not
-        yet examined.  A later walk jumps along it, compressing the path."""
+        k holds or, given a guard, node guard fails; end if there is none.
+        Every cell the walk passes keeps a pointer, per step and keyed by
+        (k, guard), to where the walk stopped: a witness or a cell not yet
+        examined.  A later walk jumps along it, compressing the path."""
         skip, passed = self._skip[step], []
         while (end - c) * step > 0:
-            nxt = skip.get((k, c))
+            nxt = skip.get((k, guard, c))
             if nxt is None:
-                if self._cell(k, c):
+                if self._cell(k, c) or (guard is not None and not self._cell(guard, c)):
                     break
                 nxt = c + step
             passed.append(c)
             c = nxt
         for x in passed:
-            skip[k, x] = c
+            skip[k, guard, x] = c
         return c if (end - c) * step > 0 else end
 
     def _count(self, operand: int, need: int, cells: range) -> bool:
@@ -352,39 +355,25 @@ class PointwiseSession:
         """Strict until or since at t, over the cells ordered away from t up
         to the node's horizon: a witness of the right operand with the left
         operand holding on every cell before it (and, inside an open cell,
-        around it).  Each operand is looked up at most once per cell, the
-        right one first.
+        around it).
 
-        A scan decides as the scan from any later cell it walks through, so
-        every walked cell takes the result of the cell where it stopped.  A
-        scan that reaches its horizon saw the left operand hold without the
-        right one for a full period past the node's transient bound (or back
-        to the origin), which repeats forever: False for every walked cell."""
+        One guarded walk finds the first cell where the right operand holds
+        or the left one fails, and that cell decides.  A walk that reaches
+        its horizon saw the left operand hold without the right one for a
+        full period past the node's transient bound (or back to the origin),
+        which repeats forever: False."""
         left, right = self._kids[i]
         grid, period = self._grid, self._period[i]
         if self._kind[i] is Until:
             cells = grid.cells(t, max(t, self._tbound[i]) + period, closed_b=True)
+            c, end, step = cells.start, cells.stop, 1
         else:
             lo = 0 if self._half else t - period
-            cells = reversed(grid.cells(lo, t, closed_a=True))
-        walked, got = [], None
-        for c in cells:
-            got = self._scans.get((i, c))
-            if got is None:
-                walked.append(c)
-                holds = self._cell(right, c)
-                if holds and not c & 1:
-                    got = True
-                elif not self._cell(left, c):
-                    got = False
-                elif holds:
-                    got = True
-            if got is not None:
-                break
-        got = bool(got)  # None: the scan reached its horizon undecided
-        for c in walked:
-            self._scans[i, c] = got
-        return got
+            cells = grid.cells(lo, t, closed_a=True)
+            c, end, step = cells.stop - 1, cells.start - 1, -1
+        c = self._first(right, c, end, step, left)
+        # the walk has just looked the right operand up at the cell it stopped in
+        return c != end and self._memo[right, c] and (not c & 1 or self._cell(left, c))
 
 
 def pointwise_eval(formula: Formula, env, t) -> bool:

@@ -216,6 +216,28 @@ def test_numbers_past_the_digit_limit_exit_two(tmp_path, capsys):
     assert captured.err.startswith(f"error: {big}: line 3: pattern: at position 0: ")
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["paper", "--check", f"counting:{NINES}"], "counting index"),
+    (["eval", "--formula", "P", "--model", f"mk:{NINES}"], "mk index"),
+    (["enumerate", "--logic", f"qtl+p{NINES}", "--depth", "1", "--model", "mk:2",
+      "--report", "{report}"], "run-modality cap"),
+    (["eval", "--formula", f"C{NINES}(P)", "--model", "mk:2"], "C<n> index"),
+])
+def test_indices_past_the_digit_limit_exit_two(argv, what, tmp_path, capsys):
+    """An index in a model, logic, check or formula name is read with int()
+    too, so one past its digit limit is a usage error that names it."""
+    report = tmp_path / "out.tsv"
+    assert invoke([a.format(report=report) for a in argv]) == 2
+    assert not report.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"{what} of 5000 digits is too long to read" in captured.err
+
+
 def test_nesting_past_the_limit_exits_two(capsys):
     deep = "!" * 3000 + "P"
     assert invoke(["equiv", "--formula", deep, "--formula", "P", "--model", "mk:2"]) == 2
@@ -279,12 +301,19 @@ def test_oversized_enumeration_exits_two(tmp_path, capsys):
 
 
 def test_wide_run_family_guard_prints_a_short_count(tmp_path, capsys):
-    # 1999 run widths: the guard stops summing them once past the limit
-    code = invoke(["enumerate", "--logic", "qtl+p2000", "--depth", "1", "--model", "mk:2",
-                   "--report", str(tmp_path / "out.tsv")])
-    err = capsys.readouterr().err
-    assert code == 2 and "past the limit" in err
-    assert all(len(line) < 200 for line in err.splitlines())
+    # 1999 run widths, then a billion: the guard draws the widths one at a
+    # time and stops summing them once past the limit
+    for cap in (2000, 10 ** 9):
+        start = time.perf_counter()
+        code = invoke(["enumerate", "--logic", f"qtl+p{cap}", "--depth", "1", "--model", "mk:2",
+                       "--report", str(tmp_path / "out.tsv")])
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+        assert "past the limit" in captured.err
+        assert all(len(line) < 200 for line in captured.err.splitlines())
+        assert not (tmp_path / "out.tsv").exists()
+    assert "a modal layer would try at least 10001 candidates" in captured.err
 
 
 FUZZ_SIGNALS = (

@@ -342,6 +342,14 @@ def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch, route):
     assert len(calls) == 4
 
 
+def test_a_huge_run_modality_cap_trips_the_guard_at_once():
+    """The guard draws the families one at a time and stops once the count
+    passes the limit, so a cap of a billion widths neither builds them all
+    nor sums them: the first class already puts 10001 tuples in reach."""
+    with pytest.raises(LabError, match="a modal layer would try at least 10001 candidates"):
+        enumerate_formulas(Logic(True, 10 ** 9), 1, builtin_model("mk:2"))
+
+
 @pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
 def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic, spec):
     """The guard's count equals the argument tuples the largest layer hands

@@ -485,7 +485,8 @@ def _count_by_scan(holds, need, cells):
 def test_skip_pointers_match_a_linear_scan(rng):
     """Random truth tables over negative and positive cells, and interleaved
     queries in both directions whose windows start and end at different
-    cells: each lookup answers like a scan of its window."""
+    cells, plain walks and walks guarded by the other node mixed on one
+    session: each lookup answers like a scan of its window."""
     lo, hi = -12, 12
     density = [rng.random(), rng.random()]
     table = {(k, c): rng.random() < density[k] for k in range(2) for c in range(lo, hi + 1)}
@@ -493,10 +494,11 @@ def test_skip_pointers_match_a_linear_scan(rng):
     for _ in range(40):
         k, c = rng.randrange(2), rng.randint(lo, hi)
         if rng.random() < 0.5:
-            step = rng.choice((1, -1))
+            step, guard = rng.choice((1, -1)), rng.choice((None, 1 - k))
             end = rng.randint(c, hi + 1) if step == 1 else rng.randint(lo - 1, c)
-            expected = next((x for x in range(c, end, step) if table[k, x]), end)
-            assert session._first(k, c, end, step) == expected, (k, c, end, step)
+            expected = next((x for x in range(c, end, step)
+                             if table[k, x] or (guard is not None and not table[guard, x])), end)
+            assert session._first(k, c, end, step, guard) == expected, (k, c, end, step, guard)
         else:
             need, cells = rng.randint(1, 4), range(c, rng.randint(c, hi + 1))
             expected = _count_by_scan(lambda x: table[k, x], need, cells)
