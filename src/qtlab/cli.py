@@ -77,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate",
                        help="enumerate semantic representatives and write a report")
-    p.add_argument("--logic", required=True, help="tl, qtl, or qtl+p<m>")
+    p.add_argument("--logic", required=True,
+                   help="tl, qtl, qtl+c<m>, qtl+p<m>, or qtl+c<m>+p<w>")
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True, help="output file path")

@@ -24,16 +24,18 @@ with ``tails``, the bits of the atoms with a nonempty pattern.  Everything
 is deterministic: no randomness, fixed iteration orders, append-only
 representative list.
 
-A modal layer distributes over atoms.  The right operand of U and S, the
-operand of F1 and O1 and every argument of Pn<k> ask for one witness point,
-so each distributes over ``|``: ``x U (y | z) = x U y | x U z``.  The layer
-runs these positions on the layer-start atoms, calls each kernel once per
-(operator, argument handles), refines once per distinct new set, and
-keys a tuple by the union of its calls' masks, 0 when a class there has mask
-0 (``x U false``, ``F1 false``, ``Pn(.., false, ..)``).  The left operand of U
-and S takes whole classes.  ``C<n>`` with n >= 2 must never be distributed:
-with P at the integers and Q at the half-integers, ``C2(P | Q)`` is (0,1/2)
-with period 1/2 while ``C2(P) | C2(Q)`` is empty.  Every argument tuple is
+A modal layer distributes over atoms, each node through its row of
+``qtlab.semantics.MODALITIES``.  The right operand of U and S, the operand
+of F1 and O1 and every argument of Pn<k> ask for one witness point, so each
+distributes over ``|``: ``x U (y | z) = x U y | x U z``.  The layer runs
+these positions on the layer-start atoms, calls each kernel once per
+(operator, argument handles), refines once per distinct new set, and keys a
+tuple by the union of its calls' masks, 0 when a class there has mask 0
+(``x U false``, ``F1 false``, ``Pn(.., false, ..)``).  The row's other
+positions take whole classes: the left operand of U and S, and the operand
+of ``C<n>``, n >= 2, which must never be distributed: with P at the
+integers and Q at the half-integers, ``C2(P | Q)`` is (0,1/2) with period
+1/2 while ``C2(P) | C2(Q)`` is empty.  Every argument tuple is
 still admitted, in the same order, with the same formula and class, so the
 first-found representatives, the reports and the ``MAX_CANDIDATES`` refusals
 (it counts tuples, not calls) are unchanged.  The calls cut the same atoms
@@ -56,7 +58,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -77,7 +79,7 @@ from .formulas import (
     format_formula,
 )
 from .intervals import Interval, IntervalSet, format_interval_list
-from .semantics import Env, count_kernel, evaluate, order_kernel, pnueli_kernel
+from .semantics import MODALITIES, Env, Modality, evaluate
 # the public operators, importable from this module too
 from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
 from .signals import (
@@ -144,20 +146,23 @@ def builtin_model(spec: str) -> Env:
 @dataclass(frozen=True)
 class Logic:
     """Modality set: until/since always; unit diamonds when `diamonds`;
-    run modalities Pn2..Pn<pnueli_max> when pnueli_max >= 2."""
+    counting modalities C2..C<counting_max> and run modalities
+    Pn2..Pn<pnueli_max> when their cap is at least 2."""
 
     diamonds: bool = False
     pnueli_max: int = 0
+    counting_max: int = 0
 
 
 def parse_logic(text: str) -> Logic:
     if text == "tl":
         return Logic(False, 0)
-    if text == "qtl":
-        return Logic(True, 0)
-    if (cap := _indexed(text, "qtl+p", "run-modality cap", 1)) is not None:
-        return Logic(True, cap)
-    raise LabError(f"unknown logic {text!r} (expected tl, qtl, qtl+p<m>)")
+    if not (m := re.fullmatch(r"qtl(\+c\d+)?(\+p\d+)?", text)):
+        raise LabError(f"unknown logic {text!r} "
+                       "(expected tl, qtl, qtl+c<m>, qtl+p<m>, qtl+c<m>+p<w>)")
+    counting = _indexed(m[1] or "", "+c", "counting cap", 1) or 0
+    runs = _indexed(m[2] or "", "+p", "run-modality cap", 1) or 0
+    return Logic(True, runs, counting)
 
 
 @dataclass(frozen=True)
@@ -236,24 +241,17 @@ class _Enumeration:
             self.seen = {m: i for i, m in enumerate(self.masks)}
         return key
 
-    def families(self) -> Iterator[Tuple[int, Tuple[Tuple[Callable, Callable], ...],
-                                         Tuple[bool, ...]]]:
+    def families(self) -> Iterator[Tuple[int, Tuple[Callable[..., Formula], ...]]]:
         """The modal layer's families in admission order, drawn one at a
-        time, each a width, its (formula class, engine kernel) pairs and
-        which argument positions distribute over `|` (module docstring).
-        The kernels are looked up per call, so a wrapper patched into this
-        module sees every call."""
-        yield (2, ((Until, lambda fr, cuts: order_kernel(fr, cuts, True)),
-                   (Since, lambda fr, cuts: order_kernel(fr, cuts, False))), (False, True))
+        time, each a width and the makers of its nodes from an argument
+        tuple; ``MODALITIES`` says how each node runs."""
+        yield 2, (Until, Since)
         if self.logic.diamonds:
-            yield (1, ((DiamondFuture, lambda fr, cuts: count_kernel(fr, cuts, 1, True)),
-                       (DiamondPast, lambda fr, cuts: count_kernel(fr, cuts, 1, False))),
-                   (True,))
-        run = (lambda *fs: Pnueli(fs), lambda fr, cuts: pnueli_kernel(fr, cuts))
-        # C<n> for n >= 2 must never join these: it does not distribute
-        # over | (the counterexample is in the module docstring)
+            yield 1, (DiamondFuture, DiamondPast)
+        for n in range(2, self.logic.counting_max + 1):
+            yield 1, (partial(Count, n),)
         for width in range(2, self.logic.pnueli_max + 1):
-            yield width, (run,), (True,) * width
+            yield width, (lambda *fs: Pnueli(fs),)
 
     def guard_next_layer(self) -> None:
         """Raise once the classes so far put the next modal layer past
@@ -262,8 +260,8 @@ class _Enumeration:
         wide run family neither costs a huge sum nor prints one."""
         base, upto = len(self.reps), self.next_upto
         count = 0
-        for w, ops, _ in self.families():
-            count += len(ops) * (base ** w - upto ** w)
+        for w, makers in self.families():
+            count += len(makers) * (base ** w - upto ** w)
             if count > MAX_CANDIDATES:
                 raise LabError(f"a modal layer would try at least {count} candidates, "
                                f"past the limit of {MAX_CANDIDATES}")
@@ -312,10 +310,12 @@ class _Enumeration:
         self.pending, slots, memo = list(self.masks), {}, {}
         keyed = {cut: i for i, cut in enumerate(args)}
 
-        def slot(op: Callable, hs: Tuple[int, ...], dist: Tuple[bool, ...]) -> int:
-            """The pending index of op on the classes and atoms hs name."""
-            if (op, hs) not in memo:
-                truth, t_bound = op(frame, [atoms[h] if d else args[h] for h, d in zip(hs, dist)])
+        def slot(node: Formula, row: Modality, make: Callable, hs: Tuple[int, ...]) -> int:
+            """The pending index of node's kernel on the classes and atoms
+            hs name; every node make builds runs the same kernel."""
+            if (make, hs) not in memo:
+                truth, t_bound = row.kernel(node, frame, [args[h] if k in row.whole else atoms[h]
+                                                          for k, h in enumerate(hs)])
                 sig = _frame(frame, t_bound, truth)
                 if sig not in slots:
                     cut = sig.slice(*self.window)
@@ -323,19 +323,20 @@ class _Enumeration:
                         keyed[cut] = len(self.pending)
                         self.pending.append(self.refine(cut))
                     slots[sig] = keyed[cut]
-                memo[op, hs] = slots[sig]
-            return memo[op, hs]
+                memo[make, hs] = slots[sig]
+            return memo[make, hs]
 
-        for width, ops, dist in self.families():
+        for width, makers in self.families():
             for idxs in itertools.product(range(base), repeat=width):
                 if max(idxs) >= upto:
-                    choices = [bits[i] if d else (i,) for i, d in zip(idxs, dist)]
-                    for make, op in ops:
+                    for make in makers:
+                        node = make(*(reps[i] for i in idxs))
+                        row = MODALITIES[type(node)]
+                        choices = [(i,) if k in row.whole else bits[i] for k, i in enumerate(idxs)]
                         # every call before the union: a later call's refine
                         # may split atoms the union already holds
-                        got = [slot(op, hs, dist) for hs in itertools.product(*choices)]
-                        self.admit(make(*(reps[i] for i in idxs)),
-                                   reduce(or_, (self.pending[g] for g in got), 0))
+                        got = [slot(node, row, make, hs) for hs in itertools.product(*choices)]
+                        self.admit(node, reduce(or_, (self.pending[g] for g in got), 0))
 
 
 def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationResult:

@@ -23,8 +23,13 @@ Kernels read a larger frame or window alike, so a modal layer
   their shifts by one) and one midpoint per gap between them, each decision
   placing witnesses greedily by bisection over precomputed components.
 
+``MODALITIES`` names every modality once, keyed by its formula class: its
+public operator, its kernel with parameters read off the node, and the
+argument positions that do not distribute over ``|``.  ``evaluate`` and the
+modal layers of ``qtlab.lab`` both run a modality through it.
+
 The differential oracle checks every construction pointwise rather than
-this module assuming it silently.
+this module assuming it silently; it keeps its own dispatch.
 
 The operators run on signals at either scale of ``qtlab.signals``, reading
 the length of one time unit off their operands.  ``evaluate`` scales the
@@ -37,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -54,6 +59,7 @@ from .formulas import (
     Since,
     TrueConst,
     Until,
+    children,
     metrics,
 )
 from .intervals import Interval, IntervalSet, RationalLike, _unchecked
@@ -232,6 +238,31 @@ def since(x: Signal, y: Signal) -> Signal:
     return _apply(order_kernel, [x, y], False, margin=attrgetter("period"))
 
 
+# ------------------------------------------------------------ modality table
+
+class Modality(NamedTuple):
+    """A row of ``MODALITIES`` (module docstring)."""
+
+    operator: Callable[..., Signal]
+    kernel: Callable[..., tuple]
+    whole: Tuple[int, ...] = ()  # a modal layer runs these on classes, the rest on atoms
+
+
+# Each row looks its functions up per call, so a wrapper patched into this
+# module sees it.  C<n>, n >= 2, must never distribute (see qtlab.lab).
+MODALITIES: Dict[type, Modality] = {
+    Until: Modality(lambda f, x, y: until(x, y), lambda f, *a: order_kernel(*a, True), (0,)),
+    Since: Modality(lambda f, x, y: since(x, y), lambda f, *a: order_kernel(*a, False), (0,)),
+    DiamondFuture: Modality(lambda f, x: diamond_unit_future(x),
+                            lambda f, *a: count_kernel(*a, 1, True)),
+    DiamondPast: Modality(lambda f, x: diamond_unit_past(x),
+                          lambda f, *a: count_kernel(*a, 1, False)),
+    Count: Modality(lambda f, x: count_unit(x, f.n),
+                    lambda f, *a: count_kernel(*a, f.n, True), (0,)),
+    Pnueli: Modality(lambda f, *xs: pnueli_unit(xs), lambda f, *a: pnueli_kernel(*a)),
+}
+
+
 # ------------------------------------------------------------------- evaluate
 
 def evaluate(f: Formula, env: Env) -> Signal:
@@ -259,16 +290,6 @@ def _evaluate(f: Formula, env: Env, unit: int) -> Signal:
     if isinstance(f, Implies):
         return combine("or", combine("not", _evaluate(f.left, env, unit)),
                        _evaluate(f.right, env, unit))
-    if isinstance(f, Until):
-        return until(_evaluate(f.left, env, unit), _evaluate(f.right, env, unit))
-    if isinstance(f, Since):
-        return since(_evaluate(f.left, env, unit), _evaluate(f.right, env, unit))
-    if isinstance(f, DiamondFuture):
-        return diamond_unit_future(_evaluate(f.operand, env, unit))
-    if isinstance(f, DiamondPast):
-        return diamond_unit_past(_evaluate(f.operand, env, unit))
-    if isinstance(f, Count):
-        return count_unit(_evaluate(f.operand, env, unit), f.n)
-    if isinstance(f, Pnueli):
-        return pnueli_unit([_evaluate(a, env, unit) for a in f.args])
+    if type(f) in MODALITIES:
+        return MODALITIES[type(f)].operator(f, *(_evaluate(c, env, unit) for c in children(f)))
     raise TypeError(f"not a formula: {f!r}")

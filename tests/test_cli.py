@@ -225,6 +225,8 @@ NINES = "9" * 5000
     (["enumerate", "--logic", f"qtl+p{NINES}", "--depth", "1", "--model", "mk:2",
       "--report", "{report}"], "run-modality cap"),
     (["eval", "--formula", f"C{NINES}(P)", "--model", "mk:2"], "C<n> index"),
+    (["enumerate", "--logic", f"qtl+c{NINES}+p2", "--depth", "1", "--model", "mk:2",
+      "--report", "{report}"], "counting cap"),
 ])
 def test_indices_past_the_digit_limit_exit_two(argv, what, tmp_path, capsys):
     """An index in a model, logic, check or formula name is read with int()

@@ -34,6 +34,8 @@ from qtlab.lab import (
     trivialization_report,
 )
 from qtlab.semantics import (
+    MODALITIES,
+    count_unit,
     diamond_unit_future,
     diamond_unit_past,
     evaluate,
@@ -95,7 +97,10 @@ def test_parse_logic():
     assert parse_logic("tl") == Logic(False, 0)
     assert parse_logic("qtl") == Logic(True, 0)
     assert parse_logic("qtl+p3") == Logic(True, 3)
-    for bad in ("qtl+p0", "QTL", "tl+p2", "qtl+p"):
+    assert parse_logic("qtl+c3") == Logic(True, 0, 3)
+    assert parse_logic("qtl+c2+p4") == Logic(True, 4, 2)
+    for bad in ("qtl+p0", "QTL", "tl+p2", "qtl+p", "qtl+c0", "qtl+c", "tl+c2", "qtl+p2+c2",
+                "qtl+c2+p0"):
         with pytest.raises(LabError):
             parse_logic(bad)
 
@@ -199,9 +204,8 @@ def test_enumeration_size_guards(monkeypatch):
         raise AssertionError("a modality ran before the candidate guard")
 
     with monkeypatch.context() as m:
-        # the enumerator calls the kernels, never the public operators
-        for name in ("order_kernel", "count_kernel", "pnueli_kernel"):
-            m.setattr(qtlab.lab, name, no_modal_work)
+        # the enumerator calls the table's kernels, never the public operators
+        _patch_kernels(m, lambda cls, kernel: no_modal_work)
         # widths 2..8 over four depth-0 classes: 87416 candidates
         with pytest.raises(LabError, match="candidates"):
             enumerate_formulas(Logic(True, 8), 1, builtin_model("thm3:9"))
@@ -314,7 +318,24 @@ def test_paper_checks_pass(name):
     assert report.render() == paper_check(name).render()
 
 
-KERNELS = ("order_kernel", "count_kernel", "pnueli_kernel")
+def _patch_kernels(monkeypatch, wrap):
+    """Replace each modality's kernel in the table by wrap(its class, its kernel)."""
+    for cls, row in list(MODALITIES.items()):
+        monkeypatch.setitem(MODALITIES, cls, row._replace(kernel=wrap(cls, row.kernel)))
+
+
+def _log_kernel_calls(monkeypatch):
+    """A list that gains a modality's class per call of its kernel in the table."""
+    calls = []
+
+    def logged(cls, kernel):
+        def call(*args):
+            calls.append(cls)
+            return kernel(*args)
+        return call
+
+    _patch_kernels(monkeypatch, logged)
+    return calls
 
 
 def _log_calls(monkeypatch, names):
@@ -336,7 +357,7 @@ def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch, route):
     """hierarchy:7 fits its first modal layer but not its second, and the
     guard trips as soon as layer 1's classes push layer 2 past the limit,
     through the paper check and through the enumeration it runs alike."""
-    calls = _log_calls(monkeypatch, KERNELS)
+    calls = _log_kernel_calls(monkeypatch)
     with pytest.raises(LabError, match="a modal layer would try at least 14089 candidates"):
         route()
     assert len(calls) == 4
@@ -344,10 +365,12 @@ def test_size_guard_trips_before_the_layer_that_overflows(monkeypatch, route):
 
 def test_a_huge_run_modality_cap_trips_the_guard_at_once():
     """The guard draws the families one at a time and stops once the count
-    passes the limit, so a cap of a billion widths neither builds them all
-    nor sums them: the first class already puts 10001 tuples in reach."""
-    with pytest.raises(LabError, match="a modal layer would try at least 10001 candidates"):
-        enumerate_formulas(Logic(True, 10 ** 9), 1, builtin_model("mk:2"))
+    passes the limit, so a cap of a billion run widths or counting indices
+    neither builds them all nor sums them: the first class already puts
+    10001 tuples in reach."""
+    for logic in (Logic(True, 10 ** 9), Logic(True, 0, 10 ** 9)):
+        with pytest.raises(LabError, match="a modal layer would try at least 10001 candidates"):
+            enumerate_formulas(logic, 1, builtin_model("mk:2"))
 
 
 @pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
@@ -377,11 +400,14 @@ def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic,
 
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", new_layer)
     monkeypatch.setattr(qtlab.lab._Enumeration, "admit", spy_admit)
-    for name in ("order_kernel", "count_kernel", "pnueli_kernel"):
-        def counted(*args, fn=getattr(qtlab.lab, name)):
+
+    def counted(cls, kernel):
+        def call(*args):
             calls[-1] += 1
-            return fn(*args)
-        monkeypatch.setattr(qtlab.lab, name, counted)
+            return kernel(*args)
+        return call
+
+    _patch_kernels(monkeypatch, counted)
     logic, env = parse_logic(logic), builtin_model(spec)
     expected = enumerate_formulas(logic, 2, env)
     assert len(tuples) == len(calls) == 2
@@ -394,8 +420,12 @@ def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic,
         enumerate_formulas(logic, 2, env)
 
 
-PUBLIC_OPERATORS = {Until: until, Since: since, DiamondFuture: diamond_unit_future,
-                    DiamondPast: diamond_unit_past, Pnueli: lambda *sigs: pnueli_unit(sigs)}
+# the reference layer's operators, on a node and its argument signals
+PUBLIC_OPERATORS = {
+    Until: lambda f, x, y: until(x, y), Since: lambda f, x, y: since(x, y),
+    DiamondFuture: lambda f, x: diamond_unit_future(x),
+    DiamondPast: lambda f, x: diamond_unit_past(x),
+    Count: lambda f, x: count_unit(x, f.n), Pnueli: lambda f, *sigs: pnueli_unit(sigs)}
 
 
 def undistributed_modal_layer(self, upto):
@@ -408,17 +438,18 @@ def undistributed_modal_layer(self, upto):
                    (a for k, a in enumerate(self.atoms) if mask >> k & 1), empty)
             for mask in self.masks]
     reps, base = self.reps, len(self.reps)
-    for width, ops, _ in self.families():
+    for width, makers in self.families():
         for idxs in itertools.product(range(base), repeat=width):
             if max(idxs) >= upto:
-                for make, _ in ops:
+                for make in makers:
                     formula = make(*(reps[i] for i in idxs))
                     self.admit_signal(formula, PUBLIC_OPERATORS[type(formula)](
-                        *(args[i] for i in idxs)))
+                        formula, *(args[i] for i in idxs)))
 
 
 @pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3"])
-@pytest.mark.parametrize("logic", ["tl", "qtl", "qtl+p2", "qtl+p3"])
+@pytest.mark.parametrize("logic", ["tl", "qtl", "qtl+p2", "qtl+p3", "qtl+c2", "qtl+c3",
+                                   "qtl+c2+p2"])
 def test_the_distributed_layer_matches_the_undistributed_reference(monkeypatch, logic, spec):
     """Running distributive positions on atoms gives the reference layer's
     representatives, classes (masks read as sets of atom signals) and
@@ -550,7 +581,7 @@ def test_each_new_set_is_refined_once(monkeypatch):
         return refine(self, cut)
 
     monkeypatch.setattr(qtlab.lab._Enumeration, "refine", counted)
-    kernel_calls = _log_calls(monkeypatch, KERNELS)
+    kernel_calls = _log_kernel_calls(monkeypatch)
     framings = _log_calls(monkeypatch, ["_frame"])
     enum = enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2"))
     assert len(cuts) == len(set(cuts)) == 17
@@ -582,6 +613,7 @@ def test_paper_check_rejects_bad_names(bad):
     (builtin_model, "mk:0", "mk index must be at least 1, got 0"),
     (builtin_model, "thm3:1", "thm3 index must be at least 2, got 1"),
     (parse_logic, "qtl+p0", "run-modality cap must be at least 1, got 0"),
+    (parse_logic, "qtl+c0", "counting cap must be at least 1, got 0"),
     (paper_check, "hierarchy:1", "hierarchy index must be at least 2, got 1"),
     (paper_check, "counting:01", "counting index must be at least 2, got 1"),
     (paper_check, "triviality:0", "triviality index must be at least 2, got 0"),

@@ -431,10 +431,11 @@ def _lookups_and_memo(monkeypatch, text, env, samples):
 
 @pytest.mark.parametrize("domain", [LINE, HALF])
 def test_until_since_scans_are_memoized(monkeypatch, domain):
-    """The until under the since never holds, so its scans run to their
-    horizons and the since's run back a period or to the origin.  Each walked
-    cell takes the result of the scan that walked it, so operand lookups
-    stay within a small multiple of the memo entries."""
+    """The until under the since never holds, so its guarded walks run to
+    their horizons and the since's run back a period or to the origin.  Each
+    cell a walk passes keeps a skip pointer, keyed by the walk's operand and
+    guard, to where the walk stopped, and a later walk jumps along it, so
+    operand lookups stay within a small multiple of the memo entries."""
     rng = random.Random(5)
     env = Env(domain, {"P": irregular_signal(rng, 8, domain),
                        "Q": irregular_signal(rng, 8, domain)})

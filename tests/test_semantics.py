@@ -8,11 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtlab.cli import main
-from qtlab.formulas import Formula, children, parse_formula
+from qtlab.formulas import (
+    Atom,
+    Count,
+    DiamondFuture,
+    DiamondPast,
+    Formula,
+    Pnueli,
+    Since,
+    Until,
+    children,
+    parse_formula,
+)
 from qtlab.lab import builtin_model, enumerate_formulas, parse_logic
 from qtlab.intervals import Interval, IntervalSet, parse_interval_list
 from qtlab.oracle import compare_pointwise, critical_points
 from qtlab.semantics import (
+    MODALITIES,
     Env,
     EvalError,
     Frame,
@@ -238,22 +250,30 @@ def test_diamond_future_distributes_over_or(rng, domain):
 @settings(max_examples=25, deadline=None)
 @given(st.randoms(use_true_random=False), DOMAINS)
 def test_existential_positions_distribute_over_or(rng, domain):
-    """The positions the enumerator runs on atoms distribute over `|`: the
-    right operand of U and S, the operand of O1 (F1 has the test above),
-    and every argument of Pn at widths 2 and 3."""
-    x, y, z, *others = (random_signal(rng, domain, 3) for _ in range(5))
-    positions = [lambda s: until(x, s), lambda s: since(x, s), diamond_unit_past]
-    for width in (2, 3):
+    """Every position the modality table marks distributive, which the
+    enumerator runs on atoms, distributes over `|`: checked through each
+    row's operator on a node of every row, C<n> at n = 2 and 3 and Pn at
+    widths 2 and 3."""
+    a = Atom("X")
+    nodes = [Until(a, a), Since(a, a), DiamondFuture(a), DiamondPast(a), Count(2, a),
+             Count(3, a), Pnueli((a, a)), Pnueli((a, a, a))]
+    assert {type(node) for node in nodes} == set(MODALITIES)
+    y, z, *others = (random_signal(rng, domain, 3) for _ in range(5))
+    for node in nodes:
+        row, width = MODALITIES[type(node)], len(children(node))
         for k in range(width):
-            positions.append(lambda s, k=k, width=width: pnueli_unit(
-                others[:k] + [s] + others[k:width - 1]))
-    for f in positions:
-        assert equal(f(combine("or", y, z)), combine("or", f(y), f(z)))
+            if k not in row.whole:
+                def f(s):
+                    return row.operator(node, *others[:k], s, *others[k:width - 1])
+                assert equal(f(combine("or", y, z)), combine("or", f(y), f(z))), (node, k)
 
 
 def test_count_two_does_not_distribute_over_or():
     """P at the integers, Q at the half-integers: C2(P | Q) is (0,1/2) with
-    period 1/2, while C2(P) | C2(Q) is empty."""
+    period 1/2, while C2(P) | C2(Q) is empty.  So the modality table marks
+    the operand of C<n> as not distributive, and the enumerator runs it on
+    whole classes."""
+    assert MODALITIES[Count].whole == (0,)
     p = grid_line(1)
     q = Signal(LINE, F(1), IntervalSet([Interval.point(F(1, 2))]))
     assert equal(count_unit(combine("or", p, q), 2),
