@@ -206,13 +206,12 @@ _TOKEN_RE = re.compile(
     rf"|(?P<symbol>{'|'.join(map(re.escape, _SYMBOLS))})"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
 )
-_COUNT_RE = re.compile(r"C(\d+)\Z")
-_PNUELI_RE = re.compile(r"Pn(\d+)\Z")
+_INDEXED_RE = re.compile(r"(C|Pn)(\d+)\Z")  # C<n> and Pn<n>: the head is the token kind
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # a connective's token, ( ) , count pnueli ident or end
+    kind: str  # a connective's token, ( ) , C Pn ident or end
     text: str
     pos: int
     index: int = 0  # the n of C<n> / Pn<n>
@@ -231,15 +230,14 @@ def _lex(text: str) -> list[_Token]:
         token_text = m.group()
         if m.lastgroup == "symbol" or token_text in _WORDS:
             out.append(_Token(token_text, token_text, pos))
-        elif im := _COUNT_RE.match(token_text) or _PNUELI_RE.match(token_text):
-            digits = im.group(1)
-            head = token_text[:-len(digits)]  # C or Pn
+        elif im := _INDEXED_RE.match(token_text):
+            head, digits = im.groups()
             try:
                 index = int(digits)
             except ValueError:  # int() refuses more digits than Python's limit
                 raise LexicalError(f"{head}<n> index of {len(digits)} digits "
                                    "is too long to read", pos) from None
-            out.append(_Token("count" if head == "C" else "pnueli", token_text, pos, index))
+            out.append(_Token(head, token_text, pos, index))
         else:
             out.append(_Token("ident", token_text, pos))
         pos = m.end()
@@ -322,24 +320,18 @@ class _Parser:
             inner = self.nested(self.binary)
             self.expect(")")
             return inner
-        if tok.kind == "count":
+        if tok.kind == "C" or tok.kind == "Pn":
             self.eat()
             if tok.index < 1:
-                raise ArityError("C0 is not a modality: the index starts at 1", tok.pos)
-            self.expect("(")
-            inner = self.nested(self.binary)
-            self.expect(")")
-            return Count(tok.index, inner)
-        if tok.kind == "pnueli":
-            self.eat()
-            if tok.index < 1:
-                raise ArityError("Pn0 is not a modality: the index starts at 1", tok.pos)
+                raise ArityError(f"{tok.kind}0 is not a modality: the index starts at 1", tok.pos)
             self.expect("(")
             args = [self.nested(self.binary)]
-            while self.cur.kind == ",":
+            while tok.kind == "Pn" and self.cur.kind == ",":  # C<n> reads one argument
                 self.eat()
                 args.append(self.nested(self.binary))
             self.expect(")")
+            if tok.kind == "C":
+                return Count(tok.index, args[0])
             if len(args) != tok.index:
                 raise ArityError(
                     f"{tok.text} takes exactly {tok.index} arguments, got {len(args)}",

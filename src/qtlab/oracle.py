@@ -25,21 +25,22 @@ per level of modal nesting.  Cells are numbered, grid points even and the
 open gaps between them odd, so every modal window is a range of cells.
 
 A session compiles its formula once into a table of integer node ids, one
-per distinct subformula, each with its type, child ids, count (or atom
+per distinct subformula, each with its type, child ids, copy count (or atom
 signal), period and transient bound.  It memoizes each operand's truth by
 (node id, cell), evaluating it at the cell's point or gap midpoint on a
 miss, and caches per cell that time and its forward and backward unit
 windows, which every node visiting the cell shares.  A query's own windows
 are cut from its tick.  Every modality finds witnesses through skip
 pointers, one table per direction: each cell a walk passes points to where
-it stopped, a witness or a cell not yet examined, so C<n> (F1 and O1:
-n = 1) takes at most n jumps.  An until or since walk is guarded by its left
-operand: it stops at the first cell where the right operand holds or the
-left one fails, and that cell decides; its pointers are kept apart from the
-unguarded walks of the same operand.  A run modality keeps its own
-placement program, right to left, independent of the engine's left to right
-one: its table is monotone, a threshold m that only a cell where operand
-m - 1 holds can lower, so it steps from witness to witness.
+it stopped, a witness or a cell not yet examined.  An until or since walk is
+guarded by its left operand: it stops at the first cell where the right
+operand holds or the left one fails, and that cell decides; its pointers are
+kept apart from the unguarded walks of the same operand.  One placement walk
+serves every window modality: Pn<k> is a run of its k operands, C<n> a run
+of n copies of one, F1 and O1 a run of one.  It places the run right to
+left, independent of the engine's left to right placement: its table is
+monotone, a threshold m that only a cell where operand m - 1 holds can lower,
+so it steps from witness to witness.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .formulas import (
     Implies,
     Not,
     Or,
-    Pnueli,
     Since,
     TrueConst,
     Until,
@@ -171,7 +171,7 @@ class PointwiseSession:
         self._ids: Dict[tuple, int] = {}
         self._kind: List[type] = []
         self._kids: List[Tuple[int, ...]] = []
-        self._arg: list = []  # an atom's signal, else the witnesses a window needs
+        self._arg: list = []  # an atom's signal, else the copies of a window's run
         self._period: List[int] = []  # of the node's truth (its tail, on the half line)
         self._tbound: List[int] = []  # past it the node's truth is periodic
         self._root = self._compile(formula)
@@ -189,7 +189,7 @@ class PointwiseSession:
         formula is ever hashed."""
         kind = type(f)
         kids = tuple(map(self._compile, children(f)))
-        # n for C<n>, one for F1 and O1; an atom's name keys it, its signal is kept
+        # n for C<n>, one for F1, O1 and Pn<k>; an atom's name keys it, its signal is kept
         arg = f.name if kind is Atom else f.n if kind is Count else 1
         key = (kind, kids, arg)
         got = self._ids.get(key)
@@ -291,9 +291,9 @@ class PointwiseSession:
             cells = cache.get(cell)
             if cells is None:
                 cells = cache[cell] = self._window(t, back)
-        if kind is Pnueli:
-            return self._placeable(kids, cells)
-        return self._count(kids[0], self._arg[i], cells)
+        # past the window's cell count, more copies of C<n>'s operand fit
+        # only in an open cell, where any number do
+        return self._placeable(kids * min(self._arg[i], len(cells) + 1), cells)
 
     def _first(self, k: int, c: int, end: int, step: int, guard: Optional[int] = None) -> int:
         """The first cell from c toward end (exclusive), by step, where node
@@ -313,20 +313,6 @@ class PointwiseSession:
         for x in passed:
             skip[k, guard, x] = c
         return c if (end - c) * step > 0 else end
-
-    def _count(self, operand: int, need: int, cells: range) -> bool:
-        """At least `need` witness points of the operand among the cells, in
-        at most `need` forward jumps: counting ignores direction, so an O1
-        window takes the forward pointers too."""
-        c, end = cells.start, cells.stop
-        for _ in range(need):
-            c = self._first(operand, c, end, 1)
-            if c == end:
-                return False
-            if c & 1:
-                return True  # a whole interval of witnesses beats any n
-            c += 1
-        return True
 
     def _placeable(self, kids: Tuple[int, ...], cells: range) -> bool:
         """Whether the operands fit at strictly increasing times in the

@@ -23,6 +23,7 @@ from qtlab.formulas import (
     parse_formula,
     subformulas,
 )
+from qtlab.intervals import Interval, IntervalSet
 from qtlab.lab import (
     EnumerationResult,
     LabError,
@@ -35,6 +36,7 @@ from qtlab.lab import (
 )
 from qtlab.semantics import (
     MODALITIES,
+    Env,
     count_unit,
     diamond_unit_future,
     diamond_unit_past,
@@ -447,15 +449,22 @@ def undistributed_modal_layer(self, upto):
                         formula, *(args[i] for i in idxs)))
 
 
-@pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3"])
+# a bound model: P at 0 and 1/3, period 2, over the whole line
+BOUND = Env(TimeDomain.FULL_LINE, {"P": Signal(TimeDomain.FULL_LINE, F(2), IntervalSet(
+    [Interval.point(F(0)), Interval.point(F(1, 3))]))})
+
+
+@pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3", "bound"])
 @pytest.mark.parametrize("logic", ["tl", "qtl", "qtl+p2", "qtl+p3", "qtl+c2", "qtl+c3",
                                    "qtl+c2+p2"])
 def test_the_distributed_layer_matches_the_undistributed_reference(monkeypatch, logic, spec):
     """Running distributive positions on atoms gives the reference layer's
     representatives, classes (masks read as sets of atom signals) and
     reports, in both modes, or the same LabError (qtl+p3 on thm3:3 needs
-    more than 12 atoms)."""
-    env = builtin_model(spec)
+    more than 12 atoms).  On the bound model some class is a union no single
+    atom covers, so a whole-class position that were run on atoms would
+    show."""
+    env = BOUND if spec == "bound" else builtin_model(spec)
 
     def outcome():
         try:

@@ -4,6 +4,7 @@ placement, pointwise queries, engine agreement."""
 import itertools
 import math
 import random
+import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
@@ -486,8 +487,9 @@ def _count_by_scan(holds, need, cells):
 def test_skip_pointers_match_a_linear_scan(rng):
     """Random truth tables over negative and positive cells, and interleaved
     queries in both directions whose windows start and end at different
-    cells, plain walks and walks guarded by the other node mixed on one
-    session: each lookup answers like a scan of its window."""
+    cells, plain walks, walks guarded by the other node and count windows
+    (a run of `need` copies of one node) mixed on one session: each lookup
+    answers like a scan of its window."""
     lo, hi = -12, 12
     density = [rng.random(), rng.random()]
     table = {(k, c): rng.random() < density[k] for k in range(2) for c in range(lo, hi + 1)}
@@ -503,8 +505,20 @@ def test_skip_pointers_match_a_linear_scan(rng):
         else:
             need, cells = rng.randint(1, 4), range(c, rng.randint(c, hi + 1))
             expected = _count_by_scan(lambda x: table[k, x], need, cells)
-            assert session._count(k, need, cells) == expected, (k, need, cells)
+            assert session._placeable((k,) * need, cells) == expected, (k, need, cells)
     assert len(session.asked) == len(set(session.asked))  # each (node, cell) once
+
+
+@pytest.mark.parametrize("env", [Env(LINE, {"P": grid_line(3)}), Env(HALF, {"P": thm2_signal()})],
+                         ids=["mk:3", "thm2"])
+def test_a_huge_count_places_no_more_copies_than_its_window_has_cells(env):
+    """More copies of an operand than its window has cells fit only in an
+    open cell, where any number do, so C<n> answers alike for every n past
+    that: an oracle that built n copies would not finish."""
+    start = time.perf_counter()
+    report = agreement_check(parse_formula("C1000000000(P) | C1000000000(!P)"), env)
+    assert report.passed, report.render()
+    assert time.perf_counter() - start < 5
 
 
 def test_half_line_queries_before_the_origin_raise():
