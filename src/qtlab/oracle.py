@@ -15,32 +15,32 @@ a fault in it would not show as a disagreement: its own tests in
 test_signals pin it.  A query's public time t maps to its tick t Q when that
 is whole, and otherwise to the odd tick 2 floor(t Q / 2) + 1: every grid
 point is an even tick, so that tick lies in the same open gap as t, and so
-do its shifts by whole units and periods.
+in t's grid cell.
 
 The scans rest on one structural fact, checked empirically by the agreement
 harness rather than assumed silently by both sides: truth values of every
 subformula are constant on the cells of one grid, cut by atom component
 endpoints (and, on the half line, the origin) shifted by at most one unit
 per level of modal nesting.  Cells are numbered, grid points even and the
-open gaps between them odd, so every modal window is a range of cells.
+open gaps between them odd, so every modal window is a range of cells.  A
+query is the answer of the cell that holds its tick, so every answer, the
+formula's own as well as its operands', rests on that fact.
 
 A session compiles its formula once into a table of integer node ids, one
 per distinct subformula, each with its type, child ids, copy count (or atom
-signal), period and transient bound.  It memoizes each operand's truth by
+signal), period and transient bound.  It memoizes each node's truth by
 (node id, cell), evaluating it at the cell's point or gap midpoint on a
-miss, and caches per cell that time and its forward and backward unit
-windows, which every node visiting the cell shares.  A query's own windows
-are cut from its tick.  Every modality finds witnesses through skip
-pointers, one table per direction: each cell a walk passes points to where
-it stopped, a witness or a cell not yet examined.  An until or since walk is
-guarded by its left operand: it stops at the first cell where the right
-operand holds or the left one fails, and that cell decides; its pointers are
-kept apart from the unguarded walks of the same operand.  One placement walk
-serves every window modality: Pn<k> is a run of its k operands, C<n> a run
-of n copies of one, F1 and O1 a run of one.  It places the run right to
-left, independent of the engine's left to right placement: its table is
-monotone, a threshold m that only a cell where operand m - 1 holds can lower,
-so it steps from witness to witness.
+miss.  Every modality finds witnesses through skip pointers, one table per
+direction: each cell a walk passes points to where it stopped, a witness or
+a cell not yet examined.  An until or since walk is guarded by its left
+operand: it stops at the first cell where the right operand holds or the
+left one fails, and that cell decides; its pointers are kept apart from the
+unguarded walks of the same operand.  One placement walk serves every
+window modality: Pn<k> is a run of its k operands, C<n> a run of n copies of
+one, F1 and O1 a run of one.  It places the run right to left, independent
+of the engine's left to right placement: its table is monotone, a threshold
+m that only a cell where operand m - 1 holds can lower, so it steps from
+witness to witness.
 """
 
 from __future__ import annotations
@@ -155,9 +155,8 @@ class _Grid:
 class PointwiseSession:
     """One formula, one environment, membership queries over one grid: the
     formula's atoms scaled once to ticks of one unit, the formula compiled
-    once into a node table (children before parents), operand truth memoized
-    per (node id, cell), and each cell's representative tick and unit
-    windows cached for every node."""
+    once into a node table (children before parents), and every node's
+    truth memoized per (node id, cell)."""
 
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
@@ -179,9 +178,6 @@ class PointwiseSession:
         # per step, (node id, guard id or None, cell) -> where a walk through
         # the cell stopped
         self._skip: Dict[int, Dict[Tuple[int, Optional[int], int], int]] = {1: {}, -1: {}}
-        self._reps: Dict[int, int] = {}
-        self._ahead: Dict[int, range] = {}  # cells of (t, t + unit), t the cell's rep
-        self._behind: Dict[int, range] = {}  # cells of (t - unit, t), cut at the origin
 
     def _compile(self, f: Formula) -> int:
         """The node id of f, adding f and its subformulas to the table on
@@ -220,12 +216,12 @@ class PointwiseSession:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, f: Formula, t: Fraction) -> bool:
-        """Truth of f, the session's formula or a subformula of it, at t.
-        The windows of f's own modalities are cut from t's tick; their
-        operands are looked up per cell."""
+        """Truth of f, the session's formula or a subformula of it, at t: the
+        answer of the grid cell that holds t."""
         if self._half and t < 0:
             raise DomainError(f"{t} is outside the half line")
-        return self._at(self._root if f is self.formula else self._compile(f), self._tick(t), None)
+        i = self._root if f is self.formula else self._compile(f)
+        return self._cell(i, self._grid.locate(self._tick(t)))
 
     def _tick(self, t: Fraction) -> int:
         """t in ticks or, off the tick lattice, the odd tick 2 floor(t Q / 2)
@@ -239,7 +235,7 @@ class PointwiseSession:
         key = (i, c)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = self._at(i, None, c)
+            got = self._memo[key] = self._at(i, c)
         return got
 
     def _window(self, t: int, back: bool) -> range:
@@ -252,45 +248,28 @@ class PointwiseSession:
             return self._grid.cells(0, t, closed_a=True)
         return self._grid.cells(t - u, t)
 
-    def _at(self, i: int, t: Optional[int], cell: Optional[int]) -> bool:
-        """Truth of node i at the tick t or, with t None, anywhere in the
-        cell; there boolean operands share the cell's memo entries and a
-        modality takes the cell's cached representative time and windows."""
+    def _at(self, i: int, c: int) -> bool:
+        """Truth of node i anywhere in cell c: a boolean node from its
+        operands' entries for c, any other at the cell's representative tick."""
         kind, kids = self._kind[i], self._kids[i]
-        if kind is Not or kind is And or kind is Or or kind is Implies:
-            if cell is None:
-                def sub(k):
-                    return self._at(k, t, None)
-            else:
-                def sub(k):
-                    return self._cell(k, cell)
-            if kind is Not:
-                return not sub(kids[0])
-            if kind is And:
-                return sub(kids[0]) and sub(kids[1])
-            if kind is Or:
-                return sub(kids[0]) or sub(kids[1])
-            return (not sub(kids[0])) or sub(kids[1])
+        if kind is Not:
+            return not self._cell(kids[0], c)
+        if kind is And:
+            return self._cell(kids[0], c) and self._cell(kids[1], c)
+        if kind is Or:
+            return self._cell(kids[0], c) or self._cell(kids[1], c)
+        if kind is Implies:
+            return not self._cell(kids[0], c) or self._cell(kids[1], c)
         if kind is TrueConst:
             return True
         if kind is FalseConst:
             return False
-        if cell is not None:
-            t = self._reps.get(cell)
-            if t is None:
-                t = self._reps[cell] = self._grid.rep(cell)
+        t = self._grid.rep(c)
         if kind is Atom:
             return self._arg[i].contains(t)
         if kind is Until or kind is Since:
             return self._order(i, t)
-        back = kind is DiamondPast
-        if cell is None:
-            cells = self._window(t, back)
-        else:
-            cache = self._behind if back else self._ahead
-            cells = cache.get(cell)
-            if cells is None:
-                cells = cache[cell] = self._window(t, back)
+        cells = self._window(t, kind is DiamondPast)
         # past the window's cell count, more copies of C<n>'s operand fit
         # only in an open cell, where any number do
         return self._placeable(kids * min(self._arg[i], len(cells) + 1), cells)

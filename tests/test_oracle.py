@@ -35,6 +35,7 @@ from qtlab.oracle import (
     critical_points,
     pointwise_eval,
     sample_points,
+    _Grid,
 )
 from qtlab.semantics import Env, evaluate
 from qtlab.signals import MAX_UNROLL, DomainError, Signal, SignalError, TimeDomain
@@ -200,15 +201,20 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
 def test_the_oracle_stays_in_ints(monkeypatch):
     """Sessions compute in ticks alone: after comparing random formulas on
     both domains, every grid point, tail offset, start and period, every
-    node's period and transient bound and every cached cell rep is an int."""
-    sessions = []
-    init = PointwiseSession.__init__
+    node's period and transient bound and every cell rep is an int."""
+    sessions, reps = [], []
+    init, rep = PointwiseSession.__init__, _Grid.rep
 
     def spy(self, *args):
         init(self, *args)
         sessions.append(self)
 
+    def spy_rep(self, c):
+        reps.append(rep(self, c))
+        return reps[-1]
+
     monkeypatch.setattr(PointwiseSession, "__init__", spy)
+    monkeypatch.setattr(_Grid, "rep", spy_rep)
     rng = random.Random(43)
     for domain in (LINE, HALF):
         for _ in range(15):
@@ -219,11 +225,11 @@ def test_the_oracle_stays_in_ints(monkeypatch):
             points = sample_points(sig, count=20, seed=rng.randint(0, 10 ** 6))
             assert compare_pointwise(f, env, sig, points).passed
     assert len(sessions) == 30
-    assert sum(len(s._reps) for s in sessions) > 100
+    assert len(reps) > 100
+    assert all(type(x) is int for x in reps)
     for s in sessions:
         g = s._grid
-        numbers = (g.prefix + g.tail + [g.start, g.period] + s._period + s._tbound
-                   + list(s._reps.values()))
+        numbers = g.prefix + g.tail + [g.start, g.period] + s._period + s._tbound
         assert all(type(x) is int for x in numbers), s.formula
 
 
@@ -276,6 +282,7 @@ def test_formula_truth_is_constant_on_translate_refined_regions(rng, domain):
     depth, atoms = metrics(f)
     env = Env(domain, {"P": random_signal(rng, domain),
                        "Q": random_signal(rng, domain)})
+    truth = evaluate(f, env)
     sigs = [env.bindings[a] for a in sorted(atoms)] or [env.bindings["P"]]
     hi = max(s.transient for s in sigs) + 2 * max(s.period for s in sigs) + depth
     # on the half line the origin's translates cut too (O1 (!O1 true) is (0, 1))
@@ -290,9 +297,13 @@ def test_formula_truth_is_constant_on_translate_refined_regions(rng, domain):
     for c in sorted(cuts) + [hi]:
         if prev < c:
             probes = [prev + (c - prev) * F(k, 4) for k in (1, 2, 3)]
-            # a fresh session per probe: a shared one would answer the
-            # nested operands of every probe from the same cells' entries
-            assert len({PointwiseSession(f, env).eval(f, p) for p in probes}) == 1
+            # a fresh session per probe: a shared one would answer every
+            # probe from the same cells' entries
+            answers = [PointwiseSession(f, env).eval(f, p) for p in probes]
+            assert len(set(answers)) == 1
+            # a query is its cell's answer, so only the grid-free engine
+            # tests that the cell's answer holds at each probe
+            assert answers == [truth.contains(p) for p in probes], (f, probes)
         prev = c
 
 
@@ -340,13 +351,32 @@ def test_pointwise_pnueli_matches_hand_count():
     assert pointwise_eval(parse_formula("Pn2(P, P)"), env, F(0)) is False
 
 
-def test_session_memo_is_consistent():
+def test_session_memo_is_consistent(monkeypatch):
+    """Repeated queries agree, and two times in one open cell are one
+    evaluation of the formula's node: a query is its cell's answer."""
     env = Env(HALF, {"P": thm2_signal()})
     f = parse_formula("C2(P) U !P")
     session = PointwiseSession(f, env)
     a = session.eval(f, F(1, 3))
     b = session.eval(f, F(1, 3))
     assert a == b == pointwise_eval(f, env, F(1, 3))
+    asked, at = [], PointwiseSession._at
+
+    def counting(self, i, *args):
+        asked.append(i)
+        return at(self, i, *args)
+
+    monkeypatch.setattr(PointwiseSession, "_at", counting)
+    session = PointwiseSession(f, env)
+    grid, u = session._grid, session.unit
+    lo, hi = F(grid.point(1), u), F(grid.point(2), u)
+    times = [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
+    cells = {grid.locate(session._tick(t)) for t in times}
+    assert len(cells) == 1 and cells.pop() % 2 == 1  # one open cell
+    truth = evaluate(f, env)
+    for t in times:
+        assert session.eval(f, t) == truth.contains(t), t
+    assert asked.count(session._root) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -365,10 +395,10 @@ def test_a_shared_session_answers_like_fresh_ones(rng, domain):
 @settings(max_examples=30, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
 def test_one_operand_under_every_window_modality(rng, domain):
-    """F1, C<n>, Pn<k> and O1 of one operand share its node, its memo
-    entries and every cell's cached windows.  Each distinct subformula is
-    exactly one node, every windowed subformula asked of the one session
-    answers like the engine, and the session answers like fresh ones."""
+    """F1, C<n>, Pn<k> and O1 of one operand share its node and its memo
+    entries.  Each distinct subformula is exactly one node, every windowed
+    subformula asked of the one session answers like the engine, and the
+    session answers like fresh ones."""
     g = random_formula(rng, modal_budget=1, size=3)
     n = rng.randint(1, 3)
     f = Or(And(DiamondFuture(g), Count(n, g)),
@@ -465,9 +495,9 @@ class _TableSession(PointwiseSession):
         super().__init__(TrueConst(), Env(LINE, {}))
         self.table, self.asked = table, []
 
-    def _at(self, i, t, cell):
-        self.asked.append((i, cell))
-        return self.table[i, cell]
+    def _at(self, i, c):
+        self.asked.append((i, c))
+        return self.table[i, c]
 
 
 def _count_by_scan(holds, need, cells):
