@@ -6,7 +6,7 @@ the formula hold at time t" by first-order scanning instead, so the two
 routes share nothing but the exact set and slicing primitives and the signal
 layer's tick scale.  The scanning route never calls the engine; only the
 agreement harness at the bottom runs it once per check, as the comparison
-target, whose public Fraction signal it reads as it is.
+target.
 
 Like the engine, a session scales its formula's atoms once to integer ticks
 (``tick_unit`` and ``to_ticks`` from qtlab.signals), so its grid, windows and
@@ -15,7 +15,9 @@ a fault in it would not show as a disagreement: its own tests in
 test_signals pin it.  A query's public time t maps to its tick t Q when that
 is whole, and otherwise to the odd tick 2 floor(t Q / 2) + 1: every grid
 point is an even tick, so that tick lies in the same open gap as t, and so
-in t's grid cell.
+in t's grid cell.  The harness reads the engine's signal alike, at that
+signal's own ``tick_unit``, where every engine endpoint is an even tick
+whether or not the session's grid holds it: that is what it checks.
 
 The scans rest on one structural fact, checked empirically by the agreement
 harness rather than assumed silently by both sides: truth values of every
@@ -73,6 +75,15 @@ from .formulas import (
 from .intervals import format_rational, rat
 from .signals import (MAX_UNROLL, DomainError, Signal, TimeDomain, _lcm, check_unroll,
                       tick_unit, to_ticks)
+
+
+def _tick(t: Fraction, unit: int) -> int:
+    """t in ticks of the unit or, off the tick lattice, the odd tick
+    2 floor(t unit / 2) + 1, in the same open gap between even ticks as t."""
+    num, den = t.numerator * unit, t.denominator
+    if num % den == 0:
+        return num // den
+    return 2 * (num // (2 * den)) + 1
 
 
 class _Grid:
@@ -148,7 +159,11 @@ class _Grid:
         from an open interval (odd)."""
         if a >= b:
             return range(0)
-        lo, hi = self.locate(a), self.locate(b)
+        return self.span(self.locate(a), self.locate(b), closed_a, closed_b)
+
+    def span(self, lo: int, hi: int, closed_a: bool = False, closed_b: bool = False) -> range:
+        """The cells of a nonempty window that starts in cell lo and ends in
+        cell hi: an end cell that is a point is dropped unless closed."""
         return range(lo + (lo % 2 == 0 and not closed_a), hi + (hi % 2 == 1 or closed_b))
 
 
@@ -221,15 +236,7 @@ class PointwiseSession:
         if self._half and t < 0:
             raise DomainError(f"{t} is outside the half line")
         i = self._root if f is self.formula else self._compile(f)
-        return self._cell(i, self._grid.locate(self._tick(t)))
-
-    def _tick(self, t: Fraction) -> int:
-        """t in ticks or, off the tick lattice, the odd tick 2 floor(t Q / 2)
-        + 1, in the same open gap between even ticks as t."""
-        num, den = t.numerator * self.unit, t.denominator
-        if num % den == 0:
-            return num // den
-        return 2 * (num // (2 * den)) + 1
+        return self._cell(i, self._grid.locate(_tick(t, self.unit)))
 
     def _cell(self, i: int, c: int) -> bool:
         key = (i, c)
@@ -238,15 +245,15 @@ class PointwiseSession:
             got = self._memo[key] = self._at(i, c)
         return got
 
-    def _window(self, t: int, back: bool) -> range:
-        """The cells of the open unit window after t, or before it (cut at
-        the origin on the half line)."""
-        u = self.unit
+    def _window(self, c: int, t: int, back: bool) -> range:
+        """The cells of the open unit window after t, in cell c, or before it
+        (cut at the origin, cell 0, on the half line)."""
+        grid, u = self._grid, self.unit
         if not back:
-            return self._grid.cells(t, t + u)
+            return grid.span(c, grid.locate(t + u))
         if self._half and t < u:
-            return self._grid.cells(0, t, closed_a=True)
-        return self._grid.cells(t - u, t)
+            return grid.span(0, c, closed_a=True)
+        return grid.span(grid.locate(t - u), c)
 
     def _at(self, i: int, c: int) -> bool:
         """Truth of node i anywhere in cell c: a boolean node from its
@@ -268,8 +275,8 @@ class PointwiseSession:
         if kind is Atom:
             return self._arg[i].contains(t)
         if kind is Until or kind is Since:
-            return self._order(i, t)
-        cells = self._window(t, kind is DiamondPast)
+            return self._order(i, c, t)
+        cells = self._window(c, t, kind is DiamondPast)
         # past the window's cell count, more copies of C<n>'s operand fit
         # only in an open cell, where any number do
         return self._placeable(kids * min(self._arg[i], len(cells) + 1), cells)
@@ -316,11 +323,11 @@ class PointwiseSession:
             c -= 1
         return True
 
-    def _order(self, i: int, t: int) -> bool:
-        """Strict until or since at t, over the cells ordered away from t up
-        to the node's horizon: a witness of the right operand with the left
-        operand holding on every cell before it (and, inside an open cell,
-        around it).
+    def _order(self, i: int, c: int, t: int) -> bool:
+        """Strict until or since at t, in cell c, over the cells ordered away
+        from t up to the node's horizon: a witness of the right operand with
+        the left operand holding on every cell before it (and, inside an open
+        cell, around it).
 
         One guarded walk finds the first cell where the right operand holds
         or the left one fails, and that cell decides.  A walk that reaches
@@ -330,11 +337,11 @@ class PointwiseSession:
         left, right = self._kids[i]
         grid, period = self._grid, self._period[i]
         if self._kind[i] is Until:
-            cells = grid.cells(t, max(t, self._tbound[i]) + period, closed_b=True)
+            cells = grid.span(c, grid.locate(max(t, self._tbound[i]) + period), closed_b=True)
             c, end, step = cells.start, cells.stop, 1
         else:
-            lo = 0 if self._half else t - period
-            cells = grid.cells(lo, t, closed_a=True)
+            lo = 0 if self._half else grid.locate(t - period)
+            cells = grid.span(lo, c, closed_a=True)
             c, end, step = cells.stop - 1, cells.start - 1, -1
         c = self._first(right, c, end, step, left)
         # the walk has just looked the right operand up at the cell it stopped in
@@ -346,42 +353,48 @@ def pointwise_eval(formula: Formula, env, t) -> bool:
     return PointwiseSession(formula, env).eval(formula, rat(t))
 
 
+def _critical_ticks(signal: Signal) -> Tuple[List[int], int]:
+    """The critical points in even ticks of the signal's own tick_unit, and that unit."""
+    unit = tick_unit([signal])
+    s = to_ticks(signal, unit)
+    span = s.transient + 2 * s.period
+    lo = 0 if s.domain is TimeDomain.HALF_LINE else -span
+    pts = {lo, span}
+    pts.update(e for comp in s.slice(lo, span) for e in (comp.lower, comp.upper))
+    return sorted(pts), unit
+
+
 def critical_points(signal: Signal) -> List[Fraction]:
     """Component endpoints of a two-period window of the signal, plus the
     window bounds themselves, sorted ascending."""
-    span = signal.transient + 2 * signal.period
-    lo = Fraction(0) if signal.domain is TimeDomain.HALF_LINE else -span
-    pts = {lo, span}
-    for comp in signal.slice(lo, span):
-        for e in (comp.lower, comp.upper):
-            pts.add(e)
-    return sorted(pts)
+    crit, unit = _critical_ticks(signal)
+    return [Fraction(x, unit) for x in crit]
 
 
 def sample_points(signal: Signal, count: int = 50, seed: int = 0) -> List[Fraction]:
     """Exactly `count` deterministic query points, drawn in priority order:
     critical points of a two-period window first, then the midpoints between
     them, then seeded random small-denominator rationals.  The critical
-    points and their midpoints are distinct by construction; every point is
-    kept as a reduced (numerator, denominator) pair, sorted on the exact
-    integer key of a common denominator, and made a Fraction on return."""
+    points are distinct even ticks, so their midpoints are whole ticks;
+    every point is kept as a reduced (numerator, denominator) pair, sorted
+    on the exact integer key of a common denominator, made a Fraction on return."""
     if count <= 0:
         return []
-    crit = critical_points(signal)
-    mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
-    chosen = [(t.numerator, t.denominator) for t in (crit + mids)[:count]]
+    def reduced(num: int, den: int) -> Tuple[int, int]:
+        g = math.gcd(num, den)
+        return num // g, den // g
+    crit, unit = _critical_ticks(signal)
+    mids = [(a + b) // 2 for a, b in zip(crit, crit[1:])]
+    chosen = [reduced(x, unit) for x in (crit + mids)[:count]]
     seen = set(chosen)
     rng = random.Random(seed)
     lo, width = crit[0], crit[-1] - crit[0]
-    ln, ld = lo.numerator, lo.denominator
     denom = 24
     misses = 0
     while len(chosen) < count:
         q = rng.randint(2, denom)
-        k = rng.randint(0, q * width.numerator // width.denominator)
-        num, den = ln * q + k * ld, ld * q  # lo + k/q
-        g = math.gcd(num, den)
-        t = (num // g, den // g)
+        k = rng.randint(0, q * width // unit)
+        t = reduced(lo * q + k * unit, unit * q)  # lo + k/q time units
         if t in seen:
             misses += 1
             if misses > 8:
@@ -413,15 +426,18 @@ class AgreementReport:
 def compare_pointwise(formula: Formula, env, engine_signal: Signal,
                       points: Sequence) -> AgreementReport:
     """Compare an engine-computed truth signal against oracle queries at the
-    given points, one report line per point."""
+    given points, one report line per point.  The engine signal is read in
+    ticks of its own tick_unit: the oracle's grid may not hold its endpoints."""
     session = PointwiseSession(formula, env)
+    unit = tick_unit([engine_signal])
+    ticks = to_ticks(engine_signal, unit)
     lines = []
     agree = 0
     total = 0
     for raw in points:
         t = rat(raw)
-        e = engine_signal.contains(t)
-        o = session.eval(formula, t)
+        o = session.eval(formula, t)  # first, so a time before the origin raises as t
+        e = ticks.contains(_tick(t, unit))
         agree += e == o
         total += 1
         lines.append(f"t={format_rational(t)} engine={int(e)} oracle={int(o)}")

@@ -1,5 +1,6 @@
 """CLI checks: every subcommand, exit codes, round-trips, determinism."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -127,6 +128,42 @@ def test_oracle_check_subcommand(capsys):
     assert invoke(argv) == 0
     assert capsys.readouterr().out == out
 
+
+
+# the two formulas of the fine-grid oracle CI step, then one whose truth is
+# not constant on its model; sha256 of the full oracle-check output at 300
+# samples and seed 0
+ORACLE_CHECK_DIGESTS = {
+    ("O1 Pn1(Pn2(true | P, P & false)) | C2(O1 C3(F1 P))", "mk:3"):
+        "6fb27d561424c83e3250888d856140a38da54f2700c2fb9469069642ea2a3e36",
+    ("O1 Pn1(Pn2(true | P, P & false)) | C2(O1 C3(F1 P))", "thm2"):
+        "e8e276cf9504580403a1dd5348167fe60d8194ae5a2edd00b55408db4402a4b8",
+    ("O1 Pn1(Pn2(true | P, P & false)) | C2(O1 C3(F1 P))", "thm3:5"):
+        "e8e276cf9504580403a1dd5348167fe60d8194ae5a2edd00b55408db4402a4b8",
+    ("O1 Pn1(Pn2(true | P, P & false)) | C2(O1 C3(F1 P))", "mk:7"):
+        "6fb27d561424c83e3250888d856140a38da54f2700c2fb9469069642ea2a3e36",
+    ("(!P U O1 P) S (P S !P) | O1 (true S (true U (P & !P)))", "mk:3"):
+        "29970edb528fc9e83137198e6628b06d628115645862c8c9b26909e13a71e55c",
+    ("(!P U O1 P) S (P S !P) | O1 (true S (true U (P & !P)))", "thm2"):
+        "93a70043f668173c9f32339b549fe8c4c7c60065c8ebb1e0b46ece04f3018c9d",
+    ("(!P U O1 P) S (P S !P) | O1 (true S (true U (P & !P)))", "thm3:5"):
+        "93a70043f668173c9f32339b549fe8c4c7c60065c8ebb1e0b46ece04f3018c9d",
+    ("(!P U O1 P) S (P S !P) | O1 (true S (true U (P & !P)))", "mk:7"):
+        "29970edb528fc9e83137198e6628b06d628115645862c8c9b26909e13a71e55c",
+    ("C2(P) U P", "thm2"):
+        "127b92c72689ca04fd616096a33e3b4c1f69f1e0fefbbabbec00387d58e2f98d",
+}
+
+
+@pytest.mark.parametrize("formula, model", list(ORACLE_CHECK_DIGESTS))
+def test_oracle_check_output_golden(formula, model, capsys):
+    """The agreement report stays byte-stable: its sample points, their
+    order and their formatting, and both answers at each."""
+    argv = ["oracle-check", "--formula", formula, "--model", model, "--samples", "300"]
+    assert invoke(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("agreement 300/300\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_CHECK_DIGESTS[formula, model]
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--formula", "P U", "--model", "mk:2"],          # formula syntax

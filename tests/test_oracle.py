@@ -27,6 +27,7 @@ from qtlab.formulas import (
     subformulas,
 )
 from qtlab.intervals import Interval, IntervalSet
+from qtlab.lab import builtin_model
 from qtlab.oracle import (
     AgreementReport,
     PointwiseSession,
@@ -36,6 +37,7 @@ from qtlab.oracle import (
     pointwise_eval,
     sample_points,
     _Grid,
+    _tick,
 )
 from qtlab.semantics import Env, evaluate
 from qtlab.signals import MAX_UNROLL, DomainError, Signal, SignalError, TimeDomain
@@ -371,7 +373,7 @@ def test_session_memo_is_consistent(monkeypatch):
     grid, u = session._grid, session.unit
     lo, hi = F(grid.point(1), u), F(grid.point(2), u)
     times = [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
-    cells = {grid.locate(session._tick(t)) for t in times}
+    cells = {grid.locate(_tick(t, u)) for t in times}
     assert len(cells) == 1 and cells.pop() % 2 == 1  # one open cell
     truth = evaluate(f, env)
     for t in times:
@@ -667,6 +669,112 @@ def test_sample_points_match_the_fraction_reference(domain):
             got = sample_points(sig, count, seed)
             assert got == reference_sample_points(sig, count, seed)
             assert all(type(t) is F for t in got)
+
+
+def fraction_critical_points(signal):
+    """critical_points sliced from the public Fraction signal: the reference
+    the tick version must match."""
+    span = signal.transient + 2 * signal.period
+    lo = F(0) if signal.domain is HALF else -span
+    pts = {lo, span}
+    for comp in signal.slice(lo, span):
+        for e in (comp.lower, comp.upper):
+            pts.add(e)
+    return sorted(pts)
+
+
+def fraction_sample_points(signal, count, seed):
+    """sample_points with Fraction critical points and midpoints and the
+    random fill drawn from a Fraction origin and width: the reference the
+    tick version must match."""
+    if count <= 0:
+        return []
+    crit = fraction_critical_points(signal)
+    mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
+    chosen = [(t.numerator, t.denominator) for t in (crit + mids)[:count]]
+    seen = set(chosen)
+    rng = random.Random(seed)
+    lo, width = crit[0], crit[-1] - crit[0]
+    ln, ld = lo.numerator, lo.denominator
+    denom = 24
+    misses = 0
+    while len(chosen) < count:
+        q = rng.randint(2, denom)
+        k = rng.randint(0, q * width.numerator // width.denominator)
+        num, den = ln * q + k * ld, ld * q  # lo + k/q
+        g = math.gcd(num, den)
+        t = (num // g, den // g)
+        if t in seen:
+            misses += 1
+            if misses > 8:
+                denom *= 4
+                misses = 0
+            continue
+        seen.add(t)
+        chosen.append(t)
+    scale = math.lcm(*(den for _, den in chosen))
+    chosen.sort(key=lambda t: t[0] * (scale // t[1]))
+    return [F(num, den) for num, den in chosen]
+
+
+def coprime_signal(domain):
+    """Endpoints, period and transient over distinct primes near 1000, so
+    the signal's tick unit is a product of ten of them."""
+    pattern = IntervalSet([Interval(F(1, 1009), F(500, 1013), True, False),
+                           Interval.point(F(1000, 1019)),
+                           Interval(F(1500, 1031), F(2000, 1033), False, True)])
+    if domain is LINE:
+        return Signal(LINE, F(2039, 1021), pattern)
+    prefix = IntervalSet([Interval.point(F(1, 1049)), Interval(F(2, 1051), F(1000, 1061))])
+    return Signal(HALF, F(2039, 1021), pattern, F(1201, 1039), prefix)
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF], ids=["line", "halfline"])
+def test_tick_points_match_the_fraction_points(domain):
+    """critical_points and sample_points cut in ticks of the signal's own
+    tick unit return the same Fractions in the same order as when cut from
+    the public signal: constant signals, random ones with small and with
+    large denominators, and one whose denominators are large coprimes."""
+    rng = random.Random(29)
+    sigs = [Signal.constant(domain, False), Signal.constant(domain, True),
+            coprime_signal(domain)]
+    sigs += [random_signal(rng, domain) for _ in range(12)]
+    sigs += [random_signal(rng, domain, max_den=997) for _ in range(6)]
+    for sig in sigs:
+        assert critical_points(sig) == fraction_critical_points(sig), sig
+        for count in (0, 1, 50, 300):
+            for seed in (0, 7, rng.randint(0, 10 ** 6)):
+                got = sample_points(sig, count, seed)
+                assert got == fraction_sample_points(sig, count, seed), (sig, count, seed)
+                assert all(type(t) is F for t in got)
+
+
+def test_engine_signal_off_the_session_lattice():
+    """A wrong engine signal with an endpoint the session's ticks cannot
+    hold: P on mk:3 with one more point at 1/7 of each unit.  The harness
+    reads it at its own tick unit, so each report line says what the
+    signal says, at 1/7 and just beside it, and the check fails."""
+    env = builtin_model("mk:3")
+    p = env.bindings["P"]
+    wrong = Signal(LINE, F(1), IntervalSet([Interval.point(F(k, 3)) for k in range(3)]
+                                           + [Interval.point(F(1, 7))]))
+    points = [F(1, 7) + d for d in (F(-1, 21), F(-1, 1000), F(-1, 10 ** 9), 0,
+                                    F(1, 10 ** 9), F(1, 1000), F(1, 21))]
+    report = compare_pointwise(parse_formula("P"), env, wrong, points)
+    assert not report.passed
+    assert report.agreements == len(points) - 1
+    for t, line in zip(points, report.lines):
+        assert line == f"t={t} engine={int(wrong.contains(t))} oracle={int(p.contains(t))}"
+    assert report.lines[3] == "t=1/7 engine=1 oracle=0"
+
+
+def test_harness_refuses_a_time_before_the_origin_by_its_value():
+    """A time before the origin raises DomainError naming the time itself,
+    not its tick at either scale."""
+    env = Env(HALF, {"P": thm2_signal()})
+    f = parse_formula("C2(P)")
+    with pytest.raises(DomainError, match=r"^-1/3 is outside the half line$"):
+        compare_pointwise(f, env, evaluate(f, env), [F(0), F(-1, 3)])
 
 
 def test_agreement_report_format():
