@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 
 class ParseError(ValueError):
@@ -402,7 +402,7 @@ def metrics(f: Formula) -> tuple[int, frozenset[str]]:
 
 
 def children(f: Formula) -> Tuple[Formula, ...]:
-    """The direct subformulas, left to right."""
+    """The operands of the root connective, left to right."""
     if isinstance(f, (Not, DiamondFuture, DiamondPast, Count)):
         return (f.operand,)
     if isinstance(f, (And, Or, Implies, Until, Since)):
@@ -421,10 +421,3 @@ def height(f: Formula) -> int:
         best = max(best, depth)
         stack.extend((c, depth + 1) for c in children(node))
     return best
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Every node of the tree, parents before children."""
-    yield f
-    for c in children(f):
-        yield from subformulas(c)

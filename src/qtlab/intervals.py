@@ -9,14 +9,14 @@ only if they are structurally equal.
 
 An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
 keeps the type it is given.  Text parses to ``Fraction``, and so do the
-convenience constructors ``Interval.point``, ``open`` and ``closed``; the
-evaluation engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns.
+convenience constructors ``Interval.point`` and ``open``; the evaluation
+engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns.
 The list reader runs the checks of ``Interval`` on each end's numerator and
 denominator digits, and wraps a list that is normal as written: each interval
 starts after a gap from the one before.  Any other list is normalized.
 An ``Interval`` is a tuple, hashed and compared in C, and ``x in iv`` asks
 for membership.  Its public constructors (``Interval(...)``, ``point``,
-``open``, ``closed``, ``_make``, ``_replace``, copy, pickle) all check it.
+``open``, ``_make``, ``_replace``, copy, pickle) all check it.
 The private ``_unchecked`` does not; it builds only records valid by
 construction from valid ones and numbers passed through ``exact``, or records
 whose checks ran on the ints they were read from.  Translations and strictly
@@ -120,10 +120,6 @@ class Interval(namedtuple("Interval", "lower upper lower_closed upper_closed")):
     def open(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
         return cls(rat(lo), rat(hi), False, False)
 
-    @classmethod
-    def closed(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
-        return cls(rat(lo), rat(hi), True, True)
-
     @property
     def is_point(self) -> bool:
         return self.lower == self.upper
@@ -214,10 +210,6 @@ class IntervalSet:
         out = cls.__new__(cls)
         out._components = components
         return out
-
-    @classmethod
-    def point(cls, q: RationalLike) -> "IntervalSet":
-        return cls._wrap((Interval.point(q),))
 
     @classmethod
     def span(cls, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
@@ -356,13 +348,6 @@ def _interval(m: re.Match, pos: int) -> tuple:
     except (TextFormatError, IntervalError) as exc:
         raise TextFormatError(f"at position {pos}: {exc}") from exc
     return _unchecked(*iv), (a, b), (c, d)
-
-
-def parse_interval(text: str) -> Interval:
-    m = _INTERVAL_RE.fullmatch(text)
-    if not m:
-        raise TextFormatError("at position 0: not an interval")
-    return _interval(m, 0)[0]
 
 
 def parse_interval_list(text: str) -> IntervalSet:

@@ -153,14 +153,6 @@ class _Grid:
             return (self.point(i) + self.point(i + 1)) // 2
         return self.point(i)
 
-    def cells(self, a: int, b: int, closed_a: bool = False, closed_b: bool = False) -> range:
-        """The cells that meet the window from a to b, each end open unless
-        closed; empty unless a < b.  A cell's parity tells a point (even)
-        from an open interval (odd)."""
-        if a >= b:
-            return range(0)
-        return self.span(self.locate(a), self.locate(b), closed_a, closed_b)
-
     def span(self, lo: int, hi: int, closed_a: bool = False, closed_b: bool = False) -> range:
         """The cells of a nonempty window that starts in cell lo and ends in
         cell hi: an end cell that is a point is dropped unless closed."""
@@ -175,8 +167,6 @@ class PointwiseSession:
 
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
-        self.env = env
-        self._half = env.domain is TimeDomain.HALF_LINE
         depth, atoms = metrics(formula)
         public = {a: env.signal(a) for a in sorted(atoms)}
         self.unit = tick_unit(public.values())  # ticks per time unit
@@ -195,8 +185,8 @@ class PointwiseSession:
         self._skip: Dict[int, Dict[Tuple[int, Optional[int], int], int]] = {1: {}, -1: {}}
 
     def _compile(self, f: Formula) -> int:
-        """The node id of f, adding f and its subformulas to the table on
-        first sight.  Nodes are keyed by type, child ids and payload, so no
+        """The node id of f, adding f and each subformula of it to the table
+        on first sight.  Nodes are keyed by type, child ids and payload, so no
         formula is ever hashed."""
         kind = type(f)
         kids = tuple(map(self._compile, children(f)))
@@ -233,7 +223,7 @@ class PointwiseSession:
     def eval(self, f: Formula, t: Fraction) -> bool:
         """Truth of f, the session's formula or a subformula of it, at t: the
         answer of the grid cell that holds t."""
-        if self._half and t < 0:
+        if self._grid.half and t < 0:
             raise DomainError(f"{t} is outside the half line")
         i = self._root if f is self.formula else self._compile(f)
         return self._cell(i, self._grid.locate(_tick(t, self.unit)))
@@ -251,7 +241,7 @@ class PointwiseSession:
         grid, u = self._grid, self.unit
         if not back:
             return grid.span(c, grid.locate(t + u))
-        if self._half and t < u:
+        if grid.half and t < u:
             return grid.span(0, c, closed_a=True)
         return grid.span(grid.locate(t - u), c)
 
@@ -340,17 +330,12 @@ class PointwiseSession:
             cells = grid.span(c, grid.locate(max(t, self._tbound[i]) + period), closed_b=True)
             c, end, step = cells.start, cells.stop, 1
         else:
-            lo = 0 if self._half else grid.locate(t - period)
+            lo = 0 if grid.half else grid.locate(t - period)
             cells = grid.span(lo, c, closed_a=True)
             c, end, step = cells.stop - 1, cells.start - 1, -1
         c = self._first(right, c, end, step, left)
         # the walk has just looked the right operand up at the cell it stopped in
         return c != end and self._memo[right, c] and (not c & 1 or self._cell(left, c))
-
-
-def pointwise_eval(formula: Formula, env, t) -> bool:
-    """One membership query through the oracle route."""
-    return PointwiseSession(formula, env).eval(formula, rat(t))
 
 
 def _critical_ticks(signal: Signal) -> Tuple[List[int], int]:

@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property and acceptance suites."""
+"""Seeded random generators, and a formula-tree walk, shared by the property
+and acceptance suites."""
 
 import math
 import random
@@ -109,6 +110,7 @@ from qtlab.formulas import (  # noqa: E402
     Since,
     TrueConst,
     Until,
+    children,
 )
 
 
@@ -156,3 +158,12 @@ def random_formula(rng: random.Random, modal_budget: int = 3, atoms=("P", "Q"),
         return Implies(left, right)
 
     return go(modal_budget, size)
+
+
+def tree_nodes(f: Formula):
+    """Every node of the formula tree, parents before children."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))

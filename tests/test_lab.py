@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 
 import qtlab.lab
+from qtlab.cli import main
 from qtlab.formulas import (
     And,
     Count,
@@ -21,7 +22,6 @@ from qtlab.formulas import (
     format_formula,
     metrics,
     parse_formula,
-    subformulas,
 )
 from qtlab.intervals import Interval, IntervalSet
 from qtlab.lab import (
@@ -55,6 +55,8 @@ from qtlab.signals import (
     equal,
     from_ticks,
 )
+
+from gen import tree_nodes
 
 
 def class_signal(enum, mask):
@@ -161,7 +163,7 @@ def test_enumeration_soundness_invariants():
         depth, atoms = metrics(f)
         assert depth <= 2
         assert atoms <= {"P"}
-        for sub in subformulas(f):
+        for sub in tree_nodes(f):
             assert not isinstance(sub, Count)
             if isinstance(sub, Pnueli):
                 assert sub.n <= 2
@@ -171,7 +173,7 @@ def test_tl_logic_emits_no_metric_operators():
     env = builtin_model("mk:2")
     result = enumerate_formulas(parse_logic("tl"), 2, env)
     for f in result.formulas:
-        for sub in subformulas(f):
+        for sub in tree_nodes(f):
             assert not isinstance(sub, (DiamondFuture, DiamondPast, Count, Pnueli))
 
 
@@ -318,6 +320,44 @@ def test_paper_checks_pass(name):
     assert report.passed, report.render()
     assert report.render().rstrip().endswith("PASS")
     assert report.render() == paper_check(name).render()
+
+
+def test_pnueli_check_names_its_witnesses_and_fails_when_the_logic_counts(monkeypatch, capsys):
+    """With C2 in the logic the check enumerates, depth-2 formulas on thm2
+    are not all eventually trivial: the report names each nontrivial one as
+    a witness, answers no and fails, and so does the CLI, with exit 1."""
+    parse = qtlab.lab.parse_logic
+    monkeypatch.setattr(qtlab.lab, "parse_logic",
+                        lambda text: parse("qtl+c2" if text == "qtl" else text))
+    lines = paper_check("pnueli").render().splitlines()
+    assert lines[3] == "enumerated 1024 qtl formulas to depth 2, nontrivial 768, truncated 0"
+    assert lines[4] == "nontrivial witness: C2(P)"
+    assert lines[-2:] == ["all enumerated formulas eventually trivial: no", "FAIL"]
+    witnesses = lines[4:-2]
+    assert len(witnesses) == 768
+    env = builtin_model("thm2")
+    for line in witnesses:
+        assert line.startswith("nontrivial witness: "), line
+        text = line.removeprefix("nontrivial witness: ")
+        sig = evaluate(parse_formula(text), env)
+        assert classify_trivial(sig, env.signal("P"), eventually=True) is Triviality.NONE, text
+    capsys.readouterr()
+    assert main(["paper", "--check", "pnueli"]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_hierarchy_check_fails_on_a_count_not_constant_on_its_intervals(monkeypatch):
+    """A C<n> truth that holds only on (0, 1/10) of each unit is constant on
+    none of the six intervals (k, k + 1/5) that hierarchy:3 reads: each is
+    named, no orientation is read off, and the check fails."""
+    short = Signal(TimeDomain.HALF_LINE, F(1), IntervalSet([Interval.open(0, F(1, 10))]))
+    monkeypatch.setattr(qtlab.lab, "evaluate", lambda f, env: short)
+    lines = paper_check("hierarchy:3").render().splitlines()
+    assert lines[:8] == ["check hierarchy:3"] + [
+        f"C3(P) not constant on ({k},{k}+1/5)" for k in range(6)] + [
+        "alternation over six intervals: no"]
+    assert not any(line.startswith("orientation") for line in lines)
+    assert lines[-1] == "FAIL"
 
 
 def _patch_kernels(monkeypatch, wrap):

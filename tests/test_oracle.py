@@ -24,7 +24,6 @@ from qtlab.formulas import (
     TrueConst,
     metrics,
     parse_formula,
-    subformulas,
 )
 from qtlab.intervals import Interval, IntervalSet
 from qtlab.lab import builtin_model
@@ -34,7 +33,6 @@ from qtlab.oracle import (
     agreement_check,
     compare_pointwise,
     critical_points,
-    pointwise_eval,
     sample_points,
     _Grid,
     _tick,
@@ -42,7 +40,7 @@ from qtlab.oracle import (
 from qtlab.semantics import Env, evaluate
 from qtlab.signals import MAX_UNROLL, DomainError, Signal, SignalError, TimeDomain
 
-from gen import irregular_signal, random_formula, random_fraction, random_signal
+from gen import irregular_signal, random_formula, random_fraction, random_signal, tree_nodes
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -54,6 +52,11 @@ def grid_line(k):
 
 def thm2_signal():
     return Signal(HALF, F(2, 3), IntervalSet([Interval.point(F(0))]))
+
+
+def oracle_at(f, env, t):
+    """One membership query on a fresh session."""
+    return PointwiseSession(f, env).eval(f, t)
 
 
 def ticks(session, t):
@@ -82,7 +85,7 @@ def test_signals_are_constant_on_their_regions(rng, domain):
     lo = F(0) if domain is HALF else -hi
     session = PointwiseSession(parse_formula("P & Q"), env)
     grid, lo, hi = session._grid, ticks(session, lo), ticks(session, hi)
-    cells = grid.cells(lo, hi, True, True)
+    cells = grid.span(grid.locate(lo), grid.locate(hi), True, True)
     assert cells[0] == grid.locate(lo) and cells[-1] == grid.locate(hi)
     for c in cells:
         probes = cell_probes(grid, c)
@@ -90,18 +93,20 @@ def test_signals_are_constant_on_their_regions(rng, domain):
             assert len({s.contains(F(p) / session.unit) for p in probes}) == 1
 
 
-def test_regions_of_an_empty_window_are_empty():
+def test_span_lists_the_cells_of_a_window():
     session = PointwiseSession(parse_formula("P"), Env(LINE, {"P": grid_line(2)}))
     grid, u = session._grid, session.unit
     assert u == 4
-    assert list(grid.cells(F(1, 3) * u, F(1, 3) * u, True, True)) == []
-    assert list(grid.cells(F(1) * u, F(0) * u, True, True)) == []
+
+    def window(a, b, closed_a=False, closed_b=False):
+        return list(grid.span(grid.locate(a * u), grid.locate(b * u), closed_a, closed_b))
+
     # grid points k/2: point 0 is cell 0, the gap (0, 1/2) cell 1, and so on
-    assert list(grid.cells(F(0) * u, F(1) * u, True, True)) == [0, 1, 2, 3, 4]
+    assert window(F(0), F(1), True, True) == [0, 1, 2, 3, 4]
     assert [grid.rep(c) for c in range(5)] == [x * u for x in (0, F(1, 4), F(1, 2), F(3, 4), 1)]
-    assert list(grid.cells(F(0) * u, F(1) * u)) == [1, 2, 3]
-    assert list(grid.cells(F(1, 8) * u, F(3, 8) * u, True, True)) == [1]  # inside one gap
-    assert list(grid.cells(F(-1, 2) * u, F(0) * u, True)) == [-2, -1]
+    assert window(F(0), F(1)) == [1, 2, 3]
+    assert window(F(1, 8), F(3, 8), True, True) == [1]  # inside one gap
+    assert window(F(-1, 2), F(0), True) == [-2, -1]
 
 
 def test_grid_covers_only_the_formulas_atoms():
@@ -110,7 +115,7 @@ def test_grid_covers_only_the_formulas_atoms():
     about an atom outside its formula, which its grid does not cut at,
     refuses."""
     p = irregular_signal(random.Random(1), 40, LINE)
-    q = Signal(LINE, F(41, 5), IntervalSet.point(0))
+    q = Signal(LINE, F(41, 5), IntervalSet([Interval.point(0)]))
     env = Env(LINE, {"P": p, "Q": q})
     for text, period in (("F1 P", 8), ("F1 P | Q", 328), ("true U false", 1)):
         session = PointwiseSession(parse_formula(text), env)
@@ -122,7 +127,7 @@ def test_grid_covers_only_the_formulas_atoms():
 def test_grid_past_the_limit_raises():
     """Q's period 1 makes the grid unroll P's period 1/20000 twenty thousand
     times, two endpoints each, and F1 shifts each by -1, 0 and 1."""
-    fine = Signal(LINE, F(1, 20000), IntervalSet.point(0))
+    fine = Signal(LINE, F(1, 20000), IntervalSet([Interval.point(0)]))
     env = Env(LINE, {"P": fine, "Q": grid_line(1)})
     session = PointwiseSession(parse_formula("F1 P"), env)
     assert session._grid.period == F(1, 20000) * session.unit
@@ -192,12 +197,15 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
                 for (i, pt), (_, nxt) in zip(numbered, numbered[1:]):
                     assert grid.locate((pt + nxt) / 2) == 2 * i + 1
                     assert grid.rep(2 * i + 1) == (pt + nxt) / 2
-            meeting = _cells_meeting(numbered, a, b) if a < b else []
+            if a >= b:
+                continue
+            meeting = _cells_meeting(numbered, a, b)
             for closed_a in (False, True):
                 for closed_b in (False, True):
                     expected = [c for c, at_a, at_b in meeting
                                 if (closed_a or not at_a) and (closed_b or not at_b)]
-                    assert list(grid.cells(a, b, closed_a, closed_b)) == expected, (a, b)
+                    got = grid.span(grid.locate(a), grid.locate(b), closed_a, closed_b)
+                    assert list(got) == expected, (a, b)
 
 
 def test_the_oracle_stays_in_ints(monkeypatch):
@@ -269,12 +277,12 @@ def test_off_lattice_queries_answer_like_the_engine(rng, domain):
 def test_half_line_origin_is_a_grid_point():
     """O1 of the origin's own point holds on (0, 1), so F1 of that holds up to
     1: a change point that no atom endpoint need supply."""
-    env = Env(HALF, {"P": Signal(HALF, F(1), IntervalSet.point(F(1, 2)))})
+    env = Env(HALF, {"P": Signal(HALF, F(1), IntervalSet([Interval.point(F(1, 2))]))})
     f = parse_formula("F1 O1 (!O1 true)")
     sig = evaluate(f, env)
     assert sig.contains(F(3, 4)) and not sig.contains(F(1))
-    assert pointwise_eval(f, env, F(3, 4)) is True
-    assert pointwise_eval(f, env, F(1)) is False
+    assert oracle_at(f, env, F(3, 4)) is True
+    assert oracle_at(f, env, F(1)) is False
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,45 +320,45 @@ def test_formula_truth_is_constant_on_translate_refined_regions(rng, domain):
 def test_pointwise_count_on_two_thirds_grid():
     env = Env(HALF, {"P": thm2_signal()})
     f = parse_formula("C2(P)")
-    assert pointwise_eval(f, env, F(1, 6)) is False
-    assert pointwise_eval(f, env, F(7, 6)) is True
-    assert pointwise_eval(f, env, F(0)) is False
-    assert pointwise_eval(f, env, F(1, 2)) is True
+    assert oracle_at(f, env, F(1, 6)) is False
+    assert oracle_at(f, env, F(7, 6)) is True
+    assert oracle_at(f, env, F(0)) is False
+    assert oracle_at(f, env, F(1, 2)) is True
 
 
 def test_pointwise_diamond_is_true_everywhere_on_unit_grid():
     env = Env(LINE, {"P": grid_line(2)})
     f = parse_formula("F1 P")
     for t in sample_points(evaluate(f, env), count=20, seed=3):
-        assert pointwise_eval(f, env, t) is True
+        assert oracle_at(f, env, t) is True
 
 
 def test_pointwise_until_reaches_grid_point():
     env = Env(LINE, {"P": grid_line(3)})
     f = parse_formula("!P U P")
-    assert pointwise_eval(f, env, F(0)) is True
+    assert oracle_at(f, env, F(0)) is True
     g = parse_formula("P U true")
-    assert pointwise_eval(g, env, F(0)) is False
+    assert oracle_at(g, env, F(0)) is False
 
 
 def test_pointwise_since_on_half_line_origin():
     env = Env(HALF, {"P": thm2_signal()})
     f = parse_formula("true S P")
-    assert pointwise_eval(f, env, F(0)) is False  # no past at the origin
-    assert pointwise_eval(f, env, F(1, 10)) is True
+    assert oracle_at(f, env, F(0)) is False  # no past at the origin
+    assert oracle_at(f, env, F(1, 10)) is True
     # O1 P is false at the origin, whose past window is empty, and true on
     # the gap after it, whose window holds the origin
-    assert pointwise_eval(parse_formula("O1 O1 P"), env, F(1, 17)) is True
+    assert oracle_at(parse_formula("O1 O1 P"), env, F(1, 17)) is True
 
 
 def test_pointwise_pnueli_matches_hand_count():
     env = Env(LINE, {"P": grid_line(2)})
-    assert pointwise_eval(parse_formula("Pn2(P, !P)"), env, F(0)) is True
-    assert pointwise_eval(parse_formula("Pn3(P, P, P)"), env, F(0)) is False
+    assert oracle_at(parse_formula("Pn2(P, !P)"), env, F(0)) is True
+    assert oracle_at(parse_formula("Pn3(P, P, P)"), env, F(0)) is False
     # two grid points fit in the open window away from the grid
-    assert pointwise_eval(parse_formula("Pn2(P, P)"), env, F(1, 4)) is True
+    assert oracle_at(parse_formula("Pn2(P, P)"), env, F(1, 4)) is True
     # but not when the window boundary sits on the grid
-    assert pointwise_eval(parse_formula("Pn2(P, P)"), env, F(0)) is False
+    assert oracle_at(parse_formula("Pn2(P, P)"), env, F(0)) is False
 
 
 def test_session_memo_is_consistent(monkeypatch):
@@ -361,7 +369,7 @@ def test_session_memo_is_consistent(monkeypatch):
     session = PointwiseSession(f, env)
     a = session.eval(f, F(1, 3))
     b = session.eval(f, F(1, 3))
-    assert a == b == pointwise_eval(f, env, F(1, 3))
+    assert a == b == oracle_at(f, env, F(1, 3))
     asked, at = [], PointwiseSession._at
 
     def counting(self, i, *args):
@@ -409,8 +417,8 @@ def test_one_operand_under_every_window_modality(rng, domain):
                        "Q": random_signal(rng, domain)})
     shared = PointwiseSession(f, env)
     nodes = len(shared._kind)
-    assert nodes == len(set(subformulas(f)))
-    for h in subformulas(f):
+    assert nodes == len(set(tree_nodes(f)))
+    for h in tree_nodes(f):
         if isinstance(h, (DiamondFuture, DiamondPast, Count, Pnueli)):
             truth = evaluate(h, env)
             for t in sample_points(truth, count=8, seed=rng.randint(0, 10 ** 6)):
@@ -435,7 +443,7 @@ def test_a_session_hashes_no_formula_per_query(monkeypatch):
                      "Q": irregular_signal(rng, 8, LINE)})
     f = parse_formula("F1 (P U O1 Q) & C2(F1 (P U O1 Q))")
     sig = evaluate(f, env)
-    nodes = len(list(subformulas(f)))
+    nodes = len(list(tree_nodes(f)))
     for count in (100, 300):
         points = sample_points(sig, count=count, seed=1)
         hashes.clear()
@@ -559,7 +567,7 @@ def test_half_line_queries_before_the_origin_raise():
         with pytest.raises(DomainError):
             PointwiseSession(parse_formula(text), env).eval(parse_formula(text), F(-1, 3))
     with pytest.raises(DomainError):
-        pointwise_eval(parse_formula("C2(P)"), env, -1)
+        oracle_at(parse_formula("C2(P)"), env, -1)
 
 
 def _placements(n, cells, holds):
@@ -599,7 +607,8 @@ def test_run_placement_on_a_fine_grid(text):
     f = parse_formula(text)
     for t in (F(0), F(1, 7)):
         session = PointwiseSession(f, env)
-        cells = session._grid.cells(t * session.unit, (t + 1) * session.unit)
+        grid = session._grid
+        cells = grid.span(grid.locate(t * session.unit), grid.locate((t + 1) * session.unit))
         args = [session._compile(a) for a in f.args]
         expected = next(_placements(len(args), cells,
                                     lambda j, c: session._cell(args[j], c)), None) is not None
@@ -824,10 +833,10 @@ def test_agreement_at_every_critical_point_of_long_window():
 def test_time_points_must_be_exact():
     env = Env(LINE, {"P": grid_line(2)})
     f = parse_formula("F1 P")
-    assert pointwise_eval(f, env, 0) is True
+    assert oracle_at(f, env, 0) is True
     assert compare_pointwise(f, env, evaluate(f, env), [0, F(1, 4)]).passed
     with pytest.raises(TypeError):
-        pointwise_eval(f, env, 0.5)
+        compare_pointwise(f, env, evaluate(f, env), [0.5])
     with pytest.raises(TypeError):
         compare_pointwise(f, env, evaluate(f, env), [F(0), 0.25])
 
@@ -843,12 +852,23 @@ def test_disagreement_is_reported_not_hidden():
 
 
 def test_oracle_module_never_imports_the_engine_at_load():
+    """A fresh interpreter, given this process's path to qtlab, imports the
+    oracle and exits 3 if that loaded the engine too; any other failure
+    shows the child's stderr."""
+    import os
     import subprocess
     import sys
 
+    import qtlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtlab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys; import qtlab.oracle; "
-            "sys.exit(1 if 'qtlab.semantics' in sys.modules else 0)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+            "sys.exit(3 if 'qtlab.semantics' in sys.modules else 0)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path})
+    assert child.returncode != 3, "importing qtlab.oracle imported qtlab.semantics"
+    assert child.returncode == 0, child.stderr
 
 
 @settings(max_examples=25, deadline=None)
@@ -886,7 +906,7 @@ def test_structural_bounds_are_sound(rng, domain):
     env = Env(domain, {"P": random_signal(rng, domain),
                        "Q": random_signal(rng, domain)})
     session = PointwiseSession(f, env)
-    for g in subformulas(f):
+    for g in tree_nodes(f):
         assert_bounds_sound(session, g, env)
 
 
@@ -896,7 +916,7 @@ def test_bounds_cover_runs_from_the_prefix(text):
     X S Y holds on (0, 3/2] and O1 Y on (0, 1): their truth first repeats a
     period past the operands' transients, or one unit past it."""
     x = Signal(HALF, F(1), IntervalSet.span(0, F(1, 2)), F(1), IntervalSet.span(0, 1))
-    y = Signal(HALF, F(1), IntervalSet.EMPTY, F(1, 3), IntervalSet.point(0))
+    y = Signal(HALF, F(1), IntervalSet.EMPTY, F(1, 3), IntervalSet([Interval.point(0)]))
     env = Env(HALF, {"X": x, "Y": y})
     f = parse_formula(text)
     assert_bounds_sound(PointwiseSession(f, env), f, env)

@@ -126,7 +126,7 @@ def test_since_reads_a_run_that_starts_in_the_prefix():
     # output cannot repeat from the transient 1; y is only the point 1/2
     x = Signal(HALF, F(1), IntervalSet([Interval(F(0), F(1, 2), True, False)]), F(1),
                IntervalSet([Interval(F(0), F(1), True, False)]))
-    y = Signal(HALF, F(1), IntervalSet.EMPTY, F(1), IntervalSet.point(F(1, 2)))
+    y = Signal(HALF, F(1), IntervalSet.EMPTY, F(1), IntervalSet([Interval.point(F(1, 2))]))
     want = Signal(HALF, F(1), IntervalSet.EMPTY, F(2),
                   IntervalSet([Interval(F(1, 2), F(3, 2), False, True)]))
     assert equal(since(x, y), want)

@@ -45,7 +45,7 @@ def iset(*ivs):
 
 def grid_signal(domain, period):
     """P true exactly at the nonnegative multiples of period (all multiples on the line)."""
-    return Signal(domain, F(period), IntervalSet.point(0))
+    return Signal(domain, F(period), iset(Interval.point(0)))
 
 
 M2 = grid_signal(LINE, F(1, 2))
@@ -59,14 +59,14 @@ def test_construction_guards():
     with pytest.raises(SignalError):
         Signal(LINE, F(0), IntervalSet.EMPTY)
     with pytest.raises(SignalError):
-        Signal(LINE, F(1), IntervalSet.point(0), transient=F(1, 2))
+        Signal(LINE, F(1), iset(Interval.point(0)), transient=F(1, 2))
     with pytest.raises(SignalError):
-        Signal(LINE, F(1), iset(Interval.closed(F(1, 2), F(3, 2))))
+        Signal(LINE, F(1), iset(Interval(F(1, 2), F(3, 2))))
     with pytest.raises(SignalError):
         # pattern may not contain the period point itself
-        Signal(LINE, F(1), iset(Interval.closed(F(1, 2), F(1))))
+        Signal(LINE, F(1), iset(Interval(F(1, 2), F(1))))
     with pytest.raises(SignalError):
-        Signal(HALF, F(1), IntervalSet.EMPTY, transient=F(1), prefix=IntervalSet.point(1))
+        Signal(HALF, F(1), IntervalSet.EMPTY, transient=F(1), prefix=iset(Interval.point(1)))
     # upper endpoint equal to the period is fine when open
     Signal(LINE, F(1), iset(Interval(F(1, 2), F(1), True, False)))
 
@@ -74,9 +74,9 @@ def test_construction_guards():
 @pytest.mark.parametrize("fields, error", [
     ((LINE, F(0), IntervalSet.EMPTY, F(0), IntervalSet.EMPTY, 1), SignalError),
     ((HALF, F(1), IntervalSet.EMPTY, F(-1), IntervalSet.EMPTY, 1), SignalError),
-    ((LINE, F(1), IntervalSet.point(0), F(1, 2), IntervalSet.EMPTY, 1), SignalError),
-    ((LINE, F(1), IntervalSet.point(1), F(0), IntervalSet.EMPTY, 1), SignalError),
-    ((HALF, F(1), IntervalSet.EMPTY, F(1), IntervalSet.point(1), 1), SignalError),
+    ((LINE, F(1), iset(Interval.point(0)), F(1, 2), IntervalSet.EMPTY, 1), SignalError),
+    ((LINE, F(1), iset(Interval.point(1)), F(0), IntervalSet.EMPTY, 1), SignalError),
+    ((HALF, F(1), IntervalSet.EMPTY, F(1), iset(Interval.point(1)), 1), SignalError),
     ((LINE, 0.5, IntervalSet.EMPTY, F(0), IntervalSet.EMPTY, 1), TypeError),
 ], ids=["zero period", "negative transient", "line transient", "pattern escapes",
         "prefix escapes", "float period"])
@@ -100,7 +100,7 @@ def test_every_way_of_building_a_signal_validates(fields, error):
 def test_rebuilt_signals_stay_public():
     """Copies and replacements go through the constructor, so a public
     signal's numbers are still made Fractions."""
-    s = Signal(HALF, F(2, 3), IntervalSet.point(0), F(1), iset(Interval.open(0, 1)))
+    s = Signal(HALF, F(2, 3), iset(Interval.point(0)), F(1), iset(Interval.open(0, 1)))
     assert copy.copy(s) == copy.deepcopy(s) == pickle.loads(pickle.dumps(s)) == s
     t = s._replace(period=2, transient=1)
     assert type(t.period) is F and type(t.transient) is F
@@ -160,7 +160,7 @@ def test_membership_half_line():
 
 
 def test_membership_prefix_vs_tail():
-    s = Signal(HALF, F(1), IntervalSet.point(0), transient=F(2), prefix=iset(Interval.open(0, 1)))
+    s = Signal(HALF, F(1), iset(Interval.point(0)), transient=F(2), prefix=iset(Interval.open(0, 1)))
     assert s.contains(F(1, 2))
     assert not s.contains(F(3, 2))
     assert s.contains(2) and s.contains(3)
@@ -177,7 +177,7 @@ def test_slice_unrolls_the_pattern():
 
 
 def test_slice_covers_prefix_and_tail():
-    s = Signal(HALF, F(1), IntervalSet.point(0), transient=F(2), prefix=iset(Interval.open(0, 1)))
+    s = Signal(HALF, F(1), iset(Interval.point(0)), transient=F(2), prefix=iset(Interval.open(0, 1)))
     assert s.slice(0, 3) == iset(Interval.open(0, 1), Interval.point(2), Interval.point(3))
     with pytest.raises(DomainError):
         s.slice(-1, 0)
@@ -248,8 +248,8 @@ def test_shift_refuses_the_half_line():
 # ---------------------------------------------------------------------- align
 
 def test_align_takes_lcm_period_and_max_transient():
-    a = Signal(HALF, F(1, 2), IntervalSet.point(0))
-    b = Signal(HALF, F(1, 3), IntervalSet.point(0), transient=F(5, 2),
+    a = Signal(HALF, F(1, 2), iset(Interval.point(0)))
+    b = Signal(HALF, F(1, 3), iset(Interval.point(0)), transient=F(5, 2),
                prefix=iset(Interval.open(0, F(5, 2))))
     aa, bb = align_many([a, b])
     assert aa.period == bb.period == F(1)
@@ -326,7 +326,7 @@ def test_canonicalize_finds_minimal_period():
     s = Signal(LINE, F(2, 3), iset(Interval.point(0), Interval.point(F(1, 3))))
     c = s.canonicalize()
     assert c.period == F(1, 3)
-    assert c.pattern == IntervalSet.point(0)
+    assert c.pattern == iset(Interval.point(0))
 
 
 def test_canonicalize_constants_get_period_one():
@@ -338,8 +338,8 @@ def test_canonicalize_constants_get_period_one():
 
 
 def test_canonicalize_drops_prefix_matching_the_pattern():
-    s = Signal(HALF, F(2, 3), IntervalSet.point(0), transient=F(2, 3),
-               prefix=IntervalSet.point(0))
+    s = Signal(HALF, F(2, 3), iset(Interval.point(0)), transient=F(2, 3),
+               prefix=iset(Interval.point(0)))
     c = s.canonicalize()
     assert c.transient == 0 and not c.prefix
     assert c == THM2.canonicalize()
@@ -348,10 +348,10 @@ def test_canonicalize_drops_prefix_matching_the_pattern():
 def test_canonicalize_point_disagreement_snaps_to_grid():
     # True only at 0, never again: the tail extension is empty and disagrees
     # with the prefix exactly at the point 0, so the transient snaps to 1.
-    s = Signal(HALF, F(3), IntervalSet.EMPTY, transient=F(3), prefix=IntervalSet.point(0))
+    s = Signal(HALF, F(3), IntervalSet.EMPTY, transient=F(3), prefix=iset(Interval.point(0)))
     c = s.canonicalize()
     assert c.period == 1 and not c.pattern
-    assert c.transient == 1 and c.prefix == IntervalSet.point(0)
+    assert c.transient == 1 and c.prefix == iset(Interval.point(0))
 
 
 def test_canonicalize_open_disagreement_is_minimal():
@@ -462,7 +462,7 @@ def test_constants_canonicalize_to_the_constant():
         unit = rng.choice([1, 3]) * tick_unit([s])
         assert to_ticks(s, unit).canonicalize() == Signal.constant(domain, value, unit)
         full = _constant_in_disguise(rng, domain, True)
-        x, y = (IntervalSet.point(end * rng.randrange(12) / 12)
+        x, y = (iset(Interval.point(end * rng.randrange(12) / 12))
                 for end in (full.period, full.transient))
         near = [full._replace(pattern=full.pattern.difference(x))]  # one point off the tail
         if full.transient:
@@ -521,7 +521,7 @@ def test_framed_alike_exactly_when_canonically_alike(rng, domain, in_ticks):
         b = a._reframe(Frame(domain, rng.randint(1, 3) * a.period, a.transient + grow, a.unit))
     elif kind == 1:
         q = random_fraction(rng, 0, a.period, max_den=24)
-        point = Signal(domain, a.period, IntervalSet.point(q if q < a.period else 0))
+        point = Signal(domain, a.period, iset(Interval.point(q if q < a.period else 0)))
         b = combine("or", a, point)
     else:
         b = random_signal(rng, domain)
@@ -550,13 +550,13 @@ def _tick_cases(rng):
         if domain is HALF and s.transient:
             x = random_fraction(rng, 0, s.transient, max_den=12)
             if x < s.transient:
-                flipped = s.prefix.symmetric_difference(IntervalSet.point(x))
+                flipped = s.prefix.symmetric_difference(iset(Interval.point(x)))
                 yield Signal(HALF, s.period, s.pattern, s.transient, flipped)
     for domain in (LINE, HALF):
         for value in (True, False):
             yield Signal.constant(domain, value)
         yield Signal(domain, F(5, 7), iset(Interval(0, F(5, 7), True, False)))
-    yield Signal(HALF, F(3), IntervalSet.EMPTY, transient=F(3), prefix=IntervalSet.point(0))
+    yield Signal(HALF, F(3), IntervalSet.EMPTY, transient=F(3), prefix=iset(Interval.point(0)))
     yield Signal(HALF, F(1), IntervalSet.span(0, 1), F(1, 2), iset(Interval.open(F(1, 4), F(1, 2))))
 
 
@@ -575,7 +575,7 @@ def test_canonical_forms_commute_with_the_tick_scale():
 
 
 def test_to_ticks_scales_every_number_by_the_tick_unit():
-    s = Signal(HALF, F(2, 3), IntervalSet.point(F(1, 4)), F(3, 5), IntervalSet.point(F(1, 7)))
+    s = Signal(HALF, F(2, 3), iset(Interval.point(F(1, 4))), F(3, 5), iset(Interval.point(F(1, 7))))
     assert tick_unit([s]) == 2 * 3 * 4 * 5 * 7
     assert tick_unit([]) == 2
     t = to_ticks(s, 840)
@@ -596,7 +596,7 @@ def test_equal_across_representations():
 
 
 def test_equal_eventually_ignores_the_prefix():
-    noisy = Signal(HALF, F(2, 3), IntervalSet.point(0), transient=F(4, 3),
+    noisy = Signal(HALF, F(2, 3), iset(Interval.point(0)), transient=F(4, 3),
                    prefix=iset(Interval.open(F(1, 10), F(9, 10))))
     assert not equal(noisy, THM2)
     assert equal(noisy, THM2, eventually=True)
@@ -613,7 +613,7 @@ def test_classify_the_four_classes():
     p = THM2
     assert classify_trivial(Signal.constant(HALF, True), p) is Triviality.TRUE
     assert classify_trivial(Signal.constant(HALF, False), p) is Triviality.FALSE
-    assert classify_trivial(Signal(HALF, F(2, 3), IntervalSet.point(0)), p) is Triviality.P
+    assert classify_trivial(Signal(HALF, F(2, 3), iset(Interval.point(0))), p) is Triviality.P
     assert classify_trivial(combine("not", p), p) is Triviality.NOT_P
     assert classify_trivial(
         Signal(HALF, F(2, 3), iset(Interval.open(F(1, 3), F(2, 3)))), p
@@ -629,7 +629,7 @@ def test_classify_precedence_on_degenerate_atom():
 
 
 def test_classify_eventually():
-    noisy = Signal(HALF, F(2, 3), IntervalSet.point(0), transient=F(2),
+    noisy = Signal(HALF, F(2, 3), iset(Interval.point(0)), transient=F(2),
                    prefix=iset(Interval.open(0, 2)))
     assert classify_trivial(noisy, THM2) is Triviality.NONE
     assert classify_trivial(noisy, THM2, eventually=True) is Triviality.P
@@ -683,7 +683,7 @@ def test_format_parse_roundtrip_random():
 def test_unrolling_past_the_limit_raises():
     """A fine period re-framed to a coarse lcm would unroll past MAX_UNROLL
     pattern copies; a long transient compared against the tail does not."""
-    fine = Signal(LINE, F(1, MAX_UNROLL), IntervalSet.point(0))
+    fine = Signal(LINE, F(1, MAX_UNROLL), iset(Interval.point(0)))
     with pytest.raises(SignalError, match="past the limit"):
         align_many([fine, grid_signal(LINE, 1)])
     assert align_many([fine, grid_signal(LINE, F(1, 2))])[0].period == F(1, 2)
@@ -691,6 +691,6 @@ def test_unrolling_past_the_limit_raises():
         Signal(LINE, F(1, MAX_UNROLL), IntervalSet.EMPTY).slice(0, 2)
     # canonicalize looks back from the transient only as far as the last
     # disagreement, here the point at MAX_UNROLL - 1/2, so it unrolls nothing
-    late = Signal(HALF, F(1), IntervalSet.point(F(1, 2)), F(MAX_UNROLL))
+    late = Signal(HALF, F(1), iset(Interval.point(F(1, 2))), F(MAX_UNROLL))
     assert late.canonicalize() == late
-    assert Signal(HALF, F(1), IntervalSet.point(F(1, 2)), F(10)).canonicalize().transient == 10
+    assert Signal(HALF, F(1), iset(Interval.point(F(1, 2))), F(10)).canonicalize().transient == 10
