@@ -168,7 +168,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         env = _load_env(parser, args.model, [])
         logic = parse_logic(args.logic)
         result = enumerate_formulas(logic, args.depth, env)
-        report = trivialization_report(env, result, eventually=args.eventually)
+        report = trivialization_report(result, eventually=args.eventually)
         text = report.render()
         Path(args.report).write_text(text, encoding="utf-8")
         sys.stdout.write(text.splitlines()[-1] + "\n")

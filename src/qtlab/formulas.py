@@ -144,6 +144,8 @@ class Count(Formula):
     operand: Formula
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ArityError(f"counting index must be an int, not {type(self.n).__name__}", 0)
         if self.n < 1:
             raise ArityError("counting index must be at least 1", 0)
 

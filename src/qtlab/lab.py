@@ -83,7 +83,6 @@ from .semantics import MODALITIES, Env, Modality, evaluate
 # the public operators, importable from this module too
 from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
 from .signals import (
-    DomainError,
     Frame,
     Signal,
     TimeDomain,
@@ -390,11 +389,8 @@ class TrivializationReport:
         return "".join(line + "\n" for line in lines)
 
 
-def trivialization_report(env: Env, enum: EnumerationResult,
-                          eventually: bool) -> TrivializationReport:
-    """Classify each class of an enumeration on env by its mask (module docstring)."""
-    if enum.atoms and enum.atoms[0].domain is not env.domain:
-        raise DomainError("cannot compare signals over different domains")
+def trivialization_report(enum: EnumerationResult, eventually: bool) -> TrivializationReport:
+    """Classify each class of an enumeration by its mask (module docstring)."""
     full = (1 << len(enum.atoms)) - 1
     keep = sum(1 << k for k, a in enumerate(enum.atoms) if a.pattern) if eventually else full
     forms: Dict[int, Triviality] = {}
@@ -423,7 +419,7 @@ class PaperCheckReport:
 def _enumeration_evidence(env: Env, logic: Logic, eventually: bool,
                           label: str) -> Tuple[List[str], bool]:
     enum = enumerate_formulas(logic, 2, env)
-    report = trivialization_report(env, enum, eventually)
+    report = trivialization_report(enum, eventually)
     bad = [e for e in report.entries if e.classification is Triviality.NONE]
     mode = "eventually" if eventually else "exactly"
     lines = [f"enumerated {len(report.entries)} {label} formulas to depth 2, "

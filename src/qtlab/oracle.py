@@ -223,6 +223,7 @@ class PointwiseSession:
     def eval(self, f: Formula, t: Fraction) -> bool:
         """Truth of f, the session's formula or a subformula of it, at t: the
         answer of the grid cell that holds t."""
+        t = rat(t)
         if self._grid.half and t < 0:
             raise DomainError(f"{t} is outside the half line")
         i = self._root if f is self.formula else self._compile(f)

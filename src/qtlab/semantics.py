@@ -131,6 +131,8 @@ def diamond_unit_future(x: Signal) -> Signal:
 
 def count_unit(x: Signal, n: int) -> Signal:
     """Truth signal of: at least n witness points of the operand in (t, t+1)."""
+    if type(n) is not int:
+        raise EvalError(f"counting index must be an int, not {type(n).__name__}")
     if n < 1:
         raise EvalError("counting index must be at least 1")
     return _apply(count_kernel, [x], n, True)

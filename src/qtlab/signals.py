@@ -12,8 +12,10 @@ time unit.  A public Signal, every one the library reads or returns, has unit
 instead: every endpoint it makes lies on the lattice (1/Q)Z, Q = ``tick_unit``
 of its atoms, so ``to_ticks`` scales the atoms by Q once, every number of the
 Signals it builds from them is an ``int`` and the unit is Q ticks, and
-``from_ticks`` scales the result back.  Every function here runs unchanged at
-either scale; ``/`` is never applied to a tick.
+``from_ticks`` scales the result back.  ``Frame.of`` admits only signals of one
+domain and one scale, for every function where signals meet; ``to_ticks`` and
+``format_signal`` take public signals only; every other function runs at
+either scale, and ``/`` is never applied to a tick.
 
 ``canonicalize`` produces the representative form: ``Signal.constant`` at once
 for the empty and the full set, else the minimal period, then the minimal
@@ -103,20 +105,6 @@ def _lcm(a: RationalLike, b: RationalLike) -> RationalLike:
     return a * (math.lcm(an, b.numerator) // an * (ad // math.gcd(ad, b.denominator)))
 
 
-def _prefix_function(seq: list) -> list[int]:
-    """KMP prefix function: pi[i] is the length of the longest proper border
-    of seq[:i + 1]."""
-    pi = [0] * len(seq)
-    k = 0
-    for i in range(1, len(seq)):
-        while k and seq[i] != seq[k]:
-            k = pi[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
 def _minimal_tail(p: RationalLike, pattern: IntervalSet,
                   unit: RationalLike) -> tuple[RationalLike, IntervalSet]:
     """Minimal period of a pattern, constants collapsing to period one unit.
@@ -124,9 +112,11 @@ def _minimal_tail(p: RationalLike, pattern: IntervalSet,
     A period of the periodic set maps its cyclic sequence of components onto
     a rotation of itself, and back.  Each component becomes a token (lower
     closed, length, upper closed, gap to the next start), the component that
-    wraps across the period boundary joined first; the smallest rotation of
-    the token sequence onto itself is its smallest period that divides the
-    token count, read off a prefix function.
+    wraps across the period boundary joined first.  The rotations that map
+    the tokens onto themselves form a group, so the periods dividing their
+    count m are the multiples of the least, d: from r = m, stripping each
+    prime factor f of m while r / f stays one leaves d.  As the tokens repeat
+    every r, r / f is one iff their first r repeat every r / f.
     """
     if not pattern:
         return unit, IntervalSet.EMPTY
@@ -140,12 +130,16 @@ def _minimal_tail(p: RationalLike, pattern: IntervalSet,
     starts = [c.lower for c in comps] + [comps[0].lower + p]
     tokens = [(c.lower_closed, c.upper - c.lower, c.upper_closed, nxt - c.lower)
               for c, nxt in zip(comps, starts[1:])]
-    m = len(tokens)
-    r = m - _prefix_function(tokens)[-1]
-    if m % r:
-        return p, pattern
+    m = r = n = len(tokens)
+    f = 2
+    while n > 1:  # n % f == 0 for the prime factors f of m alone
+        while n % f == 0 and r % f == 0 and tokens[r // f:r] == tokens[:r - r // f]:
+            r //= f
+        while n % f == 0:
+            n //= f
+        f += 1
     q = starts[r] - starts[0]
-    return q, pattern.intersection(IntervalSet.span(0, q))
+    return q, pattern if r == m else pattern.intersection(IntervalSet.span(0, q))
 
 
 def _meeting(comps: tuple[Interval, ...], a: RationalLike,
@@ -422,15 +416,13 @@ def _normal_form(s: Signal, eventually: bool) -> Signal:
 
 def equal(a: Signal, b: Signal, eventually: bool = False) -> bool:
     """Exact equality of denoted sets; with ``eventually``, equality of tails."""
-    if a.domain is not b.domain:
-        raise DomainError("cannot compare signals over different domains")
+    Frame.of([a, b])
     return _normal_form(a, eventually) == _normal_form(b, eventually)
 
 
 def classify_trivial(s: Signal, p_atom: Signal, eventually: bool = False) -> Triviality:
     """Compare s against True, False, P and not P, in that precedence order."""
-    if s.domain is not p_atom.domain:
-        raise DomainError("cannot compare signals over different domains")
+    Frame.of([s, p_atom])
     got = _normal_form(s, eventually)
     for tag, form in ((Triviality.TRUE, Signal.constant(p_atom.domain, True, p_atom.unit)),
                       (Triviality.FALSE, Signal.constant(p_atom.domain, False, p_atom.unit)),
@@ -456,6 +448,8 @@ def tick_unit(signals: Iterable[Signal]) -> int:
 
 def to_ticks(s: Signal, unit: int) -> Signal:
     """A public signal scaled by unit = Q, a multiple of its denominators, in ints."""
+    if s.unit != 1:
+        raise ValueError(f"signal is already in ticks of unit {s.unit}")
     def scale(x: Fraction) -> int:
         ticks, rest = divmod(unit, x.denominator)
         if rest:
@@ -485,6 +479,8 @@ def from_ticks(s: Signal) -> Signal:
 #   prefix <interval-list>         half line only, default {}
 
 def format_signal(s: Signal) -> str:
+    if s.unit != 1:
+        raise ValueError(f"cannot print a signal in ticks of unit {s.unit}")
     lines = [
         f"domain {s.domain.value}",
         f"period {format_rational(s.period)}",

@@ -95,7 +95,7 @@ def test_criterion_2_pnueli_conjecture_witness():
     assert compare_pointwise(f, env, sig, pts).passed
     # every depth<=2 formula of the diamond logic is eventually trivial here
     enum = enumerate_formulas(parse_logic("qtl"), 2, env)
-    report = trivialization_report(env, enum, eventually=True)
+    report = trivialization_report(enum, eventually=True)
     assert report.entries
     assert all(e.classification is not Triviality.NONE for e in report.entries)
 
@@ -127,7 +127,7 @@ def test_criterion_4_triviality_on_unit_grids():
     for spec in ("mk:2", "mk:3"):
         env = builtin_model(spec)
         enum = enumerate_formulas(parse_logic("qtl"), 2, env)
-        report = trivialization_report(env, enum, eventually=False)
+        report = trivialization_report(enum, eventually=False)
         assert report.entries
         assert all(e.classification is not Triviality.NONE
                    for e in report.entries), report.render()

@@ -38,7 +38,8 @@ from qtlab.oracle import (
     _tick,
 )
 from qtlab.semantics import Env, evaluate
-from qtlab.signals import MAX_UNROLL, DomainError, Signal, SignalError, TimeDomain
+from qtlab.signals import (MAX_UNROLL, DomainError, Signal, SignalError, TimeDomain,
+                           tick_unit, to_ticks)
 
 from gen import irregular_signal, random_formula, random_fraction, random_signal, tree_nodes
 
@@ -839,6 +840,26 @@ def test_time_points_must_be_exact():
         compare_pointwise(f, env, evaluate(f, env), [0.5])
     with pytest.raises(TypeError):
         compare_pointwise(f, env, evaluate(f, env), [F(0), 0.25])
+    with pytest.raises(TypeError):
+        PointwiseSession(f, env).eval(f, 0.5)
+    with pytest.raises(TypeError):
+        PointwiseSession(f, builtin_model("thm2")).eval(f, 0.5)
+
+
+def test_the_oracle_and_the_engine_refuse_atoms_in_ticks():
+    """A signal in ticks where a public one belongs raises: read as time, the
+    ticks of mk:3 would put P at the even integers, and F1 P false at 1/2."""
+    env = builtin_model("mk:3")
+    f = parse_formula("F1 P")
+    p = env.signal("P")
+    ticks = to_ticks(p, tick_unit([p]))
+    tick_env = Env(LINE, {"P": ticks})
+    engine = to_ticks(evaluate(f, env), 2)
+    for call in (lambda: evaluate(f, tick_env), lambda: PointwiseSession(f, tick_env),
+                 lambda: agreement_check(f, tick_env), lambda: critical_points(ticks),
+                 lambda: sample_points(ticks), lambda: compare_pointwise(f, env, engine, [0])):
+        with pytest.raises(ValueError, match="already in ticks"):
+            call()
 
 
 def test_disagreement_is_reported_not_hidden():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qtlab.cli import main
 from qtlab.formulas import (
+    ArityError,
     Atom,
     Count,
     DiamondFuture,
@@ -181,6 +182,16 @@ def test_count_rejects_zero():
         count_unit(grid_line(2), 0)
     with pytest.raises(EvalError):
         pnueli_unit([])
+
+
+def test_count_index_must_be_an_int():
+    """A bool or float index is refused at both entry points, not printed as
+    CTrue(P) nor left to fail inside the kernel."""
+    for n in (True, 1.5, 2.0):
+        with pytest.raises(ArityError, match="counting index must be an int"):
+            Count(n, Atom("P"))
+        with pytest.raises(EvalError, match="counting index must be an int"):
+            count_unit(grid_line(2), n)
 
 
 def test_env_requires_matching_domains_and_bound_atoms():

@@ -587,6 +587,24 @@ def test_to_ticks_scales_every_number_by_the_tick_unit():
         to_ticks(s, 210)  # not a multiple of the denominator 4
 
 
+def test_a_signal_in_ticks_meets_no_public_signal():
+    """Frame.of is the one check that signals which meet share a domain and a
+    scale: comparing across scales raises, as do scaling and printing a
+    signal that is already in ticks.  At one scale the comparisons hold."""
+    ticks = to_ticks(M3, 6)
+    for call in (lambda: equal(M3, ticks), lambda: equal(ticks, M3, eventually=True),
+                 lambda: classify_trivial(M3, ticks), lambda: classify_trivial(ticks, M3)):
+        with pytest.raises(ValueError, match="cannot align signals at different time scales"):
+            call()
+    with pytest.raises(DomainError, match="cannot align signals over different domains"):
+        equal(M3, THM2)
+    with pytest.raises(ValueError, match="already in ticks of unit 6"):
+        to_ticks(ticks, 12)
+    with pytest.raises(ValueError, match="cannot print a signal in ticks of unit 6"):
+        format_signal(ticks)
+    assert equal(ticks, to_ticks(M3, 6)) and classify_trivial(ticks, ticks) is Triviality.P
+
+
 # ---------------------------------------------------------------------- equal
 
 def test_equal_across_representations():
