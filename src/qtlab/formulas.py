@@ -26,8 +26,7 @@ class, level and associativity are stated there and nowhere else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, Iterable, NamedTuple, Tuple
 
 
 class ParseError(ValueError):
@@ -63,102 +62,133 @@ MAX_NESTING = 100
 
 # ----------------------------------------------------------------------- AST
 
+_set = object.__setattr__  # how a constructor gets past _read_only
+
+
+def _read_only(self: object, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of an immutable object."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class Formula:
+    """An immutable node whose ``__reduce__`` is the constructor call that builds
+    it: copy and pickle make that call, and two nodes are equal, and hash alike,
+    exactly when their calls are.  Each shape names its fields in ``_fields``."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    __setattr__ = __delattr__ = _read_only
+
+
+class TrueConst(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrueConst(Formula):
-    pass
-
-
-@dataclass(frozen=True)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
+class _Unary(Formula):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Until(_Binary):
     """Strict non-matching until: some future witness of the right operand with
     the left operand holding on the whole open interior."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Since(Formula):
+class Since(_Binary):
     """Mirror image of Until into the past."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiamondFuture(Formula):
+class DiamondFuture(_Unary):
     """The operand holds somewhere in the open window (t, t+1)."""
 
-    operand: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiamondPast(Formula):
+class DiamondPast(_Unary):
     """The operand holds somewhere in the open window (t-1, t)."""
 
-    operand: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Count(Formula):
     """At least n distinct witness points of the operand in (t, t+1)."""
 
-    n: int
-    operand: Formula
+    __slots__ = _fields = ("n", "operand")
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            raise ArityError(f"counting index must be an int, not {type(self.n).__name__}", 0)
-        if self.n < 1:
+    def __init__(self, n: int, operand: Formula):
+        if type(n) is not int:
+            raise ArityError(f"counting index must be an int, not {type(n).__name__}", 0)
+        if n < 1:
             raise ArityError("counting index must be at least 1", 0)
+        _set(self, "n", n)
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class Pnueli(Formula):
     """Strictly increasing witnesses t < t_1 < ... < t_n < t+1, the i-th
     satisfying the i-th argument."""
 
-    args: Tuple[Formula, ...]
+    __slots__ = _fields = ("args",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, args: Iterable[Formula]):
+        _set(self, "args", tuple(args))
         if len(self.args) < 1:
             raise ArityError("a run modality needs at least one argument", 0)
 
@@ -211,8 +241,7 @@ _TOKEN_RE = re.compile(
 _INDEXED_RE = re.compile(r"(C|Pn)(\d+)\Z")  # C<n> and Pn<n>: the head is the token kind
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # a connective's token, ( ) , C Pn ident or end
     text: str
     pos: int
@@ -405,9 +434,9 @@ def metrics(f: Formula) -> tuple[int, frozenset[str]]:
 
 def children(f: Formula) -> Tuple[Formula, ...]:
     """The operands of the root connective, left to right."""
-    if isinstance(f, (Not, DiamondFuture, DiamondPast, Count)):
+    if isinstance(f, (_Unary, Count)):
         return (f.operand,)
-    if isinstance(f, (And, Or, Implies, Until, Since)):
+    if isinstance(f, _Binary):
         return (f.left, f.right)
     if isinstance(f, Pnueli):
         return f.args

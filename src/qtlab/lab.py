@@ -56,11 +56,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from operator import or_
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .formulas import (
     And,
@@ -142,8 +141,7 @@ def builtin_model(spec: str) -> Env:
 
 # -------------------------------------------------------------- enumeration
 
-@dataclass(frozen=True)
-class Logic:
+class Logic(NamedTuple):
     """Modality set: until/since always; unit diamonds when `diamonds`;
     counting modalities C2..C<counting_max> and run modalities
     Pn2..Pn<pnueli_max> when their cap is at least 2."""
@@ -164,8 +162,7 @@ def parse_logic(text: str) -> Logic:
     return Logic(True, runs, counting)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Representatives and their classes, bit k set when a class holds atoms[k]."""
 
     formulas: Tuple[Formula, ...]
@@ -367,14 +364,12 @@ def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationR
 
 # ------------------------------------------------------------------ reports
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     formula: Formula
     classification: Triviality
 
 
-@dataclass(frozen=True)
-class TrivializationReport:
+class TrivializationReport(NamedTuple):
     entries: Tuple[ReportEntry, ...]
     eventually: bool
     truncated: bool = False
@@ -404,8 +399,7 @@ def trivialization_report(enum: EnumerationResult, eventually: bool) -> Triviali
 
 # ------------------------------------------------------------ turnkey checks
 
-@dataclass(frozen=True)
-class PaperCheckReport:
+class PaperCheckReport(NamedTuple):
     name: str
     lines: Tuple[str, ...]
     passed: bool

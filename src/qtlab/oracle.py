@@ -50,10 +50,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -394,8 +393,7 @@ def sample_points(signal: Signal, count: int = 50, seed: int = 0) -> List[Fracti
     return [Fraction(num, den) for num, den in chosen]
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     lines: Tuple[str, ...]
     agreements: int
     total: int

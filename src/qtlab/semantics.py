@@ -40,7 +40,6 @@ ints, and scales the result back to Fractions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
@@ -59,6 +58,7 @@ from .formulas import (
     Since,
     TrueConst,
     Until,
+    _read_only,
     children,
     metrics,
 )
@@ -86,19 +86,20 @@ class UnboundAtomError(EvalError):
         self.name = name
 
 
-@dataclass(frozen=True, eq=False)
 class Env:
-    """Binding of atom names to signals over one shared time domain."""
+    """Binding of atom names to signals over one shared time domain, read-only."""
 
-    domain: TimeDomain
-    bindings: Mapping[str, Signal]
+    __slots__ = ("domain", "bindings")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bindings", dict(self.bindings))
+    def __init__(self, domain: TimeDomain, bindings: Mapping[str, Signal]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "bindings", dict(bindings))
         for name, sig in self.bindings.items():
             if sig.domain is not self.domain:
                 raise DomainError(f"binding {name!r} lives on {sig.domain.value}, "
                                   f"environment on {self.domain.value}")
+
+    __setattr__ = __delattr__ = _read_only
 
     def signal(self, name: str) -> Signal:
         try:

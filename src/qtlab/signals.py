@@ -226,9 +226,11 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
     # ------------------------------------------------------------- point model
 
     def contains(self, x: RationalLike) -> bool:
-        """Whether x is in the set, x at the signal's scale; x keeps the
-        exact type it is given, so a tick stays an int."""
+        """Whether x is in the set, x at the signal's scale: an exact number
+        on a public signal, an int tick on a signal in ticks."""
         x = exact(x)
+        if type(x) is not int and self.unit != 1:
+            raise TypeError(f"a signal in ticks of unit {self.unit} reads int ticks, not {x!r}")
         if self.domain is TimeDomain.HALF_LINE:
             if x < 0:
                 raise DomainError(f"{x} is outside the half line")
@@ -240,12 +242,15 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
     __contains__ = contains  # not tuple membership
 
     def slice(self, a: RationalLike, b: RationalLike) -> IntervalSet:
-        """The exact point set of the signal within [a, b].
+        """The exact point set of the signal within [a, b], at its scale.
 
         Only the prefix and pattern components that meet the window are
         taken: whole pattern copies inside it, a bisected run at either end.
         """
         a, b = exact(a), exact(b)
+        if not type(a) is type(b) is int and self.unit != 1:
+            raise TypeError(f"a signal in ticks of unit {self.unit} reads int ticks, "
+                            f"not [{a!r}, {b!r}]")
         if a > b:
             raise ValueError(f"empty window [{a}, {b}]")
         half = self.domain is TimeDomain.HALF_LINE

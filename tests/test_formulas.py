@@ -1,5 +1,7 @@
 """Concrete syntax: precedence, associativity, errors, printing, metrics."""
 
+import copy
+import pickle
 import random
 import sys
 
@@ -33,6 +35,38 @@ from qtlab.formulas import (
 from gen import random_formula
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
+
+
+# ----------------------------------------------------------------- the nodes
+
+def test_formula_nodes_are_values():
+    """A node equals and hashes like a node of its class with equal fields,
+    refuses assignment, prints its fields, checks its index and comes back
+    equal through copy, deepcopy and pickle."""
+    assert And(P, Q) == And(P, Q) and hash(And(P, Q)) == hash(And(P, Q))
+    assert And(P, Q) != Or(P, Q) and Until(P, Q) != Since(P, Q) and Not(P) != DiamondPast(P)
+    assert Count(2, P) != Count(3, P) and Count(2, P) != Count(2, Q)
+    assert TrueConst() == TrueConst() != FalseConst() and And(P, Q) != (P, Q)
+    f = Until(P, Count(2, P))
+    assert repr(f) == "Until(left=Atom(name='P'), right=Count(n=2, operand=Atom(name='P')))"
+    assert repr(Pnueli([P, TrueConst()])) == "Pnueli(args=(Atom(name='P'), TrueConst()))"
+    with pytest.raises(AttributeError):
+        f.left = Q
+    with pytest.raises(AttributeError):
+        P.name = "Q"
+    with pytest.raises(AttributeError):
+        del f.right
+    for make, message in [(lambda: Count(True, P), "counting index must be an int, not bool"),
+                          (lambda: Count(0, P), "counting index must be at least 1"),
+                          (lambda: Pnueli([]), "a run modality needs at least one argument")]:
+        with pytest.raises(ArityError, match=message):
+            make()
+    assert type(Pnueli([P, Q]).args) is tuple and Pnueli([P, Q]) == Pnueli((P, Q))
+    text = "Pn2(P, C3(!Q)) S (F1 P -> O1 true | false) & P U Q"
+    g = parse_formula(text)
+    assert hash(parse_formula(text)) == hash(g)
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and hash(copied) == hash(g) and repr(copied) == repr(g)
 
 
 # -------------------------------------------------------------------- parsing

@@ -91,6 +91,18 @@ def test_builtin_models_membership():
     assert equal(builtin_model("thm3:2").signal("P"), q)
 
 
+def test_an_enumerator_atom_in_ticks_refuses_a_public_time():
+    """The enumerator's atoms are in ticks, unit 6 on mk:3: the P atom reads
+    int ticks, and refuses a public time where it once read 1/3 as a tick."""
+    atom = enumerate_formulas(parse_logic("qtl"), 1, builtin_model("mk:3")).atoms[0]
+    assert atom.unit == 6 and atom.contains(2) and not atom.contains(1)
+    assert builtin_model("mk:3").signal("P").contains(F(1, 3))
+    for call in (lambda: atom.contains(F(1, 3)), lambda: atom.contains(F(2)),
+                 lambda: atom.slice(0, F(1, 3))):
+        with pytest.raises(TypeError, match="a signal in ticks of unit 6 reads int ticks"):
+            call()
+
+
 @pytest.mark.parametrize("bad", ["mk:0", "thm3:1", "thm3:0", "bogus", "mk:x", "thm3", "MK:2"])
 def test_builtin_model_rejects_bad_specs(bad):
     with pytest.raises(LabError):

@@ -872,10 +872,10 @@ def test_disagreement_is_reported_not_hidden():
     assert report.render().endswith("agreement 0/2\n")
 
 
-def test_oracle_module_never_imports_the_engine_at_load():
+def _fresh_import(module, unwanted):
     """A fresh interpreter, given this process's path to qtlab, imports the
-    oracle and exits 3 if that loaded the engine too; any other failure
-    shows the child's stderr."""
+    module and exits 3 if that loaded the unwanted module too; any other
+    failure shows the child's stderr."""
     import os
     import subprocess
     import sys
@@ -884,12 +884,22 @@ def test_oracle_module_never_imports_the_engine_at_load():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(qtlab.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys; import qtlab.oracle; "
-            "sys.exit(3 if 'qtlab.semantics' in sys.modules else 0)")
+    code = f"import sys; import {module}; sys.exit(3 if {unwanted!r} in sys.modules else 0)"
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path})
-    assert child.returncode != 3, "importing qtlab.oracle imported qtlab.semantics"
+    assert child.returncode != 3, f"importing {module} imported {unwanted}"
     assert child.returncode == 0, child.stderr
+
+
+def test_oracle_module_never_imports_the_engine_at_load():
+    _fresh_import("qtlab.oracle", "qtlab.semantics")
+
+
+def test_the_cli_imports_no_dataclasses():
+    """Every CLI process pays for its imports: formula nodes and records
+    built with dataclasses would generate and compile their methods at each
+    import, and load inspect as well."""
+    _fresh_import("qtlab.cli", "dataclasses")
 
 
 @settings(max_examples=25, deadline=None)
