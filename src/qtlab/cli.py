@@ -166,10 +166,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "enumerate":
         env = _load_env(parser, args.model, [])
-        logic = parse_logic(args.logic)
-        result = enumerate_formulas(logic, args.depth, env)
-        report = trivialization_report(result, eventually=args.eventually)
-        text = report.render()
+        result = enumerate_formulas(parse_logic(args.logic), args.depth, env)
+        text = trivialization_report(result, eventually=args.eventually).render()
         Path(args.report).write_text(text, encoding="utf-8")
         sys.stdout.write(text.splitlines()[-1] + "\n")
         return 0
@@ -191,9 +189,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                                  seed=args.seed)
         sys.stdout.write(report.render())
         return 0 if report.passed else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:

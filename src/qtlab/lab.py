@@ -150,6 +150,31 @@ class Logic(NamedTuple):
     pnueli_max: int = 0
     counting_max: int = 0
 
+    def families(self) -> Iterator[Tuple[int, Tuple[Callable[..., Formula], ...]]]:
+        """The modal families in admission order, drawn one at a time, each
+        a width and the makers of its nodes from an argument tuple;
+        ``MODALITIES`` says how each node runs."""
+        yield 2, (Until, Since)
+        if self.diamonds:
+            yield 1, (DiamondFuture, DiamondPast)
+        for n in range(2, self.counting_max + 1):
+            yield 1, (partial(Count, n),)
+        for width in range(2, self.pnueli_max + 1):
+            yield width, (lambda *fs: Pnueli(fs),)
+
+    def guard(self, base: int, upto: int) -> None:
+        """Raise when a modal layer over base classes, those from upto on
+        new, would try more than MAX_CANDIDATES argument tuples; the count
+        only grows with base.  The families are summed only until the count
+        passes the limit, so a wide run family neither costs a huge sum nor
+        prints one."""
+        count = 0
+        for w, makers in self.families():
+            count += len(makers) * (base ** w - upto ** w)
+            if count > MAX_CANDIDATES:
+                raise LabError(f"a modal layer would try at least {count} candidates, "
+                               f"past the limit of {MAX_CANDIDATES}")
+
 
 def parse_logic(text: str) -> Logic:
     if text == "tl":
@@ -205,7 +230,7 @@ class _Enumeration:
             self.reps.append(formula)
             self.masks.append(key)
             if self.next_upto is not None:
-                self.guard_next_layer()
+                self.logic.guard(len(self.reps), self.next_upto)
 
     def admit_signal(self, formula: Formula, sig: Signal) -> int:
         key = self.refine(sig.slice(*self.window))
@@ -236,31 +261,6 @@ class _Enumeration:
                 masks[:] = [m | new if m & bit else m for m in masks]
             self.seen = {m: i for i, m in enumerate(self.masks)}
         return key
-
-    def families(self) -> Iterator[Tuple[int, Tuple[Callable[..., Formula], ...]]]:
-        """The modal layer's families in admission order, drawn one at a
-        time, each a width and the makers of its nodes from an argument
-        tuple; ``MODALITIES`` says how each node runs."""
-        yield 2, (Until, Since)
-        if self.logic.diamonds:
-            yield 1, (DiamondFuture, DiamondPast)
-        for n in range(2, self.logic.counting_max + 1):
-            yield 1, (partial(Count, n),)
-        for width in range(2, self.logic.pnueli_max + 1):
-            yield width, (lambda *fs: Pnueli(fs),)
-
-    def guard_next_layer(self) -> None:
-        """Raise once the classes so far put the next modal layer past
-        MAX_CANDIDATES argument tuples; the count only grows with the classes.
-        The families are summed only until the count passes the limit, so a
-        wide run family neither costs a huge sum nor prints one."""
-        base, upto = len(self.reps), self.next_upto
-        count = 0
-        for w, makers in self.families():
-            count += len(makers) * (base ** w - upto ** w)
-            if count > MAX_CANDIDATES:
-                raise LabError(f"a modal layer would try at least {count} candidates, "
-                               f"past the limit of {MAX_CANDIDATES}")
 
     def boolean_closure(self, old: int) -> None:
         """Close under the connectives; classes from index old on are new.
@@ -322,7 +322,7 @@ class _Enumeration:
                 memo[make, hs] = slots[sig]
             return memo[make, hs]
 
-        for width, makers in self.families():
+        for width, makers in self.logic.families():
             for idxs in itertools.product(range(base), repeat=width):
                 if max(idxs) >= upto:
                     for make in makers:
@@ -410,13 +410,12 @@ class PaperCheckReport(NamedTuple):
         return "".join(line + "\n" for line in body)
 
 
-def _enumeration_evidence(env: Env, logic: Logic, eventually: bool,
-                          label: str) -> Tuple[List[str], bool]:
-    enum = enumerate_formulas(logic, 2, env)
+def _enumeration_evidence(env: Env, logic: str, eventually: bool) -> Tuple[List[str], bool]:
+    enum = enumerate_formulas(parse_logic(logic), 2, env)
     report = trivialization_report(enum, eventually)
     bad = [e for e in report.entries if e.classification is Triviality.NONE]
     mode = "eventually" if eventually else "exactly"
-    lines = [f"enumerated {len(report.entries)} {label} formulas to depth 2, "
+    lines = [f"enumerated {len(report.entries)} {logic} formulas to depth 2, "
              f"nontrivial {len(bad)}, truncated {int(enum.truncated)}"]
     for e in bad:
         lines.append(f"nontrivial witness: {format_formula(e.formula)}")
@@ -435,15 +434,14 @@ def paper_check(name: str) -> PaperCheckReport:
         lines.append(f"C2(P) tail pattern: {format_interval_list(sig.pattern)} "
                      f"period {sig.period} transient {sig.transient}")
         ok1 = cls is Triviality.NONE
-        more, ok2 = _enumeration_evidence(env, parse_logic("qtl"), True, "qtl")
+        more, ok2 = _enumeration_evidence(env, "qtl", True)
         return PaperCheckReport(name, tuple(lines + more), ok1 and ok2)
 
     if (n := _indexed(name, "hierarchy:", "hierarchy index", 2)) is not None:
         env = builtin_model(f"thm3:{n}")
         sig = evaluate(Count(n, Atom("P")), env)
         width = Fraction(1, 2 * n - 1)
-        lines = []
-        vals = []
+        lines, vals = [], []
         for k in range(6):
             # the exact truth set on the open interval: all of it, none of it
             # or neither
@@ -460,13 +458,11 @@ def paper_check(name: str) -> PaperCheckReport:
             lines.append(f"orientation even={'true' if vals[0] else 'false'} "
                          f"odd={'true' if vals[1] else 'false'}")
         lines.append(f"alternation over six intervals: {'yes' if alternates else 'no'}")
-        more, ok2 = _enumeration_evidence(env, Logic(True, n - 1), True,
-                                          f"qtl+p{n - 1}")
+        more, ok2 = _enumeration_evidence(env, f"qtl+p{n - 1}", True)
         return PaperCheckReport(name, tuple(lines + more), alternates and ok2)
 
     if (k := _indexed(name, "counting:", "counting index", 2)) is not None:
-        lines = []
-        oks = []
+        lines, oks = [], []
         for idx, want in ((k, Triviality.NOT_P), (k + 1, Triviality.TRUE)):
             env = builtin_model(f"mk:{idx}")
             cls = classify_trivial(evaluate(Count(k, Atom("P")), env),
@@ -477,7 +473,7 @@ def paper_check(name: str) -> PaperCheckReport:
 
     if (k := _indexed(name, "triviality:", "triviality index", 2)) is not None:
         env = builtin_model(f"mk:{k}")
-        lines, ok = _enumeration_evidence(env, parse_logic("qtl"), False, "qtl")
+        lines, ok = _enumeration_evidence(env, "qtl", False)
         return PaperCheckReport(name, tuple(lines), ok)
 
     raise LabError(f"unknown check {name!r} "

@@ -19,30 +19,41 @@ in t's grid cell.  The harness reads the engine's signal alike, at that
 signal's own ``tick_unit``, where every engine endpoint is an even tick
 whether or not the session's grid holds it: that is what it checks.
 
-The scans rest on one structural fact, checked empirically by the agreement
-harness rather than assumed silently by both sides: truth values of every
-subformula are constant on the cells of one grid, cut by atom component
-endpoints (and, on the half line, the origin) shifted by at most one unit
-per level of modal nesting.  Cells are numbered, grid points even and the
-open gaps between them odd, so every modal window is a range of cells.  A
-query is the answer of the cell that holds its tick, so every answer, the
-formula's own as well as its operands', rests on that fact.
+The scans rest on the grid lemma.  Let E be the endpoints of the atoms'
+components and B_j the times e + k, e in E and k an integer with |k| <= j,
+and on the half line also 0, ..., j - 1.  The cells of B_j are its points
+and the gaps of the domain between them (on the half line the first gap
+holds the origin unless it is a point).  A session's grid is B_d, d its
+formula's modal depth, and on the half line the origin (``_Grid``).
 
-A session compiles its formula once into a table of integer node ids, one
-per distinct subformula, each with its type, child ids, copy count (or atom
-signal), period and transient bound.  It memoizes each node's truth by
-(node id, cell), evaluating it at the cell's point or gap midpoint on a
-miss.  Every modality finds witnesses through skip pointers, one table per
-direction: each cell a walk passes points to where it stopped, a witness or
-a cell not yet examined.  An until or since walk is guarded by its left
-operand: it stops at the first cell where the right operand holds or the
-left one fails, and that cell decides; its pointers are kept apart from the
-unguarded walks of the same operand.  One placement walk serves every
-window modality: Pn<k> is a run of its k operands, C<n> a run of n copies of
-one, F1 and O1 a run of one.  It places the run right to left, independent
-of the engine's left to right placement: its table is monotone, a threshold
-m that only a cell where operand m - 1 holds can lower, so it steps from
-witness to witness.
+Lemma: a formula over the grid's atoms of modal depth at most j is constant
+on every cell of B_j, so for j = d on every cell of the grid.  A point is
+one time, so take t in a gap of B_j and induct on the formula:
+
+- an atom changes truth only at its endpoints, in B_0; true, false never;
+- a connective is pointwise in operands of depth at most j;
+- U and S: the operands, of depth at most j - 1, are constant on the cells
+  of B_{j-1}, a subset of B_j.  While t moves in its gap, its future (past)
+  meets the same cells of B_{j-1} in the same order, a point in one time
+  and a gap in infinitely many.  So the first of them where the right
+  operand holds or the left one fails decides, a point by the right operand
+  and a gap by both: the guarded walk of ``_order``;
+- F1, O1, C<n> and Pn<k> place a run of operands of depth at most j - 1 at
+  increasing times of the open unit window after (before) t.  A window end
+  t + 1 or t - 1 at a point p of B_{j-1} puts t at p - 1 or p + 1, in B_j;
+  t - 1 passes the origin at t = 1, in B_j unless j = 1 and the origin lies
+  in the first gap of B_0, which the window then meets in infinitely many
+  times on either side of 1.  So as t moves in its gap the window meets the
+  same cells as under U, and the run fits exactly when it splits in order
+  over them, one operand to a point and a consecutive run to a gap, each
+  operand where it holds: what ``_placeable`` decides.
+
+Cells are numbered, grid points even and gaps odd, so every modal window is
+a range of cells.  A query is the answer of the cell that holds its tick, so
+every answer, the formula's own as well as its operands', rests on the
+lemma.  Its precondition, the grid's atoms and modal depth at most d, is
+checked per query: ``PointwiseSession.eval`` refuses a deeper formula and
+``_compile`` an atom the grid lacks.
 """
 
 from __future__ import annotations
@@ -86,19 +97,15 @@ def _tick(t: Fraction, unit: int) -> int:
 
 
 class _Grid:
-    """The session's candidate truth-change points, numbered, and the cells
-    they cut the time domain into, all in ticks of the given unit.
+    """The grid of the module docstring, B_d and on the half line the origin,
+    numbered, and the cells it cuts the domain into, in ticks of the unit.
 
-    The point set {endpoint of some signal component, shifted by a whole
-    number of units of magnitude at most the modal depth} is eventually
-    periodic: past max(transient) + depth units it repeats with the lcm of
-    the signal periods.  On the half line the origin bounds every signal, so
-    it and its first depth - 1 unit translates join the set.  The prefix and
-    one period of the tail are built once: grid point i is prefix[i] below
-    the tail's start and a point of an unrolled tail copy from there on.
-    Cell 2i is point i and cell 2i + 1 the open gap after it, so on the half
-    line cell 0 is the origin, and on the full line the numbering runs on
-    through the negative integers.
+    Past max(transient) + d units B_d repeats with the lcm of the signal
+    periods, so the prefix and one period of the tail are built once: grid
+    point i is prefix[i] below the tail's start and a point of an unrolled
+    tail copy from there on.  Cell 2i is point i and cell 2i + 1 the gap
+    after it, so on the half line cell 0 is the origin, and on the full line
+    the numbering runs on through the negative integers.
     """
 
     def __init__(self, signals: Sequence[Signal], domain: TimeDomain, depth: int, unit: int):
@@ -166,11 +173,11 @@ class PointwiseSession:
 
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
-        depth, atoms = metrics(formula)
+        self.depth, atoms = metrics(formula)
         public = {a: env.signal(a) for a in sorted(atoms)}
         self.unit = tick_unit(public.values())  # ticks per time unit
         self._atoms = {a: to_ticks(s, self.unit) for a, s in public.items()}
-        self._grid = _Grid(list(self._atoms.values()), env.domain, depth, self.unit)
+        self._grid = _Grid(list(self._atoms.values()), env.domain, self.depth, self.unit)
         self._ids: Dict[tuple, int] = {}
         self._kind: List[type] = []
         self._kids: List[Tuple[int, ...]] = []
@@ -220,11 +227,13 @@ class PointwiseSession:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, f: Formula, t: Fraction) -> bool:
-        """Truth of f, the session's formula or a subformula of it, at t: the
-        answer of the grid cell that holds t."""
+        """Truth of f at t, the answer of the grid cell that holds t; f is the
+        session's formula or one the grid lemma covers (module docstring)."""
         t = rat(t)
         if self._grid.half and t < 0:
             raise DomainError(f"{t} is outside the half line")
+        if f is not self.formula and (d := metrics(f)[0]) > self.depth:
+            raise ValueError(f"modal depth {d} is past the session's grid, of depth {self.depth}")
         i = self._root if f is self.formula else self._compile(f)
         return self._cell(i, self._grid.locate(_tick(t, self.unit)))
 
@@ -295,11 +304,12 @@ class PointwiseSession:
         cells, operand j only where it holds: a point cell takes one operand,
         an open cell any consecutive run of them.
 
-        The placement is decided right to left: "operands j.. fit into the
-        cells scanned so far" is monotone in j, so it is a threshold m, which
-        starts at the operand count and is decided at 0.  A cell can lower m
-        only where operand m - 1 holds: by one at a point, and inside an open
-        cell on through m - 2, m - 3, ... while each of those holds there.
+        The placement is decided right to left, independent of the engine's
+        left to right placement: "operands j.. fit into the cells scanned so
+        far" is monotone in j, so it is a threshold m, which starts at the
+        operand count and is decided at 0.  A cell can lower m only where
+        operand m - 1 holds: by one at a point, and inside an open cell on
+        through m - 2, m - 3, ... while each of those holds there.
         So every other cell is a no-op, and the backward pointers on operand
         m - 1 jump straight to the next cell that moves m."""
         m, c, end = len(kids), cells.stop - 1, cells.start - 1
@@ -374,8 +384,7 @@ def sample_points(signal: Signal, count: int = 50, seed: int = 0) -> List[Fracti
     seen = set(chosen)
     rng = random.Random(seed)
     lo, width = crit[0], crit[-1] - crit[0]
-    denom = 24
-    misses = 0
+    denom, misses = 24, 0
     while len(chosen) < count:
         q = rng.randint(2, denom)
         k = rng.randint(0, q * width // unit)
@@ -411,21 +420,21 @@ def compare_pointwise(formula: Formula, env, engine_signal: Signal,
                       points: Sequence) -> AgreementReport:
     """Compare an engine-computed truth signal against oracle queries at the
     given points, one report line per point.  The engine signal is read in
-    ticks of its own tick_unit: the oracle's grid may not hold its endpoints."""
+    ticks of its own tick_unit: the oracle's grid may not hold its endpoints.
+    No points are refused: a verdict over no points is no pass."""
     session = PointwiseSession(formula, env)
     unit = tick_unit([engine_signal])
     ticks = to_ticks(engine_signal, unit)
-    lines = []
-    agree = 0
-    total = 0
+    lines, agree = [], 0
     for raw in points:
         t = rat(raw)
         o = session.eval(formula, t)  # first, so a time before the origin raises as t
         e = ticks.contains(_tick(t, unit))
         agree += e == o
-        total += 1
         lines.append(f"t={format_rational(t)} engine={int(e)} oracle={int(o)}")
-    return AgreementReport(tuple(lines), agree, total)
+    if not lines:
+        raise ValueError("agreement needs at least one point")
+    return AgreementReport(tuple(lines), agree, len(lines))
 
 
 def agreement_check(formula: Formula, env, samples: int = 50,

@@ -1,0 +1,114 @@
+"""Mutation gate for the verdict path: every mutant must be killed.
+
+A mutant is one exact text replacement in one file of ``src/qtlab``, applied
+to a copy of ``src/`` in a temporary directory, and the test node ids that
+are expected to kill it.  Only those tests run, in one pytest subprocess per
+mutant, with the copy first on the import path.  A mutant is killed when
+its tests fail (pytest exit code 1).  Before any mutant runs, every target
+text must occur exactly once, so that a refactor cannot turn a mutant into
+a no-op, and the killing tests must pass on an unmutated copy, so that a
+kill means the mutation.  A survivor, a missing target, a collection error
+or an unknown node id fails the run.
+
+    python tests/mutants.py
+
+pytest does not collect this file: its name does not match ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Iterable, NamedTuple, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/qtlab
+    old: str
+    new: str
+    killers: Tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MUTANTS = (
+    Mutant("C<n> off by one in count_kernel", "semantics.py",
+           "zip(points, points[n - 1:])", "zip(points, points[n:])",
+           ("tests/test_lab.py::test_paper_checks_pass[counting:2]",)),
+    Mutant("S computed as U in order_kernel", "semantics.py",
+           "        if future:  # sup(y at or below b) must exceed t",
+           "        if True:  # sup(y at or below b) must exceed t",
+           ("tests/test_semantics.py::test_since_true_p_holds_strictly_after_origin",)),
+    Mutant("refine drops the outside part of a split atom", "lab.py",
+           "for part in (inside, outside))", "for part in (inside, inside))",
+           ("tests/test_lab.py::test_atoms_stay_a_canonical_partition[tl-mk:2]",)),
+    Mutant("the Count row with whole=()", "semantics.py",
+           "lambda f, *a: count_kernel(*a, f.n, True), (0,)),",
+           "lambda f, *a: count_kernel(*a, f.n, True), ()),",
+           ("tests/test_lab.py::test_the_distributed_layer_matches_the_undistributed_reference"
+            "[qtl+c2-bound]",)),
+    Mutant("the oracle grid one shift layer short", "oracle.py",
+           "        pad = depth * unit\n", "        pad = max(depth - 1, 0) * unit\n",
+           ("tests/test_oracle.py::test_pointwise_count_on_two_thirds_grid",)),
+    Mutant("_placeable's cap one cell short", "oracle.py",
+           "min(self._arg[i], len(cells) + 1)", "min(self._arg[i], len(cells))",
+           ("tests/test_oracle.py::test_half_line_origin_is_a_grid_point",)),
+    Mutant("no refusal of a formula deeper than the session's", "oracle.py",
+           "if f is not self.formula and (d := metrics(f)[0]) > self.depth:", "if False:",
+           ("tests/test_oracle.py::test_a_session_refuses_a_formula_deeper_than_its_own",)),
+)
+
+
+def _copy_src(into: Path, mutant: Optional[Mutant] = None) -> Path:
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        target = src / "qtlab" / mutant.file
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+    return src
+
+
+def _pytest(src: Path, node_ids: Iterable[str], cwd: Path) -> int:
+    """pytest's exit code on the node ids, importing qtlab from src only."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            *(str(ROOT / n) for n in node_ids)]
+    return subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    for m in MUTANTS:
+        found = (ROOT / "src" / "qtlab" / m.file).read_text().count(m.old)
+        if found != 1:
+            print(f"target text of {m.name!r} occurs {found} times in src/qtlab/{m.file}")
+            return 1
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp, "clean")
+        code = _pytest(_copy_src(clean), sorted({n for m in MUTANTS for n in m.killers}), clean)
+        if code != 0:
+            print(f"the killing tests do not pass on the unmutated source (pytest exit {code})")
+            return 1
+        bad = []
+        for k, m in enumerate(MUTANTS):
+            began = time.perf_counter()
+            here = Path(tmp, f"mutant{k}")
+            code = _pytest(_copy_src(here, m), m.killers, here)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            print(f"{verdict:>24}  {m.name}  ({time.perf_counter() - began:.1f} s)", flush=True)
+            if code != 1:
+                bad.append(m.name)
+    print(f"{len(MUTANTS) - len(bad)}/{len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -423,6 +423,28 @@ def test_a_huge_run_modality_cap_trips_the_guard_at_once():
             enumerate_formulas(logic, 1, builtin_model("mk:2"))
 
 
+def test_a_logic_lists_its_families_and_guards_a_layer_alone():
+    """A logic gives its modal families in admission order and counts a
+    layer's argument tuples from two class counts, with no enumeration: for
+    qtl+c3+p3, 2(b^2 - u^2) + 4(b - u) + (b^2 - u^2) + (b^3 - u^3) over b
+    classes, those from u on new.  That is 9280 for 20 new classes and 10668,
+    past the limit, for 21; a cap of a billion trips at the first class."""
+    p = parse_formula("P")
+    logic = parse_logic("qtl+c3+p3")
+    assert [(w, [format_formula(make(*[p] * w)) for make in makers])
+            for w, makers in logic.families()] == [
+        (2, ["P U P", "P S P"]), (1, ["F1 P", "O1 P"]), (1, ["C2(P)"]), (1, ["C3(P)"]),
+        (2, ["Pn2(P,P)"]), (3, ["Pn3(P,P,P)"])]
+    logic.guard(20, 0)
+    logic.guard(21, 20)
+    with pytest.raises(LabError, match=r"^a modal layer would try at least 10668 candidates, "
+                                       r"past the limit of 10000$"):
+        logic.guard(21, 0)
+    for huge in (Logic(True, 10 ** 9), Logic(True, 0, 10 ** 9)):
+        with pytest.raises(LabError, match="a modal layer would try at least 10001 candidates"):
+            huge.guard(1, 0)
+
+
 @pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
 def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic, spec):
     """The guard's count equals the argument tuples the largest layer hands
@@ -488,7 +510,7 @@ def undistributed_modal_layer(self, upto):
                    (a for k, a in enumerate(self.atoms) if mask >> k & 1), empty)
             for mask in self.masks]
     reps, base = self.reps, len(self.reps)
-    for width, makers in self.families():
+    for width, makers in self.logic.families():
         for idxs in itertools.product(range(base), repeat=width):
             if max(idxs) >= upto:
                 for make in makers:

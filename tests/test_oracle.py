@@ -125,6 +125,25 @@ def test_grid_covers_only_the_formulas_atoms():
         session.eval(parse_formula("F1 Q"), F(0))
 
 
+def test_a_session_refuses_a_formula_deeper_than_its_own():
+    """The grid lemma holds for formulas no deeper than the session's.  With
+    P at the multiples of 3, a session for P has no shift layer, so no grid
+    point at 2, and would answer F1 P False at 5/2, where the engine and a
+    session for F1 P answer True: it refuses.  A session of depth 1 answers
+    formulas of depth 1 that are not its subformulas like the engine."""
+    env = Env(LINE, {"P": Signal(LINE, F(3), IntervalSet([Interval.point(F(0))]))})
+    f = parse_formula("F1 P")
+    assert evaluate(f, env).contains(F(5, 2)) and oracle_at(f, env, F(5, 2))
+    with pytest.raises(ValueError, match="modal depth 1 is past the session's grid, of depth 0"):
+        PointwiseSession(parse_formula("P"), env).eval(f, F(5, 2))
+    session = PointwiseSession(parse_formula("O1 P & P"), env)
+    for text in ("F1 P", "P U !P", "!P S P | C2(P)", "Pn2(!P, P) -> F1 P"):
+        g = parse_formula(text)
+        truth = evaluate(g, env)
+        for t in sample_points(truth, 12) + [F(5, 2)]:
+            assert session.eval(g, t) == truth.contains(t), (text, t)
+
+
 def test_grid_past_the_limit_raises():
     """Q's period 1 makes the grid unroll P's period 1/20000 twenty thousand
     times, two endpoints each, and F1 shifts each by -1, 0 and 1."""
@@ -804,6 +823,16 @@ def test_agreement_needs_a_sample(samples):
     env = Env(LINE, {"P": grid_line(2)})
     with pytest.raises(ValueError, match="at least one sample"):
         agreement_check(parse_formula("F1 P"), env, samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("points", [[], iter([])], ids=["list", "iterator"])
+def test_compare_pointwise_needs_a_point(points):
+    """A verdict over no points is no pass: no points raise, where they
+    would render agreement 0/0 as passed."""
+    env = builtin_model("mk:2")
+    f = parse_formula("P")
+    with pytest.raises(ValueError, match="at least one point"):
+        compare_pointwise(f, env, evaluate(f, env), points)
 
 
 def test_agreement_refuses_more_samples_than_the_unroll_limit(monkeypatch):
