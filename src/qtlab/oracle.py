@@ -1,16 +1,16 @@
-"""Differential oracle: memoized pointwise evaluation, independent of the engine.
+"""Differential oracle: pointwise evaluation over grid cells, independent of the engine.
 
 The engine (qtlab.semantics) computes whole truth signals with per-operator
 window constructions.  This module answers single membership queries "does
-the formula hold at time t" by first-order scanning instead, so the two
+the formula hold at time t" from per-cell truth tables instead, so the two
 routes share nothing but the exact set and slicing primitives and the signal
-layer's tick scale.  The scanning route never calls the engine; only the
+layer's tick scale.  The table route never calls the engine; only the
 agreement harness at the bottom runs it once per check, as the comparison
 target.
 
 Like the engine, a session scales its formula's atoms once to integer ticks
 (``tick_unit`` and ``to_ticks`` from qtlab.signals), so its grid, windows and
-horizons are ints and a time unit is Q ticks.  Since that scaling is shared,
+bounds are ints and a time unit is Q ticks.  Since that scaling is shared,
 a fault in it would not show as a disagreement: its own tests in
 test_signals pin it.  A query's public time t maps to its tick t Q when that
 is whole, and otherwise to the odd tick 2 floor(t Q / 2) + 1: every grid
@@ -19,7 +19,7 @@ in t's grid cell.  The harness reads the engine's signal alike, at that
 signal's own ``tick_unit``, where every engine endpoint is an even tick
 whether or not the session's grid holds it: that is what it checks.
 
-The scans rest on the grid lemma.  Let E be the endpoints of the atoms'
+The tables rest on the grid lemma.  Let E be the endpoints of the atoms'
 components and B_j the times e + k, e in E and k an integer with |k| <= j,
 and on the half line also 0, ..., j - 1.  The cells of B_j are its points
 and the gaps of the domain between them (on the half line the first gap
@@ -36,8 +36,9 @@ one time, so take t in a gap of B_j and induct on the formula:
   of B_{j-1}, a subset of B_j.  While t moves in its gap, its future (past)
   meets the same cells of B_{j-1} in the same order, a point in one time
   and a gap in infinitely many.  So the first of them where the right
-  operand holds or the left one fails decides, a point by the right operand
-  and a gap by both: the guarded walk of ``_order``;
+  operand holds or the left one fails, a stop cell, decides, a point by the
+  right operand and a gap by both: one backward (forward) sweep carries each
+  stop cell's answer to the cells before (after) it;
 - F1, O1, C<n> and Pn<k> place a run of operands of depth at most j - 1 at
   increasing times of the open unit window after (before) t.  A window end
   t + 1 or t - 1 at a point p of B_{j-1} puts t at p - 1 or p + 1, in B_j;
@@ -46,14 +47,30 @@ one time, so take t in a gap of B_j and induct on the formula:
   times on either side of 1.  So as t moves in its gap the window meets the
   same cells as under U, and the run fits exactly when it splits in order
   over them, one operand to a point and a consecutive run to a gap, each
-  operand where it holds: what ``_placeable`` decides.
+  operand where it holds.  For C<n>, n copies of one operand, and F1, O1
+  (n = 1), that is a gap or n points where it holds, by prefix counts.
 
-Cells are numbered, grid points even and gaps odd, so every modal window is
-a range of cells.  A query is the answer of the cell that holds its tick, so
-every answer, the formula's own as well as its operands', rests on the
-lemma.  Its precondition, the grid's atoms and modal depth at most d, is
-checked per query: ``PointwiseSession.eval`` refuses a deeper formula and
-``_compile`` an atom the grid lacks.
+So each node's truth is a table over the cells, filled children first in
+one pass per node (``_fill``).  Cells are numbered, grid points even and
+gaps odd, so every modal window is a range of cells.  A query reads the
+entry of the cell that holds its tick, so every answer, the formula's own
+as well as its operands', rests on the lemma.  Its precondition, the grid's
+atoms and modal depth at most d, is checked per query: ``eval`` refuses a
+deeper formula and ``_compile`` an atom the grid lacks.
+
+Folding.  Past max(transients) + d the grid repeats with the lcm G of the
+atoms' periods, 2 len(tail) cells a period.  On the full line translation
+by G fixes the atoms and commutes with every operator: cell c folds to c
+mod 2 len(tail).  On the half line a node's bound b is its atom's
+transient, 0 for a constant, else its operands' largest bound T, plus 1 for
+O1 and G for S.  Past b its truth repeats with G: a connective reads its
+operands at t, U, F1, C<n> and Pn<k> after t, O1 in (t - 1, t).  And S, at
+t >= T + q for a period q of its operands past T, walks back from t + q
+over [t, t + q), the translate of [t - q, t), which the walk from t crosses
+first: both stop there at translates, with one answer, or both go on alike
+below t - q.  A table runs one period past its fold start, the first grid
+point at or past b and the tail's start, and later cells fold into that
+period.  (The node's own period need not divide G: a constant's is 1.)
 """
 
 from __future__ import annotations
@@ -63,7 +80,9 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import and_, or_
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -76,13 +95,14 @@ from .formulas import (
     Implies,
     Not,
     Or,
+    Pnueli,
     Since,
     TrueConst,
     Until,
     children,
     metrics,
 )
-from .intervals import format_rational, rat
+from .intervals import IntervalSet, format_rational, rat
 from .signals import (MAX_UNROLL, DomainError, Signal, TimeDomain, _lcm, check_unroll,
                       tick_unit, to_ticks)
 
@@ -159,17 +179,12 @@ class _Grid:
             return (self.point(i) + self.point(i + 1)) // 2
         return self.point(i)
 
-    def span(self, lo: int, hi: int, closed_a: bool = False, closed_b: bool = False) -> range:
-        """The cells of a nonempty window that starts in cell lo and ends in
-        cell hi: an end cell that is a point is dropped unless closed."""
-        return range(lo + (lo % 2 == 0 and not closed_a), hi + (hi % 2 == 1 or closed_b))
-
 
 class PointwiseSession:
     """One formula, one environment, membership queries over one grid: the
     formula's atoms scaled once to ticks of one unit, the formula compiled
-    once into a node table (children before parents), and every node's
-    truth memoized per (node id, cell)."""
+    once into a node table (children before parents), and each node's truth
+    filled once, on first use, into its table of cells (module docstring)."""
 
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
@@ -178,17 +193,15 @@ class PointwiseSession:
         self.unit = tick_unit(public.values())  # ticks per time unit
         self._atoms = {a: to_ticks(s, self.unit) for a, s in public.items()}
         self._grid = _Grid(list(self._atoms.values()), env.domain, self.depth, self.unit)
+        self._cycle = 2 * len(self._grid.tail)  # cells per grid period
         self._ids: Dict[tuple, int] = {}
         self._kind: List[type] = []
         self._kids: List[Tuple[int, ...]] = []
-        self._arg: list = []  # an atom's signal, else the copies of a window's run
-        self._period: List[int] = []  # of the node's truth (its tail, on the half line)
-        self._tbound: List[int] = []  # past it the node's truth is periodic
+        self._arg: list = []  # an atom's signal, else n for C<n> and one for the rest
+        self._bound: List[int] = []  # past it the node's truth repeats with the grid period
         self._root = self._compile(formula)
-        self._memo: Dict[Tuple[int, int], bool] = {}
-        # per step, (node id, guard id or None, cell) -> where a walk through
-        # the cell stopped
-        self._skip: Dict[int, Dict[Tuple[int, Optional[int], int], int]] = {1: {}, -1: {}}
+        self._memo: Dict[int, List[bool]] = {}  # node id -> its table
+        self._wins: Dict[bool, Tuple[List[int], List[int]]] = {False: ([], []), True: ([], [])}
 
     def _compile(self, f: Formula) -> int:
         """The node id of f, adding f and each subformula of it to the table
@@ -202,26 +215,20 @@ class PointwiseSession:
         got = self._ids.get(key)
         if got is not None:
             return got
+        bound = 0
         if kids:
-            period = reduce(_lcm, (self._period[k] for k in kids))
-            tbound = max(self._tbound[k] for k in kids)
-            if kind is DiamondPast:
-                tbound += self.unit
-            elif kind is Since:
-                tbound += period
+            bound = max(self._bound[k] for k in kids)
+            bound += self.unit if kind is DiamondPast else self._grid.period if kind is Since else 0
         elif kind is Atom:
             arg = self._atoms.get(f.name)
             if arg is None:
                 raise ValueError(f"atom {f.name} is not in the session's formula")
-            period, tbound = arg.period, arg.transient
-        else:
-            period, tbound = self.unit, 0
+            bound = arg.transient
         got = self._ids[key] = len(self._kind)
         self._kind.append(kind)
         self._kids.append(kids)
         self._arg.append(arg)
-        self._period.append(period)
-        self._tbound.append(tbound)
+        self._bound.append(bound)
         return got
 
     # -- evaluation ----------------------------------------------------------
@@ -235,117 +242,109 @@ class PointwiseSession:
         if f is not self.formula and (d := metrics(f)[0]) > self.depth:
             raise ValueError(f"modal depth {d} is past the session's grid, of depth {self.depth}")
         i = self._root if f is self.formula else self._compile(f)
-        return self._cell(i, self._grid.locate(_tick(t, self.unit)))
+        c, table, cycle = self._grid.locate(_tick(t, self.unit)), self._table(i), self._cycle
+        return table[c if 0 <= c < len(table) else len(table) - cycle + (c - len(table)) % cycle]
 
-    def _cell(self, i: int, c: int) -> bool:
-        key = (i, c)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self._at(i, c)
-        return got
+    def _table(self, i: int) -> List[bool]:
+        if i not in self._memo:
+            fold, grid = 0, self._grid
+            if grid.half:  # the first grid point at or past the bound and the tail's start
+                fold = grid.locate(max(grid.start, self._bound[i]))
+                fold += fold & 1
+            self._memo[i] = self._fill(i, fold + self._cycle)
+        return self._memo[i]
 
-    def _window(self, c: int, t: int, back: bool) -> range:
-        """The cells of the open unit window after t, in cell c, or before it
-        (cut at the origin, cell 0, on the half line)."""
+    def _read(self, k: int, lo: int, hi: int) -> List[bool]:
+        """Node k's truth on cells lo to hi - 1, each folded into its table."""
+        table, p = self._table(k), self._cycle
+        n = len(table)
+        if 0 <= lo and hi <= n:
+            return table[lo:hi]
+        return [table[c] if 0 <= c < n else table[n - p + (c - n) % p] for c in range(lo, hi)]
+
+    def _windows(self, back: bool, n: int) -> Tuple[List[int], List[int]]:
+        """The first cells and ends of the unit windows after (before) cells 0 to
+        n - 1, cut at the origin on the half line; once per session and direction."""
         grid, u = self._grid, self.unit
-        if not back:
-            return grid.span(c, grid.locate(t + u))
-        if grid.half and t < u:
-            return grid.span(0, c, closed_a=True)
-        return grid.span(grid.locate(t - u), c)
+        if len(self._wins[back][0]) < n:
+            # the grid points from a unit before cell 0 to a unit past cell n - 1
+            first = 0 if grid.half else grid.locate(grid.point(0) - u) >> 1
+            last = grid.locate(grid.point(n // 2) + u) >> 1
+            pts = [grid.point(i) for i in range(first, last + 2)]
+            reps = [x for a, b in zip(pts[-first:n // 2 - first], pts[1 - first:])
+                    for x in (a, (a + b) // 2)]
+            if back:  # from the point at t - u, or through the gap that holds it
+                starts = [2 * (first + bisect_right(pts, t - u)) - 1 if t >= u or not grid.half
+                          else 0 for t in reps]
+                stops = [c + (c & 1) for c in range(n)]
+            else:
+                starts = [c | 1 for c in range(n)]
+                stops = [2 * (first + bisect_left(pts, t + u)) for t in reps]
+            self._wins[back] = starts, stops
+        return tuple(ends[:n] for ends in self._wins[back])
 
-    def _at(self, i: int, c: int) -> bool:
-        """Truth of node i anywhere in cell c: a boolean node from its
-        operands' entries for c, any other at the cell's representative tick."""
+    def _fill(self, i: int, n: int) -> List[bool]:
+        """Node i's truth on cells 0 to n - 1, in one pass over its operands'
+        tables: the sweeps of the module docstring."""
         kind, kids = self._kind[i], self._kids[i]
+        if kind is TrueConst or kind is FalseConst:
+            return [kind is TrueConst] * n
+        if kind is Atom:  # each component's cell range: its endpoints are grid points
+            grid, table = self._grid, [False] * n
+            for comp in self._arg[i].slice(grid.point(0), grid.point(n // 2)):
+                lo = grid.locate(comp.lower) + (not comp.lower_closed)
+                hi = min(grid.locate(comp.upper) + comp.upper_closed, n)
+                table[lo:hi] = [True] * (hi - lo)
+            return table
         if kind is Not:
-            return not self._cell(kids[0], c)
-        if kind is And:
-            return self._cell(kids[0], c) and self._cell(kids[1], c)
-        if kind is Or:
-            return self._cell(kids[0], c) or self._cell(kids[1], c)
-        if kind is Implies:
-            return not self._cell(kids[0], c) or self._cell(kids[1], c)
-        if kind is TrueConst:
-            return True
-        if kind is FalseConst:
-            return False
-        t = self._grid.rep(c)
-        if kind is Atom:
-            return self._arg[i].contains(t)
+            return [not x for x in self._read(kids[0], 0, n)]
+        if kind is And or kind is Or or kind is Implies:
+            a, b = (self._read(k, 0, n) for k in kids)
+            if kind is Implies:
+                a = [not x for x in a]
+            return list(map(and_ if kind is And else or_, a, b))
         if kind is Until or kind is Since:
-            return self._order(i, c, t)
-        cells = self._window(c, t, kind is DiamondPast)
-        # past the window's cell count, more copies of C<n>'s operand fit
-        # only in an open cell, where any number do
-        return self._placeable(kids * min(self._arg[i], len(cells) + 1), cells)
+            left, right = (self._read(k, 0, n) for k in kids)
+            stop = [r or not x for x, r in zip(left, right)]
+            answer = [r and (not c & 1 or x) for c, (x, r) in enumerate(zip(left, right))]
+            # beyond the sweep: until's first stop cell in the last period, since's last one
+            back = range(n - 1, -1, -1)
+            wrap = range(n - self._cycle, n) if kind is Until else () if self._grid.half else back
+            now = next((answer[c] for c in wrap if stop[c]), False)
+            table = [False] * n
+            for c in back if kind is Until else range(n):
+                table[c] = answer[c] if c & 1 and stop[c] else now
+                if stop[c]:
+                    now = answer[c]
+            return table
+        starts, stops = self._windows(kind is DiamondPast, n)
+        lo, hi = starts[0], stops[-1]
+        ops = [self._read(k, lo, hi) for k in kids]
+        if kind is not Pnueli:
+            # an open cell fits any number of copies, a point one
+            need = self._arg[i]
+            counts = list(accumulate((h and (need if c & 1 else 1)
+                                      for c, h in zip(range(lo, hi), ops[0])), initial=0))
+            return [counts[b - lo] - counts[a - lo] >= need for a, b in zip(starts, stops)]
+        lasts = []  # per operand, the last cell at or before each where it holds
+        for op in ops:
+            last = lo - 1
+            lasts.append([(last := c if h else last) for c, h in zip(range(lo, hi), op)])
 
-    def _first(self, k: int, c: int, end: int, step: int, guard: Optional[int] = None) -> int:
-        """The first cell from c toward end (exclusive), by step, where node
-        k holds or, given a guard, node guard fails; end if there is none.
-        Every cell the walk passes keeps a pointer, per step and keyed by
-        (k, guard), to where the walk stopped: a witness or a cell not yet
-        examined.  A later walk jumps along it, compressing the path."""
-        skip, passed = self._skip[step], []
-        while (end - c) * step > 0:
-            nxt = skip.get((k, guard, c))
-            if nxt is None:
-                if self._cell(k, c) or (guard is not None and not self._cell(guard, c)):
-                    break
-                nxt = c + step
-            passed.append(c)
-            c = nxt
-        for x in passed:
-            skip[k, guard, x] = c
-        return c if (end - c) * step > 0 else end
+        # right to left: "operands j.. fit in the cells scanned so far" is a threshold m
+        # in j, lowered only where operand m - 1 holds: by one at a point, on in a gap
+        def fits(a: int, b: int) -> bool:
+            m, c = len(ops), b - 1
+            while m and c >= a:
+                c = lasts[m - 1][c - lo]
+                if c >= a:
+                    m -= 1
+                    while m and c & 1 and ops[m - 1][c - lo]:
+                        m -= 1
+                c -= 1
+            return not m
 
-    def _placeable(self, kids: Tuple[int, ...], cells: range) -> bool:
-        """Whether the operands fit at strictly increasing times in the
-        cells, operand j only where it holds: a point cell takes one operand,
-        an open cell any consecutive run of them.
-
-        The placement is decided right to left, independent of the engine's
-        left to right placement: "operands j.. fit into the cells scanned so
-        far" is monotone in j, so it is a threshold m, which starts at the
-        operand count and is decided at 0.  A cell can lower m only where
-        operand m - 1 holds: by one at a point, and inside an open cell on
-        through m - 2, m - 3, ... while each of those holds there.
-        So every other cell is a no-op, and the backward pointers on operand
-        m - 1 jump straight to the next cell that moves m."""
-        m, c, end = len(kids), cells.stop - 1, cells.start - 1
-        while m:
-            c = self._first(kids[m - 1], c, end, -1)
-            if c == end:
-                return False
-            m -= 1
-            while c & 1 and m and self._cell(kids[m - 1], c):
-                m -= 1
-            c -= 1
-        return True
-
-    def _order(self, i: int, c: int, t: int) -> bool:
-        """Strict until or since at t, in cell c, over the cells ordered away
-        from t up to the node's horizon: a witness of the right operand with
-        the left operand holding on every cell before it (and, inside an open
-        cell, around it).
-
-        One guarded walk finds the first cell where the right operand holds
-        or the left one fails, and that cell decides.  A walk that reaches
-        its horizon saw the left operand hold without the right one for a
-        full period past the node's transient bound (or back to the origin),
-        which repeats forever: False."""
-        left, right = self._kids[i]
-        grid, period = self._grid, self._period[i]
-        if self._kind[i] is Until:
-            cells = grid.span(c, grid.locate(max(t, self._tbound[i]) + period), closed_b=True)
-            c, end, step = cells.start, cells.stop, 1
-        else:
-            lo = 0 if grid.half else grid.locate(t - period)
-            cells = grid.span(lo, c, closed_a=True)
-            c, end, step = cells.stop - 1, cells.start - 1, -1
-        c = self._first(right, c, end, step, left)
-        # the walk has just looked the right operand up at the cell it stopped in
-        return c != end and self._memo[right, c] and (not c & 1 or self._cell(left, c))
+        return list(map(fits, starts, stops))
 
 
 def _critical_ticks(signal: Signal) -> Tuple[List[int], int]:
@@ -435,6 +434,37 @@ def compare_pointwise(formula: Formula, env, engine_signal: Signal,
     if not lines:
         raise ValueError("agreement needs at least one point")
     return AgreementReport(tuple(lines), agree, len(lines))
+
+
+def compare_cells(formula: Formula, env, engine_signal: Signal) -> AgreementReport:
+    """Compare an engine-computed truth signal with the oracle's table on
+    every grid cell to one grid period past the later of the root's fold
+    start and the engine's transient, which need not be least.  One line per
+    failure; one more item checks that the signal folds like the table: in
+    the session's ticks, grid points for endpoints there, and the grid period
+    for a period of its tail.  Then agreement there is agreement everywhere."""
+    session = PointwiseSession(formula, env)
+    grid, unit, root = session._grid, session.unit, session._root
+    try:
+        s = to_ticks(engine_signal, unit)
+    except ValueError as e:
+        return AgreementReport((f"engine signal off the session's ticks: {e}",), 0, 1)
+    lines, constant = [], s.pattern in (IntervalSet.EMPTY, IntervalSet.span(0, s.period))
+    if grid.period % s.period and not constant:
+        lines.append(f"engine period {Fraction(s.period, unit)} does not divide "
+                     f"the grid's, {Fraction(grid.period, unit)}")
+    n = grid.locate(s.transient + grid.period)
+    n = max(n + (n & 1), len(session._table(root)))
+    lines += [f"engine endpoint {Fraction(e, unit)} is not a grid point"
+              for comp in s.slice(grid.point(0), grid.point(n // 2))
+              for e in (comp.lower, comp.upper) if grid.locate(e) & 1]
+    agree = n + (not lines)
+    for c, o in enumerate(session._read(root, 0, n)):
+        if s.contains(grid.rep(c)) != o:
+            agree -= 1
+            lines.append(f"cell {c} t={Fraction(grid.rep(c), unit)} engine={int(not o)} "
+                         f"oracle={int(o)}")
+    return AgreementReport(tuple(lines), agree, n + 1)
 
 
 def agreement_check(formula: Formula, env, samples: int = 50,

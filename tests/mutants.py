@@ -55,10 +55,18 @@ MUTANTS = (
             "[qtl+c2-bound]",)),
     Mutant("the oracle grid one shift layer short", "oracle.py",
            "        pad = depth * unit\n", "        pad = max(depth - 1, 0) * unit\n",
+           ("tests/test_oracle.py::test_pointwise_count_on_two_thirds_grid",
+            "tests/test_oracle.py::test_engine_and_oracle_agree_on_every_cell")),
+    Mutant("C<n>'s point-count threshold off by one in the oracle", "oracle.py",
+           ">= need for a, b in zip(starts, stops)]", ">= need + 1 for a, b in zip(starts, stops)]",
            ("tests/test_oracle.py::test_pointwise_count_on_two_thirds_grid",)),
-    Mutant("_placeable's cap one cell short", "oracle.py",
-           "min(self._arg[i], len(cells) + 1)", "min(self._arg[i], len(cells))",
-           ("tests/test_oracle.py::test_half_line_origin_is_a_grid_point",)),
+    Mutant("the oracle's half-line fold start one cell early", "oracle.py",
+           "                fold += fold & 1\n", "                fold += (fold & 1) - 1\n",
+           ("tests/test_oracle.py::test_engine_and_oracle_agree_on_every_cell",)),
+    Mutant("a gap stop cell of U answered without the left operand", "oracle.py",
+           "answer = [r and (not c & 1 or x) for", "answer = [r for",
+           ("tests/test_oracle.py::test_pointwise_until_reaches_grid_point",
+            "tests/test_oracle.py::test_sweeps_match_per_cell_references")),
     Mutant("no refusal of a formula deeper than the session's", "oracle.py",
            "if f is not self.formula and (d := metrics(f)[0]) > self.depth:", "if False:",
            ("tests/test_oracle.py::test_a_session_refuses_a_formula_deeper_than_its_own",)),

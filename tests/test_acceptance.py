@@ -22,7 +22,7 @@ from qtlab.lab import (
     parse_logic,
     trivialization_report,
 )
-from qtlab.oracle import compare_pointwise, critical_points, sample_points
+from qtlab.oracle import compare_cells, compare_pointwise, critical_points, sample_points
 from qtlab.semantics import (
     Env,
     count_unit,
@@ -133,7 +133,7 @@ def test_criterion_4_triviality_on_unit_grids():
                    for e in report.entries), report.render()
 
 
-@_verdict(5, "engine vs pointwise oracle: 1000 randomized trials, full agreement")
+@_verdict(5, "engine vs pointwise oracle: 1000 randomized trials, full agreement, every cell")
 def test_criterion_5_oracle_equivalence():
     rng = random.Random(718_281)
     agreements = 0
@@ -149,6 +149,8 @@ def test_criterion_5_oracle_equivalence():
         assert len(pts) >= 50 and set(crit) <= set(pts)
         report = compare_pointwise(f, env, sig, pts)
         assert report.passed, f"trial {trial}:\n{report.render()}"
+        cells = compare_cells(f, env, sig)
+        assert cells.passed, f"trial {trial}:\n{cells.render()}"
         agreements += report.agreements
         total += report.total
     assert total >= 50_000 and agreements == total

@@ -1,6 +1,8 @@
-"""Oracle checks: the session's grid cells and structural bounds, run
-placement, pointwise queries, engine agreement."""
+"""Oracle checks: the session's grid cells and structural bounds, the
+tables' sweeps against per-cell references, pointwise queries, engine
+agreement at points and on every cell."""
 
+import functools
 import itertools
 import math
 import random
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from qtlab.formulas import (
     And,
+    Atom,
     Count,
     DiamondFuture,
     DiamondPast,
@@ -21,7 +24,8 @@ from qtlab.formulas import (
     Not,
     Or,
     Pnueli,
-    TrueConst,
+    Since,
+    Until,
     metrics,
     parse_formula,
 )
@@ -31,10 +35,10 @@ from qtlab.oracle import (
     AgreementReport,
     PointwiseSession,
     agreement_check,
+    compare_cells,
     compare_pointwise,
     critical_points,
     sample_points,
-    _Grid,
     _tick,
 )
 from qtlab.semantics import Env, evaluate
@@ -67,6 +71,24 @@ def ticks(session, t):
     return int(n)
 
 
+def span(lo, hi, closed_a=False, closed_b=False):
+    """The cells of a nonempty window that starts in cell lo and ends in
+    cell hi: an end cell that is a point is dropped unless closed."""
+    return range(lo + (lo % 2 == 0 and not closed_a), hi + (hi % 2 == 1 or closed_b))
+
+
+def window_cells(session, c, back):
+    """The reference window of cell c: the cells of the open unit window
+    after (before) its representative, cut at the origin on the half line."""
+    grid, u = session._grid, session.unit
+    t = grid.rep(c)
+    if not back:
+        return span(c, grid.locate(t + u))
+    if grid.half and t < u:
+        return span(0, c, closed_a=True)
+    return span(grid.locate(t - u), c)
+
+
 def cell_probes(grid, c):
     """The cell's point, or three times spread over its open gap, in ticks."""
     if c % 2 == 0:
@@ -86,7 +108,7 @@ def test_signals_are_constant_on_their_regions(rng, domain):
     lo = F(0) if domain is HALF else -hi
     session = PointwiseSession(parse_formula("P & Q"), env)
     grid, lo, hi = session._grid, ticks(session, lo), ticks(session, hi)
-    cells = grid.span(grid.locate(lo), grid.locate(hi), True, True)
+    cells = span(grid.locate(lo), grid.locate(hi), True, True)
     assert cells[0] == grid.locate(lo) and cells[-1] == grid.locate(hi)
     for c in cells:
         probes = cell_probes(grid, c)
@@ -95,12 +117,14 @@ def test_signals_are_constant_on_their_regions(rng, domain):
 
 
 def test_span_lists_the_cells_of_a_window():
-    session = PointwiseSession(parse_formula("P"), Env(LINE, {"P": grid_line(2)}))
+    """The reference span on the grid of the multiples of 1/2, and the
+    session's unit windows, found by bisection, against it."""
+    session = PointwiseSession(parse_formula("F1 P | O1 P"), Env(LINE, {"P": grid_line(2)}))
     grid, u = session._grid, session.unit
     assert u == 4
 
     def window(a, b, closed_a=False, closed_b=False):
-        return list(grid.span(grid.locate(a * u), grid.locate(b * u), closed_a, closed_b))
+        return list(span(grid.locate(a * u), grid.locate(b * u), closed_a, closed_b))
 
     # grid points k/2: point 0 is cell 0, the gap (0, 1/2) cell 1, and so on
     assert window(F(0), F(1), True, True) == [0, 1, 2, 3, 4]
@@ -108,6 +132,11 @@ def test_span_lists_the_cells_of_a_window():
     assert window(F(0), F(1)) == [1, 2, 3]
     assert window(F(1, 8), F(3, 8), True, True) == [1]  # inside one gap
     assert window(F(-1, 2), F(0), True) == [-2, -1]
+    # a table holds one grid period, cells 0 and 1: (0, 1), (1/4, 5/4), (-1, 0), (-3/4, 1/4)
+    ahead, behind = (list(map(range, *session._windows(back, 2))) for back in (False, True))
+    assert [list(w) for w in ahead] == [window(F(0), F(1)), window(F(1, 4), F(5, 4))]
+    assert [list(w) for w in behind] == [window(F(-1), F(0)), window(F(-3, 4), F(1, 4))]
+    assert behind[1] == range(-3, 2)
 
 
 def test_grid_covers_only_the_formulas_atoms():
@@ -224,27 +253,23 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
                 for closed_b in (False, True):
                     expected = [c for c, at_a, at_b in meeting
                                 if (closed_a or not at_a) and (closed_b or not at_b)]
-                    got = grid.span(grid.locate(a), grid.locate(b), closed_a, closed_b)
+                    got = span(grid.locate(a), grid.locate(b), closed_a, closed_b)
                     assert list(got) == expected, (a, b)
 
 
 def test_the_oracle_stays_in_ints(monkeypatch):
     """Sessions compute in ticks alone: after comparing random formulas on
     both domains, every grid point, tail offset, start and period, every
-    node's period and transient bound and every cell rep is an int."""
-    sessions, reps = [], []
-    init, rep = PointwiseSession.__init__, _Grid.rep
+    node's bound, the representative of every cell of every table and every
+    end of every window is an int."""
+    sessions = []
+    init = PointwiseSession.__init__
 
     def spy(self, *args):
         init(self, *args)
         sessions.append(self)
 
-    def spy_rep(self, c):
-        reps.append(rep(self, c))
-        return reps[-1]
-
     monkeypatch.setattr(PointwiseSession, "__init__", spy)
-    monkeypatch.setattr(_Grid, "rep", spy_rep)
     rng = random.Random(43)
     for domain in (LINE, HALF):
         for _ in range(15):
@@ -255,12 +280,18 @@ def test_the_oracle_stays_in_ints(monkeypatch):
             points = sample_points(sig, count=20, seed=rng.randint(0, 10 ** 6))
             assert compare_pointwise(f, env, sig, points).passed
     assert len(sessions) == 30
-    assert len(reps) > 100
-    assert all(type(x) is int for x in reps)
+    cells = windows = 0
     for s in sessions:
         g = s._grid
-        numbers = g.prefix + g.tail + [g.start, g.period] + s._period + s._tbound
+        numbers = g.prefix + g.tail + [g.start, g.period] + s._bound
+        for table in s._memo.values():
+            numbers += [g.rep(c) for c in range(len(table))]
+            cells += len(table)
+        for starts, stops in s._wins.values():
+            numbers += starts + stops
+            windows += len(starts)
         assert all(type(x) is int for x in numbers), s.formula
+    assert cells > 100 and windows > 100
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,21 +413,22 @@ def test_pointwise_pnueli_matches_hand_count():
 
 
 def test_session_memo_is_consistent(monkeypatch):
-    """Repeated queries agree, and two times in one open cell are one
-    evaluation of the formula's node: a query is its cell's answer."""
+    """Repeated queries agree, and two times in one open cell read one entry
+    of the formula's table, which is filled once: a query is its cell's
+    answer."""
     env = Env(HALF, {"P": thm2_signal()})
     f = parse_formula("C2(P) U !P")
     session = PointwiseSession(f, env)
     a = session.eval(f, F(1, 3))
     b = session.eval(f, F(1, 3))
     assert a == b == oracle_at(f, env, F(1, 3))
-    asked, at = [], PointwiseSession._at
+    filled, fill = [], PointwiseSession._fill
 
-    def counting(self, i, *args):
-        asked.append(i)
-        return at(self, i, *args)
+    def counting(self, i, n):
+        filled.append(i)
+        return fill(self, i, n)
 
-    monkeypatch.setattr(PointwiseSession, "_at", counting)
+    monkeypatch.setattr(PointwiseSession, "_fill", counting)
     session = PointwiseSession(f, env)
     grid, u = session._grid, session.unit
     lo, hi = F(grid.point(1), u), F(grid.point(2), u)
@@ -406,7 +438,7 @@ def test_session_memo_is_consistent(monkeypatch):
     truth = evaluate(f, env)
     for t in times:
         assert session.eval(f, t) == truth.contains(t), t
-    assert asked.count(session._root) == 1
+    assert sorted(filled) == list(range(len(session._kind)))  # each node once
 
 
 @settings(max_examples=30, deadline=None)
@@ -425,8 +457,8 @@ def test_a_shared_session_answers_like_fresh_ones(rng, domain):
 @settings(max_examples=30, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
 def test_one_operand_under_every_window_modality(rng, domain):
-    """F1, C<n>, Pn<k> and O1 of one operand share its node and its memo
-    entries.  Each distinct subformula is exactly one node, every windowed
+    """F1, C<n>, Pn<k> and O1 of one operand share its node and its table.
+    Each distinct subformula is exactly one node, every windowed
     subformula asked of the one session answers like the engine, and the
     session answers like fresh ones."""
     g = random_formula(rng, modal_budget=1, size=3)
@@ -471,63 +503,74 @@ def test_a_session_hashes_no_formula_per_query(monkeypatch):
         assert len(hashes) <= 2 * nodes, count
 
 
-def _lookups_and_memo(monkeypatch, text, env, samples):
+def _fills_and_reads(monkeypatch, text, env, samples):
     """Check the formula against the engine at `samples` points through one
-    session: its operand lookups and its memo entries."""
+    session, recording every table fill (node id) and every read of a
+    node's cells (node id, first cell, end)."""
     f = parse_formula(text)
     sig = evaluate(f, env)
-    sessions, lookups = [], []
-    cell = PointwiseSession._cell
+    sessions, fills, reads = [], [], []
+    fill, read = PointwiseSession._fill, PointwiseSession._read
 
-    def counting(self, i, c):
+    def counting_fill(self, i, n):
         sessions.append(self)
-        lookups.append(1)
-        return cell(self, i, c)
+        fills.append(i)
+        return fill(self, i, n)
 
-    monkeypatch.setattr(PointwiseSession, "_cell", counting)
+    def counting_read(self, k, lo, hi):
+        reads.append((k, lo, hi))
+        return read(self, k, lo, hi)
+
+    monkeypatch.setattr(PointwiseSession, "_fill", counting_fill)
+    monkeypatch.setattr(PointwiseSession, "_read", counting_read)
     assert compare_pointwise(f, env, sig, sample_points(sig, samples)).passed
     assert len(set(map(id, sessions))) == 1
-    return len(lookups), len(sessions[0]._memo)
+    session = sessions[0]
+    # each node's table once, each operand read once per fill; a query indexes
+    # the root's table, reading no range of cells
+    assert sorted(fills) == list(range(len(session._kind)))
+    assert len(reads) == sum(map(len, session._kids))
+    assert session._root not in [k for k, _, _ in reads]
+    return session, reads
 
 
 @pytest.mark.parametrize("domain", [LINE, HALF])
 def test_until_since_scans_are_memoized(monkeypatch, domain):
-    """The until under the since never holds, so its guarded walks run to
-    their horizons and the since's run back a period or to the origin.  Each
-    cell a walk passes keeps a skip pointer, keyed by the walk's operand and
-    guard, to where the walk stopped, and a later walk jumps along it, so
-    operand lookups stay within a small multiple of the memo entries."""
+    """The until under the since never holds, so a walk per query would run
+    to the node's horizon, and the since's back a period or to the origin.
+    Each table is instead filled once, by one sweep that reads each operand
+    once, and a query reads one entry of the root's table."""
     rng = random.Random(5)
     env = Env(domain, {"P": irregular_signal(rng, 8, domain),
                        "Q": irregular_signal(rng, 8, domain)})
-    lookups, entries = _lookups_and_memo(monkeypatch, "true S (true U (P & !P))", env, 60)
-    assert lookups <= 2 * entries
+    _fills_and_reads(monkeypatch, "true S (true U (P & !P))", env, 60)
 
 
 @pytest.mark.parametrize("text", ["O1 Pn1(Pn2(true | P, Q & false))", "C2(O1 C3(F1 P))",
                                   "C2(O1 C3(F1 (Q & false)))"])
 def test_window_lookups_are_amortized(monkeypatch, text):
-    """24 grid points per unit, so every unit window spans 49 cells.  The
-    inner run and the innermost count never hold, and every outer window
-    asks them at each of its cells.  Rescanning those inner windows would
-    cost a factor of the window size; the skip pointers keep operand lookups
-    within a small multiple of the memo entries."""
+    """24 grid points per unit, so every unit window spans 49 cells while a
+    table holds one grid period of 2.  The inner run and the innermost count
+    never hold.  A window node reads each operand once, over its own cells
+    widened by one window, not once per window: its fill is linear in its
+    cells plus one window, where rescanning every window would multiply."""
     env = Env(LINE, {"P": grid_line(24), "Q": grid_line(24)})
-    lookups, entries = _lookups_and_memo(monkeypatch, text, env, 100)
-    assert lookups <= 2 * entries
+    session, reads = _fills_and_reads(monkeypatch, text, env, 100)
+    widest = max(b - a for starts, stops in session._wins.values() for a, b in zip(starts, stops))
+    assert widest == 49 and session._cycle == 2
+    assert all(hi - lo <= session._cycle + widest for _, lo, hi in reads)
 
 
-class _TableSession(PointwiseSession):
-    """A session whose node i holds in cell c exactly when table[i, c]; it
-    records every evaluation, that is every memo miss."""
-
-    def __init__(self, table):
-        super().__init__(TrueConst(), Env(LINE, {}))
-        self.table, self.asked = table, []
-
-    def _at(self, i, c):
-        self.asked.append((i, c))
-        return self.table[i, c]
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_300_queries_fill_each_table_once(monkeypatch, domain):
+    """300 queries through one session fill each node's table exactly once,
+    every modality among them."""
+    rng = random.Random(3)
+    env = Env(domain, {"P": irregular_signal(rng, 8, domain),
+                       "Q": irregular_signal(rng, 8, domain)})
+    text = "F1 (P U O1 Q) & C2(P S Pn2(Q, !P))"
+    session, _ = _fills_and_reads(monkeypatch, text, env, 300)
+    assert set(session._kind) >= {DiamondFuture, DiamondPast, Count, Pnueli, Until, Since}
 
 
 def _count_by_scan(holds, need, cells):
@@ -542,31 +585,86 @@ def _count_by_scan(holds, need, cells):
     return False
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_skip_pointers_match_a_linear_scan(rng):
-    """Random truth tables over negative and positive cells, and interleaved
-    queries in both directions whose windows start and end at different
-    cells, plain walks, walks guarded by the other node and count windows
-    (a run of `need` copies of one node) mixed on one session: each lookup
-    answers like a scan of its window."""
-    lo, hi = -12, 12
-    density = [rng.random(), rng.random()]
-    table = {(k, c): rng.random() < density[k] for k in range(2) for c in range(lo, hi + 1)}
-    session = _TableSession(table)
-    for _ in range(40):
-        k, c = rng.randrange(2), rng.randint(lo, hi)
-        if rng.random() < 0.5:
-            step, guard = rng.choice((1, -1)), rng.choice((None, 1 - k))
-            end = rng.randint(c, hi + 1) if step == 1 else rng.randint(lo - 1, c)
-            expected = next((x for x in range(c, end, step)
-                             if table[k, x] or (guard is not None and not table[guard, x])), end)
-            assert session._first(k, c, end, step, guard) == expected, (k, c, end, step, guard)
+def _placements(n, cells, holds):
+    """Every placement of n operands at strictly increasing times of the
+    cells: a nondecreasing choice of cells, no point cell chosen twice."""
+    for pick in itertools.combinations_with_replacement(cells, n):
+        if any(a == b and a % 2 == 0 for a, b in zip(pick, pick[1:])):
+            continue
+        if all(holds(j, c) for j, c in enumerate(pick)):
+            yield pick
+
+
+def _some_placement(n, cells, holds):
+    """Whether some placement of n operands at strictly increasing times of
+    the cells exists: a left to right search over every cell for each
+    operand in turn, memoized on (operand, first cell left)."""
+    @functools.lru_cache(maxsize=None)
+    def place(j, i):
+        return j == n or any(holds(j, cells[k]) and place(j + 1, k + (cells[k] % 2 == 0))
+                             for k in range(i, len(cells)))
+
+    return place(0, 0)
+
+
+def _reference_cell(session, holds, i, c):
+    """Node i's truth in cell c from its operands' truth, holds(node, cell),
+    by the per-cell scans the sweeps replace: the guarded walk for U and S,
+    up to a period past the node's fold start or back a period or to the
+    origin; a linear count for F1, O1 and C<n>; a search over every
+    placement for Pn<k>."""
+    kind, kids = session._kind[i], session._kids[i]
+
+    if kind is Until or kind is Since:
+        left, right = kids
+        if kind is Until:
+            start = c + (c % 2 == 0)
+            cells = range(start, max(start + session._cycle, len(session._table(i))))
         else:
-            need, cells = rng.randint(1, 4), range(c, rng.randint(c, hi + 1))
-            expected = _count_by_scan(lambda x: table[k, x], need, cells)
-            assert session._placeable((k,) * need, cells) == expected, (k, need, cells)
-    assert len(session.asked) == len(set(session.asked))  # each (node, cell) once
+            start = c - (c % 2 == 0)
+            cells = range(start, -1 if session._grid.half else start - session._cycle, -1)
+        for x in cells:
+            if holds(right, x) or not holds(left, x):
+                return holds(right, x) and (x % 2 == 0 or holds(left, x))
+        return False
+    cells = window_cells(session, c, kind is DiamondPast)
+    if kind is Pnueli:
+        return _some_placement(len(kids), cells, lambda j, x: holds(kids[j], x))
+    return _count_by_scan(lambda x: holds(kids[0], x), session._arg[i], cells)
+
+
+MODAL = (Until, Since, DiamondFuture, DiamondPast, Count, Pnueli)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([LINE, HALF]))
+def test_sweeps_match_per_cell_references(seed, domain):
+    """Every modal node's table, filled by its sweep, equals the per-cell
+    reference computed from its operands' tables on every cell of it.  The
+    formulas and signals are drawn from a seeded generator, not from
+    hypothesis's shrinking one, whose draws lean to leaves and tiny signals."""
+    rng = random.Random(seed)
+    f = random_formula(rng, modal_budget=2, size=6)
+    env = Env(domain, {"P": random_signal(rng, domain),
+                       "Q": random_signal(rng, domain)})
+    session = PointwiseSession(f, env)
+
+    @functools.lru_cache(maxsize=None)
+    def holds(k, x):
+        return session._read(k, x, x + 1)[0]
+
+    for i, kind in enumerate(session._kind):
+        if kind in MODAL:
+            table = session._table(i)
+            # the table ends a grid period past the first grid point at or past
+            # the node's bound and the tail's start, cell 0 on the full line
+            grid, fold = session._grid, 0
+            if grid.half:
+                fold = grid.locate(max(grid.start, session._bound[i]))
+                fold += fold % 2
+            assert len(table) == fold + session._cycle
+            for c, got in enumerate(table):
+                assert got == _reference_cell(session, holds, i, c), (f, i, c)
 
 
 @pytest.mark.parametrize("env", [Env(LINE, {"P": grid_line(3)}), Env(HALF, {"P": thm2_signal()})],
@@ -590,32 +688,30 @@ def test_half_line_queries_before_the_origin_raise():
         oracle_at(parse_formula("C2(P)"), env, -1)
 
 
-def _placements(n, cells, holds):
-    """Every placement of n operands at strictly increasing times of the
-    cells: a nondecreasing choice of cells, no point cell chosen twice."""
-    for pick in itertools.combinations_with_replacement(cells, n):
-        if any(a == b and a % 2 == 0 for a, b in zip(pick, pick[1:])):
-            continue
-        if all(holds(j, c) for j, c in enumerate(pick)):
-            yield pick
-
-
 def test_run_placement_matches_the_exhaustive_enumeration():
-    """The session's witness-to-witness placement, on a random table, then
-    on a sub-window of the same table, so the second walk runs along the
-    pointers the first one left."""
+    """Pn<n> over random operand tables.  On the full line every table is a
+    truth that repeats with the grid period, so random ones are set on the
+    atoms' nodes, and each cell of the run's table must answer like every
+    placement over its window's cells.  Points at the quarters of a period of
+    five units: windows of seven or nine cells, tables of forty."""
+    names = "ABCD"
+    sig = Signal(LINE, F(5), IntervalSet([Interval.point(F(k, 4)) for k in range(20)]))
+    env = Env(LINE, {a: sig for a in names})
     rng = random.Random(5)
-    for _ in range(400):
-        n = rng.randint(1, 4)
-        first = rng.randint(-3, 3)
-        cells = range(first, first + rng.randint(0, 7))
-        table = {(j, c): rng.random() < 0.6 for j in range(n) for c in cells}
-        session = _TableSession(table)
-        lo = rng.randint(cells.start, max(cells.start, cells.stop - 1))
-        for window in (cells, range(lo, rng.randint(lo, cells.stop))):
-            expected = next(_placements(n, window, lambda j, c: table[j, c]), None) is not None
-            assert session._placeable(tuple(range(n)), window) == expected, (n, window, table)
-        assert len(session.asked) == len(set(session.asked))  # each (operand, cell) once
+    for _ in range(60):
+        f = Pnueli(tuple(Atom(rng.choice(names)) for _ in range(rng.randint(1, 4))))
+        session = PointwiseSession(f, env)
+        kids = session._kids[session._root]
+        density = rng.random()
+        for k in set(kids):
+            session._memo[k] = [rng.random() < density for _ in range(session._cycle)]
+        table = session._table(session._root)
+        assert len(table) == 40
+        for c, got in enumerate(table):
+            cells = window_cells(session, c, False)
+            assert len(cells) in (7, 9)
+            holds = lambda j, x: session._read(kids[j], x, x + 1)[0]  # noqa: E731
+            assert got == (next(_placements(len(kids), cells, holds), None) is not None), (f, c)
 
 
 @pytest.mark.parametrize("text", ["Pn2(true | P, Q & false)", "Pn3(true | P, true, Q & false)",
@@ -628,10 +724,10 @@ def test_run_placement_on_a_fine_grid(text):
     for t in (F(0), F(1, 7)):
         session = PointwiseSession(f, env)
         grid = session._grid
-        cells = grid.span(grid.locate(t * session.unit), grid.locate((t + 1) * session.unit))
+        cells = span(grid.locate(t * session.unit), grid.locate((t + 1) * session.unit))
         args = [session._compile(a) for a in f.args]
-        expected = next(_placements(len(args), cells,
-                                    lambda j, c: session._cell(args[j], c)), None) is not None
+        holds = lambda j, c: session._read(args[j], c, c + 1)[0]  # noqa: E731
+        expected = next(_placements(len(args), cells, holds), None) is not None
         assert session.eval(f, t) == expected
         assert expected == evaluate(f, env).contains(t)
 
@@ -901,6 +997,65 @@ def test_disagreement_is_reported_not_hidden():
     assert report.render().endswith("agreement 0/2\n")
 
 
+def test_engine_and_oracle_agree_on_every_cell():
+    """Formulas of depth up to 3 on random signals of both domains: the
+    engine's truth folds like the oracle's table and agrees with it on every
+    cell up to a period past the fold start, so everywhere."""
+    rng = random.Random(27)
+    cells = 0
+    for trial in range(200):
+        domain = (LINE, HALF)[trial % 2]
+        f = random_formula(rng, modal_budget=3)
+        env = Env(domain, {"P": random_signal(rng, domain),
+                           "Q": random_signal(rng, domain)})
+        report = compare_cells(f, env, evaluate(f, env))
+        assert report.passed, (trial, f, report.render())
+        cells += report.total - 1
+    assert cells > 10_000
+
+
+def test_compare_cells_reports_each_failure():
+    """F1 P with P at the integers holds off the integers, and each wrong
+    engine signal fails the check it breaks: a cell, an endpoint off the
+    grid, a period that does not divide the grid's (where every cell of the
+    table agrees), an endpoint off the ticks."""
+    env = Env(LINE, {"P": grid_line(1)})
+    f = parse_formula("F1 P")
+    assert compare_cells(f, env, evaluate(f, env)).render() == "agreement 3/3\n"
+    false = Signal.constant(LINE, False)
+    assert compare_cells(f, env, false).render() == (
+        "cell 1 t=1/2 engine=0 oracle=1\nagreement 2/3\n")
+    half = Signal(LINE, F(1), IntervalSet.span(0, F(1, 2)))
+    assert compare_cells(f, env, half).lines == (
+        "engine endpoint 1/2 is not a grid point",
+        "cell 0 t=0 engine=1 oracle=0", "cell 1 t=1/2 engine=0 oracle=1")
+    two = Signal(LINE, F(2), IntervalSet([Interval(0, 1, False, False)]))
+    assert compare_cells(f, env, two).render() == (
+        "engine period 2 does not divide the grid's, 1\nagreement 2/3\n")
+    seventh = Signal(LINE, F(1), IntervalSet.span(0, F(1, 7)))
+    report = compare_cells(f, env, seventh)
+    assert (report.agreements, report.total) == (0, 1)
+    assert report.lines == ("engine signal off the session's ticks: "
+                            "1/7 is not a whole number of ticks at unit 2",)
+
+
+def test_compare_cells_reads_past_a_late_engine_transient():
+    """The engine's transient need not be least: Q below ends at 5/3 and
+    has an empty pattern, but the engine's constant tail starts at 2, past
+    the table's fold start, so the comparison runs a period past 2."""
+    q = Signal(HALF, F(4, 3), IntervalSet.EMPTY, F(7, 4),
+               IntervalSet([Interval(0, F(1, 4), False, False), Interval.point(F(5, 3))]))
+    env = Env(HALF, {"Q": q})
+    f = parse_formula("Q")
+    sig = evaluate(f, env)
+    assert sig.transient == 2
+    session = PointwiseSession(f, env)
+    fold = len(session._table(session._root)) - session._cycle
+    assert session._grid.point(fold // 2) < 2 * session.unit
+    report = compare_cells(f, env, sig)
+    assert report.passed and report.total - 1 > len(session._table(session._root))
+
+
 def _fresh_import(module, unwanted):
     """A fresh interpreter, given this process's path to qtlab, imports the
     module and exits 3 if that loaded the unwanted module too; any other
@@ -942,14 +1097,14 @@ def test_engine_and_oracle_agree_on_random_input(rng, domain):
 
 
 def assert_bounds_sound(session, g, env):
-    """The engine's truth of g repeats with the oracle's period from the
-    oracle's transient bound on, both read back from ticks to time units.
+    """The engine's truth of g repeats with the grid period from the node's
+    bound on, both read back from ticks to time units.
     Checked over one period of the truth past both the bound and the truth's
     own transient, at every point where either side of contains(t) ==
     contains(t + p) can change, and between them."""
     sig = evaluate(g, env)
     node = session._compile(g)
-    p, tb = (F(x, session.unit) for x in (session._period[node], session._tbound[node]))
+    p, tb = (F(x, session.unit) for x in (session._grid.period, session._bound[node]))
     hi = max(tb, sig.transient) + sig.period
     cuts = sorted({tb, hi} | {c for comp in sig.slice(tb, hi + p)
                               for e in (comp.lower, comp.upper)
@@ -961,7 +1116,7 @@ def assert_bounds_sound(session, g, env):
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
 def test_structural_bounds_are_sound(rng, domain):
-    """The horizons of the oracle's scans rest on these bounds."""
+    """The tables' fold starts rest on these bounds."""
     f = random_formula(rng, modal_budget=2, size=6)
     env = Env(domain, {"P": random_signal(rng, domain),
                        "Q": random_signal(rng, domain)})
