@@ -25,7 +25,7 @@ from .lab import (
     parse_logic,
     trivialization_report,
 )
-from .oracle import agreement_check
+from .oracle import agreement_check, compare_cells
 from .semantics import Env, EvalError, evaluate
 from .signals import (
     MAX_UNROLL,
@@ -93,7 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="engine vs pointwise-oracle agreement report")
     p.add_argument("--formula", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--samples", type=int, default=50)
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--samples", type=int, default=50)
+    how.add_argument("--cells", action="store_true",
+                     help="compare on every grid cell; the agreement counts one more "
+                          "item, that the engine signal folds like the grid")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -185,8 +189,11 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error(f"--samples must be at most {MAX_UNROLL}")
         env = _load_env(parser, args.model, [])
         formula = parse_formula(args.formula)
-        report = agreement_check(formula, env, samples=args.samples,
-                                 seed=args.seed)
+        if args.cells:
+            report = compare_cells(formula, env, evaluate(formula, env))
+            sys.stdout.write(f"cells {report.total - 1}\n")
+        else:
+            report = agreement_check(formula, env, samples=args.samples, seed=args.seed)
         sys.stdout.write(report.render())
         return 0 if report.passed else 1
 

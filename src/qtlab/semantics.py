@@ -19,9 +19,18 @@ Kernels read a larger frame or window alike, so a modal layer
   run <a, b> of positive length makes ``x U y`` hold on [a, min(b, sup)),
   sup = sup(y at or below b), and ``x S y`` on (max(a, inf), b], inf =
   inf(y at or above a).
-* ``Pn<k>`` is decided exactly at its critical points (operand endpoints and
-  their shifts by one) and one midpoint per gap between them, each decision
-  placing witnesses greedily by bisection over precomputed components.
+* ``Pn<k>`` places its witnesses greedily, each at the infimum of its operand
+  strictly above the one before.  An unattained infimum still leaves the
+  open interval above it for the next witness, so by density the greedy
+  placement succeeds exactly when some placement does: at t exactly when
+  G(t) < t+1, for the completion G = N_k o ... o N_1 with N_j(b) = max(b, l_i),
+  <l_i, u_i> the first component of operand j with u_i > b (none: G is past
+  every witness).  On each [u_{i-1}, u_i) N_j is the constant l_i below l_i
+  and the identity from l_i on.  N_j maps a constant to a constant and the
+  identity on [a, b) to N_j's own pieces there, so G is a list of constant
+  and identity pieces; each N_j is monotone, so G's values never decrease
+  along it and composing with N_j is one forward merge.  G(t) < t+1 holds
+  on every identity piece, and on a constant piece c exactly for t > c-1.
 
 ``MODALITIES`` names every modality once, keyed by its formula class: its
 public operator, its kernel with parameters read off the node, and the
@@ -62,7 +71,7 @@ from .formulas import (
     children,
     metrics,
 )
-from .intervals import Interval, IntervalSet, RationalLike, _unchecked
+from .intervals import Interval, IntervalSet, _unchecked
 from .signals import (
     DomainError,
     Frame,
@@ -146,43 +155,47 @@ def diamond_unit_past(x: Signal) -> Signal:
 
 def pnueli_kernel(frame: Frame, cuts: Sequence[IntervalSet]) -> tuple:
     """Strictly increasing witnesses in (t, t+1), one per cut; each cut
-    holds frame.window(unit).
-
-    Decision per point: place the witnesses left to right, each at the
-    infimum of its operand strictly above the previous one.  An unattained
-    infimum still leaves the open interval above it for the next witness,
-    density providing room for strictly increasing placements, so the
-    greedy placement succeeds exactly when some placement does.
-    """
-    one, hi = frame.unit, frame.transient + frame.period
-    comps = [cut.components for cut in cuts]
-    uppers = [[c.upper for c in cs] for cs in comps]
-
-    def decide(t: RationalLike) -> bool:
-        b = t
-        for cs, ups in zip(comps, uppers):
-            i = bisect_right(ups, b)  # first component with points above b
-            if i == len(cs):
-                return False
-            b = max(cs[i].lower, b)
-            if b >= t + one:
-                return False
-        return True
-
-    ends = {e for cs in comps for c in cs for e in (c.lower, c.upper)}
-    crit = sorted({e for e in ends | {e - one for e in ends} if 0 <= e <= hi} | {0, hi})
-    pieces: list[Interval] = []
-    for c, nxt in zip(crit, crit[1:] + [None]):
-        if decide(c):
-            pieces.append(_unchecked(c, c, True, True))
-        if nxt is None:
+    holds frame.window(unit).  The greedy completion G is composed over
+    [0, transient + period) as pieces (a, b, c), G = c on [a, b) or the
+    identity where c is None, and read off piece by piece (module docstring)."""
+    one = frame.unit
+    pieces = [(0, frame.transient + frame.period, None)]
+    for cut in cuts:  # G := N o G, one forward merge over the cut's components
+        comps, out, i = cut.components, [], 0
+        n = len(comps)
+        for a, b, c in pieces:
+            while a < b:
+                x = a if c is None else c
+                while i < n and comps[i].upper <= x:
+                    i += 1
+                if i == n:  # no witness above G from here on
+                    break
+                lo, up, _, _ = comps[i]
+                if c is not None:
+                    e, v = b, lo if lo > c else c
+                elif a < lo:
+                    e, v = lo if lo < b else b, lo
+                else:
+                    e, v = up if up < b else b, None
+                if out and out[-1][2] == v:
+                    a = out.pop()[0]
+                out.append((a, e, v))
+                a = e
+            if i == n:  # G only grows, so neither on any later piece
+                break
+        pieces = out
+    runs: list[Interval] = []
+    for a, b, c in pieces:  # true where G(t) < t + one
+        if c is None or (c := c - one) < a:
+            closed = True
+        elif c < b:
+            a, closed = c, False
+        else:
             continue
-        # the gap's midpoint decides it; in ticks every critical point is
-        # even (see signals.tick_unit), so the midpoint is an int there
-        s = c + nxt
-        if decide(s // 2 if s % 2 == 0 else s / 2):
-            pieces.append(_unchecked(c, nxt, False, False))
-    return IntervalSet(pieces), frame.transient
+        if closed and runs and runs[-1].upper == a:
+            a, closed = runs[-1].lower, runs.pop().lower_closed
+        runs.append(_unchecked(a, b, closed, False))
+    return IntervalSet._wrap(tuple(runs)), frame.transient
 
 
 def pnueli_unit(operands: Sequence[Signal]) -> Signal:

@@ -93,6 +93,27 @@ def irregular_signal(rng: random.Random, n: int, domain: TimeDomain,
     return Signal(domain, Fraction(n, 5), components(n), Fraction(n // 2, 5), components(n // 2))
 
 
+def sparse_signal(rng: random.Random, n: int, domain: TimeDomain) -> Signal:
+    """Points and intervals of width 1/30 starting 1/3 to 3/2 apart, period
+    n, so a unit window holds 0-3 of their lower ends; on the half line a
+    prefix of the same shape fills [0, n // 2)."""
+
+    def components(span: int) -> IntervalSet:
+        comps, at = [], random_fraction(rng, 0, 1, 30)
+        while at + Fraction(1, 30) < span:
+            if rng.random() < 0.7:
+                comps.append(Interval.point(at))
+            else:
+                comps.append(Interval(at, at + Fraction(1, 30), rng.random() < 0.5,
+                                      rng.random() < 0.5))
+            at += random_fraction(rng, Fraction(1, 3), Fraction(3, 2), 30)
+        return IntervalSet(comps)
+
+    if domain is TimeDomain.FULL_LINE:
+        return Signal(domain, Fraction(n), components(n))
+    return Signal(domain, Fraction(n), components(n), Fraction(n // 2), components(n // 2))
+
+
 # ------------------------------------------------------------------- formulas
 
 from qtlab.formulas import (  # noqa: E402

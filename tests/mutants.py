@@ -4,11 +4,11 @@ A mutant is one exact text replacement in one file of ``src/qtlab``, applied
 to a copy of ``src/`` in a temporary directory, and the test node ids that
 are expected to kill it.  Only those tests run, in one pytest subprocess per
 mutant, with the copy first on the import path.  A mutant is killed when
-its tests fail (pytest exit code 1).  Before any mutant runs, every target
-text must occur exactly once, so that a refactor cannot turn a mutant into
-a no-op, and the killing tests must pass on an unmutated copy, so that a
-kill means the mutation.  A survivor, a missing target, a collection error
-or an unknown node id fails the run.
+its tests fail (pytest exit code 1) or hang past ``TIMEOUT`` seconds.
+Before any mutant runs, every target text must occur exactly once, so that
+a refactor cannot turn a mutant into a no-op, and the killing tests must
+pass on an unmutated copy, so that a kill means the mutation.  A survivor,
+a missing target, a collection error or an unknown node id fails the run.
 
     python tests/mutants.py
 
@@ -70,7 +70,23 @@ MUTANTS = (
     Mutant("no refusal of a formula deeper than the session's", "oracle.py",
            "if f is not self.formula and (d := metrics(f)[0]) > self.depth:", "if False:",
            ("tests/test_oracle.py::test_a_session_refuses_a_formula_deeper_than_its_own",)),
+    Mutant("Pn<k> true past G - 1 tick, not G - one unit, on a constant piece", "semantics.py",
+           "(c := c - one)", "(c := c - 1)",
+           ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
+            "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
+    Mutant("Pn<k>'s run on a constant piece closed at G - one", "semantics.py",
+           "a, closed = c, False", "a, closed = c, True",
+           ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
+            "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
+    # the sweep then never leaves a component ending where G is: it hangs
+    Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
+           "comps[i].upper <= x", "comps[i].upper < x",
+           ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",)),
 )
+
+# Every mutant's killers end in a few seconds, pass or fail; a run past this
+# many seconds is a hang, which the killers would never pass: a kill.
+TIMEOUT = 20
 
 
 def _copy_src(into: Path, mutant: Optional[Mutant] = None) -> Path:
@@ -82,13 +98,17 @@ def _copy_src(into: Path, mutant: Optional[Mutant] = None) -> Path:
     return src
 
 
-def _pytest(src: Path, node_ids: Iterable[str], cwd: Path) -> int:
-    """pytest's exit code on the node ids, importing qtlab from src only."""
+def _pytest(src: Path, node_ids: Iterable[str], cwd: Path) -> Optional[int]:
+    """pytest's exit code on the node ids, importing qtlab from src only, or
+    None past TIMEOUT seconds."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
             *(str(ROOT / n) for n in node_ids)]
-    return subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -109,9 +129,10 @@ def main() -> int:
             began = time.perf_counter()
             here = Path(tmp, f"mutant{k}")
             code = _pytest(_copy_src(here, m), m.killers, here)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            verdict = {0: "SURVIVED", 1: "killed", None: "killed (hung)"}.get(
+                code, f"ERROR (pytest exit {code})")
             print(f"{verdict:>24}  {m.name}  ({time.perf_counter() - began:.1f} s)", flush=True)
-            if code != 1:
+            if code not in (1, None):
                 bad.append(m.name)
     print(f"{len(MUTANTS) - len(bad)}/{len(MUTANTS)} mutants killed in "
           f"{time.perf_counter() - start:.1f} s")

@@ -11,7 +11,15 @@ import qtlab.cli
 from qtlab.cli import main
 from qtlab.formulas import MAX_NESTING
 from qtlab.intervals import Interval, IntervalSet
-from qtlab.signals import MAX_UNROLL, Signal, TimeDomain, equal, format_signal, parse_signal
+from qtlab.signals import (
+    MAX_UNROLL,
+    Signal,
+    TimeDomain,
+    combine,
+    equal,
+    format_signal,
+    parse_signal,
+)
 
 
 def invoke(argv):
@@ -155,6 +163,34 @@ ORACLE_CHECK_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("formula, model, cells", [
+    ("C2(P) U P", "thm2", 16),
+    ("C2(P) U P", "thm3:5", 40),
+    ("O1 Pn2(P, !P) | C2(O1 C3(F1 P))", "thm3:5", 76),
+    ("O1 Pn2(P, !P) | C2(O1 C3(F1 P))", "mk:3", 2),
+])
+def test_oracle_check_on_every_cell(formula, model, cells, capsys):
+    """--cells prints the cell count and agrees on every cell and on the
+    fold item, the same output each run."""
+    argv = ["oracle-check", "--cells", "--formula", formula, "--model", model]
+    assert invoke(argv) == 0
+    out = capsys.readouterr().out
+    assert out == f"cells {cells}\nagreement {cells + 1}/{cells + 1}\n"
+    assert invoke(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_oracle_check_on_every_cell_exits_one_on_a_disagreement(monkeypatch, capsys):
+    """An engine signal that is wrong on every cell gets one line per cell
+    and exit 1; its endpoints still fold like the grid."""
+    evaluate = qtlab.cli.evaluate
+    monkeypatch.setattr(qtlab.cli, "evaluate", lambda f, env: combine("not", evaluate(f, env)))
+    assert invoke(["oracle-check", "--cells", "--formula", "C2(P) U P", "--model", "thm2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "cells 16" and lines[-1] == "agreement 1/17"
+    assert len(lines) == 18 and all(line.startswith("cell ") for line in lines[1:-1])
+
+
 @pytest.mark.parametrize("formula, model", list(ORACLE_CHECK_DIGESTS))
 def test_oracle_check_output_golden(formula, model, capsys):
     """The agreement report stays byte-stable: its sample points, their
@@ -178,6 +214,8 @@ def test_oracle_check_output_golden(formula, model, capsys):
      "--samples", "0"],                                       # nothing to compare
     ["oracle-check", "--formula", "P", "--model", "mk:2",
      "--samples", "-3"],
+    ["oracle-check", "--formula", "P", "--model", "mk:2",
+     "--samples", "5", "--cells"],                            # sample or every cell
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert invoke(argv) == 2

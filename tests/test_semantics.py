@@ -1,6 +1,7 @@
 """Engine checks: frozen operator examples, then algebraic laws on random input."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +46,7 @@ from qtlab.signals import (
     DomainError,
     Signal,
     TimeDomain,
+    _apply,
     _frame,
     align_many,
     combine,
@@ -54,7 +56,7 @@ from qtlab.signals import (
     to_ticks,
 )
 
-from gen import irregular_signal, random_formula, random_signal
+from gen import irregular_signal, random_formula, random_signal, sparse_signal
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -150,6 +152,17 @@ def test_pnueli_alternation_fits_in_the_window():
 def test_pnueli_three_grid_points_never_fit():
     p = grid_line(2)
     assert equal(pnueli_unit([p, p, p]), const(LINE, False))
+
+
+def test_unary_run_opens_after_a_point_at_the_origin():
+    """Pn1 of {0} u [1, 11/8) with transient 9/5 and an empty tail holds on
+    (0, 11/8): at t = 0 the window (0, 1) misses both parts.  In ticks the
+    constant piece G = 1 on [0, 1) is true past G - one unit, not G - 1 tick,
+    and open there."""
+    x = Signal(HALF, F(1), IntervalSet.EMPTY, F(9, 5), parse_interval_list("[0,0],[1,11/8)"))
+    want = Signal(HALF, F(1), IntervalSet.EMPTY, F(11, 8), parse_interval_list("(0,11/8)"))
+    assert evaluate(Pnueli((Atom("X"),)), Env(HALF, {"X": x})) == want
+    assert pnueli_unit([x]) == want
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -371,6 +384,73 @@ def test_kernels_read_a_larger_frame_over_its_reach(seed, domain, in_ticks):
     assert signal(count_kernel(frame, [cx], 1, False)) == diamond_unit_past(x)
     assert signal(count_kernel(frame, [cx], 2, True)) == count_unit(x, 2)
     assert signal(pnueli_kernel(frame, [cx, cy])) == pnueli_unit([x, y])
+
+
+def _pnueli_by_bisection(frame: Frame, cuts) -> tuple:
+    """The reference for pnueli_kernel's sweep: the truth decided at every
+    critical point (operand endpoints and their shifts by one) and at one
+    midpoint per gap between them, each decision placing the witnesses
+    greedily by bisection over the components."""
+    one, hi = frame.unit, frame.transient + frame.period
+    comps = [cut.components for cut in cuts]
+    uppers = [[c.upper for c in cs] for cs in comps]
+
+    def decide(t) -> bool:
+        b = t
+        for cs, ups in zip(comps, uppers):
+            i = bisect_right(ups, b)  # first component with points above b
+            if i == len(cs):
+                return False
+            b = max(cs[i].lower, b)
+            if b >= t + one:
+                return False
+        return True
+
+    ends = {e for cs in comps for c in cs for e in (c.lower, c.upper)}
+    crit = sorted({e for e in ends | {e - one for e in ends} if 0 <= e <= hi} | {0, hi})
+    pieces = []
+    for c, nxt in zip(crit, crit[1:] + [None]):
+        if decide(c):
+            pieces.append(Interval(c, c))
+        if nxt is None:
+            continue
+        # in ticks every critical point is even (see signals.tick_unit), so
+        # the midpoint is an int there
+        s = c + nxt
+        if decide(s // 2 if s % 2 == 0 else s / 2):
+            pieces.append(Interval(c, nxt, False, False))
+    return IntervalSet(pieces), frame.transient
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), DOMAINS, st.booleans())
+def test_run_sweep_matches_the_bisection_reference(seed, domain, in_ticks):
+    """1-6 operands with denominators up to 30, framed and canonical."""
+    rng = random.Random(seed)
+    xs = [random_signal(rng, domain, max_den=rng.randint(1, 30))
+          for _ in range(rng.randint(1, 6))]
+    if in_ticks:
+        unit = tick_unit(xs)
+        xs = [to_ticks(x, unit) for x in xs]
+    assert _apply(pnueli_kernel, xs) == _apply(_pnueli_by_bisection, xs)
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_run_sweep_matches_the_reference_on_sparse_signals(domain):
+    """The irregular family makes Pn2 true everywhere, so it cannot show a
+    misplaced run end.  Sparse operands put 0-3 components in a unit window,
+    so runs of 1-3 operands start and end about once per component."""
+    rng = random.Random(35 + (domain is HALF))
+    sizes = []
+    for _ in range(12):
+        n = rng.randint(40, 200)
+        xs = [sparse_signal(rng, n, domain) for _ in range(rng.randint(1, 3))]
+        unit = tick_unit(xs)
+        xs = [to_ticks(x, unit) for x in xs]
+        got = _apply(pnueli_kernel, xs)
+        assert got == _apply(_pnueli_by_bisection, xs)
+        sizes.append(len(got.prefix) + len(got.pattern))
+    assert max(sizes) >= 100
 
 
 @pytest.mark.parametrize("op", [until, since, lambda x, y: pnueli_unit([x, y])],
