@@ -3,53 +3,70 @@
 The models bind one atom P to a pure point grid: multiples of 1/k on the whole
 line, or multiples of 2/3 (respectively 2/(2n-1)) on the half line.
 
-Enumeration works by semantic closure: seed with the constants and the atom,
+Enumeration works by semantic closure over one model or a tuple of models
+binding the same atoms: seed with the constants and the atoms in name order,
 close under the boolean connectives, then per nesting level apply the chosen
-logic's modalities to the current representatives and close again.  Two
-formulas with the same truth signal on the dedup environment collapse to the
-first one found, so the emitted list carries exactly one representative per
-distinct truth set.  Each class is a bitmask over atoms, the minimal sets cut
-by P and the modal results, so the boolean closure is integer arithmetic: it
-builds a formula only for a mask not seen yet, and stops once all 2^n unions
-of its n atoms are classes.  A layer over no new class ends the enumeration,
-since every later layer would try nothing.  Requests past ``MAX_CANDIDATES``
-modal candidates in a layer or ``MAX_ATOMS`` atoms raise LabError instead.
-The enumeration scales P to integer ticks once (see ``qtlab.signals``) and
-runs every modality on ints.  Reports read masks alone: the atoms
-are nonempty, disjoint and cover the domain, so a class is TRUE, FALSE, P or
+logic's modalities to the current representatives and close again.  A
+formula's tuple is its truth signal on each model; formulas with the same
+tuple collapse to the first one found, so the emitted list carries exactly
+one representative per tuple.  Each atom belongs to one model: there, the
+minimal sets cut by the bound atoms and the modal results.  A class is a
+bitmask over every model's atoms, which already is the tuple, and the
+connectives act on each model's bits alone, so the boolean closure is
+integer arithmetic: it builds a formula only for a mask not seen yet, and
+stops once a pass adds no class, or all 2^n unions of its n atoms are
+classes.  Requests past ``MAX_CANDIDATES`` modal candidates in a layer or
+``MAX_ATOMS`` atoms raise LabError instead.  Each model's atoms are scaled
+once to ticks of its own unit (see ``qtlab.signals``), so every modality
+runs on ints.  Reports read masks alone: on one model the atoms are
+nonempty, disjoint and cover the domain, so a class is TRUE, FALSE, P or
 NOT_P when its mask is, in that precedence order, ``full``, 0, P's mask or
 ``full & ~P``.  Disjoint atoms have disjoint tails, each nonempty exactly
 when its pattern is, so eventually the same holds after ANDing every mask
-with ``tails``, the bits of the atoms with a nonempty pattern.  Everything
-is deterministic: no randomness, fixed iteration orders, append-only
-representative list.
+with ``tails``, the bits of the atoms with a nonempty pattern.  All is
+deterministic: fixed iteration orders, an append-only representative list.
+
+The fixpoint (depth None) is exact at every depth.  Proof: a compound
+formula's tuple depends only on its arguments' tuples, so the set S_d of the
+tuples of formulas up to depth d gives S_{d+1} = G(S_d), where G adds each
+modality's tuples on arguments from S_d and closes under the connectives.
+Layer d + 1 computes G(S_d), since a representative stands for every
+formula with its tuple and tuples over older classes only were tried by an
+earlier layer.  A layer that admits no class shows S_{d+1} = S_d; then
+S_{d+2} = G(S_{d+1}) = S_{d+1}, and by induction S_e = S_d for all e >= d.
+Every formula has a finite depth, so a tuple outside S_d is defined by no
+formula of the logic on these models.  The next layer tries no tuple and
+ends the enumeration; ``EnumerationResult.layers`` is d.
 
 A modal layer distributes over atoms, each node through its row of
 ``qtlab.semantics.MODALITIES``.  The right operand of U and S, the operand
 of F1 and O1 and every argument of Pn<k> ask for one witness point, so each
 distributes over ``|``: ``x U (y | z) = x U y | x U z``.  The layer runs
-these positions on the layer-start atoms, calls each kernel once per
-(operator, argument handles), refines once per distinct new set, and keys a
-tuple by the union of its calls' masks, 0 when a class there has mask 0
-(``x U false``, ``F1 false``, ``Pn(.., false, ..)``).  The row's other
-positions take whole classes: the left operand of U and S, and the operand
-of ``C<n>``, n >= 2, which must never be distributed: with P at the
-integers and Q at the half-integers, ``C2(P | Q)`` is (0,1/2) with period
-1/2 while ``C2(P) | C2(Q)`` is empty.  Every argument tuple is
-still admitted, in the same order, with the same formula and class, so the
-first-found representatives, the reports and the ``MAX_CANDIDATES`` refusals
-(it counts tuples, not calls) are unchanged.  The calls cut the same atoms
+these positions on each model's layer-start atoms, calls each kernel once
+per (model, operator, argument handles), refines once per distinct new set,
+and keys a tuple by the union of its calls' masks; a class with no atom on
+a model makes no call there (``x U false``, ``F1 false``,
+``Pn(.., false, ..)`` are empty).  The row's other positions take whole
+classes: the left operand of U and S, and the operand of ``C<n>``, n >= 2,
+which must never be distributed: with P at the integers and Q at the
+half-integers, ``C2(P | Q)`` is (0,1/2) with period 1/2 while
+``C2(P) | C2(Q)`` is empty.  Every argument tuple is still admitted, in the
+same order, with the same formula and class, so the first-found
+representatives, the reports and the ``MAX_CANDIDATES`` refusals (it counts
+tuples, not calls) are unchanged.  On one model the calls cut the same atoms
 as sets: each layer-start atom is a class, so each call is a tuple this
 layer or an earlier one admitted, and each whole-class result is a union of
-calls.
+calls.  On several, one model's atom is no tuple, so a call may split atoms
+no tuple needs: that costs atoms, never exactness.
 
-One frame per layer.  A layer cuts each start atom once over the reach of
-their frame (``qtlab.signals.Frame``), and a class's cut is the union of
-its atoms' cuts.  Two sets that repeat in the frame are equal exactly when
-their cuts over its reach are, so a layer names a set by its cut: each call
-runs a kernel on the cuts and frames its truth set at the kernel's t_bound,
-each framed set is sliced once, and a cut no class or earlier result has is
-refined once: ``refine`` intersects cuts and canonicalizes only split parts.
+One frame per model and layer.  A layer cuts each start atom once over the
+reach of its model's frame (``qtlab.signals.Frame``), and a class's cut on a
+model is the union of its atoms' cuts there.  Two sets that repeat in the
+frame are equal exactly when their cuts over its reach are, so a layer names
+a set by its model and cut: each call runs a kernel on the cuts and frames
+its truth set at the kernel's t_bound, each framed set is sliced once, and a
+cut no class or earlier result has is refined once: ``refine`` intersects
+cuts and canonicalizes only split parts.
 """
 
 from __future__ import annotations
@@ -59,7 +76,7 @@ import re
 from fractions import Fraction
 from functools import partial, reduce
 from operator import or_
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .formulas import (
     And,
@@ -192,37 +209,47 @@ class EnumerationResult(NamedTuple):
 
     formulas: Tuple[Formula, ...]
     masks: Tuple[int, ...]
-    atoms: Tuple[Signal, ...]  # disjoint, nonempty, canonical, in ticks; cover the domain
-    p_mask: int  # the class of P
+    atoms: Tuple[Signal, ...]  # per model: disjoint, nonempty, canonical, in ticks, cover it
+    p_mask: int  # the class of P, 0 when no model binds P
     truncated: bool = False  # an enumeration closes or raises LabError
+    owners: Tuple[int, ...] = ()  # the model of each atom
+    layers: int = 0  # modal layers run before one admitted no class, at most the depth
 
 
 class _Enumeration:
-    """Classes as bitmasks over atoms: the minimal nonempty sets cut so far
-    by P and the modal results, kept as disjoint canonical signals in ticks
-    covering the domain, and as their cuts over the window of one frame.
-    Only a modal result that is a new set splits the atoms it cuts, and every
-    mask holding a split atom gains the new atom's bit."""
+    """Classes as bitmasks over atoms: per model, the minimal nonempty sets cut
+    so far by the bound atoms and the modal results, kept as disjoint canonical
+    signals in its ticks covering its domain, and as their cuts over the window
+    of its frame.  Only a modal result that is a new set splits the atoms it
+    cuts, and every mask holding a split atom gains the new atom's bit."""
 
-    def __init__(self, env: Env, logic: Logic):
+    def __init__(self, envs: Sequence[Env], logic: Logic):
+        self.names = sorted(envs[0].bindings) if envs else []
+        for m, env in enumerate(envs):
+            if (names := sorted(env.bindings)) != self.names:
+                raise LabError(f"model {m} binds atoms {names}, model 0 binds {self.names}: "
+                               "every model must bind the same atoms")
+        if not self.names:
+            raise LabError("no model binds an atom")
         self.logic = logic
-        p = env.signal("P")
-        self.unit = tick_unit([p])
-        self.p = to_ticks(p, self.unit).canonicalize()
+        units = [tick_unit(env.bindings.values()) for env in envs]
+        self.bound = [[to_ticks(env.bindings[n], u).canonicalize() for n in self.names]
+                      for env, u in zip(envs, units)]
         self.reps: List[Formula] = []
         self.masks: List[int] = []
         self.seen: Dict[int, int] = {}  # mask -> class index
-        self.atoms: List[Signal] = [Signal.constant(env.domain, True, self.unit)]
+        self.atoms = [Signal.constant(env.domain, True, u) for env, u in zip(envs, units)]
+        self.owner = list(range(len(envs)))  # the model of each atom
         self.pending: List[int] = []  # the modal layer's masks, one per slot
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
-        self.recut([self.p])
+        self.recut(self.bound)
 
-    def recut(self, signals: List[Signal]) -> None:
-        """Cut every atom over the reach of the frame of signals."""
-        self.frame = Frame.of(signals)
-        self.window = self.frame.reach()
-        self.cuts = [a.slice(*self.window) for a in self.atoms]
+    def recut(self, signals: Sequence[Sequence[Signal]]) -> None:
+        """Cut every atom over the reach of its model m's frame of signals[m]."""
+        self.frames = [Frame.of(s) for s in signals]
+        self.windows = [frame.reach() for frame in self.frames]
+        self.cuts = [a.slice(*self.windows[m]) for a, m in zip(self.atoms, self.owner)]
 
     def admit(self, formula: Formula, key: int) -> None:
         if key not in self.seen:
@@ -232,16 +259,16 @@ class _Enumeration:
             if self.next_upto is not None:
                 self.logic.guard(len(self.reps), self.next_upto)
 
-    def admit_signal(self, formula: Formula, sig: Signal) -> int:
-        key = self.refine(sig.slice(*self.window))
+    def admit_signal(self, formula: Formula, sigs: Sequence[Signal]) -> int:
+        key = reduce(or_, (self.refine(m, s.slice(*self.windows[m])) for m, s in enumerate(sigs)))
         self.admit(formula, key)
         return self.seen[key]
 
-    def refine(self, cut: IntervalSet) -> int:
-        """The mask of the set cut shows over the window, after splitting every
-        atom it cuts; the set and the atoms repeat from frame.settled()."""
-        key, frame, settled = 0, self.frame, self.frame.settled()
-        for k in range(len(self.cuts)):
+    def refine(self, m: int, cut: IntervalSet) -> int:
+        """The mask of the set cut shows over model m's window, after splitting
+        every atom of m it cuts; both repeat from m's frame.settled()."""
+        key, frame, settled = 0, self.frames[m], self.frames[m].settled()
+        for k in [j for j, o in enumerate(self.owner) if o == m]:
             atom = self.cuts[k]
             inside = atom.intersection(cut)
             if not inside:
@@ -256,10 +283,11 @@ class _Enumeration:
             self.atoms[k], new_atom = (_frame(frame, settled, part).canonicalize()
                                        for part in (inside, outside))
             self.atoms.append(new_atom)
+            self.owner.append(m)
             bit, new = 1 << k, 1 << (len(self.atoms) - 1)
             for masks in (self.masks, self.pending):
-                masks[:] = [m | new if m & bit else m for m in masks]
-            self.seen = {m: i for i, m in enumerate(self.masks)}
+                masks[:] = [x | new if x & bit else x for x in masks]
+            self.seen = {x: i for i, x in enumerate(self.masks)}
         return key
 
     def boolean_closure(self, old: int) -> None:
@@ -296,31 +324,36 @@ class _Enumeration:
     def modal_layer(self, upto: int) -> None:
         """Apply every modality to the argument tuples over the current
         classes whose largest index is at or above upto, distributive
-        positions on atoms, at one frame (module docstring)."""
-        self.recut(self.atoms)
-        reps, frame, atoms = self.reps, self.frame, tuple(self.cuts)
-        base = len(reps)
-        bits = [[k for k in range(len(atoms)) if m >> k & 1] for m in self.masks]
-        args = [IntervalSet(c for k in ks for c in atoms[k]) for ks in bits]
-        # slot i < base is class i; a set is named by its cut over the window
-        self.pending, slots, memo = list(self.masks), {}, {}
-        keyed = {cut: i for i, cut in enumerate(args)}
+        positions on atoms, at one frame per model (module docstring)."""
+        models = range(len(self.frames))
+        owned = [[k for k, o in enumerate(self.owner) if o == m] for m in models]
+        self.recut([[self.atoms[k] for k in ks] for ks in owned])
+        reps, atoms, base = self.reps, tuple(self.cuts), len(self.reps)
+        # per model: each class's atoms there, and its cut, the union of theirs
+        bits = [[[k for k in ks if mask >> k & 1] for mask in self.masks] for ks in owned]
+        args = [[IntervalSet(c for k in b for c in atoms[k]) for b in bm] for bm in bits]
+        # slot m * base + i is class i on model m; a set is named by model and cut
+        self.pending = [sum(mask & 1 << k for k in ks) for ks in owned for mask in self.masks]
+        keyed = {(m, cut): m * base + i for m in models for i, cut in enumerate(args[m])}
+        slots, memo = {}, {}
 
-        def slot(node: Formula, row: Modality, make: Callable, hs: Tuple[int, ...]) -> int:
-            """The pending index of node's kernel on the classes and atoms
-            hs name; every node make builds runs the same kernel."""
-            if (make, hs) not in memo:
-                truth, t_bound = row.kernel(node, frame, [args[h] if k in row.whole else atoms[h]
+        def slot(m: int, node: Formula, row: Modality, make: Callable, hs: Tuple[int, ...]) -> int:
+            """The pending index of node's kernel on model m's classes and
+            atoms hs name; every node make builds runs the same kernel."""
+            key = m, make, hs
+            if (got := memo.get(key)) is None:
+                frame = self.frames[m]
+                truth, t_bound = row.kernel(node, frame, [args[m][h] if k in row.whole else atoms[h]
                                                           for k, h in enumerate(hs)])
                 sig = _frame(frame, t_bound, truth)
-                if sig not in slots:
-                    cut = sig.slice(*self.window)
-                    if cut not in keyed:
-                        keyed[cut] = len(self.pending)
-                        self.pending.append(self.refine(cut))
-                    slots[sig] = keyed[cut]
-                memo[make, hs] = slots[sig]
-            return memo[make, hs]
+                if (m, sig) not in slots:
+                    cut = sig.slice(*self.windows[m])
+                    if (m, cut) not in keyed:
+                        keyed[m, cut] = len(self.pending)
+                        self.pending.append(self.refine(m, cut))
+                    slots[m, sig] = keyed[m, cut]
+                got = memo[key] = slots[m, sig]
+            return got
 
         for width, makers in self.logic.families():
             for idxs in itertools.product(range(base), repeat=width):
@@ -328,38 +361,45 @@ class _Enumeration:
                     for make in makers:
                         node = make(*(reps[i] for i in idxs))
                         row = MODALITIES[type(node)]
-                        choices = [(i,) if k in row.whole else bits[i] for k, i in enumerate(idxs)]
                         # every call before the union: a later call's refine
                         # may split atoms the union already holds
-                        got = [slot(node, row, make, hs) for hs in itertools.product(*choices)]
+                        got = [slot(m, node, row, make, hs) for m in models
+                               for hs in itertools.product(*[(i,) if k in row.whole else bits[m][i]
+                                                             for k, i in enumerate(idxs)])]
                         self.admit(node, reduce(or_, (self.pending[g] for g in got), 0))
 
 
-def enumerate_formulas(logic: Logic, depth: int, dedup_env: Env) -> EnumerationResult:
-    """Semantic representatives of all formulas over atom P up to the given
-    modal nesting depth, deduplicated by truth signal on dedup_env, with
-    their classes there as masks over atoms."""
-    if depth < 0:
+def enumerate_formulas(logic: Logic, depth: Optional[int],
+                       dedup_env: Union[Env, Sequence[Env]]) -> EnumerationResult:
+    """Semantic representatives of all formulas over the bound atoms up to the
+    given modal nesting depth, or to the fixpoint when it is None, one per tuple
+    of truth signals on dedup_env, an Env or a sequence; classes as masks."""
+    if depth is not None and depth < 0:
         raise LabError("depth must be nonnegative")
-    state = _Enumeration(dedup_env, logic)
+    envs = [dedup_env] if isinstance(dedup_env, Env) else list(dedup_env)
+    state = _Enumeration(envs, logic)
     # a layer tries only the tuples that reach past the previous layer's
     # base; the size guard watches the next layer while classes arrive
-    state.next_upto = 0 if depth else None
+    state.next_upto = None if depth == 0 else 0
     for formula, value in ((TrueConst(), True), (FalseConst(), False)):
-        state.admit_signal(formula, Signal.constant(dedup_env.domain, value, state.unit))
-    p_class = state.admit_signal(Atom("P"), state.p)
+        state.admit_signal(formula, [Signal.constant(b[0].domain, value, b[0].unit)
+                                     for b in state.bound])
+    seeds = {n: state.admit_signal(Atom(n), s) for n, s in zip(state.names, zip(*state.bound))}
     state.boolean_closure(0)
-    for layer in range(1, depth + 1):
+    grown = 0  # layers that admitted a class
+    for layer in itertools.count(1) if depth is None else range(1, depth + 1):
         upto, base = state.next_upto, len(state.reps)
-        state.next_upto = base if layer < depth else None
+        state.next_upto = base if layer != depth else None
         state.modal_layer(upto)
         state.boolean_closure(base)
         if upto == base:
             # the layer before admitted no class, so this one tried no
             # tuple: a fixpoint, and every later layer would try none
             break
+        grown += len(state.reps) > base
     return EnumerationResult(tuple(state.reps), tuple(state.masks), tuple(state.atoms),
-                             state.masks[p_class])
+                             state.masks[seeds["P"]] if "P" in seeds else 0, False,
+                             tuple(state.owner), grown)
 
 
 # ------------------------------------------------------------------ reports

@@ -48,6 +48,18 @@ MUTANTS = (
     Mutant("refine drops the outside part of a split atom", "lab.py",
            "for part in (inside, outside))", "for part in (inside, inside))",
            ("tests/test_lab.py::test_atoms_stay_a_canonical_partition[tl-mk:2]",)),
+    Mutant("the slot memo keyed without its model", "lab.py",
+           "key = m, make, hs", "key = make, hs",
+           ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
+            "[mk:3+mk:4-qtl+c2-C3(P)-4]",)),
+    Mutant("the fixpoint loop stopping one layer early", "lab.py",
+           "if upto == base:", "if upto <= base:",
+           ("tests/test_lab.py::test_a_closure_over_two_layers_stops_at_its_fixpoint",)),
+    Mutant("refine splitting an atom of another model", "lab.py",
+           "for k in [j for j, o in enumerate(self.owner) if o == m]:",
+           "for k in range(len(self.cuts)):",
+           ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
+            "[mk:2+mk:3-qtl+c1-C2(P)-4]",)),
     Mutant("the Count row with whole=()", "semantics.py",
            "lambda f, *a: count_kernel(*a, f.n, True), (0,)),",
            "lambda f, *a: count_kernel(*a, f.n, True), ()),",

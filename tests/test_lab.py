@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 from fractions import Fraction as F
 from functools import reduce
 
@@ -502,12 +503,15 @@ PUBLIC_OPERATORS = {
 
 def undistributed_modal_layer(self, upto):
     """The reference layer: every public operator runs on whole class
-    signals, each a fold of combine over its atoms, one call per argument
-    tuple, and each result is admitted by its signal."""
-    self.recut(self.atoms)
-    empty = Signal.constant(self.p.domain, False, self.unit)
-    args = [reduce(lambda x, y: combine("or", x, y),
-                   (a for k, a in enumerate(self.atoms) if mask >> k & 1), empty)
+    signals, on each model a fold of combine over the class's atoms there,
+    one call per argument tuple and model, and each result is admitted by
+    its signals."""
+    models = range(len(self.frames))
+    self.recut([[a for a, o in zip(self.atoms, self.owner) if o == m] for m in models])
+    empty = [Signal.constant(b[0].domain, False, b[0].unit) for b in self.bound]
+    args = [[reduce(lambda x, y: combine("or", x, y),
+                    (a for k, a in enumerate(self.atoms) if mask >> k & 1 and self.owner[k] == m),
+                    empty[m]) for m in models]
             for mask in self.masks]
     reps, base = self.reps, len(self.reps)
     for width, makers in self.logic.families():
@@ -515,8 +519,8 @@ def undistributed_modal_layer(self, upto):
             if max(idxs) >= upto:
                 for make in makers:
                     formula = make(*(reps[i] for i in idxs))
-                    self.admit_signal(formula, PUBLIC_OPERATORS[type(formula)](
-                        formula, *(args[i] for i in idxs)))
+                    self.admit_signal(formula, [PUBLIC_OPERATORS[type(formula)](
+                        formula, *(args[i][m] for i in idxs)) for m in models])
 
 
 # a bound model: P at 0 and 1/3, period 2, over the whole line
@@ -524,24 +528,52 @@ BOUND = Env(TimeDomain.FULL_LINE, {"P": Signal(TimeDomain.FULL_LINE, F(2), Inter
     [Interval.point(F(0)), Interval.point(F(1, 3))]))})
 
 
-@pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3", "bound"])
+def alt(k):
+    """P at 0 and Q at 1/k, both with period 2/k, over the whole line."""
+    return Env(TimeDomain.FULL_LINE, {
+        name: Signal(TimeDomain.FULL_LINE, F(2, k), IntervalSet([Interval.point(at)]))
+        for name, at in (("P", F(0)), ("Q", F(1, k)))})
+
+
+def models(spec):
+    """The models of a spec: builtin ones, "bound" and "alt<k>", joined by +."""
+    return [BOUND if one == "bound" else alt(int(one[3:])) if one.startswith("alt")
+            else builtin_model(one) for one in spec.split("+")]
+
+
+def tuples(enum):
+    """Every class of an enumeration as its tuple of public truth signals,
+    one per model."""
+    def on(mask, m):
+        first = next(a for a, o in zip(enum.atoms, enum.owners) if o == m)
+        empty = Signal.constant(first.domain, False, first.unit)
+        return from_ticks(reduce(lambda x, y: combine("or", x, y),
+                                 (a for k, a in enumerate(enum.atoms)
+                                  if mask >> k & 1 and enum.owners[k] == m), empty))
+
+    return [tuple(on(mask, m) for m in range(max(enum.owners) + 1)) for mask in enum.masks]
+
+
+@pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3", "bound", "mk:2+mk:3",
+                                  "alt3+alt4"])
 @pytest.mark.parametrize("logic", ["tl", "qtl", "qtl+p2", "qtl+p3", "qtl+c2", "qtl+c3",
                                    "qtl+c2+p2"])
 def test_the_distributed_layer_matches_the_undistributed_reference(monkeypatch, logic, spec):
     """Running distributive positions on atoms gives the reference layer's
-    representatives, classes (masks read as sets of atom signals) and
-    reports, in both modes, or the same LabError (qtl+p3 on thm3:3 needs
+    representatives, classes (masks read as sets of atoms with their models)
+    and reports, in both modes, or the same LabError (qtl+p3 on thm3:3 needs
     more than 12 atoms).  On the bound model some class is a union no single
     atom covers, so a whole-class position that were run on atoms would
-    show."""
-    env = BOUND if spec == "bound" else builtin_model(spec)
+    show; a pair of models runs each kernel per model."""
+    envs = models(spec)
 
     def outcome():
         try:
-            enum = enumerate_formulas(parse_logic(logic), 2, env)
+            enum = enumerate_formulas(parse_logic(logic), 2, envs)
         except LabError as err:
             return str(err)
-        classes = [frozenset(a for k, a in enumerate(enum.atoms) if mask >> k & 1)
+        classes = [frozenset((enum.owners[k], a) for k, a in enumerate(enum.atoms)
+                             if mask >> k & 1)
                    for mask in enum.masks + (enum.p_mask,)]
         reports = [trivialization_report(enum, ev).render() for ev in (False, True)]
         return enum.formulas, classes, reports
@@ -549,6 +581,73 @@ def test_the_distributed_layer_matches_the_undistributed_reference(monkeypatch, 
     got = outcome()
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", undistributed_modal_layer)
     assert got == outcome()
+
+
+# (models, logic, target, tuples): the target is !P on the first model and
+# true on the second; the C<k> rows are the paper's separations on the line
+PAIR_CLOSURES = [(f"mk:{k}+mk:{k + 1}", logic, f"C{k}(P)", 4)
+                 for k in range(2, 8) for logic in (f"qtl+c{k - 1}", f"qtl+c{k - 1}+p{k - 1}")]
+PAIR_CLOSURES.append(("alt3+alt4", "qtl", "Pn2(P, Q)", 16))
+
+
+@pytest.mark.parametrize("spec, logic, target, count", PAIR_CLOSURES)
+def test_a_pair_closes_at_its_fixpoint_without_the_target(monkeypatch, spec, logic, target,
+                                                          count):
+    """Closed to its fixpoint over a pair of models, the logic realizes
+    count tuples of truth signals, and the target's tuple (!P, true) is not
+    one of them, although each model alone has both classes: no formula of
+    the logic defines the target on the pair.  Each model's projection is
+    that model's own closure, and the undistributed reference layer closes
+    at the same tuples."""
+    envs, logic = models(spec), parse_logic(logic)
+    got = tuples(enumerate_formulas(logic, None, envs))
+    assert len(got) == len(set(got)) == count
+    want = tuple(evaluate(parse_formula(f), env) for f, env in zip(("!P", "true"), envs))
+    assert tuple(evaluate(parse_formula(target), env) for env in envs) == want
+    assert want not in got
+    for m, env in enumerate(envs):
+        alone = {one for one, in tuples(enumerate_formulas(logic, None, env))}
+        assert {t[m] for t in got} == alone and want[m] in alone
+    monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", undistributed_modal_layer)
+    assert set(tuples(enumerate_formulas(logic, None, envs))) == set(got)
+
+
+def test_a_closure_over_two_layers_stops_at_its_fixpoint():
+    """With P at the multiples of 3/2, qtl admits classes in two modal
+    layers and none in the third: run to its fixpoint, the enumeration
+    stops there at 64 classes, and every depth from 2 on gives it again."""
+    env = Env(TimeDomain.FULL_LINE, {"P": Signal(TimeDomain.FULL_LINE, F(3, 2), IntervalSet(
+        [Interval.point(F(0))]))})
+    closed = enumerate_formulas(parse_logic("qtl"), None, env)
+    assert (len(closed.masks), closed.layers) == (64, 2)
+    shallow = enumerate_formulas(parse_logic("qtl"), 1, env)
+    assert shallow.layers == 1 and len(shallow.masks) < 64
+    for depth in (2, 3, 9):
+        assert enumerate_formulas(parse_logic("qtl"), depth, env) == closed
+
+
+def test_a_pair_past_the_guard_is_refused_at_once():
+    """Over (alt 2, alt 3) qtl's classes would put a modal layer past the
+    size guard: the closure refuses it within a second, before that layer
+    runs, rather than run for minutes."""
+    start = time.perf_counter()
+    with pytest.raises(LabError, match="a modal layer would try at least 10240 candidates"):
+        enumerate_formulas(parse_logic("qtl"), None, models("alt2+alt3"))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("envs, message", [
+    ([], "no model binds an atom"),
+    ([builtin_model("mk:2"), alt(3)],
+     "model 1 binds atoms ['P', 'Q'], model 0 binds ['P']: every model must bind the same atoms"),
+    ([alt(3), Env(TimeDomain.FULL_LINE, {})],
+     "model 1 binds atoms [], model 0 binds ['P', 'Q']: every model must bind the same atoms"),
+    ([Env(TimeDomain.HALF_LINE, {})], "no model binds an atom"),
+])
+def test_the_models_must_bind_the_same_atoms(envs, message):
+    with pytest.raises(LabError) as err:
+        enumerate_formulas(parse_logic("qtl"), None, envs)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("spec", ["mk:2", "mk:3", "thm2", "thm3:3"])
@@ -655,9 +754,9 @@ def test_each_new_set_is_refined_once(monkeypatch):
     cuts = []
     refine = qtlab.lab._Enumeration.refine
 
-    def counted(self, cut):
-        cuts.append((self.window, cut))
-        return refine(self, cut)
+    def counted(self, m, cut):
+        cuts.append((m, self.windows[m], cut))
+        return refine(self, m, cut)
 
     monkeypatch.setattr(qtlab.lab._Enumeration, "refine", counted)
     kernel_calls = _log_kernel_calls(monkeypatch)
