@@ -25,7 +25,7 @@ from .lab import (
     parse_logic,
     trivialization_report,
 )
-from .oracle import agreement_check, compare_cells
+from .oracle import compare_cells, compare_pointwise, sample_points
 from .semantics import Env, EvalError, evaluate
 from .signals import (
     MAX_UNROLL,
@@ -189,11 +189,13 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error(f"--samples must be at most {MAX_UNROLL}")
         env = _load_env(parser, args.model, [])
         formula = parse_formula(args.formula)
+        sig = evaluate(formula, env)
         if args.cells:
-            report = compare_cells(formula, env, evaluate(formula, env))
+            report = compare_cells(formula, env, sig)
             sys.stdout.write(f"cells {report.total - 1}\n")
         else:
-            report = agreement_check(formula, env, samples=args.samples, seed=args.seed)
+            report = compare_pointwise(formula, env, sig,
+                                       sample_points(sig, args.samples, args.seed))
         sys.stdout.write(report.render())
         return 0 if report.passed else 1
 

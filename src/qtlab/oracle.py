@@ -4,9 +4,9 @@ The engine (qtlab.semantics) computes whole truth signals with per-operator
 window constructions.  This module answers single membership queries "does
 the formula hold at time t" from per-cell truth tables instead, so the two
 routes share nothing but the exact set and slicing primitives and the signal
-layer's tick scale.  The table route never calls the engine; only the
-agreement harness at the bottom runs it once per check, as the comparison
-target.
+layer's tick scale.  Nothing in this module calls the engine: each harness
+at the bottom compares a truth signal that its caller computed with the
+engine.
 
 Like the engine, a session scales its formula's atoms once to integer ticks
 (``tick_unit`` and ``to_ticks`` from qtlab.signals), so its grid, windows and
@@ -103,8 +103,7 @@ from .formulas import (
     metrics,
 )
 from .intervals import IntervalSet, format_rational, rat
-from .signals import (MAX_UNROLL, DomainError, Signal, TimeDomain, _lcm, check_unroll,
-                      tick_unit, to_ticks)
+from .signals import DomainError, Signal, TimeDomain, _lcm, check_unroll, tick_unit, to_ticks
 
 
 def _tick(t: Fraction, unit: int) -> int:
@@ -466,23 +465,3 @@ def compare_cells(formula: Formula, env, engine_signal: Signal) -> AgreementRepo
                          f"oracle={int(o)}")
     return AgreementReport(tuple(lines), agree, n + 1)
 
-
-def agreement_check(formula: Formula, env, samples: int = 50,
-                    seed: int = 0) -> AgreementReport:
-    """Run the engine once, then replay `samples` membership queries through
-    the oracle route and report every comparison.
-
-    The engine import sits here at the comparison boundary on purpose: the
-    oracle route above never touches it, so the two answers stay independent.
-    Fewer than one sample is refused: a verdict over no points is no pass.
-    So is more than MAX_UNROLL, which would run for hours.
-    """
-    if samples < 1:
-        raise ValueError(f"agreement needs at least one sample, not {samples}")
-    if samples > MAX_UNROLL:
-        raise ValueError(f"agreement takes at most {MAX_UNROLL} samples, not {samples}")
-    from .semantics import evaluate
-
-    engine_signal = evaluate(formula, env)
-    points = sample_points(engine_signal, samples, seed)
-    return compare_pointwise(formula, env, engine_signal, points)

@@ -283,11 +283,12 @@ MODALITIES: Dict[type, Modality] = {
 
 def evaluate(f: Formula, env: Env) -> Signal:
     """The canonical truth signal of a formula under an environment, computed
-    in integer ticks at the scale of the formula's atoms alone."""
+    in integer ticks at the scale of the formula's atoms alone.  Each atom is
+    scaled and canonicalized once, however often it occurs."""
     used = metrics(f)[1] & env.bindings.keys()
     unit = tick_unit(env.bindings[name] for name in used)
-    ticks = Env(env.domain, {name: to_ticks(env.bindings[name], unit) for name in used})
-    return from_ticks(_evaluate(f, ticks, unit))
+    ticks = {name: to_ticks(env.bindings[name], unit).canonicalize() for name in used}
+    return from_ticks(_evaluate(f, Env(env.domain, ticks), unit))
 
 
 def _evaluate(f: Formula, env: Env, unit: int) -> Signal:
@@ -296,7 +297,7 @@ def _evaluate(f: Formula, env: Env, unit: int) -> Signal:
     if isinstance(f, FalseConst):
         return Signal.constant(env.domain, False, unit)
     if isinstance(f, Atom):
-        return env.signal(f.name).canonicalize()
+        return env.signal(f.name)
     if isinstance(f, Not):
         return combine("not", _evaluate(f.operand, env, unit))
     if isinstance(f, And):

@@ -90,6 +90,9 @@ MUTANTS = (
            "a, closed = c, False", "a, closed = c, True",
            ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
             "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
+    Mutant("evaluate hands atoms over uncanonicalized", "semantics.py",
+           ".canonicalize() for name in used}", " for name in used}",
+           ("tests/test_semantics.py::test_snaps_and_constants_keep_whole_units[P]",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
            "comps[i].upper <= x", "comps[i].upper < x",

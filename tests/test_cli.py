@@ -191,6 +191,17 @@ def test_oracle_check_on_every_cell_exits_one_on_a_disagreement(monkeypatch, cap
     assert len(lines) == 18 and all(line.startswith("cell ") for line in lines[1:-1])
 
 
+def test_oracle_check_on_samples_exits_one_on_a_disagreement(monkeypatch, capsys):
+    """The sampled comparison reads the same engine call as the one on every
+    cell: a wrong engine disagrees at every sample point, and exits 1."""
+    evaluate = qtlab.cli.evaluate
+    monkeypatch.setattr(qtlab.cli, "evaluate", lambda f, env: combine("not", evaluate(f, env)))
+    assert invoke(["oracle-check", "--samples", "20", "--formula", "C2(P) U P",
+                   "--model", "thm2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "agreement 0/20" and len(lines) == 21
+
+
 @pytest.mark.parametrize("formula, model", list(ORACLE_CHECK_DIGESTS))
 def test_oracle_check_output_golden(formula, model, capsys):
     """The agreement report stays byte-stable: its sample points, their
@@ -228,7 +239,7 @@ def test_sample_counts_past_the_limit_exit_two(monkeypatch, capsys):
     def ran(*args, **kwargs):
         raise AssertionError("the check ran")
 
-    monkeypatch.setattr(qtlab.cli, "agreement_check", ran)
+    monkeypatch.setattr(qtlab.cli, "evaluate", ran)
     assert invoke(["oracle-check", "--formula", "P", "--model", "mk:2",
                    "--samples", str(MAX_UNROLL + 1)]) == 2
     captured = capsys.readouterr()

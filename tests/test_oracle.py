@@ -34,7 +34,6 @@ from qtlab.lab import builtin_model
 from qtlab.oracle import (
     AgreementReport,
     PointwiseSession,
-    agreement_check,
     compare_cells,
     compare_pointwise,
     critical_points,
@@ -42,8 +41,7 @@ from qtlab.oracle import (
     _tick,
 )
 from qtlab.semantics import Env, evaluate
-from qtlab.signals import (MAX_UNROLL, DomainError, Signal, SignalError, TimeDomain,
-                           tick_unit, to_ticks)
+from qtlab.signals import DomainError, Signal, SignalError, TimeDomain, tick_unit, to_ticks
 
 from gen import irregular_signal, random_formula, random_fraction, random_signal, tree_nodes
 
@@ -62,6 +60,12 @@ def thm2_signal():
 def oracle_at(f, env, t):
     """One membership query on a fresh session."""
     return PointwiseSession(f, env).eval(f, t)
+
+
+def sampled_agreement(f, env, samples=50, seed=0):
+    """The engine's signal for f, compared with the oracle at its sample points."""
+    sig = evaluate(f, env)
+    return compare_pointwise(f, env, sig, sample_points(sig, samples, seed))
 
 
 def ticks(session, t):
@@ -674,7 +678,7 @@ def test_a_huge_count_places_no_more_copies_than_its_window_has_cells(env):
     open cell, where any number do, so C<n> answers alike for every n past
     that: an oracle that built n copies would not finish."""
     start = time.perf_counter()
-    report = agreement_check(parse_formula("C1000000000(P) | C1000000000(!P)"), env)
+    report = sampled_agreement(parse_formula("C1000000000(P) | C1000000000(!P)"), env)
     assert report.passed, report.render()
     assert time.perf_counter() - start < 5
 
@@ -905,7 +909,7 @@ def test_harness_refuses_a_time_before_the_origin_by_its_value():
 def test_agreement_report_format():
     env = Env(LINE, {"P": grid_line(2)})
     f = parse_formula("F1 P")
-    report = agreement_check(f, env, samples=3, seed=0)
+    report = sampled_agreement(f, env, samples=3)
     assert isinstance(report, AgreementReport)
     assert report.passed and report.total == 3
     text = report.render()
@@ -915,10 +919,11 @@ def test_agreement_report_format():
 
 @pytest.mark.parametrize("samples", [0, -3])
 def test_agreement_needs_a_sample(samples):
-    """A verdict over no points is no pass."""
+    """A verdict over no points is no pass: fewer than one sample draws
+    no point, and the comparison refuses that."""
     env = Env(LINE, {"P": grid_line(2)})
-    with pytest.raises(ValueError, match="at least one sample"):
-        agreement_check(parse_formula("F1 P"), env, samples=samples, seed=0)
+    with pytest.raises(ValueError, match="at least one point"):
+        sampled_agreement(parse_formula("F1 P"), env, samples=samples)
 
 
 @pytest.mark.parametrize("points", [[], iter([])], ids=["list", "iterator"])
@@ -929,19 +934,6 @@ def test_compare_pointwise_needs_a_point(points):
     f = parse_formula("P")
     with pytest.raises(ValueError, match="at least one point"):
         compare_pointwise(f, env, evaluate(f, env), points)
-
-
-def test_agreement_refuses_more_samples_than_the_unroll_limit(monkeypatch):
-    """MAX_UNROLL + 1 samples are refused before the engine runs."""
-    import qtlab.semantics
-
-    def ran(*args):
-        raise AssertionError("the engine ran")
-
-    monkeypatch.setattr(qtlab.semantics, "evaluate", ran)
-    env = Env(LINE, {"P": grid_line(2)})
-    with pytest.raises(ValueError, match=f"at most {MAX_UNROLL} samples"):
-        agreement_check(parse_formula("F1 P"), env, samples=MAX_UNROLL + 1, seed=0)
 
 
 def test_agreement_at_every_critical_point_of_long_window():
@@ -981,7 +973,8 @@ def test_the_oracle_and_the_engine_refuse_atoms_in_ticks():
     tick_env = Env(LINE, {"P": ticks})
     engine = to_ticks(evaluate(f, env), 2)
     for call in (lambda: evaluate(f, tick_env), lambda: PointwiseSession(f, tick_env),
-                 lambda: agreement_check(f, tick_env), lambda: critical_points(ticks),
+                 lambda: compare_cells(f, tick_env, evaluate(f, env)),
+                 lambda: critical_points(ticks),
                  lambda: sample_points(ticks), lambda: compare_pointwise(f, env, engine, [0])):
         with pytest.raises(ValueError, match="already in ticks"):
             call()
@@ -1056,10 +1049,10 @@ def test_compare_cells_reads_past_a_late_engine_transient():
     assert report.passed and report.total - 1 > len(session._table(session._root))
 
 
-def _fresh_import(module, unwanted):
+def _fresh_import(module, unwanted, then=""):
     """A fresh interpreter, given this process's path to qtlab, imports the
-    module and exits 3 if that loaded the unwanted module too; any other
-    failure shows the child's stderr."""
+    module, runs the code `then`, and exits 3 if that loaded the unwanted
+    module too; any other failure shows the child's stderr."""
     import os
     import subprocess
     import sys
@@ -1068,7 +1061,7 @@ def _fresh_import(module, unwanted):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(qtlab.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys; import {module}; sys.exit(3 if {unwanted!r} in sys.modules else 0)"
+    code = f"import sys\nimport {module}\n{then}\nsys.exit(3 if {unwanted!r} in sys.modules else 0)"
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path})
     assert child.returncode != 3, f"importing {module} imported {unwanted}"
@@ -1077,6 +1070,42 @@ def _fresh_import(module, unwanted):
 
 def test_oracle_module_never_imports_the_engine_at_load():
     _fresh_import("qtlab.oracle", "qtlab.semantics")
+
+
+def test_oracle_source_imports_nothing_from_the_engine():
+    """No import statement of qtlab.oracle, at any nesting level, names the
+    engine or the enumerator: a lazy import inside a function would pass the
+    load-time test above and still run the engine."""
+    import ast
+
+    import qtlab.oracle
+
+    with open(qtlab.oracle.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(part for alias in node.names for part in alias.name.split("."))
+    assert not named & {"semantics", "lab"}, sorted(named & {"semantics", "lab"})
+
+
+def test_comparing_a_given_signal_never_loads_the_engine():
+    """Both harnesses and the sample points run on a signal built by hand,
+    the truth of P, with an environment that is not the engine's Env."""
+    _fresh_import("qtlab.oracle", "qtlab.semantics", then="""
+from fractions import Fraction
+from types import SimpleNamespace
+from qtlab.formulas import Atom
+from qtlab.intervals import Interval, IntervalSet
+from qtlab.oracle import compare_cells, compare_pointwise, sample_points
+from qtlab.signals import Signal, TimeDomain
+p = Signal(TimeDomain.FULL_LINE, Fraction(1, 2), IntervalSet([Interval.point(Fraction(0))]))
+env = SimpleNamespace(domain=TimeDomain.FULL_LINE, signal={"P": p}.__getitem__)
+assert compare_pointwise(Atom("P"), env, p, sample_points(p, 20)).passed
+assert compare_cells(Atom("P"), env, p).passed
+""")
 
 
 def test_the_cli_imports_no_dataclasses():
@@ -1092,7 +1121,7 @@ def test_engine_and_oracle_agree_on_random_input(rng, domain):
     f = random_formula(rng, modal_budget=2, size=5)
     env = Env(domain, {"P": random_signal(rng, domain),
                        "Q": random_signal(rng, domain)})
-    report = agreement_check(f, env, samples=20, seed=rng.randint(0, 10 ** 6))
+    report = sampled_agreement(f, env, samples=20, seed=rng.randint(0, 10 ** 6))
     assert report.passed, report.render()
 
 

@@ -19,6 +19,7 @@ from qtlab.formulas import (
     Pnueli,
     Since,
     Until,
+    _MODAL,
     children,
     parse_formula,
 )
@@ -290,6 +291,14 @@ def test_existential_positions_distribute_over_or(rng, domain):
                 def f(s):
                     return row.operator(node, *others[:k], s, *others[k:width - 1])
                 assert equal(f(combine("or", y, z)), combine("or", f(y), f(z))), (node, k)
+
+
+def test_the_modality_table_names_the_formula_layers_modal_classes():
+    """`metrics`, and through it the oracle's grid depth and the closure's
+    depth, count the classes of `formulas._MODAL` as modal; the engine and
+    the enumerator run the rows of `MODALITIES`. A modality added to one
+    and not the other would count at the wrong modal depth."""
+    assert set(MODALITIES) == set(_MODAL) and len(_MODAL) == len(MODALITIES)
 
 
 def test_count_two_does_not_distribute_over_or():
