@@ -20,6 +20,7 @@ from .intervals import IntervalError, TextFormatError, format_interval_list
 from .lab import (
     LabError,
     builtin_model,
+    classify_trivial,
     enumerate_formulas,
     paper_check,
     parse_logic,
@@ -33,7 +34,6 @@ from .signals import (
     Signal,
     SignalError,
     TimeDomain,
-    classify_trivial,
     equal,
     format_signal,
     parse_signal,

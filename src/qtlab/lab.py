@@ -18,13 +18,15 @@ stops once a pass adds no class, or all 2^n unions of its n atoms are
 classes.  Requests past ``MAX_CANDIDATES`` modal candidates in a layer or
 ``MAX_ATOMS`` atoms raise LabError instead.  Each model's atoms are scaled
 once to ticks of its own unit (see ``qtlab.signals``), so every modality
-runs on ints.  Reports read masks alone: on one model the atoms are
-nonempty, disjoint and cover the domain, so a class is TRUE, FALSE, P or
-NOT_P when its mask is, in that precedence order, ``full``, 0, P's mask or
-``full & ~P``.  Disjoint atoms have disjoint tails, each nonempty exactly
-when its pattern is, so eventually the same holds after ANDing every mask
-with ``tails``, the bits of the atoms with a nonempty pattern.  All is
-deterministic: fixed iteration orders, an append-only representative list.
+runs on ints.  A verdict is a ``Triviality``: the first of TRUE, FALSE, P
+and NOT_P, in member order, that a truth signal equals, or NONE.
+``classify_trivial`` compares signals; reports read masks alone: on one
+model the atoms are nonempty, disjoint and cover the domain, so the four
+have the masks ``full``, 0, P's mask and ``full & ~P``, in that order.
+Disjoint atoms have disjoint tails, each nonempty exactly when its pattern
+is, so eventually the same holds after ANDing every mask with ``tails``, the
+bits of the atoms with a nonempty pattern.  All is deterministic: fixed
+iteration orders, an append-only representative list.
 
 The fixpoint (depth None) is exact at every depth.  Proof: a compound
 formula's tuple depends only on its arguments' tuples, so the set S_d of the
@@ -35,8 +37,8 @@ formula with its tuple and tuples over older classes only were tried by an
 earlier layer.  A layer that admits no class shows S_{d+1} = S_d; then
 S_{d+2} = G(S_{d+1}) = S_{d+1}, and by induction S_e = S_d for all e >= d.
 Every formula has a finite depth, so a tuple outside S_d is defined by no
-formula of the logic on these models.  The next layer tries no tuple and
-ends the enumeration; ``EnumerationResult.layers`` is d.
+formula of the logic on these models.  The loop tests this before a layer,
+so it never runs one that tries no tuple; ``EnumerationResult.layers`` is d.
 
 A modal layer distributes over atoms, each node through its row of
 ``qtlab.semantics.MODALITIES``.  The right operand of U and S, the operand
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from enum import Enum
 from fractions import Fraction
 from functools import partial, reduce
 from operator import or_
@@ -102,9 +105,9 @@ from .signals import (
     Frame,
     Signal,
     TimeDomain,
-    Triviality,
     _frame,
-    classify_trivial,
+    _normal_form,
+    combine,
     tick_unit,
     to_ticks,
 )
@@ -381,21 +384,19 @@ def enumerate_formulas(logic: Logic, depth: Optional[int],
     # a layer tries only the tuples that reach past the previous layer's
     # base; the size guard watches the next layer while classes arrive
     state.next_upto = None if depth == 0 else 0
-    for formula, value in ((TrueConst(), True), (FalseConst(), False)):
-        state.admit_signal(formula, [Signal.constant(b[0].domain, value, b[0].unit)
-                                     for b in state.bound])
+    state.admit(TrueConst(), (1 << len(envs)) - 1)  # each model's one atom
+    state.admit(FalseConst(), 0)
     seeds = {n: state.admit_signal(Atom(n), s) for n, s in zip(state.names, zip(*state.bound))}
     state.boolean_closure(0)
     grown = 0  # layers that admitted a class
     for layer in itertools.count(1) if depth is None else range(1, depth + 1):
         upto, base = state.next_upto, len(state.reps)
+        if upto == base:
+            # the layer before admitted no class: the fixpoint (module docstring)
+            break
         state.next_upto = base if layer != depth else None
         state.modal_layer(upto)
         state.boolean_closure(base)
-        if upto == base:
-            # the layer before admitted no class, so this one tried no
-            # tuple: a fixpoint, and every later layer would try none
-            break
         grown += len(state.reps) > base
     return EnumerationResult(tuple(state.reps), tuple(state.masks), tuple(state.atoms),
                              state.masks[seeds["P"]] if "P" in seeds else 0, False,
@@ -403,6 +404,29 @@ def enumerate_formulas(logic: Logic, depth: Optional[int],
 
 
 # ------------------------------------------------------------------ reports
+
+class Triviality(Enum):
+    """The first trivial predicate a truth signal equals, in member order, or NONE."""
+
+    TRUE = "True"
+    FALSE = "False"
+    P = "P"
+    NOT_P = "NotP"
+    NONE = "None"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+def classify_trivial(s: Signal, p_atom: Signal, eventually: bool = False) -> Triviality:
+    """Compare s against each trivial predicate, in Triviality's order."""
+    Frame.of([s, p_atom])
+    got = _normal_form(s, eventually)
+    forms = (Signal.constant(p_atom.domain, True, p_atom.unit),
+             Signal.constant(p_atom.domain, False, p_atom.unit), p_atom, combine("not", p_atom))
+    return next((tag for tag, form in zip(Triviality, forms)
+                 if _normal_form(form, eventually) == got), Triviality.NONE)
+
 
 class ReportEntry(NamedTuple):
     formula: Formula
@@ -429,8 +453,7 @@ def trivialization_report(enum: EnumerationResult, eventually: bool) -> Triviali
     full = (1 << len(enum.atoms)) - 1
     keep = sum(1 << k for k, a in enumerate(enum.atoms) if a.pattern) if eventually else full
     forms: Dict[int, Triviality] = {}
-    for tag, mask in ((Triviality.TRUE, full), (Triviality.FALSE, 0),
-                      (Triviality.P, enum.p_mask), (Triviality.NOT_P, full & ~enum.p_mask)):
+    for tag, mask in zip(Triviality, (full, 0, enum.p_mask, full & ~enum.p_mask)):
         forms.setdefault(mask & keep, tag)
     entries = tuple(ReportEntry(f, forms.get(mask & keep, Triviality.NONE))
                     for f, mask in zip(enum.formulas, enum.masks))

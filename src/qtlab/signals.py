@@ -1,4 +1,4 @@
-"""Eventually periodic subsets of the line and half line.
+"""Eventually periodic subsets of the line and half line: sets, scales and frames.
 
 A Signal denotes the exact set of time points at which a predicate holds.  On
 the full line the set is purely periodic: ``x`` belongs iff ``x mod period`` is
@@ -83,19 +83,6 @@ def check_unroll(count: int, what: str) -> None:
 class TimeDomain(Enum):
     FULL_LINE = "line"
     HALF_LINE = "halfline"
-
-
-class Triviality(Enum):
-    """Outcome of comparing a truth signal with the four trivial predicates."""
-
-    TRUE = "True"
-    FALSE = "False"
-    P = "P"
-    NOT_P = "NotP"
-    NONE = "None"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def _lcm(a: RationalLike, b: RationalLike) -> RationalLike:
@@ -423,18 +410,6 @@ def equal(a: Signal, b: Signal, eventually: bool = False) -> bool:
     """Exact equality of denoted sets; with ``eventually``, equality of tails."""
     Frame.of([a, b])
     return _normal_form(a, eventually) == _normal_form(b, eventually)
-
-
-def classify_trivial(s: Signal, p_atom: Signal, eventually: bool = False) -> Triviality:
-    """Compare s against True, False, P and not P, in that precedence order."""
-    Frame.of([s, p_atom])
-    got = _normal_form(s, eventually)
-    for tag, form in ((Triviality.TRUE, Signal.constant(p_atom.domain, True, p_atom.unit)),
-                      (Triviality.FALSE, Signal.constant(p_atom.domain, False, p_atom.unit)),
-                      (Triviality.P, p_atom), (Triviality.NOT_P, combine("not", p_atom))):
-        if _normal_form(form, eventually) == got:
-            return tag
-    return Triviality.NONE
 
 
 # ------------------------------------------------------------------- ticks

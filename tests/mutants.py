@@ -52,14 +52,18 @@ MUTANTS = (
            "key = m, make, hs", "key = make, hs",
            ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
             "[mk:3+mk:4-qtl+c2-C3(P)-4]",)),
+    # layer 1 runs (upto is 0), then the loop stops as if it had admitted nothing
     Mutant("the fixpoint loop stopping one layer early", "lab.py",
-           "if upto == base:", "if upto <= base:",
+           "if upto == base:", "if upto:",
            ("tests/test_lab.py::test_a_closure_over_two_layers_stops_at_its_fixpoint",)),
     Mutant("refine splitting an atom of another model", "lab.py",
            "for k in [j for j, o in enumerate(self.owner) if o == m]:",
            "for k in range(len(self.cuts)):",
            ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
             "[mk:2+mk:3-qtl+c1-C2(P)-4]",)),
+    Mutant("classify_trivial with the P and not-P forms swapped", "lab.py",
+           'p_atom, combine("not", p_atom))', 'combine("not", p_atom), p_atom)',
+           ("tests/test_lab.py::test_paper_checks_pass[counting:2]",)),
     Mutant("the Count row with whole=()", "semantics.py",
            "lambda f, *a: count_kernel(*a, f.n, True), (0,)),",
            "lambda f, *a: count_kernel(*a, f.n, True), ()),",

@@ -16,6 +16,7 @@ from pathlib import Path
 from qtlab.formulas import Atom, Count, format_formula, parse_formula
 from qtlab.intervals import Interval, IntervalSet
 from qtlab.lab import (
+    Triviality,
     builtin_model,
     enumerate_formulas,
     paper_check,
@@ -35,7 +36,6 @@ from qtlab.semantics import (
 from qtlab.signals import (
     Signal,
     TimeDomain,
-    Triviality,
     combine,
     equal,
     format_signal,

@@ -25,11 +25,14 @@ from qtlab.formulas import (
     parse_formula,
 )
 from qtlab.intervals import Interval, IntervalSet
+from qtlab.oracle import compare_cells
 from qtlab.lab import (
     EnumerationResult,
     LabError,
     Logic,
+    Triviality,
     builtin_model,
+    classify_trivial,
     enumerate_formulas,
     paper_check,
     parse_logic,
@@ -50,8 +53,6 @@ from qtlab.signals import (
     DomainError,
     Signal,
     TimeDomain,
-    Triviality,
-    classify_trivial,
     combine,
     equal,
     from_ticks,
@@ -449,8 +450,9 @@ def test_a_logic_lists_its_families_and_guards_a_layer_alone():
 @pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
 def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic, spec):
     """The guard's count equals the argument tuples the largest layer hands
-    to admit (the first on mk:3, where layer 2 adds nothing; the second on
-    thm3:3), so a limit at that count passes and one below it raises.  The
+    to admit (the one layer that tries tuples on mk:3, where the fixpoint
+    comes after it; the second of two on thm3:3), so a limit at that count
+    passes and one below it raises.  The
     layer runs distributive positions on atoms, so it makes fewer operator
     calls than it admits tuples."""
     tuples, calls, inside = [], [], []
@@ -483,7 +485,7 @@ def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic,
     _patch_kernels(monkeypatch, counted)
     logic, env = parse_logic(logic), builtin_model(spec)
     expected = enumerate_formulas(logic, 2, env)
-    assert len(tuples) == len(calls) == 2
+    assert len(tuples) == len(calls) == {"mk:3": 1, "thm3:3": 2}[spec]
     largest = tuples.index(max(tuples))
     assert calls[largest] < tuples[largest], (calls, tuples)
     monkeypatch.setattr(qtlab.lab, "MAX_CANDIDATES", max(tuples))
@@ -596,12 +598,20 @@ def test_a_pair_closes_at_its_fixpoint_without_the_target(monkeypatch, spec, log
     """Closed to its fixpoint over a pair of models, the logic realizes
     count tuples of truth signals, and the target's tuple (!P, true) is not
     one of them, although each model alone has both classes: no formula of
-    the logic defines the target on the pair.  Each model's projection is
-    that model's own closure, and the undistributed reference layer closes
-    at the same tuples."""
+    the logic defines the target on the pair.  Each representative
+    evaluates to its tuple on each model, and the oracle agrees with that
+    signal on every grid cell, so the verdict rests on the oracle as well.
+    Each model's projection is that model's own closure, and the
+    undistributed reference layer closes at the same tuples."""
     envs, logic = models(spec), parse_logic(logic)
-    got = tuples(enumerate_formulas(logic, None, envs))
+    enum = enumerate_formulas(logic, None, envs)
+    got = tuples(enum)
     assert len(got) == len(set(got)) == count
+    for f, tup in zip(enum.formulas, got):
+        for env, sig in zip(envs, tup):
+            assert evaluate(f, env) == sig, format_formula(f)
+            report = compare_cells(f, env, sig)
+            assert report.passed, (format_formula(f), report.lines)
     want = tuple(evaluate(parse_formula(f), env) for f, env in zip(("!P", "true"), envs))
     assert tuple(evaluate(parse_formula(target), env) for env in envs) == want
     assert want not in got
@@ -610,6 +620,26 @@ def test_a_pair_closes_at_its_fixpoint_without_the_target(monkeypatch, spec, log
         assert {t[m] for t in got} == alone and want[m] in alone
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", undistributed_modal_layer)
     assert set(tuples(enumerate_formulas(logic, None, envs))) == set(got)
+
+
+@pytest.mark.parametrize("j", range(2, 12))
+def test_every_grid_pair_closes_at_the_four_diagonal_tuples(j):
+    """For every k from j + 1 to 12, (mk:j, mk:k) closes in qtl, and for
+    j >= 3 in qtl+c<j-1>, at exactly the tuples of true, false, P and !P,
+    each read by evaluating the representatives.  The tuple of C<j>(P),
+    (!P, true), is not one of them: no formula of these logics defines C<j>
+    on the pair."""
+    for k in range(j + 1, 13):
+        envs = [builtin_model(f"mk:{j}"), builtin_model(f"mk:{k}")]
+
+        def on_both(f):
+            return tuple(evaluate(f, env) for env in envs)
+
+        diagonal = {on_both(parse_formula(text)) for text in ("true", "false", "P", "!P")}
+        assert on_both(parse_formula(f"C{j}(P)")) not in diagonal
+        for logic in ["qtl"] + [f"qtl+c{j - 1}"] * (j >= 3):
+            got = [on_both(f) for f in enumerate_formulas(parse_logic(logic), None, envs).formulas]
+            assert len(got) == 4 and set(got) == diagonal, (k, logic)
 
 
 def test_a_closure_over_two_layers_stops_at_its_fixpoint():
@@ -748,7 +778,7 @@ def test_depth3_qtl_thm2_report_golden():
 def test_each_new_set_is_refined_once(monkeypatch):
     """A new set that kernels with different t_bounds reach frames twice but
     has one cut over the layer window, and is refined once: depth-3 qtl on
-    thm2 refines 17 distinct cuts (3 seeds, 14 new modal results).  A set is
+    thm2 refines 15 distinct cuts (the seed P, 14 new modal results).  A set is
     framed once per kernel call and twice per atom split, never to match a
     class: the layer names a set by its cut."""
     cuts = []
@@ -762,7 +792,7 @@ def test_each_new_set_is_refined_once(monkeypatch):
     kernel_calls = _log_kernel_calls(monkeypatch)
     framings = _log_calls(monkeypatch, ["_frame"])
     enum = enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2"))
-    assert len(cuts) == len(set(cuts)) == 17
+    assert len(cuts) == len(set(cuts)) == 15
     assert len(framings) == len(kernel_calls) + 2 * (len(enum.atoms) - 1)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import qtlab.semantics
 from qtlab.cli import main
 from qtlab.intervals import Interval, IntervalSet, TextFormatError, parse_interval_list
+from qtlab.lab import Triviality, classify_trivial
 from qtlab.signals import (
     MAX_UNROLL,
     DomainError,
@@ -20,9 +21,7 @@ from qtlab.signals import (
     Signal,
     SignalError,
     TimeDomain,
-    Triviality,
     align_many,
-    classify_trivial,
     combine,
     equal,
     format_signal,
