@@ -20,12 +20,12 @@ for membership.  Its public constructors (``Interval(...)``, ``point``,
 The private ``_unchecked`` does not; it builds only records valid by
 construction from valid ones and numbers passed through ``exact``, or records
 whose checks ran on the ints they were read from.  Translations and strictly
-increasing maps of the ends (``shift``, ``Signal.slice``, ``_map_ends``) keep
-lo <= hi and a point closed; ``_merge`` takes the hull of two valid
-components; ``span``, ``_clip``, the overlaps and gaps of ``intersection``
-and ``complement``, and the truth pieces of the engine's kernels
-(``count_kernel``, ``order_kernel``, ``pnueli_kernel``) are built only when
-nonempty: lo < hi, or a closed point.
+increasing maps of the ends (``shift``, ``Signal.slice``, ``_frame``,
+``_map_ends``, ``to_ticks``) keep lo <= hi and a point closed; ``_merge``
+takes the hull of two valid components; ``span``, ``_clip``, ``_below``, the
+overlaps and gaps of ``intersection`` and ``complement``, and the truth
+pieces of the engine's kernels (``count_kernel``, ``order_kernel``,
+``pnueli_kernel``) are built only when nonempty: lo < hi, or a closed point.
 
 The algebra works on normal forms directly, each operation one linear pass:
 ``union`` hands both sorted component tuples to the constructor, whose sort
@@ -324,10 +324,12 @@ IntervalSet.EMPTY = IntervalSet._wrap(())
 # Text syntax, shared by every file format: [a,b] (a,b) [a,b) (a,b], rationals
 # p/q or integer with optional leading -, lists comma separated, empty list {}.
 # Blanks may stand around every token.  One compiled pattern reads an interval,
-# its groups the opener, each end whole and in its two parts, and the closer.
+# its groups the opener, each end whole and in its two parts, and the closer;
+# the list reader's pattern reads it with its separator, a comma or the end.
 
 _INTERVAL_RE = re.compile(r"\s*([\[(])\s*({0})\s*,\s*({0})\s*([\])])\s*".format(
     _RATIONAL_RE.pattern))
+_ITEM_RE = re.compile(_INTERVAL_RE.pattern + r"(?:(,)|\Z)")
 
 
 def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]]) -> str:
@@ -337,21 +339,26 @@ def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]]) -> s
     return ",".join(parts)
 
 
-def _interval(m: re.Match, pos: int) -> tuple:
-    """A match's interval, checked as ``Interval`` checks it on ints, and its ends' ints."""
+def _list_error(s: str, pos: int) -> TextFormatError:
+    """The error of the list s whose item at pos does not read: no interval,
+    an interval that ``_ints`` or ``Interval`` refuses, or no separator."""
+    if not (m := _INTERVAL_RE.match(s, pos)):
+        return TextFormatError(f"at position {pos}: expected an interval")
     opener, lo, ln, ld, hi, hn, hd, closer = m.groups()
     try:
         (a, b), (c, d) = _ints(lo, ln, ld), _ints(hi, hn, hd)
-        iv = Fraction(a, b), Fraction(c, d), opener == "[", closer == "]"
-        if a * d > c * b or (a * d == c * b and opener + closer != "[]"):
-            Interval(*iv)  # raises the IntervalError
+        Interval(Fraction(a, b), Fraction(c, d), opener == "[", closer == "]")
     except (TextFormatError, IntervalError) as exc:
-        raise TextFormatError(f"at position {pos}: {exc}") from exc
-    return _unchecked(*iv), (a, b), (c, d)
+        return TextFormatError(f"at position {pos}: {exc}")
+    return TextFormatError(f"at position {m.end()}: expected ','")
 
 
 def parse_interval_list(text: str) -> IntervalSet:
-    """Parse a comma separated interval list ({} for empty; braces optional)."""
+    """Parse a comma separated interval list ({} for empty; braces optional).
+
+    Each item is one match of the interval and its separator, its ends read
+    as ints and checked as ``Interval`` checks them; only an item that fails
+    goes to ``_list_error`` for its message."""
     s = text.strip()
     if s == "{}":
         return IntervalSet.EMPTY
@@ -359,20 +366,22 @@ def parse_interval_list(text: str) -> IntervalSet:
         s = s[1:-1].strip()
     if not s:
         raise TextFormatError("empty interval list must be written {}")
-    items, pos, normal = [], 0, True
-    while True:
-        m = _INTERVAL_RE.match(s, pos)
-        if not m:
-            raise TextFormatError(f"at position {pos}: expected an interval")
-        iv, (a, b), hi = _interval(m, pos)
-        if items:  # normal while each interval starts after a gap from the one before
+    items, pos, normal, last = [], 0, True, None
+    while m := _ITEM_RE.match(s, pos):
+        opener, _, ln, ld, _, hn, hd, closer, comma = m.groups()
+        try:
+            a, b, c, d = int(ln), int(ld or 1), int(hn), int(hd or 1)
+        except ValueError:  # int() refuses more digits than Python's limit
+            break
+        lower_closed, upper_closed, order = opener == "[", closer == "]", c * b - a * d
+        if not (b and d) or order < 0 or order == 0 and not (lower_closed and upper_closed):
+            break
+        if last:  # normal while each interval starts after a gap from the one before
             gap = a * last[1] - last[0] * b  # _has_gap(items[-1], iv) on ints
-            normal &= gap > 0 or gap == 0 and not (last[2] or iv.lower_closed)
-        items.append(iv)
-        last = *hi, iv.upper_closed
-        pos = m.end()
-        if pos == len(s):
+            normal &= gap > 0 or gap == 0 and not (last[2] or lower_closed)
+        lo = Fraction(a, b)
+        items.append(_unchecked(lo, Fraction(c, d) if order else lo, lower_closed, upper_closed))
+        last, pos = (c, d, upper_closed), m.end()
+        if not comma:
             return IntervalSet._wrap(tuple(items)) if normal else IntervalSet(items)
-        if s[pos] != ",":
-            raise TextFormatError(f"at position {pos}: expected ','")
-        pos += 1
+    raise _list_error(s, pos)

@@ -243,6 +243,7 @@ class _Enumeration:
         self.seen: Dict[int, int] = {}  # mask -> class index
         self.atoms = [Signal.constant(env.domain, True, u) for env, u in zip(envs, units)]
         self.owner = list(range(len(envs)))  # the model of each atom
+        self.owned = [[m] for m in range(len(envs))]  # each model's atoms
         self.pending: List[int] = []  # the modal layer's masks, one per slot
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
@@ -271,7 +272,7 @@ class _Enumeration:
         """The mask of the set cut shows over model m's window, after splitting
         every atom of m it cuts; both repeat from m's frame.settled()."""
         key, frame, settled = 0, self.frames[m], self.frames[m].settled()
-        for k in [j for j, o in enumerate(self.owner) if o == m]:
+        for k in tuple(self.owned[m]):
             atom = self.cuts[k]
             inside = atom.intersection(cut)
             if not inside:
@@ -287,6 +288,7 @@ class _Enumeration:
                                        for part in (inside, outside))
             self.atoms.append(new_atom)
             self.owner.append(m)
+            self.owned[m].append(len(self.atoms) - 1)
             bit, new = 1 << k, 1 << (len(self.atoms) - 1)
             for masks in (self.masks, self.pending):
                 masks[:] = [x | new if x & bit else x for x in masks]
@@ -328,15 +330,15 @@ class _Enumeration:
         """Apply every modality to the argument tuples over the current
         classes whose largest index is at or above upto, distributive
         positions on atoms, at one frame per model (module docstring)."""
-        models = range(len(self.frames))
-        owned = [[k for k, o in enumerate(self.owner) if o == m] for m in models]
+        models, owned = range(len(self.frames)), self.owned
         self.recut([[self.atoms[k] for k in ks] for ks in owned])
         reps, atoms, base = self.reps, tuple(self.cuts), len(self.reps)
         # per model: each class's atoms there, and its cut, the union of theirs
         bits = [[[k for k in ks if mask >> k & 1] for mask in self.masks] for ks in owned]
         args = [[IntervalSet(c for k in b for c in atoms[k]) for b in bm] for bm in bits]
         # slot m * base + i is class i on model m; a set is named by model and cut
-        self.pending = [sum(mask & 1 << k for k in ks) for ks in owned for mask in self.masks]
+        own = [sum(1 << k for k in ks) for ks in owned]
+        self.pending = [mask & o for o in own for mask in self.masks]
         keyed = {(m, cut): m * base + i for m in models for i, cut in enumerate(args[m])}
         slots, memo = {}, {}
 

@@ -19,19 +19,22 @@ either scale, and ``/`` is never applied to a tick.
 
 ``canonicalize`` produces the representative form: ``Signal.constant`` at once
 for the empty and the full set, else the minimal period, then the minimal
-transient at which the tail already matches the periodic extension.  When the
-prefix disagrees with that extension at a single point there is no smallest
-rational transient strictly above it; the canonical form then uses the next
-period multiple, which keeps the form deterministic, idempotent and
-independent of the input representation, the scale included.  Two Signals at
-one scale denote the same set iff their canonical forms are structurally equal.
+transient at which the tail already matches the periodic extension, found
+by one walk back over the components of the set and of its shift by a
+period, compared in lockstep.  When the prefix disagrees with that extension
+at a single point there is no smallest rational transient strictly above it;
+the canonical form then uses the next period multiple, which keeps the form
+deterministic, idempotent and independent of the input representation, the
+scale included.  Two Signals at one scale denote the same set iff their
+canonical forms are structurally equal.
 
 A Signal is a tuple underneath and validated like an ``Interval``.  A
 ``Frame`` says where signals repeat: their domain, scale, lcm period and max
 transient.  ``_apply`` slices operands as they are over a window of their
 frame and runs a kernel on the cuts, for ``combine`` and the engine's
 operators; ``_frame`` alone cuts a set into a prefix and a pattern at a
-frame, for them, for ``shift`` and for every reframing.
+frame, by bisection, for them, for ``shift``, the enumerator and every
+reframing.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from .intervals import (
     IntervalSet,
     RationalLike,
     TextFormatError,
-    _coalesce,
+    _has_gap,
+    _merge,
     _unchecked,
     exact,
     format_interval_list,
@@ -160,6 +164,21 @@ def _clip(c: Interval, a: RationalLike, b: RationalLike) -> Interval:
     return c
 
 
+def _clipped(run: tuple[Interval, ...], a: RationalLike,
+             b: RationalLike) -> tuple[Interval, ...]:
+    """The run of components that meet [a, b], its outermost two cut down to it."""
+    if len(run) < 2:
+        return tuple(_clip(c, a, b) for c in run)
+    return (_clip(run[0], a, b),) + run[1:-1] + (_clip(run[-1], a, b),)
+
+
+def _below(run: tuple[Interval, ...], b: RationalLike) -> tuple[Interval, ...]:
+    """A run of components within [a, b], the point b taken out of it."""
+    if run and (c := run[-1]).upper == b and c.upper_closed:
+        return run[:-1] + ((_unchecked(c.lower, b, c.lower_closed, False),) if c.lower < b else ())
+    return run
+
+
 def _map_ends(s: IntervalSet, fn: Callable) -> IntervalSet:
     """s with fn applied to every endpoint; fn must be strictly increasing."""
     return IntervalSet._wrap(tuple(_unchecked(fn(c.lower), fn(c.upper), c.lower_closed,
@@ -257,16 +276,15 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
             for k in range(k0, k1 + 1):
                 off = anchor + k * self.period
                 copy = comps if k0 < k < k1 else _meeting(comps, a - off, b - off)
-                pieces.extend(_unchecked(c.lower + off, c.upper + off, c.lower_closed,
-                                         c.upper_closed) for c in copy)
-        # the pieces come in order, but copies may touch across period
-        # boundaries: coalesce, then only the outermost components can stick
-        # out of the window
-        out = list(_coalesce(pieces))
-        if out:
-            out[0] = _clip(out[0], a, b)
-            out[-1] = _clip(out[-1], a, b)
-        return IntervalSet._wrap(tuple(out))
+                run = [_unchecked(c.lower + off, c.upper + off, c.lower_closed,
+                                  c.upper_closed) for c in copy]
+                # the pieces come in order, and normal but where a copy
+                # touches the piece before it, across its start
+                if run and pieces and not _has_gap(pieces[-1], run[0]):
+                    run[0] = _merge(pieces.pop(), run[0])
+                pieces += run
+        # only the outermost components can stick out of the window
+        return IntervalSet._wrap(_clipped(tuple(pieces), a, b))
 
     def shift(self, d: RationalLike) -> "Signal":
         """Translate the denoted set by d: x + d holds iff x did.  Full line
@@ -300,21 +318,32 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         p0, pat0 = _minimal_tail(self.period, self.pattern, self.unit)
         if self.domain is TimeDomain.FULL_LINE:
             return Signal(self.domain, p0, pat0, unit=self.unit)
-        # The last disagreement, looked for back from the transient in
-        # windows that double: the cost follows its distance.
-        tc, hi, width = 0, self.transient, p0
-        while hi > 0:
-            lo = max(hi - width, 0)
-            dis = self.slice(lo, hi).symmetric_difference(
-                self.slice(lo + p0, hi + p0).shift(-p0))
-            if dis:
-                last = dis.components[-1]
-                # Disagreement at the point itself: any transient strictly above
-                # works and none is least, so snap up to the period grid.
-                tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
+        # One cut reaches every transient found below: up to the transient t,
+        # or the period multiple that a closed disagreement snaps up to.
+        t = self.transient
+        cut = self.slice(0, -(-t // p0) * p0 + p0)
+        # The components on [0, t] and on [p0, t + p0], walked back in
+        # lockstep while x and x + p0 agree: the first pair that differs holds
+        # the last disagreement, the last point of its symmetric difference.
+        xs = _clipped(_meeting(cut.components, 0, t), 0, t)
+        ys = _clipped(_meeting(cut.components, p0, t + p0), p0, t + p0)
+        i, j = len(xs), len(ys)
+        while i and j:
+            x, y = xs[i - 1], ys[j - 1]
+            if (x.lower + p0 != y.lower or x.upper + p0 != y.upper
+                    or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):
                 break
-            hi, width = lo, 2 * width
-        return self._reframe(Frame(self.domain, p0, tc, self.unit))
+            i, j = i - 1, j - 1
+        tc = 0
+        if i or j:
+            last = IntervalSet._wrap(xs[i - 1:i]).symmetric_difference(
+                IntervalSet._wrap(ys[j - 1:j]).shift(-p0)).components[-1]
+            # Disagreement at the point itself: any transient strictly above
+            # works and none is least, so snap up to the period grid.
+            tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
+        if tc == t and p0 == self.period:
+            return self
+        return _frame(Frame(self.domain, p0, tc, self.unit), tc, cut)
 
     def _reframe(self, frame: "Frame") -> "Signal":
         """Re-express at frame: a prefix on [0, frame.transient) and one period
@@ -361,11 +390,17 @@ def _frame(frame: Frame, t_bound: RationalLike, truth: IntervalSet) -> Signal:
     """The signal, in frame's domain, unit and period, that agrees with truth
     on [0, t_bound + period) and repeats that last period from t_bound on (0
     on the full line); not canonicalized.  The one place a set is cut into a
-    prefix and a pattern: the half-open spans drop whatever truth holds at or
-    past t_bound + period, such as the closed end of a ``slice``."""
-    pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + frame.period)).shift(-t_bound)
-    prefix = truth.intersection(IntervalSet.span(0, t_bound))
-    return Signal(frame.domain, frame.period, pattern, t_bound, prefix, frame.unit)
+    prefix and a pattern: truth is split by bisection at t_bound and t_bound +
+    period, into half-open pieces that drop whatever truth holds at or past
+    t_bound + period, such as the closed end of a ``slice``."""
+    comps, end = truth.components, t_bound + frame.period
+    pattern = _below(_clipped(_meeting(comps, t_bound, end), t_bound, end), end)
+    if t_bound:
+        pattern = tuple([_unchecked(c.lower - t_bound, c.upper - t_bound, c.lower_closed,
+                                    c.upper_closed) for c in pattern])
+    prefix = _below(_clipped(_meeting(comps, 0, t_bound), 0, t_bound), t_bound) if t_bound > 0 else ()
+    return Signal(frame.domain, frame.period, IntervalSet._wrap(pattern), t_bound,
+                  IntervalSet._wrap(prefix), frame.unit)
 
 
 def _apply(kernel: Callable[..., tuple], operands: Sequence[Signal], *params,
@@ -427,17 +462,28 @@ def tick_unit(signals: Iterable[Signal]) -> int:
 
 
 def to_ticks(s: Signal, unit: int) -> Signal:
-    """A public signal scaled by unit = Q, a multiple of its denominators, in ints."""
+    """A public signal scaled by unit = Q, a multiple of its denominators, in
+    ints: one pass over the numbers, one factor Q / den per denominator."""
     if s.unit != 1:
         raise ValueError(f"signal is already in ticks of unit {s.unit}")
-    def scale(x: Fraction) -> int:
+    factors: dict[int, int] = {}
+
+    def factor(x: Fraction) -> int:
         ticks, rest = divmod(unit, x.denominator)
         if rest:
             raise ValueError(f"{x} is not a whole number of ticks at unit {unit}")
-        return x.numerator * ticks
+        factors[x.denominator] = ticks
+        return ticks
 
-    return Signal(s.domain, scale(s.period), _map_ends(s.pattern, scale),
-                  scale(s.transient), _map_ends(s.prefix, scale), unit)
+    def scale(part: IntervalSet) -> IntervalSet:
+        get = factors.get
+        return IntervalSet._wrap(tuple([
+            _unchecked(lo.numerator * (get(lo.denominator) or factor(lo)),
+                       hi.numerator * (get(hi.denominator) or factor(hi)), lc, uc)
+            for lo, hi, lc, uc in part.components]))
+
+    return Signal(s.domain, s.period.numerator * factor(s.period), scale(s.pattern),
+                  s.transient.numerator * factor(s.transient), scale(s.prefix), unit)
 
 
 def from_ticks(s: Signal) -> Signal:

@@ -57,7 +57,7 @@ MUTANTS = (
            "if upto == base:", "if upto:",
            ("tests/test_lab.py::test_a_closure_over_two_layers_stops_at_its_fixpoint",)),
     Mutant("refine splitting an atom of another model", "lab.py",
-           "for k in [j for j, o in enumerate(self.owner) if o == m]:",
+           "for k in tuple(self.owned[m]):",
            "for k in range(len(self.cuts)):",
            ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
             "[mk:2+mk:3-qtl+c1-C2(P)-4]",)),
@@ -97,6 +97,14 @@ MUTANTS = (
     Mutant("evaluate hands atoms over uncanonicalized", "semantics.py",
            ".canonicalize() for name in used}", " for name in used}",
            ("tests/test_semantics.py::test_snaps_and_constants_keep_whole_units[P]",)),
+    Mutant("canonicalize's lockstep walk comparing components without their closed flags",
+           "signals.py",
+           "\n                    or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):",
+           "):",
+           ("tests/test_signals.py::test_lockstep_walk_matches_the_doubling_windows",)),
+    Mutant("_frame's split keeping a closed upper end at t_bound + period", "signals.py",
+           "(c := run[-1]).upper == b and c.upper_closed:", "False:",
+           ("tests/test_signals.py::test_bisection_split_matches_the_span_intersections",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
            "comps[i].upper <= x", "comps[i].upper < x",

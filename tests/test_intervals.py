@@ -20,7 +20,7 @@ from qtlab.intervals import (
     parse_interval_list,
     parse_rational,
 )
-from qtlab.intervals import _RATIONAL_RE
+from qtlab.intervals import _INTERVAL_RE, _RATIONAL_RE, _ints, _unchecked
 
 
 def iset(*ivs):
@@ -466,6 +466,49 @@ _FRAGMENTS = _BLANKS + list("0123456789[]()-/,;{}") + [
     "\u0663", "\u0660", "1/0", "0.5", "-1/3", "2/4", ", ", "],[", ")(", "{}", "+1", "e3"]
 
 
+def _looped_interval(m, pos):
+    """A match's interval, checked as ``Interval`` checks it on ints, and its ends' ints."""
+    opener, lo, ln, ld, hi, hn, hd, closer = m.groups()
+    try:
+        (a, b), (c, d) = _ints(lo, ln, ld), _ints(hi, hn, hd)
+        iv = F(a, b), F(c, d), opener == "[", closer == "]"
+        if a * d > c * b or (a * d == c * b and opener + closer != "[]"):
+            Interval(*iv)  # raises the IntervalError
+    except (TextFormatError, IntervalError) as exc:
+        raise TextFormatError(f"at position {pos}: {exc}") from exc
+    return _unchecked(*iv), (a, b), (c, d)
+
+
+def looped_interval_list(text):
+    """The list reader before each item became one match of the interval and
+    its separator: a match per interval, a call per interval for its checks,
+    and the separator read by hand.  The reference for the error texts."""
+    s = text.strip()
+    if s == "{}":
+        return IntervalSet.EMPTY
+    if s.startswith("{") and s.endswith("}"):
+        s = s[1:-1].strip()
+    if not s:
+        raise TextFormatError("empty interval list must be written {}")
+    items, pos, normal = [], 0, True
+    while True:
+        m = _INTERVAL_RE.match(s, pos)
+        if not m:
+            raise TextFormatError(f"at position {pos}: expected an interval")
+        iv, (a, b), hi = _looped_interval(m, pos)
+        if items:
+            gap = a * last[1] - last[0] * b
+            normal &= gap > 0 or gap == 0 and not (last[2] or iv.lower_closed)
+        items.append(iv)
+        last = *hi, iv.upper_closed
+        pos = m.end()
+        if pos == len(s):
+            return IntervalSet._wrap(tuple(items)) if normal else IntervalSet(items)
+        if s[pos] != ",":
+            raise TextFormatError(f"at position {pos}: expected ','")
+        pos += 1
+
+
 def _blank(rng):
     return "".join(rng.choice(_BLANKS[:6]) for _ in range(rng.choice((0, 0, 0, 1, 2))))
 
@@ -516,6 +559,8 @@ def test_pattern_parser_matches_the_character_scanner():
         text = _mutate(rng, base)
         got, want = _outcome(parse_interval_list, text), _outcome(scanned_interval_list, text)
         assert got[0] == want[0], (text, got, want)
+        # the looped reader words each error, position included, as the parser does
+        assert got == _outcome(looped_interval_list, text), text
         if got[0] == "ok":
             assert got[1] == want[1], text
             accepted += 1
@@ -525,3 +570,30 @@ def test_pattern_parser_matches_the_character_scanner():
             rejected += 1
     # the mutations reach both sides of the grammar
     assert accepted > 5000 and rejected > 5000, (accepted, rejected)
+
+
+# sixty intervals, points and open ones; the 40th, "[39/7, 39/7]", starts at len(_HEAD)
+_SIXTY = [f"[{k}/7, {k}/7]" if k % 2 else f"({k}/7,{2 * k + 1}/14)" for k in range(60)]
+_HEAD, _REST = ",".join(_SIXTY[:39]) + ",", "," + ",".join(_SIXTY[40:])
+
+
+@pytest.mark.parametrize("fortieth, rest, offset, message", [
+    ("[39/7, 39/7] ", _REST[1:], 13, "expected ','"),
+    ("[39/7, 39/7],", "", 13, "expected an interval"),
+    ("[39/0, 39/7]", _REST, 0, "zero denominator: '39/0'"),
+    ("[39/7, " + "9" * 5000 + "]", _REST, 0, "number of 5000 characters is too long to read"),
+    ("[40/7, 39/7]", _REST, 0, "lower 40/7 above upper 39/7"),
+], ids=["missing comma", "trailing comma", "zero denominator", "5000-digit number",
+        "lower above upper"])
+def test_a_fault_at_the_fortieth_of_sixty_intervals(fortieth, rest, offset, message):
+    """A fault in the 40th interval, or after it, is worded as the looped
+    reader words it, at that interval's position or at what follows it."""
+    whole = ",".join(_SIXTY)
+    assert parse_interval_list(whole) == looped_interval_list(whole) == IntervalSet(
+        looped_interval_list(whole).components)
+    text = _HEAD + fortieth + rest
+    with pytest.raises(TextFormatError) as got:
+        parse_interval_list(text)
+    with pytest.raises(TextFormatError) as want:
+        looped_interval_list(text)
+    assert str(got.value) == str(want.value) == f"at position {len(_HEAD) + offset}: {message}"

@@ -201,6 +201,11 @@ def _own_endpoints(s, a, b):
 @given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]))
 def test_slice_matches_membership(rng, domain):
     s = random_signal(rng, domain)
+    if rng.random() < 0.5:  # pattern copies, and the prefix, touch across their seams
+        p, closed = s.period, rng.random() < 0.5
+        s = Signal(domain, p, s.pattern.union(iset(Interval(0, p / 4, True, closed),
+                                                   Interval(3 * p / 4, p, closed, False))),
+                   s.transient, s.prefix.union(IntervalSet.span(s.transient / 2, s.transient)))
     # windows that start before, inside or after the transient and cross
     # zero to several period boundaries, points and empty ones included
     lo = F(0) if domain is HALF else -3 * s.period
@@ -443,6 +448,148 @@ def test_canonicalize_idempotent_and_representation_free():
     rng = random.Random(11)
     for _ in range(60):
         _check_canonical_form(rng, random_signal(rng, rng.choice([LINE, HALF])))
+
+
+def _frame_by_intersection(frame, t_bound, truth):
+    """The two span intersections that _frame's bisection replaced: its reference."""
+    pattern = truth.intersection(IntervalSet.span(t_bound, t_bound + frame.period)).shift(-t_bound)
+    prefix = truth.intersection(IntervalSet.span(0, t_bound))
+    return Signal(frame.domain, frame.period, pattern, t_bound, prefix, frame.unit)
+
+
+def _canonicalize_by_windows(s):
+    """The doubling-window search for the last disagreement that the
+    lockstep walk in canonicalize replaced, framed by span intersections:
+    the reference for both."""
+    if not (s.pattern or s.prefix):
+        return Signal.constant(s.domain, False, s.unit)
+    if (s.pattern == IntervalSet.span(0, s.period)
+            and s.prefix == IntervalSet.span(0, s.transient)):
+        return Signal.constant(s.domain, True, s.unit)
+    p0, pat0 = _minimal_tail(s.period, s.pattern, s.unit)
+    if s.domain is LINE:
+        return Signal(s.domain, p0, pat0, unit=s.unit)
+    tc, hi, width = 0, s.transient, p0
+    while hi > 0:
+        lo = max(hi - width, 0)
+        dis = s.slice(lo, hi).symmetric_difference(s.slice(lo + p0, hi + p0).shift(-p0))
+        if dis:
+            last = dis.components[-1]
+            tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
+            break
+        hi, width = lo, 2 * width
+    if tc == s.transient and p0 == s.period:
+        return s
+    return _frame_by_intersection(Frame(s.domain, p0, tc, s.unit), tc, s.slice(0, tc + p0))
+
+
+def _near_periodic(rng, where):
+    """A half-line signal whose prefix is its tail extension but for one
+    change below the transient T: a point flipped, a piece toggled, or one
+    closed flag toggled.  The change is at the origin, in the first window
+    [T - p0, T) or anywhere below T; its stored period may be a multiple of
+    the pattern's own."""
+    q = rng.choice(PERIODS)
+    base = random_point_set(rng, q, max_components=3)
+    m = rng.randint(1, 3)
+    pattern = IntervalSet([c.shift(k * q) for k in range(m) for c in base])
+    T = random_fraction(rng, F(1, 12), 4 * q)
+    tail = Signal(LINE, m * q, pattern).shift(T)
+    prefix = tail.slice(0, T).intersection(IntervalSet.span(0, T))
+    lo = {"origin": F(0), "first window": max(T - q, F(0)), "anywhere": F(0)}[where]
+    x = F(0) if where == "origin" else random_fraction(rng, lo, T, max_den=24)
+    x = lo if x >= T else x
+    kind = rng.randrange(3)
+    if kind == 0:
+        prefix = prefix.symmetric_difference(iset(Interval.point(x)))
+    elif kind == 1:
+        y = random_fraction(rng, x, T, max_den=24)
+        if y > x:
+            piece = Interval(x, y, rng.random() < 0.5, rng.random() < 0.5 and y < T)
+            prefix = prefix.symmetric_difference(iset(piece))
+    else:
+        prefix = _toggle_one_flag(rng, prefix, T) or prefix
+    return Signal(HALF, m * q, pattern, T, prefix)
+
+
+def test_lockstep_walk_matches_the_doubling_windows():
+    """canonicalize equals the doubling-window search on random signals of
+    both domains, public and in ticks, and on half-line signals whose
+    prefix disagrees with the tail at one spot: at the origin, in the first
+    window below the transient, or anywhere."""
+    rng = random.Random(1729)
+    for trial in range(800):
+        where = ("random", "origin", "first window", "anywhere")[trial % 4]
+        domain = rng.choice([LINE, HALF]) if where == "random" else HALF
+        s = random_signal(rng, domain) if where == "random" else _near_periodic(rng, where)
+        for x in (s, to_ticks(s, tick_unit([s]))):
+            assert x.canonicalize() == _canonicalize_by_windows(x), x
+
+
+HALF_UNIT = Interval(0, F(1, 2), True, False)
+
+
+@pytest.mark.parametrize("transient, prefix, tc", [
+    (2, iset(HALF_UNIT, Interval(1, F(3, 2))), 2),
+    (2, iset(Interval.open(0, F(1, 2)), Interval(1, F(3, 2), True, False)), 1),
+    (3, iset(HALF_UNIT, Interval(1, F(5, 4), True, False), Interval(2, F(5, 2), True, False)),
+     F(3, 2)),
+    (F(9, 4), iset(Interval(F(1, 4), F(3, 4), True, False), Interval(F(5, 4), F(7, 4), True, False),
+                   Interval.point(2)), 3),
+    (3, iset(HALF_UNIT, Interval(1, F(3, 2), True, False), Interval(2, F(5, 2), True, False)), 0),
+], ids=["closed point in the first window", "closed point at the origin",
+        "open end a window back", "closed point snapped past the transient", "no disagreement"])
+def test_last_disagreement_cases(transient, prefix, tc):
+    """Pattern [0, 1/2) of period 1 from the transient, and a prefix that
+    disagrees with its extension once (or never): the walk finds the
+    disagreement the windows found, a closed one snapped up to the grid."""
+    s = Signal(HALF, 1, iset(HALF_UNIT), transient, prefix)
+    c = s.canonicalize()
+    assert c == _canonicalize_by_windows(s) and c.transient == tc
+    ticks = to_ticks(s, 8)
+    assert ticks.canonicalize() == _canonicalize_by_windows(ticks) == to_ticks(c, 8)
+
+
+def _truth_at_the_cuts(rng, domain, t_bound, period):
+    """A random set around [0, t_bound + period), with pieces that straddle,
+    close or open exactly at t_bound and at t_bound + period."""
+    end = t_bound + period
+    lo = F(0) if domain is HALF else -period
+    comps = list(random_point_set(rng, end + 1 - lo, max_components=6, max_den=12).shift(lo))
+    for edge in (t_bound, end):
+        a = max(edge - random_fraction(rng, F(1, 12), 1), lo)
+        b = edge + random_fraction(rng, F(1, 12), 1)
+        closed = rng.random() < 0.5
+        comps += rng.choice([
+            [Interval.point(edge)],
+            [Interval(a, edge, closed, True)] if a < edge else [],
+            [Interval(a, edge, closed, False)] if a < edge else [],
+            [Interval(edge, b, True, closed)],
+            [Interval(edge, b, False, closed)],
+            [Interval(a, b, closed, not closed)],
+            [],
+        ])
+    return IntervalSet(comps)
+
+
+def test_bisection_split_matches_the_span_intersections():
+    """_frame's bisection equals the two span intersections, public and in
+    ticks, on truth sets whose components straddle, close or open at t_bound
+    and at t_bound + period."""
+    rng = random.Random(4096)
+    for _ in range(800):
+        domain, period = rng.choice([LINE, HALF]), rng.choice(PERIODS)
+        t_bound = random_fraction(rng, 0, 2) if domain is HALF else F(0)
+        truth = _truth_at_the_cuts(rng, domain, t_bound, period)
+        frame = Frame(domain, period, t_bound, 1)
+        assert _frame(frame, t_bound, truth) == _frame_by_intersection(frame, t_bound, truth)
+        q = 2 * math.lcm(period.denominator, t_bound.denominator,
+                         *(x.denominator for c in truth for x in (c.lower, c.upper)))
+        ticks = IntervalSet([Interval(int(c.lower * q), int(c.upper * q), c.lower_closed,
+                                      c.upper_closed) for c in truth])
+        frame = Frame(domain, int(period * q), int(t_bound * q), q)
+        assert (_frame(frame, frame.transient, ticks)
+                == _frame_by_intersection(frame, frame.transient, ticks))
 
 
 def _constant_in_disguise(rng, domain, value):
