@@ -13,10 +13,10 @@ import functools
 import sys
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from .formulas import ParseError, parse_formula
-from .intervals import IntervalError, TextFormatError, format_interval_list
+from .formulas import ParseError, metrics, parse_formula
+from .intervals import IntervalError, TextFormatError
 from .lab import (
     LabError,
     builtin_model,
@@ -27,7 +27,7 @@ from .lab import (
     trivialization_report,
 )
 from .oracle import compare_cells, compare_pointwise, sample_points
-from .semantics import Env, EvalError, evaluate
+from .semantics import Env, EvalError, evaluate, evaluate_ticks
 from .signals import (
     MAX_UNROLL,
     DomainError,
@@ -35,8 +35,11 @@ from .signals import (
     SignalError,
     TimeDomain,
     equal,
-    format_signal,
+    format_ticks,
     parse_signal,
+    parse_ticks,
+    tick_unit,
+    to_ticks,
 )
 
 _USAGE_ERRORS = (ParseError, TextFormatError, IntervalError, SignalError,
@@ -104,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
-              binds: List[str]) -> Env:
+              binds: List[str], read: Callable[[str], Signal] = parse_signal) -> Env:
+    """The model's atoms and the bound files, each file read by read."""
     bindings: Dict[str, Signal] = {}
     domain: Optional[TimeDomain] = None
     if model is not None:
@@ -118,7 +122,7 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
         if name in bindings:
             parser.error(f"atom {name!r} bound twice")
         try:
-            sig = parse_signal(Path(path).read_text(encoding="utf-8"))
+            sig = read(Path(path).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, TextFormatError) as exc:
             raise TextFormatError(f"{path}: {exc}") from None
         bindings[name] = sig
@@ -129,24 +133,15 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
     return Env(domain, bindings)
 
 
-def _render_text(sig: Signal) -> str:
-    if sig.domain is TimeDomain.FULL_LINE:
-        return (f"domain line\n"
-                f"pattern {format_interval_list(sig.pattern)} period {sig.period}\n")
-    return (f"domain halfline\n"
-            f"prefix {format_interval_list(sig.prefix)} before {sig.transient}\n"
-            f"tail {format_interval_list(sig.pattern)} period {sig.period} "
-            f"from {sig.transient}\n")
-
-
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "eval":
-        env = _load_env(parser, args.model, args.bind)
-        sig = evaluate(parse_formula(args.formula), env)
-        if args.output == "sig":
-            sys.stdout.write(format_signal(sig))
-        else:
-            sys.stdout.write(_render_text(sig))
+        # files read into ticks and the result printed from them: no Fractions
+        env = _load_env(parser, args.model, args.bind, parse_ticks)
+        f = parse_formula(args.formula)
+        atoms = {name: s if (s := env.bindings[name]).unit != 1 else to_ticks(s, tick_unit([s]))
+                 for name in metrics(f)[1] & env.bindings.keys()}
+        sys.stdout.write(format_ticks(evaluate_ticks(f, Env(env.domain, atoms)),
+                                      text=args.output == "text"))
         return 0
 
     if args.command == "equiv":

@@ -10,10 +10,13 @@ only if they are structurally equal.
 An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
 keeps the type it is given.  Text parses to ``Fraction``, and so do the
 convenience constructors ``Interval.point`` and ``open``; the evaluation
-engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns.
-The list reader runs the checks of ``Interval`` on each end's numerator and
-denominator digits, and wraps a list that is normal as written: each interval
-starts after a gap from the one before.  Any other list is normalized.
+engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns, and its
+file reader reads text straight into ticks.  Both go through one list
+reader: it runs the checks of ``Interval`` on each end's numerator and
+denominator digits, and keeps them as ints.  One builder makes the ends of
+either scale from them, and wraps a list that is normal as written: each
+interval starts after a gap from the one before.  Any other list is
+normalized.
 An ``Interval`` is a tuple, hashed and compared in C, and ``x in iv`` asks
 for membership.  Its public constructors (``Interval(...)``, ``point``,
 ``open``, ``_make``, ``_replace``, copy, pickle) all check it.
@@ -43,7 +46,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Callable, Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -82,12 +85,17 @@ def _ints(text: str, num: str, den: str) -> Tuple[int, int]:
     return q
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or an integer, optional leading ``-``. Lowest terms come for free."""
+def _read_rational(text: str) -> Tuple[int, int]:
+    """The numerator and denominator written in ``p/q`` or an integer, optional leading ``-``."""
     s = text.strip()
     if not (m := _RATIONAL_RE.fullmatch(s)):
         raise TextFormatError(f"not a rational: {text!r}")
-    return Fraction(*_ints(s, *m.groups()))
+    return _ints(s, *m.groups())
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``p/q`` or an integer, optional leading ``-``. Lowest terms come for free."""
+    return Fraction(*_read_rational(text))
 
 
 def format_rational(q: Fraction) -> str:
@@ -136,8 +144,7 @@ class Interval(namedtuple("Interval", "lower upper lower_closed upper_closed")):
         return _unchecked(self.lower + d, self.upper + d, self.lower_closed, self.upper_closed)
 
     def __str__(self) -> str:
-        lo, hi = format_rational(self.lower), format_rational(self.upper)
-        return f"{'[' if self.lower_closed else '('}{lo},{hi}{']' if self.upper_closed else ')'}"
+        return format_interval_list((self,))
 
 
 def _unchecked(lower: RationalLike, upper: RationalLike, lower_closed: bool,
@@ -332,11 +339,11 @@ _INTERVAL_RE = re.compile(r"\s*([\[(])\s*({0})\s*,\s*({0})\s*([\])])\s*".format(
 _ITEM_RE = re.compile(_INTERVAL_RE.pattern + r"(?:(,)|\Z)")
 
 
-def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]]) -> str:
-    parts = [str(iv) for iv in intervals]
-    if not parts:
-        return "{}"
-    return ",".join(parts)
+def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]],
+                         num: Callable[[RationalLike], str] = format_rational) -> str:
+    """The list text, {} when empty, with num writing each end."""
+    return ",".join([f"{'[' if c.lower_closed else '('}{num(c.lower)},{num(c.upper)}"
+                     f"{']' if c.upper_closed else ')'}" for c in intervals]) or "{}"
 
 
 def _list_error(s: str, pos: int) -> TextFormatError:
@@ -353,20 +360,23 @@ def _list_error(s: str, pos: int) -> TextFormatError:
     return TextFormatError(f"at position {m.end()}: expected ','")
 
 
-def parse_interval_list(text: str) -> IntervalSet:
-    """Parse a comma separated interval list ({} for empty; braces optional).
+def _read_list(text: str) -> Tuple[list, bool]:
+    """The rows of a comma separated interval list ({} for empty; braces
+    optional), and whether it is normal as written.  A row is the ints a, b,
+    c, d of an interval's ends a/b and c/d as written, and its lower and upper
+    closed flags.
 
     Each item is one match of the interval and its separator, its ends read
     as ints and checked as ``Interval`` checks them; only an item that fails
     goes to ``_list_error`` for its message."""
     s = text.strip()
     if s == "{}":
-        return IntervalSet.EMPTY
+        return [], True
     if s.startswith("{") and s.endswith("}"):
         s = s[1:-1].strip()
     if not s:
         raise TextFormatError("empty interval list must be written {}")
-    items, pos, normal, last = [], 0, True, None
+    rows, pos, normal = [], 0, True
     while m := _ITEM_RE.match(s, pos):
         opener, _, ln, ld, _, hn, hd, closer, comma = m.groups()
         try:
@@ -376,12 +386,28 @@ def parse_interval_list(text: str) -> IntervalSet:
         lower_closed, upper_closed, order = opener == "[", closer == "]", c * b - a * d
         if not (b and d) or order < 0 or order == 0 and not (lower_closed and upper_closed):
             break
-        if last:  # normal while each interval starts after a gap from the one before
-            gap = a * last[1] - last[0] * b  # _has_gap(items[-1], iv) on ints
-            normal &= gap > 0 or gap == 0 and not (last[2] or lower_closed)
-        lo = Fraction(a, b)
-        items.append(_unchecked(lo, Fraction(c, d) if order else lo, lower_closed, upper_closed))
-        last, pos = (c, d, upper_closed), m.end()
+        if rows:  # normal while each interval starts after a gap from the one before
+            last = rows[-1]
+            gap = a * last[3] - last[2] * b  # _has_gap(last, this) on ints
+            normal &= gap > 0 or gap == 0 and not (last[5] or lower_closed)
+        rows.append((a, b, c, d, lower_closed, upper_closed))
+        pos = m.end()
         if not comma:
-            return IntervalSet._wrap(tuple(items)) if normal else IntervalSet(items)
+            return rows, normal
     raise _list_error(s, pos)
+
+
+def parse_interval_list(text: str) -> IntervalSet:
+    """Parse a comma separated interval list ({} for empty; braces optional)."""
+    return _set_of(*_read_list(text))
+
+
+def _set_of(rows: list, normal: bool,
+            num: Callable[[int, int], RationalLike] = Fraction) -> IntervalSet:
+    """The set of the rows that ``_read_list`` read, num(a, b) making each end."""
+    items = []
+    for a, b, c, d, lower_closed, upper_closed in rows:
+        lo = num(a, b)
+        items.append(_unchecked(lo, num(c, d) if c * b - a * d else lo,
+                                lower_closed, upper_closed))
+    return IntervalSet._wrap(tuple(items)) if normal else IntervalSet(items)

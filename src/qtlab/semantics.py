@@ -43,11 +43,13 @@ this module assuming it silently; it keeps its own dispatch.
 The operators run on signals at either scale of ``qtlab.signals``, reading
 the length of one time unit off their operands.  ``evaluate`` scales the
 formula's atoms to integer ticks once, so every operator it calls works on
-ints, and scales the result back to Fractions.
+ints, and scales the result back to Fractions.  The CLI reads atoms into
+ticks and prints from them, so it calls ``evaluate_ticks`` directly.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
@@ -80,6 +82,7 @@ from .signals import (
     _apply,
     combine,
     from_ticks,
+    scale_ticks,
     tick_unit,
     to_ticks,
 )
@@ -282,13 +285,23 @@ MODALITIES: Dict[type, Modality] = {
 # ------------------------------------------------------------------- evaluate
 
 def evaluate(f: Formula, env: Env) -> Signal:
-    """The canonical truth signal of a formula under an environment, computed
-    in integer ticks at the scale of the formula's atoms alone.  Each atom is
-    scaled and canonicalized once, however often it occurs."""
+    """The canonical truth signal of a formula under an environment of public
+    signals: the atoms it uses scaled to integer ticks at their ``tick_unit``,
+    evaluated by ``evaluate_ticks`` and scaled back."""
     used = metrics(f)[1] & env.bindings.keys()
     unit = tick_unit(env.bindings[name] for name in used)
-    ticks = {name: to_ticks(env.bindings[name], unit).canonicalize() for name in used}
-    return from_ticks(_evaluate(f, Env(env.domain, ticks), unit))
+    atoms = {name: to_ticks(env.bindings[name], unit) for name in used}
+    return from_ticks(evaluate_ticks(f, Env(env.domain, atoms)))
+
+
+def evaluate_ticks(f: Formula, atoms: Env) -> Signal:
+    """The canonical truth signal of a formula, in ticks, from the atoms it
+    uses, in ticks.  They are scaled to the lcm of their units, which is
+    ``tick_unit`` of their public forms when each is at its own, and each is
+    canonicalized once, however often it occurs."""
+    unit = math.lcm(2, *(s.unit for s in atoms.bindings.values()))
+    ticks = {name: scale_ticks(s, unit).canonicalize() for name, s in atoms.bindings.items()}
+    return _evaluate(f, Env(atoms.domain, ticks), unit)
 
 
 def _evaluate(f: Formula, env: Env, unit: int) -> Signal:

@@ -12,10 +12,16 @@ time unit.  A public Signal, every one the library reads or returns, has unit
 instead: every endpoint it makes lies on the lattice (1/Q)Z, Q = ``tick_unit``
 of its atoms, so ``to_ticks`` scales the atoms by Q once, every number of the
 Signals it builds from them is an ``int`` and the unit is Q ticks, and
-``from_ticks`` scales the result back.  ``Frame.of`` admits only signals of one
-domain and one scale, for every function where signals meet; ``to_ticks`` and
-``format_signal`` take public signals only; every other function runs at
-either scale, and ``/`` is never applied to a tick.
+``from_ticks`` scales the result back.  A bound file need not pass through
+Fractions: ``parse_ticks`` reads it straight into ticks of its own tick unit,
+``scale_ticks`` brings atoms to a common multiple of their units, and
+``format_ticks`` prints a result from its ticks, as ``format_signal`` prints
+it from Fractions.  The two readers share one reader of the text, and the
+two writers one writer.  ``Frame.of`` admits only signals of one domain and
+one scale, for every function where signals meet; ``to_ticks`` and
+``format_signal`` take public signals only, ``scale_ticks`` and
+``format_ticks`` signals in ticks only; every other function runs at either
+scale, and ``/`` is never applied to a tick.
 
 ``canonicalize`` produces the representative form: ``Signal.constant`` at once
 for the empty and the full set, else the minimal period, then the minimal
@@ -55,12 +61,13 @@ from .intervals import (
     TextFormatError,
     _has_gap,
     _merge,
+    _read_list,
+    _read_rational,
+    _set_of,
     _unchecked,
     exact,
     format_interval_list,
     format_rational,
-    parse_interval_list,
-    parse_rational,
     rat,
 )
 
@@ -208,10 +215,10 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         public = unit == 1
         if public:
             period, transient = rat(period), rat(transient)
-        if period <= 0:
-            raise SignalError(f"period must be positive, got {period}")
+        if period <= 0:  # the number as public, in ticks too
+            raise SignalError(f"period must be positive, got {Fraction(period, unit)}")
         if transient < 0:
-            raise SignalError(f"transient must be nonnegative, got {transient}")
+            raise SignalError(f"transient must be nonnegative, got {Fraction(transient, unit)}")
         if domain is TimeDomain.FULL_LINE and (transient != 0 or prefix):
             raise SignalError("full-line signals are purely periodic: transient 0, empty prefix")
         if not _within(pattern, period):
@@ -486,6 +493,15 @@ def to_ticks(s: Signal, unit: int) -> Signal:
                   s.transient.numerator * factor(s.transient), scale(s.prefix), unit)
 
 
+def scale_ticks(s: Signal, unit: int) -> Signal:
+    """A signal in ticks scaled to unit, a multiple of its own unit."""
+    k, rest = divmod(unit, s.unit)
+    if s.unit == 1 or rest:
+        raise ValueError(f"cannot scale a signal of unit {s.unit} to ticks of unit {unit}")
+    return s if k == 1 else Signal(s.domain, s.period * k, _map_ends(s.pattern, k.__mul__),
+                                   s.transient * k, _map_ends(s.prefix, k.__mul__), unit)
+
+
 def from_ticks(s: Signal) -> Signal:
     """The public signal, in Fractions, that a signal in ticks denotes."""
     def scale(x: int) -> Fraction:
@@ -504,21 +520,45 @@ def from_ticks(s: Signal) -> Signal:
 #   transient <rational>           half line only, default 0
 #   prefix <interval-list>         half line only, default {}
 
+def _write(s: Signal, num: Callable[[RationalLike], str], text: bool = False) -> str:
+    """The signal in the file format, or with text in the CLI's text layout,
+    with num writing each number."""
+    period, pattern = num(s.period), format_interval_list(s.pattern, num)
+    if s.domain is TimeDomain.FULL_LINE:
+        return (f"domain line\npattern {pattern} period {period}\n" if text
+                else f"domain line\nperiod {period}\npattern {pattern}\n")
+    transient, prefix = num(s.transient), format_interval_list(s.prefix, num)
+    if text:
+        return (f"domain halfline\nprefix {prefix} before {transient}\n"
+                f"tail {pattern} period {period} from {transient}\n")
+    return (f"domain halfline\nperiod {period}\npattern {pattern}\n"
+            f"transient {transient}\nprefix {prefix}\n")
+
+
 def format_signal(s: Signal) -> str:
     if s.unit != 1:
         raise ValueError(f"cannot print a signal in ticks of unit {s.unit}")
-    lines = [
-        f"domain {s.domain.value}",
-        f"period {format_rational(s.period)}",
-        f"pattern {format_interval_list(s.pattern)}",
-    ]
-    if s.domain is TimeDomain.HALF_LINE:
-        lines.append(f"transient {format_rational(s.transient)}")
-        lines.append(f"prefix {format_interval_list(s.prefix)}")
-    return "\n".join(lines) + "\n"
+    return _write(s, format_rational)
 
 
-def parse_signal(text: str) -> Signal:
+def format_ticks(s: Signal, text: bool = False) -> str:
+    """What ``format_signal`` prints for ``from_ticks(s)``, or with text the
+    CLI's text layout of it, written from the ticks: x as x/U in lowest terms."""
+    unit = s.unit
+    if unit == 1:
+        raise ValueError("format_ticks prints a signal in ticks, not a public one")
+
+    def num(x: int) -> str:
+        g = math.gcd(x, unit)
+        return str(x // g) if g == unit else f"{x // g}/{unit // g}"
+
+    return _write(s, num, text)
+
+
+def _read_signal(text: str) -> tuple:
+    """The domain, period, pattern, transient and prefix of a signal file:
+    each number as its numerator and denominator, each interval list as
+    ``_read_list`` reads it."""
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -556,11 +596,44 @@ def parse_signal(text: str) -> Signal:
         except TextFormatError as exc:
             raise TextFormatError(f"line {lines[key]}: {key}: {exc}") from exc
 
-    period = read("period", parse_rational)
-    pattern = read("pattern", parse_interval_list)
-    transient = read("transient", parse_rational, "0")
-    prefix = read("prefix", parse_interval_list, "{}")
+    return (domain, read("period", _read_rational), read("pattern", _read_list),
+            read("transient", _read_rational, "0"), read("prefix", _read_list, "{}"))
+
+
+def _checked(*fields) -> Signal:
+    """The Signal of the fields a file holds, its refusal a format error."""
     try:
-        return Signal(domain, period, pattern, transient, prefix)
+        return Signal(*fields)
     except SignalError as exc:
         raise TextFormatError(str(exc)) from exc
+
+
+def parse_signal(text: str) -> Signal:
+    domain, period, pattern, transient, prefix = _read_signal(text)
+    return _checked(domain, Fraction(*period), _set_of(*pattern), Fraction(*transient),
+                    _set_of(*prefix))
+
+
+def parse_ticks(text: str) -> Signal:
+    """``to_ticks(parse_signal(text), Q)`` for Q its ``tick_unit``, made
+    without a ``Fraction``: each number a/b as written becomes a * U // b, at
+    U twice the lcm of the b, and then all are divided by U / Q.  That is
+    half the gcd of U and of the numbers in ticks, since in lowest terms,
+    after normalizing, a number x in ticks has the denominator U / gcd(x, U)."""
+    domain, period, pattern, transient, prefix = _read_signal(text)
+    rows = pattern[0] + prefix[0]
+    unit = 2 * math.lcm(period[1], transient[1], *{b for _, b, _, _, _, _ in rows},
+                        *{d for _, _, _, d, _, _ in rows})
+
+    def num(a: int, b: int) -> int:
+        return a * unit // b
+
+    s = _checked(domain, num(*period), _set_of(*pattern, num), num(*transient),
+                 _set_of(*prefix, num), unit)
+    comps = s.pattern.components + s.prefix.components
+    k = math.gcd(unit, s.period, s.transient, *map(attrgetter("lower"), comps),
+                 *map(attrgetter("upper"), comps)) // 2
+    if k == 1:
+        return s
+    return Signal(domain, s.period // k, _map_ends(s.pattern, k.__rfloordiv__),
+                  s.transient // k, _map_ends(s.prefix, k.__rfloordiv__), unit // k)

@@ -95,7 +95,8 @@ MUTANTS = (
            ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
             "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
     Mutant("evaluate hands atoms over uncanonicalized", "semantics.py",
-           ".canonicalize() for name in used}", " for name in used}",
+           "scale_ticks(s, unit).canonicalize() for name, s in",
+           "scale_ticks(s, unit) for name, s in",
            ("tests/test_semantics.py::test_snaps_and_constants_keep_whole_units[P]",)),
     Mutant("canonicalize's lockstep walk comparing components without their closed flags",
            "signals.py",
@@ -105,6 +106,17 @@ MUTANTS = (
     Mutant("_frame's split keeping a closed upper end at t_bound + period", "signals.py",
            "(c := run[-1]).upper == b and c.upper_closed:", "False:",
            ("tests/test_signals.py::test_bisection_split_matches_the_span_intersections",)),
+    Mutant("the tick writer printing x/U without reducing it by their gcd", "signals.py",
+           "g = math.gcd(x, unit)", "g = 1",
+           ("tests/test_signals.py::test_writing_from_ticks_equals_printing_the_public_signal",)),
+    # the list builder is shared: the Fraction reader wraps unchecked too
+    Mutant("the tick reader wrapping a list without checking its normal form", "intervals.py",
+           "return IntervalSet._wrap(tuple(items)) if normal else IntervalSet(items)",
+           "return IntervalSet._wrap(tuple(items))",
+           ("tests/test_signals.py::test_reading_into_ticks_equals_scaling_the_public_signal",)),
+    Mutant("the tick reader keeping the unit of the denominators as written", "signals.py",
+           "    if k == 1:\n        return s\n", "    return s\n",
+           ("tests/test_signals.py::test_reading_into_ticks_equals_scaling_the_public_signal",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
            "comps[i].upper <= x", "comps[i].upper < x",

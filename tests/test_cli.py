@@ -9,8 +9,10 @@ import pytest
 
 import qtlab.cli
 from qtlab.cli import main
-from qtlab.formulas import MAX_NESTING
+from qtlab.formulas import MAX_NESTING, parse_formula
 from qtlab.intervals import Interval, IntervalSet
+from qtlab.lab import builtin_model
+from qtlab.semantics import Env, evaluate
 from qtlab.signals import (
     MAX_UNROLL,
     Signal,
@@ -19,7 +21,10 @@ from qtlab.signals import (
     equal,
     format_signal,
     parse_signal,
+    parse_ticks,
+    tick_unit,
 )
+from test_signals import _render_text_reference
 
 
 def invoke(argv):
@@ -512,3 +517,47 @@ def test_output_formats_alternate_without_cross_talk(tmp_path, capsys):
         assert outs.setdefault(fmt or "text", out) == out
     assert outs["text"].startswith("domain line\npattern ")
     assert format_signal(parse_signal(outs["sig"])) == outs["sig"]
+
+
+# ------------------------------------------------ eval reads and writes in ticks
+
+Q_7_11 = "domain line\nperiod 5/7\npattern (1/11,1/7],[2/7,4/11),[6/11,6/11]\n"
+
+
+@pytest.mark.parametrize("formula", ["P U Q", "Pn2(P, Q)", "F1 P & !Q", "Q S P", "C2(P | Q)"])
+def test_eval_in_ticks_prints_what_evaluate_prints_where_the_units_differ(formula, tmp_path,
+                                                                          capsys):
+    """mk:3's P has the tick unit 6 and Q's file 154: eval brings both to
+    462, as evaluate does, and prints the same bytes in either layout."""
+    path = tmp_path / "q.sig"
+    path.write_text(Q_7_11, encoding="utf-8")
+    env = Env(TimeDomain.FULL_LINE, {"P": builtin_model("mk:3").signal("P"),
+                                     "Q": parse_signal(Q_7_11)})
+    assert parse_ticks(Q_7_11).unit == 154 and tick_unit(env.bindings.values()) == 462
+    want = evaluate(parse_formula(formula), env)
+    argv = ["eval", "--formula", formula, "--model", "mk:3", "--bind", f"Q={path}"]
+    assert invoke(argv + ["--output", "sig"]) == 0
+    assert capsys.readouterr().out == format_signal(want)
+    assert invoke(argv) == 0
+    assert capsys.readouterr().out == _render_text_reference(want)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("domain line\nperiod -1/2\npattern {}\n", "period must be positive, got -1/2"),
+    ("domain halfline\nperiod 1\npattern {}\ntransient -1/3\nprefix {}\n",
+     "transient must be nonnegative, got -1/3"),
+    ("domain line\nperiod 3\npattern [0,1];[2,3]\n",
+     "line 3: pattern: at position 5: expected ','"),
+    ("domain line\nperiod 1\npattern [0,1/2],[1/2,1]\n", "pattern escapes [0, period)"),
+])
+def test_a_bad_bound_file_exits_two_used_or_not(text, message, tmp_path, capsys):
+    """Every bound file is read and checked, the one the formula leaves out
+    too, and refused with its public numbers."""
+    good, bad = tmp_path / "good.sig", tmp_path / "bad.sig"
+    good.write_text("domain line\nperiod 1\npattern [0,0]\n", encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
+    for formula in ("P", "Q", "P & Q"):
+        assert invoke(["eval", "--formula", formula, "--bind", f"P={good}",
+                       "--bind", f"Q={bad}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {bad}: {message}\n"

@@ -1,6 +1,7 @@
 """Exact-set algebra: normal form, boolean algebra, text syntax."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -20,7 +21,8 @@ from qtlab.intervals import (
     parse_interval_list,
     parse_rational,
 )
-from qtlab.intervals import _INTERVAL_RE, _RATIONAL_RE, _ints, _unchecked
+from qtlab.intervals import _INTERVAL_RE, _RATIONAL_RE, _ints, _read_list, _set_of, _unchecked
+from qtlab.signals import parse_signal, parse_ticks, tick_unit, to_ticks
 
 
 def iset(*ivs):
@@ -548,15 +550,19 @@ def _outcome(parse, text):
         return "error", str(exc)
 
 
-def test_pattern_parser_matches_the_character_scanner():
+def _mutated_lists(count=20000):
     rng = random.Random(20260301)
-    accepted = rejected = 0
-    for _ in range(20000):
+    for _ in range(count):
         base = _valid_list(rng)
         if rng.random() < 0.3:  # a single interval
             base = base.strip().strip("{}").split("],")[0].split("),")[0]
             base += "" if base.rstrip()[-1:] in ("]", ")") else rng.choice("])")
-        text = _mutate(rng, base)
+        yield _mutate(rng, base)
+
+
+def test_pattern_parser_matches_the_character_scanner():
+    accepted = rejected = 0
+    for text in _mutated_lists():
         got, want = _outcome(parse_interval_list, text), _outcome(scanned_interval_list, text)
         assert got[0] == want[0], (text, got, want)
         # the looped reader words each error, position included, as the parser does
@@ -570,6 +576,47 @@ def test_pattern_parser_matches_the_character_scanner():
             rejected += 1
     # the mutations reach both sides of the grammar
     assert accepted > 5000 and rejected > 5000, (accepted, rejected)
+
+
+def _tick_list(text):
+    """A list as the tick reader of a signal file reads it: its rows, each end
+    a/b made a * unit // b at a unit that every written denominator divides."""
+    rows, normal = _read_list(text)
+    unit = 2 * math.lcm(*(x for row in rows for x in (row[1], row[3])))
+    return _set_of(rows, normal, lambda a, b: a * unit // b), unit
+
+
+def _at_unit(s, unit):
+    return IntervalSet._wrap(tuple(_unchecked(int(c.lower * unit), int(c.upper * unit),
+                                              c.lower_closed, c.upper_closed) for c in s))
+
+
+def _file_outcome(read, text):
+    """The outcome of reading text as the pattern of a line signal of period 100."""
+    return _outcome(read, f"domain line\nperiod 100\npattern {text}\n")
+
+
+def test_the_tick_reader_matches_the_fraction_reader_on_mutated_lists():
+    """The parity test's 20000 mutated lists, read into ticks: the same
+    outcome and error text as the Fraction reader, and the same set at the
+    tick scale; within a signal file too, where both readers' checks word
+    each refusal alike."""
+    ticked = 0
+    for text in _mutated_lists():
+        want, got = _outcome(parse_interval_list, text), _outcome(_tick_list, text)
+        assert got[0] == want[0], (text, got, want)
+        if got[0] == "ok":
+            assert got[1][0] == _at_unit(want[1], got[1][1]), text
+        else:
+            assert got[1] == want[1], text
+        want, got = _file_outcome(parse_signal, text), _file_outcome(parse_ticks, text)
+        assert got[0] == want[0], (text, got, want)
+        if got[0] == "ok":
+            assert got[1] == to_ticks(want[1], tick_unit([want[1]])), text
+            ticked += 1
+        else:
+            assert got[1] == want[1], text
+    assert ticked > 500, ticked
 
 
 # sixty intervals, points and open ones; the 40th, "[39/7, 39/7]", starts at len(_HEAD)
@@ -597,3 +644,29 @@ def test_a_fault_at_the_fortieth_of_sixty_intervals(fortieth, rest, offset, mess
     with pytest.raises(TextFormatError) as want:
         looped_interval_list(text)
     assert str(got.value) == str(want.value) == f"at position {len(_HEAD) + offset}: {message}"
+
+
+@pytest.mark.parametrize("fortieth, rest, offset, message", [
+    ("[39/7, 39/7] ", _REST[1:], 13, "expected ','"),
+    ("[39/7, 39/7],", "", 13, "expected an interval"),
+    ("[39/0, 39/7]", _REST, 0, "zero denominator: '39/0'"),
+    ("[39/7, " + "9" * 5000 + "]", _REST, 0, "number of 5000 characters is too long to read"),
+    ("[40/7, 39/7]", _REST, 0, "lower 40/7 above upper 39/7"),
+], ids=["missing comma", "trailing comma", "zero denominator", "5000-digit number",
+        "lower above upper"])
+def test_a_fault_at_the_fortieth_of_sixty_intervals_in_ticks(fortieth, rest, offset, message):
+    """The tick reader words the five faults as the Fraction reader does, in
+    a list and in a signal file; without the fault it reads the sixty
+    intervals into the Fraction reader's set at the tick scale."""
+    whole = ",".join(_SIXTY)
+    ticks, unit = _tick_list(whole)
+    assert ticks == _at_unit(parse_interval_list(whole), unit)
+    file = f"domain line\nperiod 9\npattern {whole}\n"
+    assert parse_ticks(file) == to_ticks(parse_signal(file), 28)
+    text = _HEAD + fortieth + rest
+    with pytest.raises(TextFormatError) as got:
+        _tick_list(text)
+    assert str(got.value) == f"at position {len(_HEAD) + offset}: {message}"
+    with pytest.raises(TextFormatError) as got:
+        parse_ticks(f"domain line\nperiod 9\npattern {text}\n")
+    assert str(got.value) == f"line 3: pattern: at position {len(_HEAD) + offset}: {message}"

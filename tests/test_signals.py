@@ -25,13 +25,19 @@ from qtlab.signals import (
     combine,
     equal,
     format_signal,
+    format_ticks,
     from_ticks,
     parse_signal,
+    parse_ticks,
+    scale_ticks,
     tick_unit,
     to_ticks,
 )
-from qtlab.signals import _frame, _minimal_tail, _within
-from gen import PERIODS, random_fraction, random_point_set, random_signal
+from qtlab.intervals import format_interval_list, format_rational
+from qtlab.semantics import Env, evaluate_ticks
+from qtlab.signals import _frame, _minimal_tail, _within, _write
+from gen import (PERIODS, irregular_signal, random_formula, random_fraction, random_point_set,
+                 random_signal)
 from test_intervals import interval_sets, rationals
 
 LINE = TimeDomain.FULL_LINE
@@ -849,6 +855,164 @@ def test_format_parse_roundtrip_random():
     for _ in range(60):
         s = random_signal(rng, rng.choice([LINE, HALF]))
         assert parse_signal(format_signal(s)) == s
+
+
+# ------------------------------------------------ reading into ticks, writing from them
+
+def _end_text(rng, q):
+    """q in lowest terms, or not."""
+    k = rng.choice((1, 1, 2, 3))
+    return str(q) if k == 1 else f"{q.numerator * k}/{q.denominator * k}"
+
+
+def _list_text(rng, part):
+    """An interval list a file may hold for part: in normal form, or cut into
+    touching, overlapping, repeated pieces, maybe unsorted, their cut points
+    often of new denominators, with blanks, braced or not."""
+    pieces = []
+    for c in part:
+        if c.lower < c.upper and rng.random() < 0.6:
+            mid = (c.lower + c.upper) / 2
+            left, right = rng.choice([(True, False), (False, True), (True, True)])
+            if rng.random() < 0.3:  # overlapping past the cut
+                pieces += [(c.lower, mid, c.lower_closed, True),
+                           ((c.lower + mid) / 2, c.upper, True, c.upper_closed)]
+            else:
+                pieces += [(c.lower, mid, c.lower_closed, left), (mid, c.upper, right, c.upper_closed)]
+        else:
+            pieces.append(tuple(c))
+        if rng.random() < 0.15:
+            pieces.append(pieces[-1])
+    if rng.random() < 0.4:
+        rng.shuffle(pieces)
+    blank = lambda: rng.choice(("", "", " ", "  "))  # noqa: E731
+    text = ",".join(f"{blank()}{'[' if lc else '('}{blank()}{_end_text(rng, lo)},{blank()}"
+                    f"{_end_text(rng, hi)}{blank()}{']' if uc else ')'}{blank()}"
+                    for lo, hi, lc, uc in pieces)
+    return f"{{{text}}}" if text and rng.random() < 0.3 else text or "{}"
+
+
+def _signal_text(rng, s):
+    """A file for s: its keys in any order, comments and blank lines between
+    and after them, the defaults of a half line sometimes left out."""
+    lines = [f"domain {s.domain.value}", f"period {_end_text(rng, s.period)}",
+             f"pattern {_list_text(rng, s.pattern)}"]
+    if s.domain is HALF and (s.transient or s.prefix or rng.random() < 0.5):
+        lines += [f"transient {_end_text(rng, s.transient)}", f"prefix {_list_text(rng, s.prefix)}"]
+    rng.shuffle(lines)
+    out = []
+    for line in lines:
+        out += rng.choice(([], [""], ["# a comment"], ["", "  # another, with [0,1]"]))
+        out.append(line + rng.choice(("", "", "  # trailing", " ")))
+    return "\n".join(out) + rng.choice(("\n", "", "\n\n# the end\n"))
+
+
+def _render_text_reference(sig):
+    """The CLI's text layout as it was written before the shared writer, on a
+    public signal: the reference for ``format_ticks(..., text=True)``."""
+    if sig.domain is LINE:
+        return (f"domain line\n"
+                f"pattern {format_interval_list(sig.pattern)} period {sig.period}\n")
+    return (f"domain halfline\n"
+            f"prefix {format_interval_list(sig.prefix)} before {sig.transient}\n"
+            f"tail {format_interval_list(sig.pattern)} period {sig.period} "
+            f"from {sig.transient}\n")
+
+
+def _file_signals(rng):
+    for _ in range(500):
+        domain = rng.choice([LINE, HALF])
+        yield random_signal(rng, domain, max_den=rng.choice((12, 30)))
+    for domain in (LINE, HALF):
+        yield Signal.constant(domain, True)
+        yield Signal.constant(domain, False)
+        yield irregular_signal(rng, 40, domain)
+
+
+def test_reading_into_ticks_equals_scaling_the_public_signal():
+    """parse_ticks makes no Fraction, yet equals to_ticks of the public
+    signal at its tick_unit, on files in any order, with comments, and with
+    lists out of normal form: overlapping, touching, repeated, unsorted,
+    cut at points whose denominators normalizing drops."""
+    rng = random.Random(41)
+    for s in _file_signals(rng):
+        text = _signal_text(rng, s)
+        public = parse_signal(text)
+        assert public == s, text
+        ticks, unit = parse_ticks(text), tick_unit([public])
+        assert ticks == to_ticks(public, unit), text
+        assert all(type(x) is int for x in (ticks.period, ticks.transient))
+        assert all(type(x) is int for part in (ticks.pattern, ticks.prefix)
+                   for c in part for x in (c.lower, c.upper))
+        assert scale_ticks(ticks, 5 * unit) == to_ticks(public, 5 * unit)
+
+
+def test_writing_from_ticks_equals_printing_the_public_signal():
+    """format_ticks writes byte for byte what format_signal writes for the
+    public signal, and what the CLI's text layout wrote, on atoms in ticks at
+    their unit and at a multiple, and on the engine's results at the unit of
+    two atoms."""
+    rng = random.Random(43)
+    signals = list(_file_signals(rng))
+    for s in signals[::2]:
+        q = rng.choice(signals)
+        if q.domain is not s.domain:
+            continue
+        unit = tick_unit([s, q])
+        f = random_formula(rng, modal_budget=2, size=6)
+        atoms = {"P": to_ticks(s, unit), "Q": to_ticks(q, unit)}
+        for t in (atoms["P"], scale_ticks(atoms["P"], 4 * unit),
+                  evaluate_ticks(f, Env(s.domain, atoms))):
+            public = from_ticks(t)
+            assert format_ticks(t) == format_signal(public) == _write(public, format_rational)
+            assert format_ticks(t, text=True) == _render_text_reference(public)
+    for s, sig, text in [(M3, "domain line\nperiod 1/3\npattern [0,0]\n",
+                          "domain line\npattern [0,0] period 1/3\n"),
+                         (THM2, "domain halfline\nperiod 2/3\npattern [0,0]\ntransient 0\nprefix {}\n",
+                          "domain halfline\nprefix {} before 0\ntail [0,0] period 2/3 from 0\n")]:
+        assert format_ticks(to_ticks(s, 30)) == sig
+        assert format_ticks(to_ticks(s, 30), text=True) == text
+
+
+def test_each_writer_and_scaler_refuses_the_other_scale():
+    ticks = to_ticks(M3, 6)
+    with pytest.raises(ValueError, match="format_ticks prints a signal in ticks, not a public one"):
+        format_ticks(M3)
+    with pytest.raises(ValueError, match="cannot print a signal in ticks of unit 6"):
+        format_signal(ticks)
+    with pytest.raises(ValueError, match="cannot scale a signal of unit 1 to ticks of unit 6"):
+        scale_ticks(M3, 6)
+    with pytest.raises(ValueError, match="cannot scale a signal of unit 6 to ticks of unit 9"):
+        scale_ticks(ticks, 9)
+    with pytest.raises(ValueError, match="cannot scale a signal of unit 1"):
+        evaluate_ticks(qtlab.semantics.Atom("P"), Env(LINE, {"P": M3}))
+    assert scale_ticks(ticks, 6) is ticks and scale_ticks(ticks, 12) == to_ticks(M3, 12)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("domain line\nperiod -1/2\npattern {}\n", "period must be positive, got -1/2"),
+    ("domain line\nperiod -4/8\npattern {}\n", "period must be positive, got -1/2"),
+    ("domain line\nperiod 0\npattern {}\n", "period must be positive, got 0"),
+    ("domain halfline\nperiod 1\npattern {}\ntransient -1/3\nprefix {}\n",
+     "transient must be nonnegative, got -1/3"),
+    ("domain halfline\nperiod 2/3\npattern [0,1/3],[1/3,2/3]\n", "pattern escapes [0, period)"),
+    ("domain halfline\nperiod 1\npattern {}\ntransient 1/2\nprefix [1/4,1/4],(0,1/2]\n",
+     "prefix escapes [0, transient)"),
+])
+def test_the_readers_refuse_a_file_alike_in_public_numbers(text, message):
+    """A signal the file cannot hold is refused with the same text by both
+    readers, its numbers the public ones and not ticks."""
+    for read in (parse_signal, parse_ticks):
+        with pytest.raises(TextFormatError) as got:
+            read(text)
+        assert str(got.value) == message
+
+
+def test_a_signal_in_ticks_is_refused_in_public_numbers():
+    with pytest.raises(SignalError, match="^period must be positive, got -1/2$"):
+        Signal(LINE, -2, IntervalSet.EMPTY, unit=4)
+    with pytest.raises(SignalError, match="^transient must be nonnegative, got -1/3$"):
+        Signal(HALF, 6, IntervalSet.EMPTY, -2, unit=6)
 
 
 def test_unrolling_past_the_limit_raises():
