@@ -4,6 +4,10 @@ one argparse parser per process, built on first use (parsing leaves it as is).
 Exit codes: 0 success or check passed; 1 check failed, formulas inequivalent,
 or oracle disagreement; 2 usage, parse, or file-format errors (formulas nested
 past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
+
+Bound files are read one way, into integer ticks (``parse_ticks``), and the
+``--model`` atom is scaled to ticks beside them; ``eval`` and ``equiv`` run
+``evaluate_ticks`` over the atoms their formulas use, at one unit per command.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import functools
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from .formulas import ParseError, metrics, parse_formula
+from .formulas import Formula, ParseError, metrics, parse_formula
 from .intervals import IntervalError, TextFormatError
 from .lab import (
     LabError,
@@ -36,7 +40,6 @@ from .signals import (
     TimeDomain,
     equal,
     format_ticks,
-    parse_signal,
     parse_ticks,
     tick_unit,
     to_ticks,
@@ -106,15 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
-              binds: List[str], read: Callable[[str], Signal] = parse_signal) -> Env:
-    """The model's atoms and the bound files, each file read by read."""
+def _load_env(parser: argparse.ArgumentParser, model: Optional[str], binds: List[str]) -> Env:
+    """The model's atoms and the bound files, each in ticks of its own unit."""
     bindings: Dict[str, Signal] = {}
     domain: Optional[TimeDomain] = None
     if model is not None:
         env = builtin_model(model)
         domain = env.domain
-        bindings.update(env.bindings)
+        bindings.update({name: to_ticks(s, tick_unit([s])) for name, s in env.bindings.items()})
     for item in binds:
         name, sep, path = item.partition("=")
         if not sep or not name:
@@ -122,7 +124,7 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
         if name in bindings:
             parser.error(f"atom {name!r} bound twice")
         try:
-            sig = read(Path(path).read_text(encoding="utf-8"))
+            sig = parse_ticks(Path(path).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, TextFormatError) as exc:
             raise TextFormatError(f"{path}: {exc}") from None
         bindings[name] = sig
@@ -133,14 +135,17 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str],
     return Env(domain, bindings)
 
 
+def _used(env: Env, *formulas: Formula) -> Env:
+    """The atoms of env that the formulas use."""
+    names = env.bindings.keys() & set().union(*(metrics(f)[1] for f in formulas))
+    return Env(env.domain, {name: env.bindings[name] for name in names})
+
+
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "eval":
-        # files read into ticks and the result printed from them: no Fractions
-        env = _load_env(parser, args.model, args.bind, parse_ticks)
+        env = _load_env(parser, args.model, args.bind)
         f = parse_formula(args.formula)
-        atoms = {name: s if (s := env.bindings[name]).unit != 1 else to_ticks(s, tick_unit([s]))
-                 for name in metrics(f)[1] & env.bindings.keys()}
-        sys.stdout.write(format_ticks(evaluate_ticks(f, Env(env.domain, atoms)),
+        sys.stdout.write(format_ticks(evaluate_ticks(f, _used(env, f)),
                                       text=args.output == "text"))
         return 0
 
@@ -148,23 +153,24 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if len(args.formula) != 2:
             parser.error("equiv needs --formula exactly twice")
         env = _load_env(parser, args.model, args.bind)
-        a = evaluate(parse_formula(args.formula[0]), env)
-        b = evaluate(parse_formula(args.formula[1]), env)
-        if equal(a, b, eventually=args.eventually):
+        fa, fb = map(parse_formula, args.formula)
+        atoms = _used(env, fa, fb)
+        if equal(evaluate_ticks(fa, atoms), evaluate_ticks(fb, atoms),
+                 eventually=args.eventually):
             print("equivalent")
             return 0
         print("inequivalent")
         return 1
 
     if args.command == "trivial":
-        env = _load_env(parser, args.model, [])
+        env = builtin_model(args.model)
         sig = evaluate(parse_formula(args.formula), env)
         cls = classify_trivial(sig, env.signal("P"), eventually=args.eventually)
         print(cls)
         return 0
 
     if args.command == "enumerate":
-        env = _load_env(parser, args.model, [])
+        env = builtin_model(args.model)
         result = enumerate_formulas(parse_logic(args.logic), args.depth, env)
         text = trivialization_report(result, eventually=args.eventually).render()
         Path(args.report).write_text(text, encoding="utf-8")
@@ -182,7 +188,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("--samples must be at least 1")
         if args.samples > MAX_UNROLL:
             parser.error(f"--samples must be at most {MAX_UNROLL}")
-        env = _load_env(parser, args.model, [])
+        env = builtin_model(args.model)
         formula = parse_formula(args.formula)
         sig = evaluate(formula, env)
         if args.cells:

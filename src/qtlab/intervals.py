@@ -8,15 +8,14 @@ disjoint, non-adjacent).  Two sets denote the same subset of the line if and
 only if they are structurally equal.
 
 An exact number is an ``int`` or a ``fractions.Fraction``, and the algebra
-keeps the type it is given.  Text parses to ``Fraction``, and so do the
-convenience constructors ``Interval.point`` and ``open``; the evaluation
-engine runs on ``int`` ticks, a scale that ``qtlab.signals`` owns, and its
-file reader reads text straight into ticks.  Both go through one list
-reader: it runs the checks of ``Interval`` on each end's numerator and
-denominator digits, and keeps them as ints.  One builder makes the ends of
-either scale from them, and wraps a list that is normal as written: each
-interval starts after a gap from the one before.  Any other list is
-normalized.
+keeps the type it is given.  The convenience constructors ``Interval.point``
+and ``open`` make ``Fraction``s; the evaluation engine runs on ``int``
+ticks, a scale that ``qtlab.signals`` owns.  Text is read only for the file
+readers of ``qtlab.signals``, by one private list reader: it runs the checks
+of ``Interval`` on each end's numerator and denominator digits, and keeps
+them as ints.  One builder makes the ends at the reader's scale from them,
+and wraps a list that is normal as written: each interval starts after a
+gap from the one before.  Any other list is normalized.
 An ``Interval`` is a tuple, hashed and compared in C, and ``x in iv`` asks
 for membership.  Its public constructors (``Interval(...)``, ``point``,
 ``open``, ``_make``, ``_replace``, copy, pickle) all check it.
@@ -91,11 +90,6 @@ def _read_rational(text: str) -> Tuple[int, int]:
     if not (m := _RATIONAL_RE.fullmatch(s)):
         raise TextFormatError(f"not a rational: {text!r}")
     return _ints(s, *m.groups())
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or an integer, optional leading ``-``. Lowest terms come for free."""
-    return Fraction(*_read_rational(text))
 
 
 def format_rational(q: Fraction) -> str:
@@ -397,13 +391,7 @@ def _read_list(text: str) -> Tuple[list, bool]:
     raise _list_error(s, pos)
 
 
-def parse_interval_list(text: str) -> IntervalSet:
-    """Parse a comma separated interval list ({} for empty; braces optional)."""
-    return _set_of(*_read_list(text))
-
-
-def _set_of(rows: list, normal: bool,
-            num: Callable[[int, int], RationalLike] = Fraction) -> IntervalSet:
+def _set_of(rows: list, normal: bool, num: Callable[[int, int], RationalLike]) -> IntervalSet:
     """The set of the rows that ``_read_list`` read, num(a, b) making each end."""
     items = []
     for a, b, c, d, lower_closed, upper_closed in rows:

@@ -12,16 +12,16 @@ time unit.  A public Signal, every one the library reads or returns, has unit
 instead: every endpoint it makes lies on the lattice (1/Q)Z, Q = ``tick_unit``
 of its atoms, so ``to_ticks`` scales the atoms by Q once, every number of the
 Signals it builds from them is an ``int`` and the unit is Q ticks, and
-``from_ticks`` scales the result back.  A bound file need not pass through
-Fractions: ``parse_ticks`` reads it straight into ticks of its own tick unit,
-``scale_ticks`` brings atoms to a common multiple of their units, and
-``format_ticks`` prints a result from its ticks, as ``format_signal`` prints
-it from Fractions.  The two readers share one reader of the text, and the
-two writers one writer.  ``Frame.of`` admits only signals of one domain and
-one scale, for every function where signals meet; ``to_ticks`` and
-``format_signal`` take public signals only, ``scale_ticks`` and
-``format_ticks`` signals in ticks only; every other function runs at either
-scale, and ``/`` is never applied to a tick.
+``from_ticks`` scales the result back.  A file reads into a public Signal
+with ``parse_signal``, or straight into ticks of its own tick unit with
+``parse_ticks``; ``scale_ticks`` brings atoms to a common multiple of their
+units, and ``format_ticks`` prints a result from its ticks, as
+``format_signal`` prints it from Fractions.  The two readers share one
+reader of the text, and the two writers one writer.  ``Frame.of`` admits
+only signals of one domain and one scale, for every function where signals
+meet; ``to_ticks`` and ``format_signal`` take public signals only,
+``scale_ticks`` and ``format_ticks`` signals in ticks only; every other
+function runs at either scale, and ``/`` is never applied to a tick.
 
 ``canonicalize`` produces the representative form: ``Signal.constant`` at once
 for the empty and the full set, else the minimal period, then the minimal
@@ -610,8 +610,8 @@ def _checked(*fields) -> Signal:
 
 def parse_signal(text: str) -> Signal:
     domain, period, pattern, transient, prefix = _read_signal(text)
-    return _checked(domain, Fraction(*period), _set_of(*pattern), Fraction(*transient),
-                    _set_of(*prefix))
+    return _checked(domain, Fraction(*period), _set_of(*pattern, Fraction),
+                    Fraction(*transient), _set_of(*prefix, Fraction))
 
 
 def parse_ticks(text: str) -> Signal:

@@ -5,7 +5,7 @@ import math
 import random
 from fractions import Fraction
 
-from qtlab.intervals import Interval, IntervalSet
+from qtlab.intervals import Interval, IntervalSet, _read_list, _read_rational, _set_of
 from qtlab.signals import Signal, TimeDomain
 
 PERIODS = [
@@ -19,6 +19,18 @@ PERIODS = [
     Fraction(3, 2),
     Fraction(2),
 ]
+
+
+def read_interval_list(text: str) -> IntervalSet:
+    """An interval list's text read into a set of Fractions, by the reader
+    that ``parse_signal`` runs on its pattern and prefix."""
+    return _set_of(*_read_list(text), Fraction)
+
+
+def read_rational(text: str) -> Fraction:
+    """A number's text read into a Fraction, as ``parse_signal`` reads its
+    period and transient."""
+    return Fraction(*_read_rational(text))
 
 
 def random_fraction(rng: random.Random, lo, hi, max_den: int = 12) -> Fraction:

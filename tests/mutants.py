@@ -117,6 +117,10 @@ MUTANTS = (
     Mutant("the tick reader keeping the unit of the denominators as written", "signals.py",
            "    if k == 1:\n        return s\n", "    return s\n",
            ("tests/test_signals.py::test_reading_into_ticks_equals_scaling_the_public_signal",)),
+    # an atom only the second formula uses is then unbound
+    Mutant("equiv evaluating its second formula over the first one's atoms only", "cli.py",
+           "evaluate_ticks(fb, atoms)", "evaluate_ticks(fb, _used(env, fa))",
+           ("tests/test_cli.py::test_equiv_in_ticks_answers_what_evaluate_answers",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
            "comps[i].upper <= x", "comps[i].upper < x",

@@ -9,7 +9,7 @@ import pytest
 
 import qtlab.cli
 from qtlab.cli import main
-from qtlab.formulas import MAX_NESTING, parse_formula
+from qtlab.formulas import MAX_NESTING, format_formula, parse_formula
 from qtlab.intervals import Interval, IntervalSet
 from qtlab.lab import builtin_model
 from qtlab.semantics import Env, evaluate
@@ -24,6 +24,7 @@ from qtlab.signals import (
     parse_ticks,
     tick_unit,
 )
+from gen import random_formula, random_signal
 from test_signals import _render_text_reference
 
 
@@ -353,7 +354,7 @@ def test_internal_errors_exit_three_with_a_traceback(monkeypatch, capsys):
     def broken(formula, env):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(qtlab.cli, "evaluate", broken)
+    monkeypatch.setattr(qtlab.cli, "evaluate_ticks", broken)
     assert invoke(["equiv", "--formula", "P", "--formula", "P", "--model", "mk:2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -551,13 +552,71 @@ def test_eval_in_ticks_prints_what_evaluate_prints_where_the_units_differ(formul
     ("domain line\nperiod 1\npattern [0,1/2],[1/2,1]\n", "pattern escapes [0, period)"),
 ])
 def test_a_bad_bound_file_exits_two_used_or_not(text, message, tmp_path, capsys):
-    """Every bound file is read and checked, the one the formula leaves out
-    too, and refused with its public numbers."""
+    """Every bound file is read and checked, by eval and by equiv, the one the
+    formulas leave out too, and refused with its public numbers."""
     good, bad = tmp_path / "good.sig", tmp_path / "bad.sig"
     good.write_text("domain line\nperiod 1\npattern [0,0]\n", encoding="utf-8")
     bad.write_text(text, encoding="utf-8")
+    binds = ["--bind", f"P={good}", "--bind", f"Q={bad}"]
     for formula in ("P", "Q", "P & Q"):
-        assert invoke(["eval", "--formula", formula, "--bind", f"P={good}",
-                       "--bind", f"Q={bad}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {bad}: {message}\n"
+        for argv in (["eval", "--formula", formula], ["equiv", "--formula", formula,
+                                                      "--formula", "P"]):
+            assert invoke(argv + binds) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {bad}: {message}\n"
+
+
+# ------------------------------------------------ equiv reads and compares in ticks
+
+def _equiv_runs(tmp_path):
+    """Seeded equiv runs on bound files, each with the formulas' pair, its
+    environment in public signals as parse_signal reads the files, and its
+    argv.  P, Q and R are drawn with ends over different denominators, so
+    their tick units differ; every third file set takes P from a model
+    instead (mk:3 on the line, thm2 on the half line).  The second formula
+    is the first doubly negated, the first with R added and taken away, the
+    first with the origin added (equal tails on the half line), or a fresh
+    one."""
+    rng = random.Random(4242)
+    for k in range(44):
+        domain = (TimeDomain.FULL_LINE, TimeDomain.HALF_LINE)[k % 2]
+        model = ("mk:3", "thm2")[k % 2] if k % 3 == 0 else None
+        bindings, argv = {}, ["equiv"]
+        if model:
+            bindings["P"] = builtin_model(model).signal("P")
+            argv += ["--model", model]
+        for name in "PQR":
+            if name in bindings:
+                continue
+            text = format_signal(random_signal(rng, domain, 3, rng.choice((3, 5, 7, 12))))
+            path = tmp_path / f"{k}-{name}.sig"
+            path.write_text(text, encoding="utf-8")
+            bindings[name] = parse_signal(text)
+            argv += ["--bind", f"{name}={path}"]
+        env = Env(domain, bindings)
+        fa = format_formula(random_formula(rng, 2, ("P", "Q", "R"), 6))
+        for fb in (f"!!({fa})", f"{fa} | (R & !R)", f"{fa} | !(true S true)",
+                   format_formula(random_formula(rng, 2, ("P", "Q", "R"), 6))):
+            yield parse_formula(fa), parse_formula(fb), env, argv + ["--formula", fa,
+                                                                     "--formula", fb]
+
+
+def test_equiv_in_ticks_answers_what_evaluate_answers(tmp_path, capsys):
+    """equiv on bound files, with and without --eventually, gives the answer
+    and the exit code of equal over evaluate on the files read with
+    parse_signal, in 352 runs on both domains."""
+    answers, units_differ, runs = set(), 0, 0
+    for fa, fb, env, argv in _equiv_runs(tmp_path):
+        a, b = evaluate(fa, env), evaluate(fb, env)
+        units = {tick_unit([env.bindings[name]]) for name in env.bindings}
+        units_differ += len(units) > 1
+        for eventually in (False, True):
+            want = equal(a, b, eventually=eventually)
+            assert invoke(argv + ["--eventually"] * eventually) == 1 - want, argv
+            assert capsys.readouterr().out == ("equivalent\n" if want else "inequivalent\n")
+            answers.add((eventually, want, equal(a, b) == want))
+            runs += 1
+    assert runs == 352 and units_differ == runs // 2  # in every pair, some units differ
+    # each answer comes up, and --eventually changes some of them
+    assert {(e, w) for e, w, _ in answers} == {(e, w) for e in (False, True) for w in (0, 1)}
+    assert (True, True, False) in answers

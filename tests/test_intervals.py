@@ -18,11 +18,11 @@ from qtlab.intervals import (
     TextFormatError,
     format_interval_list,
     format_rational,
-    parse_interval_list,
-    parse_rational,
 )
 from qtlab.intervals import _INTERVAL_RE, _RATIONAL_RE, _ints, _read_list, _set_of, _unchecked
 from qtlab.signals import parse_signal, parse_ticks, tick_unit, to_ticks
+
+from gen import read_interval_list, read_rational
 
 
 def iset(*ivs):
@@ -310,47 +310,47 @@ def test_normal_form_unique_under_resplitting(a):
 # ------------------------------------------------------------------ text forms
 
 def test_rational_text():
-    assert parse_rational("-1/3") == F(-1, 3)
-    assert parse_rational("4/6") == F(2, 3)
+    assert read_rational("-1/3") == F(-1, 3)
+    assert read_rational("4/6") == F(2, 3)
     assert format_rational(F(2, 1)) == "2"
     with pytest.raises(TextFormatError):
-        parse_rational("1/0")
+        read_rational("1/0")
     with pytest.raises(TextFormatError):
-        parse_rational("0.5")
+        read_rational("0.5")
     # past Python's limit on the digits of an int: still a format error
     with pytest.raises(TextFormatError, match="too long"):
-        parse_rational("1" * 5000)
+        read_rational("1" * 5000)
     with pytest.raises(TextFormatError, match="too long"):
-        parse_rational("1/" + "3" * 5000)
+        read_rational("1/" + "3" * 5000)
 
 
 def test_interval_text_roundtrip():
     for text in ["[0,0]", "(1/3,2/3)", "[-1/2,3)", "(-2,-1]"]:
-        assert format_interval_list(parse_interval_list(text)) == text
+        assert format_interval_list(read_interval_list(text)) == text
     with pytest.raises(TextFormatError):
-        parse_interval_list("[1,0]")
+        read_interval_list("[1,0]")
     with pytest.raises(TextFormatError):
-        parse_interval_list("[0,1) extra")
+        read_interval_list("[0,1) extra")
 
 
 def test_interval_list_text():
-    assert parse_interval_list("{}") == IntervalSet.EMPTY
+    assert read_interval_list("{}") == IntervalSet.EMPTY
     assert format_interval_list(IntervalSet.EMPTY) == "{}"
-    s = parse_interval_list("[0,0],(1/3,2/3)")
+    s = read_interval_list("[0,0],(1/3,2/3)")
     assert s == iset(Interval.point(0), Interval.open(F(1, 3), F(2, 3)))
     assert format_interval_list(s) == "[0,0],(1/3,2/3)"
     # braces tolerated on input
-    assert parse_interval_list("{[0,0],(1/3,2/3)}") == s
+    assert read_interval_list("{[0,0],(1/3,2/3)}") == s
     with pytest.raises(TextFormatError):
-        parse_interval_list("[0,1);(1,2)")
+        read_interval_list("[0,1);(1,2)")
     with pytest.raises(TextFormatError):
-        parse_interval_list("")
+        read_interval_list("")
 
 
 @settings(max_examples=80, deadline=None)
 @given(interval_sets())
 def test_interval_list_text_roundtrip(a):
-    assert parse_interval_list(format_interval_list(a)) == a
+    assert read_interval_list(format_interval_list(a)) == a
 
 
 @st.composite
@@ -381,7 +381,7 @@ def test_reader_matches_the_constructor(case):
     """Only a list in normal form as written skips the constructor, so any
     other order, overlap, touch or repeat still normalizes."""
     ivs, text = case
-    got = parse_interval_list(text)
+    got = read_interval_list(text)
     assert got == IntervalSet(ivs)
     assert all(type(e) is F for c in got for e in (c.lower, c.upper))
 
@@ -390,11 +390,11 @@ def test_reader_coalesces_ordered_touching_lists(monkeypatch):
     for text, want in [("[0,1),[1,2)", "[0,2)"), ("(0,1],(1,2)", "(0,2)"),
                        ("[0,1),(1,2)", "[0,1),(1,2)"), ("[-2/4,1],[1,1],[2/2,3/2)", "[-1/2,3/2)"),
                        ("(0,1),(1/2,2),[2,2]", "(0,2]"), ("[0,1],[0,1]", "[0,1]")]:
-        assert format_interval_list(parse_interval_list(text)) == want
+        assert format_interval_list(read_interval_list(text)) == want
     # a list in normal form as written is wrapped, not normalized again
     built = []
     monkeypatch.setattr(intervals.IntervalSet, "__init__", lambda self, items=(): built.append(1))
-    assert str(parse_interval_list("[-1,0),(0,1/2],(2/3,3)")) == "{[-1,0),(0,1/2],(2/3,3)}"
+    assert str(read_interval_list("[-1,0),(0,1/2],(2/3,3)")) == "{[-1,0),(0,1/2],(2/3,3)}"
     assert not built
 
 
@@ -429,7 +429,7 @@ class _Scanner:
         if not m:
             raise TextFormatError(f"at position {self.pos}: expected a rational")
         self.pos = m.end()
-        return parse_rational(m.group())
+        return read_rational(m.group())
 
     def interval(self):
         opener = self.expect("[(")
@@ -563,7 +563,7 @@ def _mutated_lists(count=20000):
 def test_pattern_parser_matches_the_character_scanner():
     accepted = rejected = 0
     for text in _mutated_lists():
-        got, want = _outcome(parse_interval_list, text), _outcome(scanned_interval_list, text)
+        got, want = _outcome(read_interval_list, text), _outcome(scanned_interval_list, text)
         assert got[0] == want[0], (text, got, want)
         # the looped reader words each error, position included, as the parser does
         assert got == _outcome(looped_interval_list, text), text
@@ -603,7 +603,7 @@ def test_the_tick_reader_matches_the_fraction_reader_on_mutated_lists():
     each refusal alike."""
     ticked = 0
     for text in _mutated_lists():
-        want, got = _outcome(parse_interval_list, text), _outcome(_tick_list, text)
+        want, got = _outcome(read_interval_list, text), _outcome(_tick_list, text)
         assert got[0] == want[0], (text, got, want)
         if got[0] == "ok":
             assert got[1][0] == _at_unit(want[1], got[1][1]), text
@@ -636,11 +636,11 @@ def test_a_fault_at_the_fortieth_of_sixty_intervals(fortieth, rest, offset, mess
     """A fault in the 40th interval, or after it, is worded as the looped
     reader words it, at that interval's position or at what follows it."""
     whole = ",".join(_SIXTY)
-    assert parse_interval_list(whole) == looped_interval_list(whole) == IntervalSet(
+    assert read_interval_list(whole) == looped_interval_list(whole) == IntervalSet(
         looped_interval_list(whole).components)
     text = _HEAD + fortieth + rest
     with pytest.raises(TextFormatError) as got:
-        parse_interval_list(text)
+        read_interval_list(text)
     with pytest.raises(TextFormatError) as want:
         looped_interval_list(text)
     assert str(got.value) == str(want.value) == f"at position {len(_HEAD) + offset}: {message}"
@@ -660,7 +660,7 @@ def test_a_fault_at_the_fortieth_of_sixty_intervals_in_ticks(fortieth, rest, off
     intervals into the Fraction reader's set at the tick scale."""
     whole = ",".join(_SIXTY)
     ticks, unit = _tick_list(whole)
-    assert ticks == _at_unit(parse_interval_list(whole), unit)
+    assert ticks == _at_unit(read_interval_list(whole), unit)
     file = f"domain line\nperiod 9\npattern {whole}\n"
     assert parse_ticks(file) == to_ticks(parse_signal(file), 28)
     text = _HEAD + fortieth + rest

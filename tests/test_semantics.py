@@ -24,7 +24,7 @@ from qtlab.formulas import (
     parse_formula,
 )
 from qtlab.lab import builtin_model, enumerate_formulas, parse_logic
-from qtlab.intervals import Interval, IntervalSet, parse_interval_list
+from qtlab.intervals import Interval, IntervalSet
 from qtlab.oracle import compare_pointwise, critical_points
 from qtlab.semantics import (
     MODALITIES,
@@ -57,7 +57,7 @@ from qtlab.signals import (
     to_ticks,
 )
 
-from gen import irregular_signal, random_formula, random_signal, sparse_signal
+from gen import irregular_signal, random_formula, random_signal, read_interval_list, sparse_signal
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -160,8 +160,8 @@ def test_unary_run_opens_after_a_point_at_the_origin():
     (0, 11/8): at t = 0 the window (0, 1) misses both parts.  In ticks the
     constant piece G = 1 on [0, 1) is true past G - one unit, not G - 1 tick,
     and open there."""
-    x = Signal(HALF, F(1), IntervalSet.EMPTY, F(9, 5), parse_interval_list("[0,0],[1,11/8)"))
-    want = Signal(HALF, F(1), IntervalSet.EMPTY, F(11, 8), parse_interval_list("(0,11/8)"))
+    x = Signal(HALF, F(1), IntervalSet.EMPTY, F(9, 5), read_interval_list("[0,0],[1,11/8)"))
+    want = Signal(HALF, F(1), IntervalSet.EMPTY, F(11, 8), read_interval_list("(0,11/8)"))
     assert evaluate(Pnueli((Atom("X"),)), Env(HALF, {"X": x})) == want
     assert pnueli_unit([x]) == want
 
@@ -188,7 +188,7 @@ def test_count_two_on_two_thirds_grid():
                   IntervalSet([Interval(F(1, 3), F(2, 3), False, False)]))
     assert equal(out, want)
     assert out.transient == 0
-    assert out.pattern == parse_interval_list("(1/3,2/3)")
+    assert out.pattern == read_interval_list("(1/3,2/3)")
 
 
 def test_count_rejects_zero():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qtlab.semantics
 from qtlab.cli import main
-from qtlab.intervals import Interval, IntervalSet, TextFormatError, parse_interval_list
+from qtlab.intervals import Interval, IntervalSet, TextFormatError
 from qtlab.lab import Triviality, classify_trivial
 from qtlab.signals import (
     MAX_UNROLL,
@@ -37,7 +37,7 @@ from qtlab.intervals import format_interval_list, format_rational
 from qtlab.semantics import Env, evaluate_ticks
 from qtlab.signals import _frame, _minimal_tail, _within, _write
 from gen import (PERIODS, irregular_signal, random_formula, random_fraction, random_point_set,
-                 random_signal)
+                 random_signal, read_interval_list)
 from test_intervals import interval_sets, rationals
 
 LINE = TimeDomain.FULL_LINE
@@ -133,8 +133,8 @@ def test_components_at_the_frame_boundary_are_rejected(tmp_path, capsys, text, m
     fields = dict(line.split(" ", 1) for line in text.splitlines())
     with pytest.raises(SignalError, match=message):
         Signal(TimeDomain(fields["domain"]), F(fields["period"]),
-               parse_interval_list(fields["pattern"]), F(fields.get("transient", 0)),
-               parse_interval_list(fields.get("prefix", "{}")))
+               read_interval_list(fields["pattern"]), F(fields.get("transient", 0)),
+               read_interval_list(fields.get("prefix", "{}")))
     with pytest.raises(TextFormatError, match=message):
         parse_signal(text)
     path = tmp_path / "bad.sig"
