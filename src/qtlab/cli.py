@@ -5,9 +5,10 @@ Exit codes: 0 success or check passed; 1 check failed, formulas inequivalent,
 or oracle disagreement; 2 usage, parse, or file-format errors (formulas nested
 past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
 
-Bound files are read one way, into integer ticks (``parse_ticks``), and the
-``--model`` atom is scaled to ticks beside them; ``eval`` and ``equiv`` run
-``evaluate_ticks`` over the atoms their formulas use, at one unit per command.
+Bound files are read into integer ticks (``parse_ticks``), the ``--model``
+atom is scaled to ticks beside them, and ``eval``, ``equiv`` and ``trivial``
+(with the atom P) each make one ``evaluate_ticks`` call on all they evaluate,
+at one unit.  ``oracle-check`` calls ``evaluate``: the oracle reads public signals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import traceback
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .formulas import Formula, ParseError, metrics, parse_formula
+from .formulas import Atom, ParseError, parse_formula
 from .intervals import IntervalError, TextFormatError
 from .lab import (
     LabError,
@@ -135,18 +136,11 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str], binds: List
     return Env(domain, bindings)
 
 
-def _used(env: Env, *formulas: Formula) -> Env:
-    """The atoms of env that the formulas use."""
-    names = env.bindings.keys() & set().union(*(metrics(f)[1] for f in formulas))
-    return Env(env.domain, {name: env.bindings[name] for name in names})
-
-
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "eval":
         env = _load_env(parser, args.model, args.bind)
-        f = parse_formula(args.formula)
-        sys.stdout.write(format_ticks(evaluate_ticks(f, _used(env, f)),
-                                      text=args.output == "text"))
+        (sig,) = evaluate_ticks(env, parse_formula(args.formula))
+        sys.stdout.write(format_ticks(sig, text=args.output == "text"))
         return 0
 
     if args.command == "equiv":
@@ -154,19 +148,16 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("equiv needs --formula exactly twice")
         env = _load_env(parser, args.model, args.bind)
         fa, fb = map(parse_formula, args.formula)
-        atoms = _used(env, fa, fb)
-        if equal(evaluate_ticks(fa, atoms), evaluate_ticks(fb, atoms),
-                 eventually=args.eventually):
+        if equal(*evaluate_ticks(env, fa, fb), eventually=args.eventually):
             print("equivalent")
             return 0
         print("inequivalent")
         return 1
 
     if args.command == "trivial":
-        env = builtin_model(args.model)
-        sig = evaluate(parse_formula(args.formula), env)
-        cls = classify_trivial(sig, env.signal("P"), eventually=args.eventually)
-        print(cls)
+        env = _load_env(parser, args.model, [])
+        sig, p_atom = evaluate_ticks(env, parse_formula(args.formula), Atom("P"))
+        print(classify_trivial(sig, p_atom, eventually=args.eventually))
         return 0
 
     if args.command == "enumerate":

@@ -92,10 +92,6 @@ def _read_rational(text: str) -> Tuple[int, int]:
     return _ints(s, *m.groups())
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 class Interval(namedtuple("Interval", "lower upper lower_closed upper_closed")):
     """One bounded contiguous piece of the line, with per-endpoint closed
     flags.  A point interval is represented with both flags closed.
@@ -334,7 +330,7 @@ _ITEM_RE = re.compile(_INTERVAL_RE.pattern + r"(?:(,)|\Z)")
 
 
 def format_interval_list(intervals: Union[IntervalSet, Iterable[Interval]],
-                         num: Callable[[RationalLike], str] = format_rational) -> str:
+                         num: Callable[[RationalLike], str] = str) -> str:
     """The list text, {} when empty, with num writing each end."""
     return ",".join([f"{'[' if c.lower_closed else '('}{num(c.lower)},{num(c.upper)}"
                      f"{']' if c.upper_closed else ')'}" for c in intervals]) or "{}"

@@ -102,7 +102,7 @@ from .formulas import (
     children,
     metrics,
 )
-from .intervals import IntervalSet, format_rational, rat
+from .intervals import IntervalSet, rat
 from .signals import DomainError, Signal, TimeDomain, _lcm, check_unroll, tick_unit, to_ticks
 
 
@@ -429,7 +429,7 @@ def compare_pointwise(formula: Formula, env, engine_signal: Signal,
         o = session.eval(formula, t)  # first, so a time before the origin raises as t
         e = ticks.contains(_tick(t, unit))
         agree += e == o
-        lines.append(f"t={format_rational(t)} engine={int(e)} oracle={int(o)}")
+        lines.append(f"t={t!s} engine={int(e)} oracle={int(o)}")
     if not lines:
         raise ValueError("agreement needs at least one point")
     return AgreementReport(tuple(lines), agree, len(lines))

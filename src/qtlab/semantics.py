@@ -41,10 +41,10 @@ The differential oracle checks every construction pointwise rather than
 this module assuming it silently; it keeps its own dispatch.
 
 The operators run on signals at either scale of ``qtlab.signals``, reading
-the length of one time unit off their operands.  ``evaluate`` scales the
-formula's atoms to integer ticks once, so every operator it calls works on
-ints, and scales the result back to Fractions.  The CLI reads atoms into
-ticks and prints from them, so it calls ``evaluate_ticks`` directly.
+the length of one time unit off their operands.  ``evaluate_ticks`` takes
+atoms in integer ticks, as the CLI reads them, and every formula of a command:
+its truth signals share one unit, and each atom is canonicalized once.
+``evaluate`` scales one formula's public atoms to ticks and the result back.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -291,17 +291,19 @@ def evaluate(f: Formula, env: Env) -> Signal:
     used = metrics(f)[1] & env.bindings.keys()
     unit = tick_unit(env.bindings[name] for name in used)
     atoms = {name: to_ticks(env.bindings[name], unit) for name in used}
-    return from_ticks(evaluate_ticks(f, Env(env.domain, atoms)))
+    return from_ticks(evaluate_ticks(Env(env.domain, atoms), f)[0])
 
 
-def evaluate_ticks(f: Formula, atoms: Env) -> Signal:
-    """The canonical truth signal of a formula, in ticks, from the atoms it
-    uses, in ticks.  They are scaled to the lcm of their units, which is
-    ``tick_unit`` of their public forms when each is at its own, and each is
-    canonicalized once, however often it occurs."""
-    unit = math.lcm(2, *(s.unit for s in atoms.bindings.values()))
-    ticks = {name: scale_ticks(s, unit).canonicalize() for name, s in atoms.bindings.items()}
-    return _evaluate(f, Env(atoms.domain, ticks), unit)
+def evaluate_ticks(atoms: Env, *formulas: Formula) -> List[Signal]:
+    """The canonical truth signal of each formula, in ticks, from atoms in
+    ticks.  The atoms the formulas use are scaled to the lcm of their units
+    (``tick_unit`` of their public forms when each is at its own), the one
+    unit of every signal returned, and each is canonicalized once."""
+    used = atoms.bindings.keys() & set().union(*(metrics(f)[1] for f in formulas))
+    unit = math.lcm(2, *(atoms.bindings[name].unit for name in used))
+    env = Env(atoms.domain, {name: scale_ticks(atoms.bindings[name], unit).canonicalize()
+                             for name in used})
+    return [_evaluate(f, env, unit) for f in formulas]
 
 
 def _evaluate(f: Formula, env: Env, unit: int) -> Signal:

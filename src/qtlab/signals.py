@@ -67,7 +67,6 @@ from .intervals import (
     _unchecked,
     exact,
     format_interval_list,
-    format_rational,
     rat,
 )
 
@@ -538,7 +537,7 @@ def _write(s: Signal, num: Callable[[RationalLike], str], text: bool = False) ->
 def format_signal(s: Signal) -> str:
     if s.unit != 1:
         raise ValueError(f"cannot print a signal in ticks of unit {s.unit}")
-    return _write(s, format_rational)
+    return _write(s, str)
 
 
 def format_ticks(s: Signal, text: bool = False) -> str:

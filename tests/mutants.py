@@ -95,8 +95,8 @@ MUTANTS = (
            ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
             "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
     Mutant("evaluate hands atoms over uncanonicalized", "semantics.py",
-           "scale_ticks(s, unit).canonicalize() for name, s in",
-           "scale_ticks(s, unit) for name, s in",
+           "scale_ticks(atoms.bindings[name], unit).canonicalize()",
+           "scale_ticks(atoms.bindings[name], unit)",
            ("tests/test_semantics.py::test_snaps_and_constants_keep_whole_units[P]",)),
     Mutant("canonicalize's lockstep walk comparing components without their closed flags",
            "signals.py",
@@ -118,8 +118,9 @@ MUTANTS = (
            "    if k == 1:\n        return s\n", "    return s\n",
            ("tests/test_signals.py::test_reading_into_ticks_equals_scaling_the_public_signal",)),
     # an atom only the second formula uses is then unbound
-    Mutant("equiv evaluating its second formula over the first one's atoms only", "cli.py",
-           "evaluate_ticks(fb, atoms)", "evaluate_ticks(fb, _used(env, fa))",
+    Mutant("equiv evaluating its second formula over the first one's atoms only",
+           "semantics.py",
+           "set().union(*(metrics(f)[1] for f in formulas))", "metrics(formulas[0])[1]",
            ("tests/test_cli.py::test_equiv_in_ticks_answers_what_evaluate_answers",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",

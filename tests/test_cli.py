@@ -22,7 +22,9 @@ from qtlab.signals import (
     format_signal,
     parse_signal,
     parse_ticks,
+    scale_ticks,
     tick_unit,
+    to_ticks,
 )
 from gen import random_formula, random_signal
 from test_signals import _render_text_reference
@@ -351,7 +353,7 @@ def test_nesting_at_the_limit_evaluates(capsys):
 
 
 def test_internal_errors_exit_three_with_a_traceback(monkeypatch, capsys):
-    def broken(formula, env):
+    def broken(*args):
         raise RuntimeError("engine fault")
 
     monkeypatch.setattr(qtlab.cli, "evaluate_ticks", broken)
@@ -620,3 +622,68 @@ def test_equiv_in_ticks_answers_what_evaluate_answers(tmp_path, capsys):
     # each answer comes up, and --eventually changes some of them
     assert {(e, w) for e, w, _ in answers} == {(e, w) for e in (False, True) for w in (0, 1)}
     assert (True, True, False) in answers
+
+
+# Each written out of canonical form: on the line at twice its minimal period,
+# on the half line with a longer transient than it needs.
+ONCE_FILES = {
+    ("line", "P"): "domain line\nperiod 4/3\npattern [0,1/3],[2/3,1]\n",
+    ("line", "Q"): "domain line\nperiod 4/5\npattern (1/5,2/5),(3/5,4/5)\n",
+    ("halfline", "P"): "domain halfline\nperiod 2/3\npattern [0,1/3]\ntransient 2/3\n"
+                       "prefix [0,1/3]\n",
+    ("halfline", "Q"): "domain halfline\nperiod 2/5\npattern (0,1/5]\ntransient 4/5\n"
+                       "prefix [0,1/5],(2/5,3/5]\n",
+}
+
+
+def test_each_atom_is_canonicalized_once_per_command(tmp_path, monkeypatch, capsys):
+    """eval, equiv and trivial canonicalize each atom, as parse_ticks or
+    to_ticks gives it, exactly once, however many of their formulas use it.
+    An atom is followed by identity through its scaling to the command's
+    unit.  The files are out of canonical form and the models are on the
+    line, so no canonical form is the atom object itself."""
+    paths = {}
+    for (domain, name), text in ONCE_FILES.items():
+        assert parse_ticks(text).canonicalize() != parse_ticks(text), (domain, name)
+        paths[domain, name] = tmp_path / f"{domain}-{name}.sig"
+        paths[domain, name].write_text(text, encoding="utf-8")
+    runs = []  # argv, exit code, atoms read
+    for domain in ("line", "halfline"):
+        p, q = (["--bind", f"{name}={paths[domain, name]}"] for name in "PQ")
+        runs += [(["eval", "--formula", "P U Q", *p, *q], 0, 2),
+                 (["equiv", "--formula", "P U Q", "--formula", "!(!(P U Q))", *p, *q], 0, 2),
+                 (["equiv", "--formula", "P", "--formula", "!P", *p], 1, 1)]
+    q = ["--bind", f"Q={paths['line', 'Q']}"]
+    runs += [(["eval", "--formula", "Pn2(P, Q)", "--model", "mk:3", *q], 0, 2),
+             (["equiv", "--formula", "P & Q", "--formula", "Q & !!P", "--model", "mk:3", *q], 0, 2),
+             (["equiv", "--formula", "F1 P", "--formula", "C1(P)", "--model", "mk:3"], 0, 1),
+             (["trivial", "--formula", "C2(P)", "--model", "mk:3"], 0, 1),
+             (["trivial", "--formula", "P", "--model", "mk:4"], 0, 1)]
+
+    given, seen, scaled = [], [], {}
+
+    def reading(fn):
+        def call(*args):
+            given.append(out := fn(*args))
+            return out
+        return call
+
+    def scale(s, unit):
+        out = scale_ticks(s, unit)
+        scaled.setdefault(id(s), []).append(out)
+        return out
+
+    monkeypatch.setattr(qtlab.cli, "parse_ticks", reading(parse_ticks))
+    monkeypatch.setattr(qtlab.cli, "to_ticks", reading(to_ticks))
+    monkeypatch.setattr(qtlab.semantics, "scale_ticks", scale)
+    canonicalize = Signal.canonicalize
+    monkeypatch.setattr(Signal, "canonicalize", lambda s: seen.append(s) or canonicalize(s))
+    for argv, code, atoms in runs:
+        for record in (given, seen, scaled):
+            record.clear()
+        assert invoke(argv) == code, argv
+        capsys.readouterr()
+        assert len(given) == atoms, argv
+        for atom in given:
+            copies = scaled.get(id(atom), [])
+            assert sum(x is c for c in copies for x in seen) == 1, (argv, atom)

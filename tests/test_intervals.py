@@ -17,7 +17,6 @@ from qtlab.intervals import (
     IntervalSet,
     TextFormatError,
     format_interval_list,
-    format_rational,
 )
 from qtlab.intervals import _INTERVAL_RE, _RATIONAL_RE, _ints, _read_list, _set_of, _unchecked
 from qtlab.signals import parse_signal, parse_ticks, tick_unit, to_ticks
@@ -312,7 +311,7 @@ def test_normal_form_unique_under_resplitting(a):
 def test_rational_text():
     assert read_rational("-1/3") == F(-1, 3)
     assert read_rational("4/6") == F(2, 3)
-    assert format_rational(F(2, 1)) == "2"
+    assert format_interval_list([Interval(F(2, 1), F(6, 2))]) == "[2,3]"
     with pytest.raises(TextFormatError):
         read_rational("1/0")
     with pytest.raises(TextFormatError):
