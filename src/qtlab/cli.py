@@ -6,9 +6,9 @@ or oracle disagreement; 2 usage, parse, or file-format errors (formulas nested
 past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
 
 Bound files are read into integer ticks (``parse_ticks``), the ``--model``
-atom is scaled to ticks beside them, and ``eval``, ``equiv`` and ``trivial``
-(with the atom P) each make one ``evaluate_ticks`` call on all they evaluate,
-at one unit.  ``oracle-check`` calls ``evaluate``: the oracle reads public signals.
+atom by ``in_ticks``, and ``eval``, ``equiv`` and ``trivial`` (with the atom
+P) each make one ``evaluate_ticks`` call on all they evaluate, at one unit.
+``oracle-check`` calls ``evaluate``: the oracle reads public signals.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .lab import (
     trivialization_report,
 )
 from .oracle import compare_cells, compare_pointwise, sample_points
-from .semantics import Env, EvalError, evaluate, evaluate_ticks
+from .semantics import Env, EvalError, evaluate, evaluate_ticks, in_ticks
 from .signals import (
     MAX_UNROLL,
     DomainError,
@@ -42,8 +42,6 @@ from .signals import (
     equal,
     format_ticks,
     parse_ticks,
-    tick_unit,
-    to_ticks,
 )
 
 _USAGE_ERRORS = (ParseError, TextFormatError, IntervalError, SignalError,
@@ -115,9 +113,9 @@ def _load_env(parser: argparse.ArgumentParser, model: Optional[str], binds: List
     bindings: Dict[str, Signal] = {}
     domain: Optional[TimeDomain] = None
     if model is not None:
-        env = builtin_model(model)
+        env = in_ticks(builtin_model(model))
         domain = env.domain
-        bindings.update({name: to_ticks(s, tick_unit([s])) for name, s in env.bindings.items()})
+        bindings.update(env.bindings)
     for item in binds:
         name, sep, path = item.partition("=")
         if not sep or not name:

@@ -98,7 +98,7 @@ from .formulas import (
     format_formula,
 )
 from .intervals import Interval, IntervalSet, format_interval_list
-from .semantics import MODALITIES, Env, Modality, evaluate
+from .semantics import MODALITIES, Env, Modality, evaluate_ticks, in_ticks
 # the public operators, importable from this module too
 from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
 from .signals import (
@@ -108,6 +108,7 @@ from .signals import (
     _frame,
     _normal_form,
     combine,
+    from_ticks,
     tick_unit,
     to_ticks,
 )
@@ -493,31 +494,32 @@ def paper_check(name: str) -> PaperCheckReport:
     """Named end-to-end separation checks; see the acceptance suite."""
     if name == "pnueli":
         env = builtin_model("thm2")
-        sig = evaluate(Count(2, Atom("P")), env)
-        cls = classify_trivial(sig, env.signal("P"), eventually=True)
+        sig, p_atom = evaluate_ticks(in_ticks(env), Count(2, Atom("P")), Atom("P"))
+        cls = classify_trivial(sig, p_atom, eventually=True)
         lines = [f"C2(P) on thm2 eventually classifies: {cls}"]
-        lines.append(f"C2(P) tail pattern: {format_interval_list(sig.pattern)} "
-                     f"period {sig.period} transient {sig.transient}")
+        tail = from_ticks(sig)
+        lines.append(f"C2(P) tail pattern: {format_interval_list(tail.pattern)} "
+                     f"period {tail.period} transient {tail.transient}")
         ok1 = cls is Triviality.NONE
         more, ok2 = _enumeration_evidence(env, "qtl", True)
         return PaperCheckReport(name, tuple(lines + more), ok1 and ok2)
 
     if (n := _indexed(name, "hierarchy:", "hierarchy index", 2)) is not None:
         env = builtin_model(f"thm3:{n}")
-        sig = evaluate(Count(n, Atom("P")), env)
-        width = Fraction(1, 2 * n - 1)
+        (sig,) = evaluate_ticks(in_ticks(env), Count(n, Atom("P")))
         lines, vals = [], []
         for k in range(6):
-            # the exact truth set on the open interval: all of it, none of it
-            # or neither
-            whole = IntervalSet([Interval.open(k, k + width)])
-            inside = sig.slice(k, k + width).intersection(whole)
+            # the exact truth set on the open interval, a whole number of
+            # ticks since P's unit is 2(2n-1): all of it, none of it or neither
+            lo, hi = k * sig.unit, k * sig.unit + sig.unit // (2 * n - 1)
+            whole = IntervalSet([Interval(lo, hi, False, False)])
+            inside = sig.slice(lo, hi).intersection(whole)
             val = {whole: True, IntervalSet.EMPTY: False}.get(inside)
             vals.append(val)
             if val is None:
-                lines.append(f"C{n}(P) not constant on ({k},{k}+{width})")
+                lines.append(f"C{n}(P) not constant on ({k},{k}+1/{2 * n - 1})")
             else:
-                lines.append(f"C{n}(P) on ({k},{k}+{width}): {'true' if val else 'false'}")
+                lines.append(f"C{n}(P) on ({k},{k}+1/{2 * n - 1}): {'true' if val else 'false'}")
         alternates = None not in vals and all(vals[k] != vals[k + 1] for k in range(5))
         if None not in vals:
             lines.append(f"orientation even={'true' if vals[0] else 'false'} "
@@ -529,9 +531,9 @@ def paper_check(name: str) -> PaperCheckReport:
     if (k := _indexed(name, "counting:", "counting index", 2)) is not None:
         lines, oks = [], []
         for idx, want in ((k, Triviality.NOT_P), (k + 1, Triviality.TRUE)):
-            env = builtin_model(f"mk:{idx}")
-            cls = classify_trivial(evaluate(Count(k, Atom("P")), env),
-                                   env.signal("P"), eventually=False)
+            atoms = in_ticks(builtin_model(f"mk:{idx}"))
+            cls = classify_trivial(*evaluate_ticks(atoms, Count(k, Atom("P")), Atom("P")),
+                                   eventually=False)
             lines.append(f"C{k}(P) on mk:{idx}: {cls}")
             oks.append(cls is want)
         return PaperCheckReport(name, tuple(lines), all(oks))

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .formulas import (
     And,
@@ -284,14 +284,19 @@ MODALITIES: Dict[type, Modality] = {
 
 # ------------------------------------------------------------------- evaluate
 
+def in_ticks(env: Env) -> Env:
+    """The environment with each public atom in ticks of its own ``tick_unit``."""
+    return Env(env.domain, {name: to_ticks(s, tick_unit([s])) for name, s in env.bindings.items()})
+
+
 def evaluate(f: Formula, env: Env) -> Signal:
     """The canonical truth signal of a formula under an environment of public
     signals: the atoms it uses scaled to integer ticks at their ``tick_unit``,
-    evaluated by ``evaluate_ticks`` and scaled back."""
+    evaluated as by ``evaluate_ticks`` and scaled back."""
     used = metrics(f)[1] & env.bindings.keys()
     unit = tick_unit(env.bindings[name] for name in used)
     atoms = {name: to_ticks(env.bindings[name], unit) for name in used}
-    return from_ticks(evaluate_ticks(Env(env.domain, atoms), f)[0])
+    return from_ticks(_evaluate_ticks(Env(env.domain, atoms), used, [f])[0])
 
 
 def evaluate_ticks(atoms: Env, *formulas: Formula) -> List[Signal]:
@@ -300,6 +305,11 @@ def evaluate_ticks(atoms: Env, *formulas: Formula) -> List[Signal]:
     (``tick_unit`` of their public forms when each is at its own), the one
     unit of every signal returned, and each is canonicalized once."""
     used = atoms.bindings.keys() & set().union(*(metrics(f)[1] for f in formulas))
+    return _evaluate_ticks(atoms, used, formulas)
+
+
+def _evaluate_ticks(atoms: Env, used: Set[str], formulas: Sequence[Formula]) -> List[Signal]:
+    """``evaluate_ticks`` given the names of the atoms the formulas use."""
     unit = math.lcm(2, *(atoms.bindings[name].unit for name in used))
     env = Env(atoms.domain, {name: scale_ticks(atoms.bindings[name], unit).canonicalize()
                              for name in used})

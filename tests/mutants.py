@@ -61,6 +61,10 @@ MUTANTS = (
            "for k in range(len(self.cuts)):",
            ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
             "[mk:2+mk:3-qtl+c1-C2(P)-4]",)),
+    Mutant("the counting check classifying C<k>(P) against itself, not against P", "lab.py",
+           'evaluate_ticks(atoms, Count(k, Atom("P")), Atom("P"))',
+           'evaluate_ticks(atoms, Count(k, Atom("P")), Count(k, Atom("P")))',
+           ("tests/test_lab.py::test_paper_checks_pass[counting:2]",)),
     Mutant("classify_trivial with the P and not-P forms swapped", "lab.py",
            'p_atom, combine("not", p_atom))', 'combine("not", p_atom), p_atom)',
            ("tests/test_lab.py::test_paper_checks_pass[counting:2]",)),

@@ -674,7 +674,7 @@ def test_each_atom_is_canonicalized_once_per_command(tmp_path, monkeypatch, caps
         return out
 
     monkeypatch.setattr(qtlab.cli, "parse_ticks", reading(parse_ticks))
-    monkeypatch.setattr(qtlab.cli, "to_ticks", reading(to_ticks))
+    monkeypatch.setattr(qtlab.semantics, "to_ticks", reading(to_ticks))
     monkeypatch.setattr(qtlab.semantics, "scale_ticks", scale)
     canonicalize = Signal.canonicalize
     monkeypatch.setattr(Signal, "canonicalize", lambda s: seen.append(s) or canonicalize(s))

@@ -5,6 +5,7 @@ import itertools
 import time
 from fractions import Fraction as F
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ import qtlab.lab
 from qtlab.cli import main
 from qtlab.formulas import (
     And,
+    Atom,
     Count,
     DiamondFuture,
     DiamondPast,
@@ -45,6 +47,8 @@ from qtlab.semantics import (
     diamond_unit_future,
     diamond_unit_past,
     evaluate,
+    evaluate_ticks,
+    in_ticks,
     pnueli_unit,
     since,
     until,
@@ -318,6 +322,20 @@ def test_report_matches_classifying_each_representative(logic, spec, eventually)
         assert e.classification is want, format_formula(e.formula)
 
 
+@pytest.mark.parametrize("spec", [f"mk:{k}" for k in range(2, 13)]
+                         + [f"thm3:{n}" for n in range(2, 7)])
+def test_the_tick_route_classifies_as_the_public_route(spec):
+    """classify_trivial on a formula and P evaluated together in ticks, as
+    the paper checks and the CLI's trivial run it, gives what it gives on the
+    public truth signal and the public P."""
+    env = builtin_model(spec)
+    texts = [f"C{n}(P)" for n in range(1, 8)] + ["F1 P", "O1 P", "P", "!P", "true", "false"]
+    for f, eventually in itertools.product(map(parse_formula, texts), (False, True)):
+        ticks = classify_trivial(*evaluate_ticks(in_ticks(env), f, Atom("P")), eventually=eventually)
+        public = classify_trivial(evaluate(f, env), env.signal("P"), eventually=eventually)
+        assert ticks is public, (format_formula(f), eventually)
+
+
 def test_classification_rejects_a_signal_of_another_domain():
     with pytest.raises(DomainError):
         classify_trivial(Signal.constant(TimeDomain.FULL_LINE, True),
@@ -330,6 +348,25 @@ def test_paper_checks_pass(name):
     assert report.passed, report.render()
     assert report.render().rstrip().endswith("PASS")
     assert report.render() == paper_check(name).render()
+
+
+def test_paper_checks_canonicalize_only_signals_in_ticks(monkeypatch):
+    """The lab benchmark's checks and hierarchy:2..4 run no signal algebra
+    on Fractions: every canonicalize is on a signal in ticks."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import LAB_CHECKS
+    units = []
+    canonicalize = Signal.canonicalize
+
+    def logged(s):
+        units.append(s.unit)
+        return canonicalize(s)
+
+    monkeypatch.setattr(Signal, "canonicalize", logged)
+    for name in LAB_CHECKS + tuple(f"hierarchy:{n}" for n in range(2, 5)):
+        units.clear()
+        assert paper_check(name).passed, name
+        assert units and 1 not in units, name
 
 
 def test_pnueli_check_names_its_witnesses_and_fails_when_the_logic_counts(monkeypatch, capsys):
@@ -357,11 +394,12 @@ def test_pnueli_check_names_its_witnesses_and_fails_when_the_logic_counts(monkey
 
 
 def test_hierarchy_check_fails_on_a_count_not_constant_on_its_intervals(monkeypatch):
-    """A C<n> truth that holds only on (0, 1/10) of each unit is constant on
-    none of the six intervals (k, k + 1/5) that hierarchy:3 reads: each is
-    named, no orientation is read off, and the check fails."""
-    short = Signal(TimeDomain.HALF_LINE, F(1), IntervalSet([Interval.open(0, F(1, 10))]))
-    monkeypatch.setattr(qtlab.lab, "evaluate", lambda f, env: short)
+    """A C<n> truth, in ticks of unit 10, that holds only on (0, 1/10) of
+    each unit is constant on none of the six intervals (k, k + 1/5) that
+    hierarchy:3 reads: each is named, no orientation is read off, and the
+    check fails."""
+    short = Signal(TimeDomain.HALF_LINE, 10, IntervalSet([Interval(0, 1, False, False)]), unit=10)
+    monkeypatch.setattr(qtlab.lab, "evaluate_ticks", lambda atoms, f: [short])
     lines = paper_check("hierarchy:3").render().splitlines()
     assert lines[:8] == ["check hierarchy:3"] + [
         f"C3(P) not constant on ({k},{k}+1/5)" for k in range(6)] + [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtlab.semantics
 from qtlab.cli import main
 from qtlab.formulas import (
     ArityError,
@@ -21,6 +22,7 @@ from qtlab.formulas import (
     Until,
     _MODAL,
     children,
+    metrics,
     parse_formula,
 )
 from qtlab.lab import builtin_model, enumerate_formulas, parse_logic
@@ -37,6 +39,8 @@ from qtlab.semantics import (
     diamond_unit_future,
     diamond_unit_past,
     evaluate,
+    evaluate_ticks,
+    in_ticks,
     order_kernel,
     pnueli_kernel,
     pnueli_unit,
@@ -225,6 +229,25 @@ def test_evaluate_composes_operators():
     assert equal(evaluate(f, env), const(LINE, True))
     g = parse_formula("P -> F1 P")
     assert equal(evaluate(g, env), const(LINE, True))
+
+
+def test_each_formula_is_walked_for_its_atoms_once(monkeypatch):
+    """evaluate selects its atoms in one walk of its formula, and
+    evaluate_ticks in one walk per formula."""
+    walked = []
+
+    def logged(f):
+        walked.append(f)
+        return metrics(f)
+
+    monkeypatch.setattr(qtlab.semantics, "metrics", logged)
+    env = Env(LINE, {"P": grid_line(2), "Q": grid_line(3)})
+    fs = [parse_formula(text) for text in ("C2(P) | Pn2(P, !Q)", "P U Q", "F1 true")]
+    evaluate(fs[0], env)
+    assert walked == fs[:1]
+    walked.clear()
+    evaluate_ticks(in_ticks(env), *fs)
+    assert walked == fs
 
 
 # ---------------------------------------------------------------- random laws
