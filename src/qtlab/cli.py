@@ -6,8 +6,8 @@ or oracle disagreement; 2 usage, parse, or file-format errors (formulas nested
 past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
 
 Bound files are read into integer ticks (``parse_ticks``), the ``--model``
-atom by ``in_ticks``, and ``eval``, ``equiv`` and ``trivial`` (with the atom
-P) each make one ``evaluate_ticks`` call on all they evaluate, at one unit.
+atom stays public, and ``eval``, ``equiv`` and ``trivial`` (with the atom P)
+each make one ``evaluate_ticks`` call on all they evaluate, at one unit.
 ``oracle-check`` calls ``evaluate``: the oracle reads public signals.
 """
 
@@ -32,7 +32,7 @@ from .lab import (
     trivialization_report,
 )
 from .oracle import compare_cells, compare_pointwise, sample_points
-from .semantics import Env, EvalError, evaluate, evaluate_ticks, in_ticks
+from .semantics import Env, EvalError, evaluate, evaluate_ticks
 from .signals import (
     MAX_UNROLL,
     DomainError,
@@ -109,11 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_env(parser: argparse.ArgumentParser, model: Optional[str], binds: List[str]) -> Env:
-    """The model's atoms and the bound files, each in ticks of its own unit."""
+    """The model's public atom and the bound files, each in ticks of its own unit."""
     bindings: Dict[str, Signal] = {}
     domain: Optional[TimeDomain] = None
     if model is not None:
-        env = in_ticks(builtin_model(model))
+        env = builtin_model(model)
         domain = env.domain
         bindings.update(env.bindings)
     for item in binds:

@@ -16,10 +16,11 @@ connectives act on each model's bits alone, so the boolean closure is
 integer arithmetic: it builds a formula only for a mask not seen yet, and
 stops once a pass adds no class, or all 2^n unions of its n atoms are
 classes.  Requests past ``MAX_CANDIDATES`` modal candidates in a layer or
-``MAX_ATOMS`` atoms raise LabError instead.  Each model's atoms are scaled
-once to ticks of its own unit (see ``qtlab.signals``), so every modality
-runs on ints.  A verdict is a ``Triviality``: the first of TRUE, FALSE, P
-and NOT_P, in member order, that a truth signal equals, or NONE.
+``MAX_ATOMS`` atoms raise LabError instead.  Each model's atoms, public or
+in ticks, go once through ``qtlab.semantics.evaluate_ticks`` to ticks of one
+unit per model, so every modality runs on ints.  A verdict is a
+``Triviality``: the first of TRUE, FALSE, P and NOT_P, in member order, that
+a truth signal equals, or NONE.
 ``classify_trivial`` compares signals; reports read masks alone: on one
 model the atoms are nonempty, disjoint and cover the domain, so the four
 have the masks ``full``, 0, P's mask and ``full & ~P``, in that order.
@@ -98,7 +99,7 @@ from .formulas import (
     format_formula,
 )
 from .intervals import Interval, IntervalSet, format_interval_list
-from .semantics import MODALITIES, Env, Modality, evaluate_ticks, in_ticks
+from .semantics import MODALITIES, Env, Modality, evaluate_ticks
 # the public operators, importable from this module too
 from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
 from .signals import (
@@ -109,8 +110,6 @@ from .signals import (
     _normal_form,
     combine,
     from_ticks,
-    tick_unit,
-    to_ticks,
 )
 
 # Size guards: a request past either raises LabError (exit 2) before the
@@ -236,13 +235,11 @@ class _Enumeration:
         if not self.names:
             raise LabError("no model binds an atom")
         self.logic = logic
-        units = [tick_unit(env.bindings.values()) for env in envs]
-        self.bound = [[to_ticks(env.bindings[n], u).canonicalize() for n in self.names]
-                      for env, u in zip(envs, units)]
+        self.bound = [evaluate_ticks(env, *map(Atom, self.names)) for env in envs]
         self.reps: List[Formula] = []
         self.masks: List[int] = []
         self.seen: Dict[int, int] = {}  # mask -> class index
-        self.atoms = [Signal.constant(env.domain, True, u) for env, u in zip(envs, units)]
+        self.atoms = [Signal.constant(b[0].domain, True, b[0].unit) for b in self.bound]
         self.owner = list(range(len(envs)))  # the model of each atom
         self.owned = [[m] for m in range(len(envs))]  # each model's atoms
         self.pending: List[int] = []  # the modal layer's masks, one per slot
@@ -424,11 +421,10 @@ class Triviality(Enum):
 def classify_trivial(s: Signal, p_atom: Signal, eventually: bool = False) -> Triviality:
     """Compare s against each trivial predicate, in Triviality's order."""
     Frame.of([s, p_atom])
-    got = _normal_form(s, eventually)
-    forms = (Signal.constant(p_atom.domain, True, p_atom.unit),
-             Signal.constant(p_atom.domain, False, p_atom.unit), p_atom, combine("not", p_atom))
-    return next((tag for tag, form in zip(Triviality, forms)
-                 if _normal_form(form, eventually) == got), Triviality.NONE)
+    got, p = _normal_form(s, eventually), _normal_form(p_atom, eventually)
+    forms = (Signal.constant(p.domain, True, p.unit), Signal.constant(p.domain, False, p.unit),
+             p, combine("not", p))
+    return next((tag for tag, form in zip(Triviality, forms) if form == got), Triviality.NONE)
 
 
 class ReportEntry(NamedTuple):
@@ -494,7 +490,7 @@ def paper_check(name: str) -> PaperCheckReport:
     """Named end-to-end separation checks; see the acceptance suite."""
     if name == "pnueli":
         env = builtin_model("thm2")
-        sig, p_atom = evaluate_ticks(in_ticks(env), Count(2, Atom("P")), Atom("P"))
+        sig, p_atom = evaluate_ticks(env, Count(2, Atom("P")), Atom("P"))
         cls = classify_trivial(sig, p_atom, eventually=True)
         lines = [f"C2(P) on thm2 eventually classifies: {cls}"]
         tail = from_ticks(sig)
@@ -506,7 +502,7 @@ def paper_check(name: str) -> PaperCheckReport:
 
     if (n := _indexed(name, "hierarchy:", "hierarchy index", 2)) is not None:
         env = builtin_model(f"thm3:{n}")
-        (sig,) = evaluate_ticks(in_ticks(env), Count(n, Atom("P")))
+        (sig,) = evaluate_ticks(env, Count(n, Atom("P")))
         lines, vals = [], []
         for k in range(6):
             # the exact truth set on the open interval, a whole number of
@@ -531,7 +527,7 @@ def paper_check(name: str) -> PaperCheckReport:
     if (k := _indexed(name, "counting:", "counting index", 2)) is not None:
         lines, oks = [], []
         for idx, want in ((k, Triviality.NOT_P), (k + 1, Triviality.TRUE)):
-            atoms = in_ticks(builtin_model(f"mk:{idx}"))
+            atoms = builtin_model(f"mk:{idx}")
             cls = classify_trivial(*evaluate_ticks(atoms, Count(k, Atom("P")), Atom("P")),
                                    eventually=False)
             lines.append(f"C{k}(P) on mk:{idx}: {cls}")

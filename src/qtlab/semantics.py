@@ -41,10 +41,11 @@ The differential oracle checks every construction pointwise rather than
 this module assuming it silently; it keeps its own dispatch.
 
 The operators run on signals at either scale of ``qtlab.signals``, reading
-the length of one time unit off their operands.  ``evaluate_ticks`` takes
-atoms in integer ticks, as the CLI reads them, and every formula of a command:
-its truth signals share one unit, and each atom is canonicalized once.
-``evaluate`` scales one formula's public atoms to ticks and the result back.
+the length of one time unit off their operands.  ``evaluate_ticks`` is the
+one place where atoms go to ticks: it takes them public or in ticks, as the
+CLI reads files, and every formula of a command, so that their truth signals
+share one unit and each atom is canonicalized once.  ``evaluate`` scales its
+one result back to public numbers.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .formulas import (
     And,
@@ -284,35 +285,24 @@ MODALITIES: Dict[type, Modality] = {
 
 # ------------------------------------------------------------------- evaluate
 
-def in_ticks(env: Env) -> Env:
-    """The environment with each public atom in ticks of its own ``tick_unit``."""
-    return Env(env.domain, {name: to_ticks(s, tick_unit([s])) for name, s in env.bindings.items()})
-
-
 def evaluate(f: Formula, env: Env) -> Signal:
-    """The canonical truth signal of a formula under an environment of public
-    signals: the atoms it uses scaled to integer ticks at their ``tick_unit``,
-    evaluated as by ``evaluate_ticks`` and scaled back."""
-    used = metrics(f)[1] & env.bindings.keys()
-    unit = tick_unit(env.bindings[name] for name in used)
-    atoms = {name: to_ticks(env.bindings[name], unit) for name in used}
-    return from_ticks(_evaluate_ticks(Env(env.domain, atoms), used, [f])[0])
+    """The canonical truth signal of a formula, as ``evaluate_ticks`` makes
+    it, scaled back to public numbers."""
+    return from_ticks(evaluate_ticks(env, f)[0])
 
 
 def evaluate_ticks(atoms: Env, *formulas: Formula) -> List[Signal]:
-    """The canonical truth signal of each formula, in ticks, from atoms in
-    ticks.  The atoms the formulas use are scaled to the lcm of their units
-    (``tick_unit`` of their public forms when each is at its own), the one
-    unit of every signal returned, and each is canonicalized once."""
-    used = atoms.bindings.keys() & set().union(*(metrics(f)[1] for f in formulas))
-    return _evaluate_ticks(atoms, used, formulas)
-
-
-def _evaluate_ticks(atoms: Env, used: Set[str], formulas: Sequence[Formula]) -> List[Signal]:
-    """``evaluate_ticks`` given the names of the atoms the formulas use."""
-    unit = math.lcm(2, *(atoms.bindings[name].unit for name in used))
-    env = Env(atoms.domain, {name: scale_ticks(atoms.bindings[name], unit).canonicalize()
-                             for name in used})
+    """The canonical truth signal of each formula, in ticks.  Of the atoms
+    the formulas use, each one in ticks is kept as it is and each public one
+    goes to ticks of its own ``tick_unit``; all are then scaled to the lcm
+    of their units, the unit of every signal returned, and canonicalized
+    once.  An atom no formula uses is never scaled."""
+    used = set().union(*(metrics(f)[1] for f in formulas))
+    ticks = {name: to_ticks(s, tick_unit([s])) if s.unit == 1 else s
+             for name, s in atoms.bindings.items() if name in used}
+    unit = math.lcm(2, *(s.unit for s in ticks.values()))
+    env = Env(atoms.domain,
+              {name: scale_ticks(s, unit).canonicalize() for name, s in ticks.items()})
     return [_evaluate(f, env, unit) for f in formulas]
 
 

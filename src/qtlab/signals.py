@@ -16,7 +16,9 @@ Signals it builds from them is an ``int`` and the unit is Q ticks, and
 with ``parse_signal``, or straight into ticks of its own tick unit with
 ``parse_ticks``; ``scale_ticks`` brings atoms to a common multiple of their
 units, and ``format_ticks`` prints a result from its ticks, as
-``format_signal`` prints it from Fractions.  The two readers share one
+``format_signal`` prints it from Fractions.  The one place that picks a
+unit is ``qtlab.semantics.evaluate_ticks``: it brings the atoms it uses,
+public or in ticks, to the lcm of their units.  The two readers share one
 reader of the text, and the two writers one writer.  ``Frame.of`` admits
 only signals of one domain and one scale, for every function where signals
 meet; ``to_ticks`` and ``format_signal`` take public signals only,

@@ -66,7 +66,7 @@ MUTANTS = (
            'evaluate_ticks(atoms, Count(k, Atom("P")), Count(k, Atom("P")))',
            ("tests/test_lab.py::test_paper_checks_pass[counting:2]",)),
     Mutant("classify_trivial with the P and not-P forms swapped", "lab.py",
-           'p_atom, combine("not", p_atom))', 'combine("not", p_atom), p_atom)',
+           'p, combine("not", p))', 'combine("not", p), p)',
            ("tests/test_lab.py::test_paper_checks_pass[counting:2]",)),
     Mutant("the Count row with whole=()", "semantics.py",
            "lambda f, *a: count_kernel(*a, f.n, True), (0,)),",
@@ -99,9 +99,14 @@ MUTANTS = (
            ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
             "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
     Mutant("evaluate hands atoms over uncanonicalized", "semantics.py",
-           "scale_ticks(atoms.bindings[name], unit).canonicalize()",
-           "scale_ticks(atoms.bindings[name], unit)",
+           "scale_ticks(s, unit).canonicalize() for name, s in ticks.items()",
+           "scale_ticks(s, unit) for name, s in ticks.items()",
            ("tests/test_semantics.py::test_snaps_and_constants_keep_whole_units[P]",)),
+    # scale_ticks then refuses the other atom, whose unit does not divide it
+    Mutant("evaluate taking the common unit from one atom only", "semantics.py",
+           "math.lcm(2, *(s.unit for s in ticks.values()))",
+           "math.lcm(2, *(s.unit for s in list(ticks.values())[:1]))",
+           ("tests/test_semantics.py::test_atoms_public_and_in_ticks_mix[TimeDomain.FULL_LINE]",)),
     Mutant("canonicalize's lockstep walk comparing components without their closed flags",
            "signals.py",
            "\n                    or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):",

@@ -48,7 +48,6 @@ from qtlab.semantics import (
     diamond_unit_past,
     evaluate,
     evaluate_ticks,
-    in_ticks,
     pnueli_unit,
     since,
     until,
@@ -59,7 +58,9 @@ from qtlab.signals import (
     TimeDomain,
     combine,
     equal,
+    format_signal,
     from_ticks,
+    parse_ticks,
 )
 
 from gen import tree_nodes
@@ -107,6 +108,20 @@ def test_an_enumerator_atom_in_ticks_refuses_a_public_time():
                  lambda: atom.slice(0, F(1, 3))):
         with pytest.raises(TypeError, match="a signal in ticks of unit 6 reads int ticks"):
             call()
+
+
+@pytest.mark.parametrize("spec", ["mk:2", "mk:3", "mk:4", "thm2", "thm3:3"])
+def test_the_enumerator_takes_a_model_read_from_a_file(spec):
+    """A model whose P is read from a file into ticks enumerates as the
+    public model: the same formulas, masks and atoms, alone and beside a
+    public model."""
+    env = builtin_model(spec)
+    read = Env(env.domain, {"P": parse_ticks(format_signal(env.signal("P")))})
+    other = builtin_model("mk:5" if env.domain is TimeDomain.FULL_LINE else "thm3:4")
+    for depth, models, files in ((2, env, read), (1, [env, other], [read, other])):
+        want = enumerate_formulas(parse_logic("qtl+c2"), depth, models)
+        got = enumerate_formulas(parse_logic("qtl+c2"), depth, files)
+        assert (got.formulas, got.masks, got.atoms) == (want.formulas, want.masks, want.atoms)
 
 
 @pytest.mark.parametrize("bad", ["mk:0", "thm3:1", "thm3:0", "bogus", "mk:x", "thm3", "MK:2"])
@@ -331,7 +346,7 @@ def test_the_tick_route_classifies_as_the_public_route(spec):
     env = builtin_model(spec)
     texts = [f"C{n}(P)" for n in range(1, 8)] + ["F1 P", "O1 P", "P", "!P", "true", "false"]
     for f, eventually in itertools.product(map(parse_formula, texts), (False, True)):
-        ticks = classify_trivial(*evaluate_ticks(in_ticks(env), f, Atom("P")), eventually=eventually)
+        ticks = classify_trivial(*evaluate_ticks(env, f, Atom("P")), eventually=eventually)
         public = classify_trivial(evaluate(f, env), env.signal("P"), eventually=eventually)
         assert ticks is public, (format_formula(f), eventually)
 
@@ -367,6 +382,28 @@ def test_paper_checks_canonicalize_only_signals_in_ticks(monkeypatch):
         units.clear()
         assert paper_check(name).passed, name
         assert units and 1 not in units, name
+
+
+def test_classification_puts_each_input_in_normal_form_once(monkeypatch):
+    """classify_trivial canonicalizes its signal and P once each, and builds
+    not-P from P's normal form, whichever form matches: three calls.  So a
+    counting check, an evaluation of C<k>(P) and P on each of two models,
+    makes ten."""
+    calls = []
+    canonicalize = Signal.canonicalize
+    monkeypatch.setattr(Signal, "canonicalize", lambda s: calls.append(s) or canonicalize(s))
+    cases = [("mk:3", text, want) for text, want in (
+        ("true", Triviality.TRUE), ("false", Triviality.FALSE), ("P", Triviality.P),
+        ("!P", Triviality.NOT_P), ("C2(P)", Triviality.TRUE), ("C3(P)", Triviality.NOT_P))]
+    for spec, text, want in cases + [("thm2", "C2(P)", Triviality.NONE)]:
+        sig, p_atom = evaluate_ticks(builtin_model(spec), parse_formula(text), Atom("P"))
+        calls.clear()
+        assert classify_trivial(sig, p_atom) is want, (spec, text)
+        assert len(calls) == 3, (spec, text)
+    for k in range(2, 7):
+        calls.clear()
+        assert paper_check(f"counting:{k}").passed
+        assert len(calls) == 10, k
 
 
 def test_pnueli_check_names_its_witnesses_and_fails_when_the_logic_counts(monkeypatch, capsys):

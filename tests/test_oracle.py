@@ -41,7 +41,15 @@ from qtlab.oracle import (
     _tick,
 )
 from qtlab.semantics import Env, evaluate
-from qtlab.signals import DomainError, Signal, SignalError, TimeDomain, tick_unit, to_ticks
+from qtlab.signals import (
+    DomainError,
+    Signal,
+    SignalError,
+    TimeDomain,
+    format_signal,
+    tick_unit,
+    to_ticks,
+)
 
 from gen import irregular_signal, random_formula, random_fraction, random_signal, tree_nodes
 
@@ -963,16 +971,19 @@ def test_time_points_must_be_exact():
         PointwiseSession(f, builtin_model("thm2")).eval(f, 0.5)
 
 
-def test_the_oracle_and_the_engine_refuse_atoms_in_ticks():
-    """A signal in ticks where a public one belongs raises: read as time, the
-    ticks of mk:3 would put P at the even integers, and F1 P false at 1/2."""
+def test_the_oracle_refuses_atoms_in_ticks_and_the_engine_reads_them():
+    """A signal in ticks where the oracle reads a public one raises: read as
+    time, the ticks of mk:3 would put P at the even integers, and F1 P false
+    at 1/2.  The engine reads an atom at either scale, so evaluate on the
+    atom in ticks prints the bytes it prints on the public atom."""
     env = builtin_model("mk:3")
     f = parse_formula("F1 P")
     p = env.signal("P")
     ticks = to_ticks(p, tick_unit([p]))
     tick_env = Env(LINE, {"P": ticks})
     engine = to_ticks(evaluate(f, env), 2)
-    for call in (lambda: evaluate(f, tick_env), lambda: PointwiseSession(f, tick_env),
+    assert format_signal(evaluate(f, tick_env)) == format_signal(evaluate(f, env))
+    for call in (lambda: PointwiseSession(f, tick_env),
                  lambda: compare_cells(f, tick_env, evaluate(f, env)),
                  lambda: critical_points(ticks),
                  lambda: sample_points(ticks), lambda: compare_pointwise(f, env, engine, [0])):

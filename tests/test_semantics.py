@@ -3,6 +3,7 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,6 @@ from qtlab.semantics import (
     diamond_unit_past,
     evaluate,
     evaluate_ticks,
-    in_ticks,
     order_kernel,
     pnueli_kernel,
     pnueli_unit,
@@ -57,6 +57,7 @@ from qtlab.signals import (
     combine,
     equal,
     format_signal,
+    parse_ticks,
     tick_unit,
     to_ticks,
 )
@@ -246,7 +247,7 @@ def test_each_formula_is_walked_for_its_atoms_once(monkeypatch):
     evaluate(fs[0], env)
     assert walked == fs[:1]
     walked.clear()
-    evaluate_ticks(in_ticks(env), *fs)
+    evaluate_ticks(env, *fs)
     assert walked == fs
 
 
@@ -564,26 +565,73 @@ def test_public_results_are_fractions():
 def test_unused_bindings_change_nothing(monkeypatch):
     """evaluate scales only the formula's atoms to ticks: an extra binding on
     sevenths, a denominator no used atom has, is never scaled and leaves the
-    output byte for byte the same; an unbound atom is named in formula order."""
+    output byte for byte the same, whether the used atoms are public or in
+    ticks; an unbound atom is named in formula order."""
     import qtlab.semantics
     scaled = []
-    to_ticks_of = qtlab.semantics.to_ticks
+    to_ticks_of, scale_ticks_of = qtlab.semantics.to_ticks, qtlab.semantics.scale_ticks
     monkeypatch.setattr(qtlab.semantics, "to_ticks",
                         lambda s, unit: scaled.append(s) or to_ticks_of(s, unit))
+    monkeypatch.setattr(qtlab.semantics, "scale_ticks",
+                        lambda s, unit: scaled.append(s) or scale_ticks_of(s, unit))
     rng = random.Random(53)
     for domain in (LINE, HALF):
         used = {name: random_signal(rng, domain, max_den=6) for name in "PQ"}
+        ticks = {name: to_ticks_of(s, tick_unit([s])) for name, s in used.items()}
         r = Signal(domain, F(3, 7), IntervalSet([Interval(F(1, 7), F(2, 7), False, True)]),
                    *((F(5, 7), IntervalSet([Interval.open(0, F(4, 7))])) if domain is HALF else ()))
         texts = ["true", "P", "F1 P", "P U Q", "!Q S P", "C2(Q)", "Pn2(P, Q)"]
         for f in [parse_formula(t) for t in texts] + [random_formula(rng) for _ in range(25)]:
             alone = format_signal(evaluate(f, Env(domain, used)))
-            assert format_signal(evaluate(f, Env(domain, {**used, "R": r}))) == alone, f
+            for atoms in (used, ticks):
+                assert format_signal(evaluate(f, Env(domain, {**atoms, "R": r}))) == alone, f
         assert scaled and all(s is not r for s in scaled)
         for bound in ({}, {"R": r}, {"P": used["P"]}):
             with pytest.raises(UnboundAtomError) as err:
                 evaluate(parse_formula("Q & P"), Env(domain, bound))
             assert err.value.name == "Q"
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_atoms_public_and_in_ticks_mix(domain):
+    """An Env that binds a public P, whose tick unit is 6, beside a Q read
+    from a file into ticks of unit 20 evaluates as the all-public Env, byte
+    for byte, through evaluate and through evaluate_ticks, whose results
+    share the lcm of the two units."""
+    rng = random.Random(59)
+    p = grid_line(3) if domain is LINE else grid_half(F(2, 3))
+    q = Signal(domain, F(2, 5), IntervalSet([Interval(F(1, 5), F(3, 10), True, False)]))
+    public = Env(domain, {"P": p, "Q": q})
+    mixed = Env(domain, {"P": p, "Q": parse_ticks(format_signal(q))})
+    assert (tick_unit([p]), mixed.signal("Q").unit) == (6, 20)
+    texts = ["P", "Q", "P U Q", "!Q S P", "C2(P | Q)", "Pn2(P, Q)", "F1 Q & O1 P"]
+    fs = [parse_formula(t) for t in texts] + [random_formula(rng) for _ in range(30)]
+    for f in fs:
+        assert format_signal(evaluate(f, mixed)) == format_signal(evaluate(f, public)), f
+    got = evaluate_ticks(mixed, *fs)
+    assert got == evaluate_ticks(public, *fs) and {s.unit for s in got} == {60}
+
+
+def test_only_evaluate_ticks_picks_a_tick_unit():
+    """Within qtlab, tick_unit and to_ticks are called only in the signal
+    layer, in the oracle and, in the engine, in evaluate_ticks; no other
+    module imports them, so no other caller scales an atom on its own."""
+    import ast
+
+    found = set()
+    for path in sorted(Path(qtlab.semantics.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Call):
+                    names = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+                else:
+                    continue
+                if {"tick_unit", "to_ticks"} & set(names):
+                    found.add((path.stem, getattr(top, "name", type(top).__name__)))
+    assert {f for f in found if f[0] not in ("signals", "oracle")} == {
+        ("semantics", "ImportFrom"), ("semantics", "evaluate_ticks")}
 
 
 def test_ticks_stay_pure(monkeypatch):
