@@ -64,12 +64,16 @@ no tuple needs: that costs atoms, never exactness.
 
 One frame per model and layer.  A layer cuts each start atom once over the
 reach of its model's frame (``qtlab.signals.Frame``), and a class's cut on a
-model is the union of its atoms' cuts there.  Two sets that repeat in the
-frame are equal exactly when their cuts over its reach are, so a layer names
-a set by its model and cut: each call runs a kernel on the cuts and frames
-its truth set at the kernel's t_bound, each framed set is sliced once, and a
-cut no class or earlier result has is refined once: ``refine`` intersects
-cuts and canonicalizes only split parts.
+model is the union of its atoms' cuts there: one atom's cut as it is, or
+the plain sort of their components, merged where they touch.  Disjoint
+components share a lower end only when one is a point and the other is
+open there, and the point sorts first both as a tuple and in normal form,
+so that sort is the normal order.  Two sets that repeat in the frame are
+equal exactly when their cuts over its reach are, so a layer names a set by
+its model and cut.  Each call runs a kernel on the cuts; each distinct
+output on a model, its t_bound and truth set, is framed at that t_bound and
+sliced once, and a cut no class or earlier result has is refined once:
+``refine`` intersects cuts and canonicalizes only split parts.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ from .formulas import (
     DiamondPast,
     format_formula,
 )
-from .intervals import Interval, IntervalSet, format_interval_list
+from .intervals import Interval, IntervalSet, _coalesce, format_interval_list
 from .semantics import MODALITIES, Env, Modality, evaluate_ticks
 # the public operators, importable from this module too
 from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
@@ -333,12 +337,14 @@ class _Enumeration:
         reps, atoms, base = self.reps, tuple(self.cuts), len(self.reps)
         # per model: each class's atoms there, and its cut, the union of theirs
         bits = [[[k for k in ks if mask >> k & 1] for mask in self.masks] for ks in owned]
-        args = [[IntervalSet(c for k in b for c in atoms[k]) for b in bm] for bm in bits]
+        args = [[atoms[b[0]] if len(b) == 1 else
+                 IntervalSet._wrap(_coalesce(sorted([c for k in b for c in atoms[k]])))
+                 for b in bm] for bm in bits]
         # slot m * base + i is class i on model m; a set is named by model and cut
         own = [sum(1 << k for k in ks) for ks in owned]
         self.pending = [mask & o for o in own for mask in self.masks]
         keyed = {(m, cut): m * base + i for m in models for i, cut in enumerate(args[m])}
-        slots, memo = {}, {}
+        slots, memo = {}, {}  # by kernel output, and by call
 
         def slot(m: int, node: Formula, row: Modality, make: Callable, hs: Tuple[int, ...]) -> int:
             """The pending index of node's kernel on model m's classes and
@@ -348,14 +354,14 @@ class _Enumeration:
                 frame = self.frames[m]
                 truth, t_bound = row.kernel(node, frame, [args[m][h] if k in row.whole else atoms[h]
                                                           for k, h in enumerate(hs)])
-                sig = _frame(frame, t_bound, truth)
-                if (m, sig) not in slots:
-                    cut = sig.slice(*self.windows[m])
-                    if (m, cut) not in keyed:
-                        keyed[m, cut] = len(self.pending)
+                raw = m, t_bound, truth
+                if (got := slots.get(raw)) is None:
+                    cut = _frame(frame, t_bound, truth).slice(*self.windows[m])
+                    if (got := keyed.get((m, cut))) is None:
+                        got = keyed[m, cut] = len(self.pending)
                         self.pending.append(self.refine(m, cut))
-                    slots[m, sig] = keyed[m, cut]
-                got = memo[key] = slots[m, sig]
+                    slots[raw] = got
+                memo[key] = got
             return got
 
         for width, makers in self.logic.families():

@@ -36,7 +36,21 @@ deterministic, idempotent and independent of the input representation, the
 scale included.  Two Signals at one scale denote the same set iff their
 canonical forms are structurally equal.
 
-A Signal is a tuple underneath and validated like an ``Interval``.  A
+A Signal is a tuple underneath, and ``Signal.__new__`` checks it as
+``Interval`` is checked: a positive period, a nonnegative transient, no
+prefix on the full line, and each part within its span.  Every public way
+of building one runs it (``_make``, ``_replace``, copy, pickle, the readers,
+``builtin_model``, every caller outside this module).  The private
+``_signal`` skips only those checks, still making a public signal's numbers
+Fractions, and builds only signals valid by construction: ``_frame`` (a
+frame's period; its callers give a t_bound of 0 on the full line, and the
+parts are truth cut to [t_bound, t_bound + period), moved to [0, period),
+and to [0, t_bound)), ``Signal.constant`` (one unit, empty or all of it),
+the minimal tails of ``canonicalize`` and ``tail_extension`` (a period
+``_minimal_tail`` finds, the pattern within it), ``combine("not")`` (a
+valid signal's parts complemented within their spans), and ``to_ticks``,
+``scale_ticks``, ``from_ticks`` and ``parse_ticks``' rescale (a valid
+signal's numbers multiplied or divided by one positive factor, exactly).  A
 ``Frame`` says where signals repeat: their domain, scale, lcm period and max
 transient.  ``_apply`` slices operands as they are over a window of their
 frame and runs a kernel on the cuts, for ``combine`` and the engine's
@@ -235,7 +249,7 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
     @classmethod
     def constant(cls, domain: TimeDomain, value: bool, unit: int = 1) -> "Signal":
         pattern = IntervalSet.span(0, unit) if value else IntervalSet.EMPTY
-        return cls(domain, unit, pattern, unit=unit)
+        return _signal(domain, unit, pattern, unit=unit)
 
     # ------------------------------------------------------------- point model
 
@@ -311,7 +325,7 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         """The unique full-line periodic set the signal eventually agrees with,
         in canonical form (minimal period, phase anchored at 0)."""
         p0, pat0 = _minimal_tail(self.period, self.pattern, self.unit)
-        return Signal(TimeDomain.FULL_LINE, p0, pat0, unit=self.unit).shift(self.transient)
+        return _signal(TimeDomain.FULL_LINE, p0, pat0, unit=self.unit).shift(self.transient)
 
     def canonicalize(self) -> "Signal":
         """On the half line the transient ends the set D' where the signal
@@ -325,7 +339,7 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
             return Signal.constant(self.domain, True, self.unit)
         p0, pat0 = _minimal_tail(self.period, self.pattern, self.unit)
         if self.domain is TimeDomain.FULL_LINE:
-            return Signal(self.domain, p0, pat0, unit=self.unit)
+            return _signal(self.domain, p0, pat0, unit=self.unit)
         # One cut reaches every transient found below: up to the transient t,
         # or the period multiple that a closed disagreement snaps up to.
         t = self.transient
@@ -359,6 +373,17 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         if frame.transient == self.transient and frame.period == self.period:
             return self
         return _frame(frame, frame.transient, self.slice(*frame.window(0)))
+
+
+def _signal(domain: TimeDomain, period: RationalLike, pattern: IntervalSet,
+            transient: RationalLike = 0, prefix: IntervalSet = IntervalSet.EMPTY,
+            unit: int = 1) -> Signal:
+    """A Signal past the range checks of ``Signal.__new__``, a public one's
+    numbers still made Fractions: see the module docstring."""
+    if unit == 1:
+        period, transient = rat(period), rat(transient)
+        pattern, prefix = _rationals(pattern), _rationals(prefix)
+    return tuple.__new__(Signal, (domain, period, pattern, transient, prefix, unit))
 
 
 class Frame(namedtuple("Frame", "domain period transient unit")):
@@ -407,8 +432,8 @@ def _frame(frame: Frame, t_bound: RationalLike, truth: IntervalSet) -> Signal:
         pattern = tuple([_unchecked(c.lower - t_bound, c.upper - t_bound, c.lower_closed,
                                     c.upper_closed) for c in pattern])
     prefix = _below(_clipped(_meeting(comps, 0, t_bound), 0, t_bound), t_bound) if t_bound > 0 else ()
-    return Signal(frame.domain, frame.period, IntervalSet._wrap(pattern), t_bound,
-                  IntervalSet._wrap(prefix), frame.unit)
+    return _signal(frame.domain, frame.period, IntervalSet._wrap(pattern), t_bound,
+                   IntervalSet._wrap(prefix), frame.unit)
 
 
 def _apply(kernel: Callable[..., tuple], operands: Sequence[Signal], *params,
@@ -433,8 +458,8 @@ def combine(op: str, a: Signal, b: Optional[Signal] = None) -> Signal:
     if op == "not":
         if b is not None:
             raise ValueError("not takes a single signal")
-        return Signal(a.domain, a.period, a.pattern.complement(0, a.period), a.transient,
-                      a.prefix.complement(0, a.transient), a.unit).canonicalize()
+        return _signal(a.domain, a.period, a.pattern.complement(0, a.period), a.transient,
+                       a.prefix.complement(0, a.transient), a.unit).canonicalize()
     if b is None:
         raise ValueError(f"{op} takes two signals")
     fn = {"and": IntervalSet.intersection, "or": IntervalSet.union}.get(op)
@@ -490,8 +515,8 @@ def to_ticks(s: Signal, unit: int) -> Signal:
                        hi.numerator * (get(hi.denominator) or factor(hi)), lc, uc)
             for lo, hi, lc, uc in part.components]))
 
-    return Signal(s.domain, s.period.numerator * factor(s.period), scale(s.pattern),
-                  s.transient.numerator * factor(s.transient), scale(s.prefix), unit)
+    return _signal(s.domain, s.period.numerator * factor(s.period), scale(s.pattern),
+                   s.transient.numerator * factor(s.transient), scale(s.prefix), unit)
 
 
 def scale_ticks(s: Signal, unit: int) -> Signal:
@@ -499,8 +524,8 @@ def scale_ticks(s: Signal, unit: int) -> Signal:
     k, rest = divmod(unit, s.unit)
     if s.unit == 1 or rest:
         raise ValueError(f"cannot scale a signal of unit {s.unit} to ticks of unit {unit}")
-    return s if k == 1 else Signal(s.domain, s.period * k, _map_ends(s.pattern, k.__mul__),
-                                   s.transient * k, _map_ends(s.prefix, k.__mul__), unit)
+    return s if k == 1 else _signal(s.domain, s.period * k, _map_ends(s.pattern, k.__mul__),
+                                    s.transient * k, _map_ends(s.prefix, k.__mul__), unit)
 
 
 def from_ticks(s: Signal) -> Signal:
@@ -508,8 +533,8 @@ def from_ticks(s: Signal) -> Signal:
     def scale(x: int) -> Fraction:
         return Fraction(x, s.unit)
 
-    return Signal(s.domain, scale(s.period), _map_ends(s.pattern, scale),
-                  scale(s.transient), _map_ends(s.prefix, scale))
+    return _signal(s.domain, scale(s.period), _map_ends(s.pattern, scale),
+                   scale(s.transient), _map_ends(s.prefix, scale))
 
 
 # ------------------------------------------------------------------ file format
@@ -636,5 +661,5 @@ def parse_ticks(text: str) -> Signal:
                  *map(attrgetter("upper"), comps)) // 2
     if k == 1:
         return s
-    return Signal(domain, s.period // k, _map_ends(s.pattern, k.__rfloordiv__),
-                  s.transient // k, _map_ends(s.prefix, k.__rfloordiv__), unit // k)
+    return _signal(domain, s.period // k, _map_ends(s.pattern, k.__rfloordiv__),
+                   s.transient // k, _map_ends(s.prefix, k.__rfloordiv__), unit // k)

@@ -1,10 +1,11 @@
-"""Seeded random generators, and a formula-tree walk, shared by the property
-and acceptance suites."""
+"""Seeded random generators, a formula-tree walk and a spy on Signal builds,
+shared by the property and acceptance suites."""
 
 import math
 import random
 from fractions import Fraction
 
+import qtlab.signals
 from qtlab.intervals import Interval, IntervalSet, _read_list, _read_rational, _set_of
 from qtlab.signals import Signal, TimeDomain
 
@@ -103,6 +104,24 @@ def irregular_signal(rng: random.Random, n: int, domain: TimeDomain,
     if domain is TimeDomain.FULL_LINE:
         return Signal(domain, Fraction(n, 5), components(n))
     return Signal(domain, Fraction(n, 5), components(n), Fraction(n // 2, 5), components(n // 2))
+
+
+def spy_signal_builds(monkeypatch) -> list:
+    """A list that gains every Signal built from here on, by the checked
+    constructor ``Signal.__new__`` or by the library's trusted one,
+    ``qtlab.signals._signal``."""
+    built = []
+
+    def spying(build):
+        def call(*args, **kwargs):
+            sig = build(*args, **kwargs)
+            built.append(sig)
+            return sig
+        return call
+
+    monkeypatch.setattr(Signal, "__new__", staticmethod(spying(Signal.__new__)))
+    monkeypatch.setattr(qtlab.signals, "_signal", spying(qtlab.signals._signal))
+    return built
 
 
 def sparse_signal(rng: random.Random, n: int, domain: TimeDomain) -> Signal:

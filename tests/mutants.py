@@ -52,6 +52,16 @@ MUTANTS = (
            "key = m, make, hs", "key = make, hs",
            ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
             "[mk:3+mk:4-qtl+c2-C3(P)-4]",)),
+    # P on mk:3 and on mk:4 is one int signal in ticks: keyed without its
+    # model, a kernel output on one model takes the other model's slot
+    Mutant("the slot's kernel-output key without its model", "lab.py",
+           "raw = m, t_bound, truth", "raw = t_bound, truth",
+           ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
+            "[mk:3+mk:4-qtl+c2+p2-C3(P)-4]",)),
+    Mutant("a class's cut taking its first atom's cut only", "lab.py",
+           "for k in b for c in atoms[k]", "for k in b[:1] for c in atoms[k]",
+           ("tests/test_lab.py::test_the_distributed_layer_matches_the_undistributed_reference"
+            "[qtl-thm2]",)),
     # layer 1 runs (upto is 0), then the loop stops as if it had admitted nothing
     Mutant("the fixpoint loop stopping one layer early", "lab.py",
            "if upto == base:", "if upto:",
@@ -107,6 +117,11 @@ MUTANTS = (
            "math.lcm(2, *(s.unit for s in ticks.values()))",
            "math.lcm(2, *(s.unit for s in list(ticks.values())[:1]))",
            ("tests/test_semantics.py::test_atoms_public_and_in_ticks_mix[TimeDomain.FULL_LINE]",)),
+    Mutant("the trusted Signal constructor keeping a public signal's ints", "signals.py",
+           "    if unit == 1:\n        period, transient = rat(period), rat(transient)\n"
+           "        pattern, prefix = _rationals(pattern), _rationals(prefix)\n"
+           "    return tuple.__new__(Signal", "    return tuple.__new__(Signal",
+           ("tests/test_semantics.py::test_public_results_are_fractions",)),
     Mutant("canonicalize's lockstep walk comparing components without their closed flags",
            "signals.py",
            "\n                    or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):",

@@ -63,7 +63,7 @@ from qtlab.signals import (
     parse_ticks,
 )
 
-from gen import tree_nodes
+from gen import spy_signal_builds, tree_nodes
 
 
 def class_signal(enum, mask):
@@ -305,14 +305,7 @@ def test_a_report_builds_no_signal(monkeypatch, eventually):
     the form a per-class classify_trivial gives its truth signal."""
     env = builtin_model("thm2")
     enum = enumerate_formulas(parse_logic("qtl"), 2, env)
-    built = []
-    new = Signal.__new__
-
-    def spy(cls, *args, **kwargs):
-        built.append(cls)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Signal, "__new__", staticmethod(spy))
+    built = spy_signal_builds(monkeypatch)
     report = trivialization_report(enum, eventually)
     monkeypatch.undo()
     assert len(enum.masks) == 64 and built == []
@@ -853,22 +846,44 @@ def test_depth3_qtl_thm2_report_golden():
 def test_each_new_set_is_refined_once(monkeypatch):
     """A new set that kernels with different t_bounds reach frames twice but
     has one cut over the layer window, and is refined once: depth-3 qtl on
-    thm2 refines 15 distinct cuts (the seed P, 14 new modal results).  A set is
-    framed once per kernel call and twice per atom split, never to match a
-    class: the layer names a set by its cut."""
-    cuts = []
-    refine = qtlab.lab._Enumeration.refine
+    thm2 refines 15 distinct cuts (the seed P, 14 new modal results).  A set
+    is framed once per distinct kernel output of a layer and twice per atom
+    split, never to match a class: the layer names a set by its cut, and a
+    kernel call by its output.  Depth 3 makes 854 kernel calls and 73
+    framings; ``paper --check pnueli``, whose closure is depth-2 qtl on
+    thm2, 74 and 32."""
+    atoms = {depth: len(enumerate_formulas(parse_logic("qtl"), depth,
+                                           builtin_model("thm2")).atoms) for depth in (2, 3)}
+    cuts, calls, outputs, layers = [], [], set(), []
+    refine, layer = qtlab.lab._Enumeration.refine, qtlab.lab._Enumeration.modal_layer
 
     def counted(self, m, cut):
         cuts.append((m, self.windows[m], cut))
         return refine(self, m, cut)
 
+    def logged(cls, kernel):
+        def call(node, frame, args):
+            truth, t_bound = got = kernel(node, frame, args)
+            calls.append(cls)
+            outputs.add((len(layers), frame, t_bound, truth))
+            return got
+        return call
+
     monkeypatch.setattr(qtlab.lab._Enumeration, "refine", counted)
-    kernel_calls = _log_kernel_calls(monkeypatch)
-    framings = _log_calls(monkeypatch, ["_frame"])
-    enum = enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2"))
-    assert len(cuts) == len(set(cuts)) == 15
-    assert len(framings) == len(kernel_calls) + 2 * (len(enum.atoms) - 1)
+    monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer",
+                        lambda self, upto: layers.append(upto) or layer(self, upto))
+    _patch_kernels(monkeypatch, logged)
+    framed = _log_calls(monkeypatch, ["_frame"])
+    for run, depth, refined, kernel_calls, framings in [
+        (lambda: enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2")), 3, 15, 854, 73),
+        (lambda: paper_check("pnueli"), 2, 5, 74, 32),
+    ]:
+        for log in (cuts, outputs, layers, calls, framed):
+            log.clear()
+        run()
+        assert len(cuts) == len(set(cuts)) == refined
+        assert (len(calls), len(framed)) == (kernel_calls, framings)
+        assert len(framed) == len(outputs) + 2 * (atoms[depth] - 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

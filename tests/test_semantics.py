@@ -62,7 +62,8 @@ from qtlab.signals import (
     to_ticks,
 )
 
-from gen import irregular_signal, random_formula, random_signal, read_interval_list, sparse_signal
+from gen import (irregular_signal, random_formula, random_signal, read_interval_list, sparse_signal,
+                 spy_signal_builds)
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -638,15 +639,7 @@ def test_ticks_stay_pure(monkeypatch):
     """Every Signal built in ticks while evaluating or enumerating holds only
     ints: no Fraction default or lcm leaks into the engine's arithmetic, nor
     into the tick atoms an enumeration returns."""
-    built = []
-    new = Signal.__new__
-
-    def spy(cls, *args, **kwargs):
-        sig = new(cls, *args, **kwargs)
-        built.append(sig)
-        return sig
-
-    monkeypatch.setattr(Signal, "__new__", staticmethod(spy))
+    built = spy_signal_builds(monkeypatch)
     rng = random.Random(43)
     for domain in (LINE, HALF):
         env = _random_env(rng, domain)

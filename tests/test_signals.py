@@ -34,11 +34,12 @@ from qtlab.signals import (
     to_ticks,
 )
 from qtlab.intervals import format_interval_list
-from qtlab.semantics import Env, evaluate_ticks
+from qtlab.semantics import Env, count_unit, evaluate_ticks, pnueli_unit, until
 from qtlab.signals import _frame, _minimal_tail, _within, _write
 from gen import (PERIODS, irregular_signal, random_formula, random_fraction, random_point_set,
                  random_signal, read_interval_list)
 from test_intervals import interval_sets, rationals
+from test_semantics import _numbers
 
 LINE = TimeDomain.FULL_LINE
 HALF = TimeDomain.HALF_LINE
@@ -635,9 +636,11 @@ def test_constants_canonicalize_to_the_constant():
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]), st.booleans())
 def test_built_records_revalidate(rng, domain, in_ticks):
-    """Records the algebra builds past the checks of Interval.__new__ are
-    valid: every component and signal re-validates as it stands."""
-    a, b = random_signal(rng, domain), random_signal(rng, domain)
+    """Records the library builds past the checks of Interval.__new__ and
+    Signal.__new__ are valid: every component and signal re-validates as it
+    stands and keeps its number types, Fractions on a public signal and ints
+    in ticks.  The signals come from every site that builds them unchecked."""
+    a, b = public = random_signal(rng, domain), random_signal(rng, domain)
     pick = lambda lo, hi: random_fraction(rng, lo, hi, max_den=24)  # noqa: E731
     if in_ticks:
         unit = tick_unit([a, b])
@@ -652,10 +655,13 @@ def test_built_records_revalidate(rng, domain, in_ticks):
     sets = [x, y, b.slice(lo, hi), x.union(y), x.intersection(y), x.difference(y),
             y.complement(lo, hi), x.shift(d), y.shift(d)]
     sigs = [a, b, a.canonicalize(), combine("and", a, b), combine("or", a, b),
-            combine("not", b)]
+            combine("not", b), Signal.constant(domain, True, frame.unit),
+            Signal.constant(domain, False, frame.unit), _frame(frame, frame.transient, x.union(y)),
+            _frame(frame, frame.settled(), y), until(a, b), count_unit(a, 2), pnueli_unit([a, b])]
     if domain is LINE:
         sigs.append(a.shift(d))
     if in_ticks:
+        sigs += [scale_ticks(a, 3 * unit), parse_ticks(format_signal(public[1]))]
         sigs += [from_ticks(s) for s in sigs]
     sets += [part for s in sigs for part in (s.pattern, s.prefix)]
     for s in sets:
@@ -664,6 +670,7 @@ def test_built_records_revalidate(rng, domain, in_ticks):
         assert IntervalSet(s.components) == s
     for s in sigs:
         assert Signal(*s) == s
+        assert {type(n) for n in _numbers(s)} == {F if s.unit == 1 else int}, s
 
 
 @settings(max_examples=200, deadline=None)
