@@ -5,10 +5,12 @@ Exit codes: 0 success or check passed; 1 check failed, formulas inequivalent,
 or oracle disagreement; 2 usage, parse, or file-format errors (formulas nested
 past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
 
-Bound files are read into integer ticks (``parse_ticks``), the ``--model``
-atom stays public, and ``eval``, ``equiv`` and ``trivial`` (with the atom P)
-each make one ``evaluate_ticks`` call on all they evaluate, at one unit.
-``oracle-check`` calls ``evaluate``: the oracle reads public signals.
+Every command that takes a model reads it with ``qtlab.lab.builtin_model``
+from ``--model`` and ``--bind``: the spec's atoms stay public and each bound
+file is read into integer ticks.  ``eval``, ``equiv`` and ``trivial`` (with
+the atom P) each make one ``evaluate_ticks`` call on all they evaluate, at
+one unit.  ``oracle-check`` makes every atom public and calls ``evaluate``:
+the oracle reads public signals.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import functools
 import sys
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .formulas import Atom, ParseError, parse_formula
 from .intervals import IntervalError, TextFormatError
 from .lab import (
+    MODEL_SPECS,
     LabError,
     builtin_model,
     classify_trivial,
@@ -33,16 +36,7 @@ from .lab import (
 )
 from .oracle import compare_cells, compare_pointwise, sample_points
 from .semantics import Env, EvalError, evaluate, evaluate_ticks
-from .signals import (
-    MAX_UNROLL,
-    DomainError,
-    Signal,
-    SignalError,
-    TimeDomain,
-    equal,
-    format_ticks,
-    parse_ticks,
-)
+from .signals import MAX_UNROLL, DomainError, SignalError, equal, format_ticks, from_ticks
 
 _USAGE_ERRORS = (ParseError, TextFormatError, IntervalError, SignalError,
                  DomainError, EvalError, LabError, OSError)
@@ -56,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "eventually periodic dense-time signals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_binds(p, model_required=False):
-        p.add_argument("--model", required=model_required,
-                       help="builtin model spec: mk:<k>, thm2, thm3:<n> (binds atom P)")
+    def add_model_binds(p):
+        p.add_argument("--model", help=f"builtin model spec: {MODEL_SPECS} (alt binds P and Q, "
+                                        "the others P)")
         p.add_argument("--bind", action="append", default=[], metavar="NAME=PATH",
                        help="bind an atom to a signal file (repeatable)")
 
@@ -76,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trivial", help="classify a formula against the four constants")
     p.add_argument("--formula", required=True)
-    p.add_argument("--model", required=True,
-                   help="builtin model spec: mk:<k>, thm2, thm3:<n>")
+    add_model_binds(p)
     p.add_argument("--eventually", action="store_true")
 
     p = sub.add_parser("enumerate",
@@ -85,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", required=True,
                    help="tl, qtl, qtl+c<m>, qtl+p<m>, or qtl+c<m>+p<w>")
     p.add_argument("--depth", required=True, type=int)
-    p.add_argument("--model", required=True)
+    add_model_binds(p)
     p.add_argument("--report", required=True, help="output file path")
     p.add_argument("--eventually", action="store_true",
                    help="classify tails instead of exact truth sets")
@@ -97,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="engine vs pointwise-oracle agreement report")
     p.add_argument("--formula", required=True)
-    p.add_argument("--model", required=True)
+    add_model_binds(p)
     how = p.add_mutually_exclusive_group()
     how.add_argument("--samples", type=int, default=50)
     how.add_argument("--cells", action="store_true",
@@ -108,35 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_env(parser: argparse.ArgumentParser, model: Optional[str], binds: List[str]) -> Env:
-    """The model's public atom and the bound files, each in ticks of its own unit."""
-    bindings: Dict[str, Signal] = {}
-    domain: Optional[TimeDomain] = None
-    if model is not None:
-        env = builtin_model(model)
-        domain = env.domain
-        bindings.update(env.bindings)
-    for item in binds:
-        name, sep, path = item.partition("=")
-        if not sep or not name:
-            parser.error(f"--bind expects NAME=PATH, got {item!r}")
-        if name in bindings:
-            parser.error(f"atom {name!r} bound twice")
-        try:
-            sig = parse_ticks(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, TextFormatError) as exc:
-            raise TextFormatError(f"{path}: {exc}") from None
-        bindings[name] = sig
-        if domain is None:
-            domain = sig.domain
-    if domain is None:
-        parser.error("no atoms bound: give --model and/or --bind")
-    return Env(domain, bindings)
-
-
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.command == "paper":
+        report = paper_check(args.check)
+        sys.stdout.write(report.render())
+        return 0 if report.passed else 1
+
+    env = builtin_model(args.model, args.bind)
     if args.command == "eval":
-        env = _load_env(parser, args.model, args.bind)
         (sig,) = evaluate_ticks(env, parse_formula(args.formula))
         sys.stdout.write(format_ticks(sig, text=args.output == "text"))
         return 0
@@ -144,7 +116,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "equiv":
         if len(args.formula) != 2:
             parser.error("equiv needs --formula exactly twice")
-        env = _load_env(parser, args.model, args.bind)
         fa, fb = map(parse_formula, args.formula)
         if equal(*evaluate_ticks(env, fa, fb), eventually=args.eventually):
             print("equivalent")
@@ -153,23 +124,16 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 1
 
     if args.command == "trivial":
-        env = _load_env(parser, args.model, [])
         sig, p_atom = evaluate_ticks(env, parse_formula(args.formula), Atom("P"))
         print(classify_trivial(sig, p_atom, eventually=args.eventually))
         return 0
 
     if args.command == "enumerate":
-        env = builtin_model(args.model)
         result = enumerate_formulas(parse_logic(args.logic), args.depth, env)
         text = trivialization_report(result, eventually=args.eventually).render()
         Path(args.report).write_text(text, encoding="utf-8")
         sys.stdout.write(text.splitlines()[-1] + "\n")
         return 0
-
-    if args.command == "paper":
-        report = paper_check(args.check)
-        sys.stdout.write(report.render())
-        return 0 if report.passed else 1
 
     if args.command == "oracle-check":
         if args.samples < 1:
@@ -177,7 +141,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("--samples must be at least 1")
         if args.samples > MAX_UNROLL:
             parser.error(f"--samples must be at most {MAX_UNROLL}")
-        env = builtin_model(args.model)
+        # the oracle reads public signals; a public atom comes out equal
+        env = Env(env.domain, {name: from_ticks(s) for name, s in env.bindings.items()})
         formula = parse_formula(args.formula)
         sig = evaluate(formula, env)
         if args.cells:

@@ -1,7 +1,9 @@
 """Builtin grid models, semantic formula enumeration, and turnkey checks.
 
-The models bind one atom P to a pure point grid: multiples of 1/k on the whole
-line, or multiples of 2/3 (respectively 2/(2n-1)) on the half line.
+The builtin models bind atoms to pure point grids: P at the multiples of 1/k
+on the whole line, or of 2/3 (respectively 2/(2n-1)) on the half line, or P
+and Q alternating 1/k apart on the whole line.  ``builtin_model`` is the one
+reader of models: a spec and atoms bound to signal files, read into ticks.
 
 Enumeration works by semantic closure over one model or a tuple of models
 binding the same atoms: seed with the constants and the atoms in name order,
@@ -84,6 +86,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial, reduce
 from operator import or_
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .formulas import (
@@ -102,7 +105,7 @@ from .formulas import (
     DiamondPast,
     format_formula,
 )
-from .intervals import Interval, IntervalSet, _coalesce, format_interval_list
+from .intervals import Interval, IntervalSet, TextFormatError, _coalesce, format_interval_list
 from .semantics import MODALITIES, Env, Modality, evaluate_ticks
 # the public operators, importable from this module too
 from .semantics import diamond_unit_future, diamond_unit_past, pnueli_unit, since, until  # noqa
@@ -114,6 +117,7 @@ from .signals import (
     _normal_form,
     combine,
     from_ticks,
+    parse_ticks,
 )
 
 # Size guards: a request past either raises LabError (exit 2) before the
@@ -128,6 +132,9 @@ class LabError(ValueError):
 
 
 # ------------------------------------------------------------------- models
+
+MODEL_SPECS = "mk:<k>, thm2, thm3:<n>, alt:<k>"  # every spec form builtin_model reads
+
 
 def _indexed(spec: str, prefix: str, what: str, least: int) -> Optional[int]:
     """n when spec is prefix followed by the digits of n, else None; an n
@@ -144,23 +151,44 @@ def _indexed(spec: str, prefix: str, what: str, least: int) -> Optional[int]:
     return n
 
 
-def builtin_model(spec: str) -> Env:
-    """Environment for a named model: `mk:<k>`, `thm2`, or `thm3:<n>`.
+def builtin_model(spec: Optional[str] = None, binds: Sequence[str] = ()) -> Env:
+    """The model of a spec, with more atoms bound to signal files.
 
-    Binds the single atom P.  mk:k puts P at every multiple of 1/k over the
-    whole line; thm2 at every nonnegative multiple of 2/3; thm3:n at every
-    nonnegative multiple of 2/(2n-1), so thm2 is thm3:2.
+    The spec's atoms are public.  mk:k puts P at every multiple of 1/k over
+    the whole line; thm2 at every nonnegative multiple of 2/3; thm3:n at
+    every nonnegative multiple of 2/(2n-1), so thm2 is thm3:2; alt:k puts P
+    at 0 and Q at 1/k, both with period 2/k, over the whole line.  Each
+    NAME=PATH of binds binds NAME to the file at PATH, read into ticks.  The
+    domain is the first binding's; ``Env`` refuses a clash.
     """
+    bindings: Dict[str, Signal] = {}
     if spec == "thm2":
         spec = "thm3:2"
-    point_zero = IntervalSet([Interval.point(Fraction(0))])
-    if (k := _indexed(spec, "mk:", "mk index", 1)) is not None:
-        sig = Signal(TimeDomain.FULL_LINE, Fraction(1, k), point_zero)
-        return Env(TimeDomain.FULL_LINE, {"P": sig})
-    if (n := _indexed(spec, "thm3:", "thm3 index", 2)) is not None:
-        sig = Signal(TimeDomain.HALF_LINE, Fraction(2, 2 * n - 1), point_zero)
-        return Env(TimeDomain.HALF_LINE, {"P": sig})
-    raise LabError(f"unknown model spec {spec!r} (expected mk:<k>, thm2, thm3:<n>)")
+    if spec is not None:
+        if (k := _indexed(spec, "mk:", "mk index", 1)) is not None:
+            domain, period, points = TimeDomain.FULL_LINE, Fraction(1, k), {"P": 0}
+        elif (k := _indexed(spec, "alt:", "alt index", 1)) is not None:
+            domain, period = TimeDomain.FULL_LINE, Fraction(2, k)
+            points = {"P": 0, "Q": Fraction(1, k)}
+        elif (n := _indexed(spec, "thm3:", "thm3 index", 2)) is not None:
+            domain, period, points = TimeDomain.HALF_LINE, Fraction(2, 2 * n - 1), {"P": 0}
+        else:
+            raise LabError(f"unknown model spec {spec!r} (expected {MODEL_SPECS})")
+        for name, at in points.items():
+            bindings[name] = Signal(domain, period, IntervalSet([Interval.point(Fraction(at))]))
+    for item in binds:
+        name, sep, path = item.partition("=")
+        if not sep or not name:
+            raise LabError(f"--bind expects NAME=PATH, got {item!r}")
+        if name in bindings:
+            raise LabError(f"atom {name!r} bound twice")
+        try:
+            bindings[name] = parse_ticks(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, TextFormatError) as exc:
+            raise TextFormatError(f"{path}: {exc}") from None
+    if not bindings:
+        raise LabError("no atoms bound: give --model and/or --bind")
+    return Env(next(iter(bindings.values())).domain, bindings)
 
 
 # -------------------------------------------------------------- enumeration

@@ -292,17 +292,18 @@ def evaluate(f: Formula, env: Env) -> Signal:
 
 
 def evaluate_ticks(atoms: Env, *formulas: Formula) -> List[Signal]:
-    """The canonical truth signal of each formula, in ticks.  Of the atoms
-    the formulas use, each one in ticks is kept as it is and each public one
-    goes to ticks of its own ``tick_unit``; all are then scaled to the lcm
-    of their units, the unit of every signal returned, and canonicalized
-    once.  An atom no formula uses is never scaled."""
+    """The canonical truth signal of each formula, in ticks.  The atoms the
+    formulas use share one unit, the unit of every signal returned: the lcm
+    of each public atom's ``tick_unit`` and each other atom's unit.  Each
+    public atom goes to it with ``to_ticks``, each other one with
+    ``scale_ticks``, and each is canonicalized once.  An atom no formula
+    uses is never scaled."""
     used = set().union(*(metrics(f)[1] for f in formulas))
-    ticks = {name: to_ticks(s, tick_unit([s])) if s.unit == 1 else s
-             for name, s in atoms.bindings.items() if name in used}
-    unit = math.lcm(2, *(s.unit for s in ticks.values()))
-    env = Env(atoms.domain,
-              {name: scale_ticks(s, unit).canonicalize() for name, s in ticks.items()})
+    picked = {name: s for name, s in atoms.bindings.items() if name in used}
+    unit = math.lcm(2, *(tick_unit([s]) if s.unit == 1 else s.unit for s in picked.values()))
+    env = Env(atoms.domain, {
+        name: (to_ticks(s, unit) if s.unit == 1 else scale_ticks(s, unit)).canonicalize()
+        for name, s in picked.items()})
     return [_evaluate(f, env, unit) for f in formulas]
 
 

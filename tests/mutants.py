@@ -109,13 +109,13 @@ MUTANTS = (
            ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
             "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
     Mutant("evaluate hands atoms over uncanonicalized", "semantics.py",
-           "scale_ticks(s, unit).canonicalize() for name, s in ticks.items()",
-           "scale_ticks(s, unit) for name, s in ticks.items()",
+           "(to_ticks(s, unit) if s.unit == 1 else scale_ticks(s, unit)).canonicalize()",
+           "(to_ticks(s, unit) if s.unit == 1 else scale_ticks(s, unit))",
            ("tests/test_semantics.py::test_snaps_and_constants_keep_whole_units[P]",)),
     # scale_ticks then refuses the other atom, whose unit does not divide it
     Mutant("evaluate taking the common unit from one atom only", "semantics.py",
-           "math.lcm(2, *(s.unit for s in ticks.values()))",
-           "math.lcm(2, *(s.unit for s in list(ticks.values())[:1]))",
+           "for s in picked.values()))",
+           "for s in list(picked.values())[:1]))",
            ("tests/test_semantics.py::test_atoms_public_and_in_ticks_mix[TimeDomain.FULL_LINE]",)),
     Mutant("the trusted Signal constructor keeping a public signal's ints", "signals.py",
            "    if unit == 1:\n        period, transient = rat(period), rat(transient)\n"
@@ -146,6 +146,14 @@ MUTANTS = (
            "semantics.py",
            "set().union(*(metrics(f)[1] for f in formulas))", "metrics(formulas[0])[1]",
            ("tests/test_cli.py::test_equiv_in_ticks_answers_what_evaluate_answers",)),
+    Mutant("alt:<k> putting Q at 1/(k+1)", "lab.py",
+           '"Q": Fraction(1, k)}', '"Q": Fraction(1, k + 1)}',
+           ("tests/test_lab.py::test_builtin_models_membership",)),
+    # the file's P then silently replaces the model's
+    Mutant("the \"bound twice\" check dropped", "lab.py",
+           "        if name in bindings:\n            raise LabError(f\"atom {name!r} bound twice\")\n",
+           "",
+           ("tests/test_cli.py::test_bad_models_exit_two_on_every_command[eval]",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
            "comps[i].upper <= x", "comps[i].upper < x",

@@ -278,6 +278,65 @@ def test_bind_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each command that takes a model, with the rest of a command line that
+# succeeds on mk:2; enumerate also takes --report
+MODEL_COMMANDS = {
+    "eval": ["--formula", "P"],
+    "equiv": ["--formula", "P", "--formula", "!!P"],
+    "trivial": ["--formula", "P"],
+    "enumerate": ["--logic", "tl", "--depth", "0"],
+    "oracle-check": ["--formula", "P"],
+}
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_each_model_taking_command_names_every_spec_form(command, capsys):
+    assert invoke([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for form in ("mk:<k>", "thm2", "thm3:<n>", "alt:<k>", "--bind NAME=PATH"):
+        assert form in out, (command, form)
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_bad_models_exit_two_on_every_command(command, tmp_path, capsys):
+    """A bind that is not NAME=PATH, a file rebinding the model's P, no
+    atoms at all and alt:0 are refused with exit 2, an error line and
+    nothing on stdout."""
+    p = tmp_path / "p.sig"
+    p.write_text(format_signal(builtin_model("mk:2").signal("P")), encoding="utf-8")
+    argv = [command, *MODEL_COMMANDS[command]]
+    if command == "enumerate":
+        argv += ["--report", str(tmp_path / "report.txt")]
+    assert invoke(argv + ["--model", "mk:2"]) == 0
+    capsys.readouterr()
+    for bad in (["--model", "mk:2", "--bind", "nopath"], ["--model", "mk:2", "--bind", f"P={p}"],
+                [], ["--model", "alt:0"]):
+        assert invoke(argv + bad) == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), bad
+
+
+@pytest.mark.parametrize("spec", ["mk:3", "thm2"])
+def test_a_model_read_from_a_file_prints_what_its_spec_prints(spec, tmp_path, capsys):
+    """enumerate, trivial and oracle-check --cells on a file holding the
+    model's P print the same bytes, the report included, and exit with the
+    same code as on the model's spec."""
+    path = tmp_path / "p.sig"
+    path.write_text(format_signal(builtin_model(spec).signal("P")), encoding="utf-8")
+    report = tmp_path / "report.txt"
+    runs = (["enumerate", "--logic", "qtl", "--depth", "2", "--report", str(report)],
+            ["trivial", "--formula", "C2(P)", "--eventually"],
+            ["oracle-check", "--cells", "--formula", "C2(P) U P"])
+    outputs = []
+    for model in (["--model", spec], ["--bind", f"P={path}"]):
+        got = []
+        for argv in runs:
+            got.append((invoke(argv + model), capsys.readouterr().out))
+        outputs.append((got, report.read_text(encoding="utf-8")))
+    assert all(code == 0 and out for code, out in outputs[0][0])
+    assert outputs[0] == outputs[1]
+
+
 def test_non_utf8_signal_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bytes.sig"
     bad.write_bytes(b"\xff\xfe\x00")
@@ -499,8 +558,8 @@ def test_a_parser_error_leaves_the_next_call_unchanged(tmp_path, capsys):
             "--bind", f"Q={paths['Q']}", "--output", "sig"]
     assert invoke(good) == 0
     first = capsys.readouterr().out
-    for bad in (["eval", "--formula", "P", "--bind", "nopath"],    # parser.error
-                ["eval", "--formula", "P"],                        # no atoms bound
+    for bad in (["eval", "--formula", "P", "--bind", "nopath"],    # LabError: not NAME=PATH
+                ["eval", "--formula", "P"],                        # LabError: no atoms
                 ["eval", "--bind", f"P={paths['P']}"],             # --formula missing
                 ["eval", "--formula", "P", "--bind", f"P={paths['P']}", "--output", "csv"]):
         assert invoke(bad) == 2
@@ -637,11 +696,12 @@ ONCE_FILES = {
 
 
 def test_each_atom_is_canonicalized_once_per_command(tmp_path, monkeypatch, capsys):
-    """eval, equiv and trivial canonicalize each atom, as parse_ticks or
-    to_ticks gives it, exactly once, however many of their formulas use it.
-    An atom is followed by identity through its scaling to the command's
-    unit.  The files are out of canonical form and the models are on the
-    line, so no canonical form is the atom object itself."""
+    """eval, equiv and trivial canonicalize each atom, as parse_ticks reads
+    it or as the model gives it, exactly once, however many of their
+    formulas use it.  An atom is followed by identity through its scaling
+    to the command's unit, by to_ticks or scale_ticks.  The files are out of
+    canonical form and the models are on the line, so no canonical form is
+    the atom object itself."""
     paths = {}
     for (domain, name), text in ONCE_FILES.items():
         assert parse_ticks(text).canonicalize() != parse_ticks(text), (domain, name)
@@ -662,20 +722,21 @@ def test_each_atom_is_canonicalized_once_per_command(tmp_path, monkeypatch, caps
 
     given, seen, scaled = [], [], {}
 
-    def reading(fn):
-        def call(*args):
-            given.append(out := fn(*args))
+    def read(text):
+        given.append(out := parse_ticks(text))
+        return out
+
+    def scaler(fn, public):
+        def call(s, unit):
+            if public:
+                given.append(s)
+            scaled.setdefault(id(s), []).append(out := fn(s, unit))
             return out
         return call
 
-    def scale(s, unit):
-        out = scale_ticks(s, unit)
-        scaled.setdefault(id(s), []).append(out)
-        return out
-
-    monkeypatch.setattr(qtlab.cli, "parse_ticks", reading(parse_ticks))
-    monkeypatch.setattr(qtlab.semantics, "to_ticks", reading(to_ticks))
-    monkeypatch.setattr(qtlab.semantics, "scale_ticks", scale)
+    monkeypatch.setattr(qtlab.lab, "parse_ticks", read)
+    monkeypatch.setattr(qtlab.semantics, "to_ticks", scaler(to_ticks, True))
+    monkeypatch.setattr(qtlab.semantics, "scale_ticks", scaler(scale_ticks, False))
     canonicalize = Signal.canonicalize
     monkeypatch.setattr(Signal, "canonicalize", lambda s: seen.append(s) or canonicalize(s))
     for argv, code, atoms in runs:

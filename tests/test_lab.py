@@ -97,6 +97,12 @@ def test_builtin_models_membership():
     # 2/(2*2-1) = 2/3: same denoted set as thm2
     assert equal(builtin_model("thm3:2").signal("P"), q)
 
+    alt4 = builtin_model("alt:4")
+    assert alt4.domain is TimeDomain.FULL_LINE and list(alt4.bindings) == ["P", "Q"]
+    for name, at in (("P", F(0)), ("Q", F(1, 4))):
+        want = Signal(TimeDomain.FULL_LINE, F(1, 2), IntervalSet([Interval.point(at)]))
+        assert alt4.signal(name) == want
+
 
 def test_an_enumerator_atom_in_ticks_refuses_a_public_time():
     """The enumerator's atoms are in ticks, unit 6 on mk:3: the P atom reads
@@ -124,7 +130,8 @@ def test_the_enumerator_takes_a_model_read_from_a_file(spec):
         assert (got.formulas, got.masks, got.atoms) == (want.formulas, want.masks, want.atoms)
 
 
-@pytest.mark.parametrize("bad", ["mk:0", "thm3:1", "thm3:0", "bogus", "mk:x", "thm3", "MK:2"])
+@pytest.mark.parametrize("bad", ["mk:0", "thm3:1", "thm3:0", "bogus", "mk:x", "thm3", "MK:2",
+                                 "alt:0", "alt3"])
 def test_builtin_model_rejects_bad_specs(bad):
     with pytest.raises(LabError):
         builtin_model(bad)
@@ -598,17 +605,11 @@ BOUND = Env(TimeDomain.FULL_LINE, {"P": Signal(TimeDomain.FULL_LINE, F(2), Inter
     [Interval.point(F(0)), Interval.point(F(1, 3))]))})
 
 
-def alt(k):
-    """P at 0 and Q at 1/k, both with period 2/k, over the whole line."""
-    return Env(TimeDomain.FULL_LINE, {
-        name: Signal(TimeDomain.FULL_LINE, F(2, k), IntervalSet([Interval.point(at)]))
-        for name, at in (("P", F(0)), ("Q", F(1, k)))})
-
-
 def models(spec):
-    """The models of a spec: builtin ones, "bound" and "alt<k>", joined by +."""
-    return [BOUND if one == "bound" else alt(int(one[3:])) if one.startswith("alt")
-            else builtin_model(one) for one in spec.split("+")]
+    """The models of a spec: builtin ones, "bound" and "alt<k>" for alt:<k>,
+    joined by +."""
+    return [BOUND if one == "bound" else builtin_model(one.replace("alt", "alt:"))
+            for one in spec.split("+")]
 
 
 def tuples(enum):
@@ -736,9 +737,9 @@ def test_a_pair_past_the_guard_is_refused_at_once():
 
 @pytest.mark.parametrize("envs, message", [
     ([], "no model binds an atom"),
-    ([builtin_model("mk:2"), alt(3)],
+    ([builtin_model("mk:2"), builtin_model("alt:3")],
      "model 1 binds atoms ['P', 'Q'], model 0 binds ['P']: every model must bind the same atoms"),
-    ([alt(3), Env(TimeDomain.FULL_LINE, {})],
+    ([builtin_model("alt:3"), Env(TimeDomain.FULL_LINE, {})],
      "model 1 binds atoms [], model 0 binds ['P', 'Q']: every model must bind the same atoms"),
     ([Env(TimeDomain.HALF_LINE, {})], "no model binds an atom"),
 ])

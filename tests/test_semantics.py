@@ -613,10 +613,9 @@ def test_atoms_public_and_in_ticks_mix(domain):
     assert got == evaluate_ticks(public, *fs) and {s.unit for s in got} == {60}
 
 
-def test_only_evaluate_ticks_picks_a_tick_unit():
-    """Within qtlab, tick_unit and to_ticks are called only in the signal
-    layer, in the oracle and, in the engine, in evaluate_ticks; no other
-    module imports them, so no other caller scales an atom on its own."""
+def _sites(names):
+    """Each (module, top-level statement) of qtlab that imports or calls one
+    of names."""
     import ast
 
     found = set()
@@ -624,15 +623,29 @@ def test_only_evaluate_ticks_picks_a_tick_unit():
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.ImportFrom):
-                    names = [alias.name for alias in node.names]
+                    used = [alias.name for alias in node.names]
                 elif isinstance(node, ast.Call):
-                    names = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+                    used = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
                 else:
                     continue
-                if {"tick_unit", "to_ticks"} & set(names):
+                if set(names) & set(used):
                     found.add((path.stem, getattr(top, "name", type(top).__name__)))
+    return found
+
+
+def test_only_evaluate_ticks_picks_a_tick_unit():
+    """Within qtlab, tick_unit and to_ticks are called only in the signal
+    layer, in the oracle and, in the engine, in evaluate_ticks; no other
+    module imports them, so no other caller scales an atom on its own."""
+    found = _sites({"tick_unit", "to_ticks"})
     assert {f for f in found if f[0] not in ("signals", "oracle")} == {
         ("semantics", "ImportFrom"), ("semantics", "evaluate_ticks")}
+
+
+def test_only_builtin_model_reads_a_bound_file():
+    """Within qtlab, parse_ticks is called only in builtin_model, the one
+    reader of models, and only the lab imports it."""
+    assert _sites({"parse_ticks"}) == {("lab", "ImportFrom"), ("lab", "builtin_model")}
 
 
 def test_ticks_stay_pure(monkeypatch):
