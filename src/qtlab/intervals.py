@@ -19,12 +19,13 @@ gap from the one before.  Any other list is normalized.
 An ``Interval`` is a tuple, hashed and compared in C, and ``x in iv`` asks
 for membership.  Its public constructors (``Interval(...)``, ``point``,
 ``open``, ``_make``, ``_replace``, copy, pickle) all check it.
-The private ``_unchecked`` does not; it builds only records valid by
-construction from valid ones and numbers passed through ``exact``, or records
-whose checks ran on the ints they were read from.  Translations and strictly
-increasing maps of the ends (``shift``, ``Signal.slice``, ``_frame``,
-``_map_ends``, ``to_ticks``) keep lo <= hi and a point closed; ``_merge``
-takes the hull of two valid components; ``span``, ``_clip``, ``_below``, the
+The private ``_unchecked`` does not, nor ``tuple.__new__`` in the hottest
+loops; they build only records valid by construction from valid ones and
+numbers passed through ``exact``, or records whose checks ran on the ints
+they were read from.  Translations and strictly increasing maps of the ends
+(``shift``, ``Signal.slice``, ``_frame``, ``_map_ends``, ``to_ticks``) keep
+lo <= hi and a point closed; ``_merge`` and ``_coalesce`` take the hull of
+two valid components; ``span``, ``_clip``, ``_below``, the
 overlaps and gaps of ``intersection`` and ``complement``, and the truth
 pieces of the engine's kernels (``count_kernel``, ``order_kernel``,
 ``pnueli_kernel``) are built only when nonempty: lo < hi, or a closed point.
@@ -153,11 +154,6 @@ def _lower_key(iv: Interval):
 _upper = attrgetter("upper")
 
 
-def _starts_first(a: Interval, b: Interval) -> bool:
-    """a's lower bound sorts no later than b's (the order of ``_lower_key``)."""
-    return a.lower < b.lower or (a.lower == b.lower and (a.lower_closed or not b.lower_closed))
-
-
 def _ends_first(a: Interval, b: Interval) -> bool:
     """a's upper bound sorts no later than b's: (q, open) < (q, closed)."""
     return a.upper < b.upper or (a.upper == b.upper and (b.upper_closed or not a.upper_closed))
@@ -179,10 +175,14 @@ def _coalesce(items: Iterable[Interval]) -> Tuple[Interval, ...]:
     its predecessor when they overlap or touch."""
     merged: list[Interval] = []
     for iv in items:
-        if merged and not _has_gap(merged[-1], iv):
-            merged[-1] = _merge(merged[-1], iv)
+        lo, up, lc, uc = iv
+        if merged and (hi > lo or hi == lo and (hc or lc)):  # no gap: merge
+            if up > hi or up == hi and uc and not hc:  # iv ends last
+                hi, hc = up, uc
+                merged[-1] = tuple.__new__(Interval, (merged[-1][0], up, merged[-1][2], uc))
         else:
             merged.append(iv)
+            hi, hc = up, uc  # the upper end of merged[-1]
     return tuple(merged)
 
 
@@ -280,21 +280,22 @@ class IntervalSet:
         # the result is in normal form as it stands.
         xs, ys = self._components, other._components
         out: list[Interval] = []
-        i = j = 0
-        while i < len(xs) and j < len(ys):
-            x, y = xs[i], ys[j]
-            lo = y if _starts_first(x, y) else x
-            if _ends_first(x, y):
-                hi = x
+        i, j, nx, ny = 0, 0, len(xs), len(ys)
+        while i < nx and j < ny:
+            (xl, xu, xlc, xuc), (yl, yu, ylc, yuc) = x, y = xs[i], ys[j]
+            # the later lower end, in _lower_key's order; the earlier upper end
+            y_late = xl < yl or xl == yl and (xlc or not ylc)
+            lo, lc = (yl, ylc) if y_late else (xl, xlc)
+            if xu < yu or xu == yu and (yuc or not xuc):
+                hi, hc, inner = xu, xuc, not y_late
                 i += 1
             else:
-                hi = y
+                hi, hc, inner = yu, yuc, y_late
                 j += 1
-            if lo is hi:
-                out.append(lo)
-            elif lo.lower < hi.upper or (lo.lower == hi.upper and lo.lower_closed
-                                         and hi.upper_closed):
-                out.append(_unchecked(lo.lower, hi.upper, lo.lower_closed, hi.upper_closed))
+            if inner:  # one side's component lies inside the other's
+                out.append(y if y_late else x)
+            elif lo < hi or lo == hi and lc and hc:
+                out.append(tuple.__new__(Interval, (lo, hi, lc, hc)))
         return IntervalSet._wrap(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":

@@ -55,14 +55,15 @@ a model makes no call there (``x U false``, ``F1 false``,
 classes: the left operand of U and S, and the operand of ``C<n>``, n >= 2,
 which must never be distributed: with P at the integers and Q at the
 half-integers, ``C2(P | Q)`` is (0,1/2) with period 1/2 while
-``C2(P) | C2(Q)`` is empty.  Every argument tuple is still admitted, in the
-same order, with the same formula and class, so the first-found
-representatives, the reports and the ``MAX_CANDIDATES`` refusals (it counts
-tuples, not calls) are unchanged.  On one model the calls cut the same atoms
-as sets: each layer-start atom is a class, so each call is a tuple this
-layer or an earlier one admitted, and each whole-class result is a union of
-calls.  On several, one model's atom is no tuple, so a call may split atoms
-no tuple needs: that costs atoms, never exactness.
+``C2(P) | C2(Q)`` is empty.  Every argument tuple is still tried, in the
+same order, and its formula is built only when its class is new, so the
+first-found representatives, the reports and the ``MAX_CANDIDATES`` refusals
+(it counts tuples, not calls; ``tried`` holds each layer's) are unchanged; a
+kernel reads of its node only C<n>'s n.  On one model the calls cut the same
+atoms as sets: each layer-start atom is a class, so each call is a tuple
+this layer or an earlier one admitted, and each whole-class result is a
+union of calls.  On several, one model's atom is no tuple, so a call may
+split atoms no tuple needs: that costs atoms, never exactness.
 
 One frame per model and layer.  A layer cuts each start atom once over the
 reach of its model's frame (``qtlab.signals.Frame``), and a class's cut on a
@@ -85,7 +86,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import partial, reduce
-from operator import or_
+from operator import getitem, or_
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -275,6 +276,7 @@ class _Enumeration:
         self.owner = list(range(len(envs)))  # the model of each atom
         self.owned = [[m] for m in range(len(envs))]  # each model's atoms
         self.pending: List[int] = []  # the modal layer's masks, one per slot
+        self.tried: List[int] = []  # the argument tuples each modal layer tried
         # the next modal layer's lower index, None when no layer follows
         self.next_upto: Optional[int] = None
         self.recut(self.bound)
@@ -372,38 +374,46 @@ class _Enumeration:
         own = [sum(1 << k for k in ks) for ks in owned]
         self.pending = [mask & o for o in own for mask in self.masks]
         keyed = {(m, cut): m * base + i for m in models for i, cut in enumerate(args[m])}
-        slots, memo = {}, {}  # by kernel output, and by call
+        slots, pending = {}, self.pending  # by kernel output
 
-        def slot(m: int, node: Formula, row: Modality, make: Callable, hs: Tuple[int, ...]) -> int:
-            """The pending index of node's kernel on model m's classes and
-            atoms hs name; every node make builds runs the same kernel."""
-            key = m, make, hs
-            if (got := memo.get(key)) is None:
-                frame = self.frames[m]
-                truth, t_bound = row.kernel(node, frame, [args[m][h] if k in row.whole else atoms[h]
-                                                          for k, h in enumerate(hs)])
-                raw = m, t_bound, truth
-                if (got := slots.get(raw)) is None:
-                    cut = _frame(frame, t_bound, truth).slice(*self.windows[m])
-                    if (got := keyed.get((m, cut))) is None:
-                        got = keyed[m, cut] = len(self.pending)
-                        self.pending.append(self.refine(m, cut))
-                    slots[raw] = got
-                memo[key] = got
+        def slot(m: int, probe: Formula, row: Modality, hs: Tuple[int, ...]) -> int:
+            """The pending index of probe's kernel on model m's classes and atoms hs name."""
+            frame = self.frames[m]
+            truth, t_bound = row.kernel(probe, frame, [args[m][h] if k in row.whole else atoms[h]
+                                                       for k, h in enumerate(hs)])
+            raw = m, t_bound, truth
+            if (got := slots.get(raw)) is None:
+                cut = _frame(frame, t_bound, truth).slice(*self.windows[m])
+                if (got := keyed.get((m, cut))) is None:
+                    got = keyed[m, cut] = len(pending)
+                    pending.append(self.refine(m, cut))
+                slots[raw] = got
             return got
 
+        tried, whole = 0, [(i,) for i in range(base)]
         for width, makers in self.logic.families():
+            # per maker: its row, a node for its kernel, and per model each
+            # position's handles for each class and the kernel calls by handles
+            rows = [(make, row, probe, [(m, [whole if k in row.whole else bits[m]
+                                             for k in range(width)], {}) for m in models])
+                    for make in makers for probe in [make(*reps[:1] * width)]
+                    for row in [MODALITIES[type(probe)]]]
             for idxs in itertools.product(range(base), repeat=width):
                 if max(idxs) >= upto:
-                    for make in makers:
-                        node = make(*(reps[i] for i in idxs))
-                        row = MODALITIES[type(node)]
+                    tried += len(rows)
+                    for make, row, probe, choices in rows:
                         # every call before the union: a later call's refine
                         # may split atoms the union already holds
-                        got = [slot(m, node, row, make, hs) for m in models
-                               for hs in itertools.product(*[(i,) if k in row.whole else bits[m][i]
-                                                             for k, i in enumerate(idxs)])]
-                        self.admit(node, reduce(or_, (self.pending[g] for g in got), 0))
+                        got = []
+                        for m, choice, memo in choices:
+                            for hs in itertools.product(*map(getitem, choice, idxs)):
+                                if (g := memo.get(hs)) is None:
+                                    g = memo[hs] = slot(m, probe, row, hs)
+                                got.append(g)
+                        key = reduce(or_, [pending[g] for g in got], 0)
+                        if key not in self.seen:
+                            self.admit(make(*(reps[i] for i in idxs)), key)
+        self.tried.append(tried)
 
 
 def enumerate_formulas(logic: Logic, depth: Optional[int],
@@ -531,12 +541,12 @@ def paper_check(name: str) -> PaperCheckReport:
         lines.append(f"C2(P) tail pattern: {format_interval_list(tail.pattern)} "
                      f"period {tail.period} transient {tail.transient}")
         ok1 = cls is Triviality.NONE
-        more, ok2 = _enumeration_evidence(env, "qtl", True)
+        more, ok2 = _enumeration_evidence(Env(env.domain, {"P": p_atom}), "qtl", True)
         return PaperCheckReport(name, tuple(lines + more), ok1 and ok2)
 
     if (n := _indexed(name, "hierarchy:", "hierarchy index", 2)) is not None:
         env = builtin_model(f"thm3:{n}")
-        (sig,) = evaluate_ticks(env, Count(n, Atom("P")))
+        sig, p_atom = evaluate_ticks(env, Count(n, Atom("P")), Atom("P"))
         lines, vals = [], []
         for k in range(6):
             # the exact truth set on the open interval, a whole number of
@@ -555,7 +565,7 @@ def paper_check(name: str) -> PaperCheckReport:
             lines.append(f"orientation even={'true' if vals[0] else 'false'} "
                          f"odd={'true' if vals[1] else 'false'}")
         lines.append(f"alternation over six intervals: {'yes' if alternates else 'no'}")
-        more, ok2 = _enumeration_evidence(env, f"qtl+p{n - 1}", True)
+        more, ok2 = _enumeration_evidence(Env(env.domain, {"P": p_atom}), f"qtl+p{n - 1}", True)
         return PaperCheckReport(name, tuple(lines + more), alternates and ok2)
 
     if (k := _indexed(name, "counting:", "counting index", 2)) is not None:

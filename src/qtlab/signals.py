@@ -51,12 +51,13 @@ the minimal tails of ``canonicalize`` and ``tail_extension`` (a period
 valid signal's parts complemented within their spans), and ``to_ticks``,
 ``scale_ticks``, ``from_ticks`` and ``parse_ticks``' rescale (a valid
 signal's numbers multiplied or divided by one positive factor, exactly).  A
-``Frame`` says where signals repeat: their domain, scale, lcm period and max
-transient.  ``_apply`` slices operands as they are over a window of their
-frame and runs a kernel on the cuts, for ``combine`` and the engine's
-operators; ``_frame`` alone cuts a set into a prefix and a pattern at a
-frame, by bisection, for them, for ``shift``, the enumerator and every
-reframing.
+``Frame`` says where signals repeat: their domain, scale, max transient and
+the lcm period of the tails that are not constant (an empty or full tail
+repeats with any period, so its own does not count).  ``_apply`` slices
+operands as they are over a window of their frame and runs a kernel on the
+cuts, for ``combine`` and the engine's operators; ``_frame`` alone cuts a
+set into a prefix and a pattern at a frame, by bisection, for them, for
+``shift``, the enumerator and every reframing.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
             for k in range(k0, k1 + 1):
                 off = anchor + k * self.period
                 copy = comps if k0 < k < k1 else _meeting(comps, a - off, b - off)
-                run = [_unchecked(c.lower + off, c.upper + off, c.lower_closed,
-                                  c.upper_closed) for c in copy]
+                run = [tuple.__new__(Interval, (lo + off, hi + off, lc, hc))
+                       for lo, hi, lc, hc in copy]
                 # the pieces come in order, and normal but where a copy
                 # touches the piece before it, across its start
                 if run and pieces and not _has_gap(pieces[-1], run[0]):
@@ -397,7 +398,8 @@ class Frame(namedtuple("Frame", "domain period transient unit")):
 
     @classmethod
     def of(cls, signals: Sequence[Signal]) -> "Frame":
-        """The frame of signals over one domain and scale: lcm period, max transient."""
+        """The frame of signals over one domain and scale: max transient, and the
+        lcm period of the tails not constant (any period repeats those), else one unit."""
         if not signals:
             raise ValueError("nothing to align")
         domain, unit = signals[0].domain, signals[0].unit
@@ -405,7 +407,9 @@ class Frame(namedtuple("Frame", "domain period transient unit")):
             raise DomainError("cannot align signals over different domains")
         if any(s.unit != unit for s in signals):
             raise ValueError("cannot align signals at different time scales")
-        return cls(domain, reduce(_lcm, (s.period for s in signals)),
+        periods = [s.period for s in signals if (c := s.pattern.components) and (
+            len(c) > 1 or c[0].lower != 0 or not c[0].lower_closed or c[0].upper != s.period)]
+        return cls(domain, reduce(_lcm, periods) if periods else unit,
                    max(s.transient for s in signals), unit)
 
     def window(self, m: RationalLike) -> tuple:

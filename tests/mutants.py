@@ -48,8 +48,10 @@ MUTANTS = (
     Mutant("refine drops the outside part of a split atom", "lab.py",
            "for part in (inside, outside))", "for part in (inside, inside))",
            ("tests/test_lab.py::test_atoms_stay_a_canonical_partition[tl-mk:2]",)),
+    # one memo of kernel calls per maker, shared by the models
     Mutant("the slot memo keyed without its model", "lab.py",
-           "key = m, make, hs", "key = make, hs",
+           "for k in range(width)], {}) for m in models]",
+           "for k in range(width)], memo) for memo in [{}] for m in models]",
            ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
             "[mk:3+mk:4-qtl+c2-C3(P)-4]",)),
     # P on mk:3 and on mk:4 is one int signal in ticks: keyed without its
@@ -154,6 +156,27 @@ MUTANTS = (
            "        if name in bindings:\n            raise LabError(f\"atom {name!r} bound twice\")\n",
            "",
            ("tests/test_cli.py::test_bad_models_exit_two_on_every_command[eval]",)),
+    Mutant("Frame.of dropping the period of a periodic one-component pattern", "signals.py",
+           "len(c) > 1 or c[0].lower != 0 or not c[0].lower_closed or c[0].upper != s.period)",
+           "len(c) > 1)",
+           ("tests/test_signals.py::test_a_constant_tail_adds_no_period_to_a_frame"
+            "[half-mixed-public]",)),
+    # a tuple whose calls all hit the memo admits the node of the last tuple
+    # that missed
+    Mutant("the walk admitting an earlier tuple's node when every call hits the memo",
+           "lab.py",
+           "                                    g = memo[hs] = slot(m, probe, row, hs)\n"
+           "                                got.append(g)\n"
+           "                        key = reduce(or_, [pending[g] for g in got], 0)\n"
+           "                        if key not in self.seen:\n"
+           "                            self.admit(make(*(reps[i] for i in idxs)), key)\n",
+           "                                    node = make(*(reps[i] for i in idxs))\n"
+           "                                    g = memo[hs] = slot(m, probe, row, hs)\n"
+           "                                got.append(g)\n"
+           "                        key = reduce(or_, [pending[g] for g in got], 0)\n"
+           "                        if key not in self.seen:\n"
+           "                            self.admit(node, key)\n",
+           ("tests/test_lab.py::test_enumerated_signals_are_the_formulas_truth[qtl-thm2]",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
            "comps[i].upper <= x", "comps[i].upper < x",

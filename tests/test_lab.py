@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qtlab.lab
+import qtlab.semantics
 from qtlab.cli import main
 from qtlab.formulas import (
     And,
@@ -54,6 +55,7 @@ from qtlab.semantics import (
 )
 from qtlab.signals import (
     DomainError,
+    Frame,
     Signal,
     TimeDomain,
     combine,
@@ -62,6 +64,7 @@ from qtlab.signals import (
     from_ticks,
     parse_ticks,
 )
+from qtlab.signals import _lcm
 
 from gen import spy_signal_builds, tree_nodes
 
@@ -384,6 +387,27 @@ def test_paper_checks_canonicalize_only_signals_in_ticks(monkeypatch):
         assert units and 1 not in units, name
 
 
+@pytest.mark.parametrize("name", ["pnueli", "hierarchy:3"])
+def test_a_paper_check_takes_p_to_ticks_once(monkeypatch, name):
+    """pnueli and hierarchy:<n> hand their enumeration the P that their own
+    evaluate_ticks call made in ticks, so P goes through tick_unit and
+    to_ticks once per check, and the enumeration's evaluate_ticks returns
+    that very signal: its canonicalize returns its input unchanged."""
+    scaled, results = [], []
+    evaluate = qtlab.lab.evaluate_ticks
+    for fn in ("tick_unit", "to_ticks"):
+        def spy(*args, fn=fn, real=getattr(qtlab.semantics, fn)):
+            scaled.append(fn)
+            return real(*args)
+        monkeypatch.setattr(qtlab.semantics, fn, spy)
+    monkeypatch.setattr(qtlab.lab, "evaluate_ticks",
+                        lambda *args: results.append(evaluate(*args)) or results[-1])
+    assert paper_check(name).passed
+    assert scaled == ["tick_unit", "to_ticks"]
+    (sig, p_atom), (enumerated,) = results
+    assert enumerated is p_atom and p_atom.unit == sig.unit != 1
+
+
 def test_classification_puts_each_input_in_normal_form_once(monkeypatch):
     """classify_trivial canonicalizes its signal and P once each, and builds
     not-P from P's normal form, whichever form matches: three calls.  So a
@@ -436,7 +460,7 @@ def test_hierarchy_check_fails_on_a_count_not_constant_on_its_intervals(monkeypa
     hierarchy:3 reads: each is named, no orientation is read off, and the
     check fails."""
     short = Signal(TimeDomain.HALF_LINE, 10, IntervalSet([Interval(0, 1, False, False)]), unit=10)
-    monkeypatch.setattr(qtlab.lab, "evaluate_ticks", lambda atoms, f: [short])
+    monkeypatch.setattr(qtlab.lab, "evaluate_ticks", lambda atoms, *fs: [short] * len(fs))
     lines = paper_check("hierarchy:3").render().splitlines()
     assert lines[:8] == ["check hierarchy:3"] + [
         f"C3(P) not constant on ({k},{k}+1/5)" for k in range(6)] + [
@@ -524,32 +548,25 @@ def test_a_logic_lists_its_families_and_guards_a_layer_alone():
 
 @pytest.mark.parametrize("logic, spec", [("qtl+p3", "mk:3"), ("qtl+p2", "thm3:3")])
 def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic, spec):
-    """The guard's count equals the argument tuples the largest layer hands
-    to admit (the one layer that tries tuples on mk:3, where the fixpoint
-    comes after it; the second of two on thm3:3), so a limit at that count
-    passes and one below it raises.  The
-    layer runs distributive positions on atoms, so it makes fewer operator
-    calls than it admits tuples."""
-    tuples, calls, inside = [], [], []
-    modal_layer = qtlab.lab._Enumeration.modal_layer
-    admit = qtlab.lab._Enumeration.admit
+    """The guard's count equals the argument tuples the largest layer tries,
+    as the enumeration's per-layer count ``tried`` reads them (the one layer
+    that tries tuples on mk:3, where the fixpoint comes after it; the second
+    of two on thm3:3), so a limit at that count passes and one below it
+    raises.  The layer runs distributive positions on atoms, so it makes
+    fewer operator calls than it tries tuples."""
+    states, calls = [], []
+    init, modal_layer = qtlab.lab._Enumeration.__init__, qtlab.lab._Enumeration.modal_layer
+
+    def spy_init(self, *args):
+        states.append(self)
+        init(self, *args)
 
     def new_layer(self, upto):
-        tuples.append(0)
         calls.append(0)
-        inside.append(True)
-        try:
-            return modal_layer(self, upto)
-        finally:
-            inside.pop()
+        return modal_layer(self, upto)
 
-    def spy_admit(self, formula, key):
-        if inside:
-            tuples[-1] += 1
-        return admit(self, formula, key)
-
+    monkeypatch.setattr(qtlab.lab._Enumeration, "__init__", spy_init)
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", new_layer)
-    monkeypatch.setattr(qtlab.lab._Enumeration, "admit", spy_admit)
 
     def counted(cls, kernel):
         def call(*args):
@@ -560,6 +577,8 @@ def test_size_guard_counts_exactly_the_tuples_a_layer_admits(monkeypatch, logic,
     _patch_kernels(monkeypatch, counted)
     logic, env = parse_logic(logic), builtin_model(spec)
     expected = enumerate_formulas(logic, 2, env)
+    (state,) = states
+    tuples = state.tried
     assert len(tuples) == len(calls) == {"mk:3": 1, "thm3:3": 2}[spec]
     largest = tuples.index(max(tuples))
     assert calls[largest] < tuples[largest], (calls, tuples)
@@ -689,6 +708,37 @@ def test_a_pair_closes_at_its_fixpoint_without_the_target(monkeypatch, spec, log
         assert {t[m] for t in got} == alone and want[m] in alone
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer", undistributed_modal_layer)
     assert set(tuples(enumerate_formulas(logic, None, envs))) == set(got)
+
+
+@pytest.mark.parametrize("spec, logic, depth",
+                         [(spec, logic, None) for spec, logic, _, _ in PAIR_CLOSURES]
+                         + [(spec, "qtl", 2) for spec in ("mk:3", "thm2", "thm3:3")])
+def test_a_frame_over_every_period_closes_alike(monkeypatch, spec, logic, depth):
+    """A layer's frame leaves out the period of an atom with a constant
+    tail (``Frame.of``).  A frame over every atom's period, patched in, cuts
+    over a longer reach but gives the same representatives, masks and
+    atoms; on thm2 the second layer's frame has period 12 in ticks that
+    way, and 4 by the rule."""
+    envs, logic = models(spec), parse_logic(logic)
+    periods = []
+    recut = qtlab.lab._Enumeration.recut
+
+    def logged(self, signals):
+        recut(self, signals)
+        periods[-1].append([frame.period for frame in self.frames])
+
+    monkeypatch.setattr(qtlab.lab._Enumeration, "recut", logged)
+    of = Frame.of.__func__
+    runs = []
+    for rule in (of, lambda cls, signals: of(cls, signals)._replace(
+            period=reduce(_lcm, (s.period for s in signals)))):
+        monkeypatch.setattr(Frame, "of", classmethod(rule))
+        periods.append([])
+        enum = enumerate_formulas(logic, depth, envs)
+        runs.append((enum.formulas, enum.masks, enum.atoms))
+    assert runs[0] == runs[1]
+    if spec == "thm2":
+        assert (periods[0][-1], periods[1][-1]) == ([4], [12])
 
 
 @pytest.mark.parametrize("j", range(2, 12))
@@ -850,9 +900,11 @@ def test_each_new_set_is_refined_once(monkeypatch):
     thm2 refines 15 distinct cuts (the seed P, 14 new modal results).  A set
     is framed once per distinct kernel output of a layer and twice per atom
     split, never to match a class: the layer names a set by its cut, and a
-    kernel call by its output.  Depth 3 makes 854 kernel calls and 73
+    kernel call by its output.  Depth 3 makes 854 kernel calls and 75
     framings; ``paper --check pnueli``, whose closure is depth-2 qtl on
-    thm2, 74 and 32."""
+    thm2, 74 and 31.  The distinct outputs, and so the framings, follow
+    the layers' frames, which leave out the period of a constant tail
+    (``Frame.of``)."""
     atoms = {depth: len(enumerate_formulas(parse_logic("qtl"), depth,
                                            builtin_model("thm2")).atoms) for depth in (2, 3)}
     cuts, calls, outputs, layers = [], [], set(), []
@@ -876,8 +928,8 @@ def test_each_new_set_is_refined_once(monkeypatch):
     _patch_kernels(monkeypatch, logged)
     framed = _log_calls(monkeypatch, ["_frame"])
     for run, depth, refined, kernel_calls, framings in [
-        (lambda: enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2")), 3, 15, 854, 73),
-        (lambda: paper_check("pnueli"), 2, 5, 74, 32),
+        (lambda: enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2")), 3, 15, 854, 75),
+        (lambda: paper_check("pnueli"), 2, 5, 74, 31),
     ]:
         for log in (cuts, outputs, layers, calls, framed):
             log.clear()

@@ -1018,6 +1018,18 @@ def test_engine_and_oracle_agree_on_every_cell():
     assert cells > 10_000
 
 
+@pytest.mark.parametrize("spec", ["thm2", "mk:3"])
+@pytest.mark.parametrize("text", ["P S false", "!O1 P U true", "true U P", "O1 true S P",
+                                  "(P | F1 P) U !O1 true"])
+def test_engine_and_oracle_agree_where_a_frame_meets_a_constant_tail(spec, text):
+    """The engine's frames leave a constant tail's period out
+    (``Frame.of``): on formulas whose operands mix constant and periodic
+    tails, its truth still agrees with the oracle's table on every cell."""
+    env, f = builtin_model(spec), parse_formula(text)
+    report = compare_cells(f, env, evaluate(f, env))
+    assert report.passed, report.render()
+
+
 def test_compare_cells_reports_each_failure():
     """F1 P with P at the integers holds off the integers, and each wrong
     engine signal fails the check it breaks: a cell, an endpoint off the

@@ -297,6 +297,40 @@ def test_one_frame_class_names_each_refusal():
         assert str(err.value) == message
 
 
+# a half-line tail of one component from 0, a pattern of all but the period
+# points, and empty and whole patterns at periods that are not one unit
+PERIODIC_H = Signal(HALF, F(4, 3), iset(Interval(0, F(1, 3), True, False)), F(1),
+                    iset(Interval.point(F(1, 2))))
+EMPTY_H = Signal(HALF, F(5), IntervalSet.EMPTY, F(2), iset(Interval(0, 1)))
+FULL_H = Signal(HALF, F(7, 2), iset(Interval(0, F(7, 2), True, False)), F(3, 2),
+                iset(Interval.point(0)))
+GAPS_L = Signal(LINE, F(2), iset(Interval(0, 2, False, False)))
+EMPTY_L = Signal(LINE, F(5), IntervalSet.EMPTY)
+FULL_L = Signal(LINE, F(2, 3), iset(Interval(0, F(2, 3), True, False)))
+
+
+@pytest.mark.parametrize("in_ticks", [False, True], ids=["public", "ticks"])
+@pytest.mark.parametrize("signals, period, transient", [
+    ([PERIODIC_H, EMPTY_H, FULL_H], F(4, 3), F(2)),
+    ([EMPTY_H, FULL_H, EMPTY_H], 1, F(2)),
+    ([FULL_L, GAPS_L, EMPTY_L], F(2), 0),
+    ([EMPTY_L, FULL_L], 1, 0),
+], ids=["half-mixed", "half-constant", "line-mixed", "line-constant"])
+def test_a_constant_tail_adds_no_period_to_a_frame(signals, period, transient, in_ticks):
+    """A pattern that is empty or the whole period repeats with any period
+    from its transient, so Frame.of takes the lcm over the other signals'
+    periods only, and is one unit when there are none; the transient is
+    still the largest.  Every signal re-expressed at the frame denotes the
+    same set."""
+    unit = tick_unit(signals) if in_ticks else 1
+    if in_ticks:
+        signals = [to_ticks(s, unit) for s in signals]
+    frame = Frame.of(signals)
+    assert frame == Frame(signals[0].domain, period * unit, transient * unit, unit)
+    for s in signals:
+        assert s._reframe(frame).canonicalize() == s.canonicalize()
+
+
 # -------------------------------------------------------------------- combine
 
 def test_combine_not_on_grid():
