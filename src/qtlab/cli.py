@@ -7,10 +7,10 @@ past ``MAX_NESTING`` included); 3 internal error, with its traceback on stderr.
 
 Every command that takes a model reads it with ``qtlab.lab.builtin_model``
 from ``--model`` and ``--bind``: the spec's atoms stay public and each bound
-file is read into integer ticks.  ``eval``, ``equiv`` and ``trivial`` (with
-the atom P) each make one ``evaluate_ticks`` call on all they evaluate, at
-one unit.  ``oracle-check`` makes every atom public and calls ``evaluate``:
-the oracle reads public signals.
+file is read into integer ticks.  ``eval``, ``equiv``, ``trivial`` (with
+the atom P) and ``oracle-check`` each make one ``evaluate_ticks`` call on
+all they evaluate, at one unit; ``oracle-check`` hands the model as read
+and the signal in ticks to the oracle, which reads either scale.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .lab import (
     trivialization_report,
 )
 from .oracle import compare_cells, compare_pointwise, sample_points
-from .semantics import Env, EvalError, evaluate, evaluate_ticks
-from .signals import MAX_UNROLL, DomainError, SignalError, equal, format_ticks, from_ticks
+from .semantics import EvalError, evaluate_ticks
+from .signals import MAX_UNROLL, DomainError, SignalError, equal, format_ticks
 
 _USAGE_ERRORS = (ParseError, TextFormatError, IntervalError, SignalError,
                  DomainError, EvalError, LabError, OSError)
@@ -141,10 +141,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("--samples must be at least 1")
         if args.samples > MAX_UNROLL:
             parser.error(f"--samples must be at most {MAX_UNROLL}")
-        # the oracle reads public signals; a public atom comes out equal
-        env = Env(env.domain, {name: from_ticks(s) for name, s in env.bindings.items()})
         formula = parse_formula(args.formula)
-        sig = evaluate(formula, env)
+        (sig,) = evaluate_ticks(env, formula)
         if args.cells:
             report = compare_cells(formula, env, sig)
             sys.stdout.write(f"cells {report.total - 1}\n")

@@ -8,16 +8,17 @@ layer's tick scale.  Nothing in this module calls the engine: each harness
 at the bottom compares a truth signal that its caller computed with the
 engine.
 
-Like the engine, a session scales its formula's atoms once to integer ticks
-(``tick_unit`` and ``to_ticks`` from qtlab.signals), so its grid, windows and
-bounds are ints and a time unit is Q ticks.  Since that scaling is shared,
-a fault in it would not show as a disagreement: its own tests in
-test_signals pin it.  A query's public time t maps to its tick t Q when that
-is whole, and otherwise to the odd tick 2 floor(t Q / 2) + 1: every grid
-point is an even tick, so that tick lies in the same open gap as t, and so
-in t's grid cell.  The harness reads the engine's signal alike, at that
-signal's own ``tick_unit``, where every engine endpoint is an even tick
-whether or not the session's grid holds it: that is what it checks.
+Like the engine, a session scales its formula's atoms, at either scale,
+once to integer ticks (``tick_unit`` and ``to_ticks`` from qtlab.signals),
+so its grid, windows and bounds are ints and a time unit is Q ticks.  That
+scaling is shared, so a fault in it would not show as a disagreement: its
+own tests in test_signals pin it, at both scales.  A query's time t maps to
+its tick t Q when that is whole, and otherwise to the odd tick
+2 floor(t Q / 2) + 1: every grid point is an even tick, so that tick lies in
+the same open gap as t, and so in t's grid cell.  The harness reads the
+engine's signal alike, at that signal's own ``tick_unit``, where every
+engine endpoint is an even tick whether or not the session's grid holds it:
+that is what it checks.
 
 The tables rest on the grid lemma.  Let E be the endpoints of the atoms'
 components and B_j the times e + k, e in E and k an integer with |k| <= j,
@@ -188,9 +189,9 @@ class PointwiseSession:
     def __init__(self, formula: Formula, env) -> None:
         self.formula = formula
         self.depth, atoms = metrics(formula)
-        public = {a: env.signal(a) for a in sorted(atoms)}
-        self.unit = tick_unit(public.values())  # ticks per time unit
-        self._atoms = {a: to_ticks(s, self.unit) for a, s in public.items()}
+        bound = {a: env.signal(a) for a in sorted(atoms)}  # public or in ticks
+        self.unit = tick_unit(bound.values())  # ticks per time unit
+        self._atoms = {a: to_ticks(s, self.unit) for a, s in bound.items()}
         self._grid = _Grid(list(self._atoms.values()), env.domain, self.depth, self.unit)
         self._cycle = 2 * len(self._grid.tail)  # cells per grid period
         self._ids: Dict[tuple, int] = {}

@@ -50,7 +50,6 @@ one result back to public numbers.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
@@ -83,7 +82,6 @@ from .signals import (
     _apply,
     combine,
     from_ticks,
-    scale_ticks,
     tick_unit,
     to_ticks,
 )
@@ -293,17 +291,14 @@ def evaluate(f: Formula, env: Env) -> Signal:
 
 def evaluate_ticks(atoms: Env, *formulas: Formula) -> List[Signal]:
     """The canonical truth signal of each formula, in ticks.  The atoms the
-    formulas use share one unit, the unit of every signal returned: the lcm
-    of each public atom's ``tick_unit`` and each other atom's unit.  Each
-    public atom goes to it with ``to_ticks``, each other one with
-    ``scale_ticks``, and each is canonicalized once.  An atom no formula
-    uses is never scaled."""
+    formulas use, public or in ticks, share one unit, their ``tick_unit``,
+    the unit of every signal returned; each goes to it with ``to_ticks`` and
+    is canonicalized once.  An atom no formula uses is never scaled."""
     used = set().union(*(metrics(f)[1] for f in formulas))
     picked = {name: s for name, s in atoms.bindings.items() if name in used}
-    unit = math.lcm(2, *(tick_unit([s]) if s.unit == 1 else s.unit for s in picked.values()))
-    env = Env(atoms.domain, {
-        name: (to_ticks(s, unit) if s.unit == 1 else scale_ticks(s, unit)).canonicalize()
-        for name, s in picked.items()})
+    unit = tick_unit(picked.values())
+    env = Env(atoms.domain, {name: to_ticks(s, unit).canonicalize()
+                             for name, s in picked.items()})
     return [_evaluate(f, env, unit) for f in formulas]
 
 

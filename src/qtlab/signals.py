@@ -14,16 +14,16 @@ of its atoms, so ``to_ticks`` scales the atoms by Q once, every number of the
 Signals it builds from them is an ``int`` and the unit is Q ticks, and
 ``from_ticks`` scales the result back.  A file reads into a public Signal
 with ``parse_signal``, or straight into ticks of its own tick unit with
-``parse_ticks``; ``scale_ticks`` brings atoms to a common multiple of their
-units, and ``format_ticks`` prints a result from its ticks, as
-``format_signal`` prints it from Fractions.  The one place that picks a
-unit is ``qtlab.semantics.evaluate_ticks``: it brings the atoms it uses,
-public or in ticks, to the lcm of their units.  The two readers share one
-reader of the text, and the two writers one writer.  ``Frame.of`` admits
-only signals of one domain and one scale, for every function where signals
-meet; ``to_ticks`` and ``format_signal`` take public signals only,
-``scale_ticks`` and ``format_ticks`` signals in ticks only; every other
-function runs at either scale, and ``/`` is never applied to a tick.
+``parse_ticks``, and ``format_ticks`` prints a result from its ticks, as
+``format_signal`` prints it from Fractions.  ``tick_unit`` and ``to_ticks``
+take a signal at either scale: one in ticks counts its own unit, and is
+multiplied up to a multiple of it.  The engine picks its unit in one place,
+``qtlab.semantics.evaluate_ticks``: the ``tick_unit`` of the atoms it uses.
+The two readers share one reader of the text, and the two writers one
+writer.  ``Frame.of`` admits only signals of one domain and one scale, for
+every function where signals meet; ``format_signal`` takes public signals
+only, ``format_ticks`` signals in ticks only, and every other function runs
+at either scale; ``/`` is never applied to a tick.
 
 ``canonicalize`` produces the representative form: ``Signal.constant`` at once
 for the empty and the full set, else the minimal period, then the minimal
@@ -49,15 +49,15 @@ and to [0, t_bound)), ``Signal.constant`` (one unit, empty or all of it),
 the minimal tails of ``canonicalize`` and ``tail_extension`` (a period
 ``_minimal_tail`` finds, the pattern within it), ``combine("not")`` (a
 valid signal's parts complemented within their spans), and ``to_ticks``,
-``scale_ticks``, ``from_ticks`` and ``parse_ticks``' rescale (a valid
-signal's numbers multiplied or divided by one positive factor, exactly).  A
-``Frame`` says where signals repeat: their domain, scale, max transient and
-the lcm period of the tails that are not constant (an empty or full tail
-repeats with any period, so its own does not count).  ``_apply`` slices
-operands as they are over a window of their frame and runs a kernel on the
-cuts, for ``combine`` and the engine's operators; ``_frame`` alone cuts a
-set into a prefix and a pattern at a frame, by bisection, for them, for
-``shift``, the enumerator and every reframing.
+``from_ticks`` and ``parse_ticks``' rescale (a valid signal's numbers
+multiplied or divided by one positive factor, exactly).  A ``Frame`` says
+where signals repeat: their domain, scale, max transient and the lcm period
+of the tails that are not constant (an empty or full tail repeats with any
+period, so its own does not count).  ``_apply`` slices operands as they are
+over a window of their frame and runs a kernel on the cuts, for ``combine``
+and the engine's operators; ``_frame`` alone cuts a set into a prefix and a
+pattern at a frame, by bisection, for them, for ``shift``, the enumerator
+and every reframing.
 """
 
 from __future__ import annotations
@@ -487,22 +487,33 @@ def equal(a: Signal, b: Signal, eventually: bool = False) -> bool:
 # ------------------------------------------------------------------- ticks
 
 def tick_unit(signals: Iterable[Signal]) -> int:
-    """Q = 2 lcm of the denominators of the public signals' endpoints, periods
-    and transients.  Everything the engine builds from them lies on (2/Q)Z,
-    even ticks, so the midpoint of two such points is a whole tick."""
-    dens = set()
+    """Q = the lcm of 2, of twice each denominator of a public signal's
+    numbers, and of each signal in ticks' unit, doubled if a tick is odd.
+    Every number is an even tick at Q, as is all the engine builds from
+    them, so the midpoint of two such points is a whole tick."""
+    dens, units = set(), set()
     for s in signals:
+        if s.unit != 1:
+            odd = (s.period | s.transient) & 1 or any(
+                (c.lower | c.upper) & 1 for part in (s.pattern, s.prefix) for c in part)
+            units.add(2 * s.unit if odd else s.unit)
+            continue
         dens.update(x.denominator for x in (s.period, s.transient))
         dens.update(x.denominator for part in (s.pattern, s.prefix) for c in part
                     for x in (c.lower, c.upper))
-    return 2 * math.lcm(*dens)
+    return math.lcm(2 * math.lcm(*dens), *units)
 
 
 def to_ticks(s: Signal, unit: int) -> Signal:
-    """A public signal scaled by unit = Q, a multiple of its denominators, in
-    ints: one pass over the numbers, one factor Q / den per denominator."""
+    """s in ticks of unit = Q: a public s scaled by Q, a multiple of its
+    denominators, one factor Q / den per denominator in one pass; s in ticks
+    multiplied by Q over its unit, which must divide Q (s itself at k = 1)."""
     if s.unit != 1:
-        raise ValueError(f"signal is already in ticks of unit {s.unit}")
+        k, rest = divmod(unit, s.unit)
+        if rest:
+            raise ValueError(f"cannot scale a signal of unit {s.unit} to ticks of unit {unit}")
+        return s if k == 1 else _signal(s.domain, s.period * k, _map_ends(s.pattern, k.__mul__),
+                                        s.transient * k, _map_ends(s.prefix, k.__mul__), unit)
     factors: dict[int, int] = {}
 
     def factor(x: Fraction) -> int:
@@ -521,15 +532,6 @@ def to_ticks(s: Signal, unit: int) -> Signal:
 
     return _signal(s.domain, s.period.numerator * factor(s.period), scale(s.pattern),
                    s.transient.numerator * factor(s.transient), scale(s.prefix), unit)
-
-
-def scale_ticks(s: Signal, unit: int) -> Signal:
-    """A signal in ticks scaled to unit, a multiple of its own unit."""
-    k, rest = divmod(unit, s.unit)
-    if s.unit == 1 or rest:
-        raise ValueError(f"cannot scale a signal of unit {s.unit} to ticks of unit {unit}")
-    return s if k == 1 else _signal(s.domain, s.period * k, _map_ends(s.pattern, k.__mul__),
-                                    s.transient * k, _map_ends(s.prefix, k.__mul__), unit)
 
 
 def from_ticks(s: Signal) -> Signal:

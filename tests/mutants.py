@@ -111,14 +111,24 @@ MUTANTS = (
            ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",
             "tests/test_semantics.py::test_run_sweep_matches_the_reference_on_sparse_signals")),
     Mutant("evaluate hands atoms over uncanonicalized", "semantics.py",
-           "(to_ticks(s, unit) if s.unit == 1 else scale_ticks(s, unit)).canonicalize()",
-           "(to_ticks(s, unit) if s.unit == 1 else scale_ticks(s, unit))",
+           "to_ticks(s, unit).canonicalize()", "to_ticks(s, unit)",
            ("tests/test_semantics.py::test_snaps_and_constants_keep_whole_units[P]",)),
-    # scale_ticks then refuses the other atom, whose unit does not divide it
+    # to_ticks then refuses the other atom, whose unit does not divide it
     Mutant("evaluate taking the common unit from one atom only", "semantics.py",
-           "for s in picked.values()))",
-           "for s in list(picked.values())[:1]))",
+           "tick_unit(picked.values())", "tick_unit(list(picked.values())[:1])",
            ("tests/test_semantics.py::test_atoms_public_and_in_ticks_mix[TimeDomain.FULL_LINE]",)),
+    # the common unit is then the public P's alone, which Q's does not divide
+    Mutant("tick_unit ignoring a signal in ticks", "signals.py",
+           "units.add(2 * s.unit if odd else s.unit)", "pass",
+           ("tests/test_semantics.py::test_atoms_public_and_in_ticks_mix[TimeDomain.FULL_LINE]",)),
+    # an odd tick then shares its cell with the odd ticks queries map to
+    Mutant("tick_unit taking a signal in ticks at its unit when a tick is odd", "signals.py",
+           "2 * s.unit if odd else s.unit", "s.unit",
+           ("tests/test_oracle.py::test_the_oracle_gives_on_atoms_in_ticks"
+            "_what_it_gives_on_public_ones",)),
+    Mutant("to_ticks returning a signal in ticks unscaled", "signals.py",
+           "return s if k == 1 else", "return s if True else",
+           ("tests/test_semantics.py::test_atoms_public_and_in_ticks_mix[TimeDomain.HALF_LINE]",)),
     Mutant("the trusted Signal constructor keeping a public signal's ints", "signals.py",
            "    if unit == 1:\n        period, transient = rat(period), rat(transient)\n"
            "        pattern, prefix = _rationals(pattern), _rationals(prefix)\n"

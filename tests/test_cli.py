@@ -22,7 +22,6 @@ from qtlab.signals import (
     format_signal,
     parse_signal,
     parse_ticks,
-    scale_ticks,
     tick_unit,
     to_ticks,
 )
@@ -191,8 +190,9 @@ def test_oracle_check_on_every_cell(formula, model, cells, capsys):
 def test_oracle_check_on_every_cell_exits_one_on_a_disagreement(monkeypatch, capsys):
     """An engine signal that is wrong on every cell gets one line per cell
     and exit 1; its endpoints still fold like the grid."""
-    evaluate = qtlab.cli.evaluate
-    monkeypatch.setattr(qtlab.cli, "evaluate", lambda f, env: combine("not", evaluate(f, env)))
+    evaluate_ticks = qtlab.cli.evaluate_ticks
+    monkeypatch.setattr(qtlab.cli, "evaluate_ticks", lambda env, *fs: [
+        combine("not", sig) for sig in evaluate_ticks(env, *fs)])
     assert invoke(["oracle-check", "--cells", "--formula", "C2(P) U P", "--model", "thm2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "cells 16" and lines[-1] == "agreement 1/17"
@@ -202,8 +202,9 @@ def test_oracle_check_on_every_cell_exits_one_on_a_disagreement(monkeypatch, cap
 def test_oracle_check_on_samples_exits_one_on_a_disagreement(monkeypatch, capsys):
     """The sampled comparison reads the same engine call as the one on every
     cell: a wrong engine disagrees at every sample point, and exits 1."""
-    evaluate = qtlab.cli.evaluate
-    monkeypatch.setattr(qtlab.cli, "evaluate", lambda f, env: combine("not", evaluate(f, env)))
+    evaluate_ticks = qtlab.cli.evaluate_ticks
+    monkeypatch.setattr(qtlab.cli, "evaluate_ticks", lambda env, *fs: [
+        combine("not", sig) for sig in evaluate_ticks(env, *fs)])
     assert invoke(["oracle-check", "--samples", "20", "--formula", "C2(P) U P",
                    "--model", "thm2"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -247,7 +248,7 @@ def test_sample_counts_past_the_limit_exit_two(monkeypatch, capsys):
     def ran(*args, **kwargs):
         raise AssertionError("the check ran")
 
-    monkeypatch.setattr(qtlab.cli, "evaluate", ran)
+    monkeypatch.setattr(qtlab.cli, "evaluate_ticks", ran)
     assert invoke(["oracle-check", "--formula", "P", "--model", "mk:2",
                    "--samples", str(MAX_UNROLL + 1)]) == 2
     captured = capsys.readouterr()
@@ -699,7 +700,7 @@ def test_each_atom_is_canonicalized_once_per_command(tmp_path, monkeypatch, caps
     """eval, equiv and trivial canonicalize each atom, as parse_ticks reads
     it or as the model gives it, exactly once, however many of their
     formulas use it.  An atom is followed by identity through its scaling
-    to the command's unit, by to_ticks or scale_ticks.  The files are out of
+    to the command's unit by to_ticks, at either scale.  The files are out of
     canonical form and the models are on the line, so no canonical form is
     the atom object itself."""
     paths = {}
@@ -726,17 +727,14 @@ def test_each_atom_is_canonicalized_once_per_command(tmp_path, monkeypatch, caps
         given.append(out := parse_ticks(text))
         return out
 
-    def scaler(fn, public):
-        def call(s, unit):
-            if public:
-                given.append(s)
-            scaled.setdefault(id(s), []).append(out := fn(s, unit))
-            return out
-        return call
+    def scale(s, unit):
+        if s.unit == 1:  # a model's atom; a file's came through read
+            given.append(s)
+        scaled.setdefault(id(s), []).append(out := to_ticks(s, unit))
+        return out
 
     monkeypatch.setattr(qtlab.lab, "parse_ticks", read)
-    monkeypatch.setattr(qtlab.semantics, "to_ticks", scaler(to_ticks, True))
-    monkeypatch.setattr(qtlab.semantics, "scale_ticks", scaler(scale_ticks, False))
+    monkeypatch.setattr(qtlab.semantics, "to_ticks", scale)
     canonicalize = Signal.canonicalize
     monkeypatch.setattr(Signal, "canonicalize", lambda s: seen.append(s) or canonicalize(s))
     for argv, code, atoms in runs:

@@ -390,21 +390,24 @@ def test_paper_checks_canonicalize_only_signals_in_ticks(monkeypatch):
 @pytest.mark.parametrize("name", ["pnueli", "hierarchy:3"])
 def test_a_paper_check_takes_p_to_ticks_once(monkeypatch, name):
     """pnueli and hierarchy:<n> hand their enumeration the P that their own
-    evaluate_ticks call made in ticks, so P goes through tick_unit and
-    to_ticks once per check, and the enumeration's evaluate_ticks returns
-    that very signal: its canonicalize returns its input unchanged."""
+    evaluate_ticks call made in ticks, so P is copied to ticks once per
+    check: the enumeration's evaluate_ticks calls to_ticks on that P, which
+    returns it as it is, and then returns that very signal, since its
+    canonicalize returns its input unchanged."""
     scaled, results = [], []
-    evaluate = qtlab.lab.evaluate_ticks
-    for fn in ("tick_unit", "to_ticks"):
-        def spy(*args, fn=fn, real=getattr(qtlab.semantics, fn)):
-            scaled.append(fn)
-            return real(*args)
-        monkeypatch.setattr(qtlab.semantics, fn, spy)
+    evaluate, to_ticks = qtlab.lab.evaluate_ticks, qtlab.semantics.to_ticks
+
+    def spy(s, unit):
+        scaled.append((s, out := to_ticks(s, unit)))
+        return out
+
+    monkeypatch.setattr(qtlab.semantics, "to_ticks", spy)
     monkeypatch.setattr(qtlab.lab, "evaluate_ticks",
                         lambda *args: results.append(evaluate(*args)) or results[-1])
     assert paper_check(name).passed
-    assert scaled == ["tick_unit", "to_ticks"]
     (sig, p_atom), (enumerated,) = results
+    (public, copy), (given, same) = scaled
+    assert public.unit == 1 and copy is not public and given is same is enumerated
     assert enumerated is p_atom and p_atom.unit == sig.unit != 1
 
 

@@ -40,13 +40,14 @@ from qtlab.oracle import (
     sample_points,
     _tick,
 )
-from qtlab.semantics import Env, evaluate
+from qtlab.semantics import Env, evaluate, evaluate_ticks
 from qtlab.signals import (
     DomainError,
     Signal,
     SignalError,
     TimeDomain,
     format_signal,
+    from_ticks,
     tick_unit,
     to_ticks,
 )
@@ -971,24 +972,77 @@ def test_time_points_must_be_exact():
         PointwiseSession(f, builtin_model("thm2")).eval(f, 0.5)
 
 
-def test_the_oracle_refuses_atoms_in_ticks_and_the_engine_reads_them():
-    """A signal in ticks where the oracle reads a public one raises: read as
-    time, the ticks of mk:3 would put P at the even integers, and F1 P false
-    at 1/2.  The engine reads an atom at either scale, so evaluate on the
-    atom in ticks prints the bytes it prints on the public atom."""
+def test_the_oracle_reads_atoms_in_ticks_as_their_public_form():
+    """An atom in ticks is read as the time it denotes, not as its ticks:
+    read as time, the ticks of mk:3 would put P at the even integers, and
+    F1 P false at 1/2.  The engine reads an atom at either scale too, so
+    evaluate on the atom in ticks prints the bytes it prints on the public
+    atom."""
     env = builtin_model("mk:3")
     f = parse_formula("F1 P")
     p = env.signal("P")
-    ticks = to_ticks(p, tick_unit([p]))
-    tick_env = Env(LINE, {"P": ticks})
-    engine = to_ticks(evaluate(f, env), 2)
+    tick_env = Env(LINE, {"P": to_ticks(p, tick_unit([p]))})
     assert format_signal(evaluate(f, tick_env)) == format_signal(evaluate(f, env))
-    for call in (lambda: PointwiseSession(f, tick_env),
-                 lambda: compare_cells(f, tick_env, evaluate(f, env)),
-                 lambda: critical_points(ticks),
-                 lambda: sample_points(ticks), lambda: compare_pointwise(f, env, engine, [0])):
-        with pytest.raises(ValueError, match="already in ticks"):
-            call()
+    (engine,) = evaluate_ticks(tick_env, f)
+    assert oracle_at(f, tick_env, F(1, 2)) and engine.contains(engine.unit // 2)
+    assert compare_pointwise(f, tick_env, engine, [F(1, 2)]).render() == (
+        "t=1/2 engine=1 oracle=1\nagreement 1/1\n")
+
+
+def _tick_forms(tmp_path):
+    """(name, public env, the env in ticks): mk:3, thm2 and alt:4 with each
+    atom at its own tick unit and at half of it, where some of its ticks are
+    odd, and a line and a half-line file of the irregular family read by
+    builtin_model as a bound file is."""
+    rng = random.Random(71)
+    for spec, half in itertools.product(("mk:3", "thm2", "alt:4"), (1, 2)):
+        env = builtin_model(spec)
+        yield f"{spec}/{half}", env, Env(env.domain, {
+            a: to_ticks(s, tick_unit([s]) // half) for a, s in env.bindings.items()})
+    for domain in (LINE, HALF):
+        public = {a: irregular_signal(rng, 12, domain) for a in "PQ"}
+        binds = []
+        for a, s in public.items():
+            path = tmp_path / f"{domain.value}-{a}.sig"
+            path.write_text(format_signal(s), encoding="utf-8")
+            binds.append(f"{a}={path}")
+        yield f"file-{domain.value}", Env(domain, public), builtin_model(None, binds)
+
+
+TICK_FORM_FORMULAS = ["F1 P", "!P S P", "O1 P U P", "C2(P) U P", "Pn2(P, !P)",
+                      "(P | F1 P) U !O1 true", "Pn2(P, Q) | P S Q", "C2(O1 Q) & !F1 P"]
+
+
+def test_the_oracle_gives_on_atoms_in_ticks_what_it_gives_on_public_ones(tmp_path):
+    """On the tick form of a model or of bound files, and on engine signals
+    in ticks, every oracle entry point gives exactly what it gives on the
+    public form: queries, critical and sample points, and both reports, the
+    engine signal at either scale.  Atoms with odd ticks are read at twice
+    their unit, where every tick is even, as the grid needs."""
+    for name, env, ticks in _tick_forms(tmp_path):
+        assert all(s.unit == 1 for s in env.bindings.values())
+        assert all(s.unit != 1 for s in ticks.bindings.values())
+        for text in TICK_FORM_FORMULAS:
+            f = parse_formula(text)
+            if not metrics(f)[1] <= env.bindings.keys():
+                continue
+            public_sig, (tick_sig,) = evaluate(f, env), evaluate_ticks(ticks, f)
+            assert from_ticks(tick_sig) == public_sig, (name, text)
+            points = sample_points(public_sig, 60, seed=5)
+            assert sample_points(tick_sig, 60, seed=5) == points, (name, text)
+            assert critical_points(tick_sig) == critical_points(public_sig), (name, text)
+            session, tick_session = PointwiseSession(f, env), PointwiseSession(f, ticks)
+            for g in tree_nodes(f):
+                assert ([tick_session.eval(g, t) for t in points]
+                        == [session.eval(g, t) for t in points]), (name, text, g)
+            want = compare_pointwise(f, env, public_sig, points)
+            assert want.passed, (name, text)
+            cells = compare_cells(f, env, public_sig)
+            assert cells.passed, (name, text)
+            for atoms in (env, ticks):
+                for sig in (public_sig, tick_sig):
+                    assert compare_pointwise(f, atoms, sig, points) == want, (name, text)
+                    assert compare_cells(f, atoms, sig) == cells, (name, text)
 
 
 def test_disagreement_is_reported_not_hidden():

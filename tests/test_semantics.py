@@ -570,11 +570,9 @@ def test_unused_bindings_change_nothing(monkeypatch):
     ticks; an unbound atom is named in formula order."""
     import qtlab.semantics
     scaled = []
-    to_ticks_of, scale_ticks_of = qtlab.semantics.to_ticks, qtlab.semantics.scale_ticks
+    to_ticks_of = qtlab.semantics.to_ticks
     monkeypatch.setattr(qtlab.semantics, "to_ticks",
                         lambda s, unit: scaled.append(s) or to_ticks_of(s, unit))
-    monkeypatch.setattr(qtlab.semantics, "scale_ticks",
-                        lambda s, unit: scaled.append(s) or scale_ticks_of(s, unit))
     rng = random.Random(53)
     for domain in (LINE, HALF):
         used = {name: random_signal(rng, domain, max_den=6) for name in "PQ"}
@@ -640,6 +638,50 @@ def test_only_evaluate_ticks_picks_a_tick_unit():
     found = _sites({"tick_unit", "to_ticks"})
     assert {f for f in found if f[0] not in ("signals", "oracle")} == {
         ("semantics", "ImportFrom"), ("semantics", "evaluate_ticks")}
+
+
+def test_one_scaler_and_the_cli_reaches_the_engine_through_evaluate_ticks(
+        tmp_path, monkeypatch, capsys):
+    """to_ticks is the one scaler: no module of qtlab defines or imports a
+    scale_ticks.  qtlab.cli reaches the engine only through evaluate_ticks,
+    and imports neither evaluate nor from_ticks nor Env.  So oracle-check on
+    bound files hands the oracle the atoms in ticks as builtin_model read
+    them, with no from_ticks call, and prints the bytes that the same atoms
+    from --model print."""
+    import ast
+    import qtlab
+
+    assert _sites({"scale_ticks"}) == set()
+    cli = Path(qtlab.semantics.__file__).parent / "cli.py"
+    for path in Path(qtlab.semantics.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "scale_ticks" not in {getattr(n, "name", None) for n in ast.walk(tree)}, path
+        if path == cli:
+            imported = {(n.module, a.name) for n in ast.walk(tree)
+                        if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert {name for module, name in imported if module == "semantics"} == {
+        "EvalError", "evaluate_ticks"}
+    assert not {name for _, name in imported} & {"evaluate", "from_ticks", "Env"}
+
+    scaled_back = []
+    for module in list(vars(qtlab).values()) + [qtlab.signals]:
+        if hasattr(module, "from_ticks"):
+            real = module.from_ticks
+            monkeypatch.setattr(module, "from_ticks",
+                                lambda s, real=real: scaled_back.append(s) or real(s))
+    for spec in ("mk:3", "thm2", "alt:4"):
+        binds = []
+        for name, s in builtin_model(spec).bindings.items():
+            path = tmp_path / f"{spec}-{name}.sig".replace(":", "")
+            path.write_text(format_signal(s), encoding="utf-8")
+            binds += ["--bind", f"{name}={path}"]
+        for how in (["--samples", "80"], ["--cells"]):
+            argv = ["oracle-check", "--formula", "!P S P | F1 P", *how]
+            assert main([*argv, "--model", spec]) == 0
+            want = capsys.readouterr().out
+            scaled_back.clear()
+            assert main([*argv, *binds]) == 0
+            assert capsys.readouterr().out == want and not scaled_back, (spec, how)
 
 
 def test_only_builtin_model_reads_a_bound_file():

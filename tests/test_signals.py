@@ -29,7 +29,6 @@ from qtlab.signals import (
     from_ticks,
     parse_signal,
     parse_ticks,
-    scale_ticks,
     tick_unit,
     to_ticks,
 )
@@ -695,7 +694,7 @@ def test_built_records_revalidate(rng, domain, in_ticks):
     if domain is LINE:
         sigs.append(a.shift(d))
     if in_ticks:
-        sigs += [scale_ticks(a, 3 * unit), parse_ticks(format_signal(public[1]))]
+        sigs += [to_ticks(a, 3 * unit), parse_ticks(format_signal(public[1]))]
         sigs += [from_ticks(s) for s in sigs]
     sets += [part for s in sigs for part in (s.pattern, s.prefix)]
     for s in sets:
@@ -787,10 +786,37 @@ def test_to_ticks_scales_every_number_by_the_tick_unit():
         to_ticks(s, 210)  # not a multiple of the denominator 4
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]),
+       st.integers(1, 4), st.integers(1, 6))
+def test_one_scaling_rule_at_both_scales(rng, domain, m, k):
+    """to_ticks and tick_unit read a signal at either scale alike: scaling
+    a signal in ticks of unit Q to kQ is scaling its public form there, a
+    signal in ticks at a multiple of its public form's tick unit has its own
+    unit as its tick unit, and the tick unit of a list mixing the scales is
+    the lcm of its parts' tick units.  At its tick unit every number of a
+    signal is an even tick, also when its own ticks are not all even."""
+    s = random_signal(rng, domain, max_den=rng.choice((6, 12)))
+    q = m * tick_unit([s])
+    ticks = to_ticks(s, q)
+    assert to_ticks(ticks, k * q) == to_ticks(s, k * q)
+    assert tick_unit([ticks]) == q and to_ticks(ticks, q) is ticks
+    half = to_ticks(s, tick_unit([s]) // 2)
+    for x in (s, ticks, half):
+        even = to_ticks(x, tick_unit([x]))
+        assert even == to_ticks(s, tick_unit([x])) and not any(n & 1 for n in _numbers(even))
+    parts = [random_signal(rng, domain) for _ in range(rng.randint(1, 4))]
+    parts = [to_ticks(p, rng.randint(1, 3) * tick_unit([p])) if rng.random() < 0.5 else p
+             for p in parts] + [ticks]
+    rng.shuffle(parts)
+    assert tick_unit(parts) == math.lcm(*(tick_unit([p]) for p in parts))
+
+
 def test_a_signal_in_ticks_meets_no_public_signal():
     """Frame.of is the one check that signals which meet share a domain and a
-    scale: comparing across scales raises, as do scaling and printing a
-    signal that is already in ticks.  At one scale the comparisons hold."""
+    scale: comparing across scales raises, as do scaling a signal in ticks
+    to a unit its own does not divide and printing it as a public one.  At
+    one scale the comparisons hold."""
     ticks = to_ticks(M3, 6)
     for call in (lambda: equal(M3, ticks), lambda: equal(ticks, M3, eventually=True),
                  lambda: classify_trivial(M3, ticks), lambda: classify_trivial(ticks, M3)):
@@ -798,8 +824,8 @@ def test_a_signal_in_ticks_meets_no_public_signal():
             call()
     with pytest.raises(DomainError, match="cannot align signals over different domains"):
         equal(M3, THM2)
-    with pytest.raises(ValueError, match="already in ticks of unit 6"):
-        to_ticks(ticks, 12)
+    with pytest.raises(ValueError, match="cannot scale a signal of unit 6 to ticks of unit 8"):
+        to_ticks(ticks, 8)
     with pytest.raises(ValueError, match="cannot print a signal in ticks of unit 6"):
         format_signal(ticks)
     assert equal(ticks, to_ticks(M3, 6)) and classify_trivial(ticks, ticks) is Triviality.P
@@ -985,7 +1011,7 @@ def test_reading_into_ticks_equals_scaling_the_public_signal():
         assert all(type(x) is int for x in (ticks.period, ticks.transient))
         assert all(type(x) is int for part in (ticks.pattern, ticks.prefix)
                    for c in part for x in (c.lower, c.upper))
-        assert scale_ticks(ticks, 5 * unit) == to_ticks(public, 5 * unit)
+        assert to_ticks(ticks, 5 * unit) == to_ticks(public, 5 * unit)
 
 
 def test_writing_from_ticks_equals_printing_the_public_signal():
@@ -1002,7 +1028,7 @@ def test_writing_from_ticks_equals_printing_the_public_signal():
         unit = tick_unit([s, q])
         f = random_formula(rng, modal_budget=2, size=6)
         atoms = {"P": to_ticks(s, unit), "Q": to_ticks(q, unit)}
-        for t in (atoms["P"], scale_ticks(atoms["P"], 4 * unit),
+        for t in (atoms["P"], to_ticks(atoms["P"], 4 * unit),
                   *evaluate_ticks(Env(s.domain, atoms), f)):
             public = from_ticks(t)
             assert format_ticks(t) == format_signal(public) == _write(public, str)
@@ -1016,20 +1042,20 @@ def test_writing_from_ticks_equals_printing_the_public_signal():
 
 
 def test_each_writer_and_scaler_refuses_the_other_scale():
+    """Each writer refuses the scale it does not write; to_ticks takes either
+    scale, and refuses a unit that is not a multiple, naming both units."""
     ticks = to_ticks(M3, 6)
     with pytest.raises(ValueError, match="format_ticks prints a signal in ticks, not a public one"):
         format_ticks(M3)
     with pytest.raises(ValueError, match="cannot print a signal in ticks of unit 6"):
         format_signal(ticks)
-    with pytest.raises(ValueError, match="cannot scale a signal of unit 1 to ticks of unit 6"):
-        scale_ticks(M3, 6)
     with pytest.raises(ValueError, match="cannot scale a signal of unit 6 to ticks of unit 9"):
-        scale_ticks(ticks, 9)
+        to_ticks(ticks, 9)
     # the engine takes an atom at either scale: the same bytes either way
     f = qtlab.semantics.DiamondFuture(qtlab.semantics.Atom("P"))
     assert (format_ticks(*evaluate_ticks(Env(LINE, {"P": M3}), f))
             == format_ticks(*evaluate_ticks(Env(LINE, {"P": ticks}), f)))
-    assert scale_ticks(ticks, 6) is ticks and scale_ticks(ticks, 12) == to_ticks(M3, 12)
+    assert to_ticks(ticks, 6) is ticks and to_ticks(ticks, 12) == to_ticks(M3, 12)
 
 
 @pytest.mark.parametrize("text, message", [
