@@ -23,9 +23,9 @@ The private ``_unchecked`` does not, nor ``tuple.__new__`` in the hottest
 loops; they build only records valid by construction from valid ones and
 numbers passed through ``exact``, or records whose checks ran on the ints
 they were read from.  Translations and strictly increasing maps of the ends
-(``shift``, ``Signal.slice``, ``_frame``, ``_map_ends``, ``to_ticks``) keep
-lo <= hi and a point closed; ``_merge`` and ``_coalesce`` take the hull of
-two valid components; ``span``, ``_clip``, ``_below``, the
+(``shift``, ``signals._moved`` for slices and frames, ``_map_ends``,
+``to_ticks``) keep lo <= hi and a point closed; ``_merge`` and ``_coalesce``
+take the hull of two valid components; ``span``, ``_clip``, ``_part``, the
 overlaps and gaps of ``intersection`` and ``complement``, and the truth
 pieces of the engine's kernels (``count_kernel``, ``order_kernel``,
 ``pnueli_kernel``) are built only when nonempty: lo < hi, or a closed point.
@@ -305,9 +305,6 @@ class IntervalSet:
         # any span holding this set will do; its upper end must lie past the
         # set, since the span leaves out hi itself
         return self.intersection(other.complement(xs[0].lower, xs[-1].upper + 1))
-
-    def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
-        return self.difference(other).union(other.difference(self))
 
     def shift(self, d: RationalLike) -> "IntervalSet":
         d = exact(d)

@@ -49,13 +49,14 @@ of F1 and O1 and every argument of Pn<k> ask for one witness point, so each
 distributes over ``|``: ``x U (y | z) = x U y | x U z``.  The layer runs
 these positions on each model's layer-start atoms, calls each kernel once
 per (model, operator, argument handles), refines once per distinct new set,
-and keys a tuple by the union of its calls' masks; a class with no atom on
-a model makes no call there (``x U false``, ``F1 false``,
-``Pn(.., false, ..)`` are empty).  The row's other positions take whole
-classes: the left operand of U and S, and the operand of ``C<n>``, n >= 2,
-which must never be distributed: with P at the integers and Q at the
-half-integers, ``C2(P | Q)`` is (0,1/2) with period 1/2 while
-``C2(P) | C2(Q)`` is empty.  Every argument tuple is still tried, in the
+and keys a tuple by the union of its calls' masks.  No call runs on any
+empty operand, as every modality is empty when one of its operands is
+(``x U false``, ``false S x``, ``F1 false``, ``Pn(.., false, ..)``): a
+class with no atom on a model makes no call there.  The row's other
+positions take whole classes: the left operand of U and S, and the operand
+of ``C<n>``, n >= 2, which must never be distributed: with P at the
+integers and Q at the half-integers, ``C2(P | Q)`` is (0,1/2) with period
+1/2 while ``C2(P) | C2(Q)`` is empty.  Every argument tuple is still tried, in the
 same order, and its formula is built only when its class is new, so the
 first-found representatives, the reports and the ``MAX_CANDIDATES`` refusals
 (it counts tuples, not calls; ``tried`` holds each layer's) are unchanged; a
@@ -74,9 +75,11 @@ open there, and the point sorts first both as a tuple and in normal form,
 so that sort is the normal order.  Two sets that repeat in the frame are
 equal exactly when their cuts over its reach are, so a layer names a set by
 its model and cut.  Each call runs a kernel on the cuts; each distinct
-output on a model, its t_bound and truth set, is framed at that t_bound and
-sliced once, and a cut no class or earlier result has is refined once:
-``refine`` intersects cuts and canonicalizes only split parts.
+nonempty output on a model, its t_bound and truth set, is cut over the
+reach once, in one pass (``qtlab.signals._framed_cut``), and a cut no class
+or earlier result has is refined once: ``refine`` intersects cuts and
+canonicalizes only split parts, from their cuts
+(``qtlab.signals._canonical_cut``).
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ from .signals import (
     Frame,
     Signal,
     TimeDomain,
-    _frame,
+    _canonical_cut,
+    _framed_cut,
     _normal_form,
     combine,
     from_ticks,
@@ -316,7 +320,7 @@ class _Enumeration:
                 raise LabError(f"the closure would need more than {MAX_ATOMS} atoms")
             self.cuts[k], outside = inside, atom.difference(inside)
             self.cuts.append(outside)
-            self.atoms[k], new_atom = (_frame(frame, settled, part).canonicalize()
+            self.atoms[k], new_atom = (_canonical_cut(frame, settled, part)
                                        for part in (inside, outside))
             self.atoms.append(new_atom)
             self.owner.append(m)
@@ -383,34 +387,39 @@ class _Enumeration:
                                                        for k, h in enumerate(hs)])
             raw = m, t_bound, truth
             if (got := slots.get(raw)) is None:
-                cut = _frame(frame, t_bound, truth).slice(*self.windows[m])
+                cut = _framed_cut(frame, t_bound, truth, *self.windows[m]) if truth else truth
                 if (got := keyed.get((m, cut))) is None:
                     got = keyed[m, cut] = len(pending)
                     pending.append(self.refine(m, cut))
                 slots[raw] = got
             return got
 
-        tried, whole = 0, [(i,) for i in range(base)]
+        # per model, each class's handle at a whole position, none for an empty cut
+        tried, whole = 0, [[(i,) if cut else () for i, cut in enumerate(a)] for a in args]
         for width, makers in self.logic.families():
-            # per maker: its row, a node for its kernel, and per model each
-            # position's handles for each class and the kernel calls by handles
-            rows = [(make, row, probe, [(m, [whole if k in row.whole else bits[m]
-                                             for k in range(width)], {}) for m in models])
+            # per maker: its row, a node for its kernel and per model its calls by
+            # handles; per model each position's handles, whole alike for the makers
+            rows = [(make, row, probe, [{} for m in models])
                     for make in makers for probe in [make(*reps[:1] * width)]
                     for row in [MODALITIES[type(probe)]]]
+            choices = [[whole[m] if k in rows[0][1].whole else bits[m] for k in range(width)]
+                       for m in models]
+            share = list if len(rows) > 1 else iter  # one maker reads the products once
             for idxs in itertools.product(range(base), repeat=width):
                 if max(idxs) >= upto:
                     tried += len(rows)
-                    for make, row, probe, choices in rows:
+                    calls = [share(itertools.product(*map(getitem, c, idxs))) for c in choices]
+                    for make, row, probe, memos in rows:
                         # every call before the union: a later call's refine
                         # may split atoms the union already holds
-                        got = []
-                        for m, choice, memo in choices:
-                            for hs in itertools.product(*map(getitem, choice, idxs)):
+                        got, key = [], 0
+                        for m, memo, hss in zip(models, memos, calls):
+                            for hs in hss:
                                 if (g := memo.get(hs)) is None:
                                     g = memo[hs] = slot(m, probe, row, hs)
                                 got.append(g)
-                        key = reduce(or_, [pending[g] for g in got], 0)
+                        for g in got:
+                            key |= pending[g]
                         if key not in self.seen:
                             self.admit(make(*(reps[i] for i in idxs)), key)
         self.tried.append(tried)

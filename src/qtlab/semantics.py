@@ -73,7 +73,7 @@ from .formulas import (
     children,
     metrics,
 )
-from .intervals import Interval, IntervalSet, _unchecked
+from .intervals import Interval, IntervalSet, _coalesce, _unchecked
 from .signals import (
     DomainError,
     Frame,
@@ -238,7 +238,8 @@ def order_kernel(frame: Frame, cuts: Sequence[IntervalSet], future: bool) -> tup
                 j -= 1
             if j < len(ys) and (inf := max(lowers[j], a)) < b:
                 out.append(_unchecked(inf, b, False, True))
-    return IntervalSet(out), t_bound
+    # in the order of the runs, touching only across a point x lacks: no sort
+    return IntervalSet._wrap(_coalesce(out)), t_bound
 
 
 def until(x: Signal, y: Signal) -> Signal:

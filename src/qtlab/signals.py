@@ -55,9 +55,11 @@ where signals repeat: their domain, scale, max transient and the lcm period
 of the tails that are not constant (an empty or full tail repeats with any
 period, so its own does not count).  ``_apply`` slices operands as they are
 over a window of their frame and runs a kernel on the cuts, for ``combine``
-and the engine's operators; ``_frame`` alone cuts a set into a prefix and a
-pattern at a frame, by bisection, for them, for ``shift``, the enumerator
-and every reframing.
+and the engine's operators; ``_frame`` cuts a set into a prefix and a
+pattern at a frame, by bisection, for them, for ``shift`` and every
+reframing.  The enumerator builds no such signal: ``_framed_cut`` is
+``_frame``'s signal sliced, in one pass, and ``_canonical_cut`` its
+canonical form read off a cut, through ``canonicalize``'s own walk.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ from bisect import bisect_left
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from operator import attrgetter
+from functools import partial, reduce
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .intervals import (
@@ -99,6 +101,7 @@ class DomainError(ValueError):
 # Most components a slice may unroll from pattern copies, or the oracle's grid
 # points number: past it the unrolling raises SignalError, not a long run.
 MAX_UNROLL = 100_000
+_LOWER, _UPPER = itemgetter(0), itemgetter(1)  # an Interval's ends, as sort keys
 
 
 def check_unroll(count: int, what: str) -> None:
@@ -159,10 +162,10 @@ def _minimal_tail(p: RationalLike, pattern: IntervalSet,
 def _meeting(comps: tuple[Interval, ...], a: RationalLike,
              b: RationalLike) -> tuple[Interval, ...]:
     """The run of sorted, disjoint components that meet [a, b]."""
-    i = bisect_left(comps, a, key=attrgetter("upper"))
+    i = bisect_left(comps, a, key=_UPPER)
     if i < len(comps) and comps[i].upper == a and not comps[i].upper_closed:
         i += 1
-    j = bisect_left(comps, b, key=attrgetter("lower"))
+    j = bisect_left(comps, b, key=_LOWER)
     if j < len(comps) and comps[j].lower == b and comps[j].lower_closed:
         j += 1
     return comps[i:j]
@@ -191,13 +194,14 @@ def _clipped(run: tuple[Interval, ...], a: RationalLike,
              b: RationalLike) -> tuple[Interval, ...]:
     """The run of components that meet [a, b], its outermost two cut down to it."""
     if len(run) < 2:
-        return tuple(_clip(c, a, b) for c in run)
+        return tuple([_clip(c, a, b) for c in run])
     return (_clip(run[0], a, b),) + run[1:-1] + (_clip(run[-1], a, b),)
 
 
-def _below(run: tuple[Interval, ...], b: RationalLike) -> tuple[Interval, ...]:
-    """A run of components within [a, b], the point b taken out of it."""
-    if run and (c := run[-1]).upper == b and c.upper_closed:
+def _part(comps: tuple[Interval, ...], a: RationalLike, b: RationalLike) -> tuple[Interval, ...]:
+    """The sorted, disjoint components over [a, b), cut down to it, by bisection."""
+    run = _clipped(_meeting(comps, a, b), a, b)
+    if run and (c := run[-1]).upper == b and c.upper_closed:  # the point b taken out
         return run[:-1] + ((_unchecked(c.lower, b, c.lower_closed, False),) if c.lower < b else ())
     return run
 
@@ -271,11 +275,7 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
     __contains__ = contains  # not tuple membership
 
     def slice(self, a: RationalLike, b: RationalLike) -> IntervalSet:
-        """The exact point set of the signal within [a, b], at its scale.
-
-        Only the prefix and pattern components that meet the window are
-        taken: whole pattern copies inside it, a bisected run at either end.
-        """
+        """The exact point set of the signal within [a, b], at its scale."""
         a, b = exact(a), exact(b)
         if not type(a) is type(b) is int and self.unit != 1:
             raise TypeError(f"a signal in ticks of unit {self.unit} reads int ticks, "
@@ -285,29 +285,8 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         half = self.domain is TimeDomain.HALF_LINE
         if half and a < 0:
             raise DomainError("window escapes the half line")
-        pieces: list[Interval] = []
-        anchor = self.transient
-        if half and a < anchor:
-            pieces.extend(_meeting(self.prefix.components, a, b))
-        lo = max(a, anchor) if half else a
-        if lo <= b:
-            comps = self.pattern.components
-            k0 = (lo - anchor) // self.period
-            k1 = (b - anchor) // self.period
-            # every copy costs a step, even a copy of an empty pattern
-            check_unroll((k1 - k0 + 1) * max(1, len(comps)), "slicing a signal")
-            for k in range(k0, k1 + 1):
-                off = anchor + k * self.period
-                copy = comps if k0 < k < k1 else _meeting(comps, a - off, b - off)
-                run = [tuple.__new__(Interval, (lo + off, hi + off, lc, hc))
-                       for lo, hi, lc, hc in copy]
-                # the pieces come in order, and normal but where a copy
-                # touches the piece before it, across its start
-                if run and pieces and not _has_gap(pieces[-1], run[0]):
-                    run[0] = _merge(pieces.pop(), run[0])
-                pieces += run
-        # only the outermost components can stick out of the window
-        return IntervalSet._wrap(_clipped(tuple(pieces), a, b))
+        return _unroll(half, self.period, self.pattern.components, self.transient,
+                       self.prefix.components, a, b, self.transient)
 
     def shift(self, d: RationalLike) -> "Signal":
         """Translate the denoted set by d: x + d holds iff x did.  Full line
@@ -329,44 +308,15 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         return _signal(TimeDomain.FULL_LINE, p0, pat0, unit=self.unit).shift(self.transient)
 
     def canonicalize(self) -> "Signal":
-        """On the half line the transient ends the set D' where the signal
-        and its tail extension disagree.  It is read off D, where x and x + p0
-        disagree (p0 the minimal period): past sup D - p0, x + p0 agrees with
-        each x + k p0, so with the extension, and D = D' there."""
+        """The canonical form (module docstring), of a constant at once."""
         if not (self.pattern or self.prefix):
             return Signal.constant(self.domain, False, self.unit)
-        if (self.pattern == IntervalSet.span(0, self.period)
-                and self.prefix == IntervalSet.span(0, self.transient)):
+        full = ((0, self.transient, True, False),) if self.transient else ()  # [0, transient)
+        if (self.pattern.components == ((0, self.period, True, False),)
+                and self.prefix.components == full):
             return Signal.constant(self.domain, True, self.unit)
-        p0, pat0 = _minimal_tail(self.period, self.pattern, self.unit)
-        if self.domain is TimeDomain.FULL_LINE:
-            return _signal(self.domain, p0, pat0, unit=self.unit)
-        # One cut reaches every transient found below: up to the transient t,
-        # or the period multiple that a closed disagreement snaps up to.
-        t = self.transient
-        cut = self.slice(0, -(-t // p0) * p0 + p0)
-        # The components on [0, t] and on [p0, t + p0], walked back in
-        # lockstep while x and x + p0 agree: the first pair that differs holds
-        # the last disagreement, the last point of its symmetric difference.
-        xs = _clipped(_meeting(cut.components, 0, t), 0, t)
-        ys = _clipped(_meeting(cut.components, p0, t + p0), p0, t + p0)
-        i, j = len(xs), len(ys)
-        while i and j:
-            x, y = xs[i - 1], ys[j - 1]
-            if (x.lower + p0 != y.lower or x.upper + p0 != y.upper
-                    or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):
-                break
-            i, j = i - 1, j - 1
-        tc = 0
-        if i or j:
-            last = IntervalSet._wrap(xs[i - 1:i]).symmetric_difference(
-                IntervalSet._wrap(ys[j - 1:j]).shift(-p0)).components[-1]
-            # Disagreement at the point itself: any transient strictly above
-            # works and none is least, so snap up to the period grid.
-            tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
-        if tc == t and p0 == self.period:
-            return self
-        return _frame(Frame(self.domain, p0, tc, self.unit), tc, cut)
+        return _canonical(self.domain, self.unit, self.period, self.pattern, self.transient,
+                          partial(self.slice, 0), self)
 
     def _reframe(self, frame: "Frame") -> "Signal":
         """Re-express at frame: a prefix on [0, frame.transient) and one period
@@ -374,6 +324,50 @@ class Signal(namedtuple("Signal", "domain period pattern transient prefix unit")
         if frame.transient == self.transient and frame.period == self.period:
             return self
         return _frame(frame, frame.transient, self.slice(*frame.window(0)))
+
+
+def _canonical(domain: TimeDomain, unit: int, period: RationalLike, pattern: IntervalSet,
+               t: RationalLike, cut_to: Callable[[RationalLike], IntervalSet],
+               same: Optional[Signal] = None) -> Signal:
+    """The canonical form of the signal that repeats pattern with period from
+    t on, cut_to(b) its set over [0, b]; same when that is it already.  On
+    the half line the transient ends the set D' where the signal and its
+    tail extension disagree.  It is read off D, where x and x + p0 disagree
+    (p0 the minimal period): past sup D - p0, x + p0 agrees with each x + k
+    p0, so with the extension, and D = D' there."""
+    p0, pat0 = _minimal_tail(period, pattern, unit)
+    if domain is TimeDomain.FULL_LINE:
+        return _signal(domain, p0, pat0, unit=unit)
+    # One cut reaches every transient found below: up to the transient t,
+    # or the period multiple that a closed disagreement snaps up to.
+    cut = cut_to(-(-t // p0) * p0 + p0)
+    # The components on [0, t] and on [p0, t + p0], walked back in lockstep
+    # while x and x + p0 agree: the first pair that differs holds the last
+    # disagreement, the last point of its symmetric difference.
+    xs = _clipped(_meeting(cut.components, 0, t), 0, t)
+    ys = _clipped(_meeting(cut.components, p0, t + p0), p0, t + p0)
+    i, j = len(xs), len(ys)
+    while i and j:
+        x, y = xs[i - 1], ys[j - 1]
+        if (x.lower + p0 != y.lower or x.upper + p0 != y.upper
+                or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):
+            break
+        i, j = i - 1, j - 1
+    tc = 0
+    if i or j:
+        if i and j:  # the later upper end; where they are one, the later lower end
+            up, uq = (x.upper, x.upper_closed), (y.upper - p0, y.upper_closed)
+            end, closed = max(up, uq) if up != uq else max((x.lower, not x.lower_closed),
+                                                            (y.lower - p0, not y.lower_closed))
+        else:  # the one component left
+            c, d = (xs[i - 1], 0) if i else (ys[j - 1], p0)
+            end, closed = c.upper - d, c.upper_closed
+        # Disagreement at the point itself: any transient strictly above
+        # works and none is least, so snap up to the period grid.
+        tc = (end // p0 + 1) * p0 if closed else end
+    if same is not None and tc == t and p0 == period:
+        return same
+    return _frame(Frame(domain, p0, tc, unit), tc, cut)
 
 
 def _signal(domain: TimeDomain, period: RationalLike, pattern: IntervalSet,
@@ -430,14 +424,65 @@ def _frame(frame: Frame, t_bound: RationalLike, truth: IntervalSet) -> Signal:
     prefix and a pattern: truth is split by bisection at t_bound and t_bound +
     period, into half-open pieces that drop whatever truth holds at or past
     t_bound + period, such as the closed end of a ``slice``."""
-    comps, end = truth.components, t_bound + frame.period
-    pattern = _below(_clipped(_meeting(comps, t_bound, end), t_bound, end), end)
-    if t_bound:
-        pattern = tuple([_unchecked(c.lower - t_bound, c.upper - t_bound, c.lower_closed,
-                                    c.upper_closed) for c in pattern])
-    prefix = _below(_clipped(_meeting(comps, 0, t_bound), 0, t_bound), t_bound) if t_bound > 0 else ()
+    comps = truth.components
+    pattern = _moved(_part(comps, t_bound, t_bound + frame.period), -t_bound)
+    prefix = _part(comps, 0, t_bound) if t_bound > 0 else ()
     return _signal(frame.domain, frame.period, IntervalSet._wrap(pattern), t_bound,
                    IntervalSet._wrap(prefix), frame.unit)
+
+
+def _moved(run: tuple[Interval, ...], d: RationalLike) -> tuple[Interval, ...]:
+    """A run of components moved by d."""
+    return tuple([tuple.__new__(Interval, (lo + d, hi + d, lc, hc))
+                  for lo, hi, lc, hc in run]) if d else run
+
+
+def _unroll(half: bool, period: RationalLike, pattern: tuple[Interval, ...], anchor: RationalLike,
+            prefix: tuple[Interval, ...], a: RationalLike, b: RationalLike,
+            shift: RationalLike) -> IntervalSet:
+    """Over [a, b], the set that is prefix below anchor and repeats pattern from
+    anchor on (everywhere on the full line), copy k moved by shift + k * period:
+    whole copies inside the window, a bisected run at either end."""
+    pieces: list[Interval] = []
+    if half and a < anchor:
+        pieces.extend(_meeting(prefix, a, b))
+    lo = max(a, anchor) if half else a
+    if lo <= b:
+        k0 = (lo - anchor) // period
+        k1 = (b - anchor) // period
+        # every copy costs a step, even a copy of an empty pattern
+        check_unroll((k1 - k0 + 1) * max(1, len(pattern)), "slicing a signal")
+        for k in range(k0, k1 + 1):
+            off = shift + k * period
+            run = _moved(pattern if k0 < k < k1 else _meeting(pattern, a - off, b - off), off)
+            # the pieces come in order, and normal but where a copy
+            # touches the piece before it, across its start
+            if run and pieces and not _has_gap(pieces[-1], run[0]):
+                pieces[-1], run = _merge(pieces[-1], run[0]), run[1:]
+            pieces += run
+    # only the outermost components can stick out of the window
+    return IntervalSet._wrap(_clipped(tuple(pieces), a, b))
+
+
+def _framed_cut(frame: Frame, t_bound: RationalLike, truth: IntervalSet, a: RationalLike,
+                b: RationalLike) -> IntervalSet:
+    """``_frame(frame, t_bound, truth).slice(a, b)`` in one pass, with no
+    Signal between: on the half line truth as it is up to t_bound + period,
+    where that signal agrees with it, and copies of its last period after."""
+    comps, p, end = truth.components, frame.period, t_bound + frame.period
+    half = frame.domain is TimeDomain.HALF_LINE
+    return _unroll(half, p, _part(comps, t_bound, end), end, _part(comps, 0, end) if half else (),
+                   a, b, p)
+
+
+def _canonical_cut(frame: Frame, t: RationalLike, cut: IntervalSet) -> Signal:
+    """``_frame(frame, t, cut).canonicalize()`` for a cut that holds that
+    signal's set over [0, t + period] (t is 0 on the full line): read off
+    the cut, extended by ``_framed_cut`` only where the lockstep reads past."""
+    p = frame.period
+    return _canonical(frame.domain, frame.unit, p,
+                      IntervalSet._wrap(_moved(_part(cut.components, t, t + p), -t)), t,
+                      lambda b: cut if b <= t + p else _framed_cut(frame, t, cut, 0, b))
 
 
 def _apply(kernel: Callable[..., tuple], operands: Sequence[Signal], *params,

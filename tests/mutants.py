@@ -50,8 +50,7 @@ MUTANTS = (
            ("tests/test_lab.py::test_atoms_stay_a_canonical_partition[tl-mk:2]",)),
     # one memo of kernel calls per maker, shared by the models
     Mutant("the slot memo keyed without its model", "lab.py",
-           "for k in range(width)], {}) for m in models]",
-           "for k in range(width)], memo) for memo in [{}] for m in models]",
+           "[{} for m in models]", "[memo for memo in [{}] for m in models]",
            ("tests/test_lab.py::test_a_pair_closes_at_its_fixpoint_without_the_target"
             "[mk:3+mk:4-qtl+c2-C3(P)-4]",)),
     # P on mk:3 and on mk:4 is one int signal in ticks: keyed without its
@@ -136,7 +135,7 @@ MUTANTS = (
            ("tests/test_semantics.py::test_public_results_are_fractions",)),
     Mutant("canonicalize's lockstep walk comparing components without their closed flags",
            "signals.py",
-           "\n                    or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):",
+           "\n                or x.lower_closed != y.lower_closed or x.upper_closed != y.upper_closed):",
            "):",
            ("tests/test_signals.py::test_lockstep_walk_matches_the_doubling_windows",)),
     Mutant("_frame's split keeping a closed upper end at t_bound + period", "signals.py",
@@ -177,16 +176,37 @@ MUTANTS = (
            "lab.py",
            "                                    g = memo[hs] = slot(m, probe, row, hs)\n"
            "                                got.append(g)\n"
-           "                        key = reduce(or_, [pending[g] for g in got], 0)\n"
+           "                        for g in got:\n"
+           "                            key |= pending[g]\n"
            "                        if key not in self.seen:\n"
            "                            self.admit(make(*(reps[i] for i in idxs)), key)\n",
            "                                    node = make(*(reps[i] for i in idxs))\n"
            "                                    g = memo[hs] = slot(m, probe, row, hs)\n"
            "                                got.append(g)\n"
-           "                        key = reduce(or_, [pending[g] for g in got], 0)\n"
+           "                        for g in got:\n"
+           "                            key |= pending[g]\n"
            "                        if key not in self.seen:\n"
            "                            self.admit(node, key)\n",
            ("tests/test_lab.py::test_enumerated_signals_are_the_formulas_truth[qtl-thm2]",)),
+    # touching pieces of two runs then stay apart: a set not in normal form
+    Mutant("order_kernel wrapping its pieces without merging touching ones", "semantics.py",
+           "IntervalSet._wrap(_coalesce(out))", "IntervalSet._wrap(tuple(out))",
+           ("tests/test_semantics.py::test_touching_until_and_since_pieces_merge",)),
+    # the first and last copies then hold components outside the window
+    Mutant("the one-pass cut taking the whole pattern for the edge copies", "signals.py",
+           "_moved(pattern if k0 < k < k1 else _meeting(pattern, a - off, b - off), off)",
+           "_moved(pattern, off)",
+           ("tests/test_signals.py::test_the_one_pass_cut_is_the_framed_signal_sliced",)),
+    # the first components are then never compared: their agreement reads
+    # as a disagreement
+    Mutant("the lockstep stopping one component early", "signals.py",
+           "    while i and j:\n", "    while i > 1 and j > 1:\n",
+           ("tests/test_signals.py::test_canonicalize_is_as_it_was",
+            "tests/test_signals.py::test_a_cut_canonicalizes_as_its_framed_signal")),
+    # the kernel then runs on the empty cut, and returns the empty set
+    Mutant("the walk calling a kernel on an empty whole-class operand", "lab.py",
+           "[(i,) if cut else () for i, cut in enumerate(a)]", "[(i,) for i, cut in enumerate(a)]",
+           ("tests/test_lab.py::test_each_new_set_is_refined_once",)),
     # the sweep then never leaves a component ending where G is: it hangs
     Mutant("Pn<k>'s merge not stepping past a component ending at G", "semantics.py",
            "comps[i].upper <= x", "comps[i].upper < x",

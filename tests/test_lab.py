@@ -901,13 +901,15 @@ def test_each_new_set_is_refined_once(monkeypatch):
     """A new set that kernels with different t_bounds reach frames twice but
     has one cut over the layer window, and is refined once: depth-3 qtl on
     thm2 refines 15 distinct cuts (the seed P, 14 new modal results).  A set
-    is framed once per distinct kernel output of a layer and twice per atom
-    split, never to match a class: the layer names a set by its cut, and a
-    kernel call by its output.  Depth 3 makes 854 kernel calls and 75
-    framings; ``paper --check pnueli``, whose closure is depth-2 qtl on
-    thm2, 74 and 31.  The distinct outputs, and so the framings, follow
-    the layers' frames, which leave out the period of a constant tail
-    (``Frame.of``)."""
+    is cut once per distinct nonempty kernel output of a layer
+    (``_framed_cut``), an empty one being the empty cut as it is, and each
+    atom split canonicalizes its two parts (``_canonical_cut``), never to
+    match a class: the layer names a set by its cut, and a kernel call by its
+    output.  No kernel runs on an empty operand, which every modality maps to
+    the empty set.  Depth 3 makes 832 kernel calls, 47 cuts and 22 canonical
+    parts; ``paper --check pnueli``, whose closure is depth-2 qtl on thm2,
+    64, 17 and 10.  The distinct outputs, and so the cuts, follow the layers'
+    frames, which leave out the period of a constant tail (``Frame.of``)."""
     atoms = {depth: len(enumerate_formulas(parse_logic("qtl"), depth,
                                            builtin_model("thm2")).atoms) for depth in (2, 3)}
     cuts, calls, outputs, layers = [], [], set(), []
@@ -919,6 +921,7 @@ def test_each_new_set_is_refined_once(monkeypatch):
 
     def logged(cls, kernel):
         def call(node, frame, args):
+            assert all(args), f"{cls.__name__} ran on an empty operand"
             truth, t_bound = got = kernel(node, frame, args)
             calls.append(cls)
             outputs.add((len(layers), frame, t_bound, truth))
@@ -929,17 +932,19 @@ def test_each_new_set_is_refined_once(monkeypatch):
     monkeypatch.setattr(qtlab.lab._Enumeration, "modal_layer",
                         lambda self, upto: layers.append(upto) or layer(self, upto))
     _patch_kernels(monkeypatch, logged)
-    framed = _log_calls(monkeypatch, ["_frame"])
+    framed = _log_calls(monkeypatch, ["_framed_cut"])
+    parts = _log_calls(monkeypatch, ["_canonical_cut"])
     for run, depth, refined, kernel_calls, framings in [
-        (lambda: enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2")), 3, 15, 854, 75),
-        (lambda: paper_check("pnueli"), 2, 5, 74, 31),
+        (lambda: enumerate_formulas(parse_logic("qtl"), 3, builtin_model("thm2")), 3, 15, 832, 47),
+        (lambda: paper_check("pnueli"), 2, 5, 64, 17),
     ]:
-        for log in (cuts, outputs, layers, calls, framed):
+        for log in (cuts, outputs, layers, calls, framed, parts):
             log.clear()
         run()
         assert len(cuts) == len(set(cuts)) == refined
         assert (len(calls), len(framed)) == (kernel_calls, framings)
-        assert len(framed) == len(outputs) + 2 * (atoms[depth] - 1)
+        assert len(framed) == len({out for out in outputs if out[-1]})
+        assert len(parts) == 2 * (atoms[depth] - 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -420,6 +420,42 @@ def test_kernels_read_a_larger_frame_over_its_reach(seed, domain, in_ticks):
     assert signal(pnueli_kernel(frame, [cx, cy])) == pnueli_unit([x, y])
 
 
+def test_touching_until_and_since_pieces_merge():
+    """x = (0,1) u (1,2) and y = [1/2, 3]: each run of x gives a piece of the
+    kernel's set, and the pieces touch at 1, where x itself is false, so
+    they merge: x U y = [0, 2) and x S y = (1/2, 2], in normal form."""
+    x = IntervalSet([Interval.open(0, 1), Interval.open(1, 2)])
+    y = IntervalSet([Interval(F(1, 2), 3)])
+    frame = Frame(HALF, F(4), F(0), 1)
+    assert order_kernel(frame, [x, y], True)[0] == IntervalSet([Interval(0, 2, True, False)])
+    assert order_kernel(frame, [x, y], False)[0] == IntervalSet([Interval(F(1, 2), 2, False, True)])
+    assert until(Signal(HALF, 4, x), Signal(HALF, 4, y)) == Signal(HALF, 4, IntervalSet.span(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), DOMAINS, st.booleans())
+def test_every_modality_is_empty_on_an_empty_operand(rng, domain, in_ticks):
+    """Every row of MODALITIES, Pn2 and Pn3 for the runs, gives the empty set
+    when any one argument's cut is empty, whatever the others are, on both
+    domains and at both scales: so a modal layer calls no kernel on an
+    empty operand (``qtlab.lab``)."""
+    xs = [random_signal(rng, domain) for _ in range(3)]
+    if in_ticks:
+        unit = tick_unit(xs)
+        xs = [to_ticks(s, unit) for s in xs]
+    frame = Frame.of(xs)
+    cuts = [s.slice(*frame.reach()) for s in xs]
+    p = Atom("P")
+    nodes = [Until(p, p), Since(p, p), DiamondFuture(p), DiamondPast(p), Count(2, p),
+             Pnueli((p, p)), Pnueli((p, p, p))]
+    assert {type(node) for node in nodes} == set(MODALITIES)
+    for node in nodes:
+        for k in range(len(children(node))):
+            args = cuts[:len(children(node))]
+            args[k] = IntervalSet.EMPTY
+            assert not MODALITIES[type(node)].kernel(node, frame, args)[0], (node, k)
+
+
 def _pnueli_by_bisection(frame: Frame, cuts) -> tuple:
     """The reference for pnueli_kernel's sweep: the truth decided at every
     critical point (operand endpoints and their shifts by one) and at one

@@ -34,7 +34,8 @@ from qtlab.signals import (
 )
 from qtlab.intervals import format_interval_list
 from qtlab.semantics import Env, count_unit, evaluate_ticks, pnueli_unit, until
-from qtlab.signals import _frame, _minimal_tail, _within, _write
+from qtlab.signals import (_canonical_cut, _clipped, _frame, _framed_cut, _meeting, _minimal_tail,
+                           _within, _write)
 from gen import (PERIODS, irregular_signal, random_formula, random_fraction, random_point_set,
                  random_signal, read_interval_list)
 from test_intervals import interval_sets, rationals
@@ -497,6 +498,11 @@ def _frame_by_intersection(frame, t_bound, truth):
     return Signal(frame.domain, frame.period, pattern, t_bound, prefix, frame.unit)
 
 
+def _xor(a, b):
+    """The symmetric difference of two interval sets."""
+    return a.difference(b).union(b.difference(a))
+
+
 def _canonicalize_by_windows(s):
     """The doubling-window search for the last disagreement that the
     lockstep walk in canonicalize replaced, framed by span intersections:
@@ -512,7 +518,7 @@ def _canonicalize_by_windows(s):
     tc, hi, width = 0, s.transient, p0
     while hi > 0:
         lo = max(hi - width, 0)
-        dis = s.slice(lo, hi).symmetric_difference(s.slice(lo + p0, hi + p0).shift(-p0))
+        dis = _xor(s.slice(lo, hi), s.slice(lo + p0, hi + p0).shift(-p0))
         if dis:
             last = dis.components[-1]
             tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
@@ -541,12 +547,12 @@ def _near_periodic(rng, where):
     x = lo if x >= T else x
     kind = rng.randrange(3)
     if kind == 0:
-        prefix = prefix.symmetric_difference(iset(Interval.point(x)))
+        prefix = _xor(prefix, iset(Interval.point(x)))
     elif kind == 1:
         y = random_fraction(rng, x, T, max_den=24)
         if y > x:
             piece = Interval(x, y, rng.random() < 0.5, rng.random() < 0.5 and y < T)
-            prefix = prefix.symmetric_difference(iset(piece))
+            prefix = _xor(prefix, iset(piece))
     else:
         prefix = _toggle_one_flag(rng, prefix, T) or prefix
     return Signal(HALF, m * q, pattern, T, prefix)
@@ -630,6 +636,125 @@ def test_bisection_split_matches_the_span_intersections():
         frame = Frame(domain, int(period * q), int(t_bound * q), q)
         assert (_frame(frame, frame.transient, ticks)
                 == _frame_by_intersection(frame, frame.transient, ticks))
+
+
+def _in_ticks(q, *parts):
+    """Numbers and interval sets of Fractions times q, which makes them ints."""
+    return [int(x * q) if not isinstance(x, IntervalSet) else IntervalSet([
+        Interval(int(c.lower * q), int(c.upper * q), c.lower_closed, c.upper_closed) for c in x])
+        for x in parts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]), st.booleans())
+def test_the_one_pass_cut_is_the_framed_signal_sliced(rng, domain, in_ticks):
+    """_framed_cut equals _frame's signal sliced, public and in ticks, on
+    truth sets that straddle, close or open at t_bound and t_bound + period,
+    over windows that start before, inside or after t_bound and end in any
+    copy.  Apart from the unrolling the two share, the cut lies in the
+    window and holds exactly the framed signal's points there, at each end
+    of its own and the framed pattern's components and between them."""
+    period = rng.choice(PERIODS)
+    t_bound = random_fraction(rng, 0, 2) if domain is HALF else F(0)
+    truth = _truth_at_the_cuts(rng, domain, t_bound, period)
+    a = random_fraction(rng, F(0) if domain is HALF else -2 * period, t_bound + 2 * period, 24)
+    b = a + rng.choice([F(0), period, random_fraction(rng, 0, 4 * period, max_den=24)])
+    unit = 1
+    if in_ticks:  # even ticks, so that every midpoint below is a tick too
+        unit = 2 * math.lcm(period.denominator, t_bound.denominator, a.denominator, b.denominator,
+                            *(x.denominator for c in truth for x in (c.lower, c.upper)))
+        period, t_bound, a, b, truth = _in_ticks(unit, period, t_bound, a, b, truth)
+    frame = Frame(domain, period, t_bound, unit)
+    framed, cut = _frame(frame, t_bound, truth), _framed_cut(frame, t_bound, truth, a, b)
+    assert cut == framed.slice(a, b)
+    assert not cut.difference(iset(Interval(a, b)))
+    copies = range(int((a - t_bound) // period) - 1, int((b - t_bound) // period) + 2)
+    ends = {a, b} | {x for c in cut for x in (c.lower, c.upper)} | {
+        x + t_bound + k * period for c in framed.pattern for x in (c.lower, c.upper) for k in copies}
+    pts = sorted(x for x in ends if a <= x <= b)
+    for x in pts + [(u + v) // 2 if in_ticks else (u + v) / 2 for u, v in zip(pts, pts[1:])]:
+        assert cut.contains(x) == framed.contains(x), x
+
+
+def _canonicalize_as_before(s):
+    """Signal.canonicalize as it was before the lockstep moved into
+    ``_canonical``: spans built for the constant tests, the last
+    disagreement read off a symmetric difference.  The reference for both
+    canonical routes."""
+    if not (s.pattern or s.prefix):
+        return Signal.constant(s.domain, False, s.unit)
+    if (s.pattern == IntervalSet.span(0, s.period)
+            and s.prefix == IntervalSet.span(0, s.transient)):
+        return Signal.constant(s.domain, True, s.unit)
+    p0, pat0 = _minimal_tail(s.period, s.pattern, s.unit)
+    if s.domain is LINE:
+        return Signal(s.domain, p0, pat0, unit=s.unit)
+    t = s.transient
+    cut = s.slice(0, -(-t // p0) * p0 + p0)
+    xs = _clipped(_meeting(cut.components, 0, t), 0, t)
+    ys = _clipped(_meeting(cut.components, p0, t + p0), p0, t + p0)
+    i, j = len(xs), len(ys)
+    while i and j and xs[i - 1].shift(p0) == ys[j - 1]:
+        i, j = i - 1, j - 1
+    tc = 0
+    if i or j:
+        last = _xor(iset(*xs[i - 1:i]), iset(*ys[j - 1:j]).shift(-p0)).components[-1]
+        tc = (last.upper // p0 + 1) * p0 if last.upper_closed else last.upper
+    if tc == t and p0 == s.period:
+        return s
+    return _frame(Frame(s.domain, p0, tc, s.unit), tc, cut)
+
+
+def _canonical_cases(rng, domain):
+    """A random signal, or on the half line a near-periodic one, a constant
+    in disguise, or one whose tail alone is constant."""
+    kind = rng.randrange(4) if domain is HALF else 0
+    if kind == 1:
+        return _near_periodic(rng, rng.choice(["origin", "first window", "anywhere"]))
+    if kind == 2:
+        return _constant_in_disguise(rng, domain, rng.random() < 0.5)
+    s = random_signal(rng, domain)
+    if kind == 3:
+        tail = IntervalSet.span(0, s.period) if rng.random() < 0.5 else IntervalSet.EMPTY
+        s = Signal(HALF, s.period, tail, s.transient, s.prefix)
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]), st.booleans())
+def test_canonicalize_is_as_it_was(rng, domain, in_ticks):
+    """The lockstep of ``_canonical``, with no span and no symmetric
+    difference built, gives what canonicalize gave before, public and in
+    ticks, the same object when the signal is canonical already."""
+    s = _canonical_cases(rng, domain)
+    if in_ticks:
+        s = to_ticks(s, tick_unit([s]) * rng.choice([1, 3]))
+    got, want = s.canonicalize(), _canonicalize_as_before(s)
+    assert got == want and (got is s) == (want is s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([LINE, HALF]), st.booleans())
+def test_a_cut_canonicalizes_as_its_framed_signal(rng, domain, in_ticks):
+    """_canonical_cut(frame, t, cut), for a cut that holds a signal's set
+    over [0, t + period] on the half line, or over a window around [0,
+    period] on the line, equals _frame(frame, t, cut).canonicalize() and
+    the signal's canonical form, public and in ticks.  The frame's period is
+    a multiple of the signal's, t any point from its transient on; the
+    lockstep may read past the cut (a constant tail, a t off the period
+    grid), which the cut is then extended for."""
+    s = _canonical_cases(rng, domain)
+    period, t = s.period * rng.randint(1, 3), F(0)
+    if domain is HALF:
+        t = s.transient + rng.choice([F(0), random_fraction(rng, 0, 2 * period, max_den=24)])
+    unit = 1
+    if in_ticks:
+        unit = 2 * math.lcm(tick_unit([s]), t.denominator)
+        s, (period, t) = to_ticks(s, unit), _in_ticks(unit, period, t)
+    frame = Frame(domain, period, s.transient, unit)
+    cut = s.slice(0 if domain is HALF else -period, t + period + (0 if domain is HALF else period))
+    got = _canonical_cut(frame, t, cut)
+    assert got == _frame(frame, t, cut).canonicalize() == _canonicalize_as_before(s)
 
 
 def _constant_in_disguise(rng, domain, value):
@@ -749,7 +874,7 @@ def _tick_cases(rng):
         if domain is HALF and s.transient:
             x = random_fraction(rng, 0, s.transient, max_den=12)
             if x < s.transient:
-                flipped = s.prefix.symmetric_difference(iset(Interval.point(x)))
+                flipped = _xor(s.prefix, iset(Interval.point(x)))
                 yield Signal(HALF, s.period, s.pattern, s.transient, flipped)
     for domain in (LINE, HALF):
         for value in (True, False):
