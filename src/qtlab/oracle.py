@@ -161,6 +161,19 @@ class _Grid:
         m, j = divmod(i - len(self.prefix), len(self.tail))
         return self.start + m * self.period + self.tail[j]
 
+    def points(self, lo: int, hi: int) -> List[int]:
+        """Grid points lo to hi - 1, as ``point`` gives them: the prefix's
+        slice, then one run per tail copy."""
+        k, size = len(self.prefix), len(self.tail)
+        out = self.prefix[lo:hi] if 0 <= lo < k else []  # the full line has no prefix
+        i = max(lo, k) if lo >= 0 else lo
+        m, j = divmod(i - k, size)
+        while i < hi:
+            base, run = self.start + m * self.period, self.tail[j:j + hi - i]
+            out += [base + x for x in run]
+            i, m, j = i + len(run), m + 1, 0
+        return out
+
     def locate(self, t: int) -> int:
         """The cell that holds t."""
         if self.half and t < self.start:
@@ -237,11 +250,15 @@ class PointwiseSession:
         """Truth of f at t, the answer of the grid cell that holds t; f is the
         session's formula or one the grid lemma covers (module docstring)."""
         t = rat(t)
-        if self._grid.half and t < 0:
-            raise DomainError(f"{t} is outside the half line")
         if f is not self.formula and (d := metrics(f)[0]) > self.depth:
             raise ValueError(f"modal depth {d} is past the session's grid, of depth {self.depth}")
-        i = self._root if f is self.formula else self._compile(f)
+        return self._truth(self._root if f is self.formula else self._compile(f), t)
+
+    def _truth(self, i: int, t: Fraction) -> bool:
+        """Node i's truth at the exact time t: the entry of the cell that
+        holds t's tick, folded into its table."""
+        if self._grid.half and t.numerator < 0:  # t < 0, t a Fraction
+            raise DomainError(f"{t} is outside the half line")
         c, table, cycle = self._grid.locate(_tick(t, self.unit)), self._table(i), self._cycle
         return table[c if 0 <= c < len(table) else len(table) - cycle + (c - len(table)) % cycle]
 
@@ -255,24 +272,30 @@ class PointwiseSession:
         return self._memo[i]
 
     def _read(self, k: int, lo: int, hi: int) -> List[bool]:
-        """Node k's truth on cells lo to hi - 1, each folded into its table."""
+        """Node k's truth on cells lo to hi - 1, each folded into its table:
+        the table's cells, then its last period as often as the range needs,
+        cut at both ends (on the full line the table is that one period)."""
         table, p = self._table(k), self._cycle
         n = len(table)
         if 0 <= lo and hi <= n:
             return table[lo:hi]
-        return [table[c] if 0 <= c < n else table[n - p + (c - n) % p] for c in range(lo, hi)]
+        start = n - p  # the last period's first cell
+        a = max(lo, start) if lo >= 0 else lo  # the first cell read off the runs
+        skip = (a - start) % p
+        runs = table[start:] * ((hi - a + skip - 1) // p + 1)
+        return table[lo:a] + runs[skip:skip + hi - a]
 
     def _windows(self, back: bool, n: int) -> Tuple[List[int], List[int]]:
         """The first cells and ends of the unit windows after (before) cells 0 to
         n - 1, cut at the origin on the half line; once per session and direction."""
         grid, u = self._grid, self.unit
         if len(self._wins[back][0]) < n:
-            # the grid points from a unit before cell 0 to a unit past cell n - 1
-            first = 0 if grid.half else grid.locate(grid.point(0) - u) >> 1
-            last = grid.locate(grid.point(n // 2) + u) >> 1
-            pts = [grid.point(i) for i in range(first, last + 2)]
-            reps = [x for a, b in zip(pts[-first:n // 2 - first], pts[1 - first:])
-                    for x in (a, (a + b) // 2)]
+            # the grid points of cells 0 to n, then all from a unit before to a unit past
+            own = grid.points(0, n // 2 + 1)
+            first = 0 if grid.half else grid.locate(own[0] - u) >> 1
+            last = grid.locate(own[-1] + u) >> 1
+            pts = grid.points(first, 0) + own + grid.points(n // 2 + 1, last + 2)
+            reps = _reps(own)
             if back:  # from the point at t - u, or through the gap that holds it
                 starts = [2 * (first + bisect_right(pts, t - u)) - 1 if t >= u or not grid.half
                           else 0 for t in reps]
@@ -290,10 +313,10 @@ class PointwiseSession:
         if kind is TrueConst or kind is FalseConst:
             return [kind is TrueConst] * n
         if kind is Atom:  # each component's cell range: its endpoints are grid points
-            grid, table = self._grid, [False] * n
-            for comp in self._arg[i].slice(grid.point(0), grid.point(n // 2)):
-                lo = grid.locate(comp.lower) + (not comp.lower_closed)
-                hi = min(grid.locate(comp.upper) + comp.upper_closed, n)
+            pts, table = self._grid.points(0, n // 2 + 1), [False] * n
+            for comp in self._arg[i].slice(pts[0], pts[-1]):
+                lo = 2 * bisect_left(pts, comp.lower) + (not comp.lower_closed)
+                hi = min(2 * bisect_left(pts, comp.upper) + comp.upper_closed, n)
                 table[lo:hi] = [True] * (hi - lo)
             return table
         if kind is Not:
@@ -347,6 +370,12 @@ class PointwiseSession:
         return list(map(fits, starts, stops))
 
 
+def _reps(pts: List[int]) -> List[int]:
+    """A time in each cell from grid point pts[0] to the gap before pts[-1],
+    as ``_Grid.rep`` gives them: each point, then the midpoint of its gap."""
+    return [x for a, b in zip(pts, pts[1:]) for x in (a, (a + b) // 2)]
+
+
 def _critical_ticks(signal: Signal) -> Tuple[List[int], int]:
     """The critical points in even ticks of the signal's own tick_unit, and that unit."""
     unit = tick_unit([signal])
@@ -359,35 +388,36 @@ def _critical_ticks(signal: Signal) -> Tuple[List[int], int]:
 
 
 def critical_points(signal: Signal) -> List[Fraction]:
-    """Component endpoints of a two-period window of the signal, plus the
-    window bounds themselves, sorted ascending."""
+    """Component endpoints of the signal in a window, plus the window bounds
+    themselves, sorted ascending.  The window is [0, T + 2p] on the half
+    line, T its transient and p its period, and [-2p, 2p] on the full line."""
     crit, unit = _critical_ticks(signal)
     return [Fraction(x, unit) for x in crit]
 
 
 def sample_points(signal: Signal, count: int = 50, seed: int = 0) -> List[Fraction]:
     """Exactly `count` deterministic query points, drawn in priority order:
-    critical points of a two-period window first, then the midpoints between
-    them, then seeded random small-denominator rationals.  The critical
+    the critical points first, over [0, T + 2p] on the half line and [-2p, 2p]
+    on the full line (``critical_points``), then the midpoints between them,
+    then seeded random small-denominator rationals in that window.  The critical
     points are distinct even ticks, so their midpoints are whole ticks;
     every point is kept as a reduced (numerator, denominator) pair, sorted
     on the exact integer key of a common denominator, made a Fraction on return."""
     if count <= 0:
         return []
-    def reduced(num: int, den: int) -> Tuple[int, int]:
-        g = math.gcd(num, den)
-        return num // g, den // g
     crit, unit = _critical_ticks(signal)
     mids = [(a + b) // 2 for a, b in zip(crit, crit[1:])]
-    chosen = [reduced(x, unit) for x in (crit + mids)[:count]]
+    chosen = [(x // g, unit // g) for x in (crit + mids)[:count] for g in (math.gcd(x, unit),)]
     seen = set(chosen)
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange  # randint(a, b) is randrange(a, b + 1)
     lo, width = crit[0], crit[-1] - crit[0]
     denom, misses = 24, 0
     while len(chosen) < count:
-        q = rng.randint(2, denom)
-        k = rng.randint(0, q * width // unit)
-        t = reduced(lo * q + k * unit, unit * q)  # lo + k/q time units
+        q = randrange(2, denom + 1)
+        k = randrange(q * width // unit + 1)
+        num, den = lo * q + k * unit, unit * q  # lo + k/q time units
+        g = math.gcd(num, den)
+        t = num // g, den // g
         if t in seen:
             misses += 1
             if misses > 8:
@@ -399,6 +429,9 @@ def sample_points(signal: Signal, count: int = 50, seed: int = 0) -> List[Fracti
     scale = math.lcm(*(den for _, den in chosen))
     chosen.sort(key=lambda t: t[0] * (scale // t[1]))
     return [Fraction(num, den) for num, den in chosen]
+
+
+_VERDICTS = tuple(f" engine={e} oracle={o}" for e in (0, 1) for o in (0, 1))  # at 2 e + o
 
 
 class AgreementReport(NamedTuple):
@@ -423,14 +456,22 @@ def compare_pointwise(formula: Formula, env, engine_signal: Signal,
     No points are refused: a verdict over no points is no pass."""
     session = PointwiseSession(formula, env)
     unit = tick_unit([engine_signal])
-    ticks = to_ticks(engine_signal, unit)
+    s = to_ticks(engine_signal, unit)
+    transient, period = s.transient, s.period
+    # the prefix's and the pattern's ends, each moved up a tick where it does
+    # not hold: a tick holds where an odd number of them lie at or below it
+    head, tail = ([e + k for comp in part for e, k in ((comp.lower, not comp.lower_closed),
+                                                       (comp.upper, comp.upper_closed))]
+                  for part in (s.prefix, s.pattern))
     lines, agree = [], 0
     for raw in points:
         t = rat(raw)
-        o = session.eval(formula, t)  # first, so a time before the origin raises as t
-        e = ticks.contains(_tick(t, unit))
+        o = session._truth(session._root, t)  # first, so a time before the origin raises as t
+        x = _tick(t, unit)
+        e = (bisect_right(head, x) if 0 <= x < transient
+             else bisect_right(tail, (x - transient) % period)) & 1
         agree += e == o
-        lines.append(f"t={t!s} engine={int(e)} oracle={int(o)}")
+        lines.append("t=" + str(t) + _VERDICTS[2 * e + o])
     if not lines:
         raise ValueError("agreement needs at least one point")
     return AgreementReport(tuple(lines), agree, len(lines))
@@ -455,14 +496,14 @@ def compare_cells(formula: Formula, env, engine_signal: Signal) -> AgreementRepo
                      f"the grid's, {Fraction(grid.period, unit)}")
     n = grid.locate(s.transient + grid.period)
     n = max(n + (n & 1), len(session._table(root)))
+    pts = grid.points(0, n // 2 + 1)
     lines += [f"engine endpoint {Fraction(e, unit)} is not a grid point"
-              for comp in s.slice(grid.point(0), grid.point(n // 2))
+              for comp in s.slice(pts[0], pts[-1])
               for e in (comp.lower, comp.upper) if grid.locate(e) & 1]
     agree = n + (not lines)
-    for c, o in enumerate(session._read(root, 0, n)):
-        if s.contains(grid.rep(c)) != o:
+    for c, (t, o) in enumerate(zip(_reps(pts), session._read(root, 0, n))):
+        if s.contains(t) != o:
             agree -= 1
-            lines.append(f"cell {c} t={Fraction(grid.rep(c), unit)} engine={int(not o)} "
-                         f"oracle={int(o)}")
+            lines.append(f"cell {c} t={Fraction(t, unit)} engine={int(not o)} oracle={int(o)}")
     return AgreementReport(tuple(lines), agree, n + 1)
 

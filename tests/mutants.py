@@ -101,6 +101,13 @@ MUTANTS = (
     Mutant("no refusal of a formula deeper than the session's", "oracle.py",
            "if f is not self.formula and (d := metrics(f)[0]) > self.depth:", "if False:",
            ("tests/test_oracle.py::test_a_session_refuses_a_formula_deeper_than_its_own",)),
+    Mutant("the oracle's run fold taking its run one cell before the last period", "oracle.py",
+           "runs = table[start:] *", "runs = table[start - 1:-1] *",
+           ("tests/test_oracle.py::test_folded_reads_match_the_per_cell_fold",)),
+    Mutant("compare_pointwise reading the engine at the session's unit", "oracle.py",
+           "    unit = tick_unit([engine_signal])\n    s = to_ticks(engine_signal, unit)\n",
+           "    unit = session.unit\n    s = to_ticks(engine_signal, unit)\n",
+           ("tests/test_oracle.py::test_pointwise_report_matches_a_per_sample_reference",)),
     Mutant("Pn<k> true past G - 1 tick, not G - one unit, on a constant piece", "semantics.py",
            "(c := c - one)", "(c := c - 1)",
            ("tests/test_semantics.py::test_unary_run_opens_after_a_point_at_the_origin",

@@ -38,6 +38,7 @@ from qtlab.oracle import (
     compare_pointwise,
     critical_points,
     sample_points,
+    _reps,
     _tick,
 )
 from qtlab.semantics import Env, evaluate, evaluate_ticks
@@ -268,6 +269,29 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
                                 if (closed_a or not at_a) and (closed_b or not at_b)]
                     got = span(grid.locate(a), grid.locate(b), closed_a, closed_b)
                     assert list(got) == expected, (a, b)
+
+
+@pytest.mark.parametrize("domain", [LINE, HALF])
+def test_grid_points_by_runs_match_point_by_point(domain):
+    """``points`` gives the points ``point`` gives one at a time, over ranges
+    in the prefix, across the tail's start and over several tail copies, on
+    the full line from copies below zero; ``_reps`` gives the times ``rep``
+    gives, cell by cell."""
+    rng = random.Random(29)
+    for trial in range(12):
+        p = irregular_signal(rng, 8, domain) if trial % 2 else random_signal(rng, domain)
+        q = random_signal(rng, domain)
+        grid = PointwiseSession(parse_formula("F1 (P U O1 Q)"), Env(domain, {"P": p, "Q": q}))._grid
+        k, size = len(grid.prefix), len(grid.tail)
+        first = 0 if domain is HALF else -3 * size - 1
+        ranges = [(first, k + 4 * size + 1), (k, k + size), (k + size - 1, k + 3 * size + 2),
+                  (max(k - 1, 0), k + 1), (k + 5, k + 5)]
+        ranges += [(lo, rng.randint(lo, k + 6 * size)) for lo in
+                   (rng.randint(first, k + 3 * size) for _ in range(6))]
+        for lo, hi in ranges:
+            assert grid.points(lo, hi) == [grid.point(i) for i in range(lo, hi)], (lo, hi)
+        pts = grid.points(0, k + 2 * size + 1)
+        assert _reps(pts) == [grid.rep(c) for c in range(2 * (k + 2 * size))]
 
 
 def test_the_oracle_stays_in_ints(monkeypatch):
@@ -522,8 +546,8 @@ def _fills_and_reads(monkeypatch, text, env, samples):
     node's cells (node id, first cell, end)."""
     f = parse_formula(text)
     sig = evaluate(f, env)
-    sessions, fills, reads = [], [], []
-    fill, read = PointwiseSession._fill, PointwiseSession._read
+    sessions, fills, reads, lookups = [], [], [], []
+    fill, read, truth = PointwiseSession._fill, PointwiseSession._read, PointwiseSession._truth
 
     def counting_fill(self, i, n):
         sessions.append(self)
@@ -534,16 +558,22 @@ def _fills_and_reads(monkeypatch, text, env, samples):
         reads.append((k, lo, hi))
         return read(self, k, lo, hi)
 
+    def counting_truth(self, i, t):
+        lookups.append(i)
+        return truth(self, i, t)
+
     monkeypatch.setattr(PointwiseSession, "_fill", counting_fill)
     monkeypatch.setattr(PointwiseSession, "_read", counting_read)
+    monkeypatch.setattr(PointwiseSession, "_truth", counting_truth)
     assert compare_pointwise(f, env, sig, sample_points(sig, samples)).passed
     assert len(set(map(id, sessions))) == 1
     session = sessions[0]
     # each node's table once, each operand read once per fill; a query indexes
-    # the root's table, reading no range of cells
+    # the root's table once, reading no range of cells
     assert sorted(fills) == list(range(len(session._kind)))
     assert len(reads) == sum(map(len, session._kids))
     assert session._root not in [k for k, _, _ in reads]
+    assert lookups == [session._root] * samples
     return session, reads
 
 
@@ -584,6 +614,35 @@ def test_300_queries_fill_each_table_once(monkeypatch, domain):
     text = "F1 (P U O1 Q) & C2(P S Pn2(Q, !P))"
     session, _ = _fills_and_reads(monkeypatch, text, env, 300)
     assert set(session._kind) >= {DiamondFuture, DiamondPast, Count, Pnueli, Until, Since}
+
+
+def _fold_reference(table, cycle, lo, hi):
+    """Cells lo to hi - 1 one at a time: a cell the table lacks folds into
+    its last period."""
+    n = len(table)
+    return [table[c] if 0 <= c < n else table[n - cycle + (c - n) % cycle] for c in range(lo, hi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([LINE, HALF]))
+def test_folded_reads_match_the_per_cell_fold(seed, domain):
+    """``_read`` gives every node's cells as the cell-by-cell fold does, over
+    ranges inside its table, across its end and to several periods past
+    it, and on the full line from several periods before cell 0."""
+    rng = random.Random(seed)
+    f = random_formula(rng, modal_budget=2, size=6)
+    env = Env(domain, {"P": random_signal(rng, domain),
+                       "Q": random_signal(rng, domain)})
+    session = PointwiseSession(f, env)
+    p = session._cycle
+    for k in range(len(session._kind)):
+        table = session._table(k)
+        n, first = len(table), 0 if domain is HALF else -3 * p - 1
+        ranges = [(first, n + 4 * p + 1), (n - p, n + 3 * p), (n - 1, n + 1), (n + 2 * p + 1, n + 5 * p)]
+        ranges += [(lo, rng.randint(lo, n + 5 * p)) for lo in
+                   (rng.randint(first, n + 2 * p) for _ in range(8))]
+        for lo, hi in ranges:
+            assert session._read(k, lo, hi) == _fold_reference(table, p, lo, hi), (f, k, lo, hi)
 
 
 def _count_by_scan(holds, need, cells):
@@ -904,6 +963,42 @@ def test_engine_signal_off_the_session_lattice():
     for t, line in zip(points, report.lines):
         assert line == f"t={t} engine={int(wrong.contains(t))} oracle={int(p.contains(t))}"
     assert report.lines[3] == "t=1/7 engine=1 oracle=0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([LINE, HALF]))
+def test_pointwise_report_matches_a_per_sample_reference(seed, domain):
+    """``compare_pointwise``'s report equals one built a sample at a time from
+    ``PointwiseSession.eval`` and ``Signal.contains`` on the public engine
+    signal, which the harness must read at that signal's own tick unit.
+    The engine signals are the formula's own, the same in ticks, and an
+    unrelated one whose sevenths the session's ticks need not hold; the
+    times are sample points, times off the tick lattice, full-line times
+    below zero and times far past the fold start."""
+    rng = random.Random(seed)
+    f = random_formula(rng, modal_budget=2, size=6)
+    env = Env(domain, {"P": random_signal(rng, domain),
+                       "Q": random_signal(rng, domain)})
+    truth = evaluate(f, env)
+    other = Signal(domain, F(rng.randint(1, 3)),
+                   IntervalSet([Interval.point(F(rng.randint(0, 6), 7)),
+                                Interval(F(3, 7), F(rng.randint(4, 6), 7), True, rng.random() < .5)]))
+    session = PointwiseSession(f, env)
+    far = F(session._grid.start + 40 * session._grid.period, session.unit)
+    lo = 0 if domain is HALF else -far
+    times = sample_points(truth, 20, seed)
+    times += [random_fraction(rng, lo, far, 1000) for _ in range(20)]
+    times += [far + F(k, 3 * session.unit) for k in (1, 2, 4)] + [F(1, 999), F(5, 7)]
+    if domain is LINE:
+        times += [-far - F(1, 5), F(-1, 3 * session.unit)]
+    for sig in (truth, to_ticks(truth, 2 * tick_unit([truth])), other):
+        public = from_ticks(sig) if sig.unit != 1 else sig
+        expected = [f"t={t} engine={int(public.contains(t))} oracle={int(session.eval(f, t))}"
+                    for t in times]
+        report = compare_pointwise(f, env, sig, times)
+        assert list(report.lines) == expected, (f, sig)
+        assert report.agreements == sum(line.endswith(("=0 oracle=0", "=1 oracle=1"))
+                                        for line in expected)
 
 
 def test_harness_refuses_a_time_before_the_origin_by_its_value():
