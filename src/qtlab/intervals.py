@@ -24,11 +24,12 @@ loops; they build only records valid by construction from valid ones and
 numbers passed through ``exact``, or records whose checks ran on the ints
 they were read from.  Translations and strictly increasing maps of the ends
 (``shift``, ``signals._moved`` for slices and frames, ``_map_ends``,
-``to_ticks``) keep lo <= hi and a point closed; ``_merge`` and ``_coalesce``
-take the hull of two valid components; ``span``, ``_clip``, ``_part``, the
-overlaps and gaps of ``intersection`` and ``complement``, and the truth
-pieces of the engine's kernels (``count_kernel``, ``order_kernel``,
-``pnueli_kernel``) are built only when nonempty: lo < hi, or a closed point.
+``to_ticks``) keep lo <= hi and a point closed; ``_coalesce`` and the copy
+join of ``signals._unroll`` take the hull of two valid components; ``span``,
+``_clip``, ``_part``, the overlaps and gaps of ``intersection`` and
+``complement``, and the truth pieces of the engine's kernels
+(``count_kernel``, ``order_kernel``, ``pnueli_kernel``) are built only when
+nonempty: lo < hi, or a closed point.
 
 The algebra works on normal forms directly, each operation one linear pass:
 ``union`` hands both sorted component tuples to the constructor, whose sort
@@ -45,7 +46,7 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[Fraction, int]
@@ -144,30 +145,13 @@ def _unchecked(lower: RationalLike, upper: RationalLike, lower_closed: bool,
     return tuple.__new__(Interval, (lower, upper, lower_closed, upper_closed))
 
 
-# Sort keys and merge predicates for normalization.  Lower bounds order as
-# (q, closed) < (q, open); upper bounds as (q, open) < (q, closed).
+# Sort keys: an Interval's bare ends, for bisection, and _lower_key, which
+# orders lower bounds as (q, closed) < (q, open).
+_LOWER, _UPPER = itemgetter(0), itemgetter(1)
+
 
 def _lower_key(iv: Interval):
     return (iv.lower, 0 if iv.lower_closed else 1)
-
-
-_upper = attrgetter("upper")
-
-
-def _ends_first(a: Interval, b: Interval) -> bool:
-    """a's upper bound sorts no later than b's: (q, open) < (q, closed)."""
-    return a.upper < b.upper or (a.upper == b.upper and (b.upper_closed or not a.upper_closed))
-
-
-def _has_gap(a: Interval, b: Interval) -> bool:
-    """True when b (whose lower sorts >= a's) does not touch or overlap a."""
-    return a.upper < b.lower or (a.upper == b.lower and not (a.upper_closed or b.lower_closed))
-
-
-def _merge(a: Interval, b: Interval) -> Interval:
-    if _ends_first(b, a):
-        return a
-    return _unchecked(a.lower, b.upper, a.lower_closed, b.upper_closed)
 
 
 def _coalesce(items: Iterable[Interval]) -> Tuple[Interval, ...]:
@@ -245,7 +229,7 @@ class IntervalSet:
         candidate.  One ending open at x cannot be followed by one starting
         closed at x, since normal form would have merged the two."""
         comps = self._components
-        i = bisect_left(comps, exact(x), key=_upper)
+        i = bisect_left(comps, exact(x), key=_UPPER)
         return i < len(comps) and comps[i].contains(x)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
@@ -376,7 +360,7 @@ def _read_list(text: str) -> Tuple[list, bool]:
             break
         if rows:  # normal while each interval starts after a gap from the one before
             last = rows[-1]
-            gap = a * last[3] - last[2] * b  # _has_gap(last, this) on ints
+            gap = a * last[3] - last[2] * b  # the sign of this lower end less the last upper end
             normal &= gap > 0 or gap == 0 and not (last[5] or lower_closed)
         rows.append((a, b, c, d, lower_closed, upper_closed))
         pos = m.end()

@@ -89,7 +89,6 @@ from .formulas import (
     And,
     Atom,
     Count,
-    DiamondFuture,
     DiamondPast,
     FalseConst,
     Formula,
@@ -154,16 +153,9 @@ class _Grid:
         # offsets in [0, period); a tail without points gets one per period
         self.tail = [p - self.start for p in ordered[cut:]] or [0]
 
-    def point(self, i: int) -> int:
-        """Grid point i."""
-        if self.half and i < len(self.prefix):
-            return self.prefix[i]
-        m, j = divmod(i - len(self.prefix), len(self.tail))
-        return self.start + m * self.period + self.tail[j]
-
     def points(self, lo: int, hi: int) -> List[int]:
-        """Grid points lo to hi - 1, as ``point`` gives them: the prefix's
-        slice, then one run per tail copy."""
+        """Grid points lo to hi - 1, numbered as in the class docstring: the
+        prefix's slice, then one run per tail copy."""
         k, size = len(self.prefix), len(self.tail)
         out = self.prefix[lo:hi] if 0 <= lo < k else []  # the full line has no prefix
         i = max(lo, k) if lo >= 0 else lo
@@ -183,14 +175,6 @@ class _Grid:
         j = bisect_right(self.tail, off) - 1  # -1: the last point of the copy before
         i = len(self.prefix) + m * len(self.tail) + j
         return 2 * i + (j < 0 or self.tail[j] != off)
-
-    def rep(self, c: int) -> int:
-        """A time in cell c: its point, or the midpoint of its gap, a whole
-        tick since grid points are even ticks."""
-        i = c >> 1
-        if c & 1:
-            return (self.point(i) + self.point(i + 1)) // 2
-        return self.point(i)
 
 
 class PointwiseSession:
@@ -371,8 +355,9 @@ class PointwiseSession:
 
 
 def _reps(pts: List[int]) -> List[int]:
-    """A time in each cell from grid point pts[0] to the gap before pts[-1],
-    as ``_Grid.rep`` gives them: each point, then the midpoint of its gap."""
+    """A time in each cell from grid point pts[0] to the gap before pts[-1]:
+    each point, then the midpoint of its gap, a whole tick since grid points
+    are even ticks."""
     return [x for a, b in zip(pts, pts[1:]) for x in (a, (a + b) // 2)]
 
 

@@ -70,7 +70,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import partial, reduce
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .intervals import (
@@ -78,8 +78,8 @@ from .intervals import (
     IntervalSet,
     RationalLike,
     TextFormatError,
-    _has_gap,
-    _merge,
+    _LOWER,
+    _UPPER,
     _read_list,
     _read_rational,
     _set_of,
@@ -101,7 +101,6 @@ class DomainError(ValueError):
 # Most components a slice may unroll from pattern copies, or the oracle's grid
 # points number: past it the unrolling raises SignalError, not a long run.
 MAX_UNROLL = 100_000
-_LOWER, _UPPER = itemgetter(0), itemgetter(1)  # an Interval's ends, as sort keys
 
 
 def check_unroll(count: int, what: str) -> None:
@@ -455,10 +454,14 @@ def _unroll(half: bool, period: RationalLike, pattern: tuple[Interval, ...], anc
         for k in range(k0, k1 + 1):
             off = shift + k * period
             run = _moved(pattern if k0 < k < k1 else _meeting(pattern, a - off, b - off), off)
-            # the pieces come in order, and normal but where a copy
-            # touches the piece before it, across its start
-            if run and pieces and not _has_gap(pieces[-1], run[0]):
-                pieces[-1], run = _merge(pieces[-1], run[0]), run[1:]
+            # the pieces come in order, and normal but where a copy touches the
+            # piece before it, at its start: every earlier piece lies below it
+            # (the prefix in [0, anchor), copy k in [off, off + period))
+            if run and pieces:
+                c, d = pieces[-1], run[0]
+                if c.upper == d.lower and (c.upper_closed or d.lower_closed):
+                    pieces[-1] = _unchecked(c.lower, d.upper, c.lower_closed, d.upper_closed)
+                    run = run[1:]
             pieces += run
     # only the outermost components can stick out of the window
     return IntervalSet._wrap(_clipped(tuple(pieces), a, b))

@@ -91,11 +91,16 @@ def span(lo, hi, closed_a=False, closed_b=False):
     return range(lo + (lo % 2 == 0 and not closed_a), hi + (hi % 2 == 1 or closed_b))
 
 
+def rep(grid, c):
+    """The time ``_reps`` gives cell c."""
+    return _reps(grid.points(c // 2, c // 2 + 2))[c % 2]
+
+
 def window_cells(session, c, back):
     """The reference window of cell c: the cells of the open unit window
     after (before) its representative, cut at the origin on the half line."""
     grid, u = session._grid, session.unit
-    t = grid.rep(c)
+    t = rep(grid, c)
     if not back:
         return span(c, grid.locate(t + u))
     if grid.half and t < u:
@@ -105,9 +110,9 @@ def window_cells(session, c, back):
 
 def cell_probes(grid, c):
     """The cell's point, or three times spread over its open gap, in ticks."""
+    a, b = grid.points(c // 2, c // 2 + 2)
     if c % 2 == 0:
-        return [grid.point(c // 2)]
-    a, b = grid.point(c // 2), grid.point(c // 2 + 1)
+        return [a]
     return [a + (b - a) * F(k, 4) for k in (1, 2, 3)]
 
 
@@ -142,7 +147,7 @@ def test_span_lists_the_cells_of_a_window():
 
     # grid points k/2: point 0 is cell 0, the gap (0, 1/2) cell 1, and so on
     assert window(F(0), F(1), True, True) == [0, 1, 2, 3, 4]
-    assert [grid.rep(c) for c in range(5)] == [x * u for x in (0, F(1, 4), F(1, 2), F(3, 4), 1)]
+    assert [rep(grid, c) for c in range(5)] == [x * u for x in (0, F(1, 4), F(1, 2), F(3, 4), 1)]
     assert window(F(0), F(1)) == [1, 2, 3]
     assert window(F(1, 8), F(3, 8), True, True) == [1]  # inside one gap
     assert window(F(-1, 2), F(0), True) == [-2, -1]
@@ -253,13 +258,14 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
         every = _numbered_points(grid, min(a for a, _ in windows), max(b for _, b in windows))
         for a, b in windows:
             numbered = _around(every, a, b)
-            if b - a <= 2 * per:  # point by point on all but the longest windows
+            if numbered and b - a <= 2 * per:  # point by point on all but the longest windows
+                first, pts = numbered[0][0], [pt for _, pt in numbered]
+                assert grid.points(first, first + len(pts)) == pts
+                assert _reps(pts)[1::2] == [(pt + nxt) / 2 for pt, nxt in zip(pts, pts[1:])]
                 for i, pt in numbered:
-                    assert grid.point(i) == pt
                     assert grid.locate(pt) == 2 * i
                 for (i, pt), (_, nxt) in zip(numbered, numbered[1:]):
                     assert grid.locate((pt + nxt) / 2) == 2 * i + 1
-                    assert grid.rep(2 * i + 1) == (pt + nxt) / 2
             if a >= b:
                 continue
             meeting = _cells_meeting(numbered, a, b)
@@ -273,25 +279,29 @@ def test_grid_locate_and_point_match_the_unrolled_points(domain):
 
 @pytest.mark.parametrize("domain", [LINE, HALF])
 def test_grid_points_by_runs_match_point_by_point(domain):
-    """``points`` gives the points ``point`` gives one at a time, over ranges
-    in the prefix, across the tail's start and over several tail copies, on
-    the full line from copies below zero; ``_reps`` gives the times ``rep``
-    gives, cell by cell."""
+    """``points`` gives the points that ``_numbered_points`` numbers one at
+    a time, over ranges in the prefix, across the tail's start and over
+    several tail copies, on the full line from copies below zero; ``_reps``
+    gives each point, then the midpoint between it and the next, cell by
+    cell."""
     rng = random.Random(29)
     for trial in range(12):
         p = irregular_signal(rng, 8, domain) if trial % 2 else random_signal(rng, domain)
         q = random_signal(rng, domain)
         grid = PointwiseSession(parse_formula("F1 (P U O1 Q)"), Env(domain, {"P": p, "Q": q}))._grid
         k, size = len(grid.prefix), len(grid.tail)
+        point = dict(_numbered_points(grid, grid.start - 5 * grid.period,
+                                      grid.start + 7 * grid.period))
         first = 0 if domain is HALF else -3 * size - 1
         ranges = [(first, k + 4 * size + 1), (k, k + size), (k + size - 1, k + 3 * size + 2),
                   (max(k - 1, 0), k + 1), (k + 5, k + 5)]
         ranges += [(lo, rng.randint(lo, k + 6 * size)) for lo in
                    (rng.randint(first, k + 3 * size) for _ in range(6))]
         for lo, hi in ranges:
-            assert grid.points(lo, hi) == [grid.point(i) for i in range(lo, hi)], (lo, hi)
+            assert grid.points(lo, hi) == [point[i] for i in range(lo, hi)], (lo, hi)
         pts = grid.points(0, k + 2 * size + 1)
-        assert _reps(pts) == [grid.rep(c) for c in range(2 * (k + 2 * size))]
+        assert _reps(pts) == [x for i in range(k + 2 * size)
+                              for x in (point[i], (point[i] + point[i + 1]) // 2)]
 
 
 def test_the_oracle_stays_in_ints(monkeypatch):
@@ -322,7 +332,7 @@ def test_the_oracle_stays_in_ints(monkeypatch):
         g = s._grid
         numbers = g.prefix + g.tail + [g.start, g.period] + s._bound
         for table in s._memo.values():
-            numbers += [g.rep(c) for c in range(len(table))]
+            numbers += [rep(g, c) for c in range(len(table))]
             cells += len(table)
         for starts, stops in s._wins.values():
             numbers += starts + stops
@@ -351,7 +361,7 @@ def test_off_lattice_queries_answer_like_the_engine(rng, domain):
     first = 0 if domain is HALF else -points  # points below zero on the full line
     # first is always asked, so the full line always has times below zero
     for i in [first] + rng.sample(range(first + 1, points), min(5, points - first - 1)):
-        g = F(grid.point(i), u)
+        g = F(grid.points(i, i + 1)[0], u)
         times += [g + d + e for d in (0, 1, -1, per, -per) for e in (eps, -eps)]
     if domain is HALF:
         times = [t for t in times if t >= 0]
@@ -468,7 +478,7 @@ def test_session_memo_is_consistent(monkeypatch):
     monkeypatch.setattr(PointwiseSession, "_fill", counting)
     session = PointwiseSession(f, env)
     grid, u = session._grid, session.unit
-    lo, hi = F(grid.point(1), u), F(grid.point(2), u)
+    lo, hi = (F(x, u) for x in grid.points(1, 3))
     times = [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
     cells = {grid.locate(_tick(t, u)) for t in times}
     assert len(cells) == 1 and cells.pop() % 2 == 1  # one open cell
@@ -1216,7 +1226,7 @@ def test_compare_cells_reads_past_a_late_engine_transient():
     assert sig.transient == 2
     session = PointwiseSession(f, env)
     fold = len(session._table(session._root)) - session._cycle
-    assert session._grid.point(fold // 2) < 2 * session.unit
+    assert session._grid.points(fold // 2, fold // 2 + 1)[0] < 2 * session.unit
     report = compare_cells(f, env, sig)
     assert report.passed and report.total - 1 > len(session._table(session._root))
 

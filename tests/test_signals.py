@@ -189,6 +189,16 @@ def test_slice_covers_prefix_and_tail():
         s.slice(-1, 0)
     with pytest.raises(ValueError, match=r"empty window \[1, 0\]"):
         s.slice(1, 0)
+    # seams: a copy whose first component starts closed where the piece
+    # before it ends open joins that piece, after a copy and after the prefix
+    line = Signal(LINE, F(1), iset(Interval(0, F(1, 4)), Interval(F(3, 4), 1, True, False)))
+    assert line.slice(-1, 2).components == (
+        Interval(-1, F(-3, 4)), Interval(F(-1, 4), F(1, 4)), Interval(F(3, 4), F(5, 4)),
+        Interval(F(7, 4), 2))
+    half = Signal(HALF, F(1), iset(Interval(0, F(1, 2))), transient=F(1),
+                  prefix=iset(Interval.open(0, 1)))
+    assert half.slice(0, 3).components == (
+        Interval(0, F(3, 2), False, True), Interval(2, F(5, 2)), Interval.point(3))
 
 
 def _own_endpoints(s, a, b):
